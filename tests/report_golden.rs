@@ -7,7 +7,7 @@
 //! bucket drain order, the superstep schedule, or the distance/parent bits
 //! shows up here as a diff.
 //!
-//! The 1D runs spawn the real `g500` binary under `G500_THREADS=1` and
+//! The 1D and serve runs spawn the real `g500` binary under `G500_THREADS=1` and
 //! `=4` (the pool is process-global, so thread counts only compare across
 //! processes); both must reproduce the same golden. Regenerate after an
 //! *intentional* semantic change with
@@ -25,6 +25,10 @@ const GOLDEN_2D: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/report_2d_scale10.txt"
 );
+const GOLDEN_SERVE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/serve_scale10.json"
+);
 
 /// Compare `actual` against the golden file at `path`; with `G500_BLESS=1`
 /// rewrite the golden instead.
@@ -41,21 +45,11 @@ fn check_golden(path: &str, actual: &str) {
     );
 }
 
-/// Run the `g500` binary at scale 10 under `threads` and return its JSON
+/// Run the `g500` binary with `args` under `threads` and return its JSON
 /// stdout minus the host-dependent lines (wall time, pool size).
-fn run_1d_json(threads: usize) -> String {
+fn run_json(args: &[&str], threads: usize) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_g500"))
-        .args([
-            "sssp",
-            "--scale",
-            "10",
-            "--ranks",
-            "4",
-            "--roots",
-            "2",
-            "--deterministic",
-            "--json",
-        ])
+        .args(args)
         .env("G500_THREADS", threads.to_string())
         .output()
         .expect("spawn g500");
@@ -76,12 +70,51 @@ fn run_1d_json(threads: usize) -> String {
 
 #[test]
 fn golden_1d_scale10_report_json_at_t1_and_t4() {
-    let t1 = run_1d_json(1);
+    let args = [
+        "sssp",
+        "--scale",
+        "10",
+        "--ranks",
+        "4",
+        "--roots",
+        "2",
+        "--deterministic",
+        "--json",
+    ];
+    let t1 = run_json(&args, 1);
     check_golden(GOLDEN_1D, &t1);
-    let t4 = run_1d_json(4);
+    let t4 = run_json(&args, 4);
     assert_eq!(
         t1, t4,
         "1D report JSON differs between G500_THREADS=1 and =4"
+    );
+}
+
+/// The batched kernel under the serving layer: three windows of mixed full
+/// and point-to-point queries with landmarks and the LRU on, so lane
+/// retirement, bound pruning and the lane-tagged exchange all shape the
+/// superstep count and the virtual-time latencies pinned here.
+#[test]
+fn golden_serve_scale10_report_json_at_t1_and_t4() {
+    let args = [
+        "serve",
+        "--scale",
+        "10",
+        "--ranks",
+        "4",
+        "--queries",
+        "24",
+        "--batch",
+        "8",
+        "--deterministic",
+        "--json",
+    ];
+    let t1 = run_json(&args, 1);
+    check_golden(GOLDEN_SERVE, &t1);
+    let t4 = run_json(&args, 4);
+    assert_eq!(
+        t1, t4,
+        "serve report JSON differs between G500_THREADS=1 and =4"
     );
 }
 
