@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Argument parsing is hand-rolled (two flags' worth of logic does not
-//! justify a dependency).
+//! justify a dependency) and strict: an argument no command reads is an
+//! error (exit 2), never a silently ignored typo.
 
 use graph500::gen::{KroneckerGenerator, KroneckerParams};
 use graph500::graph::{component_stats, Csr, DegreeStats, Directedness};
@@ -28,17 +29,35 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// The tokens after the subcommand. Every accessor claims the tokens it
+/// reads; whatever is still unclaimed once a command has read all of its
+/// flags is a typo, and [`Args::reject_unclaimed`] refuses to run with it.
 struct Args {
-    flags: Vec<String>,
+    tokens: Vec<String>,
+    claimed: std::cell::RefCell<Vec<bool>>,
 }
 
 impl Args {
+    fn new(tokens: Vec<String>) -> Self {
+        let claimed = std::cell::RefCell::new(vec![false; tokens.len()]);
+        Args { tokens, claimed }
+    }
+
+    /// Position of flag `name`, claiming it.
+    fn claim(&self, name: &str) -> Option<usize> {
+        let i = self.tokens.iter().position(|a| a == name)?;
+        self.claimed.borrow_mut()[i] = true;
+        Some(i)
+    }
+
     fn value(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.flags.get(i + 1))
-            .map(String::as_str)
+        let i = self.claim(name)?;
+        let Some(v) = self.tokens.get(i + 1) else {
+            eprintln!("missing value for {name}");
+            usage()
+        };
+        self.claimed.borrow_mut()[i + 1] = true;
+        Some(v)
     }
 
     fn num(&self, name: &str, default: u64) -> u64 {
@@ -62,16 +81,41 @@ impl Args {
     }
 
     fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|a| a == name)
+        self.claim(name).is_some()
+    }
+
+    /// Where `--trace-out` asks for the Chrome trace: the path after the
+    /// flag, or `trace.json` when the flag carries none (it is last, or
+    /// the next token is another flag).
+    fn trace_out(&self) -> Option<&str> {
+        let i = self.claim("--trace-out")?;
+        match self.tokens.get(i + 1) {
+            Some(v) if !v.starts_with("--") => {
+                self.claimed.borrow_mut()[i + 1] = true;
+                Some(v)
+            }
+            _ => Some("trace.json"),
+        }
+    }
+
+    /// Exit 2 naming the first token no accessor claimed: a misspelled
+    /// flag must not silently run the default configuration.
+    fn reject_unclaimed(&self) {
+        let claimed = self.claimed.borrow();
+        if let Some(i) = claimed.iter().position(|&c| !c) {
+            eprintln!(
+                "g500: unknown argument: {} (g500 --help lists the flags)",
+                self.tokens[i]
+            );
+            std::process::exit(2)
+        }
     }
 }
 
 fn main() {
     let mut argv = std::env::args().skip(1);
     let cmd = argv.next().unwrap_or_else(|| usage());
-    let args = Args {
-        flags: argv.collect(),
-    };
+    let args = Args::new(argv.collect());
 
     // Size the worker pool before any parallel work runs (the pool is
     // process-global and fixed at first use).
@@ -133,7 +177,9 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
         std::env::var("G500_TRACE").ok().as_deref(),
         Some("1") | Some("true")
     );
-    if args.has("--trace") || args.has("--trace-out") || env_trace {
+    // read both flags before testing either, so both are claimed
+    let (trace, trace_out) = (args.has("--trace"), args.trace_out().is_some());
+    if trace || trace_out || env_trace {
         cfg = cfg.traced(true);
     }
     if let Some(t) = args.value("--topology") {
@@ -197,19 +243,12 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
     cfg
 }
 
-/// Write the Chrome trace file when `--trace-out` was given (defaulting to
-/// `trace.json` when the flag carries no path).
-fn write_trace_if_requested(args: &Args, rep: &graph500::BenchmarkReport) {
-    if !args.has("--trace-out") {
-        return;
-    }
-    let Some(trace) = rep.trace.as_ref() else {
+/// Write the Chrome trace to `path` when `--trace-out` asked for one and
+/// the run was traced.
+fn write_trace_if_requested(path: Option<&str>, rep: &graph500::BenchmarkReport) {
+    let (Some(path), Some(trace)) = (path, rep.trace.as_ref()) else {
         return;
     };
-    let path = args
-        .value("--trace-out")
-        .filter(|v| !v.starts_with("--"))
-        .unwrap_or("trace.json");
     match graph500::write_chrome_trace(std::path::Path::new(path), trace) {
         Ok(()) => eprintln!("wrote Chrome trace to {path}"),
         Err(e) => {
@@ -219,8 +258,26 @@ fn write_trace_if_requested(args: &Args, rep: &graph500::BenchmarkReport) {
     }
 }
 
+/// Print a kernel report (JSON or rendered) and exit 1 if validation was
+/// on and any root failed it.
+fn print_report(cfg: &BenchmarkConfig, rep: &graph500::BenchmarkReport, json: bool) {
+    if json {
+        println!("{}", rep.to_json());
+    } else {
+        println!("{}", rep.render());
+        if cfg.validate {
+            println!("validated:             {}", rep.all_validated());
+        }
+    }
+    if cfg.validate && !rep.all_validated() {
+        std::process::exit(1);
+    }
+}
+
 fn cmd_sssp(args: &Args) {
     let cfg = build_cfg(args);
+    let json = args.has("--json");
+    args.reject_unclaimed();
     eprintln!(
         "g500 sssp: scale {}, {} ranks, {} roots…",
         cfg.scale, cfg.machine.ranks, cfg.num_roots
@@ -232,45 +289,21 @@ fn cmd_sssp(args: &Args) {
             std::process::exit(1);
         }
     };
-    write_trace_if_requested(args, &rep);
-    if args.has("--json") {
-        println!("{}", rep.to_json());
-        if cfg.validate && !rep.all_validated() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    println!("{}", rep.render());
-    if cfg.validate {
-        println!("validated:             {}", rep.all_validated());
-        if !rep.all_validated() {
-            std::process::exit(1);
-        }
-    }
+    write_trace_if_requested(args.trace_out(), &rep);
+    print_report(&cfg, &rep, json);
 }
 
 fn cmd_bfs(args: &Args) {
     let cfg = build_cfg(args);
+    let json = args.has("--json");
+    args.reject_unclaimed();
     eprintln!(
         "g500 bfs: scale {}, {} ranks, {} roots…",
         cfg.scale, cfg.machine.ranks, cfg.num_roots
     );
     let rep = run_bfs_benchmark(&cfg);
-    write_trace_if_requested(args, &rep);
-    if args.has("--json") {
-        println!("{}", rep.to_json());
-        if cfg.validate && !rep.all_validated() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    println!("{}", rep.render());
-    if cfg.validate {
-        println!("validated:             {}", rep.all_validated());
-        if !rep.all_validated() {
-            std::process::exit(1);
-        }
-    }
+    write_trace_if_requested(args.trace_out(), &rep);
+    print_report(&cfg, &rep, json);
 }
 
 fn cmd_serve(args: &Args) {
@@ -294,6 +327,8 @@ fn cmd_serve(args: &Args) {
         cfg = cfg.deterministic(args.num("--sched-seed", 0));
     }
     cfg = cfg.crashes(crash_plan(args));
+    let json = args.has("--json");
+    args.reject_unclaimed();
     eprintln!(
         "g500 serve: scale {}, {} ranks, {} queries at window {}…",
         cfg.scale, cfg.machine.ranks, cfg.num_queries, cfg.batch_width
@@ -305,7 +340,7 @@ fn cmd_serve(args: &Args) {
             std::process::exit(1);
         }
     };
-    if args.has("--json") {
+    if json {
         println!("{}", rep.to_json());
     } else {
         println!("{}", rep.render());
@@ -315,6 +350,7 @@ fn cmd_serve(args: &Args) {
 fn cmd_stats(args: &Args) {
     let scale = args.num("--scale", 12) as u32;
     let seed = args.num("--seed", 20220814);
+    args.reject_unclaimed();
     let gen = KroneckerGenerator::new(KroneckerParams::graph500(scale, seed));
     let el = gen.generate_all();
     let n = gen.params().num_vertices() as usize;

@@ -250,13 +250,7 @@ impl BenchmarkReport {
     /// counters, per-rank traffic), for archiving sweeps. Hand-rolled JSON:
     /// the workspace carries no serde, and every field is numeric.
     pub fn to_json(&self) -> String {
-        let f = |x: f64| {
-            if x.is_finite() {
-                format!("{x}")
-            } else {
-                "null".to_string()
-            }
-        };
+        let f = simnet::stats::json_f64;
         let runs: Vec<String> = self
             .runs
             .iter()

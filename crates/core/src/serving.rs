@@ -215,13 +215,7 @@ impl ServeReport {
 
     /// Machine-readable form (hand-rolled JSON, as everywhere else).
     pub fn to_json(&self) -> String {
-        let f = |x: f64| {
-            if x.is_finite() {
-                format!("{x}")
-            } else {
-                "null".to_string()
-            }
-        };
+        let f = simnet::stats::json_f64;
         format!(
             "{{\n  \"scale\": {},\n  \"n\": {},\n  \"m\": {},\n  \"ranks\": {},\n  \
              \"batch_width\": {},\n  \"queries\": {},\n  \"p2p_queries\": {},\n  \

@@ -7,8 +7,7 @@
 //! are reused by the SSSP message codec for the payload-compression
 //! optimization ablated in experiment T3/F6.
 
-use crate::csr::Csr;
-use crate::types::{VertexId, Weight};
+use crate::types::VertexId;
 
 /// Append `v` to `out` as LEB128 (7 bits per byte, MSB = continuation).
 #[inline]
@@ -81,108 +80,9 @@ pub fn decode_adjacency(buf: &[u8]) -> Option<Vec<VertexId>> {
     Some(out)
 }
 
-/// A CSR whose neighbor lists are stored gap+varint compressed.
-///
-/// Weights stay uncompressed (`f32` raw) — Graph500 weights are uniform
-/// random so entropy coding gains nothing; the id stream is where the
-/// redundancy lives.
-#[derive(Clone, Debug)]
-pub struct CompressedCsr {
-    n: usize,
-    /// Byte offset of each vertex's encoded block in `blob` (n + 1 entries).
-    byte_offsets: Vec<u64>,
-    blob: Vec<u8>,
-    /// Arc offset of each vertex into `weights` (n + 1 entries).
-    arc_offsets: Vec<u64>,
-    /// Flat weights in the same order as the decoded ids.
-    weights: Vec<Weight>,
-    arcs: usize,
-}
-
-impl CompressedCsr {
-    /// Compress `csr`. Adjacency lists are sorted internally first (the
-    /// codec requires sorted ids; weights are permuted alongside).
-    pub fn from_csr(csr: &Csr) -> Self {
-        let mut sorted = csr.clone();
-        sorted.sort_adjacency();
-        let n = sorted.num_vertices();
-        let mut byte_offsets = Vec::with_capacity(n + 1);
-        let mut blob = Vec::new();
-        byte_offsets.push(0);
-        for u in 0..n {
-            let enc = encode_adjacency(sorted.neighbors(u));
-            blob.extend_from_slice(&enc);
-            byte_offsets.push(blob.len() as u64);
-        }
-        Self {
-            n,
-            byte_offsets,
-            blob,
-            arc_offsets: sorted.offsets().to_vec(),
-            weights: sorted.weights_flat().to_vec(),
-            arcs: sorted.num_arcs(),
-        }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Number of arcs.
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.arcs
-    }
-
-    /// Decode the neighbor list of `u`.
-    pub fn neighbors(&self, u: usize) -> Vec<VertexId> {
-        let lo = self.byte_offsets[u] as usize;
-        let hi = self.byte_offsets[u + 1] as usize;
-        decode_adjacency(&self.blob[lo..hi]).expect("self-produced encoding is well-formed")
-    }
-
-    /// Weights parallel to [`Self::neighbors`] (weights are stored raw —
-    /// uniform random floats have no redundancy to remove).
-    pub fn edge_weights(&self, u: usize) -> &[Weight] {
-        &self.weights[self.arc_offsets[u] as usize..self.arc_offsets[u + 1] as usize]
-    }
-
-    /// Decoded `(neighbor, weight)` pairs of `u`.
-    pub fn arcs(&self, u: usize) -> Vec<(VertexId, Weight)> {
-        self.neighbors(u)
-            .into_iter()
-            .zip(self.edge_weights(u).iter().copied())
-            .collect()
-    }
-
-    /// Bytes used by the compressed id stream.
-    pub fn compressed_id_bytes(&self) -> usize {
-        self.blob.len()
-    }
-
-    /// Bytes an uncompressed `u64` id stream would use.
-    pub fn raw_id_bytes(&self) -> usize {
-        self.arcs * std::mem::size_of::<VertexId>()
-    }
-
-    /// Compression ratio of the id stream (raw / compressed; > 1 is a win).
-    pub fn id_compression_ratio(&self) -> f64 {
-        if self.blob.is_empty() {
-            1.0
-        } else {
-            self.raw_id_bytes() as f64 / self.blob.len() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::Directedness;
-    use crate::edgelist::EdgeList;
-    use crate::types::WEdge;
 
     #[test]
     fn varint_roundtrip_edges_of_ranges() {
@@ -234,33 +134,5 @@ mod tests {
             "expected ≥4x ratio, got {} bytes",
             enc.len()
         );
-    }
-
-    #[test]
-    fn compressed_csr_matches_plain() {
-        let el = EdgeList::from_edges([
-            WEdge::new(0, 5, 0.1),
-            WEdge::new(0, 1, 0.2),
-            WEdge::new(0, 3, 0.3),
-            WEdge::new(2, 4, 0.4),
-        ]);
-        let csr = Csr::from_edges(6, &el, Directedness::Undirected);
-        let c = CompressedCsr::from_csr(&csr);
-        assert_eq!(c.num_vertices(), 6);
-        assert_eq!(c.num_arcs(), 8);
-        assert_eq!(c.neighbors(0), vec![1, 3, 5]);
-        assert_eq!(c.neighbors(2), vec![4]);
-        assert_eq!(c.neighbors(4), vec![2]);
-        assert!(c.id_compression_ratio() > 1.0);
-    }
-
-    #[test]
-    fn compressed_csr_weights_follow_sorted_ids() {
-        let el = EdgeList::from_edges([WEdge::new(0, 2, 0.2), WEdge::new(0, 1, 0.1)]);
-        let csr = Csr::from_edges(3, &el, Directedness::Undirected);
-        let c = CompressedCsr::from_csr(&csr);
-        assert_eq!(c.arcs(0), vec![(1, 0.1), (2, 0.2)]);
-        assert_eq!(c.edge_weights(1), &[0.1]);
-        assert_eq!(c.arcs(2), vec![(0, 0.2)]);
     }
 }

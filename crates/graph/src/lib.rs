@@ -29,7 +29,7 @@ pub mod types;
 
 pub use bitmap::Bitmap;
 pub use cc::{component_stats, ComponentStats, UnionFind};
-pub use compress::{decode_adjacency, encode_adjacency, CompressedCsr};
+pub use compress::{decode_adjacency, encode_adjacency};
 pub use csr::{Csr, Directedness};
 pub use degree::DegreeStats;
 pub use edgelist::EdgeList;

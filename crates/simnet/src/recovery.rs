@@ -129,102 +129,42 @@ pub trait Checkpoint {
     fn load(&mut self, buf: &[u8]);
 }
 
-/// Little-endian length-prefixed primitives for [`Checkpoint`]
-/// implementations (and their round-trip property tests). Decoders panic
-/// on malformed input: a corrupt checkpoint is a logic error inside the
-/// simulator, not a recoverable condition.
+/// The checkpoint byte format, for [`Checkpoint`] implementations: every
+/// scalar is its [`Wire`](crate::wire::Wire) encoding (little-endian,
+/// floats as raw bit patterns so NaN and infinities survive, `bool` one
+/// byte), and a sequence is a `u64` element count followed by the
+/// elements. Decoders panic on malformed input: a corrupt checkpoint is a
+/// logic error inside the simulator, not a recoverable condition.
 pub mod codec {
-    /// Append a `u64`.
-    pub fn put_u64(out: &mut Vec<u8>, x: u64) {
-        out.extend_from_slice(&x.to_le_bytes());
+    use crate::wire::Wire;
+
+    /// Append one value.
+    pub fn put<T: Wire>(out: &mut Vec<u8>, x: T) {
+        x.write(out);
     }
 
-    /// Read a `u64` at `*pos`, advancing it.
-    pub fn get_u64(buf: &[u8], pos: &mut usize) -> u64 {
-        let x = u64::from_le_bytes(
-            buf[*pos..*pos + 8]
-                .try_into()
-                .expect("checkpoint truncated"),
+    /// Read one value at `*pos`, advancing it.
+    pub fn get<T: Wire>(buf: &[u8], pos: &mut usize) -> T {
+        T::read(buf, pos).expect("checkpoint truncated")
+    }
+
+    /// Append a length-prefixed slice.
+    pub fn put_slice<T: Wire>(out: &mut Vec<u8>, xs: &[T]) {
+        put(out, xs.len() as u64);
+        for x in xs {
+            x.write(out);
+        }
+    }
+
+    /// Read a length-prefixed vector at `*pos`, advancing it.
+    pub fn get_vec<T: Wire>(buf: &[u8], pos: &mut usize) -> Vec<T> {
+        let n = get::<u64>(buf, pos) as usize;
+        // bound the count by the bytes actually present before allocating
+        assert!(
+            n.saturating_mul(T::SIZE) <= buf.len() - *pos,
+            "checkpoint truncated"
         );
-        *pos += 8;
-        x
-    }
-
-    /// Append an `f64` as its bit pattern (NaN-exact).
-    pub fn put_f64(out: &mut Vec<u8>, x: f64) {
-        put_u64(out, x.to_bits());
-    }
-
-    /// Read an `f64` bit pattern at `*pos`, advancing it.
-    pub fn get_f64(buf: &[u8], pos: &mut usize) -> f64 {
-        f64::from_bits(get_u64(buf, pos))
-    }
-
-    /// Append a length-prefixed `u64` slice.
-    pub fn put_u64_slice(out: &mut Vec<u8>, xs: &[u64]) {
-        put_u64(out, xs.len() as u64);
-        for &x in xs {
-            put_u64(out, x);
-        }
-    }
-
-    /// Read a length-prefixed `u64` vector.
-    pub fn get_u64_vec(buf: &[u8], pos: &mut usize) -> Vec<u64> {
-        let n = get_u64(buf, pos) as usize;
-        (0..n).map(|_| get_u64(buf, pos)).collect()
-    }
-
-    /// Append a length-prefixed `u32` slice.
-    pub fn put_u32_slice(out: &mut Vec<u8>, xs: &[u32]) {
-        put_u64(out, xs.len() as u64);
-        for &x in xs {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Read a length-prefixed `u32` vector.
-    pub fn get_u32_vec(buf: &[u8], pos: &mut usize) -> Vec<u32> {
-        let n = get_u64(buf, pos) as usize;
-        (0..n)
-            .map(|_| {
-                let x = u32::from_le_bytes(
-                    buf[*pos..*pos + 4]
-                        .try_into()
-                        .expect("checkpoint truncated"),
-                );
-                *pos += 4;
-                x
-            })
-            .collect()
-    }
-
-    /// Append a length-prefixed `f64` slice (bit patterns).
-    pub fn put_f64_slice(out: &mut Vec<u8>, xs: &[f64]) {
-        put_u64(out, xs.len() as u64);
-        for &x in xs {
-            put_f64(out, x);
-        }
-    }
-
-    /// Read a length-prefixed `f64` vector.
-    pub fn get_f64_vec(buf: &[u8], pos: &mut usize) -> Vec<f64> {
-        let n = get_u64(buf, pos) as usize;
-        (0..n).map(|_| get_f64(buf, pos)).collect()
-    }
-
-    /// Append a length-prefixed bool slice (one byte each; checkpoints are
-    /// transient in-memory objects, simplicity beats bit-packing).
-    pub fn put_bool_slice(out: &mut Vec<u8>, xs: &[bool]) {
-        put_u64(out, xs.len() as u64);
-        out.extend(xs.iter().map(|&b| b as u8));
-    }
-
-    /// Read a length-prefixed bool vector.
-    pub fn get_bool_vec(buf: &[u8], pos: &mut usize) -> Vec<bool> {
-        let n = get_u64(buf, pos) as usize;
-        let v = buf[*pos..*pos + n].iter().map(|&b| b != 0).collect();
-        *pos += n;
-        v
+        (0..n).map(|_| get(buf, pos)).collect()
     }
 }
 
@@ -485,13 +425,13 @@ mod tests {
 
     impl Checkpoint for IterState {
         fn save(&self, out: &mut Vec<u8>) {
-            codec::put_u64(out, self.step);
-            codec::put_u64_slice(out, &self.vals);
+            codec::put(out, self.step);
+            codec::put_slice(out, &self.vals);
         }
         fn load(&mut self, buf: &[u8]) {
             let mut pos = 0;
-            self.step = codec::get_u64(buf, &mut pos);
-            self.vals = codec::get_u64_vec(buf, &mut pos);
+            self.step = codec::get(buf, &mut pos);
+            self.vals = codec::get_vec(buf, &mut pos);
         }
     }
 
@@ -634,19 +574,22 @@ mod tests {
     #[test]
     fn codec_round_trips() {
         let mut buf = Vec::new();
-        codec::put_u64(&mut buf, 42);
-        codec::put_f64(&mut buf, f64::INFINITY);
-        codec::put_u64_slice(&mut buf, &[1, 2, 3]);
-        codec::put_u32_slice(&mut buf, &[7, 8]);
-        codec::put_f64_slice(&mut buf, &[0.5, -1.25]);
-        codec::put_bool_slice(&mut buf, &[true, false, true]);
+        codec::put(&mut buf, 42u64);
+        codec::put(&mut buf, f64::INFINITY);
+        codec::put_slice(&mut buf, &[1u64, 2, 3]);
+        codec::put_slice(&mut buf, &[7u32, 8]);
+        codec::put_slice(&mut buf, &[0.5f64, -1.25]);
+        codec::put_slice(&mut buf, &[true, false, true]);
         let mut pos = 0;
-        assert_eq!(codec::get_u64(&buf, &mut pos), 42);
-        assert_eq!(codec::get_f64(&buf, &mut pos), f64::INFINITY);
-        assert_eq!(codec::get_u64_vec(&buf, &mut pos), vec![1, 2, 3]);
-        assert_eq!(codec::get_u32_vec(&buf, &mut pos), vec![7, 8]);
-        assert_eq!(codec::get_f64_vec(&buf, &mut pos), vec![0.5, -1.25]);
-        assert_eq!(codec::get_bool_vec(&buf, &mut pos), vec![true, false, true]);
+        assert_eq!(codec::get::<u64>(&buf, &mut pos), 42);
+        assert_eq!(codec::get::<f64>(&buf, &mut pos), f64::INFINITY);
+        assert_eq!(codec::get_vec::<u64>(&buf, &mut pos), vec![1, 2, 3]);
+        assert_eq!(codec::get_vec::<u32>(&buf, &mut pos), vec![7, 8]);
+        assert_eq!(codec::get_vec::<f64>(&buf, &mut pos), vec![0.5, -1.25]);
+        assert_eq!(
+            codec::get_vec::<bool>(&buf, &mut pos),
+            vec![true, false, true]
+        );
         assert_eq!(pos, buf.len());
     }
 }

@@ -85,7 +85,7 @@ pub enum TraceCode {
     /// One superstep / relaxation round (span; `b`: 0 light, 1 heavy,
     /// 2 fused tail).
     Superstep = 3,
-    /// One exchange_updates call (span; `a` = records offered).
+    /// One update exchange (span; `a` = records offered).
     Exchange = 4,
     /// One parallel task wave on the pool (span; `a` = item count).
     TaskWave = 5,

@@ -277,15 +277,15 @@ impl BucketQueue {
     /// the fault-free run, and staleness is part of the queue's behavior.
     pub fn save(&self, out: &mut Vec<u8>) {
         use simnet::recovery::codec;
-        codec::put_u64(out, self.delta.to_bits() as u64);
-        codec::put_u64(out, self.buckets.len() as u64);
-        codec::put_u64(out, self.cursor as u64);
+        codec::put(out, self.delta.to_bits() as u64);
+        codec::put(out, self.buckets.len() as u64);
+        codec::put(out, self.cursor as u64);
         let occupied = self.buckets.iter().filter(|l| !l.is_empty()).count();
-        codec::put_u64(out, occupied as u64);
+        codec::put(out, occupied as u64);
         for (k, lane) in self.buckets.iter().enumerate() {
             if !lane.is_empty() {
-                codec::put_u64(out, k as u64);
-                codec::put_u32_slice(out, lane);
+                codec::put(out, k as u64);
+                codec::put_slice(out, lane);
             }
         }
     }
@@ -295,21 +295,21 @@ impl BucketQueue {
     /// `delta` the snapshot was taken under.
     pub fn load(&mut self, buf: &[u8], pos: &mut usize) {
         use simnet::recovery::codec;
-        let delta_bits = codec::get_u64(buf, pos) as u32;
+        let delta_bits = codec::get::<u64>(buf, pos) as u32;
         assert_eq!(
             delta_bits,
             self.delta.to_bits(),
             "checkpoint bucket width does not match the live queue"
         );
-        let len = codec::get_u64(buf, pos) as usize;
+        let len = codec::get::<u64>(buf, pos) as usize;
         self.buckets.clear();
         self.buckets.resize_with(len, Vec::new);
-        self.cursor = codec::get_u64(buf, pos) as usize;
+        self.cursor = codec::get::<u64>(buf, pos) as usize;
         self.entries = 0;
-        let occupied = codec::get_u64(buf, pos) as usize;
+        let occupied = codec::get::<u64>(buf, pos) as usize;
         for _ in 0..occupied {
-            let k = codec::get_u64(buf, pos) as usize;
-            let lane = codec::get_u32_vec(buf, pos);
+            let k = codec::get::<u64>(buf, pos) as usize;
+            let lane = codec::get_vec::<u32>(buf, pos);
             self.entries += lane.len();
             self.buckets[k] = lane;
         }

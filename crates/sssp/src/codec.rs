@@ -25,49 +25,74 @@ pub fn encode_updates(updates: &[Update], sorted_by_target: bool) -> Vec<u8> {
         &storage[..]
     };
     let mut out = Vec::with_capacity(4 + updates.len() * 10);
-    write_varint(&mut out, updates.len() as u64);
+    write_block(&mut out, updates, |&u| u);
+    out
+}
+
+/// Append one gap+varint block — the unit both wire formats are made of:
+/// record count, target gaps, raw `f32` distances, varint parents.
+/// `fields` reads a record's (target, distance, parent); the records must
+/// be in non-decreasing target order.
+fn write_block<R>(out: &mut Vec<u8>, records: &[R], fields: impl Fn(&R) -> Update) {
+    write_varint(out, records.len() as u64);
     let mut prev = 0u64;
-    for &(t, _, _) in updates {
-        write_varint(&mut out, t - prev);
+    for r in records {
+        let t = fields(r).0;
+        write_varint(out, t - prev);
         prev = t;
     }
-    for &(_, d, _) in updates {
-        out.extend_from_slice(&d.to_le_bytes());
+    for r in records {
+        out.extend_from_slice(&fields(r).1.to_le_bytes());
     }
-    for &(_, _, p) in updates {
-        write_varint(&mut out, p);
+    for r in records {
+        write_varint(out, fields(r).2);
     }
-    out
+}
+
+/// Decode one block written by [`write_block`] onto the end of `out`:
+/// `new(target)` makes each record and `slots` exposes its (distance,
+/// parent) fields, which the later columns fill in place. `None` on
+/// malformed input.
+fn read_block<R>(
+    buf: &[u8],
+    pos: &mut usize,
+    out: &mut Vec<R>,
+    new: impl Fn(u64) -> R,
+    slots: impl Fn(&mut R) -> (&mut f32, &mut u64),
+) -> Option<()> {
+    let n = read_varint(buf, pos)? as usize;
+    let base = out.len();
+    // every record takes at least one byte, which bounds a hostile count
+    out.reserve(n.min(buf.len() - *pos));
+    let mut prev = 0u64;
+    for _ in 0..n {
+        prev = prev.checked_add(read_varint(buf, pos)?)?;
+        out.push(new(prev));
+    }
+    for r in &mut out[base..] {
+        let end = pos.checked_add(4)?;
+        *slots(r).0 = f32::from_le_bytes(buf.get(*pos..end)?.try_into().ok()?);
+        *pos = end;
+    }
+    for r in &mut out[base..] {
+        *slots(r).1 = read_varint(buf, pos)?;
+    }
+    Some(())
 }
 
 /// Decode a buffer produced by [`encode_updates`]. `None` on malformed
 /// input.
 pub fn decode_updates(buf: &[u8]) -> Option<Vec<Update>> {
     let mut pos = 0;
-    let n = read_varint(buf, &mut pos)? as usize;
-    let mut targets = Vec::with_capacity(n);
-    let mut prev = 0u64;
-    for _ in 0..n {
-        prev = prev.checked_add(read_varint(buf, &mut pos)?)?;
-        targets.push(prev);
-    }
-    let mut dists = Vec::with_capacity(n);
-    for _ in 0..n {
-        let end = pos.checked_add(4)?;
-        let bytes = buf.get(pos..end)?;
-        dists.push(f32::from_le_bytes(bytes.try_into().ok()?));
-        pos = end;
-    }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let p = read_varint(buf, &mut pos)?;
-        out.push((targets[i], dists[i], p));
-    }
-    if pos == buf.len() {
-        Some(out)
-    } else {
-        None
-    }
+    let mut out = Vec::new();
+    read_block(
+        buf,
+        &mut pos,
+        &mut out,
+        |t| (t, 0.0, 0),
+        |r| (&mut r.1, &mut r.2),
+    )?;
+    (pos == buf.len()).then_some(out)
 }
 
 /// Sort by target and keep the minimum-distance update per target — the
@@ -146,18 +171,7 @@ pub fn encode_tagged(updates: &[TaggedUpdate], sorted: bool) -> Vec<u8> {
             .map_or(updates.len(), |off| i + off);
         let group = &updates[i..j];
         write_varint(&mut out, lane as u64);
-        write_varint(&mut out, group.len() as u64);
-        let mut prev = 0u64;
-        for &(_, t, _, _) in group {
-            write_varint(&mut out, t - prev);
-            prev = t;
-        }
-        for &(_, _, d, _) in group {
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        for &(_, _, _, p) in group {
-            write_varint(&mut out, p);
-        }
+        write_block(&mut out, group, |&(_, t, d, p)| (t, d, p));
         i = j;
     }
     out
@@ -171,28 +185,15 @@ pub fn decode_tagged(buf: &[u8]) -> Option<Vec<TaggedUpdate>> {
     let mut out = Vec::new();
     for _ in 0..groups {
         let lane = u32::try_from(read_varint(buf, &mut pos)?).ok()?;
-        let n = read_varint(buf, &mut pos)? as usize;
-        let base = out.len();
-        let mut prev = 0u64;
-        for _ in 0..n {
-            prev = prev.checked_add(read_varint(buf, &mut pos)?)?;
-            out.push((lane, prev, 0.0f32, 0u64));
-        }
-        for i in 0..n {
-            let end = pos.checked_add(4)?;
-            let bytes = buf.get(pos..end)?;
-            out[base + i].2 = f32::from_le_bytes(bytes.try_into().ok()?);
-            pos = end;
-        }
-        for i in 0..n {
-            out[base + i].3 = read_varint(buf, &mut pos)?;
-        }
+        read_block(
+            buf,
+            &mut pos,
+            &mut out,
+            |t| (lane, t, 0.0, 0),
+            |r| (&mut r.2, &mut r.3),
+        )?;
     }
-    if pos == buf.len() {
-        Some(out)
-    } else {
-        None
-    }
+    (pos == buf.len()).then_some(out)
 }
 
 #[cfg(test)]

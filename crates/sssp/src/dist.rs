@@ -22,13 +22,16 @@
 //! the ablation experiments measure against.
 
 use crate::bucket::BucketQueue;
+use crate::codec::Update;
 use crate::config::{Direction, OptConfig};
 use crate::delta::suggest_delta;
+use crate::epoch::{run_bucket_epochs, BucketKernel, SuperstepSpan};
 use crate::exchange::{exchange_into, ExchangeBufs};
 use g500_graph::{VertexId, Weight};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use rayon::prelude::*;
-use simnet::recovery::{codec, Checkpoint, FaultEscalation, Recovery};
+use simnet::recovery::{codec, Checkpoint, FaultEscalation};
+use simnet::stats::json_f64;
 use simnet::{RankCtx, TraceCode};
 use std::collections::HashMap;
 
@@ -125,98 +128,52 @@ impl SsspRunStats {
     }
 }
 
-/// `f64` → JSON number (`null` when non-finite).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Append a length-prefixed `Weight` slice as raw bit patterns (exact:
-/// infinities and the bitwise identity of every distance survive).
-pub(crate) fn put_weight_slice(out: &mut Vec<u8>, xs: &[Weight]) {
-    codec::put_u64(out, xs.len() as u64);
-    for &x in xs {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-}
-
-/// Read a length-prefixed `Weight` vector written by [`put_weight_slice`].
-pub(crate) fn get_weight_vec(buf: &[u8], pos: &mut usize) -> Vec<Weight> {
-    let n = codec::get_u64(buf, pos) as usize;
-    (0..n)
-        .map(|_| {
-            let x = u32::from_le_bytes(
-                buf[*pos..*pos + 4]
-                    .try_into()
-                    .expect("checkpoint truncated"),
-            );
-            *pos += 4;
-            Weight::from_bits(x)
-        })
-        .collect()
-}
-
-/// Append a distance/parent pair to a checkpoint.
-pub(crate) fn save_paths(sp: &DistShortestPaths, out: &mut Vec<u8>) {
-    put_weight_slice(out, &sp.dist);
-    codec::put_u64_slice(out, &sp.parent);
-}
-
-/// Restore a distance/parent pair from a checkpoint.
-pub(crate) fn load_paths(sp: &mut DistShortestPaths, buf: &[u8], pos: &mut usize) {
-    sp.dist = get_weight_vec(buf, pos);
-    sp.parent = codec::get_u64_vec(buf, pos);
-}
-
 impl SsspRunStats {
     /// Append to a checkpoint. Time fields are included so rollback is
     /// exact, even though crash runs legitimately report different virtual
     /// times than fault-free runs.
     pub(crate) fn save_ckpt(&self, out: &mut Vec<u8>) {
-        codec::put_u64(out, self.supersteps);
-        codec::put_u64(out, self.buckets);
-        codec::put_u64(out, self.relaxations);
-        codec::put_u64(out, self.updates_sent);
-        codec::put_u64(out, self.updates_offered);
-        codec::put_u64(out, self.push_iterations);
-        codec::put_u64(out, self.pull_iterations);
-        codec::put_u64(out, self.tail_fused as u64);
-        codec::put_f64(out, self.sim_time_s);
-        codec::put_f64(out, self.compute_s);
-        codec::put_f64(out, self.comm_s);
-        codec::put_u64(out, self.phases.len() as u64);
+        codec::put(out, self.supersteps);
+        codec::put(out, self.buckets);
+        codec::put(out, self.relaxations);
+        codec::put(out, self.updates_sent);
+        codec::put(out, self.updates_offered);
+        codec::put(out, self.push_iterations);
+        codec::put(out, self.pull_iterations);
+        codec::put(out, self.tail_fused as u64);
+        codec::put(out, self.sim_time_s);
+        codec::put(out, self.compute_s);
+        codec::put(out, self.comm_s);
+        codec::put(out, self.phases.len() as u64);
         for p in &self.phases {
-            codec::put_u64(out, p.bucket);
-            codec::put_u64(out, p.frontier);
-            codec::put_f64(out, p.compute_s);
-            codec::put_f64(out, p.comm_s);
+            codec::put(out, p.bucket);
+            codec::put(out, p.frontier);
+            codec::put(out, p.compute_s);
+            codec::put(out, p.comm_s);
         }
     }
 
     /// Restore from a checkpoint written by
     /// [`save_ckpt`](SsspRunStats::save_ckpt).
     pub(crate) fn load_ckpt(&mut self, buf: &[u8], pos: &mut usize) {
-        self.supersteps = codec::get_u64(buf, pos);
-        self.buckets = codec::get_u64(buf, pos);
-        self.relaxations = codec::get_u64(buf, pos);
-        self.updates_sent = codec::get_u64(buf, pos);
-        self.updates_offered = codec::get_u64(buf, pos);
-        self.push_iterations = codec::get_u64(buf, pos);
-        self.pull_iterations = codec::get_u64(buf, pos);
-        self.tail_fused = codec::get_u64(buf, pos) != 0;
-        self.sim_time_s = codec::get_f64(buf, pos);
-        self.compute_s = codec::get_f64(buf, pos);
-        self.comm_s = codec::get_f64(buf, pos);
-        let n = codec::get_u64(buf, pos) as usize;
+        self.supersteps = codec::get(buf, pos);
+        self.buckets = codec::get(buf, pos);
+        self.relaxations = codec::get(buf, pos);
+        self.updates_sent = codec::get(buf, pos);
+        self.updates_offered = codec::get(buf, pos);
+        self.push_iterations = codec::get(buf, pos);
+        self.pull_iterations = codec::get(buf, pos);
+        self.tail_fused = codec::get::<u64>(buf, pos) != 0;
+        self.sim_time_s = codec::get(buf, pos);
+        self.compute_s = codec::get(buf, pos);
+        self.comm_s = codec::get(buf, pos);
+        let n = codec::get::<u64>(buf, pos) as usize;
         self.phases = (0..n)
             .map(|_| PhaseRecord {
-                bucket: codec::get_u64(buf, pos),
-                frontier: codec::get_u64(buf, pos),
-                compute_s: codec::get_f64(buf, pos),
-                comm_s: codec::get_f64(buf, pos),
+                bucket: codec::get(buf, pos),
+                frontier: codec::get(buf, pos),
+                compute_s: codec::get(buf, pos),
+                comm_s: codec::get(buf, pos),
             })
             .collect();
     }
@@ -246,44 +203,48 @@ struct Kernel<'a, P: VertexPartition> {
     /// Superstep scratch arenas, reused across the whole run: the exchange
     /// buckets/incoming buffer and the two parallel-scan result buffers.
     /// Every superstep used to reallocate all of these from nothing.
-    xbufs: ExchangeBufs,
+    xbufs: ExchangeBufs<Update>,
     pull_scratch: Vec<PullScan>,
     heavy_scratch: Vec<HeavyScan>,
+    /// Open-bucket scratch, reset by `open_bucket`: the vertices the bucket
+    /// settled (the heavy pass's sources), the global frontier size summed
+    /// over its light steps, and the compute/comm clocks at its start.
+    settled: Vec<u32>,
+    phase_frontier: u64,
+    phase_start: (f64, f64),
 }
 
-/// Borrow of the kernel's mutable state for checkpoint/restore. Everything
-/// live across a superstep boundary is here; the scratch arenas (`xbufs`,
-/// `pull_scratch`, `heavy_scratch`) are excluded on purpose — they are
-/// fully overwritten before being read in every superstep.
-struct KernelState<'a, 'g, P: VertexPartition>(&'a mut Kernel<'g, P>);
-
-impl<P: VertexPartition> Checkpoint for KernelState<'_, '_, P> {
+/// Everything live across a superstep boundary is checkpointed; the
+/// scratch (`xbufs`, `pull_scratch`, `heavy_scratch`, and the open-bucket
+/// fields) is excluded on purpose — it is fully overwritten before being
+/// read, in every superstep or at the next `open_bucket`.
+impl<P: VertexPartition> Checkpoint for Kernel<'_, P> {
     fn save(&self, out: &mut Vec<u8>) {
-        let k = &*self.0;
-        save_paths(&k.sp, out);
-        k.buckets.save(out);
-        codec::put_u64_slice(out, &k.frontier_seen);
-        codec::put_u64(out, k.frontier_epoch);
-        codec::put_u64_slice(out, &k.settled_seen);
-        codec::put_u64(out, k.settled_epoch);
-        codec::put_u64(out, k.unsettled_arcs);
-        codec::put_bool_slice(out, &k.unsettled_mark);
-        k.stats.save_ckpt(out);
+        codec::put_slice(out, &self.sp.dist);
+        codec::put_slice(out, &self.sp.parent);
+        self.buckets.save(out);
+        codec::put_slice(out, &self.frontier_seen);
+        codec::put(out, self.frontier_epoch);
+        codec::put_slice(out, &self.settled_seen);
+        codec::put(out, self.settled_epoch);
+        codec::put(out, self.unsettled_arcs);
+        codec::put_slice(out, &self.unsettled_mark);
+        self.stats.save_ckpt(out);
     }
 
     fn load(&mut self, buf: &[u8]) {
-        let k = &mut *self.0;
-        let mut pos = 0;
-        load_paths(&mut k.sp, buf, &mut pos);
-        k.buckets.load(buf, &mut pos);
-        k.frontier_seen = codec::get_u64_vec(buf, &mut pos);
-        k.frontier_epoch = codec::get_u64(buf, &mut pos);
-        k.settled_seen = codec::get_u64_vec(buf, &mut pos);
-        k.settled_epoch = codec::get_u64(buf, &mut pos);
-        k.unsettled_arcs = codec::get_u64(buf, &mut pos);
-        k.unsettled_mark = codec::get_bool_vec(buf, &mut pos);
-        k.stats.load_ckpt(buf, &mut pos);
-        assert_eq!(pos, buf.len(), "trailing bytes in kernel checkpoint");
+        let pos = &mut 0;
+        self.sp.dist = codec::get_vec(buf, pos);
+        self.sp.parent = codec::get_vec(buf, pos);
+        self.buckets.load(buf, pos);
+        self.frontier_seen = codec::get_vec(buf, pos);
+        self.frontier_epoch = codec::get(buf, pos);
+        self.settled_seen = codec::get_vec(buf, pos);
+        self.settled_epoch = codec::get(buf, pos);
+        self.unsettled_arcs = codec::get(buf, pos);
+        self.unsettled_mark = codec::get_vec(buf, pos);
+        self.stats.load_ckpt(buf, pos);
+        assert_eq!(*pos, buf.len(), "trailing bytes in kernel checkpoint");
     }
 }
 
@@ -352,6 +313,9 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
         xbufs: ExchangeBufs::new(ctx.size()),
         pull_scratch: Vec::new(),
         heavy_scratch: Vec::new(),
+        settled: Vec::new(),
+        phase_frontier: 0,
+        phase_start: (0.0, 0.0),
     };
 
     let part = graph.part();
@@ -362,7 +326,7 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
         k.buckets.insert(l as u32, 0.0);
     }
 
-    k.main_loop(ctx)?;
+    run_bucket_epochs(ctx, &mut k)?;
 
     k.stats.sim_time_s = ctx.now() - start_now;
     k.stats.compute_s = ctx.stats().compute_s - start_stats.compute_s;
@@ -370,160 +334,114 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
     Ok((k.sp, k.stats))
 }
 
+impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
+    fn min_bucket(&mut self) -> u64 {
+        self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64)
+    }
+
+    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
+        self.stats.buckets += 1;
+        ctx.trace_begin(TraceCode::Bucket, k, 0);
+        self.phase_start = (ctx.stats().compute_s, ctx.stats().comm_s);
+        self.phase_frontier = 0;
+        self.settled_epoch += 1;
+        self.settled.clear();
+        true
+    }
+
+    /// One light-edge iteration: agree on the frontier and the direction,
+    /// then push or pull.
+    fn light_step(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
+        let frontier = self.collect_frontier(k as usize);
+        let f_arcs_local: u64 = frontier
+            .iter()
+            .map(|&v| self.graph.degree(v as usize) as u64)
+            .sum();
+        let (f_size, f_arcs, unsettled) = ctx.allreduce(
+            (frontier.len() as u64, f_arcs_local, self.unsettled_arcs),
+            |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
+        );
+        if f_size == 0 {
+            return false;
+        }
+        let span = SuperstepSpan::open(ctx, self.stats.supersteps, 0, self.stats.relaxations);
+        self.phase_frontier += f_size;
+        for &v in &frontier {
+            if self.settled_seen[v as usize] != self.settled_epoch {
+                self.settled_seen[v as usize] = self.settled_epoch;
+                self.settled.push(v);
+            }
+        }
+        let use_pull = match self.opts.direction {
+            Direction::Push => false,
+            Direction::Pull => true,
+            Direction::Hybrid => f_arcs as f64 * self.opts.pull_ratio > unsettled as f64,
+        };
+        if use_pull {
+            self.stats.pull_iterations += 1;
+            self.pull_iteration(ctx, k as usize, &frontier);
+        } else {
+            self.stats.push_iterations += 1;
+            self.push_iteration(ctx, k as usize, frontier);
+        }
+        self.stats.supersteps += 1;
+        span.close(ctx, self.stats.supersteps, self.stats.relaxations);
+        true
+    }
+
+    /// The heavy-edge phase (always push, once per settled vertex), the
+    /// per-bucket records, and the fused-tail decision.
+    fn close_bucket(&mut self, ctx: &mut RankCtx, k: u64) {
+        let span = SuperstepSpan::open(ctx, self.stats.supersteps, 1, self.stats.relaxations);
+        ctx.trace_count(TraceCode::Settled, self.settled.len() as u64, k);
+        self.heavy_phase(ctx);
+        self.stats.supersteps += 1;
+        span.close(ctx, self.stats.supersteps, self.stats.relaxations);
+
+        let dc = ctx.stats().compute_s - self.phase_start.0;
+        let dm = ctx.stats().comm_s - self.phase_start.1;
+        if self.opts.record_phases {
+            self.stats.phases.push(PhaseRecord {
+                bucket: k,
+                frontier: self.phase_frontier,
+                compute_s: dc,
+                comm_s: dm,
+            });
+        }
+        if ctx.trace_enabled() {
+            ctx.trace_count(TraceCode::BucketFrontier, self.phase_frontier, k);
+            ctx.trace_count_f64(TraceCode::BucketCompute, dc, k);
+            ctx.trace_count_f64(TraceCode::BucketComm, dm, k);
+        }
+        // The fused tail below is deliberately outside the bucket span:
+        // its rounds carry flavor 2 and the per-bucket counters above
+        // keep the same semantics as `PhaseRecord` (tail excluded).
+        ctx.trace_end(TraceCode::Bucket, k, 0);
+
+        // Two conditions gate the fusion: the live residue is tiny AND
+        // most of the relaxation work is already behind us. The second
+        // guard matters: right after bucket 0 the queue is also tiny
+        // (the search has barely started), and fusing there would run
+        // an unbucketed Bellman-Ford over the entire graph.
+        if self.opts.bucket_fusion {
+            let (active, relaxed) = ctx.allreduce(
+                (self.buckets.len() as u64, self.stats.relaxations),
+                |a, b| (a.0 + b.0, a.1 + b.1),
+            );
+            let bulk_done = relaxed * 2 > self.graph.global_arcs();
+            if active > 0 && active < self.opts.tail_threshold * ctx.size() as u64 && bulk_done {
+                self.fused_tail(ctx);
+                self.stats.tail_fused = true;
+            }
+        }
+    }
+
+    fn abandon_bucket(&mut self, ctx: &mut RankCtx, k: u64) {
+        ctx.trace_end(TraceCode::Bucket, k, 0);
+    }
+}
+
 impl<P: VertexPartition> Kernel<'_, P> {
-    /// Snapshot counters at a traced superstep's start; `None` when
-    /// tracing is off, so untraced runs skip the clone-free reads too.
-    fn ss_snapshot(&self, ctx: &RankCtx) -> Option<(f64, f64, u64)> {
-        ctx.trace_enabled().then(|| {
-            (
-                ctx.stats().compute_s,
-                ctx.stats().comm_s,
-                self.stats.relaxations,
-            )
-        })
-    }
-
-    /// Close a traced superstep span and emit its compute/comm/relaxation
-    /// deltas. `flavor`: 0 light, 1 heavy, 2 fused tail.
-    fn ss_close(&mut self, ctx: &mut RankCtx, snap: Option<(f64, f64, u64)>, flavor: u64) {
-        ctx.trace_end(TraceCode::Superstep, self.stats.supersteps, flavor);
-        if let Some((c0, m0, r0)) = snap {
-            let dc = ctx.stats().compute_s - c0;
-            let dm = ctx.stats().comm_s - m0;
-            let dr = self.stats.relaxations - r0;
-            ctx.trace_count_f64(TraceCode::SuperstepCompute, dc, flavor);
-            ctx.trace_count_f64(TraceCode::SuperstepComm, dm, flavor);
-            ctx.trace_count(TraceCode::Relaxations, dr, flavor);
-        }
-    }
-
-    fn main_loop(&mut self, ctx: &mut RankCtx) -> Result<(), FaultEscalation> {
-        // Crash recovery (None on fault-free machines): the epoch-0
-        // checkpoint captures the root insertion above, so a rollback all
-        // the way back restarts the search rather than losing it.
-        let mut rec = Recovery::begin(ctx, &KernelState(self));
-        'outer: loop {
-            if let Some(r) = rec.as_mut() {
-                // Bucket boundary: crash probe + periodic checkpoint. On a
-                // restore the rolled-back state re-enters the loop here.
-                if r.bucket_boundary(ctx, &mut KernelState(self))? {
-                    continue 'outer;
-                }
-            }
-            let k_local = self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64);
-            let k = ctx.allreduce_min(k_local);
-            if k == u64::MAX {
-                break;
-            }
-            self.stats.buckets += 1;
-            ctx.trace_begin(TraceCode::Bucket, k, 0);
-            let phase_start = (ctx.stats().compute_s, ctx.stats().comm_s);
-            let mut phase_frontier = 0u64;
-
-            self.settled_epoch += 1;
-            let mut settled: Vec<u32> = Vec::new();
-
-            // ---- light-edge inner loop ----
-            loop {
-                if let Some(r) = rec.as_mut() {
-                    // Inner superstep probe: a mid-bucket crash rolls back
-                    // to the last bucket-boundary checkpoint, so close the
-                    // open bucket span and restart the outer loop.
-                    if r.probe(ctx, &mut KernelState(self))? {
-                        ctx.trace_end(TraceCode::Bucket, k, 0);
-                        continue 'outer;
-                    }
-                }
-                let frontier = self.collect_frontier(k as usize);
-                let f_arcs_local: u64 = frontier
-                    .iter()
-                    .map(|&v| self.graph.degree(v as usize) as u64)
-                    .sum();
-                let (f_size, f_arcs, unsettled) = ctx.allreduce(
-                    (frontier.len() as u64, f_arcs_local, self.unsettled_arcs),
-                    |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
-                );
-                if f_size == 0 {
-                    break;
-                }
-                let snap = self.ss_snapshot(ctx);
-                ctx.trace_begin(TraceCode::Superstep, self.stats.supersteps, 0);
-                phase_frontier += f_size;
-                for &v in &frontier {
-                    if self.settled_seen[v as usize] != self.settled_epoch {
-                        self.settled_seen[v as usize] = self.settled_epoch;
-                        settled.push(v);
-                    }
-                }
-                let use_pull = match self.opts.direction {
-                    Direction::Push => false,
-                    Direction::Pull => true,
-                    Direction::Hybrid => f_arcs as f64 * self.opts.pull_ratio > unsettled as f64,
-                };
-                if use_pull {
-                    self.stats.pull_iterations += 1;
-                    self.pull_iteration(ctx, k as usize, &frontier);
-                } else {
-                    self.stats.push_iterations += 1;
-                    self.push_iteration(ctx, k as usize, frontier, &mut settled);
-                }
-                self.stats.supersteps += 1;
-                self.ss_close(ctx, snap, 0);
-            }
-
-            // ---- heavy-edge phase (always push, once per settled vertex) ----
-            let snap = self.ss_snapshot(ctx);
-            ctx.trace_begin(TraceCode::Superstep, self.stats.supersteps, 1);
-            ctx.trace_count(TraceCode::Settled, settled.len() as u64, k);
-            self.heavy_phase(ctx, &settled);
-            self.stats.supersteps += 1;
-            self.ss_close(ctx, snap, 1);
-
-            if self.opts.record_phases {
-                self.stats.phases.push(PhaseRecord {
-                    bucket: k,
-                    frontier: phase_frontier,
-                    compute_s: ctx.stats().compute_s - phase_start.0,
-                    comm_s: ctx.stats().comm_s - phase_start.1,
-                });
-            }
-            if ctx.trace_enabled() {
-                let dc = ctx.stats().compute_s - phase_start.0;
-                let dm = ctx.stats().comm_s - phase_start.1;
-                ctx.trace_count(TraceCode::BucketFrontier, phase_frontier, k);
-                ctx.trace_count_f64(TraceCode::BucketCompute, dc, k);
-                ctx.trace_count_f64(TraceCode::BucketComm, dm, k);
-            }
-            // The fused tail below is deliberately outside the bucket span:
-            // its rounds carry flavor 2 and the per-bucket counters above
-            // keep the same semantics as `PhaseRecord` (tail excluded).
-            ctx.trace_end(TraceCode::Bucket, k, 0);
-
-            // ---- fused tail ----
-            // Two conditions gate the fusion: the live residue is tiny AND
-            // most of the relaxation work is already behind us. The second
-            // guard matters: right after bucket 0 the queue is also tiny
-            // (the search has barely started), and fusing there would run
-            // an unbucketed Bellman-Ford over the entire graph.
-            if self.opts.bucket_fusion {
-                let (active, relaxed) = ctx.allreduce(
-                    (self.buckets.len() as u64, self.stats.relaxations),
-                    |a, b| (a.0 + b.0, a.1 + b.1),
-                );
-                let bulk_done = relaxed * 2 > self.graph.global_arcs();
-                if active > 0 && active < self.opts.tail_threshold * ctx.size() as u64 && bulk_done
-                {
-                    self.fused_tail(ctx);
-                    self.stats.tail_fused = true;
-                }
-            }
-        }
-        if let Some(r) = rec {
-            r.finish(ctx);
-        }
-        Ok(())
-    }
-
     /// Drain the live, deduplicated frontier of bucket `k`.
     fn collect_frontier(&mut self, k: usize) -> Vec<u32> {
         self.frontier_epoch += 1;
@@ -563,17 +481,24 @@ impl<P: VertexPartition> Kernel<'_, P> {
         }
     }
 
+    /// Ship the staged updates, apply what arrives, and hand the scratch
+    /// back to the kernel — the tail of every bucketed push superstep.
+    fn exchange_and_apply(&mut self, ctx: &mut RankCtx, mut xbufs: ExchangeBufs<Update>) {
+        let outcome = exchange_into(ctx, &mut xbufs, &self.opts);
+        self.stats.updates_sent += outcome.records_sent;
+        self.stats.updates_offered += outcome.records_offered;
+        ctx.charge_compute(xbufs.incoming().len() as u64);
+        for &(v, nd, parent) in xbufs.incoming() {
+            self.apply(v, nd, parent);
+        }
+        self.xbufs = xbufs;
+    }
+
     /// One push-mode light iteration over `frontier`. Cascaded vertices
     /// (local improvements that stay in bucket `k` when fusion is on) are
     /// processed within this superstep and recorded in `settled` so the
     /// heavy phase covers them too.
-    fn push_iteration(
-        &mut self,
-        ctx: &mut RankCtx,
-        k: usize,
-        frontier: Vec<u32>,
-        settled: &mut Vec<u32>,
-    ) {
+    fn push_iteration(&mut self, ctx: &mut RankCtx, k: usize, frontier: Vec<u32>) {
         let me = ctx.rank();
         let delta = self.delta;
         let cascade = self.opts.bucket_fusion;
@@ -604,7 +529,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
                             // bucket k, so the heavy phase must see it
                             if self.settled_seen[l] != self.settled_epoch {
                                 self.settled_seen[l] = self.settled_epoch;
-                                settled.push(l as u32);
+                                self.settled.push(l as u32);
                             }
                             stack.push(l as u32);
                         } else {
@@ -619,14 +544,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
         self.stats.relaxations += relaxed;
         ctx.charge_compute(relaxed);
 
-        let outcome = exchange_into(ctx, &mut xbufs, &self.opts);
-        self.stats.updates_sent += outcome.records_sent;
-        self.stats.updates_offered += outcome.records_offered;
-        ctx.charge_compute(xbufs.incoming().len() as u64);
-        for &(v, nd, parent) in xbufs.incoming() {
-            self.apply(v, nd, parent);
-        }
-        self.xbufs = xbufs;
+        self.exchange_and_apply(ctx, xbufs);
     }
 
     /// One pull-mode light iteration: broadcast the frontier, scan local
@@ -719,8 +637,9 @@ impl<P: VertexPartition> Kernel<'_, P> {
     }
 
     /// Heavy-edge phase: one push pass over the bucket's settled set.
-    fn heavy_phase(&mut self, ctx: &mut RankCtx, settled: &[u32]) {
+    fn heavy_phase(&mut self, ctx: &mut RankCtx) {
         let me = ctx.rank();
+        let settled = std::mem::take(&mut self.settled);
         let delta = self.delta;
         let graph = self.graph;
         let mut xbufs = std::mem::take(&mut self.xbufs);
@@ -772,14 +691,8 @@ impl<P: VertexPartition> Kernel<'_, P> {
         ctx.charge_compute(relaxed);
         ctx.trace_end(TraceCode::TaskWave, settled.len() as u64, 1);
 
-        let outcome = exchange_into(ctx, &mut xbufs, &self.opts);
-        self.stats.updates_sent += outcome.records_sent;
-        self.stats.updates_offered += outcome.records_offered;
-        ctx.charge_compute(xbufs.incoming().len() as u64);
-        for &(v, nd, parent) in xbufs.incoming() {
-            self.apply(v, nd, parent);
-        }
-        self.xbufs = xbufs;
+        self.exchange_and_apply(ctx, xbufs);
+        self.settled = settled;
     }
 
     /// Fused Bellman-Ford tail: once the global residue is tiny, bucket
@@ -800,8 +713,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
 
         let mut xbufs = std::mem::take(&mut self.xbufs);
         loop {
-            let snap = self.ss_snapshot(ctx);
-            ctx.trace_begin(TraceCode::Superstep, self.stats.supersteps, 2);
+            let span = SuperstepSpan::open(ctx, self.stats.supersteps, 2, self.stats.relaxations);
             let mut next: Vec<u32> = Vec::new();
             let mut relaxed = 0u64;
             let mut stack = std::mem::take(&mut frontier);
@@ -855,7 +767,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
             }
             let remaining = ctx.allreduce_sum(next.len() as u64);
             frontier = next;
-            self.ss_close(ctx, snap, 2);
+            span.close(ctx, self.stats.supersteps, self.stats.relaxations);
             if remaining == 0 {
                 break;
             }

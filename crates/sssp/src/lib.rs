@@ -35,6 +35,7 @@ pub mod config;
 pub mod delta;
 pub mod dist;
 pub mod dist2d;
+mod epoch;
 pub mod exchange;
 pub mod multi;
 pub mod par;
@@ -48,10 +49,9 @@ pub use delta::suggest_delta;
 pub use dist::{distributed_delta_stepping, try_distributed_delta_stepping, SsspRunStats};
 pub use dist2d::{Grid2DSssp, Sssp2DStats};
 pub use multi::{
-    batched_delta_stepping, multi_source_delta_stepping, try_batched_delta_stepping, BatchSpec,
-    MultiDist, MultiStats,
+    batched_delta_stepping, try_batched_delta_stepping, BatchSpec, MultiDist, MultiStats,
 };
-pub use par::{parallel_delta_stepping, parallel_delta_stepping_traced, WaveRecord};
+pub use par::parallel_delta_stepping;
 pub use seq::delta_stepping;
 pub use serve::{
     triangle_bound, LandmarkSet, Lru, Query, QueryEngine, QueryOutcome, ServeConfig, ServeStats,

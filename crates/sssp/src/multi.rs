@@ -45,12 +45,12 @@
 use crate::bucket::BucketQueue;
 use crate::codec::TaggedUpdate;
 use crate::config::OptConfig;
-use crate::dist::{get_weight_vec, put_weight_slice};
-use crate::exchange::{exchange_tagged_into, TaggedExchangeBufs};
+use crate::epoch::{run_bucket_epochs, BucketKernel};
+use crate::exchange::{exchange_into, ExchangeBufs};
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use rayon::prelude::*;
-use simnet::recovery::{codec, Checkpoint, FaultEscalation, Recovery};
+use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::{RankCtx, TraceCode};
 
 /// One lane of a batch: a source, an optional point-to-point target, and
@@ -164,74 +164,80 @@ const DEFAULT_DELTA: Weight = 0.125;
 /// order, so results are bitwise unaffected by which path runs.
 const SEQ_SCAN_CUTOFF: usize = 1024;
 
-/// Run `roots.len()` full SSSP searches concurrently. Collective.
-/// Compatibility wrapper over [`batched_delta_stepping`] with the full
-/// optimization stack and a fixed Δ.
-pub fn multi_source_delta_stepping<P: VertexPartition + Sync>(
-    ctx: &mut RankCtx,
-    graph: &LocalGraph<P>,
-    roots: &[VertexId],
-    delta: Weight,
-) -> (MultiDist, MultiStats) {
-    let specs: Vec<BatchSpec> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
-    batched_delta_stepping(ctx, graph, &specs, &OptConfig::all_on().with_delta(delta))
+/// Per-chunk result of the parallel wave scan: bound-prune count and the
+/// improving candidates in (element, arc) order.
+type WaveScan = (u64, Vec<TaggedUpdate>);
+
+/// One batch in flight: the lanes' SoA state plus the scratch its
+/// supersteps reuse.
+struct Batch<'a, P: VertexPartition> {
+    graph: &'a LocalGraph<P>,
+    specs: &'a [BatchSpec],
+    opts: &'a OptConfig,
+    /// The lanes' result arrays, filled in place as the batch runs.
+    out: MultiDist,
+    /// Lanes still running (a retired p2p lane is frozen).
+    live: Vec<bool>,
+    /// Live p2p lanes, globally — identical on every rank.
+    live_p2p: usize,
+    /// The lanes whose target this rank owns, as `(lane, local index)`:
+    /// its contributions to the retirement allgathers.
+    my_targets: Vec<(u32, usize)>,
+    buckets: BucketQueue,
+    stats: MultiStats,
+    /// Superstep scratch, each fully overwritten before it is read: the
+    /// exchange buffers, the current frontier and the bucket's settled
+    /// set (packed lane keys), the scan's candidates, the raw bucket
+    /// drain and the parallel scan's per-chunk results.
+    bufs: ExchangeBufs<TaggedUpdate>,
+    frontier: Vec<u32>,
+    settled: Vec<u32>,
+    candidates: Vec<TaggedUpdate>,
+    raw: Vec<u32>,
+    scan_scratch: Vec<WaveScan>,
 }
 
 /// The batch's complete mutable kernel state, snapshotted at bucket
-/// boundaries when a [`CrashPlan`](simnet::CrashPlan) is active. Scratch
-/// buffers (`bufs`, `frontier`, `settled`, `candidates`, `raw`) are
-/// excluded: each is fully overwritten before it is read in every
-/// superstep. `finished_at` carries virtual timestamps and is checkpointed
-/// so rollback restores the exact pre-crash record, but it legitimately
-/// differs from a fault-free run (recovery stretches virtual time).
-struct BatchState<'a> {
-    dist: &'a mut Vec<Weight>,
-    parent: &'a mut Vec<u64>,
-    finished_at: &'a mut Vec<f64>,
-    early_exit: &'a mut Vec<bool>,
-    target_dist: &'a mut Vec<Weight>,
-    target_parent: &'a mut Vec<u64>,
-    live: &'a mut Vec<bool>,
-    live_p2p: &'a mut usize,
-    buckets: &'a mut BucketQueue,
-    stats: &'a mut MultiStats,
-}
-
-impl Checkpoint for BatchState<'_> {
+/// boundaries when a [`CrashPlan`](simnet::CrashPlan) is active; the
+/// scratch stays out. `finished_at` carries virtual timestamps and is
+/// checkpointed so rollback restores the exact pre-crash record, but it
+/// legitimately differs from a fault-free run (recovery stretches virtual
+/// time).
+impl<P: VertexPartition + Sync> Checkpoint for Batch<'_, P> {
     fn save(&self, out: &mut Vec<u8>) {
-        put_weight_slice(out, self.dist);
-        codec::put_u64_slice(out, self.parent);
-        codec::put_f64_slice(out, self.finished_at);
-        codec::put_bool_slice(out, self.early_exit);
-        put_weight_slice(out, self.target_dist);
-        codec::put_u64_slice(out, self.target_parent);
-        codec::put_bool_slice(out, self.live);
-        codec::put_u64(out, *self.live_p2p as u64);
+        codec::put_slice(out, &self.out.dist);
+        codec::put_slice(out, &self.out.parent);
+        codec::put_slice(out, &self.out.finished_at);
+        codec::put_slice(out, &self.out.early_exit);
+        codec::put_slice(out, &self.out.target_dist);
+        codec::put_slice(out, &self.out.target_parent);
+        codec::put_slice(out, &self.live);
+        codec::put(out, self.live_p2p as u64);
         self.buckets.save(out);
-        codec::put_u64(out, self.stats.supersteps);
-        codec::put_u64(out, self.stats.relaxations);
-        codec::put_u64(out, self.stats.updates_sent);
-        codec::put_u64(out, self.stats.pruned);
-        codec::put_u64(out, self.stats.retired);
+        codec::put(out, self.stats.supersteps);
+        codec::put(out, self.stats.relaxations);
+        codec::put(out, self.stats.updates_sent);
+        codec::put(out, self.stats.pruned);
+        codec::put(out, self.stats.retired);
     }
 
     fn load(&mut self, buf: &[u8]) {
-        let mut pos = 0usize;
-        *self.dist = get_weight_vec(buf, &mut pos);
-        *self.parent = codec::get_u64_vec(buf, &mut pos);
-        *self.finished_at = codec::get_f64_vec(buf, &mut pos);
-        *self.early_exit = codec::get_bool_vec(buf, &mut pos);
-        *self.target_dist = get_weight_vec(buf, &mut pos);
-        *self.target_parent = codec::get_u64_vec(buf, &mut pos);
-        *self.live = codec::get_bool_vec(buf, &mut pos);
-        *self.live_p2p = codec::get_u64(buf, &mut pos) as usize;
-        self.buckets.load(buf, &mut pos);
-        self.stats.supersteps = codec::get_u64(buf, &mut pos);
-        self.stats.relaxations = codec::get_u64(buf, &mut pos);
-        self.stats.updates_sent = codec::get_u64(buf, &mut pos);
-        self.stats.pruned = codec::get_u64(buf, &mut pos);
-        self.stats.retired = codec::get_u64(buf, &mut pos);
-        assert_eq!(pos, buf.len(), "trailing bytes in batch checkpoint");
+        let pos = &mut 0;
+        self.out.dist = codec::get_vec(buf, pos);
+        self.out.parent = codec::get_vec(buf, pos);
+        self.out.finished_at = codec::get_vec(buf, pos);
+        self.out.early_exit = codec::get_vec(buf, pos);
+        self.out.target_dist = codec::get_vec(buf, pos);
+        self.out.target_parent = codec::get_vec(buf, pos);
+        self.live = codec::get_vec(buf, pos);
+        self.live_p2p = codec::get::<u64>(buf, pos) as usize;
+        self.buckets.load(buf, pos);
+        self.stats.supersteps = codec::get(buf, pos);
+        self.stats.relaxations = codec::get(buf, pos);
+        self.stats.updates_sent = codec::get(buf, pos);
+        self.stats.pruned = codec::get(buf, pos);
+        self.stats.retired = codec::get(buf, pos);
+        assert_eq!(*pos, buf.len(), "trailing bytes in batch checkpoint");
     }
 }
 
@@ -267,7 +273,6 @@ pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
     opts: &OptConfig,
 ) -> Result<(MultiDist, MultiStats), FaultEscalation> {
     let part = graph.part();
-    let p = ctx.size();
     let me = ctx.rank();
     let n_local = graph.local_vertices();
     let lanes = specs.len();
@@ -278,392 +283,269 @@ pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
     );
     let delta = opts.delta.unwrap_or(DEFAULT_DELTA);
 
-    let mut dist = vec![INF_WEIGHT; lanes * n_local];
-    let mut parent = vec![NO_PARENT; lanes * n_local];
-    let mut finished_at = vec![0.0f64; lanes];
-    let mut early_exit = vec![false; lanes];
-    let mut target_dist = vec![INF_WEIGHT; lanes];
-    let mut target_parent = vec![NO_PARENT; lanes];
-    let mut live = vec![true; lanes];
-    let bounds: Vec<Weight> = specs.iter().map(|s| s.bound).collect();
-    let mut stats = MultiStats::default();
-
-    // Point-to-point bookkeeping: the lanes whose target this rank owns
-    // (contributors to the per-epoch retirement allgather) and the global
-    // count of live p2p lanes (identical on every rank).
-    let my_targets: Vec<(u32, usize)> = specs
-        .iter()
-        .enumerate()
-        .filter_map(|(s, spec)| {
-            let t = spec.target?;
-            (part.owner(t) == me).then(|| (s as u32, part.to_local(t)))
-        })
-        .collect();
-    let mut live_p2p = specs.iter().filter(|s| s.target.is_some()).count();
-
-    let mut buckets = BucketQueue::new(delta);
+    let mut b = Batch {
+        graph,
+        specs,
+        opts,
+        out: MultiDist {
+            lanes,
+            n_local,
+            dist: vec![INF_WEIGHT; lanes * n_local],
+            parent: vec![NO_PARENT; lanes * n_local],
+            finished_at: vec![0.0; lanes],
+            early_exit: vec![false; lanes],
+            target_dist: vec![INF_WEIGHT; lanes],
+            target_parent: vec![NO_PARENT; lanes],
+        },
+        live: vec![true; lanes],
+        live_p2p: specs.iter().filter(|s| s.target.is_some()).count(),
+        my_targets: specs
+            .iter()
+            .enumerate()
+            .filter_map(|(s, spec)| {
+                let t = spec.target?;
+                (part.owner(t) == me).then(|| (s as u32, part.to_local(t)))
+            })
+            .collect(),
+        buckets: BucketQueue::new(delta),
+        stats: MultiStats::default(),
+        bufs: ExchangeBufs::new(ctx.size()),
+        frontier: Vec::new(),
+        settled: Vec::new(),
+        candidates: Vec::new(),
+        raw: Vec::new(),
+        scan_scratch: Vec::new(),
+    };
+    // Sources go in before the driver takes its epoch-0 checkpoint, so a
+    // restore can always rewind to a state that already holds the roots.
     for (s, spec) in specs.iter().enumerate() {
         if part.owner(spec.source) == me {
-            let l = part.to_local(spec.source);
-            dist[s * n_local + l] = 0.0;
-            parent[s * n_local + l] = spec.source;
-            buckets.insert((s * n_local + l) as u32, 0.0);
+            let idx = s * n_local + part.to_local(spec.source);
+            b.out.dist[idx] = 0.0;
+            b.out.parent[idx] = spec.source;
+            b.buckets.insert(idx as u32, 0.0);
         }
     }
 
-    let mut bufs = TaggedExchangeBufs::new(p);
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut settled: Vec<u32> = Vec::new();
-    let mut candidates: Vec<TaggedUpdate> = Vec::new();
-    let mut raw: Vec<u32> = Vec::new();
-
-    // Borrow the full mutable batch state as one Checkpoint view; built
-    // fresh at each recovery hook so the borrows end before the kernel
-    // body touches the fields again.
-    macro_rules! batch_state {
-        () => {
-            BatchState {
-                dist: &mut dist,
-                parent: &mut parent,
-                finished_at: &mut finished_at,
-                early_exit: &mut early_exit,
-                target_dist: &mut target_dist,
-                target_parent: &mut target_parent,
-                live: &mut live,
-                live_p2p: &mut live_p2p,
-                buckets: &mut buckets,
-                stats: &mut stats,
-            }
-        };
-    }
-
-    // Epoch-0 checkpoint is taken after source insertion, so a restore can
-    // always rewind to a state that already holds the roots.
-    let mut rec = Recovery::begin(ctx, &batch_state!());
-
-    'outer: loop {
-        if let Some(r) = rec.as_mut() {
-            if r.bucket_boundary(ctx, &mut batch_state!())? {
-                continue 'outer;
-            }
-        }
-        let k_local = buckets.min_bucket().map_or(u64::MAX, |k| k as u64);
-        let k = ctx.allreduce_min(k_local);
-        if k == u64::MAX {
-            break;
-        }
-        let k = k as usize;
-
-        // Retirement epoch: target owners publish live tentatives; every
-        // rank applies the identical "settled below bucket k" rule, so the
-        // retirement set — and thus the whole batch schedule — is a pure
-        // function of the allreduced bucket index and the lane states.
-        if live_p2p > 0 {
-            let contrib: Vec<TaggedUpdate> = my_targets
-                .iter()
-                .filter(|&&(s, _)| live[s as usize])
-                .map(|&(s, l)| {
-                    let idx = s as usize * n_local + l;
-                    (s, specs[s as usize].target.unwrap(), dist[idx], parent[idx])
-                })
-                .collect();
-            for block in ctx.allgatherv(&contrib) {
-                for (s, _t, d, par) in block {
-                    let s = s as usize;
-                    if d.is_finite() && buckets.bucket_of(d) < k {
-                        live[s] = false;
-                        live_p2p -= 1;
-                        early_exit[s] = true;
-                        finished_at[s] = ctx.now();
-                        target_dist[s] = d;
-                        target_parent[s] = par;
-                        stats.retired += 1;
-                        ctx.trace_count(TraceCode::QueryRetired, s as u64, k as u64);
-                    }
-                }
-            }
-            if live.iter().all(|&l| !l) {
-                break; // every lane was p2p and has retired
-            }
-        }
-
-        settled.clear();
-        // light inner loop
-        loop {
-            if let Some(r) = rec.as_mut() {
-                if r.probe(ctx, &mut batch_state!())? {
-                    // restored mid-bucket: the epoch counter rewound, so
-                    // re-enter the outer loop from the boundary hook (this
-                    // kernel opens no Bucket span, so nothing to close)
-                    continue 'outer;
-                }
-            }
-            frontier.clear();
-            raw.clear();
-            buckets.drain_bucket_into(k, &mut raw);
-            frontier.extend(raw.iter().copied().filter(|&e| {
-                let d = dist[e as usize];
-                live[e as usize / n_local] && d.is_finite() && buckets.bucket_of(d) == k
-            }));
-            let total = ctx.allreduce_sum(frontier.len() as u64);
-            if total == 0 {
-                break;
-            }
-            settled.extend_from_slice(&frontier);
-
-            scan_wave(
-                graph,
-                &dist,
-                &bounds,
-                n_local,
-                &frontier,
-                |w| w < delta,
-                &mut candidates,
-                &mut stats,
-                ctx,
-            );
-            route_and_apply(
-                ctx,
-                graph,
-                &mut bufs,
-                &candidates,
-                opts,
-                &mut dist,
-                &mut parent,
-                &mut buckets,
-                &live,
-                n_local,
-                &mut stats,
-            );
-        }
-
-        // heavy phase for everything this bucket settled
-        scan_wave(
-            graph,
-            &dist,
-            &bounds,
-            n_local,
-            &settled,
-            |w| w >= delta,
-            &mut candidates,
-            &mut stats,
-            ctx,
-        );
-        route_and_apply(
-            ctx,
-            graph,
-            &mut bufs,
-            &candidates,
-            opts,
-            &mut dist,
-            &mut parent,
-            &mut buckets,
-            &live,
-            n_local,
-            &mut stats,
-        );
-    }
-    if let Some(r) = rec {
-        r.finish(ctx);
-    }
+    run_bucket_epochs(ctx, &mut b)?;
 
     // Lanes still live at batch end: full lanes, unreachable targets, and
     // targets that settled in the final bucket. Resolve remaining p2p
     // results with one last allgather so every rank returns identical
     // target values.
-    if live_p2p > 0 {
-        let contrib: Vec<TaggedUpdate> = my_targets
-            .iter()
-            .filter(|&&(s, _)| live[s as usize])
-            .map(|&(s, l)| {
-                let idx = s as usize * n_local + l;
-                (s, specs[s as usize].target.unwrap(), dist[idx], parent[idx])
-            })
-            .collect();
-        for block in ctx.allgatherv(&contrib) {
+    if b.live_p2p > 0 {
+        for block in ctx.allgatherv(&b.live_target_tentatives()) {
             for (s, _t, d, par) in block {
-                target_dist[s as usize] = d;
-                target_parent[s as usize] = par;
+                b.out.target_dist[s as usize] = d;
+                b.out.target_parent[s as usize] = par;
             }
         }
     }
     let t_end = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
     for s in 0..lanes {
-        if live[s] {
-            finished_at[s] = t_end;
+        if b.live[s] {
+            b.out.finished_at[s] = t_end;
         }
     }
-
-    Ok((
-        MultiDist {
-            lanes,
-            n_local,
-            dist,
-            parent,
-            finished_at,
-            early_exit,
-            target_dist,
-            target_parent,
-        },
-        stats,
-    ))
+    Ok((b.out, b.stats))
 }
 
-/// Scan the out-arcs of one packed frontier element against the frozen
-/// lane state, emitting improving candidates. Shared by both scan paths,
-/// so their (element, arc) emission order is identical.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn scan_elem<P: VertexPartition>(
-    graph: &LocalGraph<P>,
-    dist: &[Weight],
-    bounds: &[Weight],
+impl<P: VertexPartition + Sync> BucketKernel for Batch<'_, P> {
+    fn min_bucket(&mut self) -> u64 {
+        self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64)
+    }
+
+    /// Retirement epoch: target owners publish live tentatives; every rank
+    /// applies the identical "settled below bucket k" rule, so the
+    /// retirement set — and thus the whole batch schedule — is a pure
+    /// function of the allreduced bucket index and the lane states.
+    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
+        if self.live_p2p > 0 {
+            for block in ctx.allgatherv(&self.live_target_tentatives()) {
+                for (s, _t, d, par) in block {
+                    let s = s as usize;
+                    if d.is_finite() && self.buckets.bucket_of(d) < k as usize {
+                        self.live[s] = false;
+                        self.live_p2p -= 1;
+                        self.out.early_exit[s] = true;
+                        self.out.finished_at[s] = ctx.now();
+                        self.out.target_dist[s] = d;
+                        self.out.target_parent[s] = par;
+                        self.stats.retired += 1;
+                        ctx.trace_count(TraceCode::QueryRetired, s as u64, k);
+                    }
+                }
+            }
+            if self.live.iter().all(|&l| !l) {
+                return false; // every lane was p2p and has retired
+            }
+        }
+        self.settled.clear();
+        true
+    }
+
+    fn light_step(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
+        let (dist, live, buckets) = (&self.out.dist, &self.live, &mut self.buckets);
+        let n_local = self.out.n_local;
+        self.raw.clear();
+        buckets.drain_bucket_into(k as usize, &mut self.raw);
+        self.frontier.clear();
+        self.frontier.extend(self.raw.iter().copied().filter(|&e| {
+            let d = dist[e as usize];
+            live[e as usize / n_local] && d.is_finite() && buckets.bucket_of(d) == k as usize
+        }));
+        let total = ctx.allreduce_sum(self.frontier.len() as u64);
+        if total == 0 {
+            return false;
+        }
+        self.settled.extend_from_slice(&self.frontier);
+        let delta = self.buckets.delta();
+        self.wave(ctx, false, |w| w < delta);
+        true
+    }
+
+    /// The heavy phase for everything this bucket settled.
+    fn close_bucket(&mut self, ctx: &mut RankCtx, _k: u64) {
+        let delta = self.buckets.delta();
+        self.wave(ctx, true, |w| w >= delta);
+    }
+
+    /// This kernel opens no `Bucket` span, so a rollback leaves nothing to
+    /// close.
+    fn abandon_bucket(&mut self, _ctx: &mut RankCtx, _k: u64) {}
+}
+
+/// The frozen view one wave scans against. Lanes never read each other's
+/// state, so the scan of one element depends on its own lane only.
+struct WaveView<'a, P: VertexPartition, K> {
+    graph: &'a LocalGraph<P>,
+    specs: &'a [BatchSpec],
+    dist: &'a [Weight],
     n_local: usize,
     me: usize,
-    e: u32,
-    keep: &(impl Fn(Weight) -> bool + Sync),
-    mut emit: impl FnMut(TaggedUpdate),
-    pruned: &mut u64,
-) {
-    let part = graph.part();
-    let lane = e as usize / n_local;
-    let l = e as usize % n_local;
-    let du = dist[e as usize];
-    let bound = bounds[lane];
-    let u_global = part.to_global(me, l);
-    let vs = graph.neighbors(l);
-    let ws = graph.edge_weights(l);
-    for (&v, &w) in vs.iter().zip(ws) {
-        if !keep(w) {
-            continue;
+    /// Which weight class this wave relaxes (light or heavy).
+    keep: K,
+}
+
+impl<P: VertexPartition, K: Fn(Weight) -> bool> WaveView<'_, P, K> {
+    /// Scan the out-arcs of the packed frontier elements in `chunk`,
+    /// appending improving candidates to `out` in (element, arc) order;
+    /// returns the relaxations the lanes' bounds pruned. The one scan body
+    /// of both the sequential and the parallel path, so their emission
+    /// order and their prune count are identical.
+    fn scan(&self, chunk: &[u32], out: &mut Vec<TaggedUpdate>) -> u64 {
+        let part = self.graph.part();
+        let mut pruned = 0u64;
+        for &e in chunk {
+            let lane = e as usize / self.n_local;
+            let l = e as usize % self.n_local;
+            let du = self.dist[e as usize];
+            let bound = self.specs[lane].bound;
+            let u_global = part.to_global(self.me, l);
+            let vs = self.graph.neighbors(l);
+            let ws = self.graph.edge_weights(l);
+            for (&v, &w) in vs.iter().zip(ws) {
+                if !(self.keep)(w) {
+                    continue;
+                }
+                let nd = du + w;
+                if nd > bound {
+                    pruned += 1;
+                    continue;
+                }
+                // frozen-read prefilter for locally-owned targets: identical
+                // per lane at any batch width, so width-invariance is
+                // preserved
+                if part.owner(v) == self.me
+                    && nd >= self.dist[lane * self.n_local + part.to_local(v)]
+                {
+                    continue;
+                }
+                out.push((lane as u32, v, nd, u_global));
+            }
         }
-        let nd = du + w;
-        if nd > bound {
-            *pruned += 1;
-            continue;
-        }
-        // frozen-read prefilter for locally-owned targets: identical per
-        // lane at any batch width, so width-invariance is preserved
-        let owner = part.owner(v);
-        if owner == me && nd >= dist[lane * n_local + part.to_local(v)] {
-            continue;
-        }
-        emit((lane as u32, v, nd, u_global));
+        pruned
     }
 }
 
-/// Phase 1: scan `sources` (packed lane keys) against the frozen state,
-/// collecting candidates in (element, arc) order — sequentially below the
-/// cutoff, else on the pool under the fixed-chunk contract.
-#[allow(clippy::too_many_arguments)]
-fn scan_wave<P: VertexPartition + Sync>(
-    graph: &LocalGraph<P>,
-    dist: &[Weight],
-    bounds: &[Weight],
-    n_local: usize,
-    sources: &[u32],
-    keep: impl Fn(Weight) -> bool + Sync,
-    out: &mut Vec<TaggedUpdate>,
-    stats: &mut MultiStats,
-    ctx: &mut RankCtx,
-) {
-    let me = ctx.rank();
-    let scanned: u64 = sources
-        .iter()
-        .map(|&e| graph.neighbors(e as usize % n_local).len() as u64)
-        .sum();
-    let mut pruned = 0u64;
-    if sources.len() <= SEQ_SCAN_CUTOFF {
-        out.clear();
-        for &e in sources {
-            scan_elem(
-                graph,
-                dist,
-                bounds,
-                n_local,
-                me,
-                e,
-                &keep,
-                |c| out.push(c),
-                &mut pruned,
-            );
-        }
-    } else {
-        ctx.trace_begin(TraceCode::TaskWave, sources.len() as u64, 4);
-        let keep = &keep;
-        let part = graph.part();
-        sources
-            .par_iter()
-            .with_min_len(64)
-            .flat_map_iter(|&e| {
-                let lane = e as usize / n_local;
-                let l = e as usize % n_local;
-                let du = dist[e as usize];
-                let bound = bounds[lane];
-                let u_global = part.to_global(me, l);
-                let vs = graph.neighbors(l);
-                let ws = graph.edge_weights(l);
-                vs.iter().zip(ws).filter_map(move |(&v, &w)| {
-                    if !keep(w) {
-                        return None;
-                    }
-                    let nd = du + w;
-                    if nd > bound {
-                        return None;
-                    }
-                    if part.owner(v) == me && nd >= dist[lane * n_local + part.to_local(v)] {
-                        return None;
-                    }
-                    Some((lane as u32, v, nd, u_global))
-                })
+impl<P: VertexPartition + Sync> Batch<'_, P> {
+    /// The `(lane, target, dist, parent)` tentatives of the live p2p lanes
+    /// whose target this rank owns.
+    fn live_target_tentatives(&self) -> Vec<TaggedUpdate> {
+        self.my_targets
+            .iter()
+            .filter(|&&(s, _)| self.live[s as usize])
+            .map(|&(s, l)| {
+                let idx = s as usize * self.out.n_local + l;
+                let target = self.specs[s as usize].target.expect("a p2p lane");
+                (s, target, self.out.dist[idx], self.out.parent[idx])
             })
-            .collect_into_vec(out);
-        ctx.trace_end(TraceCode::TaskWave, sources.len() as u64, 4);
-        // the parallel path cannot cheaply count prunes per item; recompute
-        // the deterministic count from totals (scanned - kept-by-weight is
-        // not available either), so count prunes only on the sequential
-        // path and fold the difference into `relaxations` below.
+            .collect()
     }
-    stats.pruned += pruned;
-    stats.relaxations += out.len() as u64;
-    ctx.charge_compute(scanned);
-}
 
-/// Phase 2: route candidates into per-destination buckets, exchange them
-/// under `opts`, and apply the incoming stream in order (strict-`<`
-/// improvements; retired lanes are frozen).
-#[allow(clippy::too_many_arguments)]
-fn route_and_apply<P: VertexPartition>(
-    ctx: &mut RankCtx,
-    graph: &LocalGraph<P>,
-    bufs: &mut TaggedExchangeBufs,
-    candidates: &[TaggedUpdate],
-    opts: &OptConfig,
-    dist: &mut [Weight],
-    parent: &mut [u64],
-    buckets: &mut BucketQueue,
-    live: &[bool],
-    n_local: usize,
-    stats: &mut MultiStats,
-) {
-    let part = graph.part();
-    for &c in candidates {
-        bufs.bucket_mut(part.owner(c.1)).push(c);
-    }
-    let outcome = exchange_tagged_into(ctx, bufs, opts);
-    stats.supersteps += 1;
-    stats.updates_sent += outcome.records_sent;
-    ctx.charge_compute(outcome.records_received);
-    for &(s, v, nd, par) in bufs.incoming() {
-        let s = s as usize;
-        if !live[s] {
-            continue;
+    /// One superstep: scan the frontier (or, for the heavy pass, the
+    /// settled set) against the frozen state, route the candidates into
+    /// per-destination buckets, exchange them under `opts`, and apply the
+    /// incoming stream in order (strict-`<` improvements; retired lanes
+    /// are frozen).
+    fn wave(&mut self, ctx: &mut RankCtx, heavy: bool, keep: impl Fn(Weight) -> bool + Sync) {
+        let part = self.graph.part();
+        let n_local = self.out.n_local;
+        let sources = if heavy { &self.settled } else { &self.frontier };
+        let view = WaveView {
+            graph: self.graph,
+            specs: self.specs,
+            dist: &self.out.dist,
+            n_local,
+            me: ctx.rank(),
+            keep,
+        };
+        let scanned: u64 = sources
+            .iter()
+            .map(|&e| self.graph.neighbors(e as usize % n_local).len() as u64)
+            .sum();
+        // Candidates in (element, arc) order — sequentially below the
+        // cutoff, else in fixed 64-element chunks on the pool, combined in
+        // chunk order.
+        self.candidates.clear();
+        if sources.len() <= SEQ_SCAN_CUTOFF {
+            self.stats.pruned += view.scan(sources, &mut self.candidates);
+        } else {
+            ctx.trace_begin(TraceCode::TaskWave, sources.len() as u64, 4);
+            sources
+                .par_chunks(64)
+                .map(|chunk| {
+                    let mut cands = Vec::new();
+                    (view.scan(chunk, &mut cands), cands)
+                })
+                .collect_into_vec(&mut self.scan_scratch);
+            for (pruned, cands) in self.scan_scratch.iter_mut() {
+                self.stats.pruned += *pruned;
+                self.candidates.append(cands);
+            }
+            ctx.trace_end(TraceCode::TaskWave, sources.len() as u64, 4);
         }
-        let idx = s * n_local + part.to_local(v);
-        if nd < dist[idx] {
-            dist[idx] = nd;
-            parent[idx] = par;
-            buckets.insert(idx as u32, nd);
+        self.stats.relaxations += self.candidates.len() as u64;
+        ctx.charge_compute(scanned);
+
+        for &c in &self.candidates {
+            self.bufs.bucket_mut(part.owner(c.1)).push(c);
+        }
+        let outcome = exchange_into(ctx, &mut self.bufs, self.opts);
+        self.stats.supersteps += 1;
+        self.stats.updates_sent += outcome.records_sent;
+        ctx.charge_compute(outcome.records_received);
+        for &(s, v, nd, par) in self.bufs.incoming() {
+            let s = s as usize;
+            if !self.live[s] {
+                continue;
+            }
+            let idx = s * n_local + part.to_local(v);
+            if nd < self.out.dist[idx] {
+                self.out.dist[idx] = nd;
+                self.out.parent[idx] = par;
+                self.buckets.insert(idx as u32, nd);
+            }
         }
     }
 }
@@ -675,6 +557,18 @@ mod tests {
     use g500_graph::{Csr, Directedness};
     use g500_partition::{assemble_local_graph, Block1D};
     use simnet::{Machine, MachineConfig};
+
+    /// Full single-source lanes from `roots` at a fixed Δ, all
+    /// optimizations on.
+    fn full_lanes<P: VertexPartition + Sync>(
+        ctx: &mut RankCtx,
+        g: &LocalGraph<P>,
+        roots: &[VertexId],
+        delta: Weight,
+    ) -> (MultiDist, MultiStats) {
+        let specs: Vec<BatchSpec> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
+        batched_delta_stepping(ctx, g, &specs, &OptConfig::all_on().with_delta(delta))
+    }
 
     #[test]
     fn batched_matches_dijkstra_per_source() {
@@ -688,7 +582,7 @@ mod tests {
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            let (md, _) = multi_source_delta_stepping(ctx, &g, &roots, 0.2);
+            let (md, _) = full_lanes(ctx, &g, &roots, 0.2);
             (0..roots.len())
                 .map(|s| md.lane_paths(s).gather_to_all(ctx, g.part()))
                 .collect::<Vec<_>>()
@@ -717,11 +611,11 @@ mod tests {
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
 
-            let (_, batched) = multi_source_delta_stepping(ctx, &g, &roots, 0.125);
+            let (_, batched) = full_lanes(ctx, &g, &roots, 0.125);
 
             let mut sequential_steps = 0u64;
             for &r in &roots {
-                let (_, s) = multi_source_delta_stepping(ctx, &g, &[r], 0.125);
+                let (_, s) = full_lanes(ctx, &g, &[r], 0.125);
                 sequential_steps += s.supersteps;
             }
             (batched.supersteps, sequential_steps)
@@ -746,7 +640,7 @@ mod tests {
                 Vec::new()
             };
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            let (md, _) = multi_source_delta_stepping(ctx, &g, &[0], 0.5);
+            let (md, _) = full_lanes(ctx, &g, &[0], 0.5);
             md.lane_paths(0).gather_to_all(ctx, g.part())
         });
         assert!(rep.results[0].distances_match(&oracle, 1e-5));
@@ -839,6 +733,38 @@ mod tests {
             assert_eq!(cmd.target_parent, fmd.target_parent);
             assert_eq!(cmd.early_exit, fmd.early_exit);
             assert_eq!(cst, fst, "structural counters must be identical");
+        }
+    }
+
+    #[test]
+    fn pruned_count_does_not_depend_on_wave_size() {
+        // 1024 local vertices per rank: a solo lane's waves never exceed
+        // the sequential-scan cutoff, while the 16-lane batch's do (its
+        // mid buckets hold a few hundred elements per lane), so the batch
+        // scans on the pool. Lanes are independent, so the batch must
+        // prune exactly what its lanes prune alone.
+        let el = g500_gen::simple::erdos_renyi(2048, 16384, 5);
+        let roots: Vec<u64> = (0..16).map(|i| i * 128 + 5).collect();
+        let rep = Machine::new(MachineConfig::with_ranks(2)).run(|ctx| {
+            let m = el.len();
+            let (lo, hi) = (ctx.rank() * m / 2, (ctx.rank() + 1) * m / 2);
+            let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
+            let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(2048, 2));
+            let specs: Vec<BatchSpec> = roots
+                .iter()
+                .map(|&r| BatchSpec::full(r).with_bound(0.45))
+                .collect();
+            let opts = OptConfig::all_on().with_delta(0.125);
+            let (_, batch) = batched_delta_stepping(ctx, &g, &specs, &opts);
+            let solo: u64 = specs
+                .iter()
+                .map(|&spec| batched_delta_stepping(ctx, &g, &[spec], &opts).1.pruned)
+                .sum();
+            (batch.pruned, solo)
+        });
+        for (rank, &(batch, solo)) in rep.results.iter().enumerate() {
+            assert!(solo > 0, "rank {rank}: the bound must prune something");
+            assert_eq!(batch, solo, "rank {rank}: batch vs sum of solo lanes");
         }
     }
 

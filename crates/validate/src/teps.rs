@@ -72,13 +72,7 @@ impl TepsSummary {
 
     /// Render as a JSON object (hand-rolled: the workspace has no serde).
     pub fn to_json(&self) -> String {
-        let f = |x: f64| {
-            if x.is_finite() {
-                format!("{x}")
-            } else {
-                "null".to_string()
-            }
-        };
+        let f = simnet::stats::json_f64;
         format!(
             "{{\"runs\":{},\"min\":{},\"q1\":{},\"median\":{},\"q3\":{},\"max\":{},\
              \"harmonic_mean\":{},\"mean\":{}}}",

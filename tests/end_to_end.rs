@@ -246,3 +246,111 @@ fn many_ranks_few_vertices() {
     let rep = run_sssp_benchmark(&BenchmarkConfig::quick(6, 16));
     assert!(rep.all_validated());
 }
+
+// ---------- the command line is strict ----------
+
+fn g500(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_g500"))
+        .args(args)
+        .output()
+        .expect("spawn g500")
+}
+
+/// A typo must not run a clean default benchmark and report success.
+#[test]
+fn cli_rejects_unknown_arguments_by_name() {
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["sssp", "--scale", "6", "--crahs-rate", "0.5"],
+            "--crahs-rate",
+        ),
+        (&["bfs", "--scale", "6", "--no-valdate"], "--no-valdate"),
+        (&["serve", "--scale", "6", "--bacth", "4"], "--bacth"),
+        (&["stats", "--scale", "6", "--sed", "1"], "--sed"),
+        (&["sssp", "--scale", "6", "--ranks", "2", "stray"], "stray"),
+    ];
+    for (args, culprit) in cases {
+        let out = g500(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert!(stderr.contains(culprit), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one line, not the usage text");
+    }
+}
+
+/// Every flag the usage text lists for a command is accepted by it — read
+/// from `g500 --help` itself, so a flag added to one and not the other
+/// fails here.
+#[test]
+fn cli_accepts_every_flag_its_usage_lists() {
+    let help = String::from_utf8(g500(&["--help"]).stderr).expect("utf8 usage");
+    let synopsis = help.split("\n\n").next().expect("usage synopsis");
+    let fault_flags = [
+        "--fault-seed",
+        "--drop-rate",
+        "--dup-rate",
+        "--corrupt-rate",
+        "--reorder-rate",
+        "--retry-budget",
+    ];
+    let crash_flags = [
+        "--crash-seed",
+        "--crash-rate",
+        "--checkpoint-interval",
+        "--recovery-budget",
+    ];
+    let trace_path = std::env::temp_dir().join(format!("g500_cli_{}.json", std::process::id()));
+    let trace_path = trace_path.to_str().expect("utf8 temp path");
+    // a sample value per flag that takes one; the rest are switches
+    let value = |flag: &str| -> Option<&str> {
+        Some(match flag {
+            "--scale" => "7",
+            "--ranks" | "--batch" | "--retry-budget" => "4",
+            "--roots" | "--sched-seed" | "--threads" | "--landmarks" => "1",
+            "--seed" | "--fault-seed" | "--crash-seed" | "--lru" => "3",
+            "--topology" => "torus",
+            "--partition" => "cyclic",
+            "--delta" => "0.25",
+            "--direction" => "push",
+            "--drop-rate" | "--dup-rate" | "--corrupt-rate" | "--reorder-rate" => "0.01",
+            "--crash-rate" => "0.001",
+            "--checkpoint-interval" | "--queries" => "8",
+            "--recovery-budget" => "64",
+            "--p2p" => "500",
+            "--pool" => "16",
+            "--deadline" => "10",
+            "--trace-out" => trace_path,
+            _ => return None,
+        })
+    };
+    let mut commands = 0;
+    for block in synopsis.split("\n  g500 ").skip(1) {
+        let cmd = block.split_whitespace().next().expect("command name");
+        let mut flags: Vec<&str> = block
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|t| t.starts_with("--"))
+            .collect();
+        if block.contains("fault flags as above") {
+            flags.extend(fault_flags);
+            flags.extend(crash_flags);
+        }
+        if block.contains("crash flags as above") {
+            flags.extend(crash_flags);
+        }
+        let mut args = vec![cmd];
+        for flag in flags {
+            args.push(flag);
+            args.extend(value(flag));
+        }
+        let out = g500(&args);
+        assert!(
+            out.status.success(),
+            "g500 {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        commands += 1;
+    }
+    assert_eq!(commands, 4, "sssp, bfs, serve, stats");
+    let _ = std::fs::remove_file(trace_path);
+}

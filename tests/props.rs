@@ -371,7 +371,12 @@ fn multi_source_equals_dijkstra_per_source() {
                 let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
                 let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
                 let g = assemble_local_graph(ctx, mine.into_iter(), part);
-                let (md, _) = graph500::sssp::multi_source_delta_stepping(ctx, &g, &roots, 0.25);
+                let specs: Vec<_> = roots
+                    .iter()
+                    .map(|&r| graph500::sssp::BatchSpec::full(r))
+                    .collect();
+                let opts = OptConfig::all_on().with_delta(0.25);
+                let (md, _) = graph500::sssp::batched_delta_stepping(ctx, &g, &specs, &opts);
                 (0..roots.len())
                     .map(|s| md.lane_paths(s).gather_to_all(ctx, g.part()))
                     .collect::<Vec<_>>()
@@ -771,108 +776,141 @@ fn lru_invariants_hold_under_random_ops() {
     });
 }
 
+/// One thing a kernel checkpoint holds.
+enum CkptItem {
+    U64(u64),
+    F64(f64),
+    U64s(Vec<u64>),
+    U32s(Vec<u32>),
+    F32s(Vec<f32>),
+    F64s(Vec<f64>),
+    Bools(Vec<bool>),
+}
+
 #[test]
 fn checkpoint_codec_roundtrips_arbitrary_state() {
     // The recovery codec must round-trip any state a kernel checkpoint can
-    // hold — including NaN/∞ payloads in the f64 lanes (times), empty
-    // slices, and interleavings of every primitive — and consume the
-    // buffer exactly (a length mismatch is how `Checkpoint::load` detects
-    // a codec drift).
-    use graph500::simnet::recovery::codec;
+    // hold — including NaN/∞ payloads in the float lanes (distances,
+    // times), empty slices, and interleavings of every element type — and
+    // consume the buffer exactly (a length mismatch is how
+    // `Checkpoint::load` detects a codec drift).
+    use graph500::simnet::recovery::codec::{get, get_vec, put, put_slice};
+    use wire::encode_slice as bytes;
+    use CkptItem::*;
     for_cases(0xC8EC, 96, |rng| {
-        let mut u64s = Vec::new();
-        let mut f64s = Vec::new();
-        let mut u64_slices = Vec::new();
-        let mut u32_slices = Vec::new();
-        let mut f64_slices = Vec::new();
-        let mut bool_slices = Vec::new();
-        let mut ops = Vec::new();
+        let arb_f64 = |rng: &mut common::Rng| match rng.range(0, 8) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => 0.0,
+            _ => rng.f64_unit() * 1e9 - 5e8,
+        };
+        let mut items = Vec::new();
         let mut buf = Vec::new();
         for _ in 0..rng.usize(1, 24) {
-            match rng.range(0, 6) {
-                0 => {
-                    let x = rng.next_u64();
-                    codec::put_u64(&mut buf, x);
-                    u64s.push(x);
-                    ops.push(0);
-                }
-                1 => {
-                    let x = match rng.range(0, 8) {
-                        0 => f64::NAN,
-                        1 => f64::INFINITY,
-                        2 => 0.0,
-                        _ => rng.f64_unit() * 1e9 - 5e8,
-                    };
-                    codec::put_f64(&mut buf, x);
-                    f64s.push(x);
-                    ops.push(1);
-                }
-                2 => {
-                    let xs: Vec<u64> = (0..rng.usize(0, 40)).map(|_| rng.next_u64()).collect();
-                    codec::put_u64_slice(&mut buf, &xs);
-                    u64_slices.push(xs);
-                    ops.push(2);
-                }
-                3 => {
-                    let xs: Vec<u32> = (0..rng.usize(0, 40))
-                        .map(|_| rng.next_u64() as u32)
-                        .collect();
-                    codec::put_u32_slice(&mut buf, &xs);
-                    u32_slices.push(xs);
-                    ops.push(3);
-                }
-                4 => {
-                    let xs: Vec<f64> = (0..rng.usize(0, 40)).map(|_| rng.f64_unit()).collect();
-                    codec::put_f64_slice(&mut buf, &xs);
-                    f64_slices.push(xs);
-                    ops.push(4);
-                }
-                _ => {
-                    let xs: Vec<bool> = (0..rng.usize(0, 40))
-                        .map(|_| rng.range(0, 2) == 0)
-                        .collect();
-                    codec::put_bool_slice(&mut buf, &xs);
-                    bool_slices.push(xs);
-                    ops.push(5);
-                }
+            let len = rng.usize(0, 40);
+            let item = match rng.range(0, 7) {
+                0 => U64(rng.next_u64()),
+                1 => F64(arb_f64(rng)),
+                2 => U64s((0..len).map(|_| rng.next_u64()).collect()),
+                3 => U32s((0..len).map(|_| rng.next_u64() as u32).collect()),
+                4 => F32s((0..len).map(|_| arb_f64(rng) as f32).collect()),
+                5 => F64s((0..len).map(|_| arb_f64(rng)).collect()),
+                _ => Bools((0..len).map(|_| rng.range(0, 2) == 0).collect()),
+            };
+            match &item {
+                U64(x) => put(&mut buf, *x),
+                F64(x) => put(&mut buf, *x),
+                U64s(xs) => put_slice(&mut buf, xs),
+                U32s(xs) => put_slice(&mut buf, xs),
+                F32s(xs) => put_slice(&mut buf, xs),
+                F64s(xs) => put_slice(&mut buf, xs),
+                Bools(xs) => put_slice(&mut buf, xs),
+            }
+            items.push(item);
+        }
+        let pos = &mut 0usize;
+        for item in &items {
+            match item {
+                U64(x) => assert_eq!(get::<u64>(&buf, pos), *x),
+                F64(x) => assert_eq!(get::<f64>(&buf, pos).to_bits(), x.to_bits()),
+                U64s(xs) => assert_eq!(&get_vec::<u64>(&buf, pos), xs),
+                U32s(xs) => assert_eq!(&get_vec::<u32>(&buf, pos), xs),
+                // floats compare by their wire bytes: bitwise, NaN included
+                F32s(xs) => assert_eq!(bytes(&get_vec::<f32>(&buf, pos)), bytes(xs)),
+                F64s(xs) => assert_eq!(bytes(&get_vec::<f64>(&buf, pos)), bytes(xs)),
+                Bools(xs) => assert_eq!(&get_vec::<bool>(&buf, pos), xs),
             }
         }
-        let mut pos = 0usize;
-        let (mut iu, mut ifl, mut ius, mut i32s, mut ifs, mut ibs) = (0, 0, 0, 0, 0, 0);
-        for op in &ops {
-            match op {
-                0 => {
-                    assert_eq!(codec::get_u64(&buf, &mut pos), u64s[iu]);
-                    iu += 1;
-                }
-                1 => {
-                    let got = codec::get_f64(&buf, &mut pos);
-                    assert_eq!(got.to_bits(), f64s[ifl].to_bits(), "f64 not bitwise");
-                    ifl += 1;
-                }
-                2 => {
-                    assert_eq!(codec::get_u64_vec(&buf, &mut pos), u64_slices[ius]);
-                    ius += 1;
-                }
-                3 => {
-                    assert_eq!(codec::get_u32_vec(&buf, &mut pos), u32_slices[i32s]);
-                    i32s += 1;
-                }
-                4 => {
-                    let got = codec::get_f64_vec(&buf, &mut pos);
-                    let want = &f64_slices[ifs];
-                    assert_eq!(got.len(), want.len());
-                    for (a, b) in got.iter().zip(want) {
-                        assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                    ifs += 1;
-                }
-                _ => {
-                    assert_eq!(codec::get_bool_vec(&buf, &mut pos), bool_slices[ibs]);
-                    ibs += 1;
-                }
-            }
-        }
-        assert_eq!(pos, buf.len(), "codec under- or over-consumed the buffer");
+        assert_eq!(*pos, buf.len(), "codec under- or over-consumed the buffer");
     });
+}
+
+#[test]
+fn checkpoint_wire_format_is_le_length_prefix_then_le_elements() {
+    // The format, spelled out in bytes: a scalar is its little-endian
+    // encoding (floats as raw bit patterns, bool one byte); a sequence is
+    // an 8-byte little-endian element count, then the elements. Checkpoint
+    // length is simulated time (`take_checkpoint` charges it), so these
+    // bytes are part of every crash run's `sim_*` numbers.
+    use graph500::simnet::recovery::codec::{get_vec, put, put_slice};
+    let mut buf = Vec::new();
+    put(&mut buf, 0x0102_0304_0506_0708u64);
+    assert_eq!(buf, [8, 7, 6, 5, 4, 3, 2, 1]);
+
+    let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+    buf.clear();
+    put(&mut buf, nan);
+    assert_eq!(buf, [0xef, 0xbe, 0xad, 0xde, 0, 0, 0xf8, 0x7f]);
+
+    let count = |n: u8| [n, 0, 0, 0, 0, 0, 0, 0];
+    buf.clear();
+    put_slice(&mut buf, &[1u64, 0x0a0b]);
+    let want = [
+        &count(2)[..],
+        &[1, 0, 0, 0, 0, 0, 0, 0],
+        &[0x0b, 0x0a, 0, 0, 0, 0, 0, 0],
+    ]
+    .concat();
+    assert_eq!(buf, want);
+
+    buf.clear();
+    put_slice(&mut buf, &[0xdead_beefu32]);
+    assert_eq!(buf, [&count(1)[..], &[0xef, 0xbe, 0xad, 0xde]].concat());
+
+    buf.clear();
+    put_slice(&mut buf, &[1.0f32, f32::INFINITY]);
+    let want = [&count(2)[..], &[0, 0, 0x80, 0x3f], &[0, 0, 0x80, 0x7f]].concat();
+    assert_eq!(buf, want);
+    let back = get_vec::<f32>(&buf, &mut 0);
+    assert_eq!(back, [1.0, f32::INFINITY]);
+
+    buf.clear();
+    put_slice(&mut buf, &[nan, -0.0]);
+    let want = [
+        &count(2)[..],
+        &[0xef, 0xbe, 0xad, 0xde, 0, 0, 0xf8, 0x7f],
+        &[0, 0, 0, 0, 0, 0, 0, 0x80],
+    ]
+    .concat();
+    assert_eq!(buf, want);
+    let back = get_vec::<f64>(&buf, &mut 0);
+    assert_eq!(back[0].to_bits(), nan.to_bits(), "NaN payload lost");
+
+    buf.clear();
+    put_slice(&mut buf, &[true, false, true]);
+    assert_eq!(buf, [&count(3)[..], &[1, 0, 1]].concat());
+
+    buf.clear();
+    put_slice::<u64>(&mut buf, &[]);
+    assert_eq!(buf, count(0));
+}
+
+#[test]
+#[should_panic(expected = "checkpoint truncated")]
+fn checkpoint_codec_rejects_a_truncated_buffer() {
+    use graph500::simnet::recovery::codec::{get_vec, put_slice};
+    let mut buf = Vec::new();
+    put_slice(&mut buf, &[7u64, 8, 9]);
+    buf.truncate(buf.len() - 3);
+    get_vec::<u64>(&buf, &mut 0);
 }
