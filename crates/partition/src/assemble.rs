@@ -10,10 +10,12 @@
 //! needed by pull-mode relaxation is the graph itself.
 
 use crate::VertexPartition;
+use g500_graph::types::{bits_to_weight, weight_to_bits};
 use g500_graph::{VertexId, Weight};
 use simnet::RankCtx;
 
-/// One rank's share of the distributed graph.
+/// One rank's share of the distributed graph. Every row is sorted by
+/// (weight, target), so the arcs lighter than any threshold are a prefix.
 #[derive(Clone, Debug)]
 pub struct LocalGraph<P: VertexPartition> {
     part: P,
@@ -28,9 +30,9 @@ pub struct LocalGraph<P: VertexPartition> {
 type ArcRec = (u64, u64, f32);
 
 /// Exchange arcs so each rank holds the out-arcs of its own vertices, then
-/// build the local CSR. `my_edges` is this rank's generated slice of the
-/// *undirected* edge list; both directions of every edge are materialised
-/// here. Must be called by all ranks collectively.
+/// build the local CSR with weight-sorted rows. `my_edges` is this rank's
+/// generated slice of the *undirected* edge list; both directions of every
+/// edge are materialised here. Must be called by all ranks collectively.
 pub fn assemble_local_graph<P: VertexPartition>(
     ctx: &mut RankCtx,
     my_edges: impl Iterator<Item = g500_graph::WEdge>,
@@ -84,6 +86,43 @@ pub fn assemble_local_graph<P: VertexPartition>(
         }
     }
     ctx.charge_compute(2 * total as u64);
+
+    // Sort every row by (weight, target): the kernels take a vertex's light
+    // arcs as a prefix of its row and bound pull scans by weight. Charged
+    // as a comparison sort, d·⌈log₂ d⌉ per row of d arcs. On the host, a
+    // non-negative weight's bits and the arc's position in its row pack
+    // into one u64 key (half the bytes of the pair, no comparator).
+    let mut keys: Vec<u64> = Vec::new();
+    let mut unsorted: Vec<VertexId> = Vec::new();
+    let mut sort_ops = 0u64;
+    for l in 0..n_local {
+        let (lo, hi) = (offsets[l] as usize, offsets[l + 1] as usize);
+        if hi - lo < 2 {
+            continue;
+        }
+        let (ws, ts) = (&mut weights[lo..hi], &mut targets[lo..hi]);
+        keys.clear();
+        keys.extend(
+            ws.iter()
+                .enumerate()
+                .map(|(i, &w)| u64::from(weight_to_bits(w)) << 32 | i as u64),
+        );
+        keys.sort_unstable();
+        unsorted.clear();
+        unsorted.extend_from_slice(ts);
+        for (i, &key) in keys.iter().enumerate() {
+            ws[i] = bits_to_weight((key >> 32) as u32);
+            ts[i] = unsorted[key as u32 as usize];
+        }
+        // runs of equal weight: by target
+        let mut i = 0;
+        for run in ws.chunk_by(|a, b| a.to_bits() == b.to_bits()) {
+            ts[i..i + run.len()].sort_unstable();
+            i += run.len();
+        }
+        sort_ops += (hi - lo) as u64 * u64::from((hi - lo).next_power_of_two().trailing_zeros());
+    }
+    ctx.charge_compute(sort_ops);
 
     let global_arcs = ctx.allreduce_sum(total as u64);
 
@@ -187,34 +226,37 @@ mod tests {
     }
 
     #[test]
-    fn assembled_graph_matches_sequential_csr() {
+    fn assembled_rows_are_weight_sorted_and_match_sequential_csr() {
         use g500_graph::{Csr, Directedness};
-        let el = g500_gen::simple::erdos_renyi(40, 200, 5);
+        // random weights, then all weights tied (rows ordered by target)
+        let inputs = [
+            g500_gen::simple::erdos_renyi(40, 200, 5),
+            g500_gen::simple::complete(40, 0.5),
+        ];
         let p = 4;
-        let rep = Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
-            let part = Block1D::new(40, p);
-            let mine = my_slice(&el, ctx.rank(), p);
-            let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            // return each local vertex's sorted adjacency with global ids
-            let mut adj: Vec<(u64, Vec<(u64, u32)>)> = Vec::new();
-            for l in 0..g.local_vertices() {
-                let v = part.to_global(ctx.rank(), l);
-                let mut ns: Vec<(u64, u32)> = g.arcs(l).map(|(t, w)| (t, w.to_bits())).collect();
-                ns.sort_unstable();
-                adj.push((v, ns));
-            }
-            adj
-        });
-        // sequential reference
-        let csr = Csr::from_edges(40, &el, Directedness::Undirected);
-        for rank_adj in rep.results {
-            for (v, ns) in rank_adj {
-                let mut expect: Vec<(u64, u32)> = csr
-                    .arcs(v as usize)
-                    .map(|(t, w)| (t, w.to_bits()))
-                    .collect();
+        for el in &inputs {
+            let rep = Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
+                let part = Block1D::new(40, p);
+                let mine = my_slice(el, ctx.rank(), p);
+                let g = assemble_local_graph(ctx, mine.into_iter(), part);
+                // each local vertex's row, in stored order, with global ids
+                (0..g.local_vertices())
+                    .map(|l| (part.to_global(ctx.rank(), l), g.arcs(l).collect()))
+                    .collect::<Vec<(u64, Vec<(u64, f32)>)>>()
+            });
+            // sequential reference
+            let csr = Csr::from_edges(40, el, Directedness::Undirected);
+            for (v, row) in rep.results.into_iter().flatten() {
+                assert!(
+                    row.windows(2).all(|a| (a[0].1, a[0].0) <= (a[1].1, a[1].0)),
+                    "vertex {v}: row not sorted by (weight, target): {row:?}"
+                );
+                let bits = |(t, w): (u64, f32)| (t, w.to_bits());
+                let mut got: Vec<(u64, u32)> = row.into_iter().map(bits).collect();
+                let mut expect: Vec<(u64, u32)> = csr.arcs(v as usize).map(bits).collect();
+                got.sort_unstable();
                 expect.sort_unstable();
-                assert_eq!(ns, expect, "vertex {v}");
+                assert_eq!(got, expect, "vertex {v}");
             }
         }
     }

@@ -288,6 +288,17 @@ impl RankCtx {
         self.stats.compute_s += dt;
     }
 
+    /// The machine's message cost parameters, for kernels that weigh
+    /// traffic against work.
+    pub fn loggp(&self) -> &LogGP {
+        &self.loggp
+    }
+
+    /// The machine's compute throughput model.
+    pub fn compute_model(&self) -> &ComputeModel {
+        &self.compute
+    }
+
     /// Charge an explicit number of simulated seconds of compute (for costs
     /// that are not op-shaped, e.g. a modeled sort).
     pub fn charge_seconds(&mut self, dt: f64) {

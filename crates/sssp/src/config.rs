@@ -10,8 +10,9 @@ pub enum Direction {
     /// Always pull: the frontier is broadcast and unsettled vertices scan
     /// their (symmetric) adjacency for frontier neighbors.
     Pull,
-    /// Choose per inner iteration from frontier density (the
-    /// direction-optimizing heuristic).
+    /// Choose per inner iteration whichever side's estimated cost is lower
+    /// (frontier light arcs pushed, against unsettled light arcs scanned
+    /// plus the frontier broadcast).
     Hybrid,
 }
 
@@ -37,9 +38,6 @@ pub struct OptConfig {
     /// When `bucket_fusion` is on: fuse the tail once the global active
     /// vertex count drops below `tail_threshold × ranks`.
     pub tail_threshold: u64,
-    /// Hybrid heuristic: pull when frontier arcs exceed `1/pull_ratio` of
-    /// the remaining unsettled arcs.
-    pub pull_ratio: f64,
     /// Record per-bucket phase timings (for the breakdown figure; costs a
     /// little memory, no simulated time).
     pub record_phases: bool,
@@ -62,7 +60,6 @@ impl OptConfig {
             bucket_fusion: true,
             direction: Direction::Hybrid,
             tail_threshold: 64,
-            pull_ratio: 16.0,
             record_phases: false,
         }
     }
@@ -78,7 +75,6 @@ impl OptConfig {
             bucket_fusion: false,
             direction: Direction::Push,
             tail_threshold: 64,
-            pull_ratio: 16.0,
             record_phases: false,
         }
     }

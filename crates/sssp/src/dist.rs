@@ -8,9 +8,10 @@
 //!     k ← allreduce-min of local minimum bucket indices
 //!     repeat                                   (light-edge inner loop)
 //!         frontier ← live entries of local bucket k
-//!         agree on direction (push / pull) from global frontier density
+//!         agree on direction (push / pull) from the estimated cost of each
 //!         push: relax light out-edges, exchange updates, apply
-//!         pull: broadcast frontier, scan local unsettled adjacency
+//!         pull: broadcast frontier, scan unsettled vertices' light arcs
+//!               up to the weight that could still improve them
 //!     until bucket k is globally empty
 //!     relax heavy edges of everything bucket k settled, exchange once
 //!     if the global residue is tiny and fusion is on: finish it in one
@@ -32,14 +33,20 @@ use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use rayon::prelude::*;
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::stats::json_f64;
-use simnet::{RankCtx, TraceCode};
+use simnet::{RankCtx, TraceCode, Wire};
 use std::collections::HashMap;
 
-/// Per-vertex result of the parallel pull scan: relaxation count, and (if
-/// the vertex improved) its final `(dist, parent)` plus every strict-
-/// improvement distance along the way (each must reach the bucket queue —
-/// stale entries drive the superstep count).
-type PullScan = (u64, Option<(f32, u64, Vec<f32>)>);
+/// Per-vertex result of the parallel pull scan: arcs examined, and (if the
+/// vertex improved) its new `(dist, parent)`.
+type PullScan = (u64, Option<(f32, u64)>);
+
+/// Operations one pushed light arc costs end to end: the relaxation, then
+/// what [`exchange_into`] and the receiver charge per record — dedup
+/// (offered), encode (shipped), decode and apply (received).
+const PUSH_OPS_PER_ARC: f64 = 5.0;
+
+/// Wire bytes of one broadcast frontier entry, `(vertex, dist)`.
+const FRONTIER_ENTRY_BYTES: usize = <(u64, f32) as Wire>::SIZE;
 
 /// Per-chunk result of the parallel heavy-phase scan: relaxation count and
 /// the improving candidates `(target_global, new_dist, parent_global,
@@ -187,17 +194,21 @@ struct Kernel<'a, P: VertexPartition> {
     sp: DistShortestPaths,
     buckets: BucketQueue,
     /// Generation stamps: `frontier_seen[v] == frontier_epoch` means v is
-    /// already in the current inner iteration's frontier.
+    /// already in the current inner iteration's frontier (drain, fused
+    /// tail) or already expanded in the current push superstep.
     frontier_seen: Vec<u64>,
     frontier_epoch: u64,
     /// `settled_seen[v] == settled_epoch` means v is already in the current
     /// bucket's settled list.
     settled_seen: Vec<u64>,
     settled_epoch: u64,
-    /// Arcs of local vertices that have not yet entered any frontier —
-    /// the denominator of the pull heuristic (an upper bound on remaining
-    /// pull work).
-    unsettled_arcs: u64,
+    /// `light_end[l]` arcs of local vertex `l` are lighter than Δ: rows
+    /// are weight-sorted, so they are the prefix and the heavy arcs the
+    /// suffix. Derived from graph + Δ, so not checkpointed.
+    light_end: Vec<u32>,
+    /// Light arcs of local vertices that have not yet entered any frontier
+    /// — an upper bound on the arcs one pull scan examines.
+    unsettled_light: u64,
     unsettled_mark: Vec<bool>,
     stats: SsspRunStats,
     /// Superstep scratch arenas, reused across the whole run: the exchange
@@ -227,7 +238,7 @@ impl<P: VertexPartition> Checkpoint for Kernel<'_, P> {
         codec::put(out, self.frontier_epoch);
         codec::put_slice(out, &self.settled_seen);
         codec::put(out, self.settled_epoch);
-        codec::put(out, self.unsettled_arcs);
+        codec::put(out, self.unsettled_light);
         codec::put_slice(out, &self.unsettled_mark);
         self.stats.save_ckpt(out);
     }
@@ -241,7 +252,7 @@ impl<P: VertexPartition> Checkpoint for Kernel<'_, P> {
         self.frontier_epoch = codec::get(buf, pos);
         self.settled_seen = codec::get_vec(buf, pos);
         self.settled_epoch = codec::get(buf, pos);
-        self.unsettled_arcs = codec::get(buf, pos);
+        self.unsettled_light = codec::get(buf, pos);
         self.unsettled_mark = codec::get_vec(buf, pos);
         self.stats.load_ckpt(buf, pos);
         assert_eq!(*pos, buf.len(), "trailing bytes in kernel checkpoint");
@@ -297,6 +308,9 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
         suggest_delta(avg_degree, mean_w)
     });
 
+    let light_end: Vec<u32> = (0..n_local)
+        .map(|l| graph.edge_weights(l).partition_point(|&w| w < delta) as u32)
+        .collect();
     let mut k = Kernel {
         graph,
         opts: *opts,
@@ -307,7 +321,8 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
         frontier_epoch: 0,
         settled_seen: vec![0; n_local],
         settled_epoch: 0,
-        unsettled_arcs: graph.local_arcs() as u64,
+        unsettled_light: light_end.iter().map(|&e| u64::from(e)).sum(),
+        light_end,
         unsettled_mark: vec![false; n_local],
         stats: SsspRunStats::default(),
         xbufs: ExchangeBufs::new(ctx.size()),
@@ -353,12 +368,12 @@ impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
     /// then push or pull.
     fn light_step(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
         let frontier = self.collect_frontier(k as usize);
-        let f_arcs_local: u64 = frontier
+        let f_light_local: u64 = frontier
             .iter()
-            .map(|&v| self.graph.degree(v as usize) as u64)
+            .map(|&v| u64::from(self.light_end[v as usize]))
             .sum();
-        let (f_size, f_arcs, unsettled) = ctx.allreduce(
-            (frontier.len() as u64, f_arcs_local, self.unsettled_arcs),
+        let (f_size, f_light, unsettled_light) = ctx.allreduce(
+            (frontier.len() as u64, f_light_local, self.unsettled_light),
             |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
         );
         if f_size == 0 {
@@ -375,11 +390,25 @@ impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
         let use_pull = match self.opts.direction {
             Direction::Push => false,
             Direction::Pull => true,
-            Direction::Hybrid => f_arcs as f64 * self.opts.pull_ratio > unsettled as f64,
+            // Per-rank cost of each side, in compute operations: push works
+            // 1/P of the frontier's light arcs; pull scans at most 1/P of
+            // the unsettled light arcs after every rank has received and
+            // indexed the whole frontier — one operation and
+            // `FRONTIER_ENTRY_BYTES` on the wire per entry — over a ring
+            // whose P−1 steps each wait out a latency the exchange's
+            // all-to-all overlaps.
+            Direction::Hybrid => {
+                let (p, net) = (ctx.size() as f64, ctx.loggp());
+                let ops_per_sec = ctx.compute_model().ops_per_sec;
+                let entry = 1.0 + FRONTIER_ENTRY_BYTES as f64 * net.per_byte * ops_per_sec;
+                let ring = (p - 1.0) * net.latency * ops_per_sec;
+                let push = f_light as f64 * PUSH_OPS_PER_ARC / p;
+                unsettled_light as f64 / p + f_size as f64 * entry + ring < push
+            }
         };
         if use_pull {
             self.stats.pull_iterations += 1;
-            self.pull_iteration(ctx, k as usize, &frontier);
+            self.pull_iteration(ctx, &frontier);
         } else {
             self.stats.push_iterations += 1;
             self.push_iteration(ctx, k as usize, frontier);
@@ -459,9 +488,9 @@ impl<P: VertexPartition> Kernel<'_, P> {
         for &v in &out {
             if !self.unsettled_mark[v as usize] {
                 self.unsettled_mark[v as usize] = true;
-                self.unsettled_arcs = self
-                    .unsettled_arcs
-                    .saturating_sub(self.graph.degree(v as usize) as u64);
+                let light = u64::from(self.light_end[v as usize]);
+                debug_assert!(light <= self.unsettled_light, "light arcs left twice");
+                self.unsettled_light -= light;
             }
         }
         out
@@ -506,17 +535,26 @@ impl<P: VertexPartition> Kernel<'_, P> {
         let mut xbufs = std::mem::take(&mut self.xbufs);
         let mut stack = frontier;
         let mut relaxed = 0u64;
+        // A vertex expands at most once per superstep; one that improves
+        // again waits in bucket `k` for the next iteration, where all ranks
+        // share the work. (Re-expanding in LIFO order is label-correcting:
+        // one rank can re-relax its slice of the crest bucket many times
+        // over while the others wait.)
+        self.frontier_epoch += 1;
+        let expanded = self.frontier_epoch;
 
         while let Some(u) = stack.pop() {
+            if self.frontier_seen[u as usize] == expanded {
+                continue;
+            }
+            self.frontier_seen[u as usize] = expanded;
             let du = self.sp.dist[u as usize];
             let u_global = graph.part().to_global(me, u as usize);
-            let vs = graph.neighbors(u as usize);
-            let ws = graph.edge_weights(u as usize);
+            let light = self.light_end[u as usize] as usize;
+            let vs = &graph.neighbors(u as usize)[..light];
+            let ws = &graph.edge_weights(u as usize)[..light];
+            relaxed += light as u64;
             for (&v, &w) in vs.iter().zip(ws) {
-                if w >= delta {
-                    continue;
-                }
-                relaxed += 1;
                 let nd = du + w;
                 let owner = graph.part().owner(v);
                 if owner == me {
@@ -524,7 +562,10 @@ impl<P: VertexPartition> Kernel<'_, P> {
                     if nd < self.sp.dist[l] {
                         self.sp.dist[l] = nd;
                         self.sp.parent[l] = u_global;
-                        if cascade && (nd / delta) as usize == k {
+                        if cascade
+                            && (nd / delta) as usize == k
+                            && self.frontier_seen[l] != expanded
+                        {
                             // process within this superstep; it settles in
                             // bucket k, so the heavy phase must see it
                             if self.settled_seen[l] != self.settled_epoch {
@@ -550,9 +591,8 @@ impl<P: VertexPartition> Kernel<'_, P> {
     /// One pull-mode light iteration: broadcast the frontier, scan local
     /// unsettled adjacency. All improvements are local — zero point-to-point
     /// update traffic.
-    fn pull_iteration(&mut self, ctx: &mut RankCtx, k: usize, frontier: &[u32]) {
+    fn pull_iteration(&mut self, ctx: &mut RankCtx, frontier: &[u32]) {
         let me = ctx.rank();
-        let delta = self.delta;
         let graph = self.graph;
         let mine: Vec<(u64, f32)> = frontier
             .iter()
@@ -568,66 +608,60 @@ impl<P: VertexPartition> Kernel<'_, P> {
         // delivery order — the min makes the merge order-free.
         let order = ctx.delivery_order(blocks.len());
         let mut fmap: HashMap<u64, f32> = HashMap::new();
+        let mut nearest = f32::INFINITY;
         for s in order {
             for &(v, d) in &blocks[s] {
                 fmap.entry(v).and_modify(|e| *e = e.min(d)).or_insert(d);
+                nearest = nearest.min(d);
             }
         }
         ctx.charge_compute(fmap.len() as u64);
 
-        let bucket_floor = k as f32 * delta;
         let n_local = graph.local_vertices();
         ctx.trace_begin(TraceCode::TaskWave, n_local as u64, 0);
         // Parallel scan: each local vertex reads only the frozen frontier
-        // map and its *own* distance slot, so vertices are independent. The
-        // per-vertex improvement chain (running best + every strict-
-        // improvement event, which must all reach the bucket queue — stale
-        // entries drive the superstep count) is replayed sequentially in
-        // `l` order below, reproducing the sequential schedule bitwise at
-        // any thread count.
+        // map and its *own* distance slot, so vertices are independent and
+        // the result is the same at any thread count. No frontier vertex is
+        // nearer than `nearest` (≥ kΔ), so an arc of weight w can improve v
+        // only while nearest + w < d(v): the weight-sorted scan stops at
+        // the first arc that fails, and the bound tightens as d(v) drops.
+        // Vertices settled in earlier buckets stop at their first arc.
         let dist = &self.sp.dist;
+        let light_end = &self.light_end;
         let mut per_l = std::mem::take(&mut self.pull_scratch);
         (0..n_local)
             .into_par_iter()
             .with_min_len(256)
             .map(|l| {
-                if dist[l] < bucket_floor {
-                    return (0, None); // settled in an earlier bucket
-                }
                 let mut scanned = 0u64;
                 let mut dl = dist[l];
                 let mut pl = u64::MAX;
-                let mut events: Vec<f32> = Vec::new();
-                let ts = graph.neighbors(l);
-                let ws = graph.edge_weights(l);
+                let light = light_end[l] as usize;
+                let ts = &graph.neighbors(l)[..light];
+                let ws = &graph.edge_weights(l)[..light];
                 for (&t, &w) in ts.iter().zip(ws) {
-                    scanned += 1;
-                    if w >= delta {
-                        continue;
+                    if nearest + w >= dl {
+                        break;
                     }
+                    scanned += 1;
                     if let Some(&fd) = fmap.get(&t) {
-                        let cand = fd + w;
-                        if cand < dl {
-                            dl = cand;
+                        if fd + w < dl {
+                            dl = fd + w;
                             pl = t;
-                            events.push(cand);
                         }
                     }
                 }
-                let upd = (!events.is_empty()).then_some((dl, pl, events));
-                (scanned, upd)
+                (scanned, (pl != u64::MAX).then_some((dl, pl)))
             })
             .collect_into_vec(&mut per_l);
 
         let mut scanned = 0u64;
-        for (l, (s, upd)) in per_l.iter_mut().enumerate() {
-            scanned += *s;
-            if let Some((dl, pl, events)) = upd.take() {
+        for (l, &(s, upd)) in per_l.iter().enumerate() {
+            scanned += s;
+            if let Some((dl, pl)) = upd {
                 self.sp.dist[l] = dl;
                 self.sp.parent[l] = pl;
-                for cand in events {
-                    self.buckets.insert(l as u32, cand);
-                }
+                self.buckets.insert(l as u32, dl);
             }
         }
         self.pull_scratch = per_l;
@@ -640,7 +674,6 @@ impl<P: VertexPartition> Kernel<'_, P> {
     fn heavy_phase(&mut self, ctx: &mut RankCtx) {
         let me = ctx.rank();
         let settled = std::mem::take(&mut self.settled);
-        let delta = self.delta;
         let graph = self.graph;
         let mut xbufs = std::mem::take(&mut self.xbufs);
         // Parallel candidate scan. Distances of settled vertices cannot
@@ -652,6 +685,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
         // identical to the sequential schedule at any thread count.
         ctx.trace_begin(TraceCode::TaskWave, settled.len() as u64, 1);
         let dist = &self.sp.dist;
+        let light_end = &self.light_end;
         let mut per_chunk = std::mem::take(&mut self.heavy_scratch);
         settled
             .par_chunks(256)
@@ -661,13 +695,11 @@ impl<P: VertexPartition> Kernel<'_, P> {
                 for &u in chunk {
                     let du = dist[u as usize];
                     let u_global = graph.part().to_global(me, u as usize);
-                    let vs = graph.neighbors(u as usize);
-                    let ws = graph.edge_weights(u as usize);
+                    let light = light_end[u as usize] as usize;
+                    let vs = &graph.neighbors(u as usize)[light..];
+                    let ws = &graph.edge_weights(u as usize)[light..];
+                    relaxed += vs.len() as u64;
                     for (&v, &w) in vs.iter().zip(ws) {
-                        if w < delta {
-                            continue;
-                        }
-                        relaxed += 1;
                         cands.push((v, du + w, u_global, graph.part().owner(v)));
                     }
                 }
@@ -906,10 +938,80 @@ mod tests {
 
     #[test]
     fn hybrid_uses_both_directions_on_dense_graph() {
+        // All arcs light. The root's own push is cheaper than a scan of the
+        // untouched graph; the next frontier is rank 1's 20 vertices × 39
+        // light arcs with nothing left unsettled, where pull is cheaper.
         let el = g500_gen::simple::complete(40, 0.5);
-        let (sp, stats) = run_dist(&el, 40, 2, 0, OptConfig::all_on());
+        let (sp, stats) = run_dist(&el, 40, 2, 0, OptConfig::all_on().with_delta(1.0));
         assert_eq!(sp.reached_count(), 40);
-        assert!(stats.pull_iterations + stats.push_iterations > 0);
+        assert!(stats.push_iterations > 0, "{stats:?}");
+        assert!(stats.pull_iterations > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn hybrid_never_pulls_on_a_long_path() {
+        // a one-vertex frontier with two light arcs never pays for a
+        // broadcast plus a scan of everything still unsettled
+        let el = g500_gen::simple::path(64, 0.09);
+        let (sp, stats) = run_dist(&el, 64, 2, 0, OptConfig::all_on());
+        assert_eq!(sp.reached_count(), 64);
+        assert_eq!(stats.pull_iterations, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn bounded_pull_scans_examine_light_prefixes_only() {
+        // Kronecker scale 9, 4 ranks, Δ = 1/8, pull-only, no fused tail:
+        // every relaxation is a pull-scanned light arc or a heavy arc of a
+        // vertex's one settling bucket.
+        let gen = g500_gen::KroneckerGenerator::new(g500_gen::KroneckerParams::graph500(9, 4));
+        let el = gen.generate_all();
+        let delta = 0.125;
+        let opts = OptConfig::all_on()
+            .with_direction(Direction::Pull)
+            .with_delta(delta)
+            .without_fusion();
+        let rep = Machine::new(MachineConfig::with_ranks(4)).run(|ctx| {
+            let m = el.len();
+            let (lo, hi) = (ctx.rank() * m / 4, (ctx.rank() + 1) * m / 4);
+            let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
+            let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(512, 4));
+            let (_, stats) = distributed_delta_stepping(ctx, &g, 0, &opts);
+            let light: u64 = (0..g.local_vertices())
+                .map(|l| g.arcs(l).filter(|&(_, w)| w < delta).count() as u64)
+                .sum();
+            (stats, light, g.local_arcs() as u64 - light)
+        });
+        let mut total = 0;
+        for (stats, light, heavy) in &rep.results {
+            assert!(
+                stats.relaxations <= stats.pull_iterations * light + heavy,
+                "{stats:?} light {light} heavy {heavy}"
+            );
+            total += stats.relaxations;
+        }
+        // the parent commit, scanning every arc of every unsettled vertex
+        // in every pull step, relaxed 163268 arcs on this input
+        assert!(total < 163_268, "relaxed {total}");
+    }
+
+    #[test]
+    fn push_superstep_expands_each_vertex_at_most_once() {
+        // One rank, one bucket, every arc light: however often the in-bucket
+        // cascade improves a vertex, a superstep walks its row once.
+        let el = g500_gen::simple::erdos_renyi(64, 1500, 5);
+        let opts = OptConfig::all_on()
+            .with_direction(Direction::Push)
+            .with_delta(64.0);
+        let (sp, stats) = run_dist(&el, 64, 1, 0, opts);
+        assert!(sp.distances_match(&exact(&el, 64, 0), 0.0));
+        let arcs = 2 * el.len() as u64;
+        assert!(
+            stats.relaxations <= stats.push_iterations * arcs,
+            "{stats:?}"
+        );
+        // re-expanding on every improvement relaxed 84132 arcs (of 3000)
+        // in one superstep on this input
+        assert!(stats.relaxations < 84_132, "{stats:?}");
     }
 
     #[test]

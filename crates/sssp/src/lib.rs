@@ -22,8 +22,9 @@
 //!   - **payload compression** — sorted targets are gap+varint coded,
 //!   - **bucket fusion** — local cascading within a bucket plus fusing the
 //!     long sparse tail of buckets into one Bellman-Ford-style phase,
-//!   - **direction optimization** — per-iteration push/pull choice with a
-//!     density heuristic, using the frontier-broadcast pull schedule,
+//!   - **direction optimization** — per-iteration push/pull choice from a
+//!     cost estimate of each side; pull broadcasts the frontier and scans
+//!     weight-sorted rows up to the weight that could still improve,
 //!   - **adaptive Δ** — bucket width chosen from the measured degree/weight
 //!     profile instead of a magic constant.
 #![warn(missing_docs)]

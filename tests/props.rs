@@ -13,13 +13,17 @@ mod common;
 use common::{arb_graph, for_cases};
 use graph500::baselines::{bellman_ford, dijkstra, near_far};
 use graph500::gen::{KroneckerGenerator, KroneckerParams};
-use graph500::graph::{compress, BitMixPermutation, Csr, Directedness, EdgeList, WEdge};
+use graph500::graph::{
+    compress, BitMixPermutation, Csr, Directedness, EdgeList, ShortestPaths, WEdge,
+};
 use graph500::partition::{
     assemble_local_graph, Block1D, Cyclic1D, HybridPartition, VertexPartition,
 };
 use graph500::simnet::{wire, Machine, MachineConfig};
 use graph500::sssp::codec::{decode_updates, dedup_min, encode_updates, Update};
-use graph500::sssp::{delta_stepping, distributed_delta_stepping, BucketQueue, OptConfig};
+use graph500::sssp::{
+    delta_stepping, distributed_delta_stepping, BucketQueue, Direction, OptConfig,
+};
 
 fn to_el(edges: &[(u64, u64, f32)]) -> EdgeList {
     EdgeList::from_edges(edges.iter().map(|&(u, v, w)| WEdge::new(u, v, w)))
@@ -40,6 +44,23 @@ fn all_sssp_algorithms_equal_dijkstra() {
     });
 }
 
+/// The 1D kernel from `root` on `p` ranks (block partition, edge slices in
+/// list order), gathered.
+fn dist_1d(el: &EdgeList, n: u64, p: usize, root: u64, opts: &OptConfig) -> ShortestPaths {
+    Machine::new(MachineConfig::with_ranks(p))
+        .run(|ctx| {
+            let m = el.len();
+            let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
+            let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
+            let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(n, p));
+            let (sp, _) = distributed_delta_stepping(ctx, &g, root, opts);
+            sp.gather_to_all(ctx, g.part())
+        })
+        .results
+        .pop()
+        .expect("rank")
+}
+
 #[test]
 fn distributed_delta_equals_dijkstra() {
     for_cases(0xD157, 32, |rng| {
@@ -49,21 +70,45 @@ fn distributed_delta_equals_dijkstra() {
         let el = to_el(&edges);
         let csr = Csr::from_edges(n as usize, &el, Directedness::Undirected);
         let oracle = dijkstra(&csr, root);
-        let got = Machine::new(MachineConfig::with_ranks(p))
-            .run(|ctx| {
-                let part = Block1D::new(n, p);
-                let m = el.len();
-                let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
-                let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
-                let g = assemble_local_graph(ctx, mine.into_iter(), part);
-                let (sp, _) = distributed_delta_stepping(ctx, &g, root, &OptConfig::all_on());
-                sp.gather_to_all(ctx, g.part())
-            })
-            .results
-            .pop()
-            .expect("rank");
+        let got = dist_1d(&el, n, p, root, &OptConfig::all_on());
         assert!(got.distances_match(&oracle, 1e-4));
     });
+}
+
+/// Push, pull and hybrid relax the same arcs in different orders and the
+/// pull scan skips arcs its weight bound rules out; the fixpoint must not
+/// notice. Distances are compared by bit pattern, across the policies and
+/// against Dijkstra.
+#[test]
+fn direction_policies_are_bit_identical_and_equal_dijkstra() {
+    let kron = KroneckerGenerator::new(KroneckerParams::graph500(8, 11)).generate_all();
+    let graphs: [(&str, u64, EdgeList); 5] = [
+        ("er", 96, graph500::gen::simple::erdos_renyi(96, 600, 7)),
+        ("kronecker", 256, kron),
+        ("star", 33, graph500::gen::simple::star(33, 0.3)),
+        ("path", 40, graph500::gen::simple::path(40, 0.3)),
+        ("complete", 24, graph500::gen::simple::complete(24, 0.3)),
+    ];
+    for (name, n, el) in &graphs {
+        let (n, root) = (*n, n / 3);
+        let csr = Csr::from_edges(n as usize, el, Directedness::Undirected);
+        let oracle: Vec<u32> = dijkstra(&csr, root)
+            .dist
+            .iter()
+            .map(|d| d.to_bits())
+            .collect();
+        for p in [1usize, 2, 4] {
+            for delta in [None, Some(0.02f32), Some(0.5), Some(10.0)] {
+                for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
+                    let mut opts = OptConfig::all_on().with_direction(dir);
+                    opts.delta = delta;
+                    let got = dist_1d(el, n, p, root, &opts);
+                    let bits: Vec<u32> = got.dist.iter().map(|d| d.to_bits()).collect();
+                    assert_eq!(bits, oracle, "{name} p={p} delta={delta:?} {dir:?}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
