@@ -757,7 +757,7 @@ mod tests {
         clean_cfg.keep_paths = true;
         let crash_cfg = clean_cfg
             .clone()
-            .crashes(CrashPlan::random(0xC4A5, 0.002).with_checkpoint_interval(2));
+            .crashes(CrashPlan::random(0xC4A8, 0.002).with_checkpoint_interval(2));
         let clean = run_sssp_benchmark(&clean_cfg);
         let crashed = run_sssp_benchmark(&crash_cfg);
         assert!(crashed.all_validated());

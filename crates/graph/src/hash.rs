@@ -15,6 +15,27 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A [`std::hash::Hasher`] for maps keyed by one vertex id: a single
+/// [`splitmix64`] round instead of SipHash. For ids the program made itself
+/// only — it gives up SipHash's resistance to keys chosen to collide.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct VertexIdHasher(u64);
+
+impl std::hash::Hasher for VertexIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a vertex id hashes through write_u64");
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = splitmix64(v);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `BuildHasher` for `HashMap<VertexId, _, VertexIdBuild>`.
+pub type VertexIdBuild = std::hash::BuildHasherDefault<VertexIdHasher>;
+
 /// Combine a seed and a counter into one mixed word.
 #[inline]
 pub fn mix2(seed: u64, counter: u64) -> u64 {
@@ -53,6 +74,22 @@ mod tests {
         // successive counters should differ in many bits (avalanche sanity)
         let d = (splitmix64(7) ^ splitmix64(8)).count_ones();
         assert!(d > 16, "poor avalanche: {d} bits");
+    }
+
+    #[test]
+    fn vertex_id_map_behaves_like_the_default_map() {
+        let mut fast = std::collections::HashMap::<u64, u64, VertexIdBuild>::default();
+        let mut slow = std::collections::HashMap::new();
+        for i in 0..4096u64 {
+            // dense ids, strided ids and scrambled ids, with repeats
+            for key in [i % 1500, i << 20, splitmix64(i % 1000)] {
+                *fast.entry(key).or_insert(0) += i;
+                *slow.entry(key).or_insert(0) += i;
+            }
+        }
+        assert_eq!(fast.len(), slow.len());
+        assert!(slow.iter().all(|(k, v)| fast.get(k) == Some(v)));
+        assert_eq!(fast.get(&u64::MAX), None);
     }
 
     #[test]

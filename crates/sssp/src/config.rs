@@ -2,17 +2,25 @@
 
 use g500_graph::Weight;
 
-/// Relaxation direction policy for the distributed kernel's inner loop.
+/// Relaxation direction policy of the distributed kernel. It governs both
+/// phases of a bucket: every light-edge iteration, and the one heavy-edge
+/// phase that follows them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
-    /// Always push: active vertices send updates along out-edges.
+    /// Always push: active vertices send updates along out-edges, light
+    /// arcs per iteration and heavy arcs once the bucket has settled.
     Push,
-    /// Always pull: the frontier is broadcast and unsettled vertices scan
-    /// their (symmetric) adjacency for frontier neighbors.
+    /// Always pull. Light: the frontier is broadcast and every vertex scans
+    /// its (symmetric) adjacency for frontier neighbors. Heavy: every
+    /// vertex scans its heavy arcs and fetches the distances of the sources
+    /// it met from their owners. Both scans stop at the first weight that
+    /// can no longer improve the vertex.
     Pull,
-    /// Choose per inner iteration whichever side's estimated cost is lower
-    /// (frontier light arcs pushed, against unsettled light arcs scanned
-    /// plus the frontier broadcast).
+    /// Choose whichever side's estimated cost is lower — per light
+    /// iteration (frontier light arcs pushed, against unsettled light arcs
+    /// scanned plus the frontier broadcast) and per heavy phase (heavy arcs
+    /// of the settled set pushed, against unsettled heavy arcs fetched plus
+    /// the reply round).
     Hybrid,
 }
 

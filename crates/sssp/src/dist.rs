@@ -13,9 +13,13 @@
 //!         pull: broadcast frontier, scan unsettled vertices' light arcs
 //!               up to the weight that could still improve them
 //!     until bucket k is globally empty
-//!     relax heavy edges of everything bucket k settled, exchange once
-//!     if the global residue is tiny and fusion is on: finish it in one
-//!     fused Bellman-Ford tail instead of dribbling through buckets
+//!     heavy edges of S, the vertices bucket k settled, by the cheaper side:
+//!         push: relax every heavy arc out of S, exchange once
+//!         pull: each vertex walks its heavy arcs while min d(S) + w < d(v),
+//!               fetches d(u) of the sources it met (∞ unless u ∈ S), relaxes
+//!     if the global residue is tiny, most arcs belong to settled vertices
+//!     and fusion is on: finish it in one fused Bellman-Ford tail instead of
+//!     dribbling through buckets
 //! ```
 //!
 //! Every optimization is toggleable via [`OptConfig`]; with everything off
@@ -28,6 +32,7 @@ use crate::config::{Direction, OptConfig};
 use crate::delta::suggest_delta;
 use crate::epoch::{run_bucket_epochs, BucketKernel, SuperstepSpan};
 use crate::exchange::{exchange_into, ExchangeBufs};
+use g500_graph::hash::VertexIdBuild;
 use g500_graph::{VertexId, Weight};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use rayon::prelude::*;
@@ -47,6 +52,10 @@ const PUSH_OPS_PER_ARC: f64 = 5.0;
 
 /// Wire bytes of one broadcast frontier entry, `(vertex, dist)`.
 const FRONTIER_ENTRY_BYTES: usize = <(u64, f32) as Wire>::SIZE;
+
+/// Operations one heavy arc costs a fetch at most: scanned, offered to the
+/// request dedup, answered by its owner, its reply received, scanned again.
+const FETCH_OPS_PER_ARC: f64 = 5.0;
 
 /// Per-chunk result of the parallel heavy-phase scan: relaxation count and
 /// the improving candidates `(target_global, new_dist, parent_global,
@@ -85,6 +94,8 @@ pub struct SsspRunStats {
     pub push_iterations: u64,
     /// Inner iterations that ran in pull mode.
     pub pull_iterations: u64,
+    /// Buckets whose heavy phase fetched distances instead of pushing.
+    pub heavy_pulls: u64,
     /// Whether the fused Bellman-Ford tail was taken.
     pub tail_fused: bool,
     /// Virtual seconds from kernel start to finish on this rank.
@@ -117,7 +128,7 @@ impl SsspRunStats {
         format!(
             "{{\"supersteps\":{},\"buckets\":{},\"relaxations\":{},\"updates_sent\":{},\
              \"updates_offered\":{},\"push_iterations\":{},\"pull_iterations\":{},\
-             \"tail_fused\":{},\"sim_time_s\":{},\"compute_s\":{},\"comm_s\":{},\
+             \"heavy_pulls\":{},\"tail_fused\":{},\"sim_time_s\":{},\"compute_s\":{},\"comm_s\":{},\
              \"phases\":[{}]}}",
             self.supersteps,
             self.buckets,
@@ -126,6 +137,7 @@ impl SsspRunStats {
             self.updates_offered,
             self.push_iterations,
             self.pull_iterations,
+            self.heavy_pulls,
             self.tail_fused,
             json_f64(self.sim_time_s),
             json_f64(self.compute_s),
@@ -147,6 +159,7 @@ impl SsspRunStats {
         codec::put(out, self.updates_offered);
         codec::put(out, self.push_iterations);
         codec::put(out, self.pull_iterations);
+        codec::put(out, self.heavy_pulls);
         codec::put(out, self.tail_fused as u64);
         codec::put(out, self.sim_time_s);
         codec::put(out, self.compute_s);
@@ -170,6 +183,7 @@ impl SsspRunStats {
         self.updates_offered = codec::get(buf, pos);
         self.push_iterations = codec::get(buf, pos);
         self.pull_iterations = codec::get(buf, pos);
+        self.heavy_pulls = codec::get(buf, pos);
         self.tail_fused = codec::get::<u64>(buf, pos) != 0;
         self.sim_time_s = codec::get(buf, pos);
         self.compute_s = codec::get(buf, pos);
@@ -206,10 +220,10 @@ struct Kernel<'a, P: VertexPartition> {
     /// are weight-sorted, so they are the prefix and the heavy arcs the
     /// suffix. Derived from graph + Δ, so not checkpointed.
     light_end: Vec<u32>,
-    /// Light arcs of local vertices that have not yet entered any frontier
-    /// — an upper bound on the arcs one pull scan examines.
+    /// Light and heavy arcs of local vertices no bucket has settled yet:
+    /// upper bounds on what a light pull scan and a heavy fetch scan examine.
     unsettled_light: u64,
-    unsettled_mark: Vec<bool>,
+    unsettled_heavy: u64,
     stats: SsspRunStats,
     /// Superstep scratch arenas, reused across the whole run: the exchange
     /// buckets/incoming buffer and the two parallel-scan result buffers.
@@ -218,9 +232,12 @@ struct Kernel<'a, P: VertexPartition> {
     pull_scratch: Vec<PullScan>,
     heavy_scratch: Vec<HeavyScan>,
     /// Open-bucket scratch, reset by `open_bucket`: the vertices the bucket
-    /// settled (the heavy pass's sources), the global frontier size summed
-    /// over its light steps, and the compute/comm clocks at its start.
+    /// settled (the heavy pass's sources) and what the last light round
+    /// agreed about them (their heavy arcs `H`, the heavy arcs still
+    /// unsettled `U_h`, their minimum distance), the global frontier size
+    /// summed over its light steps, and the compute/comm clocks at its start.
     settled: Vec<u32>,
+    heavy_sums: (u64, u64, f32),
     phase_frontier: u64,
     phase_start: (f64, f64),
 }
@@ -239,7 +256,7 @@ impl<P: VertexPartition> Checkpoint for Kernel<'_, P> {
         codec::put_slice(out, &self.settled_seen);
         codec::put(out, self.settled_epoch);
         codec::put(out, self.unsettled_light);
-        codec::put_slice(out, &self.unsettled_mark);
+        codec::put(out, self.unsettled_heavy);
         self.stats.save_ckpt(out);
     }
 
@@ -253,7 +270,7 @@ impl<P: VertexPartition> Checkpoint for Kernel<'_, P> {
         self.settled_seen = codec::get_vec(buf, pos);
         self.settled_epoch = codec::get(buf, pos);
         self.unsettled_light = codec::get(buf, pos);
-        self.unsettled_mark = codec::get_vec(buf, pos);
+        self.unsettled_heavy = codec::get(buf, pos);
         self.stats.load_ckpt(buf, pos);
         assert_eq!(*pos, buf.len(), "trailing bytes in kernel checkpoint");
     }
@@ -289,6 +306,16 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
     root: VertexId,
     opts: &OptConfig,
 ) -> Result<(DistShortestPaths, SsspRunStats), FaultEscalation> {
+    run_kernel(ctx, graph, root, opts).map(|k| (k.sp, k.stats))
+}
+
+/// The run itself; the finished kernel still holds its counters.
+fn run_kernel<'a, P: VertexPartition>(
+    ctx: &mut RankCtx,
+    graph: &'a LocalGraph<P>,
+    root: VertexId,
+    opts: &OptConfig,
+) -> Result<Kernel<'a, P>, FaultEscalation> {
     let n_local = graph.local_vertices();
     let start_now = ctx.now();
     let start_stats = ctx.stats().clone();
@@ -311,6 +338,7 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
     let light_end: Vec<u32> = (0..n_local)
         .map(|l| graph.edge_weights(l).partition_point(|&w| w < delta) as u32)
         .collect();
+    let unsettled_light: u64 = light_end.iter().map(|&e| u64::from(e)).sum();
     let mut k = Kernel {
         graph,
         opts: *opts,
@@ -321,14 +349,15 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
         frontier_epoch: 0,
         settled_seen: vec![0; n_local],
         settled_epoch: 0,
-        unsettled_light: light_end.iter().map(|&e| u64::from(e)).sum(),
+        unsettled_light,
+        unsettled_heavy: graph.local_arcs() as u64 - unsettled_light,
         light_end,
-        unsettled_mark: vec![false; n_local],
         stats: SsspRunStats::default(),
         xbufs: ExchangeBufs::new(ctx.size()),
         pull_scratch: Vec::new(),
         heavy_scratch: Vec::new(),
         settled: Vec::new(),
+        heavy_sums: (0, 0, f32::INFINITY),
         phase_frontier: 0,
         phase_start: (0.0, 0.0),
     };
@@ -346,7 +375,7 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
     k.stats.sim_time_s = ctx.now() - start_now;
     k.stats.compute_s = ctx.stats().compute_s - start_stats.compute_s;
     k.stats.comm_s = ctx.stats().comm_s - start_stats.comm_s;
-    Ok((k.sp, k.stats))
+    Ok(k)
 }
 
 impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
@@ -368,25 +397,33 @@ impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
     /// then push or pull.
     fn light_step(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
         let frontier = self.collect_frontier(k as usize);
-        let f_light_local: u64 = frontier
-            .iter()
-            .map(|&v| u64::from(self.light_end[v as usize]))
-            .sum();
-        let (f_size, f_light, unsettled_light) = ctx.allreduce(
-            (frontier.len() as u64, f_light_local, self.unsettled_light),
-            |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
-        );
+        let mut f_light_local = 0;
+        for &v in &frontier {
+            self.settle(v);
+            f_light_local += u64::from(self.light_end[v as usize]);
+        }
+        // The round that finds the frontier globally empty closes the
+        // settled set, so it also carries what the heavy phase must agree
+        // on; a rank with a frontier left knows this round is not that one.
+        let mut heavy = (0, self.unsettled_heavy, f32::INFINITY);
+        if frontier.is_empty() {
+            for &v in &self.settled {
+                heavy.0 += self.heavy_arcs(v as usize);
+                heavy.2 = heavy.2.min(self.sp.dist[v as usize]);
+            }
+        }
+        let light = (frontier.len() as u64, f_light_local, self.unsettled_light);
+        let ((f_size, f_light, unsettled_light), heavy_sums) =
+            ctx.allreduce((light, heavy), |(a, x), (b, y)| {
+                let sums = (a.0 + b.0, a.1 + b.1, a.2 + b.2);
+                (sums, (x.0 + y.0, x.1 + y.1, x.2.min(y.2)))
+            });
         if f_size == 0 {
+            self.heavy_sums = heavy_sums;
             return false;
         }
         let span = SuperstepSpan::open(ctx, self.stats.supersteps, 0, self.stats.relaxations);
         self.phase_frontier += f_size;
-        for &v in &frontier {
-            if self.settled_seen[v as usize] != self.settled_epoch {
-                self.settled_seen[v as usize] = self.settled_epoch;
-                self.settled.push(v);
-            }
-        }
         let use_pull = match self.opts.direction {
             Direction::Push => false,
             Direction::Pull => true,
@@ -418,8 +455,8 @@ impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
         true
     }
 
-    /// The heavy-edge phase (always push, once per settled vertex), the
-    /// per-bucket records, and the fused-tail decision.
+    /// The heavy-edge phase (once per settled vertex), the per-bucket
+    /// records, and the fused-tail decision.
     fn close_bucket(&mut self, ctx: &mut RankCtx, k: u64) {
         let span = SuperstepSpan::open(ctx, self.stats.supersteps, 1, self.stats.relaxations);
         ctx.trace_count(TraceCode::Settled, self.settled.len() as u64, k);
@@ -448,16 +485,19 @@ impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
         ctx.trace_end(TraceCode::Bucket, k, 0);
 
         // Two conditions gate the fusion: the live residue is tiny AND
-        // most of the relaxation work is already behind us. The second
+        // the vertices holding most of the arcs are settled. The second
         // guard matters: right after bucket 0 the queue is also tiny
         // (the search has barely started), and fusing there would run
-        // an unbucketed Bellman-Ford over the entire graph.
+        // an unbucketed Bellman-Ford over the entire graph. Arcs settled,
+        // not arcs relaxed: a fetch examines few and must not delay this.
         if self.opts.bucket_fusion {
-            let (active, relaxed) = ctx.allreduce(
-                (self.buckets.len() as u64, self.stats.relaxations),
-                |a, b| (a.0 + b.0, a.1 + b.1),
-            );
-            let bulk_done = relaxed * 2 > self.graph.global_arcs();
+            let unsettled = self.unsettled_light + self.unsettled_heavy;
+            let (active, unsettled) = ctx
+                .allreduce((self.buckets.len() as u64, unsettled), |a, b| {
+                    (a.0 + b.0, a.1 + b.1)
+                });
+            let arcs = self.graph.global_arcs();
+            let bulk_done = (arcs - unsettled) * 2 > arcs;
             if active > 0 && active < self.opts.tail_threshold * ctx.size() as u64 && bulk_done {
                 self.fused_tail(ctx);
                 self.stats.tail_fused = true;
@@ -485,15 +525,27 @@ impl<P: VertexPartition> Kernel<'_, P> {
                 out.push(v);
             }
         }
-        for &v in &out {
-            if !self.unsettled_mark[v as usize] {
-                self.unsettled_mark[v as usize] = true;
-                let light = u64::from(self.light_end[v as usize]);
-                debug_assert!(light <= self.unsettled_light, "light arcs left twice");
-                self.unsettled_light -= light;
-            }
-        }
         out
+    }
+
+    /// Heavy arcs of local vertex `l`: its row past the light prefix.
+    fn heavy_arcs(&self, l: usize) -> u64 {
+        self.graph.degree(l) as u64 - u64::from(self.light_end[l])
+    }
+
+    /// The open bucket settles `v`: the one place a vertex joins `settled`,
+    /// found by a frontier drain or by the cascade, and so the one place its
+    /// arcs leave the unsettled counters. Once per run — a distance only
+    /// falls, so no later bucket holds it — hence the exact subtraction.
+    fn settle(&mut self, v: u32) {
+        let l = v as usize;
+        if self.settled_seen[l] != self.settled_epoch {
+            debug_assert_eq!(self.settled_seen[l], 0, "settled by two buckets");
+            self.settled_seen[l] = self.settled_epoch;
+            self.settled.push(v);
+            self.unsettled_light -= u64::from(self.light_end[l]);
+            self.unsettled_heavy -= self.heavy_arcs(l);
+        }
     }
 
     /// Apply one incoming/locally-generated update. Returns `Some(local)`
@@ -568,10 +620,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
                         {
                             // process within this superstep; it settles in
                             // bucket k, so the heavy phase must see it
-                            if self.settled_seen[l] != self.settled_epoch {
-                                self.settled_seen[l] = self.settled_epoch;
-                                self.settled.push(l as u32);
-                            }
+                            self.settle(l as u32);
                             stack.push(l as u32);
                         } else {
                             self.buckets.insert(l as u32, nd);
@@ -607,7 +656,9 @@ impl<P: VertexPartition> Kernel<'_, P> {
         // Min-merge the per-rank frontier blocks in the (possibly fuzzed)
         // delivery order — the min makes the merge order-free.
         let order = ctx.delivery_order(blocks.len());
-        let mut fmap: HashMap<u64, f32> = HashMap::new();
+        // probed once per scanned arc and never iterated: ids the graph
+        // made need no SipHash, and the hasher cannot change a result
+        let mut fmap: HashMap<u64, f32, VertexIdBuild> = HashMap::default();
         let mut nearest = f32::INFINITY;
         for s in order {
             for &(v, d) in &blocks[s] {
@@ -616,39 +667,52 @@ impl<P: VertexPartition> Kernel<'_, P> {
             }
         }
         ctx.charge_compute(fmap.len() as u64);
+        let found = |_: &Self, t: u64| fmap.get(&t).copied().unwrap_or(f32::INFINITY);
+        self.pull_scan(ctx, false, nearest, found);
+    }
 
-        let n_local = graph.local_vertices();
-        ctx.trace_begin(TraceCode::TaskWave, n_local as u64, 0);
-        // Parallel scan: each local vertex reads only the frozen frontier
-        // map and its *own* distance slot, so vertices are independent and
-        // the result is the same at any thread count. No frontier vertex is
-        // nearer than `nearest` (≥ kΔ), so an arc of weight w can improve v
-        // only while nearest + w < d(v): the weight-sorted scan stops at
-        // the first arc that fails, and the bound tightens as d(v) drops.
-        // Vertices settled in earlier buckets stop at their first arc.
-        let dist = &self.sp.dist;
-        let light_end = &self.light_end;
+    /// One parallel pull scan of every local vertex's light prefix or
+    /// (`heavy`) heavy suffix against sources no nearer than `nearest`;
+    /// `source(self, t)` is the distance t offers, `∞` for none. Each vertex
+    /// reads only frozen state and its *own* distance slot, so vertices are
+    /// independent and the result is the same at any thread count. An arc of
+    /// weight w can improve v only while nearest + w < d(v): the
+    /// weight-sorted scan stops at the first arc that fails, the bound
+    /// tightens as d(v) drops, and a vertex settled earlier stops before
+    /// its first arc. Results are applied in vertex order; the arcs examined
+    /// are counted, charged and left per vertex in `pull_scratch`.
+    fn pull_scan(
+        &mut self,
+        ctx: &mut RankCtx,
+        heavy: bool,
+        nearest: f32,
+        source: impl Fn(&Self, u64) -> f32 + Sync,
+    ) {
+        let n_local = self.graph.local_vertices();
+        ctx.trace_begin(TraceCode::TaskWave, n_local as u64, heavy as u64);
         let mut per_l = std::mem::take(&mut self.pull_scratch);
+        let this = &*self;
         (0..n_local)
             .into_par_iter()
             .with_min_len(256)
             .map(|l| {
-                let mut scanned = 0u64;
-                let mut dl = dist[l];
-                let mut pl = u64::MAX;
-                let light = light_end[l] as usize;
-                let ts = &graph.neighbors(l)[..light];
-                let ws = &graph.edge_weights(l)[..light];
+                let (mut scanned, mut dl, mut pl) = (0u64, this.sp.dist[l], u64::MAX);
+                let light = this.light_end[l] as usize;
+                let row = if heavy {
+                    light..this.graph.degree(l)
+                } else {
+                    0..light
+                };
+                let ts = &this.graph.neighbors(l)[row.clone()];
+                let ws = &this.graph.edge_weights(l)[row];
                 for (&t, &w) in ts.iter().zip(ws) {
                     if nearest + w >= dl {
                         break;
                     }
                     scanned += 1;
-                    if let Some(&fd) = fmap.get(&t) {
-                        if fd + w < dl {
-                            dl = fd + w;
-                            pl = t;
-                        }
+                    let nd = source(this, t) + w;
+                    if nd < dl {
+                        (dl, pl) = (nd, t);
                     }
                 }
                 (scanned, (pl != u64::MAX).then_some((dl, pl)))
@@ -667,11 +731,87 @@ impl<P: VertexPartition> Kernel<'_, P> {
         self.pull_scratch = per_l;
         self.stats.relaxations += scanned;
         ctx.charge_compute(scanned);
-        ctx.trace_end(TraceCode::TaskWave, n_local as u64, 0);
+        ctx.trace_end(TraceCode::TaskWave, n_local as u64, heavy as u64);
     }
 
-    /// Heavy-edge phase: one push pass over the bucket's settled set.
+    /// Heavy-edge phase over the bucket's settled set `S`, by the side the
+    /// policy names or, under `Hybrid`, the cheaper per rank: push works 1/P
+    /// of the `H` heavy arcs out of `S`; a fetch at most 1/P of the `U_h`
+    /// heavy arcs nothing has settled, plus a reply all-to-all that cannot
+    /// overlap the request — P−1 sends, P−1 receives, one latency.
     fn heavy_phase(&mut self, ctx: &mut RankCtx) {
+        let (h, u_h, nearest) = self.heavy_sums;
+        let use_pull = match self.opts.direction {
+            Direction::Push => false,
+            Direction::Pull => true,
+            Direction::Hybrid => {
+                let (p, net) = (ctx.size() as f64, ctx.loggp());
+                let reply = 2.0 * (p - 1.0) * net.overhead + net.latency;
+                let fetch = u_h as f64 * FETCH_OPS_PER_ARC / p;
+                fetch + reply * ctx.compute_model().ops_per_sec < h as f64 * PUSH_OPS_PER_ARC / p
+            }
+        };
+        if use_pull {
+            self.stats.heavy_pulls += 1;
+            self.heavy_pull(ctx, nearest);
+        } else {
+            self.heavy_push(ctx);
+        }
+    }
+
+    /// What local vertex `u` offers a heavy fetch: its distance if the open
+    /// bucket settled it, nothing otherwise.
+    fn settled_dist(&self, u: usize) -> f32 {
+        if self.settled_seen[u] == self.settled_epoch {
+            self.sp.dist[u]
+        } else {
+            f32::INFINITY
+        }
+    }
+
+    /// Heavy phase, pull side. `nearest` is the minimum distance in `S`, so
+    /// the scan bound holds for heavy suffixes as it does for light
+    /// prefixes. A first scan relaxes nothing and leaves how far each row
+    /// lies inside the bound; the remote sources met there go to their
+    /// owners as sorted owner-local ids, the owners answer in request order,
+    /// and a second scan relaxes. Every candidate a push would win with is
+    /// examined, in the same `f32` arithmetic.
+    fn heavy_pull(&mut self, ctx: &mut RankCtx, nearest: f32) {
+        let (me, graph) = (ctx.rank(), self.graph);
+        let part = graph.part();
+        self.pull_scan(ctx, true, nearest, |_, _| f32::INFINITY);
+        let mut want: Vec<Vec<u32>> = vec![Vec::new(); ctx.size()];
+        for (l, &(inside, _)) in self.pull_scratch.iter().enumerate() {
+            let lo = self.light_end[l] as usize;
+            for &t in &graph.neighbors(l)[lo..lo + inside as usize] {
+                let owner = part.owner(t);
+                if owner != me {
+                    want[owner].push(part.to_local(t) as u32);
+                }
+            }
+        }
+        ctx.charge_compute(want.iter().map(|ids| ids.len() as u64).sum());
+        for ids in &mut want {
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        let asked = ctx.alltoallv(want.clone());
+        ctx.charge_compute(asked.iter().map(|ids| ids.len() as u64).sum());
+        let answer = |ids: &Vec<u32>| ids.iter().map(|&u| self.settled_dist(u as usize)).collect();
+        let got: Vec<Vec<f32>> = ctx.alltoallv(asked.iter().map(answer).collect());
+        ctx.charge_compute(got.iter().map(|ds| ds.len() as u64).sum());
+        self.pull_scan(ctx, true, nearest, |k, t| {
+            let (owner, u) = (part.owner(t), part.to_local(t));
+            if owner == me {
+                return k.settled_dist(u);
+            }
+            let at = want[owner].binary_search(&(u as u32));
+            got[owner][at.expect("requested by the first scan")]
+        });
+    }
+
+    /// Heavy phase, push side: one pass over the bucket's settled set.
+    fn heavy_push(&mut self, ctx: &mut RankCtx) {
         let me = ctx.rank();
         let settled = std::mem::take(&mut self.settled);
         let graph = self.graph;
@@ -958,40 +1098,101 @@ mod tests {
         assert_eq!(stats.pull_iterations, 0, "{stats:?}");
     }
 
-    #[test]
-    fn bounded_pull_scans_examine_light_prefixes_only() {
-        // Kronecker scale 9, 4 ranks, Δ = 1/8, pull-only, no fused tail:
-        // every relaxation is a pull-scanned light arc or a heavy arc of a
-        // vertex's one settling bucket.
+    /// This rank's slice of the scale-9 Kronecker graph the direction
+    /// tests share, assembled over 4 block-partitioned ranks.
+    fn kron9(ctx: &mut RankCtx) -> LocalGraph<Block1D> {
         let gen = g500_gen::KroneckerGenerator::new(g500_gen::KroneckerParams::graph500(9, 4));
         let el = gen.generate_all();
+        let m = el.len();
+        let (lo, hi) = (ctx.rank() * m / 4, (ctx.rank() + 1) * m / 4);
+        let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
+        assemble_local_graph(ctx, mine.into_iter(), Block1D::new(512, 4))
+    }
+
+    #[test]
+    fn heavy_pull_examines_bounded_suffixes_only() {
+        // Δ = 1/8, pull-only, no fused tail: every relaxation is a
+        // pull-scanned light arc, or a heavy arc walked by one of the two
+        // scans of a bucket that closed before its vertex was settled.
         let delta = 0.125;
         let opts = OptConfig::all_on()
             .with_direction(Direction::Pull)
             .with_delta(delta)
             .without_fusion();
         let rep = Machine::new(MachineConfig::with_ranks(4)).run(|ctx| {
-            let m = el.len();
-            let (lo, hi) = (ctx.rank() * m / 4, (ctx.rank() + 1) * m / 4);
-            let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
-            let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(512, 4));
-            let (_, stats) = distributed_delta_stepping(ctx, &g, 0, &opts);
-            let light: u64 = (0..g.local_vertices())
-                .map(|l| g.arcs(l).filter(|&(_, w)| w < delta).count() as u64)
-                .sum();
-            (stats, light, g.local_arcs() as u64 - light)
+            let g = kron9(ctx);
+            let (sp, stats) = distributed_delta_stepping(ctx, &g, 0, &opts);
+            let bucket = |d: f32| (d / delta) as u64;
+            let all = sp.gather_to_all(ctx, g.part());
+            let mut closed: Vec<u64> = all
+                .dist
+                .iter()
+                .filter(|d| d.is_finite())
+                .map(|&d| bucket(d))
+                .collect();
+            closed.sort_unstable();
+            closed.dedup();
+            let (mut light, mut fetched) = (0u64, 0u64);
+            for l in 0..g.local_vertices() {
+                let l_light = g.arcs(l).filter(|&(_, w)| w < delta).count() as u64;
+                let d = sp.dist[l];
+                let waited = closed.iter().filter(|&&k| d.is_infinite() || k < bucket(d));
+                light += l_light;
+                fetched += 2 * waited.count() as u64 * (g.degree(l) as u64 - l_light);
+            }
+            (stats, light, fetched)
         });
         let mut total = 0;
-        for (stats, light, heavy) in &rep.results {
+        for (stats, light, fetched) in &rep.results {
+            assert_eq!(stats.heavy_pulls, stats.buckets);
             assert!(
-                stats.relaxations <= stats.pull_iterations * light + heavy,
-                "{stats:?} light {light} heavy {heavy}"
+                stats.relaxations <= stats.pull_iterations * light + fetched,
+                "{stats:?} light {light} fetched {fetched}"
             );
             total += stats.relaxations;
         }
-        // the parent commit, scanning every arc of every unsettled vertex
-        // in every pull step, relaxed 163268 arcs on this input
-        assert!(total < 163_268, "relaxed {total}");
+        // scanning every arc of every unsettled vertex in every pull step
+        // relaxed 163268 arcs on this input; bounded light scans with a
+        // pushed heavy phase, 17545
+        assert!(total < 17_545, "relaxed {total}");
+    }
+
+    #[test]
+    fn unsettled_counters_end_at_the_unreached_vertices_arcs() {
+        // The cascade on, the fused tail (which settles nothing) off: every
+        // reached vertex went through `settle`, whichever way it was found.
+        for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
+            let opts = OptConfig {
+                tail_threshold: 0,
+                ..OptConfig::all_on().with_direction(dir)
+            };
+            let rep = Machine::new(MachineConfig::with_ranks(4)).run(|ctx| {
+                let g = kron9(ctx);
+                let k = run_kernel(ctx, &g, 0, &opts).expect("no crash");
+                let unreached: u64 = (0..g.local_vertices())
+                    .filter(|&l| k.sp.dist[l].is_infinite())
+                    .map(|l| g.degree(l) as u64)
+                    .sum();
+                (k.unsettled_light + k.unsettled_heavy, unreached, k.stats)
+            });
+            for (left, unreached, stats) in &rep.results {
+                assert!(!stats.tail_fused);
+                assert_eq!(left, unreached, "{dir:?} {stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_tail_fires_under_every_direction() {
+        // The trigger counts arcs settled, so it cannot depend on how few
+        // arcs a heavy fetch examined.
+        let gen = g500_gen::KroneckerGenerator::new(g500_gen::KroneckerParams::graph500(9, 4));
+        let el = gen.generate_all();
+        for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
+            let opts = OptConfig::all_on().with_direction(dir);
+            let (_, stats) = run_dist(&el, 512, 4, 0, opts);
+            assert!(stats.tail_fused, "{dir:?} {stats:?}");
+        }
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //!   - **payload compression** — sorted targets are gap+varint coded,
 //!   - **bucket fusion** — local cascading within a bucket plus fusing the
 //!     long sparse tail of buckets into one Bellman-Ford-style phase,
-//!   - **direction optimization** — per-iteration push/pull choice from a
-//!     cost estimate of each side; pull broadcasts the frontier and scans
-//!     weight-sorted rows up to the weight that could still improve,
+//!   - **direction optimization** — push/pull chosen from a cost estimate
+//!     of each side, per light iteration and per heavy phase; a light pull
+//!     broadcasts the frontier, a heavy pull fetches the distances of the
+//!     settled sources it needs, and both scan weight-sorted rows only up
+//!     to the weight that could still improve the vertex,
 //!   - **adaptive Δ** — bucket width chosen from the measured degree/weight
 //!     profile instead of a magic constant.
 #![warn(missing_docs)]

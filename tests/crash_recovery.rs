@@ -14,7 +14,7 @@ use std::process::Command;
 use graph500::gen::{KroneckerGenerator, KroneckerParams};
 use graph500::partition::{assemble_local_graph, Block1D};
 use graph500::simnet::{Machine, MachineConfig, SchedMode};
-use graph500::sssp::{try_batched_delta_stepping, BatchSpec, Grid2DSssp, OptConfig};
+use graph500::sssp::{try_batched_delta_stepping, BatchSpec, Direction, Grid2DSssp, OptConfig};
 use graph500::validate::{validate_sssp, SsspResult};
 use graph500::{
     run_sssp_benchmark, try_run_sssp_benchmark, BenchmarkConfig, CrashPlan, FaultEscalation,
@@ -100,6 +100,33 @@ fn scale10_1d_crashy_matches_fault_free_both_schedulers() {
         assert_eq!(clean.net.crashes, 0, "clean run saw crashes");
         assert_eq!(clean.net.checkpoints, 0, "inactive plan took checkpoints");
     }
+}
+
+/// The heavy fetch under crashes. `Pull` fetches in every bucket, so each
+/// rollback replays at least one request/reply round from checkpointed
+/// state (`settled_seen`, the unsettled-arc counters) plus scratch the
+/// replayed bucket must rebuild for itself.
+#[test]
+fn scale10_1d_heavy_fetch_replays_byte_identically() {
+    let run = |crash: CrashPlan| {
+        let mut cfg = BenchmarkConfig::quick(10, 8).crashes(crash);
+        cfg.opts = OptConfig::all_on().with_direction(Direction::Pull);
+        cfg.keep_paths = true;
+        run_sssp_benchmark(&cfg)
+    };
+    let plan = CrashPlan::random(1, 0.004)
+        .with_checkpoint_interval(3)
+        .with_recovery_budget(64);
+    let (clean, crashy) = (run(CrashPlan::none()), run(plan));
+    assert_same_outputs(&clean, &crashy);
+    for r in &clean.runs {
+        assert!(r.stats.heavy_pulls > 0, "root {}: {:?}", r.root, r.stats);
+    }
+    assert!(
+        crashy.net.restores > 0 && crashy.net.replayed_supersteps > 0,
+        "crash schedule never fired: {:?}",
+        crashy.net
+    );
 }
 
 /// 2D acceptance: the grid kernel recovers forced crash windows and stays

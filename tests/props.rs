@@ -22,7 +22,7 @@ use graph500::partition::{
 use graph500::simnet::{wire, Machine, MachineConfig};
 use graph500::sssp::codec::{decode_updates, dedup_min, encode_updates, Update};
 use graph500::sssp::{
-    delta_stepping, distributed_delta_stepping, BucketQueue, Direction, OptConfig,
+    delta_stepping, distributed_delta_stepping, BucketQueue, Direction, OptConfig, SsspRunStats,
 };
 
 fn to_el(edges: &[(u64, u64, f32)]) -> EdgeList {
@@ -45,20 +45,25 @@ fn all_sssp_algorithms_equal_dijkstra() {
 }
 
 /// The 1D kernel from `root` on `p` ranks (block partition, edge slices in
-/// list order), gathered.
-fn dist_1d(el: &EdgeList, n: u64, p: usize, root: u64, opts: &OptConfig) -> ShortestPaths {
+/// list order), gathered, with rank 0's run counters.
+fn dist_1d(
+    el: &EdgeList,
+    n: u64,
+    p: usize,
+    root: u64,
+    opts: &OptConfig,
+) -> (ShortestPaths, SsspRunStats) {
     Machine::new(MachineConfig::with_ranks(p))
         .run(|ctx| {
             let m = el.len();
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(n, p));
-            let (sp, _) = distributed_delta_stepping(ctx, &g, root, opts);
-            sp.gather_to_all(ctx, g.part())
+            let (sp, stats) = distributed_delta_stepping(ctx, &g, root, opts);
+            (sp.gather_to_all(ctx, g.part()), stats)
         })
         .results
-        .pop()
-        .expect("rank")
+        .swap_remove(0)
 }
 
 #[test]
@@ -70,21 +75,26 @@ fn distributed_delta_equals_dijkstra() {
         let el = to_el(&edges);
         let csr = Csr::from_edges(n as usize, &el, Directedness::Undirected);
         let oracle = dijkstra(&csr, root);
-        let got = dist_1d(&el, n, p, root, &OptConfig::all_on());
+        let (got, _) = dist_1d(&el, n, p, root, &OptConfig::all_on());
         assert!(got.distances_match(&oracle, 1e-4));
     });
 }
 
 /// Push, pull and hybrid relax the same arcs in different orders and the
-/// pull scan skips arcs its weight bound rules out; the fixpoint must not
+/// pull scans skip arcs their weight bounds rule out; the fixpoint must not
 /// notice. Distances are compared by bit pattern, across the policies and
-/// against Dijkstra.
+/// against Dijkstra. `kronecker-heavy` has every weight in [0.5, 1), so at
+/// every Δ but 10 all its arcs are heavy and the whole search runs through
+/// the heavy phase: fetched under `Pull`, and under `Hybrid` where buckets
+/// are fat enough to repay the reply round.
 #[test]
 fn direction_policies_are_bit_identical_and_equal_dijkstra() {
     let kron = KroneckerGenerator::new(KroneckerParams::graph500(8, 11)).generate_all();
-    let graphs: [(&str, u64, EdgeList); 5] = [
+    let heavy = EdgeList::from_edges(kron.iter().map(|e| WEdge::new(e.u, e.v, 0.5 + e.w / 2.0)));
+    let graphs: [(&str, u64, EdgeList); 6] = [
         ("er", 96, graph500::gen::simple::erdos_renyi(96, 600, 7)),
         ("kronecker", 256, kron),
+        ("kronecker-heavy", 256, heavy),
         ("star", 33, graph500::gen::simple::star(33, 0.3)),
         ("path", 40, graph500::gen::simple::path(40, 0.3)),
         ("complete", 24, graph500::gen::simple::complete(24, 0.3)),
@@ -102,9 +112,19 @@ fn direction_policies_are_bit_identical_and_equal_dijkstra() {
                 for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
                     let mut opts = OptConfig::all_on().with_direction(dir);
                     opts.delta = delta;
-                    let got = dist_1d(el, n, p, root, &opts);
+                    let (got, stats) = dist_1d(el, n, p, root, &opts);
                     let bits: Vec<u32> = got.dist.iter().map(|d| d.to_bits()).collect();
                     assert_eq!(bits, oracle, "{name} p={p} delta={delta:?} {dir:?}");
+                    // fat buckets settle enough sources at once for the
+                    // fetch to win; Δ = 0.02 settles a handful per bucket
+                    let fetches = match dir {
+                        Direction::Push => false,
+                        Direction::Pull => delta != Some(10.0),
+                        Direction::Hybrid => delta == Some(0.5),
+                    };
+                    if *name == "kronecker-heavy" && fetches {
+                        assert!(stats.heavy_pulls > 0, "p={p} {delta:?} {dir:?} {stats:?}");
+                    }
                 }
             }
         }

@@ -143,7 +143,10 @@ fn collective_structure_is_schedule_invariant() {
 }
 
 /// Every optimization path (coalescing, dedup, compression, fusion, pull
-/// direction) has its own merge loops — fuzz each toggle class.
+/// direction) has its own merge loops — fuzz each toggle class. All but
+/// `all_off` (push-only) take the heavy fetch, `pull` in every bucket; its
+/// request and reply blocks are matched by position, not merged, so the
+/// permuted order must not show.
 #[test]
 fn every_opt_path_is_schedule_invariant() {
     let (el, n) = fuzz_graph();
@@ -160,11 +163,16 @@ fn every_opt_path_is_schedule_invariant() {
     for (name, opts) in configs {
         let (base_sp, base_stats, _) = run_1d(&el, n, 8, 1, &opts, 0);
         assert!(base_sp.distances_match(&oracle, 1e-4), "{name} vs Dijkstra");
+        assert_eq!(base_stats.heavy_pulls == 0, name == "all_off", "{name}");
         for sched_seed in [5u64, 9] {
             let (sp, stats, _) = run_1d(&el, n, 8, 1, &opts, sched_seed);
             assert_bitwise_equal_dists(&base_sp.dist, &sp.dist, &format!("{name}/{sched_seed}"));
             assert_eq!(
                 base_stats.supersteps, stats.supersteps,
+                "{name}/{sched_seed}"
+            );
+            assert_eq!(
+                base_stats.heavy_pulls, stats.heavy_pulls,
                 "{name}/{sched_seed}"
             );
         }
