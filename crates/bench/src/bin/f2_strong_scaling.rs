@@ -27,7 +27,7 @@ fn main() {
     let t = Table::new(&[
         "ranks",
         "hmean_GTEPS",
-        "median_time",
+        "mean_time",
         "speedup",
         "parallel_eff%",
     ]);
@@ -43,11 +43,11 @@ fn main() {
             base_g = g;
         }
         let speedup = g / base_g;
-        let med_time = rep.runs.iter().map(|r| r.sim_time_s).sum::<f64>() / rep.runs.len() as f64;
+        let mean_time = rep.runs.iter().map(|r| r.sim_time_s).sum::<f64>() / rep.runs.len() as f64;
         t.row(&[
             ranks.to_string(),
             gteps(g),
-            secs(med_time),
+            secs(mean_time),
             format!("{speedup:.2}x"),
             format!("{:.1}", 100.0 * speedup / ranks as f64),
         ]);

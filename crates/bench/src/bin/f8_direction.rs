@@ -3,8 +3,9 @@
 //! Runs the same workload under the three direction policies and reports
 //! TEPS, the per-iteration mix of the light phase, how many buckets
 //! fetched their heavy phase, traffic, and where root virtual time went by
-//! superstep flavour (light / heavy / fused tail, from the trace). A light
-//! pull pays a frontier broadcast but saves per-edge updates on dense
+//! superstep flavour (light / heavy / fused tail, from the trace), with the
+//! remainder — the agreement allreduces between supersteps — as `agree%`. A
+//! light pull pays a frontier broadcast but saves per-edge updates on dense
 //! frontiers; a heavy fetch pays a second all-to-all but walks only the
 //! arcs that can still improve an unsettled vertex. Hybrid chooses both per
 //! step and should track the better fixed policy at each density — the
@@ -38,6 +39,7 @@ fn compare(scale: u32, ranks: usize, roots: usize, block: bool) -> bool {
         "heavy%",
         "crest_heavy%",
         "tail%",
+        "agree%",
         "msgs",
         "MB",
         "validated",
@@ -92,6 +94,7 @@ fn compare(scale: u32, ranks: usize, roots: usize, block: bool) -> bool {
             pct(by_flavor[1]),
             pct(crest_heavy),
             pct(by_flavor[2]),
+            pct(root_time - by_flavor.iter().sum::<f64>()),
             rep.net.total_msgs().to_string(),
             format!("{:.2}", rep.net.total_bytes() as f64 / 1e6),
             rep.all_validated().to_string(),
@@ -127,7 +130,8 @@ fn main() {
     println!(
         "expected shape: hybrid >= max(push, pull); pull-only loses on the sparse tail and \
          in the early buckets' heavy phase, push-only on the dense crest. light/heavy/tail are shares of root virtual time \
-         spent inside supersteps of that flavour (the rest is agreement collectives); \
+         spent inside supersteps of that flavour, agree the rest: the driver's agreement allreduces, \
+         one a superstep and one to end the run; \
          crest_heavy is each root's longest heavy phase (the bucket that settled the crest)"
     );
     if !ok {

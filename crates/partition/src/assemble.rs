@@ -22,8 +22,11 @@ pub struct LocalGraph<P: VertexPartition> {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,
     weights: Vec<Weight>,
-    /// Total arcs across all ranks (2× the undirected edge count).
+    /// Totals across all ranks, reduced once at assembly: arcs (2× the
+    /// undirected edge count), vertices, and the sum of arc weights.
     global_arcs: u64,
+    global_vertices: u64,
+    global_weight: f64,
 }
 
 /// Wire record for one arc: (global source, global target, weight).
@@ -124,7 +127,14 @@ pub fn assemble_local_graph<P: VertexPartition>(
     }
     ctx.charge_compute(sort_ops);
 
-    let global_arcs = ctx.allreduce_sum(total as u64);
+    // The per-graph constants every run reads (the fused-tail trigger, Δ
+    // selection) ride one allreduce. The weight sum walks the rows in
+    // storage order, so it is the same `f64` at any thread count.
+    let local_weight: f64 = weights.iter().map(|&w| f64::from(w)).sum();
+    let (global_arcs, global_vertices, global_weight) = ctx
+        .allreduce((total as u64, n_local as u64, local_weight), |a, b| {
+            (a.0 + b.0, a.1 + b.1, a.2 + b.2)
+        });
 
     LocalGraph {
         part,
@@ -132,6 +142,8 @@ pub fn assemble_local_graph<P: VertexPartition>(
         targets,
         weights,
         global_arcs,
+        global_vertices,
+        global_weight,
     }
 }
 
@@ -154,6 +166,17 @@ impl<P: VertexPartition> LocalGraph<P> {
     /// Total arcs over all ranks (2× the undirected edge count).
     pub fn global_arcs(&self) -> u64 {
         self.global_arcs
+    }
+
+    /// Total vertices over all ranks.
+    pub fn global_vertices(&self) -> u64 {
+        self.global_vertices
+    }
+
+    /// Sum of the weights of all arcs over all ranks, each rank's share
+    /// summed in storage order and the shares reduced in rank order.
+    pub fn global_weight(&self) -> f64 {
+        self.global_weight
     }
 
     /// Out-degree of local vertex `l`.

@@ -18,7 +18,9 @@ pub struct NetStats {
     pub coll_bytes: u64,
     /// Number of barrier operations entered.
     pub barriers: u64,
-    /// Number of collective operations entered (excluding bare barriers).
+    /// Number of collective operations completed, each counted once: an
+    /// allreduce is one (it was two, a reduce and a broadcast, while it was
+    /// built from those), and so is the allreduce inside a barrier.
     pub collectives: u64,
     /// Virtual seconds spent in modeled compute.
     pub compute_s: f64,

@@ -6,14 +6,16 @@
 //! the same `color` form one group, ordered by `(key, global rank)`.
 //!
 //! Collectives on a subgroup are the same explicit message schedules as the
-//! global ones (binomial reduce/bcast, ring allgather, direct all-to-all),
-//! with sub-ranks translated through the membership table and tags drawn
-//! from a per-communicator namespace so concurrent subgroups never collide.
+//! global ones (recursive-doubling allreduce — the very function the world
+//! calls, `collectives::allreduce_schedule` — ring allgather, direct
+//! all-to-all), with sub-ranks translated through the membership table and
+//! tags drawn from a per-communicator namespace so concurrent subgroups
+//! never collide.
 
-use crate::rank::{RankCtx, Tag, TrafficClass};
+use crate::collectives::allreduce_schedule;
+use crate::rank::{RankCtx, Tag};
 use crate::trace::TraceCode;
-use crate::transport::TransportError;
-use crate::wire::{decode_vec_checked, encode_slice, Wire};
+use crate::wire::Wire;
 
 /// Tags at or above this value are reserved for sub-communicator traffic
 /// (disjoint from both user tags and global-collective tags).
@@ -94,93 +96,29 @@ impl SubComm {
     }
 
     fn send<T: Wire>(&self, ctx: &mut RankCtx, dest: usize, tag: Tag, items: &[T]) {
-        ctx.send_bytes_class(
-            self.members[dest],
-            tag,
-            encode_slice(items),
-            TrafficClass::Collective,
-        );
+        ctx.send_coll(self.members[dest], tag, items);
     }
 
     fn recv<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> Vec<T> {
-        let buf = ctx.recv_bytes_class(self.members[src], tag);
-        decode_vec_checked(&buf).unwrap_or_else(|e| {
-            panic!(
-                "rank {}: subcomm payload type mismatch: {}",
-                ctx.rank(),
-                TransportError::Decode {
-                    src: self.members[src],
-                    dst: ctx.rank(),
-                    tag,
-                    len: e.len,
-                    elem_size: e.elem_size,
-                }
-            )
-        })
+        ctx.recv_coll(self.members[src], tag)
     }
 
-    fn recv_one<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> T {
-        let mut v = self.recv::<T>(ctx, src, tag);
-        assert_eq!(v.len(), 1);
-        v.pop().expect("length checked")
-    }
-
-    /// Allreduce within the subgroup (binomial reduce to sub-root 0, then
-    /// binomial bcast).
+    /// Allreduce within the subgroup: the world's schedule over the
+    /// membership table, with the world's guarantees.
     pub fn allreduce<T: Wire + Clone>(
         &mut self,
         ctx: &mut RankCtx,
         value: T,
         combine: impl Fn(&T, &T) -> T,
     ) -> T {
-        let p = self.size();
-        let me = self.me;
         ctx.trace_begin(TraceCode::Allreduce, self.seq, self.comm_id);
-        // reduce
-        let mut acc = Some(value);
-        let mut round = 0u64;
-        let mut step = 1usize;
-        while step < p {
-            let tag = self.tag(round);
-            if let Some(v) = acc.clone() {
-                if me & step != 0 {
-                    self.send(ctx, me - step, tag, &[v]);
-                    acc = None;
-                } else if me + step < p {
-                    let other: T = self.recv_one(ctx, me + step, tag);
-                    acc = Some(combine(&v, &other));
-                }
-            }
-            step <<= 1;
-            round += 1;
-        }
-        // bcast
-        let mut top = 1usize;
-        while top < p {
-            top <<= 1;
-        }
-        let mut have = if me == 0 { acc } else { None };
-        let mut step = top;
-        loop {
-            let tag = self.tag(round);
-            if let Some(v) = have.clone() {
-                let dest = me + step;
-                if me.is_multiple_of(step * 2) && dest < p {
-                    self.send(ctx, dest, tag, &[v]);
-                }
-            } else if me % (step * 2) == step {
-                have = Some(self.recv_one(ctx, me - step, tag));
-            }
-            if step == 1 {
-                break;
-            }
-            step >>= 1;
-            round += 1;
-        }
+        let who = (self.me, self.size());
+        let (global, tag) = (|i| self.members[i], |round| self.tag(round));
+        let out = allreduce_schedule(ctx, who, global, tag, value, combine);
         self.next();
         ctx.bump_collective();
         ctx.trace_end(TraceCode::Allreduce, self.seq, self.comm_id);
-        have.expect("bcast reached every subgroup member")
+        out
     }
 
     /// Subgroup sum of `u64`.
@@ -294,6 +232,48 @@ mod tests {
         });
         // evens: 0+2+4 = 6; odds: 1+3+5 = 9
         assert_eq!(rep.results, vec![6, 9, 6, 9, 6, 9]);
+    }
+
+    #[test]
+    fn subgroup_allreduce_is_the_world_schedule() {
+        // 12 ranks as three groups of 4 and as four ragged groups of 3,
+        // interleaved so sub-ranks are not machine ranks. Rounds, messages
+        // and the bitwise rank-order result are the world allreduce's
+        // (`collectives::tests`): 2 rounds and 8 messages per group of 4;
+        // 4 messages and the fold-round finish, 2 rounds + 2 overheads,
+        // per group of 3.
+        let net = crate::cost::LogGP::default();
+        let round = 2.0 * net.overhead + net.latency + 8.0 * net.per_byte;
+        let addend = |r: usize| [1e16, 1.0, -1e16, 1e-3][r % 4] * (r / 4 + 1) as f64;
+        for (groups, msgs, slowest) in [(3, 8, 2.0 * round), (4, 4, 2.0 * round + 1e-6)] {
+            let rep = Machine::new(MachineConfig::with_ranks(12)).run(|ctx| {
+                let mut g = ctx.split((ctx.rank() % groups) as u64, ctx.rank() as u64);
+                // the split's ring leaves the clocks skewed; charge every
+                // rank up to one common instant so the group enters together
+                let skew = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b }) + 1e-3;
+                ctx.charge_seconds(skew - ctx.now());
+                let (t0, m0) = (ctx.now(), ctx.stats().coll_msgs);
+                let sum = g.allreduce(ctx, addend(ctx.rank()), |a, b| a + b);
+                (sum.to_bits(), ctx.now() - t0, ctx.stats().coll_msgs - m0)
+            });
+            for color in 0..groups {
+                let members: Vec<usize> = (0..12).filter(|r| r % groups == color).collect();
+                let vals: Vec<f64> = members.iter().map(|&r| addend(r)).collect();
+                let expect = if vals.len() == 4 {
+                    (vals[0] + vals[1]) + (vals[2] + vals[3])
+                } else {
+                    (vals[0] + vals[1]) + vals[2]
+                };
+                let sent: u64 = members.iter().map(|&r| rep.results[r].2).sum();
+                assert_eq!(sent, msgs, "{groups} groups, color {color}");
+                let mut last = 0.0f64;
+                for &r in &members {
+                    assert_eq!(rep.results[r].0, expect.to_bits(), "rank {r}");
+                    last = last.max(rep.results[r].1);
+                }
+                assert!((last - slowest).abs() < 1e-12, "{groups} groups: {last}");
+            }
+        }
     }
 
     #[test]

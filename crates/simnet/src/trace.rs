@@ -89,7 +89,9 @@ pub enum TraceCode {
     Exchange = 4,
     /// One parallel task wave on the pool (span; `a` = item count).
     TaskWave = 5,
-    /// Reduction to root (collective span).
+    /// Reduction to root (collective span). Reserved: nothing emits it
+    /// since allreduce became recursive doubling; the number stays so
+    /// stored traces decode and later codes do not shift.
     ReduceToRoot = 6,
     /// Broadcast from root (collective span).
     Bcast = 7,
@@ -101,11 +103,12 @@ pub enum TraceCode {
     Allgatherv = 10,
     /// Personalized all-to-all (collective span).
     Alltoallv = 11,
-    /// Variable gather to root (collective span).
+    /// Variable gather to root (collective span). Reserved, like the two
+    /// below: the collective was deleted unused, the number stays.
     GatherToRoot = 12,
-    /// Exclusive prefix scan (collective span).
+    /// Exclusive prefix scan (collective span; reserved).
     Exscan = 13,
-    /// Reduce-scatter (collective span).
+    /// Reduce-scatter (collective span; reserved).
     ReduceScatter = 14,
     /// One admission-windowed query batch through the serving engine
     /// (span; `a` = batch ordinal, `b` = lane width).

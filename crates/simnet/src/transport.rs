@@ -295,7 +295,8 @@ pub enum TransportError {
         retries: u32,
     },
     /// A received payload does not decode as the receiver's record type —
-    /// mismatched send/recv types or a truncated/garbage payload.
+    /// mismatched send/recv types or a truncated/garbage payload — or, in a
+    /// collective, decodes to a record count its schedule cannot have sent.
     Decode {
         /// Source rank of the undecodable message.
         src: usize,
@@ -334,7 +335,8 @@ impl fmt::Display for TransportError {
                 f,
                 "transport error: payload from rank {src} to rank {dst} on tag {tag:#x} \
                  does not decode as the receiver's record type \
-                 ({len} bytes is not a whole number of {elem_size}-byte records)"
+                 ({len} bytes against {elem_size}-byte records: not a whole number \
+                 of them, or not the number expected)"
             ),
         }
     }

@@ -178,6 +178,11 @@ impl BucketQueue {
         v
     }
 
+    /// The raw (possibly stale) contents of bucket `k`, left in place.
+    pub fn bucket(&self, k: usize) -> &[u32] {
+        self.buckets.get(k).map_or(&[], Vec::as_slice)
+    }
+
     /// As [`take_bucket`](Self::take_bucket), but append into the caller's
     /// scratch instead of handing over the lane Vec, so the lane keeps its
     /// capacity. Contents and order are identical to `take_bucket`; the

@@ -4,11 +4,16 @@
 //! Bulk-synchronous structure, one bucket at a time:
 //!
 //! ```text
-//! while some rank has a non-empty bucket:
-//!     k ← allreduce-min of local minimum bucket indices
+//! loop:
+//!     one agreement (`epoch.rs`): each rank offers its minimum bucket, that
+//!     bucket's frontier sums, its queue size and unsettled arcs; out come
+//!     the lowest bucket k, its sums and the totals   (no bucket → done)
+//!     if the global residue is tiny, most arcs belong to settled vertices
+//!     and fusion is on: finish in one fused Bellman-Ford tail  (→ done)
 //!     repeat                                   (light-edge inner loop)
 //!         frontier ← live entries of local bucket k
-//!         agree on direction (push / pull) from the estimated cost of each
+//!         agree on its sums (the boundary already has, the first time) and
+//!         from them on direction (push / pull), by estimated cost
 //!         push: relax light out-edges, exchange updates, apply
 //!         pull: broadcast frontier, scan unsettled vertices' light arcs
 //!               up to the weight that could still improve them
@@ -17,10 +22,10 @@
 //!         push: relax every heavy arc out of S, exchange once
 //!         pull: each vertex walks its heavy arcs while min d(S) + w < d(v),
 //!               fetches d(u) of the sources it met (∞ unless u ∈ S), relaxes
-//!     if the global residue is tiny, most arcs belong to settled vertices
-//!     and fusion is on: finish it in one fused Bellman-Ford tail instead of
-//!     dribbling through buckets
 //! ```
+//!
+//! A run makes no allreduce outside the driver's agreements and the fused
+//! tail's rounds: Δ's statistics were reduced once, with the graph.
 //!
 //! Every optimization is toggleable via [`OptConfig`]; with everything off
 //! this degenerates to the plain textbook distributed delta-stepping that
@@ -30,7 +35,7 @@ use crate::bucket::BucketQueue;
 use crate::codec::Update;
 use crate::config::{Direction, OptConfig};
 use crate::delta::suggest_delta;
-use crate::epoch::{run_bucket_epochs, BucketKernel, SuperstepSpan};
+use crate::epoch::{run_bucket_epochs, BucketKernel, Offer, SuperstepSpan};
 use crate::exchange::{exchange_into, ExchangeBufs};
 use g500_graph::hash::VertexIdBuild;
 use g500_graph::{VertexId, Weight};
@@ -39,7 +44,26 @@ use rayon::prelude::*;
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::stats::json_f64;
 use simnet::{RankCtx, TraceCode, Wire};
+use std::cmp::Ordering;
 use std::collections::HashMap;
+
+/// What one agreement carries. Of the bucket: frontier size `f`, its light
+/// arcs `F`, and (from a rank with no frontier, for the round that finds none
+/// anywhere) the heavy arcs `H` and nearest distance of what the bucket
+/// settled. Of the queue: live entries, unsettled arcs `U` and `U_h`.
+type Sums = ((u64, u64, u64, f32), (u64, u64, u64));
+
+impl Offer for Sums {
+    fn merge(&self, other: &Sums, buckets: Ordering) -> Sums {
+        let ((a, x), (b, y)) = (self, other);
+        let bucket = match buckets {
+            Ordering::Less => *a,
+            Ordering::Greater => *b,
+            Ordering::Equal => (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3.min(b.3)),
+        };
+        (bucket, (x.0 + y.0, x.1 + y.1, x.2 + y.2))
+    }
+}
 
 /// Per-vertex result of the parallel pull scan: arcs examined, and (if the
 /// vertex improved) its new `(dist, parent)`.
@@ -231,6 +255,9 @@ struct Kernel<'a, P: VertexPartition> {
     xbufs: ExchangeBufs<Update>,
     pull_scratch: Vec<PullScan>,
     heavy_scratch: Vec<HeavyScan>,
+    /// The frontier the last offer summarised: drained from its bucket (not
+    /// by a boundary's offer) for the light step it was agreed for.
+    frontier: Vec<u32>,
     /// Open-bucket scratch, reset by `open_bucket`: the vertices the bucket
     /// settled (the heavy pass's sources) and what the last light round
     /// agreed about them (their heavy arcs `H`, the heavy arcs still
@@ -243,9 +270,10 @@ struct Kernel<'a, P: VertexPartition> {
 }
 
 /// Everything live across a superstep boundary is checkpointed; the
-/// scratch (`xbufs`, `pull_scratch`, `heavy_scratch`, and the open-bucket
-/// fields) is excluded on purpose — it is fully overwritten before being
-/// read, in every superstep or at the next `open_bucket`.
+/// scratch (`xbufs`, `pull_scratch`, `heavy_scratch`, and the agreement and
+/// open-bucket fields) is excluded on purpose — it is fully overwritten
+/// before being read, in every superstep, offer or at the next
+/// `open_bucket`.
 impl<P: VertexPartition> Checkpoint for Kernel<'_, P> {
     fn save(&self, out: &mut Vec<u8>) {
         codec::put_slice(out, &self.sp.dist);
@@ -320,18 +348,15 @@ fn run_kernel<'a, P: VertexPartition>(
     let start_now = ctx.now();
     let start_stats = ctx.stats().clone();
 
-    // Δ selection. The statistics allreduce runs unconditionally so the
-    // collective schedule does not depend on the option (and it is cheap).
-    let local_w: f64 = (0..n_local)
-        .flat_map(|l| graph.arcs(l).map(|(_, w)| w as f64))
-        .sum();
-    let (sum_w, arcs, verts) = ctx.allreduce(
-        (local_w, graph.local_arcs() as u64, n_local as u64),
-        |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
-    );
+    // Δ selection, from the statistics assembly reduced with the graph.
     let delta = opts.delta.unwrap_or_else(|| {
+        let (arcs, verts) = (graph.global_arcs(), graph.global_vertices());
         let avg_degree = arcs as f64 / verts.max(1) as f64;
-        let mean_w = if arcs == 0 { 0.5 } else { sum_w / arcs as f64 };
+        let mean_w = if arcs == 0 {
+            0.5
+        } else {
+            graph.global_weight() / arcs as f64
+        };
         suggest_delta(avg_degree, mean_w)
     });
 
@@ -356,6 +381,7 @@ fn run_kernel<'a, P: VertexPartition>(
         xbufs: ExchangeBufs::new(ctx.size()),
         pull_scratch: Vec::new(),
         heavy_scratch: Vec::new(),
+        frontier: Vec::new(),
         settled: Vec::new(),
         heavy_sums: (0, 0, f32::INFINITY),
         phase_frontier: 0,
@@ -379,49 +405,81 @@ fn run_kernel<'a, P: VertexPartition>(
 }
 
 impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
-    fn min_bucket(&mut self) -> u64 {
-        self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64)
+    type Offer = Sums;
+    const BOUNDARY_AGREES_FIRST_STEP: bool = true;
+
+    fn offer(&mut self, open: Option<u64>) -> (u64, Sums) {
+        // Queue size as `close_bucket` left it: the fused tail's trigger.
+        let active = self.buckets.len() as u64;
+        let mut bucket = (0, 0, 0, f32::INFINITY);
+        let k = open.map_or_else(|| self.buckets.min_bucket(), |k| Some(k as usize));
+        if let Some(k) = k {
+            // A boundary neither drains nor settles: whose bucket opens?
+            self.collect_frontier(k, open.is_some());
+            bucket.0 = self.frontier.len() as u64;
+            for &v in &self.frontier {
+                bucket.1 += u64::from(self.light_end[v as usize]);
+            }
+            // The round that finds the frontier globally empty closes the
+            // settled set, so it also carries what the heavy phase must
+            // agree on; a rank with a frontier left knows this round is not
+            // that one.
+            if open.is_some() && self.frontier.is_empty() {
+                for &v in &self.settled {
+                    bucket.2 += self.heavy_arcs(v as usize);
+                    bucket.3 = bucket.3.min(self.sp.dist[v as usize]);
+                }
+            }
+        }
+        let queue = (active, self.unsettled_light, self.unsettled_heavy);
+        (k.map_or(u64::MAX, |k| k as u64), (bucket, queue))
     }
 
-    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
+    /// The fused-tail decision, then the bucket's opening.
+    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64, agreed: &mut Sums) -> bool {
+        let (bucket, (active, unsettled_light, unsettled_heavy)) = agreed;
+        // Two conditions gate the fusion: the live residue is tiny AND
+        // the vertices holding most of the arcs are settled. The second
+        // guard matters: right after bucket 0 the queue is also tiny
+        // (the search has barely started), and fusing there would run
+        // an unbucketed Bellman-Ford over the entire graph. Arcs settled,
+        // not arcs relaxed: a fetch examines few and must not delay this.
+        // (The residue is not empty: some rank named bucket `k`.)
+        let arcs = self.graph.global_arcs();
+        let bulk_done = (arcs - (*unsettled_light + *unsettled_heavy)) * 2 > arcs;
+        if self.opts.bucket_fusion
+            && *active < self.opts.tail_threshold * ctx.size() as u64
+            && bulk_done
+        {
+            // The tail ends with every queue empty and its last round
+            // agreed on that, so the run is over without another agreement.
+            self.fused_tail(ctx);
+            self.stats.tail_fused = true;
+            return false;
+        }
         self.stats.buckets += 1;
         ctx.trace_begin(TraceCode::Bucket, k, 0);
         self.phase_start = (ctx.stats().compute_s, ctx.stats().comm_s);
         self.phase_frontier = 0;
         self.settled_epoch += 1;
         self.settled.clear();
+        // Make `agreed` the first light step's: that step counts unsettled
+        // arcs with its frontier settled, and a bucket's first frontier is
+        // all newly settled, so `U` falls by exactly its light arcs.
+        self.collect_frontier(k as usize, true);
+        *unsettled_light -= bucket.1;
         true
     }
 
-    /// One light-edge iteration: agree on the frontier and the direction,
-    /// then push or pull.
-    fn light_step(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
-        let frontier = self.collect_frontier(k as usize);
-        let mut f_light_local = 0;
-        for &v in &frontier {
-            self.settle(v);
-            f_light_local += u64::from(self.light_end[v as usize]);
-        }
-        // The round that finds the frontier globally empty closes the
-        // settled set, so it also carries what the heavy phase must agree
-        // on; a rank with a frontier left knows this round is not that one.
-        let mut heavy = (0, self.unsettled_heavy, f32::INFINITY);
-        if frontier.is_empty() {
-            for &v in &self.settled {
-                heavy.0 += self.heavy_arcs(v as usize);
-                heavy.2 = heavy.2.min(self.sp.dist[v as usize]);
-            }
-        }
-        let light = (frontier.len() as u64, f_light_local, self.unsettled_light);
-        let ((f_size, f_light, unsettled_light), heavy_sums) =
-            ctx.allreduce((light, heavy), |(a, x), (b, y)| {
-                let sums = (a.0 + b.0, a.1 + b.1, a.2 + b.2);
-                (sums, (x.0 + y.0, x.1 + y.1, x.2.min(y.2)))
-            });
+    /// One light-edge iteration over the agreed frontier: choose the
+    /// direction, then push or pull.
+    fn light_step(&mut self, ctx: &mut RankCtx, k: u64, agreed: &Sums) -> bool {
+        let ((f_size, f_light, h, nearest), (_, unsettled_light, unsettled_heavy)) = *agreed;
         if f_size == 0 {
-            self.heavy_sums = heavy_sums;
+            self.heavy_sums = (h, unsettled_heavy, nearest);
             return false;
         }
+        let frontier = std::mem::take(&mut self.frontier);
         let span = SuperstepSpan::open(ctx, self.stats.supersteps, 0, self.stats.relaxations);
         self.phase_frontier += f_size;
         let use_pull = match self.opts.direction {
@@ -455,8 +513,8 @@ impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
         true
     }
 
-    /// The heavy-edge phase (once per settled vertex), the per-bucket
-    /// records, and the fused-tail decision.
+    /// The heavy-edge phase (once per settled vertex) and the per-bucket
+    /// records.
     fn close_bucket(&mut self, ctx: &mut RankCtx, k: u64) {
         let span = SuperstepSpan::open(ctx, self.stats.supersteps, 1, self.stats.relaxations);
         ctx.trace_count(TraceCode::Settled, self.settled.len() as u64, k);
@@ -479,30 +537,11 @@ impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
             ctx.trace_count_f64(TraceCode::BucketCompute, dc, k);
             ctx.trace_count_f64(TraceCode::BucketComm, dm, k);
         }
-        // The fused tail below is deliberately outside the bucket span:
-        // its rounds carry flavor 2 and the per-bucket counters above
-        // keep the same semantics as `PhaseRecord` (tail excluded).
+        // The fused tail (the next boundary's decision) is deliberately
+        // outside the bucket span: its rounds carry flavor 2 and the
+        // per-bucket counters above keep the same semantics as
+        // `PhaseRecord` (tail excluded).
         ctx.trace_end(TraceCode::Bucket, k, 0);
-
-        // Two conditions gate the fusion: the live residue is tiny AND
-        // the vertices holding most of the arcs are settled. The second
-        // guard matters: right after bucket 0 the queue is also tiny
-        // (the search has barely started), and fusing there would run
-        // an unbucketed Bellman-Ford over the entire graph. Arcs settled,
-        // not arcs relaxed: a fetch examines few and must not delay this.
-        if self.opts.bucket_fusion {
-            let unsettled = self.unsettled_light + self.unsettled_heavy;
-            let (active, unsettled) = ctx
-                .allreduce((self.buckets.len() as u64, unsettled), |a, b| {
-                    (a.0 + b.0, a.1 + b.1)
-                });
-            let arcs = self.graph.global_arcs();
-            let bulk_done = (arcs - unsettled) * 2 > arcs;
-            if active > 0 && active < self.opts.tail_threshold * ctx.size() as u64 && bulk_done {
-                self.fused_tail(ctx);
-                self.stats.tail_fused = true;
-            }
-        }
     }
 
     fn abandon_bucket(&mut self, ctx: &mut RankCtx, k: u64) {
@@ -511,21 +550,29 @@ impl<P: VertexPartition> BucketKernel for Kernel<'_, P> {
 }
 
 impl<P: VertexPartition> Kernel<'_, P> {
-    /// Drain the live, deduplicated frontier of bucket `k`.
-    fn collect_frontier(&mut self, k: usize) -> Vec<u32> {
+    /// The live, deduplicated frontier of bucket `k`, into `self.frontier`.
+    /// `take` it for a light step: empty the bucket, settle the vertices.
+    fn collect_frontier(&mut self, k: usize, take: bool) {
         self.frontier_epoch += 1;
-        let mut out = Vec::new();
-        for v in self.buckets.take_bucket(k) {
+        self.frontier.clear();
+        for &v in self.buckets.bucket(k) {
             let d = self.sp.dist[v as usize];
             if d.is_finite()
                 && self.buckets.bucket_of(d) == k
                 && self.frontier_seen[v as usize] != self.frontier_epoch
             {
                 self.frontier_seen[v as usize] = self.frontier_epoch;
-                out.push(v);
+                self.frontier.push(v);
             }
         }
-        out
+        if take {
+            self.buckets.take_bucket(k);
+            let frontier = std::mem::take(&mut self.frontier);
+            for &v in &frontier {
+                self.settle(v);
+            }
+            self.frontier = frontier;
+        }
     }
 
     /// Heavy arcs of local vertex `l`: its row past the light prefix.
@@ -946,7 +993,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
         }
         self.xbufs = xbufs;
         // Buckets were drained; `drain_all` plus direct dist writes keep the
-        // queue empty, so the outer loop terminates at the next allreduce.
+        // queue empty on every rank, which the last round just agreed on.
     }
 }
 

@@ -79,6 +79,9 @@ pub struct Grid2DSssp {
     /// flattened row-broadcast frontier and the parallel relax-scan output.
     active_scratch: Vec<(u64, f32)>,
     relax_scratch: Vec<RelaxScan>,
+    /// The frontier the last offer counted: drained from its bucket (not by
+    /// a boundary's offer) for the light step it was agreed for.
+    frontier: Vec<u32>,
     /// Open-bucket scratch, reset by `open_bucket`: the bucket's frontiers
     /// (the heavy pass's sources, deduplicated there), the global frontier
     /// size summed over its light steps, and — when tracing — the
@@ -117,30 +120,37 @@ impl Checkpoint for Grid2DSssp {
 }
 
 impl BucketKernel for Grid2DSssp {
-    fn min_bucket(&mut self) -> u64 {
-        if self.is_diag() {
-            self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64)
-        } else {
-            u64::MAX
-        }
+    /// The size of the frontier of the bucket spoken of.
+    type Offer = u64;
+    const BOUNDARY_AGREES_FIRST_STEP: bool = true;
+
+    /// Off-diagonal ranks hold no vertex state, so their queue is empty:
+    /// they name no bucket, but take part in every agreement.
+    fn offer(&mut self, open: Option<u64>) -> (u64, u64) {
+        let mine = || self.buckets.min_bucket();
+        let Some(k) = open.map_or_else(mine, |k| Some(k as usize)) else {
+            return (u64::MAX, 0);
+        };
+        self.collect_frontier(k, open.is_some());
+        (k as u64, self.frontier.len() as u64)
     }
 
-    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
+    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64, _agreed: &mut u64) -> bool {
         ctx.trace_begin(TraceCode::Bucket, k, 0);
         self.bucket_snap = ctx
             .trace_enabled()
             .then(|| (ctx.stats().compute_s, ctx.stats().comm_s));
         self.bucket_frontier = 0;
         self.settled.clear();
+        self.collect_frontier(k as usize, true);
         true
     }
 
-    fn light_step(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
-        let frontier = self.collect_frontier(k as usize);
-        let total = ctx.allreduce(frontier.len() as u64, |a, b| a + b);
+    fn light_step(&mut self, ctx: &mut RankCtx, _k: u64, &total: &u64) -> bool {
         if total == 0 {
             return false;
         }
+        let frontier = std::mem::take(&mut self.frontier);
         self.bucket_frontier += total;
         self.settled.extend_from_slice(&frontier);
         let delta = self.buckets.delta();
@@ -240,6 +250,7 @@ impl Grid2DSssp {
             stats: Sssp2DStats::default(),
             active_scratch: Vec::new(),
             relax_scratch: Vec::new(),
+            frontier: Vec::new(),
             settled: Vec::new(),
             bucket_frontier: 0,
             bucket_snap: None,
@@ -285,20 +296,21 @@ impl Grid2DSssp {
         Ok(self.stats.clone())
     }
 
-    fn collect_frontier(&mut self, k: usize) -> Vec<u32> {
-        if !self.is_diag() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for v in self.buckets.take_bucket(k) {
+    /// The live frontier of bucket `k`, sorted and deduplicated, into
+    /// `self.frontier` (empty off the diagonal); `drain` empties the bucket.
+    fn collect_frontier(&mut self, k: usize, drain: bool) {
+        self.frontier.clear();
+        for &v in self.buckets.bucket(k) {
             let d = self.dist[v as usize];
             if d.is_finite() && self.buckets.bucket_of(d) == k {
-                out.push(v);
+                self.frontier.push(v);
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.frontier.sort_unstable();
+        self.frontier.dedup();
+        if drain {
+            self.buckets.take_bucket(k);
+        }
     }
 
     /// One 2D superstep: row-broadcast the frontier, relax matching edges,

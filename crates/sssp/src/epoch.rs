@@ -5,38 +5,75 @@
 //! epoch-0 checkpoint
 //! loop:
 //!     bucket boundary: crash probe + periodic checkpoint   (restore → loop)
-//!     k ← allreduce-min of every rank's minimum bucket     (none → done)
-//!     open bucket k                                        (false → done)
+//!     (k, agreed) ← agree(own minimum bucket, offer)       (none → done)
+//!     open bucket k with `agreed`        (false → done: fused tail, retired)
 //!     loop:
 //!         crash probe                          (restore → abandon k, loop)
+//!         agreed ← agree(k, offer)    (but the boundary's for the first step)
 //!         one light-edge superstep of k        (globally empty → break)
 //!     close bucket k: the heavy pass and per-bucket accounting
 //! ```
 //!
-//! The driver owns the loop shape, the minimum-bucket agreement and every
-//! [`Recovery`] hook, so checkpoints and crash probes sit at the same
-//! collective points in all three kernels. What a superstep *does* — its
-//! collectives, its relaxation order, its trace events — stays in the
-//! kernel behind [`BucketKernel`].
+//! The driver owns the loop shape, **every agreement allreduce** and every
+//! [`Recovery`] hook, so all three sit at the same collective points in all
+//! three kernels. What a superstep *does* — its exchange, its relaxation
+//! order, its trace events — stays in the kernel behind [`BucketKernel`].
+//!
+//! An agreement is one allreduce of `(k, offer)`. The lower `k` wins; what
+//! two offers say about a bucket merges only when both speak of the same one
+//! (the lower one's stands otherwise), what they say about the whole queue
+//! always. A boundary so makes one allreduce where it made three (tail
+//! trigger, minimum, first frontier sums) and the 1D and 2D kernels make
+//! `supersteps + 1` a run. A rank whose minimum loses must be left as it
+//! was, so a boundary's offer summarises without draining. (DESIGN.md,
+//! "Bucket-epoch driver".)
 
 use simnet::recovery::{Checkpoint, FaultEscalation, Recovery};
-use simnet::{RankCtx, TraceCode};
+use simnet::{RankCtx, TraceCode, Wire};
+use std::cmp::Ordering;
+
+/// What a rank contributes to one agreement besides the bucket index.
+pub(crate) trait Offer: Wire + Clone {
+    /// `buckets` compares the bucket `self` speaks of with `other`'s: the
+    /// per-bucket part merges on `Equal` and is the lower side's otherwise;
+    /// a whole-queue part merges regardless.
+    fn merge(&self, other: &Self, buckets: Ordering) -> Self;
+}
+
+/// The offer of a kernel that agrees on the frontier's size alone.
+impl Offer for u64 {
+    fn merge(&self, other: &u64, buckets: Ordering) -> u64 {
+        match buckets {
+            Ordering::Less => *self,
+            Ordering::Greater => *other,
+            Ordering::Equal => self + other,
+        }
+    }
+}
 
 /// What the driver needs from a kernel. The [`Checkpoint`] supertrait
 /// covers everything that lives across a superstep boundary; scratch that
 /// is rewritten before it is read stays out of it.
 pub(crate) trait BucketKernel: Checkpoint {
-    /// This rank's minimum non-empty bucket, `u64::MAX` when it has none.
-    /// (`&mut`: the bucket queue advances its cursor as it looks.)
-    fn min_bucket(&mut self) -> u64;
+    type Offer: Offer;
 
-    /// Start the globally agreed bucket `k`. `false` ends the run here
-    /// (the batched kernel, once every lane has retired).
-    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64) -> bool;
+    /// Whether a boundary's agreement is also the first light step's. Not
+    /// for a kernel whose `open_bucket` changes the frontier it opens.
+    const BOUNDARY_AGREES_FIRST_STEP: bool;
 
-    /// One light-edge superstep of bucket `k`. `false` once the bucket's
-    /// frontier is globally empty (that round does no relaxation work).
-    fn light_step(&mut self, ctx: &mut RankCtx, k: u64) -> bool;
+    /// This rank's contribution to the next agreement: of the `open` bucket,
+    /// whose frontier it drains for the coming light step; or at a boundary
+    /// of its own minimum bucket (`u64::MAX`: none), which it leaves alone.
+    fn offer(&mut self, open: Option<u64>) -> (u64, Self::Offer);
+
+    /// Start the globally agreed bucket `k`, leaving in `agreed` what the
+    /// first light step must read. `false` ends the run here (the 1D kernel
+    /// finished in its fused tail; the batched kernel retired every lane).
+    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64, agreed: &mut Self::Offer) -> bool;
+
+    /// One light-edge superstep of bucket `k` over the frontier drained for
+    /// it; `false`, and no work, when `agreed` says it is globally empty.
+    fn light_step(&mut self, ctx: &mut RankCtx, k: u64, agreed: &Self::Offer) -> bool;
 
     /// Bucket `k` reached its light-edge fixpoint: run the heavy pass and
     /// whatever per-bucket accounting follows it.
@@ -46,6 +83,12 @@ pub(crate) trait BucketKernel: Checkpoint {
     /// close whatever trace span [`open_bucket`](Self::open_bucket) left
     /// open. State needs no undoing — the restore replaced it.
     fn abandon_bucket(&mut self, ctx: &mut RankCtx, k: u64);
+}
+
+/// One agreement: every rank leaves with the lowest offered bucket and the
+/// merged offer, bitwise the same everywhere.
+fn agree<K: BucketKernel>(ctx: &mut RankCtx, offer: (u64, K::Offer)) -> (u64, K::Offer) {
+    ctx.allreduce(offer, |a, b| (a.0.min(b.0), a.1.merge(&b.1, a.0.cmp(&b.0))))
 }
 
 /// Drive `kernel` to completion. Collective. On a fault-free machine
@@ -67,10 +110,11 @@ pub(crate) fn run_bucket_epochs<K: BucketKernel>(
                 continue 'outer;
             }
         }
-        let k = ctx.allreduce_min(kernel.min_bucket());
-        if k == u64::MAX || !kernel.open_bucket(ctx, k) {
+        let (k, mut agreed) = agree::<K>(ctx, kernel.offer(None));
+        if k == u64::MAX || !kernel.open_bucket(ctx, k, &mut agreed) {
             break;
         }
+        let mut agreed_already = K::BOUNDARY_AGREES_FIRST_STEP;
         loop {
             if let Some(r) = rec.as_mut() {
                 // A mid-bucket crash rolls back to the last bucket-boundary
@@ -80,7 +124,10 @@ pub(crate) fn run_bucket_epochs<K: BucketKernel>(
                     continue 'outer;
                 }
             }
-            if !kernel.light_step(ctx, k) {
+            if !std::mem::take(&mut agreed_already) {
+                agreed = agree::<K>(ctx, kernel.offer(Some(k))).1;
+            }
+            if !kernel.light_step(ctx, k, &agreed) {
                 break;
             }
         }
@@ -130,10 +177,104 @@ impl SuperstepSpan {
 #[cfg(test)]
 mod tests {
     use crate::multi::{try_batched_delta_stepping, BatchSpec};
-    use crate::{try_distributed_delta_stepping, Grid2DSssp, OptConfig};
+    use crate::{try_distributed_delta_stepping, Direction, Grid2DSssp, OptConfig};
     use g500_graph::WEdge;
     use g500_partition::{assemble_local_graph, Block1D};
-    use simnet::{CrashPlan, Machine, MachineConfig, RankCtx};
+    use simnet::{CrashPlan, Machine, MachineConfig, RankCtx, TraceCode, TraceKind};
+
+    /// This rank's quarter of the scale-9 Kronecker edge list.
+    fn kron9_slice(ctx: &RankCtx) -> Vec<WEdge> {
+        let gen = g500_gen::KroneckerGenerator::new(g500_gen::KroneckerParams::graph500(9, 4));
+        let el = gen.generate_all();
+        let m = el.len();
+        let (lo, hi) = (ctx.rank() * m / 4, (ctx.rank() + 1) * m / 4);
+        (lo..hi).map(|i| el.get(i)).collect()
+    }
+
+    /// Run `kernel` on a traced 4-rank machine between two marker events and
+    /// return what it returns (rank 0's) with the allreduces each rank made
+    /// in between — the same number on every rank, or the run would have
+    /// deadlocked, but asserted.
+    fn allreduces_of<R: Send>(kernel: impl Fn(&mut RankCtx) -> R + Sync) -> (R, u64) {
+        let mut rep = Machine::new(MachineConfig::with_ranks(4).traced(true)).run(|ctx| {
+            let out = kernel(ctx);
+            ctx.trace_end(TraceCode::RootRun, 0, 0);
+            out
+        });
+        let counts: Vec<u64> = rep
+            .traces
+            .iter()
+            .map(|buf| {
+                let run = buf
+                    .events
+                    .iter()
+                    .skip_while(|e| e.code != TraceCode::RootRun)
+                    .take_while(|e| !(e.code == TraceCode::RootRun && e.kind == TraceKind::End));
+                run.filter(|e| e.code == TraceCode::Allreduce && e.kind == TraceKind::Begin)
+                    .count() as u64
+            })
+            .collect();
+        assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
+        (rep.results.swap_remove(0), counts[0])
+    }
+
+    /// The invariant the agreement protocol buys: one allreduce a superstep
+    /// (a light step's own or the boundary's that stands in for it, a fused
+    /// tail round's; a heavy phase rides the round that found its bucket
+    /// empty) and one to end the run or decide its tail. The parent made
+    /// `2 * buckets + 2` more: a minimum and a tail trigger a bucket, the
+    /// final minimum, the Δ statistics.
+    #[test]
+    fn agreement_count_is_supersteps_plus_one() {
+        for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
+            for tail in [true, false] {
+                let opts = OptConfig {
+                    tail_threshold: if tail { 64 } else { 0 },
+                    ..OptConfig::all_on().with_direction(dir)
+                };
+                let (stats, allreduces) = allreduces_of(|ctx| {
+                    let part = Block1D::new(512, 4);
+                    let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
+                    ctx.trace_begin(TraceCode::RootRun, 0, 0);
+                    let (_, stats) = try_distributed_delta_stepping(ctx, &g, 0, &opts).expect("ok");
+                    stats
+                });
+                assert_eq!(stats.tail_fused, tail, "{dir:?}");
+                assert!(tail || stats.buckets > 1, "{stats:?}");
+                assert_eq!(allreduces, stats.supersteps + 1, "{dir:?} tail {tail}");
+            }
+        }
+
+        let (stats, allreduces) = allreduces_of(|ctx| {
+            let mut g = Grid2DSssp::build(ctx, 512, kron9_slice(ctx).into_iter(), 0.125);
+            ctx.trace_begin(TraceCode::RootRun, 0, 0);
+            g.try_run(ctx, 0).expect("ok")
+        });
+        assert_eq!(allreduces, stats.supersteps + 1, "2D");
+    }
+
+    /// The batched kernel's boundaries offer the bucket index alone
+    /// (`Batch::BOUNDARY_AGREES_FIRST_STEP`), so each of its buckets pays a
+    /// boundary agreement and one for the light step that finds it empty:
+    /// `supersteps + buckets + 1`, and one more for the finish time. Three
+    /// full lanes, so the run cannot end early on retirement. Recorded: the
+    /// run opens 10 buckets, and the parent of the protocol made the same 49.
+    #[test]
+    fn batched_agreement_count_is_pinned() {
+        let (stats, allreduces) = allreduces_of(|ctx| {
+            let part = Block1D::new(512, 4);
+            let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
+            let specs = [BatchSpec::full(0), BatchSpec::full(3), BatchSpec::full(21)];
+            ctx.trace_begin(TraceCode::RootRun, 0, 0);
+            let opts = OptConfig::all_on();
+            try_batched_delta_stepping(ctx, &g, &specs, &opts)
+                .expect("ok")
+                .1
+        });
+        const BUCKETS: u64 = 10;
+        assert_eq!((stats.supersteps, allreduces), (37, 49));
+        assert_eq!(allreduces, stats.supersteps + BUCKETS + 1 + 1);
+    }
 
     /// Per-rank size of the one checkpoint `run` takes: the crash plan is
     /// armed (a forced crash at a probe no run reaches) with an interval no

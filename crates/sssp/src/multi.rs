@@ -351,15 +351,34 @@ pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
 }
 
 impl<P: VertexPartition + Sync> BucketKernel for Batch<'_, P> {
-    fn min_bucket(&mut self) -> u64 {
-        self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64)
+    /// The size of the frontier of the bucket spoken of.
+    type Offer = u64;
+    /// `open_bucket` retires lanes as a function of the agreed `k`, which
+    /// empties the frontier of their entries: a boundary cannot count it, so
+    /// it offers `k` alone and the first light step agrees like the rest.
+    const BOUNDARY_AGREES_FIRST_STEP: bool = false;
+
+    fn offer(&mut self, open: Option<u64>) -> (u64, u64) {
+        let Some(k) = open else {
+            return (self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64), 0);
+        };
+        let (dist, live, buckets) = (&self.out.dist, &self.live, &mut self.buckets);
+        let n_local = self.out.n_local;
+        self.raw.clear();
+        buckets.drain_bucket_into(k as usize, &mut self.raw);
+        self.frontier.clear();
+        self.frontier.extend(self.raw.iter().copied().filter(|&e| {
+            let d = dist[e as usize];
+            live[e as usize / n_local] && d.is_finite() && buckets.bucket_of(d) == k as usize
+        }));
+        (k, self.frontier.len() as u64)
     }
 
     /// Retirement epoch: target owners publish live tentatives; every rank
     /// applies the identical "settled below bucket k" rule, so the
     /// retirement set — and thus the whole batch schedule — is a pure
-    /// function of the allreduced bucket index and the lane states.
-    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
+    /// function of the agreed bucket index and the lane states.
+    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64, _agreed: &mut u64) -> bool {
         if self.live_p2p > 0 {
             for block in ctx.allgatherv(&self.live_target_tentatives()) {
                 for (s, _t, d, par) in block {
@@ -384,17 +403,7 @@ impl<P: VertexPartition + Sync> BucketKernel for Batch<'_, P> {
         true
     }
 
-    fn light_step(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
-        let (dist, live, buckets) = (&self.out.dist, &self.live, &mut self.buckets);
-        let n_local = self.out.n_local;
-        self.raw.clear();
-        buckets.drain_bucket_into(k as usize, &mut self.raw);
-        self.frontier.clear();
-        self.frontier.extend(self.raw.iter().copied().filter(|&e| {
-            let d = dist[e as usize];
-            live[e as usize / n_local] && d.is_finite() && buckets.bucket_of(d) == k as usize
-        }));
-        let total = ctx.allreduce_sum(self.frontier.len() as u64);
+    fn light_step(&mut self, ctx: &mut RankCtx, _k: u64, &total: &u64) -> bool {
         if total == 0 {
             return false;
         }

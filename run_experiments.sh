@@ -45,7 +45,7 @@ run t1_graph_stats
 G500_SCALE_PER_RANK=14 G500_MAX_RANKS=32 G500_ROOTS=4 run t2_headline
 run t3_ablation
 G500_SCALE_PER_RANK=13 G500_MAX_RANKS=32 G500_ROOTS=3 run f1_weak_scaling
-G500_SCALE=15 G500_MAX_RANKS=32 G500_ROOTS=3 run f2_strong_scaling
+G500_SCALE=17 G500_MAX_RANKS=32 G500_ROOTS=4 run f2_strong_scaling
 run f3_delta_sweep
 run f4_breakdown
 G500_MAX_SCALE=16 G500_ROOTS=2 run f5_algo_compare

@@ -87,13 +87,15 @@ fn scale10_1d_crashy_matches_fault_free_both_schedulers() {
     let plan = CrashPlan::random(1, 0.004)
         .with_checkpoint_interval(3)
         .with_recovery_budget(64);
-    for sched in [None, Some(0)] {
-        let clean = run_1d(10, 8, sched, CrashPlan::none());
-        let crashy = run_1d(10, 8, sched, plan);
+    // 5 ranks as well: a ragged count, so restore-and-replay runs through
+    // agreements (and crash verdicts) that fold ranks in and out.
+    for (ranks, sched) in [(8, None), (8, Some(0)), (5, Some(0))] {
+        let clean = run_1d(10, ranks, sched, CrashPlan::none());
+        let crashy = run_1d(10, ranks, sched, plan);
         assert_same_outputs(&clean, &crashy);
         assert!(
             crashy.net.crashes > 0 && crashy.net.restores > 0,
-            "crash schedule never fired ({sched:?}): {:?}",
+            "crash schedule never fired ({ranks} ranks, {sched:?}): {:?}",
             crashy.net
         );
         assert!(crashy.net.replayed_supersteps > 0, "{:?}", crashy.net);

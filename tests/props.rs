@@ -45,14 +45,14 @@ fn all_sssp_algorithms_equal_dijkstra() {
 }
 
 /// The 1D kernel from `root` on `p` ranks (block partition, edge slices in
-/// list order), gathered, with rank 0's run counters.
-fn dist_1d(
+/// list order): per rank, the gathered result and that rank's run counters.
+fn dist_1d_ranks(
     el: &EdgeList,
     n: u64,
     p: usize,
     root: u64,
     opts: &OptConfig,
-) -> (ShortestPaths, SsspRunStats) {
+) -> Vec<(ShortestPaths, SsspRunStats)> {
     Machine::new(MachineConfig::with_ranks(p))
         .run(|ctx| {
             let m = el.len();
@@ -63,7 +63,17 @@ fn dist_1d(
             (sp.gather_to_all(ctx, g.part()), stats)
         })
         .results
-        .swap_remove(0)
+}
+
+/// [`dist_1d_ranks`], rank 0's share.
+fn dist_1d(
+    el: &EdgeList,
+    n: u64,
+    p: usize,
+    root: u64,
+    opts: &OptConfig,
+) -> (ShortestPaths, SsspRunStats) {
+    dist_1d_ranks(el, n, p, root, opts).swap_remove(0)
 }
 
 #[test]
@@ -78,6 +88,49 @@ fn distributed_delta_equals_dijkstra() {
         let (got, _) = dist_1d(&el, n, p, root, &OptConfig::all_on());
         assert!(got.distances_match(&oracle, 1e-4));
     });
+}
+
+/// A near-path searched from its middle has two wavefronts, one in ranks
+/// 0–1 and one in ranks 2–3, whose jittered weights keep them in different
+/// buckets of a narrow Δ: at most boundaries some rank's own minimum bucket
+/// loses the agreement, and it must not have been touched to summarise it —
+/// its entries feed the fused tail's trigger, their order the tail's drain.
+/// Distances are Dijkstra's to the bit; supersteps, buckets, relaxations and
+/// updates (summed over ranks) are the numbers recorded at the commit before
+/// the driver fused the boundary's three allreduces into one agreement.
+#[test]
+fn losing_the_bucket_agreement_leaves_a_rank_as_it_was() {
+    let (n, edges) = common::adversarial::almost_line(3);
+    let (el, root) = (to_el(&edges), n / 2);
+    let csr = Csr::from_edges(n as usize, &el, Directedness::Undirected);
+    let oracle: Vec<u32> = dijkstra(&csr, root)
+        .dist
+        .iter()
+        .map(|d| d.to_bits())
+        .collect();
+    let narrow = OptConfig::all_on().with_delta(0.05);
+    for (opts, fused, pinned) in [
+        (narrow, true, (236u64, 107u64, 527u64, 28u64)),
+        (narrow.without_fusion(), false, (406, 205, 458, 22)),
+    ] {
+        let ranks = dist_1d_ranks(&el, n, 4, root, &opts);
+        let (got, stats) = &ranks[0];
+        let bits: Vec<u32> = got.dist.iter().map(|d| d.to_bits()).collect();
+        assert_eq!(bits, oracle, "fused {fused}");
+        assert_eq!(stats.tail_fused, fused);
+        let sum = |f: fn(&SsspRunStats) -> u64| ranks.iter().map(|r| f(&r.1)).sum::<u64>();
+        let counts = (
+            stats.supersteps,
+            stats.buckets,
+            sum(|s| s.relaxations),
+            sum(|s| s.updates_sent),
+        );
+        assert_eq!(counts, pinned, "fused {fused}");
+        if !fused {
+            // were the fronts in step, two vertices would share each bucket
+            assert!(stats.buckets > 3 * (n - 1) / 4, "{stats:?}");
+        }
+    }
 }
 
 /// Push, pull and hybrid relax the same arcs in different orders and the
@@ -440,7 +493,7 @@ fn multi_source_equals_dijkstra_per_source() {
                     .iter()
                     .map(|&r| graph500::sssp::BatchSpec::full(r))
                     .collect();
-                let opts = OptConfig::all_on().with_delta(0.25);
+                let opts = OptConfig::all_on().with_delta(0.05);
                 let (md, _) = graph500::sssp::batched_delta_stepping(ctx, &g, &specs, &opts);
                 (0..roots.len())
                     .map(|s| md.lane_paths(s).gather_to_all(ctx, g.part()))

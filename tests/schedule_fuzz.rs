@@ -160,21 +160,27 @@ fn every_opt_path_is_schedule_invariant() {
         ("no_fusion", OptConfig::all_on().without_fusion()),
         ("pull", OptConfig::all_on().with_direction(Direction::Pull)),
     ];
+    // 8 ranks, and 5: a ragged count, so every agreement's fold-in and
+    // fold-out rounds run under the permuted orders too.
     for (name, opts) in configs {
-        let (base_sp, base_stats, _) = run_1d(&el, n, 8, 1, &opts, 0);
-        assert!(base_sp.distances_match(&oracle, 1e-4), "{name} vs Dijkstra");
-        assert_eq!(base_stats.heavy_pulls == 0, name == "all_off", "{name}");
-        for sched_seed in [5u64, 9] {
-            let (sp, stats, _) = run_1d(&el, n, 8, 1, &opts, sched_seed);
-            assert_bitwise_equal_dists(&base_sp.dist, &sp.dist, &format!("{name}/{sched_seed}"));
-            assert_eq!(
-                base_stats.supersteps, stats.supersteps,
-                "{name}/{sched_seed}"
+        for p in [8usize, 5] {
+            let (base_sp, base_stats, _) = run_1d(&el, n, p, 1, &opts, 0);
+            assert!(
+                base_sp.distances_match(&oracle, 1e-4),
+                "{name} p={p} vs Dijkstra"
             );
             assert_eq!(
-                base_stats.heavy_pulls, stats.heavy_pulls,
-                "{name}/{sched_seed}"
+                base_stats.heavy_pulls == 0,
+                name == "all_off",
+                "{name} p={p}"
             );
+            for sched_seed in [5u64, 9] {
+                let label = format!("{name}/p={p}/{sched_seed}");
+                let (sp, stats, _) = run_1d(&el, n, p, 1, &opts, sched_seed);
+                assert_bitwise_equal_dists(&base_sp.dist, &sp.dist, &label);
+                assert_eq!(base_stats.supersteps, stats.supersteps, "{label}");
+                assert_eq!(base_stats.heavy_pulls, stats.heavy_pulls, "{label}");
+            }
         }
     }
 }
