@@ -5,7 +5,12 @@
 //! time, and the effective uplift over back-to-back single-source runs.
 //! Since PR 8 the batching loop *is* the query engine: the roots go in as
 //! full queries and the admission window width is the batch size (caches
-//! disabled, so this measures batching alone).
+//! disabled, so this measures batching alone). A batch is the solo kernel
+//! over lanes, so the `B = 1` row is the real sequential kernel (less its
+//! fused tail) and the uplift is over it, not over a slower second engine.
+//!
+//! Exits 1 when the shape breaks: supersteps must fall strictly with every
+//! doubling of `B`, and `B = 8` must take less simulated time than `B = 1`.
 //!
 //! Overrides: `G500_SCALE` (14), `G500_RANKS` (8), `G500_NROOTS` (16).
 
@@ -47,7 +52,7 @@ fn main() {
     let queries: Vec<Query> = roots.iter().map(|&r| Query::full(r)).collect();
 
     let t = Table::new(&["batch_size", "batches", "supersteps", "sim_time", "speedup"]);
-    let mut base_time = 0.0f64;
+    let mut rows: Vec<(usize, u64, f64)> = Vec::new();
     for batch in [1usize, 2, 4, 8, 16] {
         if batch > nroots {
             break;
@@ -77,9 +82,8 @@ fn main() {
             (engine.stats().supersteps, engine.stats().batches, elapsed)
         });
         let (steps, batches, time) = rep.results[0];
-        if batch == 1 {
-            base_time = time;
-        }
+        rows.push((batch, steps, time));
+        let base_time = rows[0].2;
         t.row(&[
             batch.to_string(),
             batches.to_string(),
@@ -89,4 +93,13 @@ fn main() {
         ]);
     }
     println!("\nexpected shape: supersteps fall roughly like 1/batch on the tail-dominated regime; time follows until bandwidth saturates");
+    let falling = rows.windows(2).all(|w| w[1].1 < w[0].1);
+    let widest = rows.iter().rfind(|r| r.0 <= 8).expect("B = 1 ran");
+    if !falling || (widest.0 > 1 && widest.2 >= rows[0].2) {
+        println!(
+            "WARNING: shape broken (supersteps not strictly falling with B, or B={} no faster than B=1)",
+            widest.0
+        );
+        std::process::exit(1);
+    }
 }

@@ -3,10 +3,14 @@
 //! A closed-loop load generator drives the query engine with a
 //! deterministic mixed stream (full single-source + point-to-point) over
 //! a resident scale-18 graph, sweeping the admission window width
-//! `B ∈ {1, 4, 16, 64}`. B = 1 is the sequential baseline — every query
-//! its own kernel run; the headline claim is B = 64 achieving ≥ 2× its
-//! QPS in virtual time. Landmark bounds and the result LRU stay on (this
-//! is the *service* configuration; F11 isolates pure batching).
+//! `B ∈ {1, 4, 16, 64}`. The `seq` row is the sequential baseline — every
+//! query its own kernel run, caches off — and since a batch is the solo
+//! kernel over lanes it is the real sequential kernel (less its fused
+//! tail), not a slower second engine. The headline claim is B = 64
+//! achieving ≥ 2× its QPS in virtual time; the harness also requires QPS to
+//! be non-decreasing in B and every cached row to reach `seq`, and exits 1
+//! otherwise. Landmark bounds and the result LRU stay on (this is the
+//! *service* configuration; F11 isolates pure batching).
 //!
 //! The stream is 128 queries over a fixed 16-source hot pool, so the
 //! widest window still sees a multi-window stream (at B = 64 a single
@@ -76,7 +80,7 @@ fn main() {
         base_rep.early_exits.to_string(),
         base_rep.supersteps.to_string(),
     ]);
-    let mut last_speedup = 0.0f64;
+    let mut swept = vec![base_qps];
     for batch in [1usize, 4, 16, 64] {
         let mut cfg = ServeBenchConfig::new(scale, ranks).deterministic(0);
         cfg.num_queries = queries;
@@ -86,11 +90,11 @@ fn main() {
         cfg.lru_capacity = lru;
         cfg.p2p_permille = p2p;
         let rep = run_query_serving_benchmark(&cfg);
-        last_speedup = rep.qps / base_qps;
+        swept.push(rep.qps);
         t.row(&[
             batch.to_string(),
             format!("{:.2}", rep.qps),
-            format!("{:.2}x", last_speedup),
+            format!("{:.2}x", rep.qps / base_qps),
             secs(rep.p50_ms / 1e3),
             secs(rep.p95_ms / 1e3),
             secs(rep.p99_ms / 1e3),
@@ -105,8 +109,13 @@ fn main() {
          rise with B because a query's result lands when its shared window drains — \
          the classic throughput/latency trade of admission batching"
     );
+    let last_speedup = swept[swept.len() - 1] / base_qps;
     if last_speedup < 2.0 {
         println!("WARNING: B=64 speedup {last_speedup:.2}x below the 2x acceptance line");
+        std::process::exit(1);
+    }
+    if swept.windows(2).any(|w| w[1] < w[0]) {
+        println!("WARNING: shape broken (QPS falls from one row to the next: {swept:.2?})");
         std::process::exit(1);
     }
 }

@@ -98,6 +98,16 @@ impl Args {
         }
     }
 
+    /// `--ranks`: at least one, or the machine has nobody to run the
+    /// kernel.
+    fn ranks(&self) -> usize {
+        let ranks = self.num("--ranks", 4);
+        if ranks == 0 {
+            reject_range("--ranks", ranks, "at least 1");
+        }
+        ranks as usize
+    }
+
     /// Exit 2 naming the first token no accessor claimed: a misspelled
     /// flag must not silently run the default configuration.
     fn reject_unclaimed(&self) {
@@ -110,6 +120,14 @@ impl Args {
             std::process::exit(2)
         }
     }
+}
+
+/// Exit 2 naming a flag whose value parsed but that no run can use, and
+/// what it accepts: one line, before anything runs — not a panic from
+/// inside a rank thread.
+fn reject_range(flag: &str, got: impl std::fmt::Display, accepted: &str) -> ! {
+    eprintln!("g500: {flag} {got} is out of range: it takes {accepted}");
+    std::process::exit(2)
 }
 
 fn main() {
@@ -151,9 +169,12 @@ fn crash_plan(args: &Args) -> CrashPlan {
 
 fn build_cfg(args: &Args) -> BenchmarkConfig {
     let scale = args.num("--scale", 12) as u32;
-    let ranks = args.num("--ranks", 4) as usize;
+    let ranks = args.ranks();
     let mut cfg = BenchmarkConfig::graph500(scale, ranks);
     cfg.num_roots = args.num("--roots", 64) as usize;
+    if cfg.num_roots == 0 {
+        reject_range("--roots", 0, "at least 1");
+    }
     cfg.seed = args.num("--seed", cfg.seed);
     cfg.validate = !args.has("--no-validate");
     cfg.threads = args.num("--threads", 0) as usize;
@@ -234,10 +255,14 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
         });
     }
     if let Some(d) = args.value("--delta") {
-        opts = opts.with_delta(d.parse().unwrap_or_else(|_| {
+        let delta: f32 = d.parse().unwrap_or_else(|_| {
             eprintln!("bad --delta: {d}");
             usage()
-        }));
+        });
+        if !(delta > 0.0 && delta.is_finite()) {
+            reject_range("--delta", d, "a positive, finite bucket width");
+        }
+        opts = opts.with_delta(delta);
     }
     cfg.opts = opts;
     cfg
@@ -308,8 +333,7 @@ fn cmd_bfs(args: &Args) {
 
 fn cmd_serve(args: &Args) {
     let scale = args.num("--scale", 12) as u32;
-    let ranks = args.num("--ranks", 4) as usize;
-    let mut cfg = ServeBenchConfig::new(scale, ranks);
+    let mut cfg = ServeBenchConfig::new(scale, args.ranks());
     cfg.num_queries = args.num("--queries", 64) as usize;
     cfg.batch_width = args.num("--batch", 16) as usize;
     cfg.num_landmarks = args.num("--landmarks", 4) as usize;

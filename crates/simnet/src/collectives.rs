@@ -31,18 +31,22 @@ use crate::wire::{decode_vec_checked, encode_slice, Wire};
 /// [`SubComm`](crate::SubComm): recursive doubling over the member indices
 /// `0..p`, of which the caller is `me`. `global(i)` is member `i`'s machine
 /// rank and `tag(round)` the communicator's tag for one round of this
-/// invocation.
+/// invocation. It reduces a slice, `combine` element by element; every
+/// member must bring the same number of elements (a partner's payload of
+/// another count is the typed decode error of `recv_coll_checked`), and
+/// the scalar [`RankCtx::allreduce`] is the one-element case, message for
+/// message and byte for byte.
 ///
 /// With `q` the largest power of two `≤ p`: a fold-in round pairs the first
-/// `2(p − q)` members as neighbours (the odd one hands its value to the even
+/// `2(p − q)` members as neighbours (the odd one hands its values to the even
 /// one below it and sits out), the `q` members left run log₂ q rounds of
 /// pairwise exchange with the partner whose position differs in one bit, and
 /// a fold-out round hands the result back to those that sat out. The members
 /// left after the fold keep their rank order, so at every step the two
 /// partners hold the reductions of two adjacent rank ranges and each
 /// computes `combine(lower range, upper range)`: the same expression on the
-/// same bits. Hence every member returns the bitwise-same value even when
-/// `combine` is not associative (`f32`/`f64` sums); that value is
+/// same bits. Hence every member returns the bitwise-same values even when
+/// `combine` is not associative (`f32`/`f64` sums); each is
 /// `v₀ ⊕ v₁ ⊕ … ⊕ v_{p−1}` in rank order, so `combine` need not commute;
 /// and at a power-of-two `p` its parenthesisation is the balanced pairwise
 /// tree `((v₀ ⊕ v₁) ⊕ (v₂ ⊕ v₃)) ⊕ …`.
@@ -55,20 +59,31 @@ pub(crate) fn allreduce_schedule<T: Wire + Clone>(
     (me, p): (usize, usize),
     global: impl Fn(usize) -> usize,
     tag: impl Fn(u64) -> Tag,
-    value: T,
+    values: Vec<T>,
     combine: impl Fn(&T, &T) -> T,
-) -> T {
+) -> Vec<T> {
     let q = 1usize << p.ilog2();
     let folded = 2 * (p - q);
     let fold_out = tag(1 + u64::from(q.trailing_zeros()));
-    let mut acc = value;
+    let n = values.len();
+    // `acc ← acc ⊕ other` or `other ⊕ acc`, element by element, in place.
+    let fold = |acc: &mut [T], other: &[T], acc_is_lower: bool| {
+        for (a, b) in acc.iter_mut().zip(other) {
+            *a = if acc_is_lower {
+                combine(a, b)
+            } else {
+                combine(b, a)
+            };
+        }
+    };
+    let mut acc = values;
     if me < folded {
         if me % 2 == 1 {
-            ctx.send_coll(global(me - 1), tag(0), &[acc]);
-            return ctx.recv_one_coll(global(me - 1), fold_out);
+            ctx.send_coll(global(me - 1), tag(0), &acc);
+            return ctx.recv_coll_checked(global(me - 1), fold_out, Some(n));
         }
-        let upper: T = ctx.recv_one_coll(global(me + 1), tag(0));
-        acc = combine(&acc, &upper);
+        let upper: Vec<T> = ctx.recv_coll_checked(global(me + 1), tag(0), Some(n));
+        fold(&mut acc, &upper, true);
     }
     // Positions 0..q of the members still in, in rank order, and back.
     let pos = if me < folded { me / 2 } else { me - folded / 2 };
@@ -82,18 +97,14 @@ pub(crate) fn allreduce_schedule<T: Wire + Clone>(
     let (mut step, mut round) = (1usize, 1u64);
     while step < q {
         let partner = member(pos ^ step);
-        ctx.send_coll(global(partner), tag(round), std::slice::from_ref(&acc));
-        let other: T = ctx.recv_one_coll(global(partner), tag(round));
-        acc = if me < partner {
-            combine(&acc, &other)
-        } else {
-            combine(&other, &acc)
-        };
+        ctx.send_coll(global(partner), tag(round), &acc);
+        let other: Vec<T> = ctx.recv_coll_checked(global(partner), tag(round), Some(n));
+        fold(&mut acc, &other, me < partner);
         step <<= 1;
         round += 1;
     }
     if me < folded {
-        ctx.send_coll(global(me + 1), fold_out, std::slice::from_ref(&acc));
+        ctx.send_coll(global(me + 1), fold_out, &acc);
     }
     acc
 }
@@ -142,7 +153,7 @@ impl RankCtx {
     /// as a typed [`FaultEscalation::Transport`] panic payload, which
     /// [`Machine::try_run`](crate::Machine::try_run) returns as `Err`, the
     /// way `send_bytes_class` raises an exhausted retry budget.
-    fn recv_coll_checked<T: Wire>(
+    pub(crate) fn recv_coll_checked<T: Wire>(
         &mut self,
         src: usize,
         tag: Tag,
@@ -215,10 +226,22 @@ impl RankCtx {
     /// bitwise the same one, reduced in rank order
     /// ([`allreduce_schedule`]).
     pub fn allreduce<T: Wire + Clone>(&mut self, value: T, combine: impl Fn(&T, &T) -> T) -> T {
+        let mut out = self.allreduce_slice(vec![value], combine);
+        out.pop().expect("one element in, one out")
+    }
+
+    /// Allreduce of a slice, element by element: one collective, one
+    /// message a round however many elements. Every rank must bring the
+    /// same number of them.
+    pub fn allreduce_slice<T: Wire + Clone>(
+        &mut self,
+        values: Vec<T>,
+        combine: impl Fn(&T, &T) -> T,
+    ) -> Vec<T> {
         self.coll_trace_begin(TraceCode::Allreduce);
         let (who, seq) = ((self.rank(), self.size()), self.coll_seq);
         let tag = |round| world_tag(seq, round);
-        let out = allreduce_schedule(self, who, |i| i, tag, value, combine);
+        let out = allreduce_schedule(self, who, |i| i, tag, values, combine);
         self.next_coll();
         self.coll_trace_end(TraceCode::Allreduce);
         out
@@ -483,6 +506,48 @@ mod tests {
                     (len, elem_size) == (16, 8) || (len, elem_size) == (8, 16),
                     "{len} bytes against {elem_size}-byte records"
                 );
+            }
+            other => panic!(
+                "expected a typed decode error, got {:?}",
+                other.map(|r| r.results)
+            ),
+        }
+    }
+
+    #[test]
+    fn allreduce_slice_is_elementwise_in_one_collective() {
+        // element i reduced by the slice call carries the bits the scalar
+        // call gives it alone, at the message count of one scalar call
+        for p in SIZES {
+            let rep = Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
+                let mine: Vec<f64> = (0..3).map(|i| ADDENDS[(ctx.rank() + 5 * i) % 16]).collect();
+                let msgs = ctx.stats().coll_msgs;
+                let together = ctx.allreduce_slice(mine.clone(), |a, b| a + b);
+                let slice_msgs = ctx.stats().coll_msgs - msgs;
+                let apart: Vec<f64> = mine
+                    .iter()
+                    .map(|&v| ctx.allreduce(v, |a, b| a + b))
+                    .collect();
+                let scalar_msgs = ctx.stats().coll_msgs - msgs - slice_msgs;
+                assert_eq!(scalar_msgs, 3 * slice_msgs, "p={p}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                (bits(&together), bits(&apart))
+            });
+            for (together, apart) in rep.results {
+                assert_eq!(together, apart, "p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_allreduce_slice_lengths_are_a_typed_error() {
+        let res = Machine::new(MachineConfig::with_ranks(4)).try_run(|ctx| {
+            let n = if ctx.rank() == 2 { 3 } else { 2 };
+            ctx.allreduce_slice(vec![1u64; n], |a, b| a + b).len()
+        });
+        match res {
+            Err(FaultEscalation::Transport(TransportError::Decode { len, elem_size, .. })) => {
+                assert!((len, elem_size) == (24, 8) || (len, elem_size) == (16, 8));
             }
             other => panic!(
                 "expected a typed decode error, got {:?}",

@@ -114,11 +114,11 @@ impl SubComm {
         ctx.trace_begin(TraceCode::Allreduce, self.seq, self.comm_id);
         let who = (self.me, self.size());
         let (global, tag) = (|i| self.members[i], |round| self.tag(round));
-        let out = allreduce_schedule(ctx, who, global, tag, value, combine);
+        let mut out = allreduce_schedule(ctx, who, global, tag, vec![value], combine);
         self.next();
         ctx.bump_collective();
         ctx.trace_end(TraceCode::Allreduce, self.seq, self.comm_id);
-        out
+        out.pop().expect("one element in, one out")
     }
 
     /// Subgroup sum of `u64`.

@@ -183,38 +183,6 @@ impl BucketQueue {
         self.buckets.get(k).map_or(&[], Vec::as_slice)
     }
 
-    /// As [`take_bucket`](Self::take_bucket), but append into the caller's
-    /// scratch instead of handing over the lane Vec, so the lane keeps its
-    /// capacity. Contents and order are identical to `take_bucket`; the
-    /// batched serving kernel drains thousands of buckets per batch and
-    /// would otherwise re-grow every lane it revisits.
-    pub fn drain_bucket_into(&mut self, k: usize, out: &mut Vec<u32>) {
-        let Some(lane) = self.buckets.get_mut(k) else {
-            return;
-        };
-        if lane.is_empty() {
-            return;
-        }
-        out.extend_from_slice(lane);
-        self.entries -= lane.len();
-        lane.clear();
-        self.unmark(k);
-    }
-
-    /// Drop all entries (stale included) but keep every lane's capacity and
-    /// the bitmap allocation, resetting the cursor: a queue reused across
-    /// batches starts each batch from bucket 0 without reallocating.
-    pub fn clear(&mut self) {
-        let mut k = 0usize;
-        while let Some(next) = self.first_occupied_from(k) {
-            self.buckets[next].clear();
-            self.unmark(next);
-            k = next + 1;
-        }
-        self.entries = 0;
-        self.cursor = 0;
-    }
-
     /// Raw size of bucket `k` including stale entries.
     pub fn bucket_len(&self, k: usize) -> usize {
         self.buckets.get(k).map_or(0, Vec::len)
@@ -373,42 +341,6 @@ mod tests {
         assert_eq!(all, (0..10).collect::<Vec<u32>>());
         assert!(q.is_empty());
         assert_eq!(q.min_bucket(), None);
-    }
-
-    #[test]
-    fn drain_into_matches_take() {
-        let mut a = BucketQueue::new(0.5);
-        let mut b = BucketQueue::new(0.5);
-        for i in 0..50u32 {
-            let d = (i % 9) as f32 * 0.4;
-            a.insert(i, d);
-            b.insert(i, d);
-        }
-        let mut scratch = Vec::new();
-        while let Some(k) = a.min_bucket() {
-            scratch.clear();
-            a.drain_bucket_into(k, &mut scratch);
-            assert_eq!(b.min_bucket(), Some(k));
-            assert_eq!(scratch, b.take_bucket(k));
-        }
-        assert!(a.is_empty() && b.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_for_reuse() {
-        let mut q = BucketQueue::new(0.25);
-        for i in 0..100u32 {
-            q.insert(i, (i % 13) as f32 * 0.5);
-        }
-        // advance the cursor past bucket 0 first
-        let k = q.min_bucket().unwrap();
-        q.take_bucket(k);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.min_bucket(), None);
-        q.insert(7, 0.1);
-        assert_eq!(q.min_bucket(), Some(0));
-        assert_eq!(q.take_bucket(0), vec![7]);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! results are directly comparable and equally validatable.
 
 use crate::bucket::BucketQueue;
-use crate::epoch::{run_bucket_epochs, BucketKernel, SuperstepSpan};
+use crate::epoch::{run_bucket_epochs, Agreed, BucketKernel, SuperstepSpan};
 use g500_graph::{Csr, EdgeList, ShortestPaths, VertexId, WEdge, Weight};
 use g500_partition::{Block1D, VertexPartition};
 use rayon::prelude::*;
@@ -122,20 +122,20 @@ impl Checkpoint for Grid2DSssp {
 impl BucketKernel for Grid2DSssp {
     /// The size of the frontier of the bucket spoken of.
     type Offer = u64;
-    const BOUNDARY_AGREES_FIRST_STEP: bool = true;
 
     /// Off-diagonal ranks hold no vertex state, so their queue is empty:
-    /// they name no bucket, but take part in every agreement.
-    fn offer(&mut self, open: Option<u64>) -> (u64, u64) {
+    /// they name no bucket, but take part in every agreement. One search,
+    /// so one entry.
+    fn offer(&mut self, open: Option<u64>) -> Vec<Agreed<u64>> {
         let mine = || self.buckets.min_bucket();
         let Some(k) = open.map_or_else(mine, |k| Some(k as usize)) else {
-            return (u64::MAX, 0);
+            return vec![(u64::MAX, 0)];
         };
         self.collect_frontier(k, open.is_some());
-        (k as u64, self.frontier.len() as u64)
+        vec![(k as u64, self.frontier.len() as u64)]
     }
 
-    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64, _agreed: &mut u64) -> bool {
+    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64, _agreed: &mut [Agreed<u64>]) -> bool {
         ctx.trace_begin(TraceCode::Bucket, k, 0);
         self.bucket_snap = ctx
             .trace_enabled()
@@ -146,7 +146,8 @@ impl BucketKernel for Grid2DSssp {
         true
     }
 
-    fn light_step(&mut self, ctx: &mut RankCtx, _k: u64, &total: &u64) -> bool {
+    fn light_step(&mut self, ctx: &mut RankCtx, _k: u64, agreed: &[Agreed<u64>]) -> bool {
+        let total = agreed[0].1;
         if total == 0 {
             return false;
         }

@@ -1,31 +1,36 @@
 //! The bucket-epoch driver: the one bulk-synchronous delta-stepping
-//! skeleton under the 1D, 2D and batched kernels.
+//! skeleton under the 1D kernel (one lane or a batch of them) and the 2D
+//! kernel.
 //!
 //! ```text
 //! epoch-0 checkpoint
 //! loop:
 //!     bucket boundary: crash probe + periodic checkpoint   (restore → loop)
-//!     (k, agreed) ← agree(own minimum bucket, offer)       (none → done)
+//!     agreed ← agree(each lane's own minimum bucket and offer)
+//!     k ← the lowest bucket any lane named                 (none → done)
 //!     open bucket k with `agreed`        (false → done: fused tail, retired)
 //!     loop:
 //!         crash probe                          (restore → abandon k, loop)
-//!         agreed ← agree(k, offer)    (but the boundary's for the first step)
+//!         agreed ← agree(k, offers)   (but the boundary's for the first step)
 //!         one light-edge superstep of k        (globally empty → break)
 //!     close bucket k: the heavy pass and per-bucket accounting
 //! ```
 //!
 //! The driver owns the loop shape, **every agreement allreduce** and every
-//! [`Recovery`] hook, so all three sit at the same collective points in all
-//! three kernels. What a superstep *does* — its exchange, its relaxation
-//! order, its trace events — stays in the kernel behind [`BucketKernel`].
+//! [`Recovery`] hook, so all three sit at the same collective points in both
+//! kernels. What a superstep *does* — its exchange, its relaxation order,
+//! its trace events — stays in the kernel behind [`BucketKernel`].
 //!
-//! An agreement is one allreduce of `(k, offer)`. The lower `k` wins; what
-//! two offers say about a bucket merges only when both speak of the same one
-//! (the lower one's stands otherwise), what they say about the whole queue
-//! always. A boundary so makes one allreduce where it made three (tail
-//! trigger, minimum, first frontier sums) and the 1D and 2D kernels make
-//! `supersteps + 1` a run. A rank whose minimum loses must be left as it
-//! was, so a boundary's offer summarises without draining. (DESIGN.md,
+//! An agreement is one slice-valued allreduce of one `(k, offer)` per lane,
+//! merged lane by lane. The lower `k` wins; what two offers say about a
+//! bucket merges only when both speak of the same one (the lower one's
+//! stands otherwise), what they say about the whole queue always. A
+//! boundary so makes one allreduce where it made three (tail trigger,
+//! minimum, first frontier sums), the boundary's agreement is the first
+//! light step's, and every kernel makes `supersteps + 1` a run. A rank
+//! whose minimum loses must be left as it was, so a boundary's offer
+//! summarises without draining; and a lane whose bucket is not the lowest
+//! sits the open bucket out, its boundary sums unread. (DESIGN.md,
 //! "Bucket-epoch driver".)
 
 use simnet::recovery::{Checkpoint, FaultEscalation, Recovery};
@@ -51,29 +56,35 @@ impl Offer for u64 {
     }
 }
 
+/// One lane's side of an agreement: the bucket it speaks of (`u64::MAX`:
+/// none) and what it says.
+pub(crate) type Agreed<O> = (u64, O);
+
 /// What the driver needs from a kernel. The [`Checkpoint`] supertrait
 /// covers everything that lives across a superstep boundary; scratch that
 /// is rewritten before it is read stays out of it.
 pub(crate) trait BucketKernel: Checkpoint {
     type Offer: Offer;
 
-    /// Whether a boundary's agreement is also the first light step's. Not
-    /// for a kernel whose `open_bucket` changes the frontier it opens.
-    const BOUNDARY_AGREES_FIRST_STEP: bool;
+    /// This rank's contribution to the next agreement, one entry a lane (the
+    /// same number on every rank): of the `open` bucket, whose frontier it
+    /// drains for the coming light step; or at a boundary of the lane's own
+    /// minimum bucket, which it leaves alone.
+    fn offer(&mut self, open: Option<u64>) -> Vec<Agreed<Self::Offer>>;
 
-    /// This rank's contribution to the next agreement: of the `open` bucket,
-    /// whose frontier it drains for the coming light step; or at a boundary
-    /// of its own minimum bucket (`u64::MAX`: none), which it leaves alone.
-    fn offer(&mut self, open: Option<u64>) -> (u64, Self::Offer);
+    /// Start bucket `k`, the lowest any lane named, leaving in `agreed` what
+    /// the first light step must read. `false` ends the run here (the fused
+    /// tail finished it; every lane has retired).
+    fn open_bucket(
+        &mut self,
+        ctx: &mut RankCtx,
+        k: u64,
+        agreed: &mut [Agreed<Self::Offer>],
+    ) -> bool;
 
-    /// Start the globally agreed bucket `k`, leaving in `agreed` what the
-    /// first light step must read. `false` ends the run here (the 1D kernel
-    /// finished in its fused tail; the batched kernel retired every lane).
-    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64, agreed: &mut Self::Offer) -> bool;
-
-    /// One light-edge superstep of bucket `k` over the frontier drained for
-    /// it; `false`, and no work, when `agreed` says it is globally empty.
-    fn light_step(&mut self, ctx: &mut RankCtx, k: u64, agreed: &Self::Offer) -> bool;
+    /// One light-edge superstep of bucket `k` over the frontiers drained for
+    /// it; `false`, and no work, when `agreed` says they are globally empty.
+    fn light_step(&mut self, ctx: &mut RankCtx, k: u64, agreed: &[Agreed<Self::Offer>]) -> bool;
 
     /// Bucket `k` reached its light-edge fixpoint: run the heavy pass and
     /// whatever per-bucket accounting follows it.
@@ -85,10 +96,15 @@ pub(crate) trait BucketKernel: Checkpoint {
     fn abandon_bucket(&mut self, ctx: &mut RankCtx, k: u64);
 }
 
-/// One agreement: every rank leaves with the lowest offered bucket and the
-/// merged offer, bitwise the same everywhere.
-fn agree<K: BucketKernel>(ctx: &mut RankCtx, offer: (u64, K::Offer)) -> (u64, K::Offer) {
-    ctx.allreduce(offer, |a, b| (a.0.min(b.0), a.1.merge(&b.1, a.0.cmp(&b.0))))
+/// One agreement: every rank leaves with, for each lane, the lowest offered
+/// bucket and the merged offer, bitwise the same everywhere.
+fn agree<K: BucketKernel>(
+    ctx: &mut RankCtx,
+    offers: Vec<Agreed<K::Offer>>,
+) -> Vec<Agreed<K::Offer>> {
+    ctx.allreduce_slice(offers, |a, b| {
+        (a.0.min(b.0), a.1.merge(&b.1, a.0.cmp(&b.0)))
+    })
 }
 
 /// Drive `kernel` to completion. Collective. On a fault-free machine
@@ -110,11 +126,13 @@ pub(crate) fn run_bucket_epochs<K: BucketKernel>(
                 continue 'outer;
             }
         }
-        let (k, mut agreed) = agree::<K>(ctx, kernel.offer(None));
+        let mut agreed = agree::<K>(ctx, kernel.offer(None));
+        let k = agreed.iter().map(|a| a.0).min().unwrap_or(u64::MAX);
         if k == u64::MAX || !kernel.open_bucket(ctx, k, &mut agreed) {
             break;
         }
-        let mut agreed_already = K::BOUNDARY_AGREES_FIRST_STEP;
+        // The boundary's agreement is the first light step's.
+        let mut agreed_already = true;
         loop {
             if let Some(r) = rec.as_mut() {
                 // A mid-bucket crash rolls back to the last bucket-boundary
@@ -125,7 +143,7 @@ pub(crate) fn run_bucket_epochs<K: BucketKernel>(
                 }
             }
             if !std::mem::take(&mut agreed_already) {
-                agreed = agree::<K>(ctx, kernel.offer(Some(k))).1;
+                agreed = agree::<K>(ctx, kernel.offer(Some(k)));
             }
             if !kernel.light_step(ctx, k, &agreed) {
                 break;
@@ -221,9 +239,13 @@ mod tests {
     /// The invariant the agreement protocol buys: one allreduce a superstep
     /// (a light step's own or the boundary's that stands in for it, a fused
     /// tail round's; a heavy phase rides the round that found its bucket
-    /// empty) and one to end the run or decide its tail. The parent made
-    /// `2 * buckets + 2` more: a minimum and a tail trigger a bucket, the
-    /// final minimum, the Δ statistics.
+    /// empty) and one to end the run or decide its tail. The parent of the
+    /// protocol made `2 * buckets + 2` more: a minimum and a tail trigger a
+    /// bucket, the final minimum, the Δ statistics. A batch is the same
+    /// kernel, so the same count — however many lanes share an agreement,
+    /// whether the run ends on an empty queue or on the last retirement —
+    /// plus the one maximum that stamps `finished_at` on the lanes still
+    /// running.
     #[test]
     fn agreement_count_is_supersteps_plus_one() {
         for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
@@ -243,6 +265,29 @@ mod tests {
                 assert!(tail || stats.buckets > 1, "{stats:?}");
                 assert_eq!(allreduces, stats.supersteps + 1, "{dir:?} tail {tail}");
             }
+
+            let mixed = [
+                BatchSpec::full(0),
+                BatchSpec::p2p(3, 21),
+                BatchSpec::full(21),
+                BatchSpec::p2p(0, 3).with_bound(0.9),
+            ];
+            for specs in [&mixed[..], &mixed[1..2]] {
+                let ((md, stats), allreduces) = allreduces_of(|ctx| {
+                    let part = Block1D::new(512, 4);
+                    let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
+                    ctx.trace_begin(TraceCode::RootRun, 0, 0);
+                    let opts = OptConfig::all_on().with_direction(dir);
+                    try_batched_delta_stepping(ctx, &g, specs, &opts).expect("ok")
+                });
+                assert!(md.early_exit.iter().any(|&e| e), "{dir:?}: no lane retired");
+                assert_eq!(
+                    allreduces,
+                    stats.supersteps + 1 + 1,
+                    "{dir:?} batch of {}",
+                    specs.len()
+                );
+            }
         }
 
         let (stats, allreduces) = allreduces_of(|ctx| {
@@ -251,29 +296,6 @@ mod tests {
             g.try_run(ctx, 0).expect("ok")
         });
         assert_eq!(allreduces, stats.supersteps + 1, "2D");
-    }
-
-    /// The batched kernel's boundaries offer the bucket index alone
-    /// (`Batch::BOUNDARY_AGREES_FIRST_STEP`), so each of its buckets pays a
-    /// boundary agreement and one for the light step that finds it empty:
-    /// `supersteps + buckets + 1`, and one more for the finish time. Three
-    /// full lanes, so the run cannot end early on retirement. Recorded: the
-    /// run opens 10 buckets, and the parent of the protocol made the same 49.
-    #[test]
-    fn batched_agreement_count_is_pinned() {
-        let (stats, allreduces) = allreduces_of(|ctx| {
-            let part = Block1D::new(512, 4);
-            let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
-            let specs = [BatchSpec::full(0), BatchSpec::full(3), BatchSpec::full(21)];
-            ctx.trace_begin(TraceCode::RootRun, 0, 0);
-            let opts = OptConfig::all_on();
-            try_batched_delta_stepping(ctx, &g, &specs, &opts)
-                .expect("ok")
-                .1
-        });
-        const BUCKETS: u64 = 10;
-        assert_eq!((stats.supersteps, allreduces), (37, 49));
-        assert_eq!(allreduces, stats.supersteps + BUCKETS + 1 + 1);
     }
 
     /// Per-rank size of the one checkpoint `run` takes: the crash plan is
@@ -295,11 +317,24 @@ mod tests {
     /// Checkpoint length is simulated time — `take_checkpoint` charges
     /// compute per byte and ships the buffer — so the encoded size of each
     /// kernel's state is part of every crash run's reported numbers. The
-    /// expected sizes were recorded at the commit before the three kernels
-    /// moved onto the shared driver and the `Wire`-generic codec; the 1D
-    /// kernel's moved once since, by −8 bytes a rank on these 16-vertex
-    /// slices: `unsettled_mark` (8-byte count + one byte a vertex) left,
+    /// expected sizes were recorded at the commit before the kernels moved
+    /// onto the shared driver and the `Wire`-generic codec; the 1D kernel's
+    /// moved once since, by −8 bytes a rank on these 16-vertex slices:
+    /// `unsettled_mark` (8-byte count + one byte a vertex) left,
     /// `unsettled_heavy` and `SsspRunStats::heavy_pulls` (8 each) came.
+    ///
+    /// The batched row moved once, when a batch became that kernel over
+    /// lanes ([802, 798, 778, 778] before). It is now the 1D layout lane by
+    /// lane: three lanes of 544 bytes on an empty queue (a 16-vertex
+    /// `dist`, `parent`, `frontier_seen` and `settled_seen`, each behind an
+    /// 8-byte count — 72 + 136 + 136 + 136 — the two epochs, the two
+    /// unsettled counters and 32 bytes of empty `BucketQueue`), +20 where a
+    /// lane's source sits in bucket 0 (ranks 0 twice, 1 once); 21 for the
+    /// p2p lane's retirement record (`live`, `finished_at`, the target's
+    /// `(f32, u64)`); and one `SsspRunStats` of 104 for the
+    /// run. No lane count, no `pruned` for a lane without a bound. What it
+    /// gained over the old layout is the stamps and counters the solo
+    /// kernel already carried per search.
     #[test]
     fn kernel_checkpoint_sizes_are_pinned() {
         let el = g500_gen::simple::erdos_renyi(64, 320, 13);
@@ -324,7 +359,7 @@ mod tests {
             let opts = OptConfig::all_on().with_delta(0.2);
             try_batched_delta_stepping(ctx, &g, &specs, &opts).expect("no crash");
         });
-        assert_eq!(batch, [802, 798, 778, 778], "batched kernel");
+        assert_eq!(batch, [1797, 1777, 1757, 1757], "batched kernel");
 
         let grid = epoch0_checkpoint_bytes(|ctx| {
             let mut g = Grid2DSssp::build(ctx, 64, slice(ctx).into_iter(), 0.2);

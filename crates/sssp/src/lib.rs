@@ -13,8 +13,10 @@
 //!   machine's 390-core nodes.
 //! * [`dist`] — the headline kernel: bulk-synchronous distributed
 //!   delta-stepping over `simnet` with the extreme-scale optimization stack,
-//!   each piece independently toggleable through [`OptConfig`] so the
-//!   ablation experiments (T3, F6, F8) can isolate its effect:
+//!   one search or a batch of them as lanes ([`multi`] is its batched entry
+//!   point, [`serve`] the query service on top), each piece independently
+//!   toggleable through [`OptConfig`] so the ablation experiments (T3, F6,
+//!   F8) can isolate its effect:
 //!   - **message coalescing** — per-destination aggregation of relaxation
 //!     requests instead of one message per edge,
 //!   - **update deduplication** ("on-chip sort") — outgoing requests are

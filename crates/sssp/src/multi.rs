@@ -1,5 +1,5 @@
-//! Batched multi-source SSSP — the shared-superstep engine under the
-//! query-serving layer (and the "64 roots" workload done right).
+//! Batched multi-source SSSP — the entry point under the query-serving
+//! layer (and the "64 roots" workload done right).
 //!
 //! The Graph500 harness runs 64 independent searches back-to-back. At
 //! extreme scale, the *tail* of each search — many near-empty supersteps —
@@ -8,26 +8,27 @@
 //! sources' traffic, so per-superstep fixed costs (latency, allreduce
 //! fan-in) are amortized B ways.
 //!
-//! # Layout
-//!
-//! Per-lane state is a flat structure-of-arrays: `dist[lane * n_local + l]`
-//! and likewise for parents, so a lane's slice is contiguous and the relax
-//! inner loop is a single-zip sweep over one adjacency range — no
-//! `Vec<Vec>` pointer chase. The bucket queue stores the *packed key*
-//! `lane * n_local + l` directly as its `u32` element, which doubles as
-//! the SoA index: pop, re-check, and scan all address the same flat array.
+//! There is no batched kernel. A batch is [`crate::dist`]'s kernel over one
+//! lane per [`BatchSpec`], shipping lane-tagged records: every lane gets the
+//! weight-sorted row split, the bounded pull and fetch scans, the in-bucket
+//! cascade and the per-step direction choice of the solo search, because it
+//! *is* the solo search. This module holds what is left: the spec, the
+//! result shape the serving layer reads, and the projection of a finished
+//! kernel onto it.
 //!
 //! # Determinism and width-invariance
 //!
-//! Lanes never read each other's state. A lane inside a width-`B` batch
-//! sees exactly the per-wave state it would see in a width-1 batch: extra
-//! bucket epochs contributed by other lanes scan an empty frontier for it,
-//! dedup and the compressed wire format order records by the canonical
-//! (lane, target, dist, parent) key, and the commit applies strict-`<`
-//! improvements in received order. Batched distances *and parents* are
-//! therefore bitwise identical to per-source runs, at any `G500_THREADS`
-//! (the scan runs under the fixed-chunk contract, the commit is
-//! sequential in scan order).
+//! Lanes never read each other's state, and a lane decides push or pull,
+//! push or fetch from its own agreed sums, so inside a width-`B` batch it
+//! follows the trajectory it follows in a width-1 batch: buckets other
+//! lanes open it sits out, dedup and the compressed wire format order
+//! records by the canonical (lane, target, dist, parent) key, and applies
+//! are strict-`<` in received order. Batched distances *and parents* are
+//! therefore bitwise identical to per-source runs, at any `G500_THREADS`.
+//! The one thing a batch switches off is the fused tail (`tail_threshold:
+//! 0`): it takes the whole machine out of bucket discipline on a trigger
+//! summed over lanes, which neither width-invariance nor retirement at
+//! bucket boundaries survives.
 //!
 //! # Point-to-point lanes
 //!
@@ -36,22 +37,20 @@
 //! future improvement would need `nd ≥ kΔ >` tentative — impossible — so
 //! the distance and parent are final. Target owners allgather live-target
 //! tentatives each epoch and every rank applies the identical retirement
-//! rule. A retired lane stops scanning and stops accepting updates,
+//! rule. A retired lane drops its queue and sits every later bucket out,
 //! shrinking live-batch width as the batch drains. Lanes may also carry an
 //! upper `bound` (e.g. a landmark triangle-inequality bound from the
-//! serving layer): relaxations that exceed it are pruned, which cannot
-//! change any distance ≤ bound — in particular the target's.
+//! serving layer): it is one more ceiling on the kernel's relaxation test —
+//! a pushed arc beyond it is skipped, a pull scan stops at it — which
+//! cannot change any distance ≤ bound, in particular the target's.
 
-use crate::bucket::BucketQueue;
 use crate::codec::TaggedUpdate;
 use crate::config::OptConfig;
-use crate::epoch::{run_bucket_epochs, BucketKernel};
-use crate::exchange::{exchange_into, ExchangeBufs};
-use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
+use crate::dist::run_kernel;
+use g500_graph::{VertexId, Weight, INF_WEIGHT};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
-use rayon::prelude::*;
-use simnet::recovery::{codec, Checkpoint, FaultEscalation};
-use simnet::{RankCtx, TraceCode};
+use simnet::recovery::FaultEscalation;
+use simnet::RankCtx;
 
 /// One lane of a batch: a source, an optional point-to-point target, and
 /// an optional upper bound on useful path lengths.
@@ -139,114 +138,28 @@ impl MultiDist {
     }
 }
 
-/// Counters from one batched run.
+/// Counters from one batched run (per rank; `supersteps` and `retired` are
+/// identical on every rank).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MultiStats {
     /// Global communication rounds for the whole batch.
     pub supersteps: u64,
-    /// Update emissions after bound pruning, for the whole batch.
+    /// Arcs examined, summed over lanes — [`crate::SsspRunStats`]'s
+    /// meaning, pruned arcs included.
     pub relaxations: u64,
     /// Update records shipped (post-dedup).
     pub updates_sent: u64,
-    /// Relaxations pruned by lane bounds.
+    /// Arcs a lane's bound kept a push from relaxing. (A pull scan that
+    /// stops at the bound does not count what it never examined.)
     pub pruned: u64,
     /// Point-to-point lanes that retired before the batch ended.
     pub retired: u64,
 }
 
-/// Default Δ when `opts.delta` is `None`: the batched kernel has no
-/// per-run weight profile to adapt from, so it uses the same fixed width
-/// the F-series experiments use.
-const DEFAULT_DELTA: Weight = 0.125;
-
-/// Below this many frontier elements a wave is scanned sequentially; the
-/// sequential loop emits the same candidates in the same (element, arc)
-/// order, so results are bitwise unaffected by which path runs.
-const SEQ_SCAN_CUTOFF: usize = 1024;
-
-/// Per-chunk result of the parallel wave scan: bound-prune count and the
-/// improving candidates in (element, arc) order.
-type WaveScan = (u64, Vec<TaggedUpdate>);
-
-/// One batch in flight: the lanes' SoA state plus the scratch its
-/// supersteps reuse.
-struct Batch<'a, P: VertexPartition> {
-    graph: &'a LocalGraph<P>,
-    specs: &'a [BatchSpec],
-    opts: &'a OptConfig,
-    /// The lanes' result arrays, filled in place as the batch runs.
-    out: MultiDist,
-    /// Lanes still running (a retired p2p lane is frozen).
-    live: Vec<bool>,
-    /// Live p2p lanes, globally — identical on every rank.
-    live_p2p: usize,
-    /// The lanes whose target this rank owns, as `(lane, local index)`:
-    /// its contributions to the retirement allgathers.
-    my_targets: Vec<(u32, usize)>,
-    buckets: BucketQueue,
-    stats: MultiStats,
-    /// Superstep scratch, each fully overwritten before it is read: the
-    /// exchange buffers, the current frontier and the bucket's settled
-    /// set (packed lane keys), the scan's candidates, the raw bucket
-    /// drain and the parallel scan's per-chunk results.
-    bufs: ExchangeBufs<TaggedUpdate>,
-    frontier: Vec<u32>,
-    settled: Vec<u32>,
-    candidates: Vec<TaggedUpdate>,
-    raw: Vec<u32>,
-    scan_scratch: Vec<WaveScan>,
-}
-
-/// The batch's complete mutable kernel state, snapshotted at bucket
-/// boundaries when a [`CrashPlan`](simnet::CrashPlan) is active; the
-/// scratch stays out. `finished_at` carries virtual timestamps and is
-/// checkpointed so rollback restores the exact pre-crash record, but it
-/// legitimately differs from a fault-free run (recovery stretches virtual
-/// time).
-impl<P: VertexPartition + Sync> Checkpoint for Batch<'_, P> {
-    fn save(&self, out: &mut Vec<u8>) {
-        codec::put_slice(out, &self.out.dist);
-        codec::put_slice(out, &self.out.parent);
-        codec::put_slice(out, &self.out.finished_at);
-        codec::put_slice(out, &self.out.early_exit);
-        codec::put_slice(out, &self.out.target_dist);
-        codec::put_slice(out, &self.out.target_parent);
-        codec::put_slice(out, &self.live);
-        codec::put(out, self.live_p2p as u64);
-        self.buckets.save(out);
-        codec::put(out, self.stats.supersteps);
-        codec::put(out, self.stats.relaxations);
-        codec::put(out, self.stats.updates_sent);
-        codec::put(out, self.stats.pruned);
-        codec::put(out, self.stats.retired);
-    }
-
-    fn load(&mut self, buf: &[u8]) {
-        let pos = &mut 0;
-        self.out.dist = codec::get_vec(buf, pos);
-        self.out.parent = codec::get_vec(buf, pos);
-        self.out.finished_at = codec::get_vec(buf, pos);
-        self.out.early_exit = codec::get_vec(buf, pos);
-        self.out.target_dist = codec::get_vec(buf, pos);
-        self.out.target_parent = codec::get_vec(buf, pos);
-        self.live = codec::get_vec(buf, pos);
-        self.live_p2p = codec::get::<u64>(buf, pos) as usize;
-        self.buckets.load(buf, pos);
-        self.stats.supersteps = codec::get(buf, pos);
-        self.stats.relaxations = codec::get(buf, pos);
-        self.stats.updates_sent = codec::get(buf, pos);
-        self.stats.pruned = codec::get(buf, pos);
-        self.stats.retired = codec::get(buf, pos);
-        assert_eq!(*pos, buf.len(), "trailing bytes in batch checkpoint");
-    }
-}
-
 /// Run one batch of lanes through shared delta-stepping supersteps.
 /// Collective: every rank must call with identical `specs` and `opts`.
-/// Honors `opts.coalescing`, `opts.dedup`, `opts.compression`, and
-/// `opts.delta`; the batched kernel always pushes (multi-source pull
-/// would broadcast one frontier per lane, defeating the amortization) and
-/// never fuses the tail (retirement needs the per-bucket epoch boundary).
+/// Honors every field of `opts` as the solo kernel does — Δ adaptive when
+/// `opts.delta` is `None` — but the fused tail, which a batch never takes.
 ///
 /// Panics on fault escalation; use [`try_batched_delta_stepping`] to
 /// handle crash-recovery exhaustion as a typed error.
@@ -272,291 +185,39 @@ pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
     specs: &[BatchSpec],
     opts: &OptConfig,
 ) -> Result<(MultiDist, MultiStats), FaultEscalation> {
-    let part = graph.part();
-    let me = ctx.rank();
-    let n_local = graph.local_vertices();
-    let lanes = specs.len();
-    assert!(lanes > 0, "empty batch");
-    assert!(
-        (lanes as u64).saturating_mul(n_local.max(1) as u64) <= u32::MAX as u64,
-        "batch state exceeds packed u32 keys: {lanes} lanes x {n_local} local vertices"
-    );
-    let delta = opts.delta.unwrap_or(DEFAULT_DELTA);
-
-    let mut b = Batch {
-        graph,
-        specs,
-        opts,
-        out: MultiDist {
-            lanes,
-            n_local,
-            dist: vec![INF_WEIGHT; lanes * n_local],
-            parent: vec![NO_PARENT; lanes * n_local],
-            finished_at: vec![0.0; lanes],
-            early_exit: vec![false; lanes],
-            target_dist: vec![INF_WEIGHT; lanes],
-            target_parent: vec![NO_PARENT; lanes],
-        },
-        live: vec![true; lanes],
-        live_p2p: specs.iter().filter(|s| s.target.is_some()).count(),
-        my_targets: specs
-            .iter()
-            .enumerate()
-            .filter_map(|(s, spec)| {
-                let t = spec.target?;
-                (part.owner(t) == me).then(|| (s as u32, part.to_local(t)))
-            })
-            .collect(),
-        buckets: BucketQueue::new(delta),
-        stats: MultiStats::default(),
-        bufs: ExchangeBufs::new(ctx.size()),
-        frontier: Vec::new(),
-        settled: Vec::new(),
-        candidates: Vec::new(),
-        raw: Vec::new(),
-        scan_scratch: Vec::new(),
+    assert!(!specs.is_empty(), "empty batch");
+    let opts = OptConfig {
+        tail_threshold: 0,
+        ..*opts
     };
-    // Sources go in before the driver takes its epoch-0 checkpoint, so a
-    // restore can always rewind to a state that already holds the roots.
-    for (s, spec) in specs.iter().enumerate() {
-        if part.owner(spec.source) == me {
-            let idx = s * n_local + part.to_local(spec.source);
-            b.out.dist[idx] = 0.0;
-            b.out.parent[idx] = spec.source;
-            b.buckets.insert(idx as u32, 0.0);
-        }
-    }
-
-    run_bucket_epochs(ctx, &mut b)?;
-
-    // Lanes still live at batch end: full lanes, unreachable targets, and
-    // targets that settled in the final bucket. Resolve remaining p2p
-    // results with one last allgather so every rank returns identical
-    // target values.
-    if b.live_p2p > 0 {
-        for block in ctx.allgatherv(&b.live_target_tentatives()) {
-            for (s, _t, d, par) in block {
-                b.out.target_dist[s as usize] = d;
-                b.out.target_parent[s as usize] = par;
-            }
-        }
-    }
+    let mut k = run_kernel::<P, TaggedUpdate>(ctx, graph, specs, &opts)?;
+    // Lanes still live at batch end — unreachable targets, targets settled
+    // in the last bucket — publish their results once more; nobody retires.
+    k.retire(ctx, 0);
     let t_end = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
-    for s in 0..lanes {
-        if b.live[s] {
-            b.out.finished_at[s] = t_end;
-        }
-    }
-    Ok((b.out, b.stats))
-}
 
-impl<P: VertexPartition + Sync> BucketKernel for Batch<'_, P> {
-    /// The size of the frontier of the bucket spoken of.
-    type Offer = u64;
-    /// `open_bucket` retires lanes as a function of the agreed `k`, which
-    /// empties the frontier of their entries: a boundary cannot count it, so
-    /// it offers `k` alone and the first light step agrees like the rest.
-    const BOUNDARY_AGREES_FIRST_STEP: bool = false;
-
-    fn offer(&mut self, open: Option<u64>) -> (u64, u64) {
-        let Some(k) = open else {
-            return (self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64), 0);
-        };
-        let (dist, live, buckets) = (&self.out.dist, &self.live, &mut self.buckets);
-        let n_local = self.out.n_local;
-        self.raw.clear();
-        buckets.drain_bucket_into(k as usize, &mut self.raw);
-        self.frontier.clear();
-        self.frontier.extend(self.raw.iter().copied().filter(|&e| {
-            let d = dist[e as usize];
-            live[e as usize / n_local] && d.is_finite() && buckets.bucket_of(d) == k as usize
-        }));
-        (k, self.frontier.len() as u64)
-    }
-
-    /// Retirement epoch: target owners publish live tentatives; every rank
-    /// applies the identical "settled below bucket k" rule, so the
-    /// retirement set — and thus the whole batch schedule — is a pure
-    /// function of the agreed bucket index and the lane states.
-    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64, _agreed: &mut u64) -> bool {
-        if self.live_p2p > 0 {
-            for block in ctx.allgatherv(&self.live_target_tentatives()) {
-                for (s, _t, d, par) in block {
-                    let s = s as usize;
-                    if d.is_finite() && self.buckets.bucket_of(d) < k as usize {
-                        self.live[s] = false;
-                        self.live_p2p -= 1;
-                        self.out.early_exit[s] = true;
-                        self.out.finished_at[s] = ctx.now();
-                        self.out.target_dist[s] = d;
-                        self.out.target_parent[s] = par;
-                        self.stats.retired += 1;
-                        ctx.trace_count(TraceCode::QueryRetired, s as u64, k);
-                    }
-                }
-            }
-            if self.live.iter().all(|&l| !l) {
-                return false; // every lane was p2p and has retired
-            }
-        }
-        self.settled.clear();
-        true
-    }
-
-    fn light_step(&mut self, ctx: &mut RankCtx, _k: u64, &total: &u64) -> bool {
-        if total == 0 {
-            return false;
-        }
-        self.settled.extend_from_slice(&self.frontier);
-        let delta = self.buckets.delta();
-        self.wave(ctx, false, |w| w < delta);
-        true
-    }
-
-    /// The heavy phase for everything this bucket settled.
-    fn close_bucket(&mut self, ctx: &mut RankCtx, _k: u64) {
-        let delta = self.buckets.delta();
-        self.wave(ctx, true, |w| w >= delta);
-    }
-
-    /// This kernel opens no `Bucket` span, so a rollback leaves nothing to
-    /// close.
-    fn abandon_bucket(&mut self, _ctx: &mut RankCtx, _k: u64) {}
-}
-
-/// The frozen view one wave scans against. Lanes never read each other's
-/// state, so the scan of one element depends on its own lane only.
-struct WaveView<'a, P: VertexPartition, K> {
-    graph: &'a LocalGraph<P>,
-    specs: &'a [BatchSpec],
-    dist: &'a [Weight],
-    n_local: usize,
-    me: usize,
-    /// Which weight class this wave relaxes (light or heavy).
-    keep: K,
-}
-
-impl<P: VertexPartition, K: Fn(Weight) -> bool> WaveView<'_, P, K> {
-    /// Scan the out-arcs of the packed frontier elements in `chunk`,
-    /// appending improving candidates to `out` in (element, arc) order;
-    /// returns the relaxations the lanes' bounds pruned. The one scan body
-    /// of both the sequential and the parallel path, so their emission
-    /// order and their prune count are identical.
-    fn scan(&self, chunk: &[u32], out: &mut Vec<TaggedUpdate>) -> u64 {
-        let part = self.graph.part();
-        let mut pruned = 0u64;
-        for &e in chunk {
-            let lane = e as usize / self.n_local;
-            let l = e as usize % self.n_local;
-            let du = self.dist[e as usize];
-            let bound = self.specs[lane].bound;
-            let u_global = part.to_global(self.me, l);
-            let vs = self.graph.neighbors(l);
-            let ws = self.graph.edge_weights(l);
-            for (&v, &w) in vs.iter().zip(ws) {
-                if !(self.keep)(w) {
-                    continue;
-                }
-                let nd = du + w;
-                if nd > bound {
-                    pruned += 1;
-                    continue;
-                }
-                // frozen-read prefilter for locally-owned targets: identical
-                // per lane at any batch width, so width-invariance is
-                // preserved
-                if part.owner(v) == self.me
-                    && nd >= self.dist[lane * self.n_local + part.to_local(v)]
-                {
-                    continue;
-                }
-                out.push((lane as u32, v, nd, u_global));
-            }
-        }
-        pruned
-    }
-}
-
-impl<P: VertexPartition + Sync> Batch<'_, P> {
-    /// The `(lane, target, dist, parent)` tentatives of the live p2p lanes
-    /// whose target this rank owns.
-    fn live_target_tentatives(&self) -> Vec<TaggedUpdate> {
-        self.my_targets
+    let lanes = &k.lanes;
+    let out = MultiDist {
+        lanes: lanes.len(),
+        n_local: graph.local_vertices(),
+        dist: lanes.iter().flat_map(|l| &l.sp.dist).copied().collect(),
+        parent: lanes.iter().flat_map(|l| &l.sp.parent).copied().collect(),
+        finished_at: lanes
             .iter()
-            .filter(|&&(s, _)| self.live[s as usize])
-            .map(|&(s, l)| {
-                let idx = s as usize * self.out.n_local + l;
-                let target = self.specs[s as usize].target.expect("a p2p lane");
-                (s, target, self.out.dist[idx], self.out.parent[idx])
-            })
-            .collect()
-    }
-
-    /// One superstep: scan the frontier (or, for the heavy pass, the
-    /// settled set) against the frozen state, route the candidates into
-    /// per-destination buckets, exchange them under `opts`, and apply the
-    /// incoming stream in order (strict-`<` improvements; retired lanes
-    /// are frozen).
-    fn wave(&mut self, ctx: &mut RankCtx, heavy: bool, keep: impl Fn(Weight) -> bool + Sync) {
-        let part = self.graph.part();
-        let n_local = self.out.n_local;
-        let sources = if heavy { &self.settled } else { &self.frontier };
-        let view = WaveView {
-            graph: self.graph,
-            specs: self.specs,
-            dist: &self.out.dist,
-            n_local,
-            me: ctx.rank(),
-            keep,
-        };
-        let scanned: u64 = sources
-            .iter()
-            .map(|&e| self.graph.neighbors(e as usize % n_local).len() as u64)
-            .sum();
-        // Candidates in (element, arc) order — sequentially below the
-        // cutoff, else in fixed 64-element chunks on the pool, combined in
-        // chunk order.
-        self.candidates.clear();
-        if sources.len() <= SEQ_SCAN_CUTOFF {
-            self.stats.pruned += view.scan(sources, &mut self.candidates);
-        } else {
-            ctx.trace_begin(TraceCode::TaskWave, sources.len() as u64, 4);
-            sources
-                .par_chunks(64)
-                .map(|chunk| {
-                    let mut cands = Vec::new();
-                    (view.scan(chunk, &mut cands), cands)
-                })
-                .collect_into_vec(&mut self.scan_scratch);
-            for (pruned, cands) in self.scan_scratch.iter_mut() {
-                self.stats.pruned += *pruned;
-                self.candidates.append(cands);
-            }
-            ctx.trace_end(TraceCode::TaskWave, sources.len() as u64, 4);
-        }
-        self.stats.relaxations += self.candidates.len() as u64;
-        ctx.charge_compute(scanned);
-
-        for &c in &self.candidates {
-            self.bufs.bucket_mut(part.owner(c.1)).push(c);
-        }
-        let outcome = exchange_into(ctx, &mut self.bufs, self.opts);
-        self.stats.supersteps += 1;
-        self.stats.updates_sent += outcome.records_sent;
-        ctx.charge_compute(outcome.records_received);
-        for &(s, v, nd, par) in self.bufs.incoming() {
-            let s = s as usize;
-            if !self.live[s] {
-                continue;
-            }
-            let idx = s * n_local + part.to_local(v);
-            if nd < self.out.dist[idx] {
-                self.out.dist[idx] = nd;
-                self.out.parent[idx] = par;
-                self.buckets.insert(idx as u32, nd);
-            }
-        }
-    }
+            .map(|l| if l.live { t_end } else { l.finished_at })
+            .collect(),
+        early_exit: lanes.iter().map(|l| !l.live).collect(),
+        target_dist: lanes.iter().map(|l| l.answer.0).collect(),
+        target_parent: lanes.iter().map(|l| l.answer.1).collect(),
+    };
+    let stats = MultiStats {
+        supersteps: k.stats.supersteps,
+        relaxations: k.stats.relaxations,
+        updates_sent: k.stats.updates_sent,
+        pruned: lanes.iter().map(|l| l.pruned).sum(),
+        retired: lanes.iter().filter(|l| !l.live).count() as u64,
+    };
+    Ok((out, stats))
 }
 
 #[cfg(test)]
@@ -747,11 +408,11 @@ mod tests {
 
     #[test]
     fn pruned_count_does_not_depend_on_wave_size() {
-        // 1024 local vertices per rank: a solo lane's waves never exceed
-        // the sequential-scan cutoff, while the 16-lane batch's do (its
-        // mid buckets hold a few hundred elements per lane), so the batch
-        // scans on the pool. Lanes are independent, so the batch must
-        // prune exactly what its lanes prune alone.
+        // Sixteen bounded lanes in one batch — wide waves, hundreds of
+        // frontier vertices a lane in the mid buckets — against the same
+        // sixteen one at a time. Lanes are independent: each pushes, pulls
+        // and fetches as it does alone, so the batch must prune exactly
+        // what its lanes prune alone.
         let el = g500_gen::simple::erdos_renyi(2048, 16384, 5);
         let roots: Vec<u64> = (0..16).map(|i| i * 128 + 5).collect();
         let rep = Machine::new(MachineConfig::with_ranks(2)).run(|ctx| {

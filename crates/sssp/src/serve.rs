@@ -3,17 +3,21 @@
 //! The Graph500 benchmark answers 64 fixed roots and exits; a production
 //! path service answers an *open stream* of queries — some full
 //! single-source, some point-to-point — against a graph that stays
-//! resident. This module turns the batched kernel ([`crate::multi`]) into
-//! that service:
+//! resident. This module turns batches — the 1D kernel over one lane per
+//! query ([`crate::multi`], [`crate::dist`]) — into that service:
 //!
 //! * **Admission windows** — queries are admitted in windows of
 //!   `batch_width` and executed as one batch through shared delta-stepping
-//!   supersteps, amortizing per-superstep fixed costs across tenants.
-//! * **Landmark cache** — `k` high-degree landmarks are precomputed (with
-//!   the batched kernel itself); a point-to-point query gets the
+//!   supersteps, amortizing per-superstep fixed costs across tenants. Each
+//!   lane is the solo search — same row split, bounded scans, cascade and
+//!   per-step direction choice — so a window of one is the sequential
+//!   kernel (less its fused tail).
+//! * **Landmark cache** — `k` high-degree landmarks are precomputed (as one
+//!   batch of full lanes); a point-to-point query gets the
 //!   triangle-inequality upper bound `min_j dist(L_j,s) + dist(L_j,t)`
-//!   attached to its lane, pruning relaxations that cannot matter for the
-//!   target. Sound for undirected graphs (all graphs here are).
+//!   attached to its lane, one more ceiling on the kernel's relaxation
+//!   test: pushes beyond it are skipped, pull scans stop at it. Sound for
+//!   undirected graphs (all graphs here are).
 //! * **Result LRU** — full single-source results are cached; a repeat
 //!   full query is answered without running a lane, and a point-to-point
 //!   query whose source is cached is answered by the target's owner from
@@ -138,11 +142,11 @@ pub struct ServeStats {
     pub lanes_run: u64,
     /// Kernel supersteps across all batches.
     pub supersteps: u64,
-    /// Kernel relaxations across all batches.
+    /// Arcs examined across all batches and lanes (pruned arcs included).
     pub relaxations: u64,
     /// Update records shipped across all batches.
     pub updates_sent: u64,
-    /// Relaxations pruned by landmark bounds.
+    /// Arcs a landmark bound kept a push from relaxing.
     pub pruned: u64,
     /// Supersteps spent precomputing landmarks.
     pub precompute_supersteps: u64,
@@ -267,7 +271,7 @@ pub struct QueryEngine<'g, P: VertexPartition + Sync> {
 }
 
 impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
-    /// Build an engine, precomputing landmarks with the batched kernel.
+    /// Build an engine, precomputing landmarks as one batch of full lanes.
     /// Collective. Panics on fault escalation; use
     /// [`QueryEngine::try_new`] to handle it as a typed error.
     pub fn new(ctx: &mut RankCtx, graph: &'g LocalGraph<P>, cfg: ServeConfig) -> Self {

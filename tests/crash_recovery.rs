@@ -191,10 +191,19 @@ fn scale10_2d_crashy_matches_fault_free_both_schedulers() {
     }
 }
 
-/// Batched acceptance: the multi-lane kernel (full + point-to-point lanes,
-/// early retirement and all) recovers crashes byte-identically.
+/// Batched acceptance: the kernel over several lanes (full + point-to-point
+/// lanes, early retirement and all) recovers crashes byte-identically —
+/// lanes choosing their direction per step, and lanes that only pull, whose
+/// frontier broadcasts and heavy-fetch request/reply pairs are then what a
+/// restore replays.
 #[test]
 fn scale10_batched_crashy_matches_fault_free() {
+    for dir in [Direction::Hybrid, Direction::Pull] {
+        batched_crashy_matches_fault_free(dir);
+    }
+}
+
+fn batched_crashy_matches_fault_free(dir: Direction) {
     let gen = KroneckerGenerator::new(KroneckerParams::graph500(10, 20220814));
     let el = gen.generate_all();
     let n = 1u64 << 10;
@@ -213,7 +222,7 @@ fn scale10_batched_crashy_matches_fault_free() {
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            let opts = OptConfig::all_on().with_delta(0.25);
+            let opts = OptConfig::all_on().with_delta(0.25).with_direction(dir);
             let (md, st) = try_batched_delta_stepping(ctx, &g, &specs, &opts).expect("in budget");
             (md, st)
         });

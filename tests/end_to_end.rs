@@ -279,6 +279,37 @@ fn cli_rejects_unknown_arguments_by_name() {
     }
 }
 
+/// A value that parses but that no run can use is refused before anything
+/// runs, by the flag's name and what it accepts — not by a panic from
+/// inside a rank thread (`--delta 0` died in `BucketQueue::new`, `--ranks 0`
+/// in `Machine::new`, `--roots 0` in the root sampler's "graph too small").
+#[test]
+fn cli_rejects_out_of_range_values_by_name() {
+    let cases: [(&[&str], &str); 9] = [
+        (
+            &["sssp", "--scale", "8", "--ranks", "2", "--delta", "0"],
+            "--delta",
+        ),
+        (&["sssp", "--scale", "8", "--delta", "-1"], "--delta"),
+        (&["sssp", "--scale", "8", "--delta", "nan"], "--delta"),
+        (&["sssp", "--scale", "8", "--delta", "inf"], "--delta"),
+        (&["sssp", "--scale", "8", "--ranks", "0"], "--ranks"),
+        (&["sssp", "--scale", "8", "--roots", "0"], "--roots"),
+        (&["bfs", "--scale", "8", "--ranks", "0"], "--ranks"),
+        (&["bfs", "--scale", "8", "--roots", "0"], "--roots"),
+        (&["serve", "--scale", "8", "--ranks", "0"], "--ranks"),
+    ];
+    for (args, culprit) in cases {
+        let out = g500(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert!(stderr.contains(culprit), "{args:?}: {stderr}");
+        assert!(stderr.contains("it takes"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
+}
+
 /// Every flag the usage text lists for a command is accepted by it — read
 /// from `g500 --help` itself, so a flag added to one and not the other
 /// fails here.

@@ -11,8 +11,9 @@
 //! Regenerate the goldens after an intentional change with
 //! `G500_BLESS=1 cargo test --test trace_golden`.
 
+use graph500::partition::{assemble_local_graph, Block1D};
 use graph500::simnet::{Machine, MachineConfig, Trace};
-use graph500::sssp::Grid2DSssp;
+use graph500::sssp::{batched_delta_stepping, BatchSpec, Grid2DSssp, OptConfig};
 use graph500::{run_sssp_benchmark, BenchmarkConfig};
 use std::process::Command;
 
@@ -23,6 +24,11 @@ const GOLDEN_1D: &str = concat!(
 const GOLDEN_2D: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/trace_2d_scale10.txt"
+);
+
+const GOLDEN_BATCHED: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/trace_batched_scale10.txt"
 );
 
 /// Compare `actual` against the golden file at `path`; with `G500_BLESS=1`
@@ -66,6 +72,31 @@ fn run_traced_2d() -> Trace {
     Trace::merge(report.traces)
 }
 
+/// One admission window's worth of kernel: full, point-to-point and bounded
+/// lanes through one batch, traced. It opens the spans a solo run opens.
+fn run_traced_batch() -> Trace {
+    let gen = graph500::gen::KroneckerGenerator::new(graph500::gen::KroneckerParams::graph500(
+        10, 20220814,
+    ));
+    let el = gen.generate_all();
+    let (n, p) = (1u64 << 10, 4usize);
+    let specs = [
+        BatchSpec::full(1),
+        BatchSpec::p2p(3, 200),
+        BatchSpec::full(5),
+        BatchSpec::p2p(7, 11).with_bound(6.0),
+    ];
+    let report =
+        Machine::new(MachineConfig::with_ranks(p).deterministic(0).traced(true)).run(|ctx| {
+            let m = el.len();
+            let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
+            let mine = (lo..hi).map(|i| el.get(i));
+            let g = assemble_local_graph(ctx, mine, Block1D::new(n, p));
+            batched_delta_stepping(ctx, &g, &specs, &OptConfig::all_on()).1
+        });
+    Trace::merge(report.traces)
+}
+
 #[test]
 fn golden_1d_scale10_summary() {
     let rep = run_sssp_benchmark(&traced_1d_cfg());
@@ -77,6 +108,12 @@ fn golden_1d_scale10_summary() {
 fn golden_2d_scale10_summary() {
     let trace = run_traced_2d();
     check_golden(GOLDEN_2D, &trace.summary().render());
+}
+
+#[test]
+fn golden_batched_scale10_summary() {
+    let trace = run_traced_batch();
+    check_golden(GOLDEN_BATCHED, &trace.summary().render());
 }
 
 #[test]
@@ -92,6 +129,8 @@ fn repeated_runs_produce_byte_identical_traces() {
     let c = run_traced_2d();
     let d = run_traced_2d();
     assert_eq!(c.to_bytes(), d.to_bytes(), "2D trace not replayable");
+    let (e, f) = (run_traced_batch(), run_traced_batch());
+    assert_eq!(e.to_bytes(), f.to_bytes(), "batched trace not replayable");
 }
 
 /// Spawn the real `g500` binary (the pool is process-global, so thread
