@@ -6,6 +6,13 @@
 //! unoptimized delta-stepping is the engineering win.
 //!
 //! Overrides: `G500_MAX_SCALE` (16), `G500_RANKS` (8), `G500_ROOTS` (2).
+//!
+//! The expected shape is asserted (exit 1 when it breaks): the optimized
+//! kernel beats its all-off form at every scale; its speedup over
+//! distributed Bellman-Ford grows with every step in scale and is above 1
+//! from scale [`BF_CROSSOVER_SCALE`] on. Below that, Bellman-Ford's fewer
+//! supersteps win: the recorded run (`results/f9_dist_compare.txt`) reads
+//! 0.81x at scale 12, 512 vertices a rank.
 
 use g500_baselines::{bmssp, dijkstra_radix_heap, distributed_bellman_ford};
 use g500_bench::{banner, param, secs, Table};
@@ -14,6 +21,10 @@ use g500_graph::{Csr, Directedness};
 use g500_partition::{assemble_local_graph, Block1D, LocalGraph};
 use g500_sssp::{distributed_delta_stepping, OptConfig};
 use graph500::simnet::{Machine, MachineConfig, RankCtx};
+
+/// From this scale on the optimized kernel must beat distributed
+/// Bellman-Ford (measured at the default 8 ranks).
+const BF_CROSSOVER_SCALE: u32 = 14;
 
 /// Host-side: roots with at least one edge, deterministic.
 fn pick_roots(gen: &KroneckerGenerator, count: usize) -> Vec<u64> {
@@ -98,7 +109,7 @@ where
     rep.results[0]
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let max_scale = param("G500_MAX_SCALE", 16) as u32;
     let ranks = param("G500_RANKS", 8) as usize;
     let nroots = param("G500_ROOTS", 2) as usize;
@@ -115,6 +126,7 @@ fn main() {
         "supersteps",
         "speedup_vs_bf",
     ]);
+    let (mut ok, mut last_speedup) = (true, 0.0);
     for scale in (12..=max_scale).step_by(2) {
         let gen = KroneckerGenerator::new(KroneckerParams::graph500(scale, 1));
         let roots = pick_roots(&gen, nroots);
@@ -151,13 +163,21 @@ fn main() {
                 .1
                 .supersteps
         });
+        let speedup = bf_t / opt_t;
         t.row(&[
             scale.to_string(),
             "delta (optimized)".into(),
             secs(opt_t),
             opt_steps.to_string(),
-            format!("{:.2}x", bf_t / opt_t),
+            format!("{speedup:.2}x"),
         ]);
+        ok &= opt_t < plain_t && speedup > last_speedup;
+        ok &= scale < BF_CROSSOVER_SCALE || speedup > 1.0;
+        last_speedup = speedup;
     }
-    println!("\nexpected shape: optimized delta-stepping multiple-x over distributed Bellman-Ford, and clearly over its own unoptimized form");
+    println!(
+        "\nexpected shape: optimized far over all-off at every scale; over distributed \
+         Bellman-Ford by a factor growing with scale, above 1 from scale {BF_CROSSOVER_SCALE}. holds: {ok}"
+    );
+    std::process::ExitCode::from(u8::from(!ok))
 }

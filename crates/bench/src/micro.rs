@@ -1,15 +1,11 @@
 //! Shared plumbing for the host-time microbenchmarks and the CI perf gate.
 //!
-//! Three consumers:
-//!
-//! * `benches/micro.rs` (`cargo bench -p g500-bench`) — the human-facing
-//!   run: text tables plus the thread sweep written to
-//!   `results/bench_micro.json`;
-//! * `src/bin/perf_gate.rs` — the CI gate: runs the same sweep, compares
-//!   against the blessed `results/bench_baseline.json`, and fails the build
-//!   on regression;
-//! * `run_experiments.sh perf` — the gate's `--report` mode, a per-kernel
-//!   speedup table against the baseline.
+//! One consumer, `src/bin/perf_gate.rs`, in two modes: the CI gate runs the
+//! thread sweep, writes it to `results/bench_micro.json` (untracked: CI
+//! uploads it as an artifact), compares against the blessed
+//! `results/bench_baseline.json` and fails the build on regression;
+//! `--report` (`run_experiments.sh perf`) prints the same sweep as a
+//! per-kernel table against the baseline and never fails.
 //!
 //! The worker pool is process-global and fixed at first use, so a sweep
 //! over thread counts must re-exec: the parent spawns itself once per count
@@ -363,36 +359,17 @@ pub fn child_main() {
 /// One sweep point: a thread count and its per-kernel stats.
 pub type SweepPoint = (usize, Vec<(String, Stats)>);
 
-/// Re-exec `exe` once per thread count in [`SWEEP_THREADS`] and collect
-/// the child lines. Failed spawns are reported and skipped.
-pub fn run_sweep(exe: &Path) -> Vec<SweepPoint> {
-    run_sweep_cycles(exe, 1)
-}
-
-/// Run `cycles` interleaved sweeps (T1, T2, T4, T1, T2, T4, …) and keep,
-/// per `(kernel, threads)`, the stats of the cycle with the smallest
-/// median. Shared/virtualized hosts drift in performance over the minutes
-/// a sweep takes; a slow window then inflates whichever thread count it
-/// happens to cover and fakes an overhead regression. Interleaving spreads
-/// any window across all thread counts, and the min keeps the
-/// best-observed run — a kernel that ran fast once can run that fast, so
-/// slowness beyond it is environmental, not algorithmic.
-pub fn run_sweep_cycles(exe: &Path, cycles: usize) -> Vec<SweepPoint> {
-    let mut best: Vec<SweepPoint> = Vec::new();
-    for sweep in run_sweep_each(exe, cycles) {
-        merge_min(&mut best, sweep);
-    }
-    // keep the canonical T order regardless of which cycles succeeded
-    best.sort_by_key(|(t, _)| *t);
-    best
-}
-
-/// Like [`run_sweep_cycles`] but return every cycle's sweep separately
-/// instead of min-merging them. The perf gate judges each cycle on its
+/// Run `cycles` interleaved sweeps (T1, T2, T4, T1, T2, T4, …): each
+/// re-execs `exe` once per thread count in [`SWEEP_THREADS`] and collects
+/// the child lines (failed spawns are reported and skipped). Every cycle's
+/// sweep is returned separately. Shared/virtualized hosts drift in
+/// performance over the minutes a sweep takes, and a slow window inflates
+/// whichever thread count it happens to cover; interleaving spreads any
+/// window across all thread counts. The perf gate judges each cycle on its
 /// own — a cycle's thread counts run back-to-back, so within-cycle ratios
 /// see far less host drift than ratios between minima that may come from
 /// different windows — and only fails a violation that reproduces in
-/// every cycle.
+/// every cycle; [`merge_min`] folds the cycles into the table it writes.
 pub fn run_sweep_each(exe: &Path, cycles: usize) -> Vec<Vec<SweepPoint>> {
     (0..cycles)
         .map(|cycle| run_sweep_once(exe, cycle))

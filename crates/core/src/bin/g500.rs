@@ -108,6 +108,16 @@ impl Args {
         ranks as usize
     }
 
+    /// `--scale`, default 12, refused outside the generator's range.
+    fn scale(&self) -> u32 {
+        let (scale, takes) = (self.num("--scale", 12), KroneckerParams::SCALES);
+        if !takes.contains(&u32::try_from(scale).unwrap_or(u32::MAX)) {
+            let accepted = format!("{} to {}", takes.start(), takes.end());
+            reject_range("--scale", scale, &accepted);
+        }
+        scale as u32
+    }
+
     /// Exit 2 naming the first token no accessor claimed: a misspelled
     /// flag must not silently run the default configuration.
     fn reject_unclaimed(&self) {
@@ -168,7 +178,7 @@ fn crash_plan(args: &Args) -> CrashPlan {
 }
 
 fn build_cfg(args: &Args) -> BenchmarkConfig {
-    let scale = args.num("--scale", 12) as u32;
+    let scale = args.scale();
     let ranks = args.ranks();
     let mut cfg = BenchmarkConfig::graph500(scale, ranks);
     cfg.num_roots = args.num("--roots", 64) as usize;
@@ -332,7 +342,7 @@ fn cmd_bfs(args: &Args) {
 }
 
 fn cmd_serve(args: &Args) {
-    let scale = args.num("--scale", 12) as u32;
+    let scale = args.scale();
     let mut cfg = ServeBenchConfig::new(scale, args.ranks());
     cfg.num_queries = args.num("--queries", 64) as usize;
     cfg.batch_width = args.num("--batch", 16) as usize;
@@ -372,7 +382,7 @@ fn cmd_serve(args: &Args) {
 }
 
 fn cmd_stats(args: &Args) {
-    let scale = args.num("--scale", 12) as u32;
+    let scale = args.scale();
     let seed = args.num("--seed", 20220814);
     args.reject_unclaimed();
     let gen = KroneckerGenerator::new(KroneckerParams::graph500(scale, seed));

@@ -2,10 +2,16 @@
 //! validation + TEPS reporting, over the simulated machine.
 //!
 //! Division of labour: everything *timed* happens inside the SPMD closure
-//! on simulated ranks (edge-slice generation, hub detection, assembly, the
-//! kernel runs); everything *untimed* happens on the host (root sampling,
-//! validation, statistics) exactly as the official harness keeps validation
-//! off the clock.
+//! on simulated ranks (edge-slice generation, the hub-detection scan's
+//! charge, assembly, the kernel runs); everything *untimed* happens on the
+//! host (root sampling, validation, statistics) exactly as the official
+//! harness keeps validation off the clock.
+//!
+//! The SSSP and BFS benchmarks here and the serving benchmark
+//! ([`crate::serving`]) are entry points over one private `Harness`,
+//! which owns what they share — Kronecker parameters, the host edge list,
+//! each rank's build, the per-root loop, scoring and TEPS; an entry point
+//! is its kernel call, its validator and its report type.
 
 use g500_gen::{CounterRng, KroneckerGenerator, KroneckerParams};
 use g500_graph::{EdgeList, ShortestPaths, VertexId, NO_PARENT};
@@ -14,10 +20,10 @@ use g500_partition::{
     VertexPartition,
 };
 use g500_sssp::{distributed_bfs, try_distributed_delta_stepping, OptConfig, SsspRunStats};
-use g500_validate::{validate_bfs, validate_sssp, SsspResult, TepsSummary};
+use g500_validate::{count_traversed_edges, validate_bfs, validate_sssp, SsspResult, TepsSummary};
 use simnet::{
-    CrashPlan, FaultEscalation, FaultPlan, Machine, MachineConfig, NetStats, Trace, TraceCode,
-    TraceSummary,
+    CrashPlan, FaultEscalation, FaultPlan, Machine, MachineConfig, NetStats, RankCtx, SimReport,
+    Trace, TraceCode, TraceSummary,
 };
 
 /// How vertices are placed on ranks.
@@ -381,71 +387,217 @@ pub(crate) fn sample_roots(el: &EdgeList, n: u64, seed: u64, count: usize) -> Ve
     roots
 }
 
-/// What each rank returns: rank 0 carries the gathered per-root results.
-type RankOutput = (f64, Vec<(f64, SsspRunStats, ShortestPaths)>);
-
-/// Generic per-partition kernel loop (monomorphised per partition type).
-/// A kernel-level fault escalation (recovery budget exhausted, checkpoint
-/// lost) aborts the remaining roots and propagates as the identical `Err`
-/// on every rank.
-fn run_ranks<P: VertexPartition>(
-    ctx: &mut simnet::RankCtx,
-    graph: &LocalGraph<P>,
-    roots_new: &[VertexId],
-    relabel: Option<&SparseHubRelabel>,
-    opts: &OptConfig,
-    construction_end: f64,
-) -> Result<RankOutput, FaultEscalation> {
-    let mut per_root = Vec::with_capacity(roots_new.len());
-    for (ri, &root) in roots_new.iter().enumerate() {
-        ctx.trace_begin(TraceCode::RootRun, ri as u64, root);
-        let (sp, stats) = try_distributed_delta_stepping(ctx, graph, root, opts)?;
-        let time = ctx.allreduce(stats.sim_time_s, |a, b| if a > b { *a } else { *b });
-        let gathered = sp.gather_to_all(ctx, graph.part());
-        ctx.trace_end(TraceCode::RootRun, ri as u64, root);
-        if ctx.rank() == 0 {
-            // translate back to original ids if a relabel was applied
-            let translated = match relabel {
-                None => gathered,
-                Some(r) => {
-                    let n = gathered.dist.len();
-                    let mut orig = ShortestPaths::unreached(n);
-                    for v in 0..n as u64 {
-                        let l = r.apply(v);
-                        orig.dist[v as usize] = gathered.dist[l as usize];
-                        let p = gathered.parent[l as usize];
-                        orig.parent[v as usize] = if p == NO_PARENT {
-                            NO_PARENT
-                        } else {
-                            r.invert(p)
-                        };
-                    }
-                    orig
-                }
-            };
-            per_root.push((time, stats, translated));
-        }
-    }
-    Ok((construction_end, per_root))
+/// The latest of the ranks' `t`: an instant or a duration all agree on.
+pub(crate) fn slowest(ctx: &mut RankCtx, t: f64) -> f64 {
+    ctx.allreduce(t, |a, b| if a > b { *a } else { *b })
 }
 
-/// Apply the configured pool size (best-effort: the pool is process-global
-/// and fixed at first use) and return the thread count runs actually use.
-pub(crate) fn apply_thread_config(requested: usize) -> usize {
-    if requested > 0 {
-        rayon::configure_threads(requested);
+/// What each rank of a root-by-root benchmark returns: when the graph stood
+/// and, on rank 0, each root's time and gathered result.
+type RankOutput<T> = (f64, Vec<(f64, T)>);
+
+/// What the SSSP, BFS and serving benchmarks share: the Kronecker graph —
+/// its parameters, and the host's reference edge list for root sampling,
+/// traversed-edge counts and validation — each rank's build of its share
+/// and, for the two root-by-root benchmarks, the kernel loop on the ranks
+/// and the scoring on the host. An entry point adds what is its own: the
+/// kernel call, the validator, the report type.
+pub(crate) struct Harness {
+    gen: KroneckerGenerator,
+    /// Vertex count.
+    pub(crate) n: u64,
+    /// Generated edge records.
+    pub(crate) m: u64,
+    pub(crate) edges: EdgeList,
+    /// The degree-aware placement's hub relabel; `None` under the others.
+    relabel: Option<SparseHubRelabel>,
+}
+
+impl Harness {
+    /// `threads` > 0 sizes the process-global pool first (best-effort: it
+    /// is fixed at first use).
+    pub(crate) fn new(scale: u32, edgefactor: u64, seed: u64, threads: usize) -> Self {
+        if threads > 0 {
+            rayon::configure_threads(threads);
+        }
+        let params = KroneckerParams {
+            scale,
+            edgefactor,
+            ..KroneckerParams::graph500(scale, seed)
+        };
+        let gen = KroneckerGenerator::new(params);
+        Harness {
+            n: params.num_vertices(),
+            m: params.num_edges(),
+            edges: gen.generate_all(),
+            gen,
+            relabel: None,
+        }
     }
-    rayon::current_num_threads()
+
+    /// Kernel 0 on one rank, inside its `Build` span: generate this rank's
+    /// slice of the edge list, move it to the placement's ids if it
+    /// relabels, assemble. With `agree` the span closes on the instant the
+    /// slowest rank stood ready — kernel 0's time, returned; without, on
+    /// this rank's own.
+    pub(crate) fn build<P: VertexPartition>(
+        &self,
+        ctx: &mut RankCtx,
+        part: P,
+        agree: bool,
+    ) -> (LocalGraph<P>, f64) {
+        let (rank, p) = (ctx.rank() as u64, ctx.size() as u64);
+        let (lo, hi) = (rank * self.m / p, (rank + 1) * self.m / p);
+        ctx.trace_begin(TraceCode::Build, hi - lo, 0);
+        // generation cost: the counter-based generator is charged per edge
+        ctx.charge_compute(hi - lo);
+        let mut mine = self.gen.edge_block(lo..hi);
+        if let Some(relabel) = &self.relabel {
+            ctx.charge_compute(1 << 16); // the hub sampling scan
+            mine.relabel(|v| relabel.apply(v));
+        }
+        let g = assemble_local_graph(ctx, mine.iter(), part);
+        let built = if agree {
+            slowest(ctx, ctx.now())
+        } else {
+            ctx.now()
+        };
+        ctx.trace_end(TraceCode::Build, hi - lo, 0);
+        (g, built)
+    }
+
+    /// One rank's share of a root-by-root benchmark under the placement
+    /// `part`: the build, then the kernel loop — `search` runs one root,
+    /// moved to the placement's ids, inside its `RootRun` span and returns
+    /// the slowest rank's time and the gathered result, which rank 0 keeps.
+    /// A kernel-level fault escalation (recovery budget exhausted,
+    /// checkpoint lost) aborts the remaining roots and propagates as the
+    /// identical `Err` on every rank.
+    fn on_rank<P: VertexPartition, T>(
+        &self,
+        ctx: &mut RankCtx,
+        part: P,
+        roots: &[VertexId],
+        mut search: impl FnMut(
+            &mut RankCtx,
+            &LocalGraph<P>,
+            VertexId,
+        ) -> Result<(f64, T), FaultEscalation>,
+    ) -> Result<RankOutput<T>, FaultEscalation> {
+        let (g, built) = self.build(ctx, part, true);
+        let mut found = Vec::with_capacity(roots.len());
+        for (ri, &root) in roots.iter().enumerate() {
+            let root = self.relabel.as_ref().map_or(root, |l| l.apply(root));
+            ctx.trace_begin(TraceCode::RootRun, ri as u64, root);
+            let one = search(ctx, &g, root)?;
+            ctx.trace_end(TraceCode::RootRun, ri as u64, root);
+            if ctx.rank() == 0 {
+                found.push(one);
+            }
+        }
+        Ok((built, found))
+    }
+
+    /// `gathered`, indexed by the placement's ids and naming parents in
+    /// them, in original vertex ids.
+    fn original_ids(&self, gathered: ShortestPaths) -> ShortestPaths {
+        let Some(relabel) = &self.relabel else {
+            return gathered;
+        };
+        let n = gathered.dist.len();
+        let mut orig = ShortestPaths::unreached(n);
+        for v in 0..n as u64 {
+            let l = relabel.apply(v) as usize;
+            orig.dist[v as usize] = gathered.dist[l];
+            let p = gathered.parent[l];
+            orig.parent[v as usize] = if p == NO_PARENT {
+                NO_PARENT
+            } else {
+                relabel.invert(p)
+            };
+        }
+        orig
+    }
+
+    /// Host side of a root-by-root benchmark, off the clock: rank 0's
+    /// gathered results become per-root rows — traversed edges from
+    /// `reached`, then `finish`'s validation verdict, kernel counters and
+    /// kept paths — and the rows the TEPS distribution.
+    fn report<T>(
+        &self,
+        cfg: &BenchmarkConfig,
+        roots: &[VertexId],
+        sim: SimReport<Result<RankOutput<T>, FaultEscalation>>,
+        reached: impl Fn(&T, u64) -> bool,
+        finish: impl Fn(VertexId, T) -> (Option<bool>, SsspRunStats, Option<ShortestPaths>),
+    ) -> Result<BenchmarkReport, FaultEscalation> {
+        let net = sim.total_stats();
+        let trace = (!sim.traces.is_empty()).then(|| Trace::merge(sim.traces));
+        let mut results = sim.results;
+        // recovery escalations come back as ordinary `Err` values in the
+        // per-rank results, identical on every rank
+        let (construction_time_s, found) = results.swap_remove(0)?;
+        let mut runs = Vec::with_capacity(found.len());
+        for (&root, (sim_time_s, one)) in roots.iter().zip(found) {
+            let traversed_edges = count_traversed_edges(&self.edges, |v| reached(&one, v));
+            let (validated, stats, paths) = finish(root, one);
+            runs.push(RootRun {
+                root,
+                sim_time_s,
+                traversed_edges,
+                validated,
+                stats,
+                paths,
+            });
+        }
+        let samples: Vec<(u64, f64)> = runs
+            .iter()
+            .map(|r| (r.traversed_edges, r.sim_time_s))
+            .collect();
+        Ok(BenchmarkReport {
+            scale: cfg.scale,
+            n: self.n,
+            m: self.m,
+            ranks: cfg.machine.ranks,
+            construction_time_s,
+            teps: TepsSummary::from_samples(&samples),
+            runs,
+            net,
+            per_rank_net: sim.stats,
+            wall_time_s: sim.wall_time_s,
+            threads: rayon::current_num_threads(),
+            fault: cfg.machine.fault,
+            crash: cfg.machine.crash,
+            trace,
+        })
+    }
+}
+
+/// One rank's share of the SSSP benchmark (monomorphised per partition
+/// type).
+fn sssp_rank<P: VertexPartition>(
+    ctx: &mut RankCtx,
+    h: &Harness,
+    part: P,
+    roots: &[VertexId],
+    opts: &OptConfig,
+) -> Result<RankOutput<(SsspRunStats, ShortestPaths)>, FaultEscalation> {
+    h.on_rank(ctx, part, roots, |ctx, g, root| {
+        let (sp, stats) = try_distributed_delta_stepping(ctx, g, root, opts)?;
+        let time = slowest(ctx, stats.sim_time_s);
+        let mut sp = sp.gather_to_all(ctx, g.part());
+        if ctx.rank() == 0 {
+            sp = h.original_ids(sp);
+        }
+        Ok((time, (stats, sp)))
+    })
 }
 
 /// Run the full SSSP benchmark (Graph500 kernels 0 + 3). Panics on fault
 /// escalation; use [`try_run_sssp_benchmark`] to handle it as a typed
 /// error.
 pub fn run_sssp_benchmark(cfg: &BenchmarkConfig) -> BenchmarkReport {
-    match try_run_sssp_benchmark(cfg) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
+    try_run_sssp_benchmark(cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_sssp_benchmark`] with typed fault escalation: a transport retry
@@ -453,135 +605,41 @@ pub fn run_sssp_benchmark(cfg: &BenchmarkConfig) -> BenchmarkReport {
 /// checkpoint returns `Err` instead of panicking, so drivers (the CLI,
 /// sweep harnesses) can report the failure and exit cleanly.
 pub fn try_run_sssp_benchmark(cfg: &BenchmarkConfig) -> Result<BenchmarkReport, FaultEscalation> {
-    let threads = apply_thread_config(cfg.threads);
-    let params = KroneckerParams {
-        scale: cfg.scale,
-        edgefactor: cfg.edgefactor,
-        ..KroneckerParams::graph500(cfg.scale, cfg.seed)
-    };
-    let gen = KroneckerGenerator::new(params);
-    let n = params.num_vertices();
-    let m = params.num_edges();
-    let p = cfg.machine.ranks;
-
-    // Host-side: the reference edge list for roots + validation.
-    let full_el = gen.generate_all();
-    let roots = sample_roots(&full_el, n, cfg.seed, cfg.num_roots);
+    let mut h = Harness::new(cfg.scale, cfg.edgefactor, cfg.seed, cfg.threads);
+    let (n, p, opts) = (h.n, cfg.machine.ranks, &cfg.opts);
+    let roots = sample_roots(&h.edges, n, cfg.seed, cfg.num_roots);
     assert!(
         !roots.is_empty(),
         "no vertex with an edge — graph too small?"
     );
-
-    let gen_for_ranks = gen.clone();
-    let partition = cfg.partition;
-    let opts = cfg.opts;
-    let roots_ref = &roots;
-
-    let machine = Machine::new(cfg.machine);
+    if let PartitionStrategy::DegreeAware { hub_factor } = cfg.partition {
+        // a pure function of the seed: detected once, here, for every rank
+        h.relabel = Some(SparseHubRelabel::new(n, detect_hubs(&h.gen, hub_factor)));
+    }
+    let hubs = h.relabel.as_ref().map_or(0, |l| l.hub_count());
     // try_run surfaces transport escalations (panic payloads from the
-    // reliable transport); recovery escalations come back as ordinary
-    // `Err` values in the per-rank results, identical on every rank.
-    let report = machine.try_run(move |ctx| {
-        let rank = ctx.rank();
-        let (lo, hi) = (rank as u64 * m / p as u64, (rank as u64 + 1) * m / p as u64);
-        ctx.trace_begin(TraceCode::Build, hi - lo, 0);
-        // generation cost: the counter-based generator is charged per edge
-        ctx.charge_compute(hi - lo);
-
-        match partition {
-            PartitionStrategy::Block => {
-                let part = Block1D::new(n, p);
-                let mine = gen_for_ranks.edge_block(lo..hi);
-                let g = assemble_local_graph(ctx, mine.iter(), part);
-                let built = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
-                ctx.trace_end(TraceCode::Build, hi - lo, 0);
-                run_ranks(ctx, &g, roots_ref, None, &opts, built)
-            }
-            PartitionStrategy::Cyclic => {
-                let part = Cyclic1D::new(n, p);
-                let mine = gen_for_ranks.edge_block(lo..hi);
-                let g = assemble_local_graph(ctx, mine.iter(), part);
-                let built = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
-                ctx.trace_end(TraceCode::Build, hi - lo, 0);
-                run_ranks(ctx, &g, roots_ref, None, &opts, built)
-            }
-            PartitionStrategy::DegreeAware { hub_factor } => {
-                // hub detection is deterministic and identical on all ranks
-                let hubs = detect_hubs(&gen_for_ranks, hub_factor);
-                ctx.charge_compute(1 << 16); // the sampling scan
-                let relabel = SparseHubRelabel::new(n, hubs);
-                let part = HybridPartition::new(n, p, relabel.hub_count());
-                let mut mine = gen_for_ranks.edge_block(lo..hi);
-                mine.relabel(|v| relabel.apply(v));
-                let g = assemble_local_graph(ctx, mine.iter(), part);
-                let built = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
-                ctx.trace_end(TraceCode::Build, hi - lo, 0);
-                let roots_new: Vec<VertexId> =
-                    roots_ref.iter().map(|&r| relabel.apply(r)).collect();
-                run_ranks(ctx, &g, &roots_new, Some(&relabel), &opts, built)
-            }
+    // reliable transport)
+    let sim = Machine::new(cfg.machine).try_run(|ctx| match cfg.partition {
+        PartitionStrategy::Block => sssp_rank(ctx, &h, Block1D::new(n, p), &roots, opts),
+        PartitionStrategy::Cyclic => sssp_rank(ctx, &h, Cyclic1D::new(n, p), &roots, opts),
+        PartitionStrategy::DegreeAware { .. } => {
+            sssp_rank(ctx, &h, HybridPartition::new(n, p, hubs), &roots, opts)
         }
     })?;
-
-    // Host-side: validation + statistics from rank 0's gathered results.
-    let wall_time_s = report.wall_time_s;
-    let net = report.total_stats();
-    let per_rank_net = report.stats.clone();
-    let trace = (!report.traces.is_empty()).then(|| Trace::merge(report.traces));
-    let mut results = report.results;
-    let (construction_time_s, per_root) = results.swap_remove(0)?;
-
-    let mut runs = Vec::with_capacity(per_root.len());
-    for (&root, (time, stats, sp)) in roots.iter().zip(per_root) {
-        let reached = |v: u64| sp.dist[v as usize].is_finite();
-        let traversed = g500_validate::count_traversed_edges(&full_el, reached);
-        let validated = if cfg.validate {
-            let res = SsspResult {
-                root,
-                dist: sp.dist.clone(),
-                parent: sp.parent.clone(),
-            };
-            let rep = validate_sssp(n, &full_el, &res);
+    let reached = |(_, sp): &(SsspRunStats, ShortestPaths), v: u64| sp.dist[v as usize].is_finite();
+    h.report(cfg, &roots, sim, reached, |root, (stats, sp)| {
+        let (dist, parent) = (sp.dist, sp.parent);
+        let res = SsspResult { root, dist, parent };
+        let validated = cfg.validate.then(|| {
+            let rep = validate_sssp(n, &h.edges, &res);
             if !rep.ok {
                 eprintln!("validation FAILED for root {root}: {:?}", rep.errors);
             }
-            Some(rep.ok)
-        } else {
-            None
-        };
-        let paths = cfg.keep_paths.then_some(sp);
-        runs.push(RootRun {
-            root,
-            sim_time_s: time,
-            traversed_edges: traversed,
-            validated,
-            stats,
-            paths,
+            rep.ok
         });
-    }
-
-    let teps = TepsSummary::from_samples(
-        &runs
-            .iter()
-            .map(|r| (r.traversed_edges, r.sim_time_s))
-            .collect::<Vec<_>>(),
-    );
-
-    Ok(BenchmarkReport {
-        scale: cfg.scale,
-        n,
-        m,
-        ranks: p,
-        construction_time_s,
-        runs,
-        teps,
-        net,
-        per_rank_net,
-        wall_time_s,
-        threads,
-        fault: cfg.machine.fault,
-        crash: cfg.machine.crash,
-        trace,
+        let (dist, parent) = (res.dist, res.parent);
+        let paths = cfg.keep_paths.then_some(ShortestPaths { dist, parent });
+        (validated, stats, paths)
     })
 }
 
@@ -594,100 +652,23 @@ pub fn try_run_sssp_benchmark(cfg: &BenchmarkConfig) -> Result<BenchmarkReport, 
 /// inert here (the crash lottery only draws at recovery probe points,
 /// which only the SSSP kernels install).
 pub fn run_bfs_benchmark(cfg: &BenchmarkConfig) -> BenchmarkReport {
-    let threads = apply_thread_config(cfg.threads);
-    let params = KroneckerParams {
-        scale: cfg.scale,
-        edgefactor: cfg.edgefactor,
-        ..KroneckerParams::graph500(cfg.scale, cfg.seed)
-    };
-    let gen = KroneckerGenerator::new(params);
-    let n = params.num_vertices();
-    let m = params.num_edges();
-    let p = cfg.machine.ranks;
-
-    let full_el = gen.generate_all();
-    let roots = sample_roots(&full_el, n, cfg.seed, cfg.num_roots);
-    let gen_for_ranks = gen.clone();
-    let roots_ref = &roots;
-    let direction = cfg.opts.direction;
-
-    let machine = Machine::new(cfg.machine);
-    let report = machine.run(move |ctx| {
-        let rank = ctx.rank();
-        let (lo, hi) = (rank as u64 * m / p as u64, (rank as u64 + 1) * m / p as u64);
-        ctx.trace_begin(TraceCode::Build, hi - lo, 0);
-        ctx.charge_compute(hi - lo);
-        let part = Block1D::new(n, p);
-        let mine = gen_for_ranks.edge_block(lo..hi);
-        let g = assemble_local_graph(ctx, mine.iter(), part);
-        let built = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
-        ctx.trace_end(TraceCode::Build, hi - lo, 0);
-
-        let mut per_root = Vec::new();
-        for (ri, &root) in roots_ref.iter().enumerate() {
-            ctx.trace_begin(TraceCode::RootRun, ri as u64, root);
+    let h = Harness::new(cfg.scale, cfg.edgefactor, cfg.seed, cfg.threads);
+    let (n, p) = (h.n, cfg.machine.ranks);
+    let roots = sample_roots(&h.edges, n, cfg.seed, cfg.num_roots);
+    let sim = Machine::new(cfg.machine).run(|ctx| {
+        h.on_rank(ctx, Block1D::new(n, p), &roots, |ctx, g, root| {
             let before = ctx.now();
-            let (res, _stats) = distributed_bfs(ctx, &g, root, direction);
-            let time = ctx.allreduce(ctx.now() - before, |a, b| if a > b { *a } else { *b });
-            let (level, parent) = res.gather_to_all(ctx, g.part());
-            ctx.trace_end(TraceCode::RootRun, ri as u64, root);
-            if ctx.rank() == 0 {
-                per_root.push((time, level, parent));
-            }
-        }
-        (built, per_root)
+            let (res, _stats) = distributed_bfs(ctx, g, root, cfg.opts.direction);
+            let time = slowest(ctx, ctx.now() - before);
+            Ok((time, res.gather_to_all(ctx, g.part())))
+        })
     });
-
-    let wall_time_s = report.wall_time_s;
-    let net = report.total_stats();
-    let per_rank_net = report.stats.clone();
-    let trace = (!report.traces.is_empty()).then(|| Trace::merge(report.traces));
-    let mut results = report.results;
-    let (construction_time_s, per_root) = results.swap_remove(0);
-
-    let mut runs = Vec::with_capacity(per_root.len());
-    for (&root, (time, level, parent)) in roots.iter().zip(per_root) {
-        let reached = |v: u64| level[v as usize] >= 0;
-        let traversed = g500_validate::count_traversed_edges(&full_el, reached);
-        let validated = if cfg.validate {
-            let ok = validate_bfs(n, &full_el, root, &level, &parent).is_ok();
-            Some(ok)
-        } else {
-            None
-        };
-        runs.push(RootRun {
-            root,
-            sim_time_s: time,
-            traversed_edges: traversed,
-            validated,
-            stats: SsspRunStats::default(),
-            paths: None,
-        });
-    }
-
-    let teps = TepsSummary::from_samples(
-        &runs
-            .iter()
-            .map(|r| (r.traversed_edges, r.sim_time_s))
-            .collect::<Vec<_>>(),
-    );
-
-    BenchmarkReport {
-        scale: cfg.scale,
-        n,
-        m,
-        ranks: p,
-        construction_time_s,
-        runs,
-        teps,
-        net,
-        per_rank_net,
-        wall_time_s,
-        threads,
-        fault: cfg.machine.fault,
-        crash: cfg.machine.crash,
-        trace,
-    }
+    let reached = |(level, _): &(Vec<i64>, Vec<u64>), v: u64| level[v as usize] >= 0;
+    h.report(cfg, &roots, sim, reached, |root, (level, parent)| {
+        let valid = || validate_bfs(n, &h.edges, root, &level, &parent).is_ok();
+        (cfg.validate.then(valid), SsspRunStats::default(), None)
+    })
+    .expect("BFS installs no recovery probe, so no rank returns an escalation")
 }
 
 #[cfg(test)]

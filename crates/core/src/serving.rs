@@ -9,12 +9,12 @@
 //! from window admission to answer; QPS is queries over the virtual
 //! serving span. Both are deterministic functions of the configuration.
 
-use crate::driver::sample_roots;
-use g500_gen::{CounterRng, KroneckerGenerator, KroneckerParams};
+use crate::driver::{sample_roots, slowest, Harness};
+use g500_gen::CounterRng;
 use g500_graph::EdgeList;
-use g500_partition::{assemble_local_graph, Block1D};
+use g500_partition::Block1D;
 use g500_sssp::{OptConfig, Query, QueryEngine, ServeConfig};
-use simnet::{CrashPlan, FaultEscalation, Machine, MachineConfig, TraceCode};
+use simnet::{CrashPlan, FaultEscalation, Machine, MachineConfig};
 
 /// Everything a serving run needs.
 #[derive(Clone, Debug)]
@@ -256,10 +256,7 @@ impl ServeReport {
 /// on fault escalation; use [`try_run_query_serving_benchmark`] to handle
 /// it as a typed error.
 pub fn run_query_serving_benchmark(cfg: &ServeBenchConfig) -> ServeReport {
-    match try_run_query_serving_benchmark(cfg) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
+    try_run_query_serving_benchmark(cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_query_serving_benchmark`] with typed fault escalation. Under
@@ -271,23 +268,10 @@ pub fn run_query_serving_benchmark(cfg: &ServeBenchConfig) -> ServeReport {
 pub fn try_run_query_serving_benchmark(
     cfg: &ServeBenchConfig,
 ) -> Result<ServeReport, FaultEscalation> {
-    let threads = crate::driver::apply_thread_config(cfg.threads);
-    let params = KroneckerParams {
-        scale: cfg.scale,
-        edgefactor: cfg.edgefactor,
-        ..KroneckerParams::graph500(cfg.scale, cfg.seed)
-    };
-    let gen = KroneckerGenerator::new(params);
-    let n = params.num_vertices();
-    let m = params.num_edges();
-    let p = cfg.machine.ranks;
-
-    let full_el = gen.generate_all();
-    let queries = synth_queries(&full_el, n, cfg);
+    let h = Harness::new(cfg.scale, cfg.edgefactor, cfg.seed, cfg.threads);
+    let (n, p) = (h.n, cfg.machine.ranks);
+    let queries = synth_queries(&h.edges, n, cfg);
     let p2p_queries = queries.iter().filter(|q| q.target.is_some()).count() as u64;
-
-    let gen_for_ranks = gen.clone();
-    let queries_ref = &queries;
     let serve_cfg = ServeConfig {
         batch_width: cfg.batch_width,
         opts: cfg.opts,
@@ -297,21 +281,13 @@ pub fn try_run_query_serving_benchmark(
         deadline_s: cfg.deadline_s,
     };
 
-    let machine = Machine::new(cfg.machine);
-    let report = machine.try_run(move |ctx| {
-        let rank = ctx.rank();
-        let (lo, hi) = (rank as u64 * m / p as u64, (rank as u64 + 1) * m / p as u64);
-        ctx.trace_begin(TraceCode::Build, hi - lo, 0);
-        ctx.charge_compute(hi - lo);
-        let part = Block1D::new(n, p);
-        let mine = gen_for_ranks.edge_block(lo..hi);
-        let g = assemble_local_graph(ctx, mine.iter(), part);
-        ctx.trace_end(TraceCode::Build, hi - lo, 0);
-
+    let report = Machine::new(cfg.machine).try_run(|ctx| {
+        // no kernel-0 time is reported, so the build makes no agreement
+        let (g, _) = h.build(ctx, Block1D::new(n, p), false);
         let mut engine = QueryEngine::try_new(ctx, &g, serve_cfg.clone())?;
-        let t0 = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
-        let outcomes = engine.serve(ctx, queries_ref);
-        let t1 = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
+        let t0 = slowest(ctx, ctx.now());
+        let outcomes = engine.serve(ctx, &queries);
+        let t1 = slowest(ctx, ctx.now());
         let latencies: Vec<f64> = outcomes.iter().map(|o| o.latency_s).collect();
         Ok((t1 - t0, latencies, engine.stats().clone()))
     })?;
@@ -328,7 +304,7 @@ pub fn try_run_query_serving_benchmark(
     Ok(ServeReport {
         scale: cfg.scale,
         n,
-        m,
+        m: h.m,
         ranks: p,
         batch_width: cfg.batch_width,
         queries: stats.queries,
@@ -348,13 +324,14 @@ pub fn try_run_query_serving_benchmark(
         p99_ms: percentile_ms(&latencies, 99.0),
         max_ms: latencies.last().copied().unwrap_or(0.0) * 1e3,
         wall_time_s,
-        threads,
+        threads: rayon::current_num_threads(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use g500_gen::{KroneckerGenerator, KroneckerParams};
 
     #[test]
     fn stream_is_deterministic_and_mixed() {

@@ -33,6 +33,9 @@ pub struct KroneckerParams {
 }
 
 impl KroneckerParams {
+    /// The scales [`KroneckerGenerator::new`] accepts.
+    pub const SCALES: std::ops::RangeInclusive<u32> = 1..=62;
+
     /// The official Graph500 parameters at `scale` with a chosen seed.
     pub fn graph500(scale: u32, seed: u64) -> Self {
         Self {
@@ -80,7 +83,7 @@ impl KroneckerGenerator {
     /// Build a generator for `params`.
     pub fn new(params: KroneckerParams) -> Self {
         assert!(
-            params.scale >= 1 && params.scale <= 62,
+            KroneckerParams::SCALES.contains(&params.scale),
             "scale out of range"
         );
         let ab = params.a + params.b;

@@ -8,11 +8,21 @@
 //! because that is what [`allreduce_schedule`] actually does; a ragged rank
 //! count adds one fold-in and one fold-out round.
 //!
+//! Every schedule is written once, as a free function over a communicator
+//! seen as three things: the caller's index and the member count `(me, p)`,
+//! a member → machine-rank map, and a round → tag map. The world
+//! ([`RankCtx`]: member `i` is rank `i`) and every
+//! [`SubComm`](crate::SubComm) (its membership table) call the same
+//! [`allreduce_schedule`], [`allgatherv_schedule`] and
+//! [`alltoallv_schedule`]; they differ only in those maps and in whose
+//! sequence counter and trace ids an invocation bumps. A change of schedule
+//! — a Bruck allgather, a two-hop exchange — is a change to one function.
+//!
 //! Tag discipline: each collective invocation claims a fresh sequence number
-//! from the rank-local counter. SPMD programs call collectives in the same
-//! order on every rank, so sequence numbers agree globally and back-to-back
-//! collectives can never confuse each other's messages even when some ranks
-//! run far ahead.
+//! from its communicator's rank-local counter. SPMD programs call collectives
+//! in the same order on every rank, so sequence numbers agree globally and
+//! back-to-back collectives can never confuse each other's messages even
+//! when some ranks run far ahead.
 //!
 //! Counting: every collective bumps [`NetStats::collectives`] once. An
 //! allreduce is one collective; a barrier is one allreduce that also bumps
@@ -109,36 +119,85 @@ pub(crate) fn allreduce_schedule<T: Wire + Clone>(
     acc
 }
 
-/// Tag of round `round` of the world collective with sequence number `seq`.
-fn world_tag(seq: u64, round: u64) -> Tag {
-    TAG_COLLECTIVE_BASE | (seq << 12) | round
+/// The allgather schedule, written once like [`allreduce_schedule`] and
+/// over the same maps: a ring. Every member contributes a variably-sized
+/// block; in each of `p − 1` rounds it forwards to the member above it the
+/// block it received from the member below the round before — the classic
+/// bandwidth-optimal schedule. Returns all blocks indexed by member.
+pub(crate) fn allgatherv_schedule<T: Wire + Clone>(
+    ctx: &mut RankCtx,
+    (me, p): (usize, usize),
+    global: impl Fn(usize) -> usize,
+    tag: impl Fn(u64) -> Tag,
+    mine: &[T],
+) -> Vec<Vec<T>> {
+    let mut blocks: Vec<Option<Vec<T>>> = vec![None; p];
+    blocks[me] = Some(mine.to_vec());
+    let (next, prev) = ((me + 1) % p, (me + p - 1) % p);
+    for step in 0..p - 1 {
+        let forwarded = blocks[(me + p - step) % p].as_deref();
+        ctx.send_coll(
+            global(next),
+            tag(step as u64),
+            forwarded.expect("received the round before"),
+        );
+        blocks[(prev + p - step) % p] = Some(ctx.recv_coll(global(prev), tag(step as u64)));
+    }
+    blocks
+        .into_iter()
+        .map(|b| b.expect("ring covered all members"))
+        .collect()
+}
+
+/// The personalised all-to-all schedule, written once over the same maps:
+/// `out[d]` goes to member `d` directly, one message each (the member's own
+/// block is moved across, free of network charge). Returns the blocks
+/// received, indexed by source member.
+pub(crate) fn alltoallv_schedule<T: Wire>(
+    ctx: &mut RankCtx,
+    (me, p): (usize, usize),
+    global: impl Fn(usize) -> usize,
+    tag: impl Fn(u64) -> Tag,
+    out: Vec<Vec<T>>,
+) -> Vec<Vec<T>> {
+    assert_eq!(out.len(), p, "alltoallv needs one buffer per member");
+    let mut own = None;
+    for (d, buf) in out.into_iter().enumerate() {
+        if d == me {
+            own = Some(buf);
+        } else {
+            ctx.send_coll(global(d), tag(0), &buf);
+        }
+    }
+    let from = |s| {
+        if s == me {
+            own.take().expect("own block set above")
+        } else {
+            ctx.recv_coll(global(s), tag(0))
+        }
+    };
+    (0..p).map(from).collect()
 }
 
 impl RankCtx {
-    fn coll_tag(&self, round: u64) -> Tag {
-        world_tag(self.coll_seq, round)
-    }
-
-    /// Advance the collective sequence number (tag namespace) and count the
-    /// completed collective.
-    fn next_coll(&mut self) {
-        self.coll_seq += 1;
-        self.bump_collective();
-    }
-
-    /// Open a collective span tagged with the current sequence number. A
-    /// barrier nests its allreduce's span inside its own, so summary totals
-    /// are *inclusive* virtual time.
-    fn coll_trace_begin(&mut self, code: TraceCode) {
+    /// One invocation of a world collective: its span, `schedule` over the
+    /// world's maps — member `i` is rank `i`, a tag is the sequence number
+    /// and the round — then the sequence number claimed and the collective
+    /// counted. [`SubComm`](crate::SubComm) has the same function over its
+    /// own maps, counter and trace ids; the schedules are shared.
+    fn collective<R>(
+        &mut self,
+        code: TraceCode,
+        schedule: impl FnOnce(&mut RankCtx, (usize, usize), &dyn Fn(u64) -> Tag) -> R,
+    ) -> R {
         let seq = self.coll_seq;
         self.trace_begin(code, seq, 0);
-    }
-
-    /// Close the span opened by [`RankCtx::coll_trace_begin`]. Must be
-    /// called on **every** exit path of the collective.
-    fn coll_trace_end(&mut self, code: TraceCode) {
-        let seq = self.coll_seq;
-        self.trace_end(code, seq, 0);
+        let tag = move |round| TAG_COLLECTIVE_BASE | (seq << 12) | round;
+        let out = schedule(self, (self.rank(), self.size()), &tag);
+        self.coll_seq += 1;
+        self.bump_collective();
+        self.trace_end(code, self.coll_seq, 0);
+        out
     }
 
     /// Send `items` to machine rank `dest` as collective-class traffic.
@@ -185,41 +244,25 @@ impl RankCtx {
 
     /// Broadcast `value` from rank 0 to everyone via a binomial tree.
     pub fn bcast<T: Wire + Clone>(&mut self, value: Option<T>) -> T {
-        let p = self.size();
-        let me = self.rank();
-        self.coll_trace_begin(TraceCode::Bcast);
-        // Highest power of two covering p.
-        let mut top = 1usize;
-        while top < p {
-            top <<= 1;
-        }
-        let mut have: Option<T> = if me == 0 {
-            Some(value.expect("rank 0 must supply the broadcast value"))
-        } else {
-            None
-        };
-        let mut round = 0u64;
-        let mut step = top;
-        while step >= 1 {
-            let tag = self.coll_tag(round);
-            if have.is_some() {
-                let dest = me + step;
-                if me.is_multiple_of(step * 2) && dest < p && step >= 1 {
-                    let v = have.clone().expect("checked");
-                    self.send_coll(dest, tag, &[v]);
+        self.collective(TraceCode::Bcast, |ctx, (me, p), tag| {
+            let mut have =
+                (me == 0).then(|| value.expect("rank 0 must supply the broadcast value"));
+            // Highest power of two covering p, halved every round.
+            let mut step = p.next_power_of_two();
+            let mut round = 0u64;
+            while step >= 1 {
+                if let Some(v) = &have {
+                    if me.is_multiple_of(step * 2) && me + step < p {
+                        ctx.send_coll(me + step, tag(round), std::slice::from_ref(v));
+                    }
+                } else if me % (step * 2) == step {
+                    have = Some(ctx.recv_one_coll(me - step, tag(round)));
                 }
-            } else if me % (step * 2) == step {
-                have = Some(self.recv_one_coll(me - step, tag));
+                step >>= 1;
+                round += 1;
             }
-            if step == 1 {
-                break;
-            }
-            step >>= 1;
-            round += 1;
-        }
-        self.next_coll();
-        self.coll_trace_end(TraceCode::Bcast);
-        have.expect("broadcast tree reached every rank")
+            have.expect("broadcast tree reached every rank")
+        })
     }
 
     /// Allreduce: combine every rank's `value`; every rank gets the result,
@@ -238,13 +281,9 @@ impl RankCtx {
         values: Vec<T>,
         combine: impl Fn(&T, &T) -> T,
     ) -> Vec<T> {
-        self.coll_trace_begin(TraceCode::Allreduce);
-        let (who, seq) = ((self.rank(), self.size()), self.coll_seq);
-        let tag = |round| world_tag(seq, round);
-        let out = allreduce_schedule(self, who, |i| i, tag, values, combine);
-        self.next_coll();
-        self.coll_trace_end(TraceCode::Allreduce);
-        out
+        self.collective(TraceCode::Allreduce, |ctx, who, tag| {
+            allreduce_schedule(ctx, who, |i| i, tag, values, combine)
+        })
     }
 
     /// Allreduce sum of `u64`.
@@ -262,71 +301,32 @@ impl RankCtx {
         self.allreduce(v as u64, |a, b| a & b) == 1
     }
 
-    /// Barrier: no payload, everyone leaves only after everyone entered.
+    /// Barrier: no payload, everyone leaves only after everyone entered —
+    /// an allreduce of one byte nobody reads, in a span of its own (so
+    /// summary totals are *inclusive* virtual time) and counted twice, as
+    /// the collective it is and as a barrier.
     pub fn barrier(&mut self) {
-        self.coll_trace_begin(TraceCode::Barrier);
+        self.trace_begin(TraceCode::Barrier, self.coll_seq, 0);
         self.allreduce(0u8, |_, _| 0u8);
         self.bump_barrier();
-        self.coll_trace_end(TraceCode::Barrier);
+        self.trace_end(TraceCode::Barrier, self.coll_seq, 0);
     }
 
-    /// Ring allgather: every rank contributes a variably-sized block of
-    /// `T`s; returns all blocks indexed by rank. `p − 1` rounds, each rank
-    /// forwarding the block it received the previous round — the classic
-    /// bandwidth-optimal schedule.
+    /// Allgather of variably-sized blocks, indexed by rank
+    /// ([`allgatherv_schedule`]).
     pub fn allgatherv<T: Wire + Clone>(&mut self, mine: &[T]) -> Vec<Vec<T>> {
-        let p = self.size();
-        let me = self.rank();
-        self.coll_trace_begin(TraceCode::Allgatherv);
-        let mut blocks: Vec<Option<Vec<T>>> = vec![None; p];
-        blocks[me] = Some(mine.to_vec());
-        let next = (me + 1) % p;
-        let prev = (me + p - 1) % p;
-        for step in 0..p.saturating_sub(1) {
-            let tag = self.coll_tag(step as u64);
-            let send_idx = (me + p - step) % p;
-            let to_send = blocks[send_idx].clone().expect("block owned by schedule");
-            self.send_coll(next, tag, &to_send);
-            let recv_idx = (prev + p - step) % p;
-            let got: Vec<T> = self.recv_coll(prev, tag);
-            blocks[recv_idx] = Some(got);
-        }
-        self.next_coll();
-        self.coll_trace_end(TraceCode::Allgatherv);
-        blocks
-            .into_iter()
-            .map(|b| b.expect("ring covered all ranks"))
-            .collect()
+        self.collective(TraceCode::Allgatherv, |ctx, who, tag| {
+            allgatherv_schedule(ctx, who, |i| i, tag, mine)
+        })
     }
 
     /// Personalised all-to-all: `out[d]` is delivered to rank `d`; returns
-    /// the blocks received, indexed by source rank (own block moved across
-    /// directly, free of network charge).
+    /// the blocks received, indexed by source rank
+    /// ([`alltoallv_schedule`]).
     pub fn alltoallv<T: Wire + Clone>(&mut self, out: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        let p = self.size();
-        let me = self.rank();
-        assert_eq!(out.len(), p, "alltoallv needs one buffer per rank");
-        self.coll_trace_begin(TraceCode::Alltoallv);
-        let tag = self.coll_tag(0);
-        let mut result: Vec<Vec<T>> = Vec::with_capacity(p);
-        let mut own: Option<Vec<T>> = None;
-        for (d, buf) in out.into_iter().enumerate() {
-            if d == me {
-                own = Some(buf);
-            } else {
-                self.send_coll(d, tag, &buf);
-            }
-        }
-        for s in 0..p {
-            if s == me {
-                result.push(own.take().expect("own block set above"));
-            } else {
-                result.push(self.recv_coll(s, tag));
-            }
-        }
-        self.next_coll();
-        self.coll_trace_end(TraceCode::Alltoallv);
-        result
+        self.collective(TraceCode::Alltoallv, |ctx, who, tag| {
+            alltoallv_schedule(ctx, who, |i| i, tag, out)
+        })
     }
 }
 

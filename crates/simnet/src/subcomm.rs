@@ -5,14 +5,15 @@
 //! [`SubComm`] is created collectively by [`RankCtx::split`]: ranks passing
 //! the same `color` form one group, ordered by `(key, global rank)`.
 //!
-//! Collectives on a subgroup are the same explicit message schedules as the
-//! global ones (recursive-doubling allreduce — the very function the world
-//! calls, `collectives::allreduce_schedule` — ring allgather, direct
-//! all-to-all), with sub-ranks translated through the membership table and
-//! tags drawn from a per-communicator namespace so concurrent subgroups
-//! never collide.
+//! Collectives on a subgroup are not copies of the global ones: they are the
+//! very functions the world calls (`collectives::allreduce_schedule`,
+//! `allgatherv_schedule`, `alltoallv_schedule`), handed this communicator's
+//! maps — sub-ranks translated through the membership table, tags drawn from
+//! a per-communicator namespace so concurrent subgroups never collide. This
+//! module holds no message loop; what is a subgroup's own is the split, the
+//! tag namespace, and the sequence counter and trace ids an invocation bumps.
 
-use crate::collectives::allreduce_schedule;
+use crate::collectives::{allgatherv_schedule, allreduce_schedule, alltoallv_schedule};
 use crate::rank::{RankCtx, Tag};
 use crate::trace::TraceCode;
 use crate::wire::Wire;
@@ -91,16 +92,29 @@ impl SubComm {
         TAG_SUBCOMM_BASE | (self.comm_id << 32) | ((self.seq & 0xFFFF) << 16) | round
     }
 
-    fn next(&mut self) {
+    /// One invocation of a subgroup collective — `RankCtx::collective` over
+    /// this communicator's maps, counter and trace ids: its span, `schedule`
+    /// with members translated through the membership table and tags from
+    /// the communicator's namespace, then the sequence number claimed and
+    /// the collective counted.
+    fn collective<R>(
+        &mut self,
+        ctx: &mut RankCtx,
+        code: TraceCode,
+        schedule: impl FnOnce(
+            &mut RankCtx,
+            (usize, usize),
+            &dyn Fn(usize) -> usize,
+            &dyn Fn(u64) -> Tag,
+        ) -> R,
+    ) -> R {
+        ctx.trace_begin(code, self.seq, self.comm_id);
+        let (global, tag) = (|i| self.members[i], |round| self.tag(round));
+        let out = schedule(ctx, (self.me, self.size()), &global, &tag);
         self.seq += 1;
-    }
-
-    fn send<T: Wire>(&self, ctx: &mut RankCtx, dest: usize, tag: Tag, items: &[T]) {
-        ctx.send_coll(self.members[dest], tag, items);
-    }
-
-    fn recv<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> Vec<T> {
-        ctx.recv_coll(self.members[src], tag)
+        ctx.bump_collective();
+        ctx.trace_end(code, self.seq, self.comm_id);
+        out
     }
 
     /// Allreduce within the subgroup: the world's schedule over the
@@ -111,13 +125,9 @@ impl SubComm {
         value: T,
         combine: impl Fn(&T, &T) -> T,
     ) -> T {
-        ctx.trace_begin(TraceCode::Allreduce, self.seq, self.comm_id);
-        let who = (self.me, self.size());
-        let (global, tag) = (|i| self.members[i], |round| self.tag(round));
-        let mut out = allreduce_schedule(ctx, who, global, tag, vec![value], combine);
-        self.next();
-        ctx.bump_collective();
-        ctx.trace_end(TraceCode::Allreduce, self.seq, self.comm_id);
+        let mut out = self.collective(ctx, TraceCode::Allreduce, |ctx, who, global, tag| {
+            allreduce_schedule(ctx, who, global, tag, vec![value], combine)
+        });
         out.pop().expect("one element in, one out")
     }
 
@@ -126,7 +136,8 @@ impl SubComm {
         self.allreduce(ctx, v, |a, b| a + b)
     }
 
-    /// Subgroup barrier.
+    /// Subgroup barrier: the world's, an allreduce of one byte nobody reads
+    /// in a span of its own.
     pub fn barrier(&mut self, ctx: &mut RankCtx) {
         ctx.trace_begin(TraceCode::Barrier, self.seq, self.comm_id);
         self.allreduce(ctx, 0u8, |_, _| 0u8);
@@ -134,65 +145,23 @@ impl SubComm {
         ctx.trace_end(TraceCode::Barrier, self.seq, self.comm_id);
     }
 
-    /// Ring allgather within the subgroup.
+    /// Allgather within the subgroup, indexed by sub-rank: the world's ring.
     pub fn allgatherv<T: Wire + Clone>(&mut self, ctx: &mut RankCtx, mine: &[T]) -> Vec<Vec<T>> {
-        let p = self.size();
-        let me = self.me;
-        ctx.trace_begin(TraceCode::Allgatherv, self.seq, self.comm_id);
-        let mut blocks: Vec<Option<Vec<T>>> = vec![None; p];
-        blocks[me] = Some(mine.to_vec());
-        if p > 1 {
-            let next = (me + 1) % p;
-            let prev = (me + p - 1) % p;
-            for step in 0..p - 1 {
-                let tag = self.tag(step as u64);
-                let send_idx = (me + p - step) % p;
-                let to_send = blocks[send_idx].clone().expect("ring schedule");
-                self.send(ctx, next, tag, &to_send);
-                let recv_idx = (prev + p - step) % p;
-                blocks[recv_idx] = Some(self.recv(ctx, prev, tag));
-            }
-        }
-        self.next();
-        ctx.bump_collective();
-        ctx.trace_end(TraceCode::Allgatherv, self.seq, self.comm_id);
-        blocks
-            .into_iter()
-            .map(|b| b.expect("ring covered group"))
-            .collect()
+        self.collective(ctx, TraceCode::Allgatherv, |ctx, who, global, tag| {
+            allgatherv_schedule(ctx, who, global, tag, mine)
+        })
     }
 
-    /// Personalised all-to-all within the subgroup.
+    /// Personalised all-to-all within the subgroup: the world's direct
+    /// exchange.
     pub fn alltoallv<T: Wire + Clone>(
         &mut self,
         ctx: &mut RankCtx,
         out: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
-        let p = self.size();
-        let me = self.me;
-        assert_eq!(out.len(), p, "one buffer per subgroup member");
-        ctx.trace_begin(TraceCode::Alltoallv, self.seq, self.comm_id);
-        let tag = self.tag(0);
-        let mut own = None;
-        for (d, buf) in out.into_iter().enumerate() {
-            if d == me {
-                own = Some(buf);
-            } else {
-                self.send(ctx, d, tag, &buf);
-            }
-        }
-        let mut result = Vec::with_capacity(p);
-        for s in 0..p {
-            if s == me {
-                result.push(own.take().expect("own block set"));
-            } else {
-                result.push(self.recv(ctx, s, tag));
-            }
-        }
-        self.next();
-        ctx.bump_collective();
-        ctx.trace_end(TraceCode::Alltoallv, self.seq, self.comm_id);
-        result
+        self.collective(ctx, TraceCode::Alltoallv, |ctx, who, global, tag| {
+            alltoallv_schedule(ctx, who, global, tag, out)
+        })
     }
 }
 
@@ -273,6 +242,51 @@ mod tests {
                 }
                 assert!((last - slowest).abs() < 1e-12, "{groups} groups: {last}");
             }
+        }
+        // The ring and the direct exchange are the world's too: a subgroup
+        // spanning the world delivers the world's blocks in the world's
+        // message count and, entered at one common instant, finishes when
+        // the world's does, on every rank.
+        for p in [1, 3, 4, 7, 8] {
+            let rep = Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
+                let me = ctx.rank();
+                let mut g = ctx.split(0, me as u64);
+                let mine = vec![me as u64; me + 1];
+                let out: Vec<Vec<u64>> =
+                    (0..p).map(|d| vec![(me * 10 + d) as u64; d + 1]).collect();
+                [false, true].map(|sub| {
+                    let mut cost = Vec::new();
+                    let mut entered = |ctx: &mut crate::RankCtx| {
+                        cost.push((ctx.now(), ctx.stats().coll_msgs));
+                        let skew = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
+                        ctx.charge_seconds(skew + 1e-3 - ctx.now());
+                        cost.push((ctx.now(), ctx.stats().coll_msgs));
+                    };
+                    entered(ctx);
+                    let gathered = match sub {
+                        true => g.allgatherv(ctx, &mine),
+                        false => ctx.allgatherv(&mine),
+                    };
+                    entered(ctx);
+                    let exchanged = match sub {
+                        true => g.alltoallv(ctx, out.clone()),
+                        false => ctx.alltoallv(out.clone()),
+                    };
+                    entered(ctx);
+                    // (seconds, messages) of the gather, then of the exchange
+                    let spent = |i: usize| (cost[i + 1].0 - cost[i].0, cost[i + 1].1 - cost[i].1);
+                    (gathered, exchanged, spent(1), spent(3))
+                })
+            });
+            for (rank, [world, sub]) in rep.results.iter().enumerate() {
+                assert_eq!((&sub.0, &sub.1), (&world.0, &world.1), "p={p} rank {rank}");
+                for (s, w) in [(sub.2, world.2), (sub.3, world.3)] {
+                    assert_eq!(s.1, w.1, "p={p} rank {rank}: messages");
+                    assert!((s.0 - w.0).abs() < 1e-12, "p={p} rank {rank}: {s:?} {w:?}");
+                }
+            }
+            let sent: u64 = rep.results.iter().map(|[_, sub]| sub.2 .1 + sub.3 .1).sum();
+            assert_eq!(sent, 2 * (p * (p - 1)) as u64, "p={p}");
         }
     }
 

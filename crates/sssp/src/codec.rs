@@ -1,4 +1,4 @@
-//! The relaxation-update message codec.
+//! The relaxation-update records and their message codec.
 //!
 //! An update is `(target vertex, new distance, parent)` — 20 raw bytes. At
 //! benchmark scale the exchange volume is the dominant network load, so the
@@ -7,33 +7,154 @@
 //! uniform random, there is no entropy to remove). Sortedness comes for
 //! free from the dedup ("on-chip sort") stage. Experiment F6 measures the
 //! achieved ratio.
+//!
+//! There are two record types — the solo kernel's [`Update`] and the batched
+//! kernel's lane-tagged [`TaggedUpdate`] — and one of everything else: one
+//! trait ([`Record`]) says what the exchange and the kernel need of a record,
+//! one comparator orders both by `(lane, target, distance, parent)` with the
+//! solo record in lane 0, and one [`dedup_min`] and one sort-before-encode
+//! use it. So what a lane ships and the order it arrives in are functions of
+//! its update *set* — independent of the emission interleave and of which
+//! record type carries it — and a one-lane batch is its solo run to the bit.
+//! Only the two wire formats differ: a solo message is one gap+varint block,
+//! a batched one a lane-grouped sequence of them.
 
 use g500_graph::compress::{read_varint, write_varint};
+use simnet::Wire;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// One relaxation request: (global target, tentative distance, global parent).
 pub type Update = (u64, f32, u64);
 
-/// Encode updates. If `sorted_by_target` is false the slice is copied and
-/// sorted first (the format requires non-decreasing targets).
-pub fn encode_updates(updates: &[Update], sorted_by_target: bool) -> Vec<u8> {
-    let mut storage;
-    let updates = if sorted_by_target || updates.windows(2).all(|w| w[0].0 <= w[1].0) {
-        updates
-    } else {
-        storage = updates.to_vec();
-        storage.sort_unstable_by_key(|u| u.0);
-        &storage[..]
-    };
+/// One lane-tagged relaxation request of the batched kernel:
+/// (lane index, global target, tentative distance, global parent).
+pub type TaggedUpdate = (u32, u64, f32, u64);
+
+/// A relaxation record the exchange can ship and the kernel can stage: an
+/// [`Update`] behind a lane tag. The solo record's tag is `()`, lane 0 in no
+/// bytes — a solo run's bytes, charges and pinned goldens know nothing of
+/// lanes; the batched record's is the `u32` in front of a [`TaggedUpdate`].
+/// A light pull's frontier entries `(tag, vertex, dist)` and a heavy fetch's
+/// requests `(tag, id)` carry the tag the same way.
+pub trait Record: Wire + Copy + Send + Sync {
+    /// The lane tag as it travels.
+    type Tag: Wire + Copy + Ord + Send + Sync;
+    /// Message tag of the non-coalesced one-record messages.
+    const SINGLE_TAG: u64;
+    /// Second argument of the exchange's trace events.
+    const TRACE_FLAVOR: u64;
+    /// Lane `lane`'s tag.
+    fn tag(lane: u32) -> Self::Tag;
+    /// The lane a tag names.
+    fn lane(tag: Self::Tag) -> u32;
+    /// `update`, as lane `lane`'s.
+    fn pack(lane: u32, update: Update) -> Self;
+    /// The record's lane and update.
+    fn unpack(self) -> (u32, Update);
+    /// Compress `records`; `sorted` promises they are already in canonical
+    /// order.
+    fn encode(records: &[Self], sorted: bool) -> Vec<u8>;
+    /// Inverse of [`encode`](Self::encode); `None` on malformed input.
+    fn decode(buf: &[u8]) -> Option<Vec<Self>>;
+}
+
+impl Record for Update {
+    type Tag = ();
+    const SINGLE_TAG: u64 = 0x5550;
+    const TRACE_FLAVOR: u64 = 0;
+    fn tag(_: u32) {}
+    fn lane(_: ()) -> u32 {
+        0
+    }
+    fn pack(_: u32, update: Update) -> Update {
+        update
+    }
+    fn unpack(self) -> (u32, Update) {
+        (0, self)
+    }
+    fn encode(records: &[Self], sorted: bool) -> Vec<u8> {
+        encode_updates(records, sorted)
+    }
+    fn decode(buf: &[u8]) -> Option<Vec<Self>> {
+        decode_updates(buf)
+    }
+}
+
+impl Record for TaggedUpdate {
+    type Tag = u32;
+    const SINGLE_TAG: u64 = 0x5551;
+    const TRACE_FLAVOR: u64 = 1;
+    fn tag(lane: u32) -> u32 {
+        lane
+    }
+    fn lane(tag: u32) -> u32 {
+        tag
+    }
+    fn pack(lane: u32, (v, d, parent): Update) -> TaggedUpdate {
+        (lane, v, d, parent)
+    }
+    fn unpack(self) -> (u32, Update) {
+        (self.0, (self.1, self.2, self.3))
+    }
+    fn encode(records: &[Self], sorted: bool) -> Vec<u8> {
+        encode_tagged(records, sorted)
+    }
+    fn decode(buf: &[u8]) -> Option<Vec<Self>> {
+        decode_tagged(buf)
+    }
+}
+
+/// The canonical total order of records: lane, then target, then distance,
+/// then parent. Dedup and both compressed wire formats sort by this *full*
+/// key, so the bytes shipped (and the post-dedup apply order) are a pure
+/// function of the update set.
+fn canonical<R: Record>(a: &R, b: &R) -> Ordering {
+    let ((la, (ta, da, pa)), (lb, (tb, db, pb))) = (a.unpack(), b.unpack());
+    (la, ta)
+        .cmp(&(lb, tb))
+        .then(da.total_cmp(&db))
+        .then(pa.cmp(&pb))
+}
+
+/// Sort canonically and keep the minimum (distance, parent) per (lane,
+/// target) — the "on-chip sort" dedup stage. Returns the number of records
+/// eliminated.
+pub fn dedup_min<R: Record>(records: &mut Vec<R>) -> usize {
+    records.sort_unstable_by(canonical);
+    let before = records.len();
+    records.dedup_by_key(|r| {
+        let (lane, (target, ..)) = r.unpack();
+        (lane, target)
+    }); // keeps the first = min
+    before - records.len()
+}
+
+/// `records` in canonical order, which both wire formats require: as given
+/// when `sorted` promises it or one linear pass finds it, else a sorted copy.
+fn in_wire_order<R: Record>(records: &[R], sorted: bool) -> Cow<'_, [R]> {
+    if sorted || records.is_sorted_by(|a, b| canonical(a, b).is_le()) {
+        return Cow::Borrowed(records);
+    }
+    let mut copy = records.to_vec();
+    copy.sort_unstable_by(canonical);
+    Cow::Owned(copy)
+}
+
+/// Encode updates. If `sorted` is false and the slice is not in canonical
+/// order it is copied and sorted first.
+pub fn encode_updates(updates: &[Update], sorted: bool) -> Vec<u8> {
+    let updates = in_wire_order(updates, sorted);
     let mut out = Vec::with_capacity(4 + updates.len() * 10);
-    write_block(&mut out, updates, |&u| u);
+    write_block(&mut out, &updates);
     out
 }
 
 /// Append one gap+varint block — the unit both wire formats are made of:
-/// record count, target gaps, raw `f32` distances, varint parents.
-/// `fields` reads a record's (target, distance, parent); the records must
-/// be in non-decreasing target order.
-fn write_block<R>(out: &mut Vec<u8>, records: &[R], fields: impl Fn(&R) -> Update) {
+/// record count, target gaps, raw `f32` distances, varint parents. The
+/// records must be of one lane, in non-decreasing target order.
+fn write_block<R: Record>(out: &mut Vec<u8>, records: &[R]) {
+    let fields = |r: &R| r.unpack().1;
     write_varint(out, records.len() as u64);
     let mut prev = 0u64;
     for r in records {
@@ -95,65 +216,11 @@ pub fn decode_updates(buf: &[u8]) -> Option<Vec<Update>> {
     (pos == buf.len()).then_some(out)
 }
 
-/// Sort by target and keep the minimum-distance update per target — the
-/// "on-chip sort" dedup stage. Returns the number of records eliminated.
-pub fn dedup_min(updates: &mut Vec<Update>) -> usize {
-    if updates.len() <= 1 {
-        return 0;
-    }
-    updates.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    let before = updates.len();
-    updates.dedup_by_key(|u| u.0); // keeps the first = min distance
-    before - updates.len()
-}
-
-/// One lane-tagged relaxation request of the batched kernel:
-/// (lane index, global target, tentative distance, global parent).
-pub type TaggedUpdate = (u32, u64, f32, u64);
-
-/// The canonical total order of tagged updates: lane, then target, then
-/// distance, then parent. Dedup and the compressed wire format both sort
-/// by this *full* key, so the bytes shipped (and the post-dedup apply
-/// order) are a pure function of the update *set* — independent of the
-/// emission interleave, which is what makes a lane inside a width-B batch
-/// bitwise identical to the same lane in a width-1 batch.
-#[inline]
-fn tagged_key(a: &TaggedUpdate, b: &TaggedUpdate) -> std::cmp::Ordering {
-    (a.0, a.1)
-        .cmp(&(b.0, b.1))
-        .then(a.2.total_cmp(&b.2))
-        .then(a.3.cmp(&b.3))
-}
-
-/// Sort by the canonical key and keep the minimum (distance, parent) per
-/// (lane, target). Returns the number of records eliminated.
-pub fn dedup_min_tagged(updates: &mut Vec<TaggedUpdate>) -> usize {
-    if updates.len() <= 1 {
-        return 0;
-    }
-    updates.sort_unstable_by(tagged_key);
-    let before = updates.len();
-    updates.dedup_by_key(|u| (u.0, u.1)); // keeps the first = min
-    before - updates.len()
-}
-
 /// Encode tagged updates: lane-grouped, each group a gap+varint target
-/// block exactly like [`encode_updates`]. If `sorted` is false the slice
-/// is copied and sorted by the canonical key first (the format requires
-/// lane-major, non-decreasing targets within a lane).
+/// block exactly like [`encode_updates`]. If `sorted` is false and the slice
+/// is not in canonical order it is copied and sorted first.
 pub fn encode_tagged(updates: &[TaggedUpdate], sorted: bool) -> Vec<u8> {
-    let mut storage;
-    let updates = if sorted
-        || updates
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1))
-    {
-        updates
-    } else {
-        storage = updates.to_vec();
-        storage.sort_unstable_by(tagged_key);
-        &storage[..]
-    };
+    let updates = in_wire_order(updates, sorted);
     let mut out = Vec::with_capacity(8 + updates.len() * 11);
     // count the lane groups first (one linear pass over the lane column)
     let groups = updates
@@ -169,9 +236,8 @@ pub fn encode_tagged(updates: &[TaggedUpdate], sorted: bool) -> Vec<u8> {
             .iter()
             .position(|u| u.0 != lane)
             .map_or(updates.len(), |off| i + off);
-        let group = &updates[i..j];
         write_varint(&mut out, lane as u64);
-        write_block(&mut out, group, |&(_, t, d, p)| (t, d, p));
+        write_block(&mut out, &updates[i..j]);
         i = j;
     }
     out
@@ -313,20 +379,51 @@ mod tests {
     }
 
     #[test]
-    fn tagged_dedup_is_input_order_independent() {
-        // same multiset, two emission orders: identical survivor list
-        let mut a = vec![
+    fn dedup_is_input_order_independent() {
+        // same multiset, two emission orders: identical survivor list, for
+        // either record type — the solo record is the tagged one in lane 0,
+        // down to which parent wins an exact (target, distance) tie
+        fn survivors<R: Record + PartialEq + std::fmt::Debug>(emitted: &[TaggedUpdate]) -> Vec<R> {
+            let pack = |&(lane, t, d, p): &TaggedUpdate| R::pack(lane, (t, d, p));
+            let mut a: Vec<R> = emitted.iter().map(pack).collect();
+            let mut b: Vec<R> = emitted.iter().rev().map(pack).collect();
+            assert_eq!(dedup_min(&mut a), dedup_min(&mut b));
+            assert_eq!(a, b);
+            a
+        }
+        let emitted = [
             (1u32, 9u64, 0.5f32, 4u64),
             (1, 9, 0.5, 2),
             (0, 9, 0.5, 8),
             (1, 9, 0.25, 6),
+            (0, 9, 0.5, 3),
         ];
-        let mut b = a.clone();
-        b.reverse();
-        dedup_min_tagged(&mut a);
-        dedup_min_tagged(&mut b);
-        assert_eq!(a, b);
-        assert_eq!(a, vec![(0, 9, 0.5, 8), (1, 9, 0.25, 6)]);
+        let tagged = survivors::<TaggedUpdate>(&emitted);
+        assert_eq!(tagged, vec![(0, 9, 0.5, 3), (1, 9, 0.25, 6)]);
+        for lane in [0, 1] {
+            let of_lane: Vec<TaggedUpdate> =
+                emitted.iter().filter(|u| u.0 == lane).copied().collect();
+            let solo = survivors::<Update>(&of_lane);
+            let same: Vec<Update> = tagged
+                .iter()
+                .filter(|u| u.0 == lane)
+                .map(|u| u.unpack().1)
+                .collect();
+            assert_eq!(solo, same, "lane {lane}");
+        }
+    }
+
+    #[test]
+    fn unsorted_input_is_encoded_in_canonical_order() {
+        // sorted by target but not by the full key: the solo encoder used
+        // to ship such a slice as given, so a tie's arrival order depended
+        // on the emission interleave
+        let tied = vec![(7u64, 0.5f32, 9u64), (7, 0.5, 2), (7, 0.25, 4)];
+        let canonical = vec![(7, 0.25, 4), (7, 0.5, 2), (7, 0.5, 9)];
+        assert_eq!(
+            decode_updates(&encode_updates(&tied, false)),
+            Some(canonical)
+        );
     }
 
     #[test]
@@ -335,7 +432,7 @@ mod tests {
             .map(|i| ((i % 4) as u32, 100_000 + (i / 4) * 3, 0.5, 77_000 + i))
             .collect();
         let mut sorted = updates.clone();
-        sorted.sort_unstable_by(tagged_key);
+        sorted.sort_unstable_by(canonical);
         let enc = encode_tagged(&sorted, true);
         let raw = updates.len() * 24;
         assert!(

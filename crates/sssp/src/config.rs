@@ -43,9 +43,6 @@ pub struct OptConfig {
     pub bucket_fusion: bool,
     /// Push/pull/hybrid relaxation.
     pub direction: Direction,
-    /// When `bucket_fusion` is on: fuse the tail once the global active
-    /// vertex count drops below `tail_threshold × ranks`.
-    pub tail_threshold: u64,
     /// Record per-bucket phase timings (for the breakdown figure; costs a
     /// little memory, no simulated time).
     pub record_phases: bool,
@@ -67,7 +64,6 @@ impl OptConfig {
             compression: true,
             bucket_fusion: true,
             direction: Direction::Hybrid,
-            tail_threshold: 64,
             record_phases: false,
         }
     }
@@ -82,7 +78,6 @@ impl OptConfig {
             compression: false,
             bucket_fusion: false,
             direction: Direction::Push,
-            tail_threshold: 64,
             record_phases: false,
         }
     }

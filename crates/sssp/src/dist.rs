@@ -39,7 +39,7 @@
 //! with what a [`BatchSpec`] adds (target, bound, retirement record). Every
 //! superstep body is `for lane in lanes { the solo body }` around one
 //! collective of each kind, skipped when the agreed sums say no lane chose
-//! it. The kernel is generic over the exchange record ([`LaneRecord`]): one
+//! it. The kernel is generic over the exchange record ([`Record`]): one
 //! lane ships [`Update`] with a zero-byte lane tag — no wire record of a
 //! solo run carries a lane — a batch ships [`TaggedUpdate`].
 //! (DESIGN.md, "Bucket-epoch driver → Lanes".)
@@ -52,11 +52,11 @@
 //! the ablation experiments measure against.
 
 use crate::bucket::BucketQueue;
-use crate::codec::{TaggedUpdate, Update};
+use crate::codec::{Record, TaggedUpdate, Update};
 use crate::config::{Direction, OptConfig};
 use crate::delta::suggest_delta;
 use crate::epoch::{run_bucket_epochs, Agreed, BucketKernel, Offer, SuperstepSpan};
-use crate::exchange::{exchange_into, ExchangeBufs, ExchangeRecord};
+use crate::exchange::{exchange_into, ExchangeBufs};
 use crate::multi::BatchSpec;
 use g500_graph::hash::VertexIdBuild;
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
@@ -101,6 +101,10 @@ const FRONTIER_ENTRY_BYTES: usize = <(u64, f32) as Wire>::SIZE;
 /// Operations one heavy arc costs a fetch at most: scanned, offered to the
 /// request dedup, answered by its owner, its reply received, scanned again.
 const FETCH_OPS_PER_ARC: f64 = 5.0;
+
+/// With `bucket_fusion` on, the tail is fused once fewer than this many
+/// vertices a rank are still queued, machine-wide.
+const TAIL_THRESHOLD: u64 = 64;
 
 /// Per-chunk result of the parallel heavy-phase scan: relaxation count and
 /// the improving candidates `(target_global, new_dist, parent_global,
@@ -245,51 +249,6 @@ impl SsspRunStats {
     }
 }
 
-/// The record type a kernel ships — [`Update`] for one lane, [`TaggedUpdate`]
-/// for a batch — and how it says which lane a record belongs to. The solo
-/// entry's tag is `()`, lane 0 in no bytes: a solo run's bytes, charges and
-/// pinned goldens know nothing of lanes. The batched entry's is the `u32` in
-/// front of a [`TaggedUpdate`]. A light pull's frontier entries
-/// `(tag, vertex, dist)` and a heavy fetch's requests `(tag, id)` carry it
-/// the same way.
-pub(crate) trait LaneRecord: ExchangeRecord {
-    type Tag: Wire + Copy + Ord + Send + Sync;
-    fn tag(lane: u32) -> Self::Tag;
-    fn lane(tag: Self::Tag) -> u32;
-    fn pack(lane: u32, update: Update) -> Self;
-    fn unpack(self) -> (u32, Update);
-}
-
-impl LaneRecord for Update {
-    type Tag = ();
-    fn tag(_: u32) {}
-    fn lane(_: ()) -> u32 {
-        0
-    }
-    fn pack(_: u32, update: Update) -> Update {
-        update
-    }
-    fn unpack(self) -> (u32, Update) {
-        (0, self)
-    }
-}
-
-impl LaneRecord for TaggedUpdate {
-    type Tag = u32;
-    fn tag(lane: u32) -> u32 {
-        lane
-    }
-    fn lane(tag: u32) -> u32 {
-        tag
-    }
-    fn pack(lane: u32, (v, d, parent): Update) -> TaggedUpdate {
-        (lane, v, d, parent)
-    }
-    fn unpack(self) -> (u32, Update) {
-        (self.0, (self.1, self.2, self.3))
-    }
-}
-
 /// What every lane reads and none writes.
 struct Rows<'a, P: VertexPartition> {
     graph: &'a LocalGraph<P>,
@@ -369,9 +328,12 @@ pub(crate) struct Lane {
 
 /// Working state threaded through the phases: the graph side, the lanes,
 /// and what the lanes share — options, run counters, scratch.
-pub(crate) struct Kernel<'a, P: VertexPartition, R: LaneRecord> {
+pub(crate) struct Kernel<'a, P: VertexPartition, R: Record> {
     rows: Rows<'a, P>,
     opts: OptConfig,
+    /// Whether the run may end in the fused tail: a solo run's does, a
+    /// batch's never (`crate::multi`).
+    tail: bool,
     pub(crate) lanes: Vec<Lane>,
     pub(crate) stats: SsspRunStats,
     /// Superstep scratch arenas, reused across the whole run: the exchange
@@ -393,7 +355,7 @@ pub(crate) struct Kernel<'a, P: VertexPartition, R: LaneRecord> {
 /// next `open_bucket`. No lane count: the lanes were built from the specs
 /// before any load, and the solo kernel's checkpoint is one plain lane and
 /// nothing else (its size is pinned).
-impl<P: VertexPartition, R: LaneRecord> Checkpoint for Kernel<'_, P, R> {
+impl<P: VertexPartition, R: Record> Checkpoint for Kernel<'_, P, R> {
     fn save(&self, out: &mut Vec<u8>) {
         for lane in &self.lanes {
             lane.save(out);
@@ -441,17 +403,19 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
     root: VertexId,
     opts: &OptConfig,
 ) -> Result<(DistShortestPaths, SsspRunStats), FaultEscalation> {
-    let mut k = run_kernel::<P, Update>(ctx, graph, &[BatchSpec::full(root)], opts)?;
+    let mut k = run_kernel::<P, Update>(ctx, graph, &[BatchSpec::full(root)], opts, true)?;
     Ok((k.lanes.swap_remove(0).sp, k.stats))
 }
 
-/// The run itself, one lane a spec, shipping `R`; the finished kernel still
-/// holds its lanes and counters.
-pub(crate) fn run_kernel<'a, P: VertexPartition, R: LaneRecord>(
+/// The run itself, one lane a spec, shipping `R`, free to end in the fused
+/// tail or (`tail` false) not; the finished kernel still holds its lanes and
+/// counters.
+pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
     ctx: &mut RankCtx,
     graph: &'a LocalGraph<P>,
     specs: &[BatchSpec],
     opts: &OptConfig,
+    tail: bool,
 ) -> Result<Kernel<'a, P, R>, FaultEscalation> {
     let n_local = graph.local_vertices();
     let start_now = ctx.now();
@@ -495,6 +459,7 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: LaneRecord>(
             light_end,
         },
         opts: *opts,
+        tail,
         lanes,
         stats: SsspRunStats::default(),
         xbufs: ExchangeBufs::new(ctx.size()),
@@ -552,7 +517,7 @@ fn heavy_pulls(ctx: &RankCtx, dir: Direction, (h, u_h): (u64, u64)) -> bool {
     }
 }
 
-impl<P: VertexPartition, R: LaneRecord> BucketKernel for Kernel<'_, P, R> {
+impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
     type Offer = Sums;
 
     fn offer(&mut self, open: Option<u64>) -> Vec<Agreed<Sums>> {
@@ -582,10 +547,8 @@ impl<P: VertexPartition, R: LaneRecord> BucketKernel for Kernel<'_, P, R> {
         }
         let arcs = self.rows.graph.global_arcs() * agreed.len() as u64;
         let bulk_done = (arcs - unsettled) * 2 > arcs;
-        if self.opts.bucket_fusion
-            && active < self.opts.tail_threshold * ctx.size() as u64
-            && bulk_done
-        {
+        let fuses = self.tail && self.opts.bucket_fusion;
+        if fuses && active < TAIL_THRESHOLD * ctx.size() as u64 && bulk_done {
             // The tail ends with every queue empty and its last round
             // agreed on that, so the run is over without another agreement.
             self.fused_tail(ctx);
@@ -871,7 +834,7 @@ impl Lane {
     /// improvements that stay in bucket `k` when fusion is on) are
     /// processed within this superstep and recorded in `settled` so the
     /// heavy phase covers them too.
-    fn light_push<P: VertexPartition, R: LaneRecord>(
+    fn light_push<P: VertexPartition, R: Record>(
         &mut self,
         ctx: &mut RankCtx,
         rows: &Rows<P>,
@@ -1013,7 +976,7 @@ impl Lane {
 
     /// Heavy phase, push side: one pass over the bucket's settled set,
     /// staged as lane `tag`; returns the arcs relaxed.
-    fn heavy_push<P: VertexPartition, R: LaneRecord>(
+    fn heavy_push<P: VertexPartition, R: Record>(
         &mut self,
         ctx: &mut RankCtx,
         rows: &Rows<P>,
@@ -1104,7 +1067,7 @@ impl Lane {
     /// One fused-tail round over `self.frontier`, all edge classes at once,
     /// staged as lane `tag`; returns the arcs relaxed and leaves the next
     /// round's local part in `self.frontier`.
-    fn tail_round<P: VertexPartition, R: LaneRecord>(
+    fn tail_round<P: VertexPartition, R: Record>(
         &mut self,
         rows: &Rows<P>,
         (me, tag): (usize, u32),
@@ -1148,7 +1111,7 @@ fn acting(lanes: &mut [Lane], stand: Stand, pull: bool) -> impl Iterator<Item = 
     lanes.iter_mut().enumerate().filter(acts).map(indexed)
 }
 
-impl<P: VertexPartition, R: LaneRecord> Kernel<'_, P, R> {
+impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
     /// The `(lane, target, dist, parent)` tentatives of the live lanes
     /// whose target this rank owns.
     fn target_tentatives(&self, me: usize) -> Vec<TaggedUpdate> {
@@ -1578,13 +1541,10 @@ mod tests {
         // The cascade on, the fused tail (which settles nothing) off: every
         // reached vertex went through `settle`, whichever way it was found.
         for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
-            let opts = OptConfig {
-                tail_threshold: 0,
-                ..OptConfig::all_on().with_direction(dir)
-            };
+            let opts = OptConfig::all_on().with_direction(dir);
             let rep = Machine::new(MachineConfig::with_ranks(4)).run(|ctx| {
                 let g = kron9(ctx);
-                let k = run_kernel::<_, Update>(ctx, &g, &[BatchSpec::full(0)], &opts)
+                let k = run_kernel::<_, Update>(ctx, &g, &[BatchSpec::full(0)], &opts, false)
                     .expect("no crash");
                 let lane = &k.lanes[0];
                 let unreached: u64 = (0..g.local_vertices())
@@ -1658,51 +1618,45 @@ mod tests {
 
     #[test]
     fn one_lane_batch_is_the_solo_kernel() {
-        // The batched entry point over one full lane against the solo entry
-        // point with the one switch a batch flips: the same distances and
-        // tree, from the same supersteps, relaxations and records — on a
-        // graph with room to pull and fetch, on one that is all boundaries,
-        // and on one where every choice is a tie.
+        // The batched entry point over one full lane against the solo
+        // kernel with the one switch a batch flips (no fused tail): the same
+        // distances and the same tree, bit for bit, from the same
+        // supersteps, relaxations and records — on a graph with room to pull
+        // and fetch, on one that is all boundaries, and on one where every
+        // choice is a tie. Both record types break an exact (target,
+        // distance) tie by the one canonical order, deduplicated or sorted
+        // for the wire, and shipped raw both arrive in staging order.
         let kron = g500_gen::KroneckerGenerator::new(g500_gen::KroneckerParams::graph500(9, 4));
         let graphs = [(512, kron.generate_all()), almost_line(), max_dense_zero()];
-        let all_on = OptConfig {
-            tail_threshold: 0,
-            ..OptConfig::all_on()
-        };
-        let raw = all_on.without_dedup().without_compression();
+        let all_on = OptConfig::all_on();
+        let rows = [
+            all_on,
+            all_on.without_dedup(),
+            all_on.without_dedup().without_compression(),
+        ];
         for (n, el) in &graphs {
             for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
-                // Records that tie on (target, distance) from two parents
-                // are the one thing the record types order differently:
-                // `dedup_min` keeps whichever its unstable sort leaves
-                // first, `dedup_min_tagged` the lowest parent, and the two
-                // compressed formats sort by different keys. That is the
-                // codecs', not the kernel's: shipped raw both arrive in
-                // staging order, and the trees must be one tree again.
-                let ties = *n == 48 && dir != Direction::Pull;
-                for opts in [all_on, raw].map(|o| o.with_direction(dir)) {
-                    let same_tree = !ties || !opts.dedup;
+                for opts in rows.map(|o| o.with_direction(dir)) {
                     let rep = Machine::new(MachineConfig::with_ranks(4)).run(|ctx| {
                         let m = el.len();
                         let (lo, hi) = (ctx.rank() * m / 4, (ctx.rank() + 1) * m / 4);
                         let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
                         let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(*n, 4));
-                        let root = n / 3;
-                        let lane = [BatchSpec::full(root)];
-                        let (sp, solo) =
-                            try_distributed_delta_stepping(ctx, &g, root, &opts).unwrap();
+                        let lane = [BatchSpec::full(n / 3)];
+                        let solo = run_kernel::<_, Update>(ctx, &g, &lane, &opts, false).unwrap();
                         let (md, ms) =
                             crate::try_batched_delta_stepping(ctx, &g, &lane, &opts).unwrap();
-                        let (lane_sp, what) = (md.lane_paths(0), format!("n {n} {opts:?}"));
-                        assert_eq!(bits(&lane_sp).0, bits(&sp).0, "{what}");
-                        assert!(!same_tree || lane_sp.parent == sp.parent, "{what}");
+                        let what = format!("n {n} {opts:?}");
+                        assert_eq!(bits(&md.lane_paths(0)), bits(&solo.lanes[0].sp), "{what}");
                         let shown = (ms.supersteps, ms.relaxations, ms.updates_sent);
-                        let solo_shows = (solo.supersteps, solo.relaxations, solo.updates_sent);
+                        let stats = solo.stats;
+                        let solo_shows = (stats.supersteps, stats.relaxations, stats.updates_sent);
                         assert_eq!(shown, solo_shows, "{what}");
                         // and every counter `MultiStats` does not show
-                        let k = run_kernel::<_, TaggedUpdate>(ctx, &g, &lane, &opts).unwrap();
-                        assert_eq!(work(&k.stats), work(&solo), "{what}");
-                        solo
+                        let k =
+                            run_kernel::<_, TaggedUpdate>(ctx, &g, &lane, &opts, false).unwrap();
+                        assert_eq!(work(&k.stats), work(&stats), "{what}");
+                        stats
                     });
                     let sent: u64 = rep.results.iter().map(|s| s.updates_sent).sum();
                     assert_eq!(sent == 0, dir == Direction::Pull, "n {n} {dir:?}");
@@ -1729,10 +1683,7 @@ mod tests {
         for e in g500_gen::simple::path(64, 0.09).iter() {
             el.push(WEdge::new(path(e.u), path(e.v), e.w));
         }
-        let opts = OptConfig {
-            tail_threshold: 0,
-            ..OptConfig::all_on().with_delta(1.0)
-        };
+        let opts = OptConfig::all_on().with_delta(1.0);
         let roots = [clique(0), path(0)];
         let rep = Machine::new(MachineConfig::with_ranks(2)).run(|ctx| {
             let mine: Vec<_> = el
@@ -1741,12 +1692,13 @@ mod tests {
                 .collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(104, 2));
             let lanes = roots.map(BatchSpec::full);
-            let k = run_kernel::<_, TaggedUpdate>(ctx, &g, &lanes, &opts).unwrap();
+            let k = run_kernel::<_, TaggedUpdate>(ctx, &g, &lanes, &opts, false).unwrap();
             let mut alone = Vec::new();
             for (lane, &root) in k.lanes.iter().zip(&roots) {
-                let (sp, stats) = try_distributed_delta_stepping(ctx, &g, root, &opts).unwrap();
-                assert_eq!(bits(&lane.sp), bits(&sp), "root {root}");
-                alone.push(stats);
+                let solo = [BatchSpec::full(root)];
+                let solo = run_kernel::<_, Update>(ctx, &g, &solo, &opts, false).unwrap();
+                assert_eq!(bits(&lane.sp), bits(&solo.lanes[0].sp), "root {root}");
+                alone.push(solo.stats);
             }
             (k.stats, alone)
         });
@@ -1771,7 +1723,8 @@ mod tests {
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(64, 4));
             let lanes = roots.map(BatchSpec::full);
-            let k = run_kernel::<_, TaggedUpdate>(ctx, &g, &lanes, &OptConfig::all_on()).unwrap();
+            let k =
+                run_kernel::<_, TaggedUpdate>(ctx, &g, &lanes, &OptConfig::all_on(), true).unwrap();
             let gathered: Vec<ShortestPaths> = k
                 .lanes
                 .iter()

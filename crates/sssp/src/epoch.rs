@@ -194,6 +194,8 @@ impl SuperstepSpan {
 
 #[cfg(test)]
 mod tests {
+    use crate::codec::Update;
+    use crate::dist::run_kernel;
     use crate::multi::{try_batched_delta_stepping, BatchSpec};
     use crate::{try_distributed_delta_stepping, Direction, Grid2DSssp, OptConfig};
     use g500_graph::WEdge;
@@ -250,16 +252,14 @@ mod tests {
     fn agreement_count_is_supersteps_plus_one() {
         for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
             for tail in [true, false] {
-                let opts = OptConfig {
-                    tail_threshold: if tail { 64 } else { 0 },
-                    ..OptConfig::all_on().with_direction(dir)
-                };
+                let opts = OptConfig::all_on().with_direction(dir);
                 let (stats, allreduces) = allreduces_of(|ctx| {
                     let part = Block1D::new(512, 4);
                     let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
                     ctx.trace_begin(TraceCode::RootRun, 0, 0);
-                    let (_, stats) = try_distributed_delta_stepping(ctx, &g, 0, &opts).expect("ok");
-                    stats
+                    let lane = [BatchSpec::full(0)];
+                    let k = run_kernel::<_, Update>(ctx, &g, &lane, &opts, tail).expect("ok");
+                    k.stats
                 });
                 assert_eq!(stats.tail_fused, tail, "{dir:?}");
                 assert!(tail || stats.buckets > 1, "{stats:?}");

@@ -11,63 +11,15 @@
 //! All three change only traffic, never semantics: the same set of updates
 //! arrives either way (dedup drops only updates that a later min() would
 //! discard anyway).
+//!
+//! The exchange is generic over the record ([`Record`], beside the codec):
+//! the solo kernel's `Update` and the batched kernel's `TaggedUpdate` take
+//! the same path through the same dedup in the same canonical order.
 
-use crate::codec::{
-    decode_tagged, decode_updates, dedup_min, dedup_min_tagged, encode_tagged, encode_updates,
-    TaggedUpdate, Update,
-};
+use crate::codec::{dedup_min, Record};
 use crate::config::OptConfig;
 use rayon::prelude::*;
-use simnet::{RankCtx, TraceCode, Wire};
-
-/// A relaxation record the exchange can ship: the plain [`Update`] of the
-/// solo kernel or the lane-tagged [`TaggedUpdate`] of the batched one.
-/// `dedup`, `encode` and `decode` are the record's [`crate::codec`]
-/// functions.
-pub trait ExchangeRecord: Wire + Copy + Send + Sync {
-    /// Message tag of the non-coalesced one-record messages.
-    const SINGLE_TAG: u64;
-    /// Second argument of the exchange's trace events.
-    const TRACE_FLAVOR: u64;
-    /// Sort `bucket` canonically and keep the minimum per target.
-    fn dedup(bucket: &mut Vec<Self>);
-    /// Compress `bucket`; `sorted` promises it is already in wire order.
-    fn encode(bucket: &[Self], sorted: bool) -> Vec<u8>;
-    /// Inverse of [`encode`](Self::encode); `None` on malformed input.
-    fn decode(buf: &[u8]) -> Option<Vec<Self>>;
-}
-
-impl ExchangeRecord for Update {
-    const SINGLE_TAG: u64 = 0x5550;
-    const TRACE_FLAVOR: u64 = 0;
-    fn dedup(bucket: &mut Vec<Self>) {
-        dedup_min(bucket);
-    }
-    fn encode(bucket: &[Self], sorted: bool) -> Vec<u8> {
-        encode_updates(bucket, sorted)
-    }
-    fn decode(buf: &[u8]) -> Option<Vec<Self>> {
-        decode_updates(buf)
-    }
-}
-
-/// Dedup keeps the canonical minimum per (lane, target) and the compressed
-/// format lane-groups the gap+varint codec. Because both order records by
-/// the canonical full key, the bytes a lane receives are a function of its
-/// update set only — independent of which other lanes share the batch.
-impl ExchangeRecord for TaggedUpdate {
-    const SINGLE_TAG: u64 = 0x5551;
-    const TRACE_FLAVOR: u64 = 1;
-    fn dedup(bucket: &mut Vec<Self>) {
-        dedup_min_tagged(bucket);
-    }
-    fn encode(bucket: &[Self], sorted: bool) -> Vec<u8> {
-        encode_tagged(bucket, sorted)
-    }
-    fn decode(buf: &[u8]) -> Option<Vec<Self>> {
-        decode_tagged(buf)
-    }
-}
+use simnet::{RankCtx, TraceCode};
 
 /// What one exchange did, for the run statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -119,7 +71,7 @@ impl<R> ExchangeBufs<R> {
 /// on the compressed path (which only *reads* the buckets to encode) their
 /// capacity survives for the next superstep, while the uncompressed paths
 /// hand the Vecs themselves to the transport.
-pub fn exchange_into<R: ExchangeRecord>(
+pub fn exchange_into<R: Record>(
     ctx: &mut RankCtx,
     bufs: &mut ExchangeBufs<R>,
     opts: &OptConfig,
@@ -144,7 +96,9 @@ pub fn exchange_into<R: ExchangeRecord>(
         // function of the bucket's contents, so shipped bytes are
         // identical at any thread count.
         ctx.trace_begin(TraceCode::TaskWave, p as u64, 2);
-        out.par_iter_mut().with_min_len(1).for_each(R::dedup);
+        out.par_iter_mut().with_min_len(1).for_each(|b| {
+            dedup_min(b);
+        });
         // the sort is the modeled "on-chip sort" cost
         ctx.charge_compute(work);
         ctx.trace_end(TraceCode::TaskWave, p as u64, 2);
@@ -213,7 +167,7 @@ pub fn exchange_into<R: ExchangeRecord>(
 /// agreed via a (cheap, aggregated) all-to-all first so receivers know how
 /// many singletons to expect from each peer; per-sender FIFO ordering makes
 /// the tag reuse across supersteps safe.
-fn exchange_one_message_per_update<R: ExchangeRecord>(
+fn exchange_one_message_per_update<R: Record>(
     ctx: &mut RankCtx,
     out: Vec<Vec<R>>,
     incoming: &mut Vec<R>,
@@ -247,6 +201,7 @@ fn exchange_one_message_per_update<R: ExchangeRecord>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{TaggedUpdate, Update};
     use simnet::{Machine, MachineConfig};
 
     fn run_exchange(p: usize, opts: OptConfig) -> Vec<(Vec<Update>, ExchangeOutcome, u64, u64)> {

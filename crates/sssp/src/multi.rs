@@ -25,10 +25,10 @@
 //! records by the canonical (lane, target, dist, parent) key, and applies
 //! are strict-`<` in received order. Batched distances *and parents* are
 //! therefore bitwise identical to per-source runs, at any `G500_THREADS`.
-//! The one thing a batch switches off is the fused tail (`tail_threshold:
-//! 0`): it takes the whole machine out of bucket discipline on a trigger
-//! summed over lanes, which neither width-invariance nor retirement at
-//! bucket boundaries survives.
+//! The one thing a batch switches off is the fused tail (`run_kernel`'s
+//! `tail` argument): it takes the whole machine out of bucket discipline on
+//! a trigger summed over lanes, which neither width-invariance nor
+//! retirement at bucket boundaries survives.
 //!
 //! # Point-to-point lanes
 //!
@@ -186,11 +186,7 @@ pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
     opts: &OptConfig,
 ) -> Result<(MultiDist, MultiStats), FaultEscalation> {
     assert!(!specs.is_empty(), "empty batch");
-    let opts = OptConfig {
-        tail_threshold: 0,
-        ..*opts
-    };
-    let mut k = run_kernel::<P, TaggedUpdate>(ctx, graph, specs, &opts)?;
+    let mut k = run_kernel::<P, TaggedUpdate>(ctx, graph, specs, opts, false)?;
     // Lanes still live at batch end — unreachable targets, targets settled
     // in the last bucket — publish their results once more; nobody retires.
     k.retire(ctx, 0);

@@ -24,7 +24,7 @@ run() {
   if "$BIN/$name" >"results/$name.txt" 2>&1; then
     echo "  ok in $((SECONDS - start))s"
   else
-    echo "FAILED: $name (see results/$name.txt)"
+    echo "FAILED: $name after $((SECONDS - start))s (see results/$name.txt)"
   fi
 }
 
@@ -52,7 +52,7 @@ G500_MAX_SCALE=16 G500_ROOTS=2 run f5_algo_compare
 run f6_comm_volume
 run f7_degree_dist
 run f8_direction
-run f9_dist_compare
+run f9_dist_compare   # exits 1 unless its shape holds; 1.5-3 min here
 run f10_bfs_vs_sssp
 run f11_batching
 run f12_partition_balance

@@ -285,7 +285,15 @@ fn cli_rejects_unknown_arguments_by_name() {
 /// in `Machine::new`, `--roots 0` in the root sampler's "graph too small").
 #[test]
 fn cli_rejects_out_of_range_values_by_name() {
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 17] = [
+        (&["sssp", "--scale", "0"], "--scale"),
+        (&["sssp", "--scale", "64"], "--scale"),
+        (&["bfs", "--scale", "0"], "--scale"),
+        (&["bfs", "--scale", "64"], "--scale"),
+        (&["serve", "--scale", "0"], "--scale"),
+        (&["serve", "--scale", "64"], "--scale"),
+        (&["stats", "--scale", "0"], "--scale"),
+        (&["stats", "--scale", "64"], "--scale"),
         (
             &["sssp", "--scale", "8", "--ranks", "2", "--delta", "0"],
             "--delta",

@@ -809,7 +809,7 @@ fn traced_runs_have_balanced_spans() {
 
 #[test]
 fn tagged_codec_roundtrips_arbitrary_updates() {
-    use graph500::sssp::codec::{decode_tagged, dedup_min_tagged, encode_tagged, TaggedUpdate};
+    use graph500::sssp::codec::{decode_tagged, dedup_min, encode_tagged, TaggedUpdate};
     for_cases(0x7A66, 128, |rng| {
         let n = rng.usize(0, 200);
         let mut updates: Vec<TaggedUpdate> = (0..n)
@@ -837,8 +837,8 @@ fn tagged_codec_roundtrips_arbitrary_updates() {
         // dedup survivors are a pure function of the update SET
         let mut rev = updates.clone();
         rev.reverse();
-        dedup_min_tagged(&mut updates);
-        dedup_min_tagged(&mut rev);
+        dedup_min(&mut updates);
+        dedup_min(&mut rev);
         assert_eq!(updates, rev, "dedup depended on emission order");
     });
 }
