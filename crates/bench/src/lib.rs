@@ -14,28 +14,74 @@ pub mod micro;
 
 use std::fmt::Display;
 
-/// Read an integer parameter from the environment with a default, e.g.
-/// `param("G500_SCALE", 16)`.
-pub fn param(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// What is wrong with `raw` as the value of the integer variable `name`,
+/// as the words that follow "is not"; `Ok` with the value otherwise. The
+/// range is the one the name promises: a `…SCALE…` is a generator scale, a
+/// count of ranks, roots, queries or pool entries is at least one, and
+/// anything else (seeds, budgets, cache sizes) is any `u64`.
+fn check_param(name: &str, raw: &str) -> Result<u64, String> {
+    let v: u64 = raw
+        .trim()
+        .parse()
+        .map_err(|_| "an unsigned integer".to_string())?;
+    let scales = g500_gen::KroneckerParams::SCALES;
+    let counted = ["RANKS", "ROOTS", "QUERIES", "POOL"];
+    if name.contains("SCALE") && !u32::try_from(v).is_ok_and(|s| scales.contains(&s)) {
+        Err(format!("{} to {}", scales.start(), scales.end()))
+    } else if v == 0 && counted.iter().any(|c| name.ends_with(c)) {
+        Err("at least 1".to_string())
+    } else {
+        Ok(v)
+    }
 }
 
-/// Read a float parameter from the environment with a default.
+/// The same for a float variable: every one is a rate or a factor, finite
+/// and not negative.
+fn check_param_f64(raw: &str) -> Result<f64, String> {
+    let v: f64 = raw.trim().parse().map_err(|_| "a number".to_string())?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err("finite and at least 0".to_string())
+    }
+}
+
+/// `name` from the environment through `check`, `default` when unset. A
+/// value no run can use ends the harness here — one line naming it, exit 2,
+/// before anything runs — not with a silent default or a panic from inside
+/// a rank thread.
+fn checked<T>(name: &str, default: T, check: impl Fn(&str) -> Result<T, String>) -> T {
+    let Ok(raw) = std::env::var(name) else {
+        return default;
+    };
+    check(&raw).unwrap_or_else(|takes| {
+        let exe = std::env::args().next().unwrap_or_default();
+        let harness = std::path::Path::new(&exe)
+            .file_stem()
+            .map_or("g500-bench".into(), |s| s.to_string_lossy().into_owned());
+        eprintln!("{harness}: {name}={raw} is not {takes}");
+        std::process::exit(2)
+    })
+}
+
+/// Read an integer parameter from the environment with a default, e.g.
+/// `param("G500_SCALE", 16)`; exits 2 on a value that does not parse or is
+/// outside the range its name promises.
+pub fn param(name: &str, default: u64) -> u64 {
+    checked(name, default, |raw| check_param(name, raw))
+}
+
+/// Read a float parameter from the environment with a default; exits 2 on
+/// a value that does not parse, is not finite or is negative.
 pub fn param_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    checked(name, default, check_param_f64)
 }
 
 /// Build a [`simnet::FaultPlan`] from the `G500_*` fault environment
 /// variables (`G500_FAULT_SEED`, `G500_DROP_RATE`, `G500_DUP_RATE`,
 /// `G500_CORRUPT_RATE`, `G500_REORDER_RATE`, `G500_RETRY_BUDGET`), all
 /// zero/off by default — so every harness can run its sweep over a lossy
-/// network without code changes. Panics on invalid rates.
+/// network without code changes. Exits 2 on invalid rates.
 pub fn fault_plan_from_env() -> simnet::FaultPlan {
     let plan = simnet::FaultPlan::none()
         .with_seed(param("G500_FAULT_SEED", 0))
@@ -45,7 +91,8 @@ pub fn fault_plan_from_env() -> simnet::FaultPlan {
         .with_reorder(param_f64("G500_REORDER_RATE", 0.0))
         .with_retry_budget(param("G500_RETRY_BUDGET", 16) as u32);
     if let Err(e) = plan.validate() {
-        panic!("bad G500_* fault environment: {e}");
+        eprintln!("bad G500_* fault environment: {e}");
+        std::process::exit(2)
     }
     plan
 }
@@ -67,6 +114,110 @@ pub fn fault_banner_params(plan: &simnet::FaultPlan) -> Vec<(&'static str, Strin
         ),
         ("retry_budget", plan.retry_budget.to_string()),
     ]
+}
+
+/// Where the root runs of a traced benchmark spent their virtual time,
+/// summed over ranks and roots: what `g500 sssp --trace` prints, cut down to
+/// the `root-run` spans so that assembly and validation traffic stay out.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Attribution {
+    /// Inclusive `root-run` seconds.
+    pub root_s: f64,
+    /// The supersteps' compute, communication and idle remainder
+    /// ([`simnet::TraceSummary::supersteps`], summed).
+    pub compute_s: f64,
+    /// See `compute_s`.
+    pub comm_s: f64,
+    /// See `compute_s`.
+    pub wait_s: f64,
+    /// Inclusive seconds of each collective kind inside the root runs.
+    pub alltoallv_s: f64,
+    /// See `alltoallv_s`.
+    pub allreduce_s: f64,
+    /// See `alltoallv_s`.
+    pub allgatherv_s: f64,
+}
+
+impl Attribution {
+    /// Attribute the root runs of `trace`.
+    pub fn of(trace: &simnet::Trace) -> Attribution {
+        use simnet::{TraceCode, TraceKind};
+        let mut out = Attribution::default();
+        for row in trace.summary().supersteps {
+            out.compute_s += row.compute_s;
+            out.comm_s += row.comm_s;
+            out.wait_s += row.wait_s;
+        }
+        // per rank: when the open root run began, and each collective in it
+        let mut open = vec![[None::<f64>; 4]; trace.ranks as usize];
+        for (rank, ev) in &trace.events {
+            let (slot, total) = match ev.code {
+                TraceCode::RootRun => (0, &mut out.root_s),
+                TraceCode::Alltoallv => (1, &mut out.alltoallv_s),
+                TraceCode::Allreduce => (2, &mut out.allreduce_s),
+                TraceCode::Allgatherv => (3, &mut out.allgatherv_s),
+                _ => continue,
+            };
+            let open = &mut open[*rank as usize];
+            match ev.kind {
+                TraceKind::Begin if slot == 0 || open[0].is_some() => open[slot] = Some(ev.t_s),
+                TraceKind::End => {
+                    if let Some(t0) = open[slot].take() {
+                        *total += ev.t_s - t0;
+                    }
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// The table cells every scaling harness appends to a row: the
+    /// compute / comm / wait split in percent of their sum, then the three
+    /// collectives in percent of root time.
+    pub fn cells(&self) -> [String; 6] {
+        let split = (self.compute_s + self.comm_s + self.wait_s).max(f64::MIN_POSITIVE);
+        let root = self.root_s.max(f64::MIN_POSITIVE);
+        [
+            self.compute_s / split,
+            self.comm_s / split,
+            self.wait_s / split,
+            self.alltoallv_s / root,
+            self.allreduce_s / root,
+            self.allgatherv_s / root,
+        ]
+        .map(|share| format!("{:.1}", 100.0 * share))
+    }
+
+    /// Column headers for [`cells`](Self::cells).
+    pub const HEADERS: [&'static str; 6] = [
+        "compute%",
+        "comm%",
+        "wait%",
+        "alltoallv%",
+        "allreduce%",
+        "allgatherv%",
+    ];
+}
+
+/// Exit 1 naming the harness's shape when the efficiency it measured at its
+/// largest rank count is under the recorded `floor` (percent); say so when
+/// the configuration is not one with a recorded floor.
+pub fn assert_efficiency(what: &str, measured: f64, floor: Option<f64>) {
+    match floor {
+        Some(floor) if measured < floor => {
+            eprintln!(
+                "SHAPE BROKEN: {what}: efficiency {measured:.1}% is under the recorded {floor:.1}%"
+            );
+            std::process::exit(1)
+        }
+        Some(floor) => {
+            println!("{what}: efficiency {measured:.1}% holds the recorded floor of {floor:.1}%")
+        }
+        None => println!(
+            "{what}: efficiency {measured:.1}% (no floor is recorded for this configuration)"
+        ),
+    }
 }
 
 /// A fixed-width text table writer for experiment output.
@@ -136,9 +287,39 @@ mod tests {
         assert_eq!(param("G500_TEST_PARAM_X", 7), 7);
         std::env::set_var("G500_TEST_PARAM_X", "42");
         assert_eq!(param("G500_TEST_PARAM_X", 7), 42);
-        std::env::set_var("G500_TEST_PARAM_X", "bogus");
-        assert_eq!(param("G500_TEST_PARAM_X", 7), 7);
         std::env::remove_var("G500_TEST_PARAM_X");
+    }
+
+    #[test]
+    fn unparsable_param_is_refused() {
+        assert_eq!(
+            check_param("G500_RANKS", "abc"),
+            Err("an unsigned integer".into())
+        );
+        assert_eq!(
+            check_param("G500_SEED", "-1"),
+            Err("an unsigned integer".into())
+        );
+        assert_eq!(check_param_f64("0.1.2"), Err("a number".into()));
+    }
+
+    #[test]
+    fn out_of_range_param_is_refused() {
+        assert_eq!(check_param("G500_RANKS", "0"), Err("at least 1".into()));
+        assert_eq!(check_param("G500_MAX_RANKS", "0"), Err("at least 1".into()));
+        assert_eq!(check_param("G500_ROOTS", "0"), Err("at least 1".into()));
+        assert_eq!(check_param("G500_SCALE", "63"), Err("1 to 62".into()));
+        assert_eq!(
+            check_param("G500_SCALE_PER_RANK", "0"),
+            Err("1 to 62".into())
+        );
+        assert_eq!(check_param_f64("-0.5"), Err("finite and at least 0".into()));
+        assert_eq!(check_param_f64("inf"), Err("finite and at least 0".into()));
+        // what a name does not bound is any value of its type
+        assert_eq!(check_param("G500_FAULT_SEED", "0"), Ok(0));
+        assert_eq!(check_param("G500_LRU", "0"), Ok(0));
+        assert_eq!(check_param("G500_SCALE", " 62 "), Ok(62));
+        assert_eq!(check_param_f64("0"), Ok(0.0));
     }
 
     #[test]

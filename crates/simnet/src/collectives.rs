@@ -16,7 +16,24 @@
 //! [`allreduce_schedule`], [`allgatherv_schedule`] and
 //! [`alltoallv_schedule`]; they differ only in those maps and in whose
 //! sequence counter and trace ids an invocation bumps. A change of schedule
-//! — a Bruck allgather, a two-hop exchange — is a change to one function.
+//! — a Bruck allgather — is a change to one function.
+//!
+//! Routes. A personalised all-to-all has two ([`Route`]). *Direct* is
+//! [`alltoallv_schedule`] over the world: `P − 1` sends and `P − 1` receives
+//! a rank, full or empty. *Grouped* is that same schedule run twice over the
+//! `G × S` exchange grid ([`Topology::exchange_group`](crate::Topology::exchange_group);
+//! rank `(g, i)` is `g·S + i`): over its column, `(g, i)` sends each `(g′, i)`
+//! one message holding the `S` blocks bound for group `g′`; over its row,
+//! `(g′, i)` forwards each `(g′, j)` one message holding the `G` blocks it now
+//! has for `j` — `G + S − 2` sends and as many receives a rank. A forwarder
+//! moves blocks as the bytes they arrived as, between length prefixes: no
+//! decode, no merge, no compute charge; and the receiver still leaves with
+//! one block per source rank, in source order, so nothing above the
+//! collective can tell the routes apart except by the clock.
+//! [`RankCtx::alltoallv_seconds`] prices a route from the LogGP parameters
+//! and [`RankCtx::alltoallv_route`] names the cheaper one for the bytes a
+//! rank expects to ship — callers decide per exchange, from numbers every
+//! rank agrees on, the way a kernel decides push against pull.
 //!
 //! Tag discipline: each collective invocation claims a fresh sequence number
 //! from its communicator's rank-local counter. SPMD programs call collectives
@@ -31,8 +48,10 @@
 //! [`NetStats::collectives`]: crate::NetStats::collectives
 //! [`NetStats::barriers`]: crate::NetStats::barriers
 
+use crate::cost::Topology;
 use crate::rank::{RankCtx, Tag, TrafficClass, TAG_COLLECTIVE_BASE};
 use crate::recovery::FaultEscalation;
+use crate::subcomm::{SubComm, GRID_COL_ID, GRID_ROW_ID};
 use crate::trace::TraceCode;
 use crate::transport::TransportError;
 use crate::wire::{decode_vec_checked, encode_slice, Wire};
@@ -179,6 +198,137 @@ pub(crate) fn alltoallv_schedule<T: Wire>(
     (0..p).map(from).collect()
 }
 
+/// Which way the blocks of a personalised all-to-all travel (module docs,
+/// "Routes").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// One message to every rank.
+    Direct,
+    /// One message to every group, forwarded inside it. On a machine with no
+    /// exchange grid (a prime rank count) this is the direct route.
+    Grouped,
+}
+
+/// This rank's place in the `G × S` exchange grid, and what the grid costs.
+pub(crate) struct Grid {
+    /// The `G` ranks `(g′, i)` at this rank's position in every group.
+    col: SubComm,
+    /// The `S` ranks `(g, j)` of this rank's own group.
+    row: SubComm,
+    /// Worst hop count of a column message plus that of a row message.
+    hops: u32,
+}
+
+/// Worst hop count from rank 0 to `peers`. Priced from rank 0 on every rank:
+/// a route's price must be the same number everywhere.
+pub(crate) fn worst_hops(topo: &Topology, peers: impl Iterator<Item = usize>) -> u32 {
+    peers.map(|d| topo.hops(0, d)).max().unwrap_or(0)
+}
+
+impl Grid {
+    /// The grid as rank `rank` of `p` sees it; `None` when `p` has none. A
+    /// pure function of `(rank, p, topology)`: forming it sends nothing.
+    pub(crate) fn new(rank: usize, p: usize, topo: &Topology) -> Option<Box<Grid>> {
+        let s = topo.exchange_group(p);
+        let g = p / s;
+        if s == 1 || g == 1 {
+            return None;
+        }
+        let (group, pos) = (rank / s, rank % s);
+        Some(Box::new(Grid {
+            col: SubComm::strided(rank, (pos, s, g), GRID_COL_ID),
+            row: SubComm::strided(rank, (group * s, 1, s), GRID_ROW_ID),
+            hops: worst_hops(topo, (1..g).map(|g| g * s)) + worst_hops(topo, 1..s),
+        }))
+    }
+
+    /// The grouped route of `out`, one block a rank: hop 1 over the column,
+    /// the regrouping of opaque bytes, hop 2 over the row.
+    fn exchange<T: Wire + Clone>(&mut self, ctx: &mut RankCtx, out: Vec<Vec<T>>) -> Vec<Vec<T>> {
+        let s_n = self.row.size();
+        assert_eq!(
+            out.len(),
+            self.col.size() * s_n,
+            "alltoallv needs one buffer per rank"
+        );
+        let bundles: Vec<Vec<u8>> = out
+            .chunks(s_n)
+            .map(|group| frame(group.iter().map(|block| encode_slice(block))))
+            .collect();
+        let held = self.col.alltoallv(ctx, bundles);
+        let forwards = self.regroup(ctx, &held);
+        self.deliver(ctx, forwards)
+    }
+
+    /// Between the hops: `held[g]` is the bundle `(g, i)` sent this rank, its
+    /// `S` blocks bound for this group's members. The bundle for member `j`
+    /// is the `G` blocks held for it, source groups in order — bytes moved
+    /// between length prefixes, never read.
+    fn regroup(&self, ctx: &RankCtx, held: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let parts: Vec<Vec<&[u8]>> = held
+            .iter()
+            .enumerate()
+            .map(|(g, bundle)| unbundle(ctx, self.col.global_rank(g), bundle, self.row.size()))
+            .collect();
+        (0..self.row.size())
+            .map(|j| frame(parts.iter().map(|from_group| from_group[j])))
+            .collect()
+    }
+
+    /// Hop 2: forward the regrouped bundles over the row and decode what the
+    /// other members forwarded here into one block per source rank — member
+    /// `i`'s bundle holds the blocks of `(g, i)` for every `g`.
+    fn deliver<T: Wire + Clone>(
+        &mut self,
+        ctx: &mut RankCtx,
+        forwards: Vec<Vec<u8>>,
+    ) -> Vec<Vec<T>> {
+        let (g_n, s_n) = (self.col.size(), self.row.size());
+        let got = self.row.alltoallv(ctx, forwards);
+        let mut blocks: Vec<Vec<T>> = vec![Vec::new(); g_n * s_n];
+        for (i, bundle) in got.iter().enumerate() {
+            let src = self.row.global_rank(i);
+            for (g, bytes) in unbundle(ctx, src, bundle, g_n).into_iter().enumerate() {
+                blocks[g * s_n + i] = decode_vec_checked(bytes)
+                    .unwrap_or_else(|e| ctx.decode_failure(src, e.len, e.elem_size));
+            }
+        }
+        blocks
+    }
+}
+
+/// `blocks` back to back, each behind its byte length as a `u32`.
+fn frame<B: AsRef<[u8]>>(blocks: impl Iterator<Item = B>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for block in blocks {
+        let block = block.as_ref();
+        let len = u32::try_from(block.len()).expect("a block of a grouped exchange is under 4 GiB");
+        len.write(&mut out);
+        out.extend_from_slice(block);
+    }
+    out
+}
+
+/// [`unframe`] of a bundle the hop just finished brought from `src`, or the
+/// typed decode error.
+fn unbundle<'a>(ctx: &RankCtx, src: usize, bundle: &'a [u8], n: usize) -> Vec<&'a [u8]> {
+    unframe(bundle, n).unwrap_or_else(|| ctx.decode_failure(src, bundle.len(), u32::SIZE))
+}
+
+/// The `n` blocks of a [`frame`]; `None` unless the prefixes add up to
+/// exactly the bundle.
+fn unframe(bundle: &[u8], n: usize) -> Option<Vec<&[u8]>> {
+    let mut pos = 0;
+    let mut blocks = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = u32::read(bundle, &mut pos)? as usize;
+        let end = pos.checked_add(len)?;
+        blocks.push(bundle.get(pos..end)?);
+        pos = end;
+    }
+    (pos == bundle.len()).then_some(blocks)
+}
+
 impl RankCtx {
     /// One invocation of a world collective: its span, `schedule` over the
     /// world's maps — member `i` is rank `i`, a tag is the sequence number
@@ -221,14 +371,23 @@ impl RankCtx {
         let buf = self.recv_bytes_class(src, tag);
         match decode_vec_checked(&buf) {
             Ok(items) if expect.is_none_or(|n| items.len() == n) => items,
-            _ => std::panic::panic_any(FaultEscalation::Transport(TransportError::Decode {
-                src,
-                dst: self.rank(),
-                tag,
-                len: buf.len(),
-                elem_size: T::SIZE,
-            })),
+            _ => self.decode_failure(src, buf.len(), T::SIZE),
         }
+    }
+
+    /// Leave with the typed decode error: `len` bytes that `src` sent in the
+    /// collective this rank received from last are not `elem_size`-byte
+    /// records (or, for a layer above whose blocks are a format of its own,
+    /// do not decode as that). The error names the tag of the last message
+    /// received, which every message of that collective travelled under.
+    pub fn decode_failure(&self, src: usize, len: usize, elem_size: usize) -> ! {
+        std::panic::panic_any(FaultEscalation::Transport(TransportError::Decode {
+            src,
+            dst: self.rank(),
+            tag: self.last_recv_tag,
+            len,
+            elem_size,
+        }))
     }
 
     /// Receive a collective payload of any length from machine rank `src`.
@@ -327,6 +486,75 @@ impl RankCtx {
         self.collective(TraceCode::Alltoallv, |ctx, who, tag| {
             alltoallv_schedule(ctx, who, |i| i, tag, out)
         })
+    }
+
+    /// [`alltoallv`](Self::alltoallv) by `route`: the same blocks by source
+    /// rank either way. Collective — every rank must name the same route. A
+    /// forwarded bundle whose length prefixes do not add up, or a block that
+    /// is not whole `T`s, leaves as the typed decode error of
+    /// [`recv_coll_checked`](Self::recv_coll_checked).
+    pub fn alltoallv_routed<T: Wire + Clone>(
+        &mut self,
+        route: Route,
+        out: Vec<Vec<T>>,
+    ) -> Vec<Vec<T>> {
+        match (route, self.grid.take()) {
+            (Route::Grouped, Some(mut grid)) => {
+                let blocks = grid.exchange(self, out);
+                self.grid = Some(grid);
+                blocks
+            }
+            (_, grid) => {
+                self.grid = grid;
+                self.alltoallv(out)
+            }
+        }
+    }
+
+    /// What `route` costs in messages a rank sends, worst-case hops end to
+    /// end, and the share of a rank's shipped bytes its largest message
+    /// carries.
+    fn route_terms(&self, route: Route) -> (f64, f64, f64) {
+        let p = self.size() as f64;
+        match (route, &self.grid) {
+            (Route::Grouped, Some(grid)) => {
+                let (g, s) = (grid.col.size() as f64, grid.row.size() as f64);
+                (g + s - 2.0, f64::from(grid.hops), 1.0 / g + 1.0 / s)
+            }
+            _ => (p - 1.0, f64::from(self.direct_hops), 1.0 / p),
+        }
+    }
+
+    /// Modeled seconds of one all-to-all by `route` in which every rank ships
+    /// about `bytes`, entered by all ranks at once: every send and every
+    /// receive pays `overhead`, the last message flies its hops, and its
+    /// payload — `bytes / P` direct, `bytes / G` then `bytes / S` grouped —
+    /// follows at `per_byte`.
+    pub fn alltoallv_seconds(&self, route: Route, bytes: f64) -> f64 {
+        let (msgs, hops, share) = self.route_terms(route);
+        let net = self.loggp();
+        2.0 * msgs * net.overhead + net.latency * hops + bytes * share * net.per_byte
+    }
+
+    /// The cheaper route for an all-to-all in which every rank ships about
+    /// `bytes`: grouped when the posting it saves outweighs the extra hop
+    /// and the second copy of the bytes, direct otherwise and on a tie. A
+    /// pure function of the machine and `bytes`, so ranks that agree on
+    /// `bytes` agree on the route.
+    pub fn alltoallv_route(&self, bytes: f64) -> Route {
+        let (direct, grouped) = (
+            self.route_terms(Route::Direct),
+            self.route_terms(Route::Grouped),
+        );
+        let net = self.loggp();
+        let saved = 2.0 * (direct.0 - grouped.0) * net.overhead;
+        let added =
+            net.latency * (grouped.1 - direct.1) + bytes * (grouped.2 - direct.2) * net.per_byte;
+        if saved > added {
+            Route::Grouped
+        } else {
+            Route::Direct
+        }
     }
 }
 
@@ -598,6 +826,220 @@ mod tests {
             for (r, blocks) in rep.results.iter().enumerate() {
                 for (s, b) in blocks.iter().enumerate() {
                     assert_eq!(b, &vec![(s as u64, r as u64)], "p={p}");
+                }
+            }
+        }
+    }
+
+    use super::Route;
+    use crate::cost::{LogGP, Topology};
+    use crate::RankCtx;
+
+    /// The exchange grid's shape `(G, S)`; `(P, 1)` when the machine has
+    /// none and both routes are the direct one.
+    fn exchange_grid(ctx: &RankCtx) -> (usize, usize) {
+        match &ctx.grid {
+            Some(grid) => (grid.col.size(), grid.row.size()),
+            None => (ctx.size(), 1),
+        }
+    }
+
+    /// Rank `me`'s block for rank `d`, `p` ranks: ragged, some empty, and
+    /// telling of both ends.
+    fn ragged(me: usize, d: usize, p: usize) -> Vec<(u32, u64)> {
+        let n = (3 * me + 5 * d) % 4 + usize::from((me + d) % p == 1) * 9;
+        (0..n).map(|k| (me as u32, (d * 100 + k) as u64)).collect()
+    }
+
+    #[test]
+    fn grouped_and_direct_deliver_the_same_blocks_by_source() {
+        // (ranks, G, S) on a crossbar: the squarest grid; a prime has none
+        let shapes = [
+            (4, 2, 2),
+            (6, 3, 2),
+            (8, 4, 2),
+            (12, 4, 3),
+            (16, 4, 4),
+            (7, 7, 1),
+        ];
+        for (p, g, s) in shapes {
+            for empty in [false, true] {
+                let rep = Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
+                    assert_eq!(exchange_grid(ctx), (g, s), "p={p}");
+                    let me = ctx.rank();
+                    let out: Vec<Vec<(u32, u64)>> = (0..p)
+                        .map(|d| if empty { Vec::new() } else { ragged(me, d, p) })
+                        .collect();
+                    let sent = |ctx: &RankCtx| ctx.stats().coll_msgs;
+                    let m0 = sent(ctx);
+                    let direct = ctx.alltoallv_routed(Route::Direct, out.clone());
+                    let m1 = sent(ctx);
+                    let grouped = ctx.alltoallv_routed(Route::Grouped, out);
+                    (direct, grouped, m1 - m0, sent(ctx) - m1)
+                });
+                for (me, (direct, grouped, direct_msgs, grouped_msgs)) in
+                    rep.results.iter().enumerate()
+                {
+                    assert_eq!(grouped, direct, "p={p} rank {me}");
+                    for (src, block) in direct.iter().enumerate() {
+                        let expect = if empty {
+                            Vec::new()
+                        } else {
+                            ragged(src, me, p)
+                        };
+                        assert_eq!(block, &expect, "p={p} rank {me} from {src}");
+                    }
+                    assert_eq!(*direct_msgs, p as u64 - 1, "p={p}");
+                    // a prime rank count degenerates to the direct route
+                    let hops = if s == 1 { p - 1 } else { g + s - 2 };
+                    assert_eq!(*grouped_msgs, hops as u64, "p={p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_shape_follows_the_wiring() {
+        let wired = [
+            (Topology::Dragonfly { group: 8 }, 32, (4, 8)),
+            (Topology::FatTree { radix: 4 }, 32, (8, 4)),
+            (Topology::Torus2D { w: 6, h: 6 }, 32, (8, 4)),
+            (Topology::Dragonfly { group: 8 }, 8, (4, 2)),
+        ];
+        for (topo, p, shape) in wired {
+            let rep = Machine::new(MachineConfig::with_ranks(p).topology(topo)).run(|ctx| {
+                let out: Vec<Vec<u64>> =
+                    (0..p).map(|d| vec![(ctx.rank() * p + d) as u64]).collect();
+                (
+                    exchange_grid(ctx),
+                    ctx.alltoallv_routed(Route::Grouped, out),
+                )
+            });
+            for (me, (grid, blocks)) in rep.results.iter().enumerate() {
+                assert_eq!(*grid, shape, "{topo:?}");
+                let expect: Vec<Vec<u64>> = (0..p).map(|s| vec![(s * p + me) as u64]).collect();
+                assert_eq!(blocks, &expect, "{topo:?} rank {me}");
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_empty_exchange_costs_the_priced_formula() {
+        // every rank enters at t = 0 with nothing to say: the slowest rank
+        // leaves when the formula says, plus the flight of the length
+        // prefixes (S of them out, G of them on) — and so does the direct
+        // route, with no prefixes
+        let net = LogGP::default();
+        let cases = [
+            (Topology::Crossbar, 16),
+            (Topology::Crossbar, 12),
+            (Topology::Dragonfly { group: 4 }, 16),
+            (Topology::FatTree { radix: 4 }, 16),
+        ];
+        for (topo, p) in cases {
+            for route in [Route::Direct, Route::Grouped] {
+                let rep = Machine::new(MachineConfig::with_ranks(p).topology(topo)).run(|ctx| {
+                    ctx.alltoallv_routed(route, vec![Vec::<u64>::new(); p]);
+                    (ctx.alltoallv_seconds(route, 0.0), exchange_grid(ctx))
+                });
+                let (priced, (g, s)) = rep.results[0];
+                let prefixes = match route {
+                    Route::Direct => 0.0,
+                    Route::Grouped => 4.0 * (g + s) as f64 * net.per_byte,
+                };
+                assert!(
+                    (rep.sim_time_s - (priced + prefixes)).abs() < 1e-12,
+                    "{topo:?} p={p} {route:?}: took {} priced {priced}",
+                    rep.sim_time_s
+                );
+            }
+        }
+        // 16 ranks on a crossbar, spelled out: 2(G+S-2) against 2(P-1)
+        // overheads, two latencies against one
+        let rep = Machine::new(MachineConfig::with_ranks(16))
+            .run(|ctx| [Route::Direct, Route::Grouped].map(|r| ctx.alltoallv_seconds(r, 0.0)));
+        let [direct, grouped] = rep.results[0];
+        assert!((direct - (30.0 * net.overhead + net.latency)).abs() < 1e-15);
+        assert!((grouped - (12.0 * net.overhead + 2.0 * net.latency)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn grouped_route_is_priced_by_bytes_and_ties_go_direct() {
+        let route_at = |p: usize, bytes: f64| {
+            Machine::new(MachineConfig::with_ranks(p))
+                .run(|ctx| ctx.alltoallv_route(bytes))
+                .results[0]
+        };
+        // 4 ranks: one overhead pair saved, one latency added — a tie at
+        // best, so never grouped; a prime has no grid
+        assert_eq!(route_at(4, 0.0), Route::Direct);
+        assert_eq!(route_at(7, 0.0), Route::Direct);
+        // 16 ranks: 9 us of posting saved against 1 us of latency and
+        // 7/16 of the bytes a second time at 10 GB/s — break-even near 183 kB
+        assert_eq!(route_at(16, 0.0), Route::Grouped);
+        assert_eq!(route_at(16, 150e3), Route::Grouped);
+        assert_eq!(route_at(16, 200e3), Route::Direct);
+        // 8 ranks: 2 us net saving against 5/8 of the bytes — near 32 kB
+        assert_eq!(route_at(8, 30e3), Route::Grouped);
+        assert_eq!(route_at(8, 33e3), Route::Direct);
+        // the route named is the cheaper by `alltoallv_seconds`
+        let rep = Machine::new(MachineConfig::with_ranks(16)).run(|ctx| {
+            [0.0, 1e3, 1e5, 1.8e5, 1.9e5, 1e6].map(|b| {
+                let cheaper = ctx.alltoallv_seconds(Route::Grouped, b)
+                    < ctx.alltoallv_seconds(Route::Direct, b);
+                (ctx.alltoallv_route(b) == Route::Grouped) == cheaper
+            })
+        });
+        assert_eq!(rep.results[0], [true; 6]);
+    }
+
+    #[test]
+    fn grouped_corrupt_forward_is_a_typed_error() {
+        // Rank `bad` of a 3 x 2 grid forwards its row partner a bundle that
+        // is cut short (the prefixes no longer add up) or whose last block
+        // lost a byte to the one before it (the prefixes do, the records do
+        // not). Whichever rank does it, and although only its partner reads
+        // the bundle, the whole run is the typed error, never a panic.
+        for bad in 0..6 {
+            for cut_short in [true, false] {
+                let res = Machine::new(MachineConfig::with_ranks(6)).try_run(|ctx| {
+                    let out: Vec<Vec<u64>> = (0..6).map(|d| vec![d as u64; 2]).collect();
+                    if ctx.rank() != bad {
+                        return ctx.alltoallv_routed(Route::Grouped, out).len();
+                    }
+                    let mut grid = ctx.grid.take().expect("6 ranks have a grid");
+                    let bundles = out.chunks(2).map(|group| {
+                        super::frame(group.iter().map(|b| crate::wire::encode_slice(b)))
+                    });
+                    let held = grid.col.alltoallv(ctx, bundles.collect());
+                    let mut forwards = grid.regroup(ctx, &held);
+                    let partner = &mut forwards[1 - bad % 2];
+                    if cut_short {
+                        partner.pop();
+                    } else {
+                        // the same 60 bytes, but the middle block took a
+                        // byte from the last
+                        let sizes = [16usize, 17, 15];
+                        *partner = super::frame(sizes.iter().map(|&n| vec![0u8; n]));
+                    }
+                    grid.deliver::<u64>(ctx, forwards).len()
+                });
+                match res {
+                    Err(FaultEscalation::Transport(TransportError::Decode {
+                        src,
+                        dst,
+                        len,
+                        elem_size,
+                        ..
+                    })) => {
+                        assert_eq!((src, dst), (bad, bad ^ 1), "cut_short {cut_short}");
+                        let expect = if cut_short { (59, 4) } else { (17, 8) };
+                        assert_eq!((len, elem_size), expect, "bad {bad}");
+                    }
+                    other => panic!(
+                        "bad {bad}: expected a typed decode error, got {:?}",
+                        other.map(|r| r.results)
+                    ),
                 }
             }
         }

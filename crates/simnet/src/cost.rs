@@ -82,6 +82,28 @@ impl Topology {
     }
 }
 
+impl Topology {
+    /// Ranks a group of the two-hop exchange grid
+    /// ([`RankCtx::alltoallv_routed`](crate::RankCtx::alltoallv_routed)) on
+    /// `p` ranks: `S`, of `G × S = p`, group `g` being ranks `g·S..(g+1)·S`.
+    /// The groups the wiring already has — a Dragonfly `group`, the leaves
+    /// under one fat-tree switch — when they tile `p` into more than one;
+    /// otherwise the largest divisor of `p` not above `√p`, so the grid is as
+    /// square as `p` allows. `1` (a prime `p`) means there is no grid.
+    pub fn exchange_group(&self, p: usize) -> usize {
+        let wired = match *self {
+            Topology::Dragonfly { group } => group as usize,
+            Topology::FatTree { radix } => radix as usize,
+            Topology::Crossbar | Topology::Torus2D { .. } => 0,
+        };
+        if wired > 1 && wired < p && p.is_multiple_of(wired) {
+            return wired;
+        }
+        let divides = |s: &usize| p.is_multiple_of(*s);
+        (1..=p.isqrt()).rev().find(divides).unwrap_or(1)
+    }
+}
+
 /// LogGP-style per-message cost parameters (seconds / seconds-per-byte).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LogGP {
@@ -167,6 +189,22 @@ mod tests {
         let t = Topology::Dragonfly { group: 8 };
         assert_eq!(t.hops(0, 7), 1);
         assert_eq!(t.hops(0, 8), 3);
+    }
+
+    #[test]
+    fn exchange_group_follows_the_wiring_then_the_square_root() {
+        let flat = Topology::Crossbar;
+        let sizes = [1, 2, 4, 6, 7, 8, 12, 16, 128];
+        assert_eq!(
+            sizes.map(|p| flat.exchange_group(p)),
+            [1, 1, 2, 2, 1, 2, 3, 4, 8]
+        );
+        assert_eq!(Topology::Dragonfly { group: 8 }.exchange_group(32), 8);
+        assert_eq!(Topology::FatTree { radix: 4 }.exchange_group(32), 4);
+        // wiring that does not tile the machine into several groups
+        assert_eq!(Topology::Dragonfly { group: 8 }.exchange_group(8), 2);
+        assert_eq!(Topology::Dragonfly { group: 5 }.exchange_group(16), 4);
+        assert_eq!(Topology::FatTree { radix: 4 }.exchange_group(7), 1);
     }
 
     #[test]

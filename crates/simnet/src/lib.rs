@@ -51,6 +51,7 @@ pub mod trace;
 pub mod transport;
 pub mod wire;
 
+pub use collectives::Route;
 pub use cost::{ComputeModel, LogGP, Topology};
 pub use fault::{CrashPlan, FaultPlan};
 pub use machine::{Machine, MachineConfig, SimReport};

@@ -13,6 +13,7 @@
 //! [`SchedMode::Threads`]: crate::sched::SchedMode::Threads
 //! [`SchedMode::Deterministic`]: crate::sched::SchedMode::Deterministic
 
+use crate::collectives::{worst_hops, Grid};
 use crate::cost::{ComputeModel, LogGP, Topology};
 use crate::fault::CrashPlan;
 use crate::machine::MachineConfig;
@@ -87,6 +88,14 @@ pub struct RankCtx {
     stats: NetStats,
     pub(crate) coll_seq: u64,
     subcomm_counter: u64,
+    /// This rank's place in the two-hop exchange grid (`collectives.rs`,
+    /// "Routes"); `None` when the rank count has none.
+    pub(crate) grid: Option<Box<Grid>>,
+    /// Worst hop count of a direct message, for pricing the routes.
+    pub(crate) direct_hops: u32,
+    /// Tag of the last message received, for
+    /// [`decode_failure`](RankCtx::decode_failure).
+    pub(crate) last_recv_tag: Tag,
     /// SplitMix64 stream behind [`RankCtx::delivery_order`]; zero means
     /// "identity orders" (threaded mode, or deterministic seed 0).
     perm_state: u64,
@@ -132,6 +141,9 @@ impl RankCtx {
             stats: NetStats::default(),
             coll_seq: 0,
             subcomm_counter: 0,
+            grid: Grid::new(rank, size, &cfg.topology),
+            direct_hops: worst_hops(&cfg.topology, 1..size),
+            last_recv_tag: 0,
             perm_state,
             reliable: cfg
                 .fault
@@ -517,6 +529,7 @@ impl RankCtx {
         }
         self.now += self.loggp.overhead;
         self.stats.comm_s += self.loggp.overhead;
+        self.last_recv_tag = env.tag;
         env.payload
     }
 

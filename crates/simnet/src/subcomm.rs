@@ -12,6 +12,12 @@
 //! a per-communicator namespace so concurrent subgroups never collide. This
 //! module holds no message loop; what is a subgroup's own is the split, the
 //! tag namespace, and the sequence counter and trace ids an invocation bumps.
+//!
+//! Not every subgroup is born of a split. The columns and rows of the two-hop
+//! exchange grid (`collectives.rs`, "routes") are regular — member `i` is
+//! rank `first + i·stride` — so every rank writes its own down from
+//! `(rank, P, S)` alone ([`SubComm::strided`]): no collective, no virtual
+//! time, and two reserved namespace ids no split can hand out.
 
 use crate::collectives::{allgatherv_schedule, allreduce_schedule, alltoallv_schedule};
 use crate::rank::{RankCtx, Tag};
@@ -21,6 +27,13 @@ use crate::wire::Wire;
 /// Tags at or above this value are reserved for sub-communicator traffic
 /// (disjoint from both user tags and global-collective tags).
 const TAG_SUBCOMM_BASE: Tag = 1 << 52;
+
+/// Namespace ids of the exchange grid's columns (hop 1) and rows (hop 2),
+/// from the top of the 20 bits a tag has for one: [`RankCtx::split`] counts
+/// up from zero. All columns share one id and all rows the other, as groups
+/// born of one split do — their member sets are disjoint.
+pub(crate) const GRID_COL_ID: u64 = (1 << 20) - 1;
+pub(crate) const GRID_ROW_ID: u64 = (1 << 20) - 2;
 
 /// A subgroup of ranks with its own rank numbering and collective tag space.
 #[derive(Clone, Debug)]
@@ -69,6 +82,25 @@ impl RankCtx {
 }
 
 impl SubComm {
+    /// The regular subgroup `first, first + stride, …` of `len` ranks, seen
+    /// by its member of machine rank `rank`, in namespace `comm_id`. Every
+    /// member must build it with the same arguments but `rank`.
+    pub(crate) fn strided(
+        rank: usize,
+        (first, stride, len): (usize, usize, usize),
+        comm_id: u64,
+    ) -> SubComm {
+        let members: Vec<usize> = (0..len).map(|i| first + i * stride).collect();
+        let me = (rank - first) / stride;
+        assert_eq!(members.get(me), Some(&rank), "not a member of its subgroup");
+        SubComm {
+            members,
+            me,
+            comm_id,
+            seq: 0,
+        }
+    }
+
     /// This rank's index within the subgroup.
     pub fn rank(&self) -> usize {
         self.me

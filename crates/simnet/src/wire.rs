@@ -17,6 +17,24 @@ pub trait Wire: Sized {
 
     /// Decode from `buf[*pos..]`, advancing `*pos`. `None` if truncated.
     fn read(buf: &[u8], pos: &mut usize) -> Option<Self>;
+
+    /// Append the encodings of `items` to `out`: record by record, unless
+    /// the type knows better (a run of bytes is one copy).
+    fn write_slice(items: &[Self], out: &mut Vec<u8>) {
+        for it in items {
+            it.write(out);
+        }
+    }
+
+    /// Decode `buf`, a whole number of records, to the last byte.
+    fn read_slice(buf: &[u8]) -> Option<Vec<Self>> {
+        let mut out = Vec::with_capacity(buf.len() / Self::SIZE.max(1));
+        let mut pos = 0;
+        while pos < buf.len() {
+            out.push(Self::read(buf, &mut pos)?);
+        }
+        Some(out)
+    }
 }
 
 macro_rules! wire_prim {
@@ -40,7 +58,6 @@ macro_rules! wire_prim {
     };
 }
 
-wire_prim!(u8);
 wire_prim!(u16);
 wire_prim!(u32);
 wire_prim!(u64);
@@ -48,6 +65,33 @@ wire_prim!(i32);
 wire_prim!(i64);
 wire_prim!(f32);
 wire_prim!(f64);
+
+/// A byte is its own encoding, so a slice of them moves as one copy: the
+/// compressed update blocks and the grouped exchange's bundles are `Vec<u8>`
+/// payloads, megabytes a superstep.
+impl Wire for u8 {
+    const SIZE: usize = 1;
+
+    #[inline]
+    fn write(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    #[inline]
+    fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let b = *buf.get(*pos)?;
+        *pos += 1;
+        Some(b)
+    }
+
+    fn write_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+
+    fn read_slice(buf: &[u8]) -> Option<Vec<u8>> {
+        Some(buf.to_vec())
+    }
+}
 
 impl Wire for () {
     const SIZE: usize = 0;
@@ -133,9 +177,7 @@ impl<A: Wire, B: Wire, C: Wire, D: Wire> Wire for (A, B, C, D) {
 /// Encode a slice of records into a fresh byte buffer.
 pub fn encode_slice<T: Wire>(items: &[T]) -> Vec<u8> {
     let mut out = Vec::with_capacity(items.len() * T::SIZE);
-    for it in items {
-        it.write(&mut out);
-    }
+    T::write_slice(items, &mut out);
     out
 }
 
@@ -173,12 +215,7 @@ pub fn decode_vec<T: Wire>(buf: &[u8]) -> Option<Vec<T>> {
     if !buf.len().is_multiple_of(T::SIZE) {
         return None;
     }
-    let mut out = Vec::with_capacity(buf.len() / T::SIZE);
-    let mut pos = 0;
-    while pos < buf.len() {
-        out.push(T::read(buf, &mut pos)?);
-    }
-    Some(out)
+    T::read_slice(buf)
 }
 
 #[cfg(test)]
@@ -213,6 +250,14 @@ mod tests {
         let recs: Vec<(u32, u32)> = (0..100).map(|i| (i, i * 2)).collect();
         let buf = encode_slice(&recs);
         assert_eq!(decode_vec::<(u32, u32)>(&buf), Some(recs));
+    }
+
+    #[test]
+    fn byte_slices_roundtrip_as_one_copy() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        assert_eq!(encode_slice(&bytes), bytes);
+        assert_eq!(decode_vec::<u8>(&bytes), Some(bytes.clone()));
+        assert_eq!(decode_vec::<u8>(&[]), Some(Vec::new()));
     }
 
     #[test]

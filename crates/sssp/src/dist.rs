@@ -47,6 +47,14 @@
 //! A run makes no allreduce outside the driver's agreements and the fused
 //! tail's rounds: Δ's statistics were reduced once, with the graph.
 //!
+//! Every exchange — a push's updates, a fetch's requests and replies, a
+//! tail round's — goes by the cheaper of the machine's two all-to-all
+//! routes (`simnet/collectives.rs`, "Routes"), priced per exchange from the
+//! sums the agreement before it carried: the arcs the pushing lanes are
+//! about to relax, the `U_h` a fetch may ask about, the tail's residue. The
+//! route changes how bytes travel, never which records arrive or in what
+//! per-source order.
+//!
 //! Every optimization is toggleable via [`OptConfig`]; with everything off
 //! this degenerates to the plain textbook distributed delta-stepping that
 //! the ablation experiments measure against.
@@ -56,7 +64,7 @@ use crate::codec::{Record, TaggedUpdate, Update};
 use crate::config::{Direction, OptConfig};
 use crate::delta::suggest_delta;
 use crate::epoch::{run_bucket_epochs, Agreed, BucketKernel, Offer, SuperstepSpan};
-use crate::exchange::{exchange_into, ExchangeBufs};
+use crate::exchange::{exchange_into, shipped_bytes, ExchangeBufs};
 use crate::multi::BatchSpec;
 use g500_graph::hash::VertexIdBuild;
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
@@ -64,7 +72,7 @@ use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use rayon::prelude::*;
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::stats::json_f64;
-use simnet::{RankCtx, TraceCode, Wire};
+use simnet::{RankCtx, Route, TraceCode, Wire};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -334,6 +342,9 @@ pub(crate) struct Kernel<'a, P: VertexPartition, R: Record> {
     /// Whether the run may end in the fused tail: a solo run's does, a
     /// batch's never (`crate::multi`).
     tail: bool,
+    /// Whether exchanges go by the priced route (every entry point) or all
+    /// by the direct one (the tests' reference).
+    routed: bool,
     pub(crate) lanes: Vec<Lane>,
     pub(crate) stats: SsspRunStats,
     /// Superstep scratch arenas, reused across the whole run: the exchange
@@ -403,19 +414,22 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
     root: VertexId,
     opts: &OptConfig,
 ) -> Result<(DistShortestPaths, SsspRunStats), FaultEscalation> {
-    let mut k = run_kernel::<P, Update>(ctx, graph, &[BatchSpec::full(root)], opts, true)?;
+    let lane = [BatchSpec::full(root)];
+    let mut k = run_kernel::<P, Update>(ctx, graph, &lane, opts, true, true)?;
     Ok((k.lanes.swap_remove(0).sp, k.stats))
 }
 
 /// The run itself, one lane a spec, shipping `R`, free to end in the fused
-/// tail or (`tail` false) not; the finished kernel still holds its lanes and
-/// counters.
+/// tail or (`tail` false) not, its exchanges by the priced route or
+/// (`routed` false) all direct; the finished kernel still holds its lanes
+/// and counters.
 pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
     ctx: &mut RankCtx,
     graph: &'a LocalGraph<P>,
     specs: &[BatchSpec],
     opts: &OptConfig,
     tail: bool,
+    routed: bool,
 ) -> Result<Kernel<'a, P, R>, FaultEscalation> {
     let n_local = graph.local_vertices();
     let start_now = ctx.now();
@@ -460,6 +474,7 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
         },
         opts: *opts,
         tail,
+        routed,
         lanes,
         stats: SsspRunStats::default(),
         xbufs: ExchangeBufs::new(ctx.size()),
@@ -482,9 +497,12 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
 /// unsettled light arcs after every rank has received and indexed the whole
 /// frontier — one operation and `FRONTIER_ENTRY_BYTES` on the wire per
 /// entry — over a ring whose P−1 steps each wait out a latency the
-/// exchange's all-to-all overlaps. From one lane's own agreed sums: a lane
-/// takes the side it takes alone, whatever company it keeps (pull and push
-/// can break a distance tie differently).
+/// exchange's all-to-all overlaps. The push side is priced on the direct
+/// route, whose P−1 sends and receives the ring's cancel; what a grouped
+/// exchange posts less is left out (re-pricing the broadcast is ROADMAP
+/// item 1(a)'s). From one lane's own agreed sums: a lane takes the side it
+/// takes alone, whatever company it keeps (pull and push can break a
+/// distance tie differently).
 fn light_pulls(ctx: &RankCtx, dir: Direction, (f_size, f_light, u_l): (u64, u64, u64)) -> bool {
     match dir {
         Direction::Push => false,
@@ -500,17 +518,26 @@ fn light_pulls(ctx: &RankCtx, dir: Direction, (f_size, f_light, u_l): (u64, u64,
     }
 }
 
+/// Bytes a rank ships at most in a fetch's reply over `u_h` unsettled heavy
+/// arcs machine-wide: one `f32` for every arc its scan may have asked about.
+fn fetch_reply_bytes(ctx: &RankCtx, u_h: u64) -> f64 {
+    u_h as f64 / ctx.size() as f64 * <f32 as Wire>::SIZE as f64
+}
+
 /// The same for a heavy phase over a settled set `S`: push works 1/P of the
 /// `H` heavy arcs out of `S`; a fetch at most 1/P of the `U_h` heavy arcs
 /// nothing has settled, plus a reply all-to-all that cannot overlap the
-/// request — P−1 sends, P−1 receives, one latency.
+/// request — its sends, receives and latency by the route the reply will
+/// take ([`RankCtx::alltoallv_route`] of [`fetch_reply_bytes`]): P−1 of each
+/// and one hop direct, G+S−2 and two grouped.
 fn heavy_pulls(ctx: &RankCtx, dir: Direction, (h, u_h): (u64, u64)) -> bool {
     match dir {
         Direction::Push => false,
         Direction::Pull => true,
         Direction::Hybrid => {
-            let (p, net) = (ctx.size() as f64, ctx.loggp());
-            let reply = 2.0 * (p - 1.0) * net.overhead + net.latency;
+            let p = ctx.size() as f64;
+            let route = ctx.alltoallv_route(fetch_reply_bytes(ctx, u_h));
+            let reply = ctx.alltoallv_seconds(route, 0.0);
             let fetch = u_h as f64 * FETCH_OPS_PER_ARC / p;
             fetch + reply * ctx.compute_model().ops_per_sec < h as f64 * PUSH_OPS_PER_ARC / p
         }
@@ -551,7 +578,7 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
         if fuses && active < TAIL_THRESHOLD * ctx.size() as u64 && bulk_done {
             // The tail ends with every queue empty and its last round
             // agreed on that, so the run is over without another agreement.
-            self.fused_tail(ctx);
+            self.fused_tail(ctx, active);
             self.stats.tail_fused = true;
             return false;
         }
@@ -588,7 +615,7 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
     /// draining chooses its direction, then the pushing lanes share one
     /// exchange and the pulling lanes one frontier broadcast.
     fn light_step(&mut self, ctx: &mut RankCtx, k: u64, agreed: &[Agreed<Sums>]) -> bool {
-        let mut frontier = 0;
+        let (mut frontier, mut pushed_arcs) = (0, 0);
         for (lane, &(_, ((f_size, f_light, h, nearest), (_, u_l, u_h)))) in
             self.lanes.iter_mut().zip(agreed)
         {
@@ -606,6 +633,7 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
                 self.stats.pull_iterations += 1;
             } else {
                 self.stats.push_iterations += 1;
+                pushed_arcs += f_light;
             }
         }
         if frontier == 0 {
@@ -613,7 +641,7 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
         }
         let span = SuperstepSpan::open(ctx, self.stats.supersteps, 0, self.stats.relaxations);
         self.phase_frontier += frontier;
-        self.push(ctx, Stand::Light, k as usize);
+        self.push(ctx, Stand::Light, k as usize, pushed_arcs);
         self.light_pull(ctx);
         self.stats.supersteps += 1;
         span.close(ctx, self.stats.supersteps, self.stats.relaxations);
@@ -625,16 +653,24 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
     /// per-bucket records.
     fn close_bucket(&mut self, ctx: &mut RankCtx, k: u64) {
         let span = SuperstepSpan::open(ctx, self.stats.supersteps, 1, self.stats.relaxations);
-        let mut settled = 0;
+        // What the two sides may ship, from the lanes' agreed sums: the heavy
+        // arcs out of the pushing lanes' settled sets, the unsettled heavy
+        // arcs the fetching lanes may ask about.
+        let (mut settled, mut pushed_arcs, mut fetched_arcs) = (0, 0, 0);
         for lane in self.lanes.iter_mut().filter(|l| l.stand == Stand::Heavy) {
             settled += lane.settled.len() as u64;
             let (h, u_h, _) = lane.heavy_sums;
             lane.pull = heavy_pulls(ctx, self.opts.direction, (h, u_h));
             self.stats.heavy_pulls += u64::from(lane.pull);
+            if lane.pull {
+                fetched_arcs += u_h;
+            } else {
+                pushed_arcs += h;
+            }
         }
         ctx.trace_count(TraceCode::Settled, settled, k);
-        self.push(ctx, Stand::Heavy, k as usize);
-        self.heavy_pull(ctx);
+        self.push(ctx, Stand::Heavy, k as usize, pushed_arcs);
+        self.heavy_pull(ctx, fetched_arcs);
         self.stats.supersteps += 1;
         span.close(ctx, self.stats.supersteps, self.stats.relaxations);
 
@@ -1150,10 +1186,28 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         self.lanes.iter().any(|l| l.live)
     }
 
-    /// Ship the staged updates and apply what arrives, each record to its
-    /// lane — the tail of every bucketed push superstep.
-    fn exchange_and_apply(&mut self, ctx: &mut RankCtx) {
-        let outcome = exchange_into(ctx, &mut self.xbufs, &self.opts);
+    /// The route of an all-to-all in which a rank ships about `bytes`: the
+    /// cheaper one, unless the run was told to keep to the direct.
+    fn route(&self, ctx: &RankCtx, bytes: f64) -> Route {
+        if self.routed {
+            ctx.alltoallv_route(bytes)
+        } else {
+            Route::Direct
+        }
+    }
+
+    /// The route of an exchange of about `records` update records
+    /// machine-wide.
+    fn exchange_route(&self, ctx: &RankCtx, records: f64) -> Route {
+        self.route(ctx, shipped_bytes::<R>(ctx, &self.opts, records))
+    }
+
+    /// Ship the staged updates — about `records` of them machine-wide — and
+    /// apply what arrives, each record to its lane: the tail of every
+    /// bucketed push superstep.
+    fn exchange_and_apply(&mut self, ctx: &mut RankCtx, records: u64) {
+        let route = self.exchange_route(ctx, records as f64);
+        let outcome = exchange_into(ctx, &mut self.xbufs, &self.opts, route);
         self.stats.updates_sent += outcome.records_sent;
         self.stats.updates_offered += outcome.records_offered;
         ctx.charge_compute(self.xbufs.incoming().len() as u64);
@@ -1167,8 +1221,9 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
     /// The pushing lanes' side of a light step (each relaxes its frontier's
     /// light arcs) or of the heavy phase (every heavy arc out of each settled
     /// set), in lane order into one exchange — skipped, on every rank alike,
-    /// when the agreed sums put no lane on this side.
-    fn push(&mut self, ctx: &mut RankCtx, stand: Stand, k: usize) {
+    /// when the agreed sums put no lane on this side. `arcs` is what those
+    /// sums say the lanes will relax, machine-wide: the exchange's price.
+    fn push(&mut self, ctx: &mut RankCtx, stand: Stand, k: usize, arcs: u64) {
         let cascade = self.opts.bucket_fusion;
         let mut pushed = false;
         for (s, lane) in acting(&mut self.lanes, stand, false) {
@@ -1180,7 +1235,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
             };
         }
         if pushed {
-            self.exchange_and_apply(ctx);
+            self.exchange_and_apply(ctx, arcs);
         }
     }
 
@@ -1236,8 +1291,10 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
     /// to their owners as sorted owner-local ids — one request for all
     /// lanes — the owners answer in request order, and a second scan
     /// relaxes. Every candidate a push would win with is examined, in the
-    /// same `f32` arithmetic.
-    fn heavy_pull(&mut self, ctx: &mut RankCtx) {
+    /// same `f32` arithmetic. Request and reply each go by the route priced
+    /// for `arcs`, the unsettled heavy arcs the fetching lanes agreed on: a
+    /// rank asks about its share of them at most.
+    fn heavy_pull(&mut self, ctx: &mut RankCtx, arcs: u64) {
         let (me, rows) = (ctx.rank(), &self.rows);
         let part = rows.graph.part();
         let mut want: Vec<Vec<(R::Tag, u32)>> = vec![Vec::new(); ctx.size()];
@@ -1266,7 +1323,15 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
             ids.sort_unstable();
             ids.dedup();
         }
-        let asked = ctx.alltoallv(want.clone());
+        // the reply is an `f32` an id, so the request is the reply's bytes
+        // scaled by what an id takes
+        let reply_bytes = fetch_reply_bytes(ctx, arcs);
+        let per_id = <(R::Tag, u32) as Wire>::SIZE as f64 / <f32 as Wire>::SIZE as f64;
+        let (request, reply) = (
+            self.route(ctx, reply_bytes * per_id),
+            self.route(ctx, reply_bytes),
+        );
+        let asked = ctx.alltoallv_routed(request, want.clone());
         ctx.charge_compute(asked.iter().map(|ids| ids.len() as u64).sum());
         let lanes = &self.lanes;
         let answer = |ids: &Vec<(R::Tag, u32)>| {
@@ -1274,7 +1339,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
                 |&(tag, u): &(R::Tag, u32)| lanes[R::lane(tag) as usize].settled_dist(u as usize);
             ids.iter().map(settled).collect()
         };
-        let got: Vec<Vec<f32>> = ctx.alltoallv(asked.iter().map(answer).collect());
+        let got: Vec<Vec<f32>> = ctx.alltoallv_routed(reply, asked.iter().map(answer).collect());
         ctx.charge_compute(got.iter().map(|ds| ds.len() as u64).sum());
         for (s, lane) in acting(&mut self.lanes, Stand::Heavy, true) {
             let second = (true, lane.heavy_sums.2);
@@ -1293,9 +1358,15 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
 
     /// Fused Bellman-Ford tail: once the global residue is tiny, bucket
     /// discipline only adds synchronization — drain everything and relax to
-    /// fixpoint, all edge classes at once, every lane in every round.
-    fn fused_tail(&mut self, ctx: &mut RankCtx) {
+    /// fixpoint, all edge classes at once, every lane in every round. A
+    /// round's exchange is priced from its residue — the `queued` vertices
+    /// the boundary agreed on, then what the round before left — at the
+    /// graph's mean degree.
+    fn fused_tail(&mut self, ctx: &mut RankCtx, queued: u64) {
         let (me, part) = (ctx.rank(), self.rows.graph.part());
+        let graph = self.rows.graph;
+        let mean_degree = graph.global_arcs() as f64 / graph.global_vertices().max(1) as f64;
+        let mut residue = queued;
         for lane in &mut self.lanes {
             lane.drain_queue();
         }
@@ -1308,7 +1379,8 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
             self.stats.relaxations += relaxed;
             ctx.charge_compute(relaxed);
 
-            let outcome = exchange_into(ctx, &mut self.xbufs, &self.opts);
+            let route = self.exchange_route(ctx, residue as f64 * mean_degree);
+            let outcome = exchange_into(ctx, &mut self.xbufs, &self.opts, route);
             self.stats.updates_sent += outcome.records_sent;
             self.stats.updates_offered += outcome.records_offered;
             self.stats.supersteps += 1;
@@ -1318,9 +1390,9 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
                 self.lanes[s as usize].tail_apply(part.to_local(v), nd, parent);
             }
             let next: u64 = self.lanes.iter().map(|l| l.frontier.len() as u64).sum();
-            let remaining = ctx.allreduce_sum(next);
+            residue = ctx.allreduce_sum(next);
             span.close(ctx, self.stats.supersteps, self.stats.relaxations);
-            if remaining == 0 {
+            if residue == 0 {
                 break;
             }
         }
@@ -1544,7 +1616,7 @@ mod tests {
             let opts = OptConfig::all_on().with_direction(dir);
             let rep = Machine::new(MachineConfig::with_ranks(4)).run(|ctx| {
                 let g = kron9(ctx);
-                let k = run_kernel::<_, Update>(ctx, &g, &[BatchSpec::full(0)], &opts, false)
+                let k = run_kernel::<_, Update>(ctx, &g, &[BatchSpec::full(0)], &opts, false, true)
                     .expect("no crash");
                 let lane = &k.lanes[0];
                 let unreached: u64 = (0..g.local_vertices())
@@ -1643,7 +1715,8 @@ mod tests {
                         let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
                         let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(*n, 4));
                         let lane = [BatchSpec::full(n / 3)];
-                        let solo = run_kernel::<_, Update>(ctx, &g, &lane, &opts, false).unwrap();
+                        let solo =
+                            run_kernel::<_, Update>(ctx, &g, &lane, &opts, false, true).unwrap();
                         let (md, ms) =
                             crate::try_batched_delta_stepping(ctx, &g, &lane, &opts).unwrap();
                         let what = format!("n {n} {opts:?}");
@@ -1653,8 +1726,8 @@ mod tests {
                         let solo_shows = (stats.supersteps, stats.relaxations, stats.updates_sent);
                         assert_eq!(shown, solo_shows, "{what}");
                         // and every counter `MultiStats` does not show
-                        let k =
-                            run_kernel::<_, TaggedUpdate>(ctx, &g, &lane, &opts, false).unwrap();
+                        let k = run_kernel::<_, TaggedUpdate>(ctx, &g, &lane, &opts, false, true)
+                            .unwrap();
                         assert_eq!(work(&k.stats), work(&stats), "{what}");
                         stats
                     });
@@ -1663,6 +1736,120 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// This rank's slice of the scale-9 Kronecker graph the route tests
+    /// share, block-partitioned over the machine.
+    fn kron9_on(ctx: &mut RankCtx) -> LocalGraph<Block1D> {
+        let gen = g500_gen::KroneckerGenerator::new(g500_gen::KroneckerParams::graph500(9, 6));
+        let el = gen.generate_all();
+        let (m, p) = (el.len(), ctx.size());
+        let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
+        let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
+        assemble_local_graph(ctx, mine.into_iter(), Block1D::new(512, p))
+    }
+
+    #[test]
+    fn priced_route_is_the_direct_route_to_the_bit() {
+        // The route moves bytes, never records: with every exchange priced
+        // (grouped wherever that is cheaper — most of a scale-9 run on 8
+        // ranks, all of it on 16) and with every exchange forced direct, a
+        // solo run and a 4-lane batch leave the same distances, the same
+        // tree and the same work counters on every rank, under every
+        // direction policy and toggle.
+        let all_on = OptConfig::all_on();
+        let toggles = [
+            all_on,
+            OptConfig::all_off(),
+            all_on.without_coalescing(),
+            all_on.without_dedup(),
+            all_on.without_compression(),
+            all_on.without_fusion(),
+        ];
+        let batch = [
+            BatchSpec::full(5),
+            BatchSpec::p2p(300, 33),
+            BatchSpec::full(401),
+            BatchSpec::p2p(5, 440).with_bound(1.5),
+        ];
+        for p in [8, 16] {
+            Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
+                let g = kron9_on(ctx);
+                for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
+                    for opts in toggles.map(|o| o.with_direction(dir)) {
+                        let what = format!("p {p} {opts:?}");
+                        let solo = [BatchSpec::full(5)];
+                        let [priced, direct] = [true, false].map(|routed| {
+                            run_kernel::<_, Update>(ctx, &g, &solo, &opts, true, routed).unwrap()
+                        });
+                        assert_eq!(
+                            bits(&priced.lanes[0].sp),
+                            bits(&direct.lanes[0].sp),
+                            "{what}"
+                        );
+                        assert_eq!(work(&priced.stats), work(&direct.stats), "{what}");
+                        let [priced, direct] = [true, false].map(|routed| {
+                            run_kernel::<_, TaggedUpdate>(ctx, &g, &batch, &opts, false, routed)
+                                .unwrap()
+                        });
+                        for (a, b) in priced.lanes.iter().zip(&direct.lanes) {
+                            assert_eq!(bits(&a.sp), bits(&b.sp), "batch, {what}");
+                            assert_eq!((a.answer, a.pruned), (b.answer, b.pruned), "{what}");
+                        }
+                        assert_eq!(work(&priced.stats), work(&direct.stats), "batch, {what}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn every_superstep_flavour_takes_the_grouped_route_at_16_ranks() {
+        // From rank 0's trace: the grouped hops (subgroup all-to-alls — the
+        // 1D kernel has no other) and the direct exchanges inside each
+        // superstep span. A fetch is the heavy superstep with two exchanges,
+        // request and reply.
+        let grouped_by_flavour = |dir: Direction| {
+            let opts = OptConfig::all_on().with_direction(dir);
+            let rep = Machine::new(MachineConfig::with_ranks(16).traced(true)).run(|ctx| {
+                let g = kron9_on(ctx);
+                distributed_delta_stepping(ctx, &g, 5, &opts).1
+            });
+            // [light, heavy push, heavy fetch, tail] supersteps that grouped
+            let mut seen = [0u64; 4];
+            let (mut flavour, mut direct, mut hops) = (None, 0u64, 0u64);
+            for ev in &rep.traces[0].events {
+                match (ev.code, ev.kind) {
+                    (TraceCode::Superstep, simnet::TraceKind::Begin) => {
+                        (flavour, direct, hops) = (Some(ev.b), 0, 0);
+                    }
+                    (TraceCode::Superstep, simnet::TraceKind::End) => {
+                        let fetch = direct + hops / 2 == 2;
+                        let slot = match flavour.take() {
+                            Some(0) => 0,
+                            Some(1) => 1 + usize::from(fetch),
+                            _ => 3,
+                        };
+                        seen[slot] += u64::from(hops > 0);
+                    }
+                    (TraceCode::Alltoallv, simnet::TraceKind::Begin) if flavour.is_some() => {
+                        if ev.b == 0 {
+                            direct += 1;
+                        } else {
+                            hops += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            (seen, rep.results[0].clone())
+        };
+        let ([light, heavy_push, fetch, tail], stats) = grouped_by_flavour(Direction::Push);
+        assert!(light > 0 && heavy_push > 0 && tail > 0, "{stats:?}");
+        assert_eq!((fetch, stats.heavy_pulls), (0, 0));
+        let ([light, heavy_push, fetch, _], stats) = grouped_by_flavour(Direction::Pull);
+        assert_eq!((light, heavy_push), (0, 0), "a pull ships no updates");
+        assert!(fetch > 0 && fetch <= stats.heavy_pulls, "{stats:?}");
     }
 
     #[test]
@@ -1692,11 +1879,11 @@ mod tests {
                 .collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(104, 2));
             let lanes = roots.map(BatchSpec::full);
-            let k = run_kernel::<_, TaggedUpdate>(ctx, &g, &lanes, &opts, false).unwrap();
+            let k = run_kernel::<_, TaggedUpdate>(ctx, &g, &lanes, &opts, false, true).unwrap();
             let mut alone = Vec::new();
             for (lane, &root) in k.lanes.iter().zip(&roots) {
                 let solo = [BatchSpec::full(root)];
-                let solo = run_kernel::<_, Update>(ctx, &g, &solo, &opts, false).unwrap();
+                let solo = run_kernel::<_, Update>(ctx, &g, &solo, &opts, false, true).unwrap();
                 assert_eq!(bits(&lane.sp), bits(&solo.lanes[0].sp), "root {root}");
                 alone.push(solo.stats);
             }
@@ -1724,7 +1911,8 @@ mod tests {
             let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(64, 4));
             let lanes = roots.map(BatchSpec::full);
             let k =
-                run_kernel::<_, TaggedUpdate>(ctx, &g, &lanes, &OptConfig::all_on(), true).unwrap();
+                run_kernel::<_, TaggedUpdate>(ctx, &g, &lanes, &OptConfig::all_on(), true, true)
+                    .unwrap();
             let gathered: Vec<ShortestPaths> = k
                 .lanes
                 .iter()

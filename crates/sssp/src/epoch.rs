@@ -258,7 +258,7 @@ mod tests {
                     let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
                     ctx.trace_begin(TraceCode::RootRun, 0, 0);
                     let lane = [BatchSpec::full(0)];
-                    let k = run_kernel::<_, Update>(ctx, &g, &lane, &opts, tail).expect("ok");
+                    let k = run_kernel::<_, Update>(ctx, &g, &lane, &opts, tail, true).expect("ok");
                     k.stats
                 });
                 assert_eq!(stats.tail_fused, tail, "{dir:?}");

@@ -15,11 +15,22 @@
 //! The exchange is generic over the record ([`Record`], beside the codec):
 //! the solo kernel's `Update` and the batched kernel's `TaggedUpdate` take
 //! the same path through the same dedup in the same canonical order.
+//!
+//! A coalesced exchange travels by the [`Route`] its caller names — one
+//! message a rank, or one a group forwarded inside it
+//! (`simnet/collectives.rs`, "Routes") — and the caller names it from sums
+//! every rank agrees on ([`shipped_bytes`]). The route moves bytes, not
+//! records: blocks are encoded before it and decoded after it, a forwarder
+//! never looks inside one, and either way one block per source rank comes
+//! back, so dedup's canonical order, `delivery_order` and every result are
+//! the route's to ignore. A block that does not decode leaves as the typed
+//! [`simnet::TransportError::Decode`], like any undecodable collective
+//! payload.
 
 use crate::codec::{dedup_min, Record};
 use crate::config::OptConfig;
 use rayon::prelude::*;
-use simnet::{RankCtx, TraceCode};
+use simnet::{RankCtx, Route, TraceCode};
 
 /// What one exchange did, for the run statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -65,9 +76,20 @@ impl<R> ExchangeBufs<R> {
     }
 }
 
-/// Ship the staged buckets of `bufs` to every rank, leaving the flattened
-/// incoming updates in `bufs.incoming` (cleared first). Collective: every
-/// rank must call with the same `opts`. On return every bucket is empty;
+/// Bytes a rank ships in an exchange of about `records` records
+/// machine-wide — what [`RankCtx::alltoallv_route`] prices a route by: its
+/// `1/P` of them, at the raw record size or — the codec's gap+varint columns
+/// roughly halve a record (F6) — half of it.
+pub fn shipped_bytes<R: Record>(ctx: &RankCtx, opts: &OptConfig, records: f64) -> f64 {
+    let wire = R::SIZE as f64 / if opts.compression { 2.0 } else { 1.0 };
+    records / ctx.size() as f64 * wire
+}
+
+/// Ship the staged buckets of `bufs` to every rank by `route`, leaving the
+/// flattened incoming updates in `bufs.incoming` (cleared first).
+/// Collective: every rank must call with the same `opts` and `route` (the
+/// non-coalesced path has no blocks to group and ignores it). On return
+/// every bucket is empty;
 /// on the compressed path (which only *reads* the buckets to encode) their
 /// capacity survives for the next superstep, while the uncompressed paths
 /// hand the Vecs themselves to the transport.
@@ -75,6 +97,7 @@ pub fn exchange_into<R: Record>(
     ctx: &mut RankCtx,
     bufs: &mut ExchangeBufs<R>,
     opts: &OptConfig,
+    route: Route,
 ) -> ExchangeOutcome {
     let ExchangeBufs { out, incoming } = bufs;
     let p = ctx.size();
@@ -124,20 +147,21 @@ pub fn exchange_into<R: Record>(
         for b in out.iter_mut() {
             b.clear();
         }
-        let mut blocks = ctx.alltoallv(enc);
+        let mut blocks = ctx.alltoallv_routed(route, enc);
         // Apply per-source blocks in the (possibly fuzzed) delivery order:
         // min-relaxation makes the merge order-free, and the schedule fuzzer
         // verifies exactly that by permuting it.
         let order = ctx.delivery_order(blocks.len());
         for s in order {
             let block = std::mem::take(&mut blocks[s]);
-            let mut dec = R::decode(&block).expect("self-produced update encoding is well-formed");
+            let mut dec =
+                R::decode(&block).unwrap_or_else(|| ctx.decode_failure(s, block.len(), R::SIZE));
             ctx.charge_compute(dec.len() as u64);
             incoming.append(&mut dec);
         }
     } else {
         let taken: Vec<Vec<R>> = out.iter_mut().map(std::mem::take).collect();
-        let mut blocks = ctx.alltoallv(taken);
+        let mut blocks = ctx.alltoallv_routed(route, taken);
         let order = ctx.delivery_order(blocks.len());
         for s in order {
             incoming.append(&mut blocks[s]);
@@ -205,6 +229,14 @@ mod tests {
     use simnet::{Machine, MachineConfig};
 
     fn run_exchange(p: usize, opts: OptConfig) -> Vec<(Vec<Update>, ExchangeOutcome, u64, u64)> {
+        run_exchange_by(p, opts, Route::Direct)
+    }
+
+    fn run_exchange_by(
+        p: usize,
+        opts: OptConfig,
+        route: Route,
+    ) -> Vec<(Vec<Update>, ExchangeOutcome, u64, u64)> {
         Machine::new(MachineConfig::with_ranks(p))
             .run(|ctx| {
                 let me = ctx.rank() as u64;
@@ -216,7 +248,7 @@ mod tests {
                     bufs.bucket_mut(d)
                         .extend([(t, 0.5 + me as f32, me), (t, 0.4 + me as f32, me)]);
                 }
-                let outcome = exchange_into(ctx, &mut bufs, &opts);
+                let outcome = exchange_into(ctx, &mut bufs, &opts, route);
                 let stats = ctx.stats();
                 let incoming = bufs.incoming().to_vec();
                 (incoming, outcome, stats.user_msgs, stats.total_bytes())
@@ -234,8 +266,13 @@ mod tests {
             OptConfig::all_off(),
         ];
         let mut reference: Option<Vec<Vec<(u64, u64)>>> = None;
-        for (ci, opts) in configs.iter().enumerate() {
-            let results = run_exchange(4, *opts);
+        let routes = [Route::Direct, Route::Grouped];
+        for (ci, (opts, route)) in configs
+            .iter()
+            .flat_map(|o| routes.map(|r| (o, r)))
+            .enumerate()
+        {
+            let results = run_exchange_by(4, *opts, route);
             // compare the *set* of (target, parent-of-min) pairs per rank:
             // dedup may drop dominated records, so compare post-min state
             let view: Vec<Vec<(u64, u64)>> = results
@@ -292,7 +329,7 @@ mod tests {
                         bufs.bucket_mut(d)
                             .extend((0..500u64).map(|i| (d as u64 * 1000 + i, 0.25, 42)));
                     }
-                    exchange_into(ctx, &mut bufs, &opts);
+                    exchange_into(ctx, &mut bufs, &opts, Route::Direct);
                     ctx.stats().total_bytes()
                 })
                 .results
@@ -329,7 +366,7 @@ mod tests {
                             (1, d as u64 * 10, 0.3 + me as f32, me + 100),
                         ]);
                     }
-                    exchange_into(ctx, &mut bufs, &opts);
+                    exchange_into(ctx, &mut bufs, &opts, Route::Direct);
                     bufs.incoming().to_vec()
                 })
                 .results
@@ -374,12 +411,64 @@ mod tests {
                         (1, 4, 0.1, 3),
                     ]);
                 }
-                let outcome = exchange_into(ctx, &mut bufs, &OptConfig::all_on());
+                let outcome = exchange_into(ctx, &mut bufs, &OptConfig::all_on(), Route::Direct);
                 (outcome.records_offered, outcome.records_sent)
             })
             .results;
         // lanes dedup independently: 3 offered, 2 shipped per destination
         assert_eq!(results[0], (6, 4));
+    }
+
+    #[test]
+    fn grouped_exchange_delivers_the_same_records_in_the_same_order() {
+        // 16 ranks: the same incoming records in the same order (one block
+        // per source, whatever carried it), for the bytes of the second hop
+        let opts = OptConfig::all_on();
+        let direct = run_exchange_by(16, opts, Route::Direct);
+        let grouped = run_exchange_by(16, opts, Route::Grouped);
+        for (d, g) in direct.iter().zip(&grouped) {
+            assert_eq!(d.0, g.0);
+            assert_eq!((d.1.records_sent, d.1.records_received), (16, 16));
+            assert_eq!((g.1.records_sent, g.1.records_received), (16, 16));
+            assert!(g.3 > d.3, "forwarded bytes are shipped twice");
+        }
+        // the price: empty-ish blocks group at 16 ranks and never at 4
+        let priced = |p: usize| {
+            Machine::new(MachineConfig::with_ranks(p))
+                .run(|ctx| {
+                    let bytes = shipped_bytes::<Update>(ctx, &OptConfig::all_on(), 100.0);
+                    ctx.alltoallv_route(bytes)
+                })
+                .results[0]
+        };
+        assert_eq!(priced(16), Route::Grouped);
+        assert_eq!(priced(4), Route::Direct);
+    }
+
+    #[test]
+    fn undecodable_block_is_a_typed_error() {
+        // rank 1 ships every rank three bytes no update block starts with
+        // (a count of 2^21 - 1 and nothing behind it), by either route
+        use simnet::{FaultEscalation, TransportError};
+        for route in [Route::Direct, Route::Grouped] {
+            let res = Machine::new(MachineConfig::with_ranks(4)).try_run(|ctx| {
+                if ctx.rank() == 1 {
+                    ctx.alltoallv_routed(route, vec![vec![0xFFu8, 0xFF, 0x7F]; 4]);
+                    return 0;
+                }
+                let mut bufs = ExchangeBufs::<Update>::new(4);
+                exchange_into(ctx, &mut bufs, &OptConfig::all_on(), route).records_received
+            });
+            match res {
+                Err(FaultEscalation::Transport(TransportError::Decode { src, len, .. })) => {
+                    assert_eq!((src, len), (1, 3), "{route:?}");
+                }
+                other => panic!(
+                    "{route:?}: expected a typed decode error, got {:?}",
+                    other.map(|r| r.results)
+                ),
+            }
+        }
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
     opts: &OptConfig,
 ) -> Result<(MultiDist, MultiStats), FaultEscalation> {
     assert!(!specs.is_empty(), "empty batch");
-    let mut k = run_kernel::<P, TaggedUpdate>(ctx, graph, specs, opts, false)?;
+    let mut k = run_kernel::<P, TaggedUpdate>(ctx, graph, specs, opts, false, true)?;
     // Lanes still live at batch end — unreachable targets, targets settled
     // in the last bucket — publish their results once more; nobody retires.
     k.retire(ctx, 0);

@@ -81,15 +81,27 @@ fn assert_same_outputs(clean: &graph500::BenchmarkReport, crashy: &graph500::Ben
 /// fault-free run under both schedulers, and the schedule provably fired.
 #[test]
 fn scale10_1d_crashy_matches_fault_free_both_schedulers() {
-    // Seed chosen so the schedule crashes at least one rank per benchmark
+    // Seeds chosen so the schedule crashes at least one rank per benchmark
     // run without ever killing a buddy pair (the schedule is a pure
-    // function of (seed, rate, probe sequence), so this is stable).
-    let plan = CrashPlan::random(1, 0.004)
-        .with_checkpoint_interval(3)
-        .with_recovery_budget(64);
+    // function of (seed, rate, rank count, probe sequence), so this is
+    // stable).
+    let plan = |seed| {
+        CrashPlan::random(seed, 0.004)
+            .with_checkpoint_interval(3)
+            .with_recovery_budget(64)
+    };
     // 5 ranks as well: a ragged count, so restore-and-replay runs through
-    // agreements (and crash verdicts) that fold ranks in and out.
-    for (ranks, sched) in [(8, None), (8, Some(0)), (5, Some(0))] {
+    // agreements (and crash verdicts) that fold ranks in and out. And 16,
+    // where nearly every exchange takes the grouped route: a mid-bucket
+    // crash rolls back between two-hop exchanges and replays them.
+    let cases = [
+        (8, None, 1),
+        (8, Some(0), 1),
+        (5, Some(0), 1),
+        (16, Some(0), 2),
+    ];
+    for (ranks, sched, seed) in cases {
+        let plan = plan(seed);
         let clean = run_1d(10, ranks, sched, CrashPlan::none());
         let crashy = run_1d(10, ranks, sched, plan);
         assert_same_outputs(&clean, &crashy);

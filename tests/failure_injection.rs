@@ -291,13 +291,15 @@ fn assert_same_outputs(clean: &graph500::BenchmarkReport, lossy: &graph500::Benc
 /// with nonzero retransmit counters — under both schedulers.
 #[test]
 fn scale10_1d_lossy_matches_fault_free_both_schedulers() {
-    for sched in [None, Some(0)] {
-        let clean = run_1d(10, 8, sched, FaultPlan::none());
-        let lossy = run_1d(10, 8, sched, lossy_profile(0xFA17));
+    // 16 ranks as well: there nearly every exchange takes the grouped
+    // route, so the forwarded bundles cross the lossy links too.
+    for (ranks, sched) in [(8, None), (8, Some(0)), (16, Some(0))] {
+        let clean = run_1d(10, ranks, sched, FaultPlan::none());
+        let lossy = run_1d(10, ranks, sched, lossy_profile(0xFA17));
         assert_same_outputs(&clean, &lossy);
         assert!(
             lossy.net.retransmits > 0 && lossy.net.corrupt_frames > 0,
-            "lossy profile did not exercise the transport ({sched:?}): {:?}",
+            "lossy profile did not exercise the transport ({ranks} ranks, {sched:?}): {:?}",
             lossy.net
         );
         assert_eq!(clean.net.retransmits, 0, "clean run saw retransmits");

@@ -96,6 +96,44 @@ fn sixteen_schedules_zero_divergence_1d() {
     }
 }
 
+/// The same at 16 ranks, where nearly every exchange takes the grouped
+/// route (the run posts fewer messages than one direct exchange a superstep
+/// would): the forwarded bundles arrive under permuted orders too, and the
+/// receiver still merges one block per source rank.
+#[test]
+fn grouped_route_is_schedule_invariant_at_16_ranks() {
+    let (el, n) = fuzz_graph();
+    let csr = Csr::from_edges(n as usize, &el, Directedness::Undirected);
+    let oracle = dijkstra(&csr, 1);
+    for dir in [Direction::Push, Direction::Hybrid] {
+        let opts = OptConfig::all_on().with_direction(dir);
+        let (base_sp, base_stats, base_net) = run_1d(&el, n, 16, 1, &opts, 0);
+        assert!(
+            base_sp.distances_match(&oracle, 1e-4),
+            "{dir:?} vs Dijkstra"
+        );
+        for net in &base_net {
+            assert!(
+                net.coll_msgs < base_stats.supersteps * 15,
+                "{dir:?}: {} messages in {} supersteps is the direct route's count",
+                net.coll_msgs,
+                base_stats.supersteps
+            );
+        }
+        for sched_seed in [2u64, 6, 10] {
+            let label = format!("{dir:?}/{sched_seed}");
+            let (sp, stats, _) = run_1d(&el, n, 16, 1, &opts, sched_seed);
+            assert_bitwise_equal_dists(&base_sp.dist, &sp.dist, &label);
+            assert_eq!(base_stats.supersteps, stats.supersteps, "{label}");
+            assert_eq!(base_stats.heavy_pulls, stats.heavy_pulls, "{label}");
+        }
+        let (sp, stats, net) = run_1d(&el, n, 16, 1, &opts, 6);
+        let (again_sp, again_stats, again_net) = run_1d(&el, n, 16, 1, &opts, 6);
+        assert_eq!(sp.parent, again_sp.parent, "{dir:?}: replayed parents");
+        assert_eq!((stats, net), (again_stats, again_net), "{dir:?}: replay");
+    }
+}
+
 /// The replay guarantee: the same schedule seed reproduces everything
 /// byte-for-byte — distances, parents, kernel counters, and per-rank
 /// `NetStats` including simulated-time-derived fields.
