@@ -9,7 +9,7 @@
 //! 2. **Bounded pool overhead:** on any host — including the 1-core CI
 //!    runner — a kernel's median at `T∈{2,4}` must stay within `1.10×` of
 //!    its own fresh `T=1` median. Oversubscribed thread counts may not buy
-//!    speedup on one core, but the work-stealing pool must keep them from
+//!    speedup on one core, but the pool must keep them from
 //!    costing more than 10%.
 //!
 //! Noise defenses, layered: each gated ratio takes the more favorable of

@@ -156,12 +156,10 @@ impl KroneckerGenerator {
             .min(m.div_ceil(MIN_GEN_BLOCK))
             .max(1);
         let chunk = m.div_ceil(nchunks).max(1);
-        let blocks: Vec<EdgeList> = (0..m)
-            .step_by(chunk as usize)
-            .collect::<Vec<_>>()
+        let blocks: Vec<EdgeList> = (0..m.div_ceil(chunk))
             .into_par_iter()
-            .with_min_len(1)
-            .map(|start| self.edge_block(start..(start + chunk).min(m)))
+            .with_max_len(1)
+            .map(|b| self.edge_block(b * chunk..((b + 1) * chunk).min(m)))
             .collect();
         let mut out = EdgeList::with_capacity(m as usize);
         for b in &blocks {

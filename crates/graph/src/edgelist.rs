@@ -99,11 +99,6 @@ impl EdgeList {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Parallel iterator over edges by value.
-    pub fn par_iter(&self) -> impl IndexedParallelIterator<Item = WEdge> + '_ {
-        (0..self.len()).into_par_iter().map(move |i| self.get(i))
-    }
-
     /// Largest endpoint id + 1, i.e. the implied vertex-set size (0 if empty).
     pub fn vertex_count(&self) -> u64 {
         let ms = self.src.par_iter().copied().max().unwrap_or(0);

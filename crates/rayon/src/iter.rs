@@ -8,7 +8,7 @@
 //! function of `len` and the `with_min_len`/`with_max_len` hints — never of
 //! the pool size — run the chunks on the pool in any order, and combine the
 //! per-chunk results **sequentially in chunk order**. Consequently every
-//! terminal (`collect`, `sum`, `fold`+`reduce`, `max`, ...) returns bitwise
+//! terminal (`collect`, `sum`, `count`, `max`, ...) returns bitwise
 //! identical results at any thread count, which is what lets the PR-1
 //! deterministic-replay and conformance guarantees survive real parallelism.
 //!
@@ -18,10 +18,10 @@
 //! degree counts, index-pure edge blocks).
 
 use crate::pool::run_parallel;
-use std::cell::UnsafeCell;
 use std::iter::Sum;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Default target number of chunks per parallel region. Larger than any
 /// plausible pool size so dynamic claiming can balance skew, small enough
@@ -53,20 +53,13 @@ pub trait ParallelIterator: Sized + Sync {
     fn base_len(&self) -> usize;
 
     /// Emit the items of base range `[lo, hi)`, in order, into `sink`.
+    /// Terminals ask for disjoint ranges, each at most once.
     fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(Self::Item));
 
-    /// Called once, before any `for_chunk`, when a terminal starts driving.
-    /// Consuming sources (e.g. [`VecIter`]) flip ownership here.
-    fn begin_drive(&self) {}
-
-    /// Minimum items per chunk (see `with_min_len`).
-    fn min_chunk_hint(&self) -> usize {
-        DEFAULT_MIN_CHUNK
-    }
-
-    /// Maximum items per chunk (see `with_max_len`).
-    fn max_chunk_hint(&self) -> usize {
-        usize::MAX
+    /// Minimum and maximum items per chunk (see `with_min_len`,
+    /// `with_max_len`).
+    fn chunk_hints(&self) -> (usize, usize) {
+        (DEFAULT_MIN_CHUNK, usize::MAX)
     }
 
     // ---- adapters -------------------------------------------------------
@@ -105,17 +98,11 @@ pub trait ParallelIterator: Sized + Sync {
         Copied { base: self }
     }
 
-    /// Group items into `Vec`s of up to `n` consecutive items.
-    fn chunks(self, n: usize) -> Chunks<Self> {
-        assert!(n > 0, "chunk size must be positive");
-        Chunks { base: self, n }
-    }
-
     /// Set the minimum number of items a chunk may hold. Part of the fixed
     /// chunk geometry: affects results of non-associative combines (e.g.
     /// float sums) identically at every thread count.
     fn with_min_len(self, n: usize) -> WithHints<Self> {
-        let max = self.max_chunk_hint();
+        let (_, max) = self.chunk_hints();
         WithHints {
             base: self,
             min: n.max(1),
@@ -125,26 +112,11 @@ pub trait ParallelIterator: Sized + Sync {
 
     /// Set the maximum number of items a chunk may hold.
     fn with_max_len(self, n: usize) -> WithHints<Self> {
-        let min = self.min_chunk_hint();
+        let (min, _) = self.chunk_hints();
         WithHints {
             base: self,
             min,
             max: n.max(1),
-        }
-    }
-
-    /// Fold each fixed chunk into an accumulator; yields one accumulator per
-    /// chunk (in chunk order), as a parallel iterator for further reduction.
-    fn fold<T, ID, F>(self, identity: ID, fold_op: F) -> Fold<Self, ID, F>
-    where
-        T: Send,
-        ID: Fn() -> T + Sync,
-        F: Fn(T, Self::Item) -> T + Sync,
-    {
-        Fold {
-            base: self,
-            identity,
-            fold_op,
         }
     }
 
@@ -229,48 +201,6 @@ pub trait ParallelIterator: Sized + Sync {
         });
         partials.into_iter().flatten().reduce(std::cmp::max)
     }
-
-    /// Reduce the items with `op`, seeding each chunk with `identity()` and
-    /// combining the per-chunk results sequentially in chunk order.
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        ID: Fn() -> Self::Item + Sync,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync,
-    {
-        let partials = drive_chunks(&self, |it, lo, hi| {
-            let mut acc = identity();
-            it.for_chunk(lo, hi, &mut |x| {
-                acc = op(std::mem::replace(&mut acc, identity()), x);
-            });
-            acc
-        });
-        partials.into_iter().fold(identity(), &op)
-    }
-}
-
-/// Marker for iterators whose emitted items correspond 1:1 (in order) with
-/// base indices — `filter`/`flat_map_iter` lose it.
-pub trait IndexedParallelIterator: ParallelIterator {}
-
-/// Write-once result slots, one per chunk; each slot is written by exactly
-/// the thread that claimed the chunk, so the raw access is race-free.
-struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    fn new(n: usize) -> Slots<T> {
-        Slots((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-    /// SAFETY: each index must be written at most once, by one thread.
-    unsafe fn put(&self, i: usize, v: T) {
-        unsafe { *self.0[i].get() = Some(v) };
-    }
-    fn into_vec(self) -> Vec<T> {
-        self.0
-            .into_iter()
-            .map(|c| c.into_inner().expect("chunk slot unfilled"))
-            .collect()
-    }
 }
 
 /// Drive a parallel iterator: split its base domain into fixed chunks, run
@@ -293,23 +223,28 @@ where
     if len == 0 {
         return Vec::new();
     }
-    it.begin_drive();
-    let cs = fixed_chunk_size(len, it.min_chunk_hint(), it.max_chunk_hint());
+    let (min_len, max_len) = it.chunk_hints();
+    let cs = fixed_chunk_size(len, min_len, max_len);
     let nchunks = len.div_ceil(cs);
     if nchunks <= 2 {
         return (0..nchunks)
             .map(|i| per_chunk(it, i * cs, ((i + 1) * cs).min(len)))
             .collect();
     }
-    let slots: Slots<T> = Slots::new(nchunks);
+    // One write-once slot a chunk. The pool runs each chunk index exactly
+    // once, so a slot's lock is never contended; it is what lets the slots
+    // be shared without raw cells.
+    let slots: Vec<Mutex<Option<T>>> = (0..nchunks).map(|_| Mutex::new(None)).collect();
     run_parallel(nchunks, &|i| {
-        let lo = i * cs;
-        let hi = ((i + 1) * cs).min(len);
-        let v = per_chunk(it, lo, hi);
-        // SAFETY: the pool claims each chunk index exactly once.
-        unsafe { slots.put(i, v) };
+        let v = per_chunk(it, i * cs, ((i + 1) * cs).min(len));
+        let prev = slots[i].lock().expect("chunk slot lock").replace(v);
+        debug_assert!(prev.is_none(), "chunk {i} ran twice");
     });
-    slots.into_vec()
+    let filled = |s: Mutex<Option<T>>| {
+        let v = s.into_inner().expect("chunk slot lock");
+        v.expect("every chunk index runs before the region returns")
+    };
+    slots.into_iter().map(filled).collect()
 }
 
 /// Conversion from a parallel iterator (rayon's `FromParallelIterator`).
@@ -319,16 +254,8 @@ pub trait FromParallelIterator<T: Send>: Sized {
 
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<I: ParallelIterator<Item = T>>(it: I) -> Vec<T> {
-        let parts = drive_chunks(&it, |it, lo, hi| {
-            let mut buf: Vec<T> = Vec::with_capacity(hi - lo);
-            it.for_chunk(lo, hi, &mut |x| buf.push(x));
-            buf
-        });
-        let total = parts.iter().map(Vec::len).sum();
-        let mut out: Vec<T> = Vec::with_capacity(total);
-        for mut p in parts {
-            out.append(&mut p);
-        }
+        let mut out = Vec::new();
+        it.collect_into_vec(&mut out);
         out
     }
 }
@@ -353,23 +280,9 @@ where
     fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(R)) {
         self.base.for_chunk(lo, hi, &mut |x| sink((self.f)(x)));
     }
-    fn begin_drive(&self) {
-        self.base.begin_drive();
+    fn chunk_hints(&self) -> (usize, usize) {
+        self.base.chunk_hints()
     }
-    fn min_chunk_hint(&self) -> usize {
-        self.base.min_chunk_hint()
-    }
-    fn max_chunk_hint(&self) -> usize {
-        self.base.max_chunk_hint()
-    }
-}
-
-impl<I, R, F> IndexedParallelIterator for Map<I, F>
-where
-    I: IndexedParallelIterator,
-    R: Send,
-    F: Fn(I::Item) -> R + Sync,
-{
 }
 
 pub struct Filter<I, F> {
@@ -393,14 +306,8 @@ where
             }
         });
     }
-    fn begin_drive(&self) {
-        self.base.begin_drive();
-    }
-    fn min_chunk_hint(&self) -> usize {
-        self.base.min_chunk_hint()
-    }
-    fn max_chunk_hint(&self) -> usize {
-        self.base.max_chunk_hint()
+    fn chunk_hints(&self) -> (usize, usize) {
+        self.base.chunk_hints()
     }
 }
 
@@ -427,14 +334,8 @@ where
             }
         });
     }
-    fn begin_drive(&self) {
-        self.base.begin_drive();
-    }
-    fn min_chunk_hint(&self) -> usize {
-        self.base.min_chunk_hint()
-    }
-    fn max_chunk_hint(&self) -> usize {
-        self.base.max_chunk_hint()
+    fn chunk_hints(&self) -> (usize, usize) {
+        self.base.chunk_hints()
     }
 }
 
@@ -454,59 +355,10 @@ where
     fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(T)) {
         self.base.for_chunk(lo, hi, &mut |x| sink(*x));
     }
-    fn begin_drive(&self) {
-        self.base.begin_drive();
-    }
-    fn min_chunk_hint(&self) -> usize {
-        self.base.min_chunk_hint()
-    }
-    fn max_chunk_hint(&self) -> usize {
-        self.base.max_chunk_hint()
+    fn chunk_hints(&self) -> (usize, usize) {
+        self.base.chunk_hints()
     }
 }
-
-impl<'a, I, T> IndexedParallelIterator for Copied<I>
-where
-    I: IndexedParallelIterator<Item = &'a T>,
-    T: Copy + Send + Sync + 'a,
-{
-}
-
-/// Groups of up to `n` consecutive base items; one group per own-index.
-pub struct Chunks<I> {
-    base: I,
-    n: usize,
-}
-
-impl<I> ParallelIterator for Chunks<I>
-where
-    I: ParallelIterator,
-{
-    type Item = Vec<I::Item>;
-    fn base_len(&self) -> usize {
-        self.base.base_len().div_ceil(self.n)
-    }
-    fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(Vec<I::Item>)) {
-        let base_len = self.base.base_len();
-        for g in lo..hi {
-            let b_lo = g * self.n;
-            let b_hi = ((g + 1) * self.n).min(base_len);
-            let mut buf = Vec::with_capacity(b_hi - b_lo);
-            self.base.for_chunk(b_lo, b_hi, &mut |x| buf.push(x));
-            sink(buf);
-        }
-    }
-    fn begin_drive(&self) {
-        self.base.begin_drive();
-    }
-    /// Each emitted group already covers `n` base items, so one group per
-    /// pool chunk is the right granularity.
-    fn min_chunk_hint(&self) -> usize {
-        1
-    }
-}
-
-impl<I: IndexedParallelIterator> IndexedParallelIterator for Chunks<I> {}
 
 pub struct WithHints<I> {
     base: I,
@@ -522,76 +374,8 @@ impl<I: ParallelIterator> ParallelIterator for WithHints<I> {
     fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(I::Item)) {
         self.base.for_chunk(lo, hi, sink);
     }
-    fn begin_drive(&self) {
-        self.base.begin_drive();
-    }
-    fn min_chunk_hint(&self) -> usize {
-        self.min
-    }
-    fn max_chunk_hint(&self) -> usize {
-        self.max
-    }
-}
-
-impl<I: IndexedParallelIterator> IndexedParallelIterator for WithHints<I> {}
-
-/// Per-chunk accumulators (see [`ParallelIterator::fold`]). Own index `i`
-/// is the `i`-th fixed chunk of the base iterator.
-pub struct Fold<I, ID, F> {
-    base: I,
-    identity: ID,
-    fold_op: F,
-}
-
-impl<I, T, ID, F> Fold<I, ID, F>
-where
-    I: ParallelIterator,
-    T: Send,
-    ID: Fn() -> T + Sync,
-    F: Fn(T, I::Item) -> T + Sync,
-{
-    fn base_chunk_size(&self) -> usize {
-        fixed_chunk_size(
-            self.base.base_len(),
-            self.base.min_chunk_hint(),
-            self.base.max_chunk_hint(),
-        )
-    }
-}
-
-impl<I, T, ID, F> ParallelIterator for Fold<I, ID, F>
-where
-    I: ParallelIterator,
-    T: Send,
-    ID: Fn() -> T + Sync,
-    F: Fn(T, I::Item) -> T + Sync,
-{
-    type Item = T;
-    fn base_len(&self) -> usize {
-        let len = self.base.base_len();
-        if len == 0 {
-            0
-        } else {
-            len.div_ceil(self.base_chunk_size())
-        }
-    }
-    fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(T)) {
-        let cs = self.base_chunk_size();
-        let base_len = self.base.base_len();
-        for g in lo..hi {
-            let mut acc = Some((self.identity)());
-            self.base
-                .for_chunk(g * cs, ((g + 1) * cs).min(base_len), &mut |x| {
-                    acc = Some((self.fold_op)(acc.take().expect("fold accumulator"), x));
-                });
-            sink(acc.take().expect("fold accumulator"));
-        }
-    }
-    fn begin_drive(&self) {
-        self.base.begin_drive();
-    }
-    fn min_chunk_hint(&self) -> usize {
-        1
+    fn chunk_hints(&self) -> (usize, usize) {
+        (self.min, self.max)
     }
 }
 
@@ -623,7 +407,6 @@ macro_rules! range_source {
                 }
             }
         }
-        impl IndexedParallelIterator for RangeIter<$t> {}
 
         impl IntoParallelIterator for std::ops::Range<$t> {
             type Item = $t;
@@ -645,66 +428,6 @@ macro_rules! range_source {
 
 range_source!(usize);
 range_source!(u64);
-range_source!(u32);
-
-/// Owning parallel iterator over a `Vec`. Items are moved out by raw reads
-/// from disjoint chunk ranges. If a terminal starts driving but panics
-/// mid-way, the remaining items are *leaked* (never double-dropped); on a
-/// clean run or an undriven drop, everything is freed normally.
-pub struct VecIter<T> {
-    data: std::mem::ManuallyDrop<Vec<T>>,
-    consumed: AtomicBool,
-}
-
-unsafe impl<T: Send> Sync for VecIter<T> {}
-
-impl<T: Send> ParallelIterator for VecIter<T> {
-    type Item = T;
-    fn base_len(&self) -> usize {
-        self.data.len()
-    }
-    fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(T)) {
-        let ptr = self.data.as_ptr();
-        for i in lo..hi {
-            // SAFETY: terminals request disjoint ranges, each exactly once
-            // per drive, and a VecIter is driven at most once.
-            sink(unsafe { std::ptr::read(ptr.add(i)) });
-        }
-    }
-    fn begin_drive(&self) {
-        self.consumed.store(true, Ordering::SeqCst);
-    }
-}
-
-impl<T: Send> IndexedParallelIterator for VecIter<T> {}
-
-impl<T> Drop for VecIter<T> {
-    fn drop(&mut self) {
-        if self.consumed.load(Ordering::SeqCst) {
-            // Items were (conceptually) moved out; free only the buffer.
-            // SAFETY: len 0 ⇒ no element drops; ManuallyDrop suppressed the
-            // normal Vec drop, so this is the only deallocation.
-            unsafe {
-                self.data.set_len(0);
-                std::mem::ManuallyDrop::drop(&mut self.data);
-            }
-        } else {
-            // Never driven: drop the Vec normally, elements included.
-            unsafe { std::mem::ManuallyDrop::drop(&mut self.data) };
-        }
-    }
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = VecIter<T>;
-    fn into_par_iter(self) -> VecIter<T> {
-        VecIter {
-            data: std::mem::ManuallyDrop::new(self),
-            consumed: AtomicBool::new(false),
-        }
-    }
-}
 
 /// Borrowing parallel iterator over a slice.
 pub struct SliceIter<'a, T> {
@@ -722,8 +445,6 @@ impl<'a, T: Sync> ParallelIterator for SliceIter<'a, T> {
         }
     }
 }
-
-impl<'a, T: Sync> IndexedParallelIterator for SliceIter<'a, T> {}
 
 /// Parallel iterator over `&[T]` windows of up to `n` items.
 pub struct SliceChunks<'a, T> {
@@ -743,25 +464,27 @@ impl<'a, T: Sync> ParallelIterator for SliceChunks<'a, T> {
             sink(&self.s[b_lo..b_hi]);
         }
     }
-    fn min_chunk_hint(&self) -> usize {
-        1
+    fn chunk_hints(&self) -> (usize, usize) {
+        (1, usize::MAX)
     }
 }
-
-impl<'a, T: Sync> IndexedParallelIterator for SliceChunks<'a, T> {}
 
 /// Mutably-borrowing parallel iterator over a slice. Disjoint chunk ranges
 /// hand out non-aliasing `&mut` references.
 pub struct SliceIterMut<'a, T> {
     ptr: *mut T,
     len: usize,
+    /// Debug builds mark every index handed out (one flag an element; empty
+    /// in release), to assert the exactly-once condition `for_chunk` needs.
+    handed: Vec<AtomicBool>,
     _marker: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: chunk ranges are disjoint, so each element's &mut is created on
-// exactly one thread; T: Send makes that hand-off sound.
+// SAFETY: sharing the iterator shares only `ptr`, and `for_chunk` turns
+// each element into a `&mut` at most once (below), on whichever thread
+// claimed its chunk; `T: Send` makes that hand-off sound.
+// Driven by `tests/cross_process.rs::many_submitters_run_every_chunk_exactly_once`.
 unsafe impl<'a, T: Send> Sync for SliceIterMut<'a, T> {}
-unsafe impl<'a, T: Send> Send for SliceIterMut<'a, T> {}
 
 impl<'a, T: Send> ParallelIterator for SliceIterMut<'a, T> {
     type Item = &'a mut T;
@@ -769,14 +492,21 @@ impl<'a, T: Send> ParallelIterator for SliceIterMut<'a, T> {
         self.len
     }
     fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(&'a mut T)) {
+        assert!(hi <= self.len, "chunk {lo}..{hi} of {}", self.len);
         for i in lo..hi {
-            // SAFETY: disjoint ranges ⇒ no aliasing; index is in bounds.
+            debug_assert!(
+                !self.handed[i].swap(true, Ordering::Relaxed),
+                "element {i} handed out twice"
+            );
+            // SAFETY: `i < len` is in bounds of the slice this iterator
+            // mutably borrows for `'a`, and terminals ask for disjoint
+            // ranges, each once (`drive_chunks`: one range a chunk index,
+            // one run a chunk index), so no other `&mut` to element `i`
+            // exists.
             sink(unsafe { &mut *self.ptr.add(i) });
         }
     }
 }
-
-impl<'a, T: Send> IndexedParallelIterator for SliceIterMut<'a, T> {}
 
 /// Shared-slice views (`par_iter`, `par_chunks`).
 pub trait ParallelSlice<T: Sync> {
@@ -811,9 +541,15 @@ pub trait ParallelSliceMut<T: Send> {
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_iter_mut(&mut self) -> SliceIterMut<'_, T> {
+        let flags = if cfg!(debug_assertions) {
+            self.len()
+        } else {
+            0
+        };
         SliceIterMut {
             ptr: self.as_mut_ptr(),
             len: self.len(),
+            handed: (0..flags).map(|_| AtomicBool::new(false)).collect(),
             _marker: PhantomData,
         }
     }

@@ -1,15 +1,16 @@
-//! Std-only work-stealing drop-in for the subset of `rayon` this workspace
-//! uses.
+//! Std-only drop-in for the subset of `rayon` this workspace uses.
 //!
 //! The build environment is fully offline (no crates.io mirror), so the
-//! workspace compiles from std alone — but since PR 3 this crate is a *real*
-//! thread pool, not a sequential shim: `par_iter`, `into_par_iter`,
-//! `par_sort_unstable*`, `join` and `scope` all execute on a lazily-started,
-//! process-global pool. Since PR 6 the pool is a deque-based work-stealing
-//! scheduler: per-worker cache-line-padded deques (LIFO local, FIFO steal),
-//! batched chunk claiming (one deque op + one atomic retires a whole run of
-//! chunks), and exponential-backoff idle spinning before parking — see
-//! `pool.rs` and DESIGN.md "Work-stealing & the determinism contract".
+//! workspace compiles from std alone — and this crate is a *real* thread
+//! pool, not a sequential shim: `par_iter`, `par_iter_mut`, `par_chunks`,
+//! range `into_par_iter`, `par_sort_unstable*` and `join` all execute on a
+//! lazily-started, process-global pool. The surface is cut to the calls the
+//! workspace makes; the scheduler is the smallest one that serves the
+//! traffic the product makes — 4 to 16 rank threads opening regions at
+//! once on a pool of one or a few workers: a region is one atomic chunk
+//! cursor on a shared open-region list, which its opener and the
+//! persistent workers claim runs of chunks from. See `pool.rs` and
+//! DESIGN.md "The pool & the determinism contract".
 //!
 //! ## Pool sizing
 //!
@@ -18,8 +19,7 @@
 //! size is chosen at first use from, in priority order:
 //! [`configure_threads`] (the `--threads` CLI flag), the `G500_THREADS`
 //! environment variable, then `std::thread::available_parallelism`. With one
-//! thread, every operation runs inline on the caller — exactly the old
-//! sequential shim.
+//! thread, every operation runs inline on the caller.
 //!
 //! ## The fixed-chunk determinism contract
 //!
@@ -30,27 +30,26 @@
 //! a fixed-midpoint merge sort with a left-preferential merge. Net effect:
 //! every operation returns bitwise identical results at any thread count,
 //! so the deterministic-replay / conformance / schedule-fuzz guarantees
-//! from PR 1 hold unchanged whether `G500_THREADS` is 1 or 64. See
-//! `iter.rs` for the rules kernel authors must follow to keep this true.
+//! hold unchanged whether `G500_THREADS` is 1 or 64. See `iter.rs` for the
+//! rules kernel authors must follow to keep this true.
 //!
-//! Swapping this crate back for upstream `rayon` requires no source changes
-//! in the rest of the workspace — the trait and function names match.
+//! The trait and function names match upstream `rayon`, so the calls the
+//! workspace makes compile against it unchanged.
 
 mod iter;
 mod pool;
 mod sort;
 
 pub use iter::{
-    Chunks, Copied, Filter, FlatMapIter, Fold, FromParallelIterator, IndexedParallelIterator,
-    IntoParallelIterator, Map, ParallelIterator, ParallelSlice, ParallelSliceMut, RangeIter,
-    SliceChunks, SliceIter, SliceIterMut, VecIter, WithHints,
+    Copied, Filter, FlatMapIter, FromParallelIterator, IntoParallelIterator, Map, ParallelIterator,
+    ParallelSlice, ParallelSliceMut, RangeIter, SliceChunks, SliceIter, SliceIterMut, WithHints,
 };
-pub use pool::{configure_threads, current_num_threads, join, pool_stats, scope, PoolStats, Scope};
+pub use pool::{configure_threads, current_num_threads, join, pool_stats, PoolStats};
 
 pub mod prelude {
     pub use crate::{
-        FromParallelIterator, IndexedParallelIterator, IntoParallelIterator, ParallelIterator,
-        ParallelSlice, ParallelSliceMut,
+        FromParallelIterator, IntoParallelIterator, ParallelIterator, ParallelSlice,
+        ParallelSliceMut,
     };
 }
 
@@ -61,7 +60,8 @@ mod tests {
 
     #[test]
     fn chunks_cover_range_exactly() {
-        let chunks: Vec<Vec<usize>> = (0..10usize).into_par_iter().chunks(4).collect();
+        let v: Vec<usize> = (0..10).collect();
+        let chunks: Vec<Vec<usize>> = v.par_chunks(4).map(<[usize]>::to_vec).collect();
         assert_eq!(chunks, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
     }
 
@@ -113,36 +113,6 @@ mod tests {
             .filter(|&x| x % 7 == 0)
             .count();
         assert_eq!(n, seq.len());
-    }
-
-    #[test]
-    fn vec_into_par_iter_moves_items() {
-        let v: Vec<String> = (0..5000).map(|i| i.to_string()).collect();
-        let lens: Vec<usize> = v
-            .into_par_iter()
-            .with_max_len(64)
-            .map(|s| s.len())
-            .collect();
-        assert_eq!(lens.len(), 5000);
-        assert_eq!(lens[0], 1);
-        assert_eq!(lens[4999], 4);
-    }
-
-    #[test]
-    fn undriven_vec_iter_drops_cleanly() {
-        let v: Vec<String> = (0..100).map(|i| i.to_string()).collect();
-        let it = v.into_par_iter();
-        drop(it); // must drop the strings, not leak or double-free
-    }
-
-    #[test]
-    fn fold_reduce_matches_sequential_sum() {
-        let total = (0..10_000u64)
-            .into_par_iter()
-            .with_max_len(97)
-            .fold(|| 0u64, |acc, x| acc + x)
-            .reduce(|| 0u64, |a, b| a + b);
-        assert_eq!(total, (0..10_000u64).sum());
     }
 
     #[test]
@@ -256,36 +226,10 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_all_spawned_jobs_including_nested() {
-        let counter = AtomicUsize::new(0);
-        crate::scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|s2| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    s2.spawn(|_| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 128);
-    }
-
-    #[test]
-    fn scope_propagates_job_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            crate::scope(|s| {
-                s.spawn(|_| panic!("spawned job panicked"));
-            });
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
     fn skewed_workload_completes_with_balanced_claiming() {
         // One chunk is ~1000x heavier than the rest; dynamic claiming must
-        // still retire everything (and, with >1 thread, light chunks are
-        // stolen while the heavy one runs).
+        // still retire everything (and, with >1 thread, workers claim the
+        // light chunks while the heavy one runs).
         let done = AtomicUsize::new(0);
         (0..256usize).into_par_iter().with_max_len(1).for_each(|i| {
             let spins = if i == 0 { 200_000 } else { 200 };
@@ -319,10 +263,10 @@ mod tests {
 
     #[test]
     fn steal_heavy_skewed_workload_balances() {
-        // A geometric skew: chunk 0 dwarfs everything. The splitter parks
-        // the back half of every range in a deque, so with >1 thread the
-        // light runs must be stolen while the heavy chunk executes; at 1
-        // thread everything runs inline. Either way the sum is exact.
+        // A geometric skew: every 64th chunk dwarfs the rest. With >1
+        // thread whoever is free claims the next run off the cursor while a
+        // heavy chunk executes; at 1 thread everything runs inline. Either
+        // way the sum is exact.
         let total = std::sync::atomic::AtomicU64::new(0);
         (0..512usize).into_par_iter().with_max_len(1).for_each(|i| {
             let spins = if i % 64 == 0 { 100_000u64 } else { 50 };
@@ -338,9 +282,10 @@ mod tests {
 
     #[test]
     fn nested_join_inside_stolen_chunks() {
-        // Each outer chunk opens nested joins (a recursive sort), so stolen
-        // chunks submit sub-tasks from worker threads; the help-loop must
-        // keep every level live without deadlock.
+        // Each outer chunk opens nested joins (a recursive sort), so chunks
+        // a worker claimed open regions from worker threads; an opener
+        // drains its own cursor before it waits, which keeps every level
+        // live without deadlock.
         let outs: Vec<Vec<u32>> = (0..32usize)
             .into_par_iter()
             .with_max_len(1)
@@ -358,29 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn scope_jobs_nest_under_stealing() {
-        let counter = AtomicUsize::new(0);
-        crate::scope(|s| {
-            for _ in 0..128 {
-                s.spawn(|s2| {
-                    // nested parallel region inside a scope job
-                    let n: u64 = (0..10_000u64).into_par_iter().with_max_len(512).sum();
-                    assert_eq!(n, 49_995_000);
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    s2.spawn(|_| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 256);
-    }
-
-    #[test]
     fn panic_in_stolen_chunk_propagates_and_pool_survives() {
-        // Many tiny chunks guarantee splits land in worker deques, so with
-        // >1 thread the panicking chunk is very likely stolen; the payload
-        // must still surface on the submitting thread.
+        // Many tiny chunks, so with >1 thread the panicking chunk may well
+        // run on a worker; the payload must still surface on the opening
+        // thread.
         for round in 0..4 {
             let caught = std::panic::catch_unwind(|| {
                 (0..4096usize)

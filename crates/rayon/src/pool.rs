@@ -1,278 +1,185 @@
-//! The process-global work-stealing thread pool.
+//! The process-global chunk-cursor thread pool.
 //!
 //! One pool serves the whole process: simnet spawns one OS thread per
 //! simulated rank, and if each rank owned a private pool the host would be
 //! oversubscribed `ranks × threads`-fold. Instead every rank submits its
-//! parallel regions to this single shared pool.
+//! parallel regions to this single shared pool — many submitters, few
+//! workers (the benchmark pins `min(2, nproc)` threads, i.e. one worker).
 //!
 //! ## Execution model
 //!
-//! A parallel region is a *task*: `nchunks` independent chunk indices plus a
-//! `Fn(usize)` body. Work circulates as **jobs** — contiguous chunk ranges
-//! `[lo, hi)` of a task — through per-worker deques:
-//!
-//! * **LIFO local / FIFO steal.** A worker pushes and pops at the back of
-//!   its own deque (the most recently split-off — and cache-hottest —
-//!   range), while thieves take from the front (the oldest and largest
-//!   range), the classic Chase-Lev discipline realised here with one short
-//!   critical section per deque (std-only, no atomic deque).
-//! * **Batched claiming.** An executing thread repeatedly splits its range
-//!   in half, parking the back half in a deque for thieves, until the range
-//!   is at most the task's *grain* (a run of chunks sized from
-//!   `nchunks / (threads × OVERSPLIT)`); it then runs the whole run and
-//!   retires it with a single atomic subtraction. Claiming a run of chunks
-//!   costs one deque operation + one atomic, not one `fetch_update` per
-//!   chunk as the old work-sharing pool paid.
-//! * **Idle backoff.** An idle worker spins through a few
-//!   exponentially-growing rounds of steal attempts (with `spin_loop` and
-//!   `yield_now` between rounds), then parks on a condvar. Job pushes only
-//!   touch the futex when a sleeper exists, so a fully-awake pool runs
-//!   wake-free; a 1-core host parks quickly instead of burning the only
-//!   core in a spin.
+//! A parallel region is one [`Task`]: `nchunks` independent chunk indices,
+//! a `Fn(usize)` body and an atomic **chunk cursor**. The thread that opens
+//! the region puts the task on the one shared open-region list and then
+//! claims *runs* of `grain` consecutive chunks from the cursor (one
+//! `fetch_add` a run) until the cursor is spent; persistent workers do the
+//! same on whatever region is open, and park on a condvar when none is.
+//! A run is retired with one atomic subtraction; the opener closes the
+//! region (takes it off the list) once the cursor is spent and returns when
+//! every chunk has retired.
 //!
 //! Chunk *boundaries* are fixed up front by the iterator layer and never
-//! depend on the number of threads; stealing and grain only decide **who**
-//! runs a chunk and in what batch, never **what** a chunk is. Per-chunk
-//! results are combined sequentially in chunk-index order at the reduce
-//! step, which is what keeps results bitwise reproducible (see the crate
-//! docs and DESIGN.md "Work-stealing & the determinism contract").
+//! depend on the number of threads; the cursor and the grain only decide
+//! **who** runs a chunk and in what batch, never **what** a chunk is.
+//! Per-chunk results are combined sequentially in chunk-index order at the
+//! reduce step, which is what keeps results bitwise reproducible (see the
+//! crate docs and DESIGN.md "The pool & the determinism contract").
 //!
-//! The submitter blocks until every chunk of its task has completed, which
-//! is what makes the lifetime-erased body pointer sound: the `Fn` lives on
-//! the submitter's stack and outlives every dereference.
+//! ## Nested regions and deadlock freedom
 //!
-//! ## Nested parallelism and deadlock freedom
-//!
-//! A chunk body may itself open a parallel region (nested `join`, sorts
-//! inside a parallel map, ...). Before blocking, a submitter first drains
-//! every queued job *of its own task* from the deques, so by the time it
-//! waits, each outstanding chunk is being executed by some thread; a thread
-//! executing a chunk only blocks as the submitter of a strictly *deeper*
-//! task (for which the same argument applies). Depth strictly increases
-//! along any waits-for chain, so the deepest execution is never blocked and
-//! the system always makes progress. Parked workers re-check every deque
-//! under the sleep lock before waiting, and pushers take the same lock to
-//! notify, so wakeups cannot be lost.
+//! A chunk body may itself open a region (nested `join`, a sort inside a
+//! parallel map). An opener drains its own cursor before it waits, so by
+//! the time it blocks every outstanding chunk of its region is being run by
+//! some thread; a thread running a chunk blocks only as the opener of a
+//! strictly *deeper* region, for which the same holds. A waits-for chain
+//! therefore only descends, the deepest region is never blocked, and the
+//! system always makes progress — with or without workers. Openers publish
+//! a region and workers look for one under the same lock the condvar waits
+//! on, so a wake-up cannot be lost.
 //!
 //! ## Panics
 //!
-//! The first panic from any chunk is captured; remaining chunks of the task
-//! are skipped (their jobs still retire), and the payload is re-thrown on
-//! the submitting thread once the task drains — stolen or local alike.
+//! The first panic from any chunk is captured; remaining chunks of the
+//! region are skipped (their runs still retire), and the payload is
+//! re-thrown on the opening thread once the region drains — whoever ran
+//! the chunk.
 
 use std::any::Any;
-use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Chunk-runs per worker a task is oversplit into; larger values smooth
-/// skew at the price of more deque traffic. Grain only groups execution —
-/// it never moves a chunk boundary.
+/// Chunk runs per thread a region is cut into; larger values smooth skew at
+/// the price of more cursor traffic. Grain only groups execution — it never
+/// moves a chunk boundary.
 const OVERSPLIT: usize = 4;
 
-/// Steal rounds an idle worker spins through (with exponentially growing
-/// pauses) before parking on the condvar.
-const SPIN_ROUNDS: u32 = 6;
+/// Aborts the process if dropped: held across code whose unwinding would
+/// leave memory or the pool in a state no caller can recover — the sort's
+/// merge (elements duplicated between slice and scratch) and a worker (a
+/// claimed run that would never retire, so its opener would wait forever).
+pub(crate) struct AbortOnUnwind(pub(crate) &'static str);
 
-/// One in-flight parallel region.
+impl Drop for AbortOnUnwind {
+    fn drop(&mut self) {
+        eprintln!("{}; aborting", self.0);
+        std::process::abort();
+    }
+}
+
+/// One open parallel region.
 struct Task {
-    /// Lifetime-erased pointer to the chunk body on the submitter's stack.
-    /// Valid until the submitter returns from [`Pool::run`], which cannot
+    /// Lifetime-erased pointer to the chunk body on the opener's stack.
+    /// Valid until the opener returns from [`Pool::run`], which cannot
     /// happen before `pending` reaches zero.
     func: *const (dyn Fn(usize) + Sync),
-    /// Chunks not yet retired. The task is complete when this hits zero.
-    pending: AtomicUsize,
-    /// Largest chunk run executed (and retired) as one batch.
+    nchunks: usize,
+    /// Chunks claimed (and retired) as one run.
     grain: usize,
-    /// Set on first panic; later chunks are skipped.
+    /// The chunk cursor: first chunk no run has claimed yet. Claims are
+    /// `Relaxed` — atomicity alone makes runs disjoint; what a run wrote
+    /// reaches the opener through `pending`.
+    next: AtomicUsize,
+    /// Chunks not yet retired; the region is complete at zero. Each
+    /// `retire` is `AcqRel`, so the one that reaches zero has seen every
+    /// earlier run's writes and hands them to the opener through `done`.
+    pending: AtomicUsize,
+    /// Set (`Release`) on the first panic; later chunks see it and skip.
     poisoned: AtomicBool,
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
     done: Mutex<bool>,
     done_cv: Condvar,
 }
 
-// SAFETY: `func` is only dereferenced while the submitter provably waits
-// (see module docs); all other fields are Sync primitives.
+// SAFETY: `func` is the only field that is not already `Send + Sync`. Its
+// pointee is `Sync` (callable from any thread through `&`), and it is
+// dereferenced only by a thread holding a claimed, unretired run, while the
+// opener provably still waits in `Pool::run` (see `drain`).
+// Driven by `tests/cross_process.rs::many_submitters_run_every_chunk_exactly_once`.
 unsafe impl Send for Task {}
+// SAFETY: as above; every other field is a `Sync` primitive.
 unsafe impl Sync for Task {}
 
 impl Task {
-    /// Retire `n` chunks; signals the submitter when the task drains.
+    fn spent(&self) -> bool {
+        self.next.load(Ordering::Relaxed) >= self.nchunks
+    }
+
+    /// Claim and execute runs until the cursor is spent; returns the number
+    /// of runs this thread executed.
+    fn drain(&self) -> u64 {
+        let mut runs = 0;
+        loop {
+            let lo = self.next.fetch_add(self.grain, Ordering::Relaxed);
+            if lo >= self.nchunks {
+                return runs;
+            }
+            let hi = (lo + self.grain).min(self.nchunks);
+            runs += 1;
+            if !self.poisoned.load(Ordering::Acquire) {
+                debug_assert!(
+                    self.pending.load(Ordering::Acquire) >= hi - lo,
+                    "run {lo}..{hi} claimed twice or after its region retired"
+                );
+                // SAFETY: `fetch_add` handed chunks `lo..hi` to this thread
+                // alone and they are not retired yet, so `pending > 0`: the
+                // opener is still inside `Pool::run` and the body it
+                // borrowed is alive.
+                let body = unsafe { &*self.func };
+                for i in lo..hi {
+                    if self.poisoned.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(i))) {
+                        self.poisoned.store(true, Ordering::Release);
+                        let mut slot = self.panic.lock().expect("panic slot lock");
+                        slot.get_or_insert(payload);
+                    }
+                }
+            }
+            self.retire(hi - lo);
+        }
+    }
+
+    /// Retire `n` chunks; signals the opener when the region drains.
     fn retire(&self, n: usize) {
         if self.pending.fetch_sub(n, Ordering::AcqRel) == n {
-            let mut done = self.done.lock().unwrap();
-            *done = true;
+            *self.done.lock().expect("done lock") = true;
             self.done_cv.notify_all();
         }
     }
 }
 
-/// A contiguous run of chunks `[lo, hi)` of one task.
-struct Job {
-    task: Arc<Task>,
-    lo: usize,
-    hi: usize,
-}
-
-/// One worker's deque, padded to its own cache line pair so neighbouring
-/// workers' queue traffic never false-shares.
-#[repr(align(128))]
-struct WorkerDeque {
-    jobs: Mutex<VecDeque<Job>>,
-}
-
-/// Per-worker counters, cache-line padded for the same reason. Purely
-/// diagnostic: read by [`pool_stats`], never by the scheduler.
-#[repr(align(128))]
+/// The open-region list and the number of workers parked on it.
 #[derive(Default)]
-struct WorkerCounters {
-    /// Chunk runs executed from the worker's own deque (LIFO pops).
-    local_runs: AtomicU64,
-    /// Chunk runs stolen from another deque (FIFO steals).
-    steals: AtomicU64,
-    /// Times the worker parked on the condvar.
+struct Open {
+    tasks: Vec<Arc<Task>>,
+    sleepers: usize,
+}
+
+#[derive(Default)]
+struct Shared {
+    open: Mutex<Open>,
+    wake_cv: Condvar,
+    // Diagnostic counters, read by `pool_stats` and never by the scheduler
+    // (hence `Relaxed`); added once a region, not once a run.
+    opener_runs: AtomicU64,
+    worker_runs: AtomicU64,
     parks: AtomicU64,
 }
 
 /// Aggregated scheduler counters, for tests and diagnostics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PoolStats {
-    /// Pool size (including the inline submitter slot).
+    /// Pool size (including the opener's own slot).
     pub threads: usize,
-    /// Chunk runs executed from workers' own deques.
+    /// Chunk runs executed by the thread that opened their region.
     pub local_runs: u64,
-    /// Chunk runs stolen across deques (includes submitter self-steals).
+    /// Chunk runs executed by a pool worker (the field keeps the name the
+    /// benchmark reads it by).
     pub steals: u64,
     /// Worker park events.
     pub parks: u64,
-}
-
-struct Shared {
-    /// One deque per worker thread. External submitters (rank threads)
-    /// scatter split-off jobs round-robin across these.
-    deques: Vec<WorkerDeque>,
-    counters: Vec<WorkerCounters>,
-    /// Extra counter slot for threads that are not pool workers.
-    external: WorkerCounters,
-    /// Number of workers currently parked; mirrored outside the lock so the
-    /// push fast path is one relaxed load.
-    sleepers: AtomicUsize,
-    sleep: Mutex<()>,
-    wake_cv: Condvar,
-    /// Round-robin cursor for external pushes.
-    rr: AtomicUsize,
-}
-
-impl Shared {
-    fn counters_for(&self, worker: Option<usize>) -> &WorkerCounters {
-        match worker {
-            Some(id) => &self.counters[id],
-            None => &self.external,
-        }
-    }
-
-    /// Park-safe work check: is any deque non-empty?
-    fn any_queued(&self) -> bool {
-        self.deques
-            .iter()
-            .any(|d| !d.jobs.lock().unwrap().is_empty())
-    }
-
-    /// Push a job: onto this worker's own deque back (LIFO end) when called
-    /// from a worker, round-robin otherwise. Wakes a sleeper only if one
-    /// exists, so an awake pool never touches the futex.
-    fn push(&self, worker: Option<usize>, job: Job) {
-        let idx = match worker {
-            Some(id) => id,
-            None => self.rr.fetch_add(1, Ordering::Relaxed) % self.deques.len(),
-        };
-        self.deques[idx].jobs.lock().unwrap().push_back(job);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.sleep.lock().unwrap();
-            self.wake_cv.notify_one();
-        }
-    }
-
-    /// LIFO pop from the worker's own deque.
-    fn pop_local(&self, id: usize) -> Option<Job> {
-        self.deques[id].jobs.lock().unwrap().pop_back()
-    }
-
-    /// FIFO steal from any other deque, scanning round-robin from `id + 1`.
-    fn steal(&self, id: usize) -> Option<Job> {
-        let n = self.deques.len();
-        for k in 1..=n {
-            let victim = (id + k) % n;
-            if let Some(job) = self.deques[victim].jobs.lock().unwrap().pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Remove any queued job belonging to `task` (front-first), scanning
-    /// all deques. Used by a submitter to drain its own task before
-    /// blocking — see the deadlock-freedom argument in the module docs.
-    fn steal_task_job(&self, task: &Arc<Task>) -> Option<Job> {
-        for d in &self.deques {
-            let mut q = d.jobs.lock().unwrap();
-            if let Some(pos) = q.iter().position(|j| Arc::ptr_eq(&j.task, task)) {
-                return q.remove(pos);
-            }
-        }
-        None
-    }
-}
-
-thread_local! {
-    /// Index of the pool worker running on this thread (`usize::MAX` for
-    /// external threads — rank threads, tests, the submitter).
-    static WORKER_ID: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn current_worker() -> Option<usize> {
-    let id = WORKER_ID.with(|w| w.get());
-    (id != usize::MAX).then_some(id)
-}
-
-/// Execute a job: split halves off for thieves while the range exceeds the
-/// task's grain, then run the remaining chunk run and retire it with one
-/// atomic. The split-off halves land on this worker's deque (LIFO) or, for
-/// external threads, round-robin across worker deques.
-fn execute(shared: &Shared, worker: Option<usize>, job: Job) {
-    let Job { task, lo, mut hi } = job;
-    while hi - lo > task.grain {
-        let mid = lo + (hi - lo) / 2;
-        shared.push(
-            worker,
-            Job {
-                task: Arc::clone(&task),
-                lo: mid,
-                hi,
-            },
-        );
-        hi = mid;
-    }
-    if !task.poisoned.load(Ordering::Acquire) {
-        // SAFETY: the submitter cannot return (and invalidate `func`)
-        // while this run is claimed but not retired.
-        let body = unsafe { &*task.func };
-        for i in lo..hi {
-            if task.poisoned.load(Ordering::Relaxed) {
-                break;
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(i))) {
-                task.poisoned.store(true, Ordering::Release);
-                let mut slot = task.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-        }
-    }
-    task.retire(hi - lo);
 }
 
 pub(crate) struct Pool {
@@ -282,28 +189,15 @@ pub(crate) struct Pool {
 
 impl Pool {
     fn new(nthreads: usize) -> Pool {
-        // The submitter of each task participates in executing it, so
-        // `nthreads` total parallelism needs `nthreads - 1` workers; with
-        // one thread the pool runs everything inline on the caller.
-        let nworkers = nthreads.saturating_sub(1);
-        let shared = Arc::new(Shared {
-            deques: (0..nworkers)
-                .map(|_| WorkerDeque {
-                    jobs: Mutex::new(VecDeque::new()),
-                })
-                .collect(),
-            counters: (0..nworkers).map(|_| WorkerCounters::default()).collect(),
-            external: WorkerCounters::default(),
-            sleepers: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            wake_cv: Condvar::new(),
-            rr: AtomicUsize::new(0),
-        });
-        for id in 0..nworkers {
+        // The opener of each region takes part in running it, so `nthreads`
+        // total parallelism needs `nthreads - 1` workers; with one thread
+        // the pool runs everything inline on the caller.
+        let shared = Arc::new(Shared::default());
+        for id in 1..nthreads {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("g500-pool-{id}"))
-                .spawn(move || worker_loop(&shared, id))
+                .spawn(move || worker_loop(&shared))
                 .expect("spawning pool worker");
         }
         Pool { shared, nthreads }
@@ -312,97 +206,71 @@ impl Pool {
     /// Execute `f(0..nchunks)` across the pool; returns when every chunk has
     /// retired. Re-throws the first chunk panic on this thread.
     fn run(&self, nchunks: usize, f: &(dyn Fn(usize) + Sync)) {
-        // Erase the borrow lifetime; soundness argued in the module docs.
+        // SAFETY: only the borrow's lifetime is erased. This function does
+        // not return before `pending` is zero, and `drain` dereferences the
+        // pointer only while holding unretired chunks.
         let func: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(f) };
-        let grain = (nchunks / (self.nthreads * OVERSPLIT)).max(1);
         let task = Arc::new(Task {
             func,
+            nchunks,
+            grain: (nchunks / (self.nthreads * OVERSPLIT)).max(1),
+            next: AtomicUsize::new(0),
             pending: AtomicUsize::new(nchunks),
-            grain,
             poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
         let shared = &*self.shared;
-        let worker = current_worker();
-
-        // Execute the whole range ourselves; splitting inside `execute`
-        // scatters the back halves for thieves as we go.
-        execute(
-            shared,
-            worker,
-            Job {
-                task: Arc::clone(&task),
-                lo: 0,
-                hi: nchunks,
-            },
-        );
-        // Help until no queued job of this task remains anywhere, then wait
-        // for in-flight runs (executing on other threads) to retire.
-        while task.pending.load(Ordering::Acquire) > 0 {
-            if let Some(job) = shared.steal_task_job(&task) {
-                shared
-                    .counters_for(worker)
-                    .steals
-                    .fetch_add(1, Ordering::Relaxed);
-                execute(shared, worker, job);
-                continue;
-            }
-            let mut done = task.done.lock().unwrap();
-            while !*done && task.pending.load(Ordering::Acquire) > 0 {
-                done = task.done_cv.wait(done).unwrap();
-            }
-            break;
+        let mut open = shared.open.lock().expect("open-region lock");
+        open.tasks.push(Arc::clone(&task));
+        let asleep = open.sleepers > 0;
+        drop(open);
+        if asleep {
+            shared.wake_cv.notify_all();
         }
+        let runs = task.drain();
+        shared.opener_runs.fetch_add(runs, Ordering::Relaxed);
+        // The cursor is spent: close the region, then wait for the runs
+        // still executing on workers.
+        let mut open = shared.open.lock().expect("open-region lock");
+        let at = open.tasks.iter().position(|t| Arc::ptr_eq(t, &task));
+        open.tasks
+            .swap_remove(at.expect("an open region is on the list"));
+        drop(open);
+        let mut done = task.done.lock().expect("done lock");
+        while !*done {
+            done = task.done_cv.wait(done).expect("done lock");
+        }
+        drop(done);
+        debug_assert_eq!(task.pending.load(Ordering::Acquire), 0);
 
-        let payload = task.panic.lock().unwrap().take();
+        let payload = task.panic.lock().expect("panic slot lock").take();
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
     }
 }
 
-fn worker_loop(shared: &Shared, id: usize) {
-    WORKER_ID.with(|w| w.set(id));
-    let mut backoff: u32 = 0;
+/// A worker: run whatever open region still has chunks to claim, oldest
+/// first; park when there is none.
+fn worker_loop(shared: &Shared) {
+    // chunk panics are caught in `drain`; anything else is a broken invariant
+    let _guard = AbortOnUnwind("pool worker panicked outside a chunk body");
+    let mut open = shared.open.lock().expect("open-region lock");
     loop {
-        if let Some(job) = shared.pop_local(id) {
-            shared.counters[id]
-                .local_runs
-                .fetch_add(1, Ordering::Relaxed);
-            execute(shared, Some(id), job);
-            backoff = 0;
-            continue;
+        if let Some(task) = open.tasks.iter().find(|t| !t.spent()).cloned() {
+            drop(open);
+            let runs = task.drain();
+            shared.worker_runs.fetch_add(runs, Ordering::Relaxed);
+            open = shared.open.lock().expect("open-region lock");
+        } else {
+            shared.parks.fetch_add(1, Ordering::Relaxed);
+            open.sleepers += 1;
+            open = shared.wake_cv.wait(open).expect("open-region lock");
+            open.sleepers -= 1;
         }
-        if let Some(job) = shared.steal(id) {
-            shared.counters[id].steals.fetch_add(1, Ordering::Relaxed);
-            execute(shared, Some(id), job);
-            backoff = 0;
-            continue;
-        }
-        if backoff < SPIN_ROUNDS {
-            // Exponential backoff: 2^backoff pause slots, then re-scan.
-            for _ in 0..(1u32 << backoff) {
-                std::hint::spin_loop();
-            }
-            std::thread::yield_now();
-            backoff += 1;
-            continue;
-        }
-        // Park. Re-check under the sleep lock (pushers notify under the
-        // same lock), so a push between our last scan and the wait cannot
-        // be lost.
-        shared.counters[id].parks.fetch_add(1, Ordering::Relaxed);
-        shared.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut guard = shared.sleep.lock().unwrap();
-        while !shared.any_queued() {
-            guard = shared.wake_cv.wait(guard).unwrap();
-        }
-        drop(guard);
-        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-        backoff = 0;
     }
 }
 
@@ -449,37 +317,28 @@ pub fn current_num_threads() -> usize {
     pool().nthreads
 }
 
-/// Snapshot of the scheduler's diagnostic counters (local runs, steals,
-/// parks). Counters are monotonic over the pool's lifetime; results never
-/// depend on them.
+/// Snapshot of the scheduler's diagnostic counters (runs by openers, runs
+/// by workers, parks). Counters are monotonic over the pool's lifetime;
+/// results never depend on them.
 pub fn pool_stats() -> PoolStats {
     let p = pool();
-    let mut s = PoolStats {
+    PoolStats {
         threads: p.nthreads,
-        ..Default::default()
-    };
-    for c in p.shared.counters.iter().chain([&p.shared.external]) {
-        s.local_runs += c.local_runs.load(Ordering::Relaxed);
-        s.steals += c.steals.load(Ordering::Relaxed);
-        s.parks += c.parks.load(Ordering::Relaxed);
+        local_runs: p.shared.opener_runs.load(Ordering::Relaxed),
+        steals: p.shared.worker_runs.load(Ordering::Relaxed),
+        parks: p.shared.parks.load(Ordering::Relaxed),
     }
-    s
 }
 
 /// Run `f(i)` for every `i in 0..nchunks`, distributing chunk runs across
 /// the pool. Blocks until all chunks retire; re-throws the first panic.
 pub(crate) fn run_parallel(nchunks: usize, f: &(dyn Fn(usize) + Sync)) {
-    if nchunks == 0 {
-        return;
-    }
     let p = pool();
-    if p.nthreads == 1 || nchunks == 1 {
-        for i in 0..nchunks {
-            f(i);
-        }
-        return;
+    if p.nthreads == 1 || nchunks <= 1 {
+        (0..nchunks).for_each(f);
+    } else {
+        p.run(nchunks, f);
     }
-    p.run(nchunks, f);
 }
 
 /// Run two closures, potentially in parallel, returning both results.
@@ -508,50 +367,4 @@ where
         ra.into_inner().unwrap().unwrap(),
         rb.into_inner().unwrap().unwrap(),
     )
-}
-
-/// A job spawned into a [`Scope`]: boxed so the scope can own it, callable
-/// once with the scope itself (to allow nested spawns).
-type ScopeJob<'s> = Box<dyn FnOnce(&Scope<'s>) + Send + 's>;
-
-/// A scope for spawning borrowing jobs. Unlike upstream rayon, spawned jobs
-/// run in deferred batches once the scope body returns (each batch may spawn
-/// more); all jobs still complete before [`scope`] returns, and panics
-/// propagate to the caller.
-pub struct Scope<'s> {
-    jobs: Mutex<Vec<ScopeJob<'s>>>,
-}
-
-impl<'s> Scope<'s> {
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'s>) + Send + 's,
-    {
-        self.jobs.lock().unwrap().push(Box::new(f));
-    }
-}
-
-/// Create a scope, run `f` in it, then drain all spawned jobs (in parallel)
-/// until none remain. Returns `f`'s result.
-pub fn scope<'s, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'s>) -> R,
-{
-    let s = Scope {
-        jobs: Mutex::new(Vec::new()),
-    };
-    let r = f(&s);
-    loop {
-        let batch: Vec<_> = std::mem::take(&mut *s.jobs.lock().unwrap());
-        if batch.is_empty() {
-            break;
-        }
-        let slots: Vec<Mutex<Option<ScopeJob<'s>>>> =
-            batch.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        run_parallel(slots.len(), &|i| {
-            let job = slots[i].lock().unwrap().take().unwrap();
-            job(&s);
-        });
-    }
-    r
 }

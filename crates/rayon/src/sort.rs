@@ -8,7 +8,7 @@
 //! to the input (the leaves are unstable), but *how* they are permuted is
 //! fixed by the input alone.
 
-use crate::pool::join;
+use crate::pool::{join, AbortOnUnwind};
 use std::cmp::Ordering;
 use std::mem::MaybeUninit;
 use std::ptr;
@@ -16,18 +16,6 @@ use std::ptr;
 /// Below this length a leaf is sorted sequentially; fixed (not derived from
 /// the thread count) so leaf boundaries are reproducible.
 const SORT_CUTOFF: usize = 4096;
-
-/// Aborts the process if dropped — used to turn a panic inside the merge
-/// (from a panicking comparator) into an abort instead of exposing
-/// double-drops of elements that exist in both the scratch and the slice.
-struct AbortOnUnwind;
-
-impl Drop for AbortOnUnwind {
-    fn drop(&mut self) {
-        eprintln!("comparator panicked during parallel merge; aborting");
-        std::process::abort();
-    }
-}
 
 pub(crate) fn par_merge_sort_by<T, F>(v: &mut [T], cmp: &F)
 where
@@ -38,11 +26,11 @@ where
         v.sort_unstable_by(|a, b| cmp(a, b));
         return;
     }
-    let mut buf: Vec<MaybeUninit<T>> = Vec::with_capacity(v.len());
-    // SAFETY: MaybeUninit needs no initialization; contents are only ever
-    // bitwise copies that are never dropped from the buffer.
-    unsafe { buf.set_len(v.len()) };
-    sort_rec(v, &mut buf, cmp);
+    // Scratch that is never read before it is written and never dropped:
+    // the spare capacity of an empty `Vec`.
+    let mut buf: Vec<T> = Vec::with_capacity(v.len());
+    let n = v.len();
+    sort_rec(v, &mut buf.spare_capacity_mut()[..n], cmp);
 }
 
 fn sort_rec<T, F>(v: &mut [T], buf: &mut [MaybeUninit<T>], cmp: &F)
@@ -78,11 +66,19 @@ where
     F: Fn(&T, &T) -> Ordering + Sync + ?Sized,
 {
     let n = v.len();
-    let guard = AbortOnUnwind;
-    // SAFETY: everything below shuffles bitwise copies between `v` and the
-    // equally-sized scratch; every element ends up in `v` exactly once, and
-    // the scratch never drops. A comparator panic would leave duplicates,
-    // which the guard converts to an abort.
+    assert!(
+        buf.len() == n && mid <= n,
+        "scratch and split fit the slice"
+    );
+    let guard = AbortOnUnwind("comparator panicked during parallel merge");
+    // SAFETY: `buf` is exactly as long as `v` (asserted) and disjoint from
+    // it (two `&mut`), so every copy below stays in bounds of both.
+    // Everything shuffles bitwise copies between `v` and the scratch; every
+    // element ends up in `v` exactly once (asserted below), and the scratch
+    // never drops. A comparator panic would leave duplicates, which the
+    // guard converts to an abort.
+    // Driven by `tests/cross_process.rs::many_submitters_run_every_chunk_exactly_once`
+    // (sorts nested in eight submitters' regions at once).
     unsafe {
         ptr::copy_nonoverlapping(v.as_ptr(), buf.as_mut_ptr() as *mut T, n);
         let b = buf.as_ptr() as *const T;
@@ -101,6 +97,10 @@ where
             ptr::copy_nonoverlapping(b.add(src), out.add(k), 1);
             k += 1;
         }
+        // the merged prefix took `i` from the left run and `j - mid` from
+        // the right; the two tails fill the rest of `v` exactly
+        debug_assert_eq!(k, i + (j - mid));
+        debug_assert_eq!(k + (mid - i) + (n - j), n);
         if i < mid {
             ptr::copy_nonoverlapping(b.add(i), out.add(k), mid - i);
         }

@@ -114,11 +114,6 @@ const FETCH_OPS_PER_ARC: f64 = 5.0;
 /// vertices a rank are still queued, machine-wide.
 const TAIL_THRESHOLD: u64 = 64;
 
-/// Per-chunk result of the parallel heavy-phase scan: relaxation count and
-/// the improving candidates `(target_global, new_dist, parent_global,
-/// owner_rank)` in (source, arc) order.
-type HeavyScan = (u64, Vec<(u64, f32, u64, usize)>);
-
 /// Per-bucket phase timing record (for the breakdown figure F4).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhaseRecord {
@@ -348,10 +343,9 @@ pub(crate) struct Kernel<'a, P: VertexPartition, R: Record> {
     pub(crate) lanes: Vec<Lane>,
     pub(crate) stats: SsspRunStats,
     /// Superstep scratch arenas, reused across the whole run: the exchange
-    /// buckets/incoming buffer and the two parallel-scan result buffers.
+    /// buckets/incoming buffer and the parallel pull scan's result buffer.
     xbufs: ExchangeBufs<R>,
     pull_scratch: Vec<PullScan>,
-    heavy_scratch: Vec<HeavyScan>,
     /// Open-bucket scratch: the global frontier size summed over the
     /// bucket's light steps and lanes, and the compute/comm clocks at its
     /// start.
@@ -479,7 +473,6 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
         stats: SsspRunStats::default(),
         xbufs: ExchangeBufs::new(ctx.size()),
         pull_scratch: Vec::new(),
-        heavy_scratch: Vec::new(),
         phase_frontier: 0,
         phase_start: (0.0, 0.0),
     };
@@ -540,6 +533,18 @@ fn heavy_pulls(ctx: &RankCtx, dir: Direction, (h, u_h): (u64, u64)) -> bool {
             let reply = ctx.alltoallv_seconds(route, 0.0);
             let fetch = u_h as f64 * FETCH_OPS_PER_ARC / p;
             fetch + reply * ctx.compute_model().ops_per_sec < h as f64 * PUSH_OPS_PER_ARC / p
+        }
+    }
+}
+
+/// A heavy fetch reads its reply by the request's positions, so owner `o`'s
+/// reply must be exactly as long as the request it answers; one that is not
+/// leaves as the typed decode error, like any undecodable block.
+fn check_fetch_reply<I>(ctx: &RankCtx, want: &[Vec<I>], got: &[Vec<f32>]) {
+    const DIST_BYTES: usize = <f32 as Wire>::SIZE;
+    for (o, (ids, ds)) in want.iter().zip(got).enumerate() {
+        if ds.len() != ids.len() {
+            ctx.decode_failure(o, ds.len() * DIST_BYTES, DIST_BYTES);
         }
     }
 }
@@ -1010,53 +1015,36 @@ impl Lane {
         }
     }
 
-    /// Heavy phase, push side: one pass over the bucket's settled set,
-    /// staged as lane `tag`; returns the arcs relaxed.
+    /// Heavy phase, push side: one pass over the bucket's settled set in
+    /// (source, arc) order, staged as lane `tag`; returns the arcs relaxed.
+    /// Distances of settled vertices cannot change during the pass (for
+    /// settled u, du < (k+1)δ, and any heavy relaxation delivers
+    /// nd = du' + w ≥ kδ + δ, which `apply` rejects against
+    /// dist < (k+1)δ), so every `du` read is the bucket's final one.
     fn heavy_push<P: VertexPartition, R: Record>(
         &mut self,
         ctx: &mut RankCtx,
         rows: &Rows<P>,
         tag: u32,
-        scratch: &mut Vec<HeavyScan>,
         xbufs: &mut ExchangeBufs<R>,
     ) -> u64 {
         let (me, graph) = (ctx.rank(), rows.graph);
-        // Parallel candidate scan. Distances of settled vertices cannot
-        // change during this phase (for settled u, du < (k+1)δ, and any
-        // heavy relaxation delivers nd = du' + w ≥ kδ + δ, which `apply`
-        // rejects against dist < (k+1)δ), so the scan reads a frozen view.
-        // Candidates are re-walked sequentially in (source, arc) order
-        // below, so local applies and per-destination buffers are byte-
-        // identical to the sequential schedule at any thread count.
         ctx.trace_begin(TraceCode::TaskWave, self.settled.len() as u64, 1);
-        let dist = &self.sp.dist;
-        self.settled
-            .par_chunks(256)
-            .map(|chunk| {
-                let mut relaxed = 0u64;
-                let mut cands: Vec<(u64, f32, u64, usize)> = Vec::new();
-                for &u in chunk {
-                    let du = dist[u as usize];
-                    let u_global = graph.part().to_global(me, u as usize);
-                    let light = rows.light_end[u as usize] as usize;
-                    let vs = &graph.neighbors(u as usize)[light..];
-                    let ws = &graph.edge_weights(u as usize)[light..];
-                    relaxed += vs.len() as u64;
-                    for (&v, &w) in vs.iter().zip(ws) {
-                        cands.push((v, du + w, u_global, graph.part().owner(v)));
-                    }
-                }
-                (relaxed, cands)
-            })
-            .collect_into_vec(scratch);
-
         let mut relaxed = 0u64;
-        for (r, cands) in scratch.iter_mut() {
-            relaxed += *r;
-            for (v, nd, u_global, owner) in cands.drain(..) {
+        for at in 0..self.settled.len() {
+            let u = self.settled[at] as usize;
+            let du = self.sp.dist[u];
+            let u_global = graph.part().to_global(me, u);
+            let light = rows.light_end[u] as usize;
+            let vs = &graph.neighbors(u)[light..];
+            let ws = &graph.edge_weights(u)[light..];
+            relaxed += vs.len() as u64;
+            for (&v, &w) in vs.iter().zip(ws) {
+                let nd = du + w;
                 if self.prunes(nd) {
                     continue;
                 }
+                let owner = graph.part().owner(v);
                 if owner == me {
                     self.apply(graph.part().to_local(v), nd, u_global);
                 } else {
@@ -1231,7 +1219,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
             let (rows, xbufs) = (&self.rows, &mut self.xbufs);
             self.stats.relaxations += match stand {
                 Stand::Light => lane.light_push(ctx, rows, s, (k, cascade), xbufs),
-                _ => lane.heavy_push(ctx, rows, s, &mut self.heavy_scratch, xbufs),
+                _ => lane.heavy_push(ctx, rows, s, xbufs),
             };
         }
         if pushed {
@@ -1340,6 +1328,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
             ids.iter().map(settled).collect()
         };
         let got: Vec<Vec<f32>> = ctx.alltoallv_routed(reply, asked.iter().map(answer).collect());
+        check_fetch_reply(ctx, &want, &got);
         ctx.charge_compute(got.iter().map(|ds| ds.len() as u64).sum());
         for (s, lane) in acting(&mut self.lanes, Stand::Heavy, true) {
             let second = (true, lane.heavy_sums.2);
@@ -1606,6 +1595,35 @@ mod tests {
         // relaxed 163268 arcs on this input; bounded light scans with a
         // pushed heavy phase, 17545
         assert!(total < 17_545, "relaxed {total}");
+    }
+
+    #[test]
+    fn fetch_reply_of_the_wrong_length_is_a_typed_error() {
+        use simnet::{FaultEscalation, TransportError};
+        // owner 1 was asked about three ids
+        let want: Vec<Vec<(u8, u32)>> = vec![vec![], vec![(0, 4), (0, 7), (0, 9)]];
+        let reply = |n: usize| {
+            let got = vec![vec![], vec![0.5f32; n]];
+            Machine::new(MachineConfig::with_ranks(2))
+                .try_run(|ctx| check_fetch_reply(ctx, &want, &got))
+                .map(|rep| rep.results.len())
+        };
+        assert_eq!(
+            reply(3).ok(),
+            Some(2),
+            "a reply of the request's length passes"
+        );
+        for n in [2, 5] {
+            match reply(n) {
+                Err(FaultEscalation::Transport(TransportError::Decode {
+                    src,
+                    len,
+                    elem_size,
+                    ..
+                })) => assert_eq!((src, len, elem_size), (1, 4 * n, 4), "{n} answers"),
+                other => panic!("{n} answers to 3 ids: expected a decode error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

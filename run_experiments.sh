@@ -48,7 +48,7 @@ G500_SCALE_PER_RANK=13 G500_MAX_RANKS=32 G500_ROOTS=3 run f1_weak_scaling   # ex
 G500_SCALE=17 G500_MAX_RANKS=32 G500_ROOTS=4 run f2_strong_scaling
 run f3_delta_sweep
 run f4_breakdown
-G500_MAX_SCALE=16 G500_ROOTS=2 run f5_algo_compare
+G500_MAX_SCALE=16 G500_ROOTS=2 run f5_algo_compare   # exits 1 unless its shape holds; 21 s
 run f6_comm_volume
 run f7_degree_dist
 run f8_direction
