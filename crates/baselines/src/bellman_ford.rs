@@ -1,13 +1,11 @@
-//! Bellman-Ford relaxation, sequential and shared-memory parallel.
+//! Sequential Bellman-Ford relaxation.
 //!
 //! The "just relax everything until it stops changing" extreme of the SSSP
 //! design space: no priority structure at all, so it wastes relaxations on
 //! vertices whose distances are not final — the inefficiency delta-stepping's
 //! buckets exist to avoid. Experiment F5 quantifies the gap.
 
-use g500_graph::{types::weight_to_bits, Csr, ShortestPaths, VertexId};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use g500_graph::{Csr, ShortestPaths, VertexId};
 
 /// Frontier-based sequential Bellman-Ford (a.k.a. SPFA without the queue
 /// tricks): each round relaxes the out-edges of vertices whose distance
@@ -42,56 +40,6 @@ pub fn bellman_ford(graph: &Csr, root: VertexId) -> ShortestPaths {
     sp
 }
 
-/// Shared-memory parallel Bellman-Ford using atomic fetch-min on distance
-/// bits (non-negative `f32` orders identically to its bit pattern).
-///
-/// Rounds are synchronous: all relaxations of round `k` read the distances
-/// of round `k − 1` or better; monotonicity of `fetch_min` keeps the
-/// *distances* exact regardless of interleaving (the Bellman fixpoint is
-/// unique). Parent ties, however, are settled by scheduling — this baseline
-/// deliberately keeps the racy atomic formulation that the deterministic
-/// two-phase kernels (`g500_sssp::parallel_delta_stepping`) avoid, and is
-/// used only where tolerance-based distance comparison suffices.
-pub fn bellman_ford_parallel(graph: &Csr, root: VertexId) -> ShortestPaths {
-    let n = graph.num_vertices();
-    let dist: Vec<AtomicU32> = (0..n)
-        .map(|_| AtomicU32::new(weight_to_bits(f32::INFINITY)))
-        .collect();
-    let parent: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-    dist[root as usize].store(weight_to_bits(0.0), Ordering::Relaxed);
-    parent[root as usize].store(root, Ordering::Relaxed);
-
-    let mut active: Vec<usize> = vec![root as usize];
-    let changed_flags: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-
-    while !active.is_empty() {
-        active.par_iter().for_each(|&u| {
-            let du = f32::from_bits(dist[u].load(Ordering::Relaxed));
-            for (v, w) in graph.arcs(u) {
-                let v = v as usize;
-                let nd_bits = weight_to_bits(du + w);
-                let prev = dist[v].fetch_min(nd_bits, Ordering::Relaxed);
-                if nd_bits < prev {
-                    parent[v].store(u as u64, Ordering::Relaxed);
-                    changed_flags[v].store(true, Ordering::Relaxed);
-                }
-            }
-        });
-        active = (0..n)
-            .into_par_iter()
-            .filter(|&v| changed_flags[v].swap(false, Ordering::Relaxed))
-            .collect();
-    }
-
-    ShortestPaths {
-        dist: dist
-            .into_iter()
-            .map(|a| f32::from_bits(a.into_inner()))
-            .collect(),
-        parent: parent.into_iter().map(AtomicU64::into_inner).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,21 +62,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_dijkstra() {
-        for seed in 0..5 {
-            let g = random_graph(seed);
-            let exact = dijkstra(&g, 0);
-            let bf = bellman_ford_parallel(&g, 0);
-            assert!(bf.distances_match(&exact, 1e-5), "seed {seed}");
-        }
-    }
-
-    #[test]
     fn empty_frontier_terminates_immediately() {
         let g = Csr::from_edges(3, &EdgeList::new(), Directedness::Directed);
         let sp = bellman_ford(&g, 1);
-        assert_eq!(sp.reached_count(), 1);
-        let sp = bellman_ford_parallel(&g, 1);
         assert_eq!(sp.reached_count(), 1);
     }
 

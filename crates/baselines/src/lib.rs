@@ -7,10 +7,8 @@
 //! * [`dijkstra`] — the exact sequential oracle (binary heap with lazy
 //!   deletion). Every other implementation in the workspace is
 //!   property-tested against it.
-//! * [`bellman_ford`] — round-based relaxation, sequential and
-//!   shared-memory parallel; the asymptotically wasteful extreme.
-//! * [`nearfar`] — the near-far worklist method, a delta-stepping relative
-//!   with exactly two buckets; locates delta-stepping in its design space.
+//! * [`bellman_ford`] — sequential round-based relaxation; the
+//!   asymptotically wasteful extreme, and F5's fastest row on Kronecker.
 //! * [`dist_bf`] — *distributed* Bellman-Ford over `simnet`: the naive
 //!   one-frontier-superstep-per-round baseline the optimized kernel is
 //!   compared to in experiment F9.
@@ -29,13 +27,11 @@ pub mod bellman_ford;
 pub mod bmssp;
 pub mod dijkstra;
 pub mod dist_bf;
-pub mod nearfar;
 pub mod pull;
 pub mod radix_heap;
 
-pub use bellman_ford::{bellman_ford, bellman_ford_parallel};
+pub use bellman_ford::bellman_ford;
 pub use bmssp::bmssp;
 pub use dijkstra::dijkstra;
 pub use dist_bf::distributed_bellman_ford;
-pub use nearfar::near_far;
 pub use radix_heap::{dijkstra_radix_heap, key_to_weight, weight_to_key, RadixHeap, INF_KEY};

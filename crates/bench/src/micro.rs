@@ -23,10 +23,8 @@
 use g500_gen::{KroneckerGenerator, KroneckerParams};
 use g500_graph::{Csr, Directedness};
 use g500_partition::{assemble_local_graph, Block1D};
-use g500_sssp::codec::{encode_tagged, encode_updates, TaggedUpdate, Update};
 use g500_sssp::{
-    distributed_delta_stepping, parallel_delta_stepping, Direction, Grid2DSssp, OptConfig, Query,
-    QueryEngine, ServeConfig,
+    distributed_delta_stepping, Direction, Grid2DSssp, OptConfig, Query, QueryEngine, ServeConfig,
 };
 use rayon::prelude::*;
 use simnet::{CrashPlan, Machine, MachineConfig};
@@ -159,16 +157,6 @@ pub fn run_kernels() -> Vec<(&'static str, Stats)> {
         }),
     ));
 
-    // Shared-memory delta-stepping over that CSR.
-    let csr = Csr::from_edges(n, &el, Directedness::Undirected);
-    let root = (0..n).find(|&v| csr.degree(v) > 0).unwrap_or(0) as u64;
-    out.push((
-        "sssp/parallel_delta_s14",
-        measure(5, || {
-            black_box(parallel_delta_stepping(&csr, root, 0.125).reached_count());
-        }),
-    ));
-
     // Distributed kernels at scale 12 on a 4-rank simulated machine: the
     // 1D kernel forced to pull (times the broadcast-pull wave scan) and
     // the 2D grid relax. Host time includes assembly; that is fine — the
@@ -210,9 +198,11 @@ pub fn run_kernels() -> Vec<(&'static str, Stats)> {
         }),
     ));
 
-    // The sequential baseline over the same s14 CSR: the radix-heap
-    // Dijkstra, timed against the bucket kernels above. (BMSSP is a test
-    // oracle at 10⁻²× Dijkstra, 1.1 s an iteration: not a timed path.)
+    // The sequential baseline over the s14 CSR: the radix-heap Dijkstra.
+    // (BMSSP is a test oracle at 10⁻²× Dijkstra, 1.1 s an iteration: not a
+    // timed path.)
+    let csr = Csr::from_edges(n, &el, Directedness::Undirected);
+    let root = (0..n).find(|&v| csr.degree(v) > 0).unwrap_or(0) as u64;
     out.push((
         "baselines/dijkstra_radix_s14",
         measure(5, || {
@@ -245,30 +235,6 @@ pub fn run_kernels() -> Vec<(&'static str, Stats)> {
                 popped += q.take_bucket(k).len();
             }
             black_box(popped);
-        }),
-    ));
-
-    // Exchange encode: dedup+gap+varint coding of a 10k-update bucket,
-    // the per-destination inner loop of every superstep's alltoallv.
-    let updates: Vec<Update> = (0..10_000u64)
-        .map(|i| (1_000_000 + i * 3, 0.5 + (i % 7) as f32, i))
-        .collect();
-    out.push((
-        "exchange/encode_10k",
-        measure(20, || {
-            black_box(encode_updates(&updates, true).len());
-        }),
-    ));
-
-    // Lane-tagged variant of the same bucket: 16 interleaved lanes, the
-    // wire format of every batched superstep.
-    let tagged: Vec<TaggedUpdate> = (0..10_000u64)
-        .map(|i| ((i % 16) as u32, 1_000_000 + i * 3, 0.5 + (i % 7) as f32, i))
-        .collect();
-    out.push((
-        "exchange/tagged_encode_10k",
-        measure(20, || {
-            black_box(encode_tagged(&tagged, false).len());
         }),
     ));
 

@@ -118,6 +118,13 @@ impl Args {
         scale as u32
     }
 
+    /// A budget the fault plans keep as `u32`: refused past `u32::MAX`,
+    /// not truncated to whatever the cast leaves.
+    fn budget(&self, name: &str, default: u32) -> u32 {
+        let n = self.num(name, default.into());
+        u32::try_from(n).unwrap_or_else(|_| reject_range(name, n, &format!("0 to {}", u32::MAX)))
+    }
+
     /// Exit 2 naming the first token no accessor claimed: a misspelled
     /// flag must not silently run the default configuration.
     fn reject_unclaimed(&self) {
@@ -169,7 +176,7 @@ fn main() {
 fn crash_plan(args: &Args) -> CrashPlan {
     let plan = CrashPlan::random(args.num("--crash-seed", 0), args.fnum("--crash-rate", 0.0))
         .with_checkpoint_interval(args.num("--checkpoint-interval", 4))
-        .with_recovery_budget(args.num("--recovery-budget", 64) as u32);
+        .with_recovery_budget(args.budget("--recovery-budget", 64));
     if let Err(e) = plan.validate() {
         eprintln!("{e}");
         usage();
@@ -197,7 +204,7 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
         .with_duplicate(args.fnum("--dup-rate", 0.0))
         .with_corrupt(args.fnum("--corrupt-rate", 0.0))
         .with_reorder(args.fnum("--reorder-rate", 0.0))
-        .with_retry_budget(args.num("--retry-budget", 16) as u32);
+        .with_retry_budget(args.budget("--retry-budget", 16));
     if let Err(e) = fault.validate() {
         eprintln!("{e}");
         usage();
@@ -346,9 +353,15 @@ fn cmd_serve(args: &Args) {
     let mut cfg = ServeBenchConfig::new(scale, args.ranks());
     cfg.num_queries = args.num("--queries", 64) as usize;
     cfg.batch_width = args.num("--batch", 16) as usize;
+    if cfg.batch_width == 0 {
+        reject_range("--batch", 0, "at least 1");
+    }
     cfg.num_landmarks = args.num("--landmarks", 4) as usize;
     cfg.lru_capacity = args.num("--lru", 8) as usize;
     cfg.p2p_permille = args.num("--p2p", 500);
+    if cfg.p2p_permille > 1000 {
+        reject_range("--p2p", cfg.p2p_permille, "0 to 1000 (per mille)");
+    }
     cfg.source_pool = args.num("--pool", 0) as usize;
     cfg.seed = args.num("--seed", cfg.seed);
     cfg.threads = args.num("--threads", 0) as usize;

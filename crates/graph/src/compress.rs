@@ -1,13 +1,11 @@
-//! Adjacency and integer compression codecs.
+//! LEB128 varints: the integer primitive of the workspace's one gap+varint
+//! coder, `g500_sssp::codec`.
 //!
-//! At 140 trillion edges the CSR target array dominates memory and network
-//! traffic, so the paper's system family compresses adjacency with
-//! delta + variable-length encoding (sorted neighbor lists have small gaps on
-//! a scrambled Kronecker graph's dense blocks). The same varint primitives
-//! are reused by the SSSP message codec for the payload-compression
-//! optimization ablated in experiment T3/F6.
-
-use crate::types::VertexId;
+//! At 140 trillion edges id lists dominate network traffic, so the paper's
+//! system family ships sorted ids as gaps in a variable-length code (sorted
+//! targets have small gaps on a scrambled Kronecker graph's dense blocks).
+//! The SSSP message codec does that with these two functions, for the
+//! payload-compression optimization ablated in experiments T3/F6.
 
 /// Append `v` to `out` as LEB128 (7 bits per byte, MSB = continuation).
 #[inline]
@@ -47,39 +45,6 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Encode a *sorted* neighbor list as gap-coded varints: first id absolute,
-/// then successive gaps. Panics in debug builds if the list is unsorted.
-pub fn encode_adjacency(sorted: &[VertexId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(sorted.len() + 4);
-    write_varint(&mut out, sorted.len() as u64);
-    let mut prev = 0u64;
-    for (i, &v) in sorted.iter().enumerate() {
-        if i == 0 {
-            write_varint(&mut out, v);
-        } else {
-            debug_assert!(v >= prev, "adjacency must be sorted");
-            write_varint(&mut out, v - prev);
-        }
-        prev = v;
-    }
-    out
-}
-
-/// Inverse of [`encode_adjacency`]. Returns `None` on malformed input.
-pub fn decode_adjacency(buf: &[u8]) -> Option<Vec<VertexId>> {
-    let mut pos = 0;
-    let len = read_varint(buf, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(len);
-    let mut prev = 0u64;
-    for i in 0..len {
-        let d = read_varint(buf, &mut pos)?;
-        let v = if i == 0 { d } else { prev.checked_add(d)? };
-        out.push(v);
-        prev = v;
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,22 +78,15 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_roundtrip() {
-        let adj: Vec<u64> = vec![3, 7, 8, 100, 1_000_000, 1_000_001];
-        let enc = encode_adjacency(&adj);
-        assert_eq!(decode_adjacency(&enc), Some(adj));
-    }
-
-    #[test]
-    fn adjacency_empty() {
-        let enc = encode_adjacency(&[]);
-        assert_eq!(decode_adjacency(&enc), Some(vec![]));
-    }
-
-    #[test]
     fn gap_coding_beats_raw_on_clustered_ids() {
+        // what the update codec relies on: a sorted, clustered id list's
+        // gaps each fit one varint byte
         let adj: Vec<u64> = (1000..2000).collect();
-        let enc = encode_adjacency(&adj);
+        let mut enc = Vec::new();
+        write_varint(&mut enc, adj[0]);
+        for w in adj.windows(2) {
+            write_varint(&mut enc, w[1] - w[0]);
+        }
         assert!(
             enc.len() < adj.len() * 8 / 4,
             "expected ≥4x ratio, got {} bytes",

@@ -203,12 +203,6 @@ impl Csr {
         &self.targets
     }
 
-    /// Flat weight array, parallel to [`Self::targets`].
-    #[inline]
-    pub fn weights_flat(&self) -> &[Weight] {
-        &self.weights
-    }
-
     /// Iterate over all arcs as `WEdge`s.
     pub fn iter_edges(&self) -> impl Iterator<Item = WEdge> + '_ {
         (0..self.n).flat_map(move |u| {

@@ -76,18 +76,6 @@ impl EdgeList {
         }
     }
 
-    /// Source column.
-    #[inline]
-    pub fn srcs(&self) -> &[VertexId] {
-        &self.src
-    }
-
-    /// Destination column.
-    #[inline]
-    pub fn dsts(&self) -> &[VertexId] {
-        &self.dst
-    }
-
     /// Weight column.
     #[inline]
     pub fn weights(&self) -> &[Weight] {

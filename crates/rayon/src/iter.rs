@@ -8,8 +8,8 @@
 //! function of `len` and the `with_min_len`/`with_max_len` hints — never of
 //! the pool size — run the chunks on the pool in any order, and combine the
 //! per-chunk results **sequentially in chunk order**. Consequently every
-//! terminal (`collect`, `sum`, `count`, `max`, ...) returns bitwise
-//! identical results at any thread count, which is what lets the PR-1
+//! terminal (`collect`, `sum`, `max`, ...) returns bitwise identical
+//! results at any thread count, which is what lets the PR-1
 //! deterministic-replay and conformance guarantees survive real parallelism.
 //!
 //! Kernel authors: never branch on `current_num_threads()` to decide *what*
@@ -47,13 +47,12 @@ fn fixed_chunk_size(len: usize, min_len: usize, max_len: usize) -> usize {
 pub trait ParallelIterator: Sized + Sync {
     type Item: Send;
 
-    /// Length of the base index domain. For position-changing adapters
-    /// (`filter`, `flat_map_iter`) this is the *input* length; the number of
-    /// emitted items may differ.
+    /// Length of the base index domain: every iterator emits exactly one
+    /// item per base index.
     fn base_len(&self) -> usize;
 
-    /// Emit the items of base range `[lo, hi)`, in order, into `sink`.
-    /// Terminals ask for disjoint ranges, each at most once.
+    /// Emit the items of base range `[lo, hi)`, in order, into `sink` — one
+    /// per index. Terminals ask for disjoint ranges, each at most once.
     fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(Self::Item));
 
     /// Minimum and maximum items per chunk (see `with_min_len`,
@@ -70,23 +69,6 @@ pub trait ParallelIterator: Sized + Sync {
         F: Fn(Self::Item) -> R + Sync,
     {
         Map { base: self, f }
-    }
-
-    fn filter<F>(self, pred: F) -> Filter<Self, F>
-    where
-        F: Fn(&Self::Item) -> bool + Sync,
-    {
-        Filter { base: self, pred }
-    }
-
-    /// Map each item to a sequential iterator and emit its items in place.
-    fn flat_map_iter<U, F>(self, f: F) -> FlatMapIter<Self, F>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(Self::Item) -> U + Sync,
-    {
-        FlatMapIter { base: self, f }
     }
 
     /// Copy out of `&T` items (mirrors `Iterator::copied`).
@@ -169,16 +151,6 @@ pub trait ParallelIterator: Sized + Sync {
             let mut buf: Vec<Self::Item> = Vec::with_capacity(hi - lo);
             it.for_chunk(lo, hi, &mut |x| buf.push(x));
             buf.into_iter().sum::<S>()
-        });
-        partials.into_iter().sum()
-    }
-
-    /// Count the emitted items.
-    fn count(self) -> usize {
-        let partials = drive_chunks(&self, |it, lo, hi| {
-            let mut c = 0usize;
-            it.for_chunk(lo, hi, &mut |_| c += 1);
-            c
         });
         partials.into_iter().sum()
     }
@@ -279,60 +251,6 @@ where
     }
     fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(R)) {
         self.base.for_chunk(lo, hi, &mut |x| sink((self.f)(x)));
-    }
-    fn chunk_hints(&self) -> (usize, usize) {
-        self.base.chunk_hints()
-    }
-}
-
-pub struct Filter<I, F> {
-    base: I,
-    pred: F,
-}
-
-impl<I, F> ParallelIterator for Filter<I, F>
-where
-    I: ParallelIterator,
-    F: Fn(&I::Item) -> bool + Sync,
-{
-    type Item = I::Item;
-    fn base_len(&self) -> usize {
-        self.base.base_len()
-    }
-    fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(I::Item)) {
-        self.base.for_chunk(lo, hi, &mut |x| {
-            if (self.pred)(&x) {
-                sink(x)
-            }
-        });
-    }
-    fn chunk_hints(&self) -> (usize, usize) {
-        self.base.chunk_hints()
-    }
-}
-
-pub struct FlatMapIter<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I, U, F> ParallelIterator for FlatMapIter<I, F>
-where
-    I: ParallelIterator,
-    U: IntoIterator,
-    U::Item: Send,
-    F: Fn(I::Item) -> U + Sync,
-{
-    type Item = U::Item;
-    fn base_len(&self) -> usize {
-        self.base.base_len()
-    }
-    fn for_chunk(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(U::Item)) {
-        self.base.for_chunk(lo, hi, &mut |x| {
-            for y in (self.f)(x) {
-                sink(y);
-            }
-        });
     }
     fn chunk_hints(&self) -> (usize, usize) {
         self.base.chunk_hints()
@@ -524,15 +442,13 @@ impl<T: Sync> ParallelSlice<T> for [T] {
     }
 }
 
-/// Mutable-slice operations (`par_iter_mut`, `par_sort_unstable*`).
+/// Mutable-slice operations (`par_iter_mut`, `par_sort_unstable`,
+/// `par_sort_unstable_by_key`).
 pub trait ParallelSliceMut<T: Send> {
     fn par_iter_mut(&mut self) -> SliceIterMut<'_, T>;
     fn par_sort_unstable(&mut self)
     where
         T: Ord;
-    fn par_sort_unstable_by<F>(&mut self, cmp: F)
-    where
-        F: Fn(&T, &T) -> std::cmp::Ordering + Sync;
     fn par_sort_unstable_by_key<K, F>(&mut self, key: F)
     where
         K: Ord,
@@ -558,12 +474,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         T: Ord,
     {
         crate::sort::par_merge_sort_by(self, &T::cmp);
-    }
-    fn par_sort_unstable_by<F>(&mut self, cmp: F)
-    where
-        F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
-    {
-        crate::sort::par_merge_sort_by(self, &cmp);
     }
     fn par_sort_unstable_by_key<K, F>(&mut self, key: F)
     where

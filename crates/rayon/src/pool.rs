@@ -43,6 +43,14 @@
 //! region are skipped (their runs still retire), and the payload is
 //! re-thrown on the opening thread once the region drains — whoever ran
 //! the chunk.
+//!
+//! ## Seeded interleavings
+//!
+//! Test builds put a yield point at each of the three transitions a run
+//! makes — the claim, the retire, the park (and the opener's
+//! publish-then-notify) — and the unit tests drive eight submitters through
+//! 64 seeded schedules at two pool sizes. Release and non-test builds
+//! compile none of it.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -110,6 +118,8 @@ impl Task {
     fn drain(&self) -> u64 {
         let mut runs = 0;
         loop {
+            #[cfg(test)]
+            interleave::point();
             let lo = self.next.fetch_add(self.grain, Ordering::Relaxed);
             if lo >= self.nchunks {
                 return runs;
@@ -143,7 +153,11 @@ impl Task {
 
     /// Retire `n` chunks; signals the opener when the region drains.
     fn retire(&self, n: usize) {
+        #[cfg(test)]
+        interleave::point();
         if self.pending.fetch_sub(n, Ordering::AcqRel) == n {
+            #[cfg(test)]
+            interleave::point();
             *self.done.lock().expect("done lock") = true;
             self.done_cv.notify_all();
         }
@@ -227,6 +241,8 @@ impl Pool {
         open.tasks.push(Arc::clone(&task));
         let asleep = open.sleepers > 0;
         drop(open);
+        #[cfg(test)]
+        interleave::point();
         if asleep {
             shared.wake_cv.notify_all();
         }
@@ -266,10 +282,14 @@ fn worker_loop(shared: &Shared) {
             shared.worker_runs.fetch_add(runs, Ordering::Relaxed);
             open = shared.open.lock().expect("open-region lock");
         } else {
+            #[cfg(test)]
+            interleave::point();
             shared.parks.fetch_add(1, Ordering::Relaxed);
             open.sleepers += 1;
             open = shared.wake_cv.wait(open).expect("open-region lock");
             open.sleepers -= 1;
+            #[cfg(test)]
+            interleave::point();
         }
     }
 }
@@ -367,4 +387,242 @@ where
         ra.into_inner().unwrap().unwrap(),
         rb.into_inner().unwrap().unwrap(),
     )
+}
+
+/// Seeded yield points at the pool's three transitions — the claim, the
+/// retire, the park — for the interleaving harness below. Each point spins
+/// or yields for a count drawn from its thread's SplitMix64 stream, keyed by
+/// `(seed, thread name)`, so a seed names one family of schedules. Off
+/// (seed 0) in every test but the harness's re-exec'd child.
+#[cfg(test)]
+mod interleave {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    pub(super) static SEED: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        /// The seed this thread's stream was keyed with, and its state.
+        static STREAM: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn point() {
+        let seed = SEED.load(Ordering::Relaxed);
+        if seed == 0 {
+            return;
+        }
+        let r = STREAM.with(|stream| {
+            let (keyed, mut state) = stream.get();
+            if keyed != seed {
+                let thread = std::thread::current();
+                let name = thread.name().unwrap_or("").bytes();
+                state = name.fold(seed, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3));
+            }
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            stream.set((seed, state));
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        });
+        match r % 4 {
+            0 => {}
+            1 => (0..r >> 56).for_each(|_| std::hint::spin_loop()),
+            _ => (0..=r >> 62).for_each(|_| std::thread::yield_now()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{interleave, join};
+    use crate::prelude::*;
+    use std::io::Read;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::process::{Command, Stdio};
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
+
+    /// The seeds the harness runs. To replay a failure, narrow this to the
+    /// `seed=` it printed.
+    const SEEDS: std::ops::RangeInclusive<u64> = 1..=64;
+    const SUBMITTERS: usize = 8;
+    const REGIONS: usize = 24;
+    /// How long one half of a rendezvous `join` waits for the other. A
+    /// worker is parked or busy for microseconds; this is a lost wake-up.
+    const MEET_WITHIN: Duration = Duration::from_secs(2);
+
+    /// Both halves of a `join` must run at once, each waiting for the
+    /// other: the opener takes one, so a worker must hear of the region
+    /// and take the other. A pool of one runs `join` inline: nothing to meet.
+    fn rendezvous() {
+        if crate::current_num_threads() == 1 {
+            return;
+        }
+        let met = AtomicUsize::new(0);
+        let meet = || {
+            met.fetch_add(1, Ordering::SeqCst);
+            let start = Instant::now();
+            while met.load(Ordering::SeqCst) < 2 {
+                assert!(start.elapsed() < MEET_WITHIN, "a join half waited alone");
+                std::thread::yield_now();
+            }
+        };
+        join(meet, meet);
+    }
+
+    /// `cross_process.rs`'s eight-submitter traffic cut to a size 64 seeds
+    /// run in debug, each region checked against its sequential result on
+    /// the spot, plus a rendezvous region.
+    fn submit(s: usize) {
+        for r in 0..REGIONS {
+            let n = 3 + (s * 131 + r * 37) % 300;
+            let max_len = 1 + r % 5;
+            match r % 6 {
+                0 => {
+                    let ran: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+                    (0..n).into_par_iter().with_max_len(1).for_each(|i| {
+                        ran[i].fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert!(ran.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+                }
+                1 => {
+                    let mut v = vec![0u32; n];
+                    v.par_iter_mut().with_max_len(max_len).for_each(|x| *x += 1);
+                    assert!(v.iter().all(|&x| x == 1));
+                }
+                2 => {
+                    let f = |i: usize| ((i * 2654435761 + s) % 1000) as f64 * 1e-3;
+                    // one item a chunk, so chunk order is item order
+                    let par: f64 = (0..n).into_par_iter().with_max_len(1).map(f).sum();
+                    assert_eq!(par.to_bits(), (0..n).map(f).sum::<f64>().to_bits());
+                }
+                3 if r == 3 => {
+                    // nested: each chunk's sort opens `join` regions of its own
+                    let sorted: Vec<Vec<u32>> = (0..3usize)
+                        .into_par_iter()
+                        .with_max_len(1)
+                        .map(|c| {
+                            let mut v: Vec<u32> = (0..5000u32)
+                                .map(|k| k.wrapping_mul(2654435761) ^ (c + s) as u32)
+                                .collect();
+                            v.par_sort_unstable();
+                            v
+                        })
+                        .collect();
+                    assert!(sorted.iter().all(|v| v.windows(2).all(|w| w[0] <= w[1])));
+                }
+                3 => {
+                    let out: Vec<u64> = (0..n as u64)
+                        .into_par_iter()
+                        .with_max_len(max_len)
+                        .map(|i| i ^ s as u64)
+                        .collect();
+                    assert!(out.iter().copied().eq((0..n as u64).map(|i| i ^ s as u64)));
+                }
+                4 => {
+                    let caught = catch_unwind(AssertUnwindSafe(|| {
+                        (0..n).into_par_iter().with_max_len(1).for_each(|i| {
+                            assert!(i != n / 2, "submitter {s}");
+                        });
+                    }));
+                    let payload = caught.expect_err("the region's panic reaches its opener");
+                    let msg = payload.downcast_ref::<String>().map(String::as_str);
+                    assert_eq!(msg, Some(format!("submitter {s}").as_str()));
+                }
+                _ => rendezvous(),
+            }
+        }
+    }
+
+    /// Child half: every seed over eight named submitters, released
+    /// together. Prints `seed=` before each, so a hang names its seed too.
+    #[test]
+    #[ignore = "re-exec'd by seeded_interleavings_keep_regions_exact_and_live"]
+    fn interleavings_child() {
+        use std::io::Write;
+        // the one expected panic a submitter makes is not worth a report
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let msg = info.payload().downcast_ref::<String>();
+            if !msg.is_some_and(|m| m.starts_with("submitter ")) {
+                report(info)
+            }
+        }));
+        for seed in SEEDS {
+            println!("seed={seed}");
+            std::io::stdout().flush().expect("flush");
+            interleave::SEED.store(seed, Ordering::Relaxed);
+            let start = Barrier::new(SUBMITTERS);
+            let failed = std::thread::scope(|scope| {
+                let spawn = |s: usize| {
+                    let start = &start;
+                    std::thread::Builder::new()
+                        .name(format!("submitter-{s}"))
+                        .spawn_scoped(scope, move || {
+                            start.wait();
+                            submit(s)
+                        })
+                        .expect("spawn submitter")
+                };
+                let handles: Vec<_> = (0..SUBMITTERS).map(spawn).collect();
+                handles.into_iter().filter_map(|h| h.join().err()).count()
+            });
+            assert_eq!(failed, 0, "seed={seed}: {failed} submitter(s) failed");
+        }
+        interleave::SEED.store(0, Ordering::Relaxed);
+    }
+
+    /// The seeded permutation harness: [`SEEDS`] over the eight-submitter
+    /// shape, re-exec'd at `G500_THREADS` 2 and 4 (the pool is fixed at
+    /// first use). Every chunk exactly once, every sum in chunk order,
+    /// every panic on its own submitter — and live: a rendezvous that waits
+    /// past [`MEET_WITHIN`], or a child that does not finish, fails with
+    /// the seed it was on.
+    #[test]
+    fn seeded_interleavings_keep_regions_exact_and_live() {
+        let exe = std::env::current_exe().expect("test exe path");
+        // read a pipe to its end beside the child, so it never blocks on one
+        fn drain(mut pipe: impl Read + Send + 'static) -> JoinHandle<String> {
+            std::thread::spawn(move || {
+                let mut text = String::new();
+                pipe.read_to_string(&mut text)
+                    .expect("child output is utf8");
+                text
+            })
+        }
+        for threads in [2, 4] {
+            let mut child = Command::new(&exe)
+                .args(["--exact", "pool::tests::interleavings_child"])
+                .args(["--ignored", "--nocapture"])
+                .env("G500_THREADS", threads.to_string())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn child test process");
+            let stdout = drain(child.stdout.take().expect("piped stdout"));
+            let stderr = drain(child.stderr.take().expect("piped stderr"));
+            let deadline = Instant::now() + Duration::from_secs(120);
+            let status = loop {
+                if let Some(status) = child.try_wait().expect("poll child") {
+                    break Some(status);
+                }
+                if Instant::now() > deadline {
+                    child.kill().expect("kill hung child");
+                    break None;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            };
+            let stdout = stdout.join().expect("stdout reader");
+            let last = stdout.lines().rfind(|l| l.contains("seed="));
+            assert!(
+                status.is_some_and(|s| s.success()) && stdout.contains("1 passed"),
+                "G500_THREADS={threads}: {} at {}\n{}",
+                if status.is_some() { "failed" } else { "hung" },
+                last.unwrap_or("no seed"),
+                stderr.join().expect("stderr reader")
+            );
+        }
+    }
 }

@@ -113,13 +113,17 @@ fn submit(s: usize) -> u64 {
                 digest = fnv(digest, sum.to_bits());
             }
             3 => {
-                let out: Vec<u64> = (0..n as u64)
+                // an order-sensitive collect; the digest takes every third
+                // item, in order
+                let out: Vec<Option<u64>> = (0..n as u64)
                     .into_par_iter()
                     .with_max_len(max_len)
-                    .filter(|i| (i + r as u64) % 3 == 1)
-                    .map(|i| i.wrapping_mul(6364136223846793005) ^ s as u64)
+                    .map(|i| {
+                        let keep = (i + r as u64) % 3 == 1;
+                        keep.then(|| i.wrapping_mul(6364136223846793005) ^ s as u64)
+                    })
                     .collect();
-                digest = out.iter().fold(digest, |h, &x| fnv(h, x));
+                digest = out.iter().flatten().fold(digest, |h, &x| fnv(h, x));
             }
             _ => {
                 // nested: each chunk sorts a vector longer than the sort's

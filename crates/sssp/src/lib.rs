@@ -4,13 +4,10 @@
 //! SSSP kernel (kernel 3) as an optimized distributed delta-stepping, plus
 //! the direction-optimizing distributed BFS (kernel 2) it is paired with.
 //!
-//! Three implementations share semantics and are cross-validated:
+//! Two implementations share semantics and are cross-validated:
 //!
 //! * [`seq`] — textbook sequential delta-stepping (Meyer & Sanders) with
 //!   light/heavy edge phases; the readable reference.
-//! * [`par`] — shared-memory parallel delta-stepping (rayon + atomic
-//!   fetch-min on distance bits); what runs *inside* one rank of the real
-//!   machine's 390-core nodes.
 //! * [`dist`] — the headline kernel: bulk-synchronous distributed
 //!   delta-stepping over `simnet` with the extreme-scale optimization stack,
 //!   one search or a batch of them as lanes ([`multi`] is its batched entry
@@ -31,6 +28,10 @@
 //!     to the weight that could still improve the vertex,
 //!   - **adaptive Δ** — bucket width chosen from the measured degree/weight
 //!     profile instead of a magic constant.
+//!
+//! Parallelism inside a rank — the paper's per-node core groups — is
+//! [`dist`]'s relax and exchange waves on the process-global pool, not a
+//! kernel of its own.
 #![warn(missing_docs)]
 
 pub mod bfs;
@@ -43,7 +44,6 @@ pub mod dist2d;
 mod epoch;
 pub mod exchange;
 pub mod multi;
-pub mod par;
 pub mod seq;
 pub mod serve;
 
@@ -56,7 +56,6 @@ pub use dist2d::{Grid2DSssp, Sssp2DStats};
 pub use multi::{
     batched_delta_stepping, try_batched_delta_stepping, BatchSpec, MultiDist, MultiStats,
 };
-pub use par::parallel_delta_stepping;
 pub use seq::delta_stepping;
 pub use serve::{
     triangle_bound, LandmarkSet, Lru, Query, QueryEngine, QueryOutcome, ServeConfig, ServeStats,

@@ -312,11 +312,6 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
         &self.stats
     }
 
-    /// The precomputed landmark ids (empty if disabled).
-    pub fn landmark_ids(&self) -> &[VertexId] {
-        self.landmarks.as_ref().map_or(&[], |l| &l.ids)
-    }
-
     /// Answer a query stream: admit in windows of `batch_width`, run each
     /// window as one shared batch. Returns outcomes in stream order.
     /// Collective.

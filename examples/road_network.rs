@@ -4,14 +4,14 @@
 //! are the opposite — bounded degree, huge diameter. Delta-stepping's Δ
 //! trade-off looks completely different here, which is why the paper-style
 //! adaptive Δ matters. This example routes on a synthetic city grid with
-//! congestion-weighted streets and compares Dijkstra, Bellman-Ford,
-//! near-far and delta-stepping at several Δ on *host* time.
+//! congestion-weighted streets and compares Dijkstra, Bellman-Ford and
+//! delta-stepping at several Δ on *host* time.
 //!
 //! ```text
 //! cargo run --release --example road_network
 //! ```
 
-use g500_baselines::{bellman_ford, dijkstra, near_far};
+use g500_baselines::{bellman_ford, dijkstra};
 use g500_gen::CounterRng;
 use g500_graph::{Csr, Directedness, EdgeList};
 use g500_sssp::delta_stepping;
@@ -72,17 +72,6 @@ fn main() {
             dijkstra_t / dt
         );
     }
-
-    let t0 = Instant::now();
-    let nf = near_far(&csr, depot, 2.0);
-    let nf_t = t0.elapsed().as_secs_f64();
-    assert!(nf.distances_match(&oracle, 1e-3));
-    println!(
-        "{:<24} {:>9.1} ms   ({:.2}x dijkstra)",
-        "near-far d=2",
-        nf_t * 1e3,
-        dijkstra_t / nf_t
-    );
 
     // Route readout: corner-to-corner path via the parent tree.
     let target = (w * h - 1) as usize;

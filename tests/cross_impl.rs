@@ -1,20 +1,18 @@
 //! Cross-implementation agreement: every SSSP implementation in the
-//! workspace — sequential delta-stepping, shared-memory parallel,
-//! distributed (all optimization configurations), near-far, Bellman-Ford
-//! (both), distributed Bellman-Ford — must produce Dijkstra's distances on
-//! every graph family.
+//! workspace — sequential delta-stepping, distributed (all optimization
+//! configurations), Bellman-Ford, distributed Bellman-Ford, radix-heap
+//! Dijkstra, BMSSP — must produce Dijkstra's distances on every graph
+//! family.
 
 use graph500::baselines::{
-    bellman_ford, bellman_ford_parallel, bmssp, dijkstra, dijkstra_radix_heap,
-    distributed_bellman_ford, near_far, weight_to_key, INF_KEY,
+    bellman_ford, bmssp, dijkstra, dijkstra_radix_heap, distributed_bellman_ford, weight_to_key,
+    INF_KEY,
 };
 use graph500::gen::{simple, KroneckerGenerator, KroneckerParams};
 use graph500::graph::{Csr, Directedness, EdgeList, ShortestPaths};
 use graph500::partition::{assemble_local_graph, Block1D, Cyclic1D, VertexPartition};
 use graph500::simnet::{Machine, MachineConfig};
-use graph500::sssp::{
-    delta_stepping, distributed_delta_stepping, parallel_delta_stepping, Direction, OptConfig,
-};
+use graph500::sssp::{delta_stepping, distributed_delta_stepping, Direction, OptConfig};
 
 fn families() -> Vec<(String, EdgeList, u64)> {
     let kron = KroneckerGenerator::new(KroneckerParams::graph500(8, 77));
@@ -59,10 +57,7 @@ fn sequential_implementations_agree() {
         let oracle = dijkstra(&csr, 0);
         for (algo, sp) in [
             ("delta_stepping", delta_stepping(&csr, 0, 0.3)),
-            ("parallel_delta", parallel_delta_stepping(&csr, 0, 0.3)),
             ("bellman_ford", bellman_ford(&csr, 0)),
-            ("bf_parallel", bellman_ford_parallel(&csr, 0)),
-            ("near_far", near_far(&csr, 0, 0.3)),
             ("dijkstra_radix", dijkstra_radix_heap(&csr, 0)),
             ("bmssp", bmssp(&csr, 0)),
         ] {
@@ -232,7 +227,6 @@ fn shared_inf_sentinel_is_pinned_across_baselines() {
         ("dijkstra_radix", dijkstra_radix_heap(&csr, 0)),
         ("bmssp", bmssp(&csr, 0)),
         ("bellman_ford", bellman_ford(&csr, 0)),
-        ("near_far", near_far(&csr, 0, 0.3)),
         ("delta_stepping", delta_stepping(&csr, 0, 0.3)),
     ];
     for (algo, sp) in &runs {

@@ -283,9 +283,12 @@ fn cli_rejects_unknown_arguments_by_name() {
 /// runs, by the flag's name and what it accepts — not by a panic from
 /// inside a rank thread (`--delta 0` died in `BucketQueue::new`, `--ranks 0`
 /// in `Machine::new`, `--roots 0` in the root sampler's "graph too small").
+/// Nor does a value run as something else: a budget past `u32::MAX` used to
+/// wrap to a small one, `--batch 0` ran at width 1 and reported 0, and
+/// `--p2p` past 1000 per mille made every query point-to-point.
 #[test]
 fn cli_rejects_out_of_range_values_by_name() {
-    let cases: [(&[&str], &str); 17] = [
+    let cases: [(&[&str], &str); 21] = [
         (&["sssp", "--scale", "0"], "--scale"),
         (&["sssp", "--scale", "64"], "--scale"),
         (&["bfs", "--scale", "0"], "--scale"),
@@ -306,6 +309,16 @@ fn cli_rejects_out_of_range_values_by_name() {
         (&["bfs", "--scale", "8", "--ranks", "0"], "--ranks"),
         (&["bfs", "--scale", "8", "--roots", "0"], "--roots"),
         (&["serve", "--scale", "8", "--ranks", "0"], "--ranks"),
+        (
+            &["sssp", "--scale", "8", "--retry-budget", "4294967296"],
+            "--retry-budget",
+        ),
+        (
+            &["sssp", "--scale", "8", "--recovery-budget", "4294967296"],
+            "--recovery-budget",
+        ),
+        (&["serve", "--scale", "8", "--batch", "0"], "--batch"),
+        (&["serve", "--scale", "8", "--p2p", "5000"], "--p2p"),
     ];
     for (args, culprit) in cases {
         let out = g500(args);
