@@ -172,10 +172,10 @@ impl Attribution {
         out
     }
 
-    /// The table cells every scaling harness appends to a row: the
-    /// compute / comm / wait split in percent of their sum, then the three
-    /// collectives in percent of root time.
-    pub fn cells(&self) -> [String; 6] {
+    /// The compute / comm / wait split in percent of their sum, then the
+    /// three collectives in percent of root time, in [`HEADERS`](Self::HEADERS)
+    /// order.
+    pub fn shares(&self) -> [f64; 6] {
         let split = (self.compute_s + self.comm_s + self.wait_s).max(f64::MIN_POSITIVE);
         let root = self.root_s.max(f64::MIN_POSITIVE);
         [
@@ -186,7 +186,13 @@ impl Attribution {
             self.allreduce_s / root,
             self.allgatherv_s / root,
         ]
-        .map(|share| format!("{:.1}", 100.0 * share))
+        .map(|share| 100.0 * share)
+    }
+
+    /// The table cells every scaling harness appends to a row: the
+    /// [`shares`](Self::shares) to one decimal.
+    pub fn cells(&self) -> [String; 6] {
+        self.shares().map(|share| format!("{share:.1}"))
     }
 
     /// Column headers for [`cells`](Self::cells).
@@ -217,6 +223,22 @@ pub fn assert_efficiency(what: &str, measured: f64, floor: Option<f64>) {
         None => println!(
             "{what}: efficiency {measured:.1}% (no floor is recorded for this configuration)"
         ),
+    }
+}
+
+/// Exit 1 naming the harness's shape when the share of root time `what`
+/// spends in one collective at its largest rank count is over the recorded
+/// `ceiling` (percent); say nothing when no ceiling is recorded.
+pub fn assert_share_ceiling(what: &str, measured: f64, ceiling: Option<f64>) {
+    match ceiling {
+        Some(ceiling) if measured > ceiling => {
+            eprintln!("SHAPE BROKEN: {what}: {measured:.1}% is over the recorded {ceiling:.1}%");
+            std::process::exit(1)
+        }
+        Some(ceiling) => {
+            println!("{what}: {measured:.1}% holds the recorded ceiling of {ceiling:.1}%")
+        }
+        None => {}
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::VertexPartition;
 use g500_graph::{ShortestPaths, Weight, INF_WEIGHT, NO_PARENT};
-use simnet::RankCtx;
+use simnet::{RankCtx, Wire};
 
 /// One rank's slice of a shortest-path computation.
 #[derive(Clone, Debug)]
@@ -39,6 +39,8 @@ impl DistShortestPaths {
     /// Each rank contributes `(global_id, dist, parent)` for its *reached*
     /// vertices only (unreached are implied), so the payload is proportional
     /// to the component size, as in the real benchmark's validation gather.
+    /// The route is priced for a rank's share of every vertex, a number all
+    /// ranks hold.
     pub fn gather_to_all<P: VertexPartition>(&self, ctx: &mut RankCtx, part: &P) -> ShortestPaths {
         let me = ctx.rank();
         let mine: Vec<(u64, f32, u64)> = self
@@ -48,8 +50,10 @@ impl DistShortestPaths {
             .filter(|(_, d)| d.is_finite())
             .map(|(l, &d)| (part.to_global(me, l), d, self.parent[l]))
             .collect();
-        let blocks = ctx.allgatherv(&mine);
-        let mut out = ShortestPaths::unreached(part.num_vertices() as usize);
+        let n = part.num_vertices() as usize;
+        let bytes = (n * <(u64, f32, u64) as Wire>::SIZE) as f64 / ctx.size() as f64;
+        let blocks = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &mine);
+        let mut out = ShortestPaths::unreached(n);
         for block in blocks {
             for (v, d, p) in block {
                 out.dist[v as usize] = d;

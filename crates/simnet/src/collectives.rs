@@ -15,25 +15,41 @@
 //! [`SubComm`](crate::SubComm) (its membership table) call the same
 //! [`allreduce_schedule`], [`allgatherv_schedule`] and
 //! [`alltoallv_schedule`]; they differ only in those maps and in whose
-//! sequence counter and trace ids an invocation bumps. A change of schedule
-//! — a Bruck allgather — is a change to one function.
+//! sequence counter and trace ids an invocation bumps.
 //!
-//! Routes. A personalised all-to-all has two ([`Route`]). *Direct* is
-//! [`alltoallv_schedule`] over the world: `P − 1` sends and `P − 1` receives
-//! a rank, full or empty. *Grouped* is that same schedule run twice over the
-//! `G × S` exchange grid ([`Topology::exchange_group`](crate::Topology::exchange_group);
-//! rank `(g, i)` is `g·S + i`): over its column, `(g, i)` sends each `(g′, i)`
-//! one message holding the `S` blocks bound for group `g′`; over its row,
-//! `(g′, i)` forwards each `(g′, j)` one message holding the `G` blocks it now
-//! has for `j` — `G + S − 2` sends and as many receives a rank. A forwarder
-//! moves blocks as the bytes they arrived as, between length prefixes: no
-//! decode, no merge, no compute charge; and the receiver still leaves with
-//! one block per source rank, in source order, so nothing above the
-//! collective can tell the routes apart except by the clock.
-//! [`RankCtx::alltoallv_seconds`] prices a route from the LogGP parameters
-//! and [`RankCtx::alltoallv_route`] names the cheaper one for the bytes a
-//! rank expects to ship — callers decide per exchange, from numbers every
-//! rank agrees on, the way a kernel decides push against pull.
+//! Why the allgather is one round. A sender pays `overhead` per message and
+//! nothing else: `per_byte` delays a payload's *arrival* and no rank's sends
+//! are serialised against each other (`cost.rs`). So a ring pays `P − 1`
+//! dependent rounds and carries `P − 1` blocks one after another, a Bruck or
+//! recursive-doubling schedule still carries them one after another over
+//! `log₂ P` rounds, and the direct schedule — every member sends its one
+//! block to every other — pays `2(P − 1)` overheads, one latency and the
+//! bytes of one block. All three send the same messages and bytes in total.
+//!
+//! Routes. A personalised all-to-all and an allgather have two each
+//! ([`Route`]). *Direct* is the schedule over the world: `P − 1` sends and
+//! `P − 1` receives a rank, full or empty. *Grouped* is that same schedule
+//! run twice over the `G × S` exchange grid
+//! ([`Topology::exchange_group`](crate::Topology::exchange_group); rank
+//! `(g, i)` is `g·S + i`), first over the rank's column `(·, i)`, then over
+//! its row `(g, ·)` — `G + S − 2` sends and as many receives a rank:
+//!
+//! - an all-to-all's column hop sends each `(g′, i)` one message holding the
+//!   `S` blocks bound for group `g′`; its row hop forwards each `(g, j)` one
+//!   message holding the `G` blocks this rank now has for `j`;
+//! - an allgather's column hop leaves this rank the `G` blocks of `(·, i)`;
+//!   its row hop sends them to every `(g, j)` as one bundle, so each block
+//!   moves once a hop, never as copies bound for several members.
+//!
+//! A forwarder moves blocks as the bytes they arrived as, between length
+//! prefixes: no decode, no merge, no compute charge; and the receiver still
+//! leaves with one block per source rank, in source order, so nothing above
+//! the collective can tell the routes apart except by the clock.
+//! [`RankCtx::alltoallv_seconds`] and [`RankCtx::allgatherv_seconds`] price
+//! a route from the LogGP parameters, and [`RankCtx::alltoallv_route`] and
+//! [`RankCtx::allgatherv_route`] name the cheaper one for the bytes at hand —
+//! callers decide per call, from numbers every rank agrees on, the way a
+//! kernel decides push against pull.
 //!
 //! Tag discipline: each collective invocation claims a fresh sequence number
 //! from its communicator's rank-local counter. SPMD programs call collectives
@@ -43,7 +59,8 @@
 //!
 //! Counting: every collective bumps [`NetStats::collectives`] once. An
 //! allreduce is one collective; a barrier is one allreduce that also bumps
-//! [`NetStats::barriers`].
+//! [`NetStats::barriers`]. A grouped route is its two hops: two subgroup
+//! collectives of its kind, in two spans of its trace code.
 //!
 //! [`NetStats::collectives`]: crate::NetStats::collectives
 //! [`NetStats::barriers`]: crate::NetStats::barriers
@@ -139,10 +156,9 @@ pub(crate) fn allreduce_schedule<T: Wire + Clone>(
 }
 
 /// The allgather schedule, written once like [`allreduce_schedule`] and
-/// over the same maps: a ring. Every member contributes a variably-sized
-/// block; in each of `p − 1` rounds it forwards to the member above it the
-/// block it received from the member below the round before — the classic
-/// bandwidth-optimal schedule. Returns all blocks indexed by member.
+/// over the same maps: one round. A member encodes its block once, sends
+/// those bytes to every other member and takes one block from each (module
+/// docs: why not a ring or Bruck). Returns all blocks indexed by member.
 pub(crate) fn allgatherv_schedule<T: Wire + Clone>(
     ctx: &mut RankCtx,
     (me, p): (usize, usize),
@@ -150,22 +166,18 @@ pub(crate) fn allgatherv_schedule<T: Wire + Clone>(
     tag: impl Fn(u64) -> Tag,
     mine: &[T],
 ) -> Vec<Vec<T>> {
-    let mut blocks: Vec<Option<Vec<T>>> = vec![None; p];
-    blocks[me] = Some(mine.to_vec());
-    let (next, prev) = ((me + 1) % p, (me + p - 1) % p);
-    for step in 0..p - 1 {
-        let forwarded = blocks[(me + p - step) % p].as_deref();
-        ctx.send_coll(
-            global(next),
-            tag(step as u64),
-            forwarded.expect("received the round before"),
-        );
-        blocks[(prev + p - step) % p] = Some(ctx.recv_coll(global(prev), tag(step as u64)));
+    let bytes = encode_slice(mine);
+    for d in (0..p).filter(|&d| d != me) {
+        ctx.send_bytes_class(global(d), tag(0), bytes.clone(), TrafficClass::Collective);
     }
-    blocks
-        .into_iter()
-        .map(|b| b.expect("ring covered all members"))
-        .collect()
+    let from = |s| {
+        if s == me {
+            mine.to_vec()
+        } else {
+            ctx.recv_coll(global(s), tag(0))
+        }
+    };
+    (0..p).map(from).collect()
 }
 
 /// The personalised all-to-all schedule, written once over the same maps:
@@ -198,16 +210,20 @@ pub(crate) fn alltoallv_schedule<T: Wire>(
     (0..p).map(from).collect()
 }
 
-/// Which way the blocks of a personalised all-to-all travel (module docs,
-/// "Routes").
+/// Which way the blocks of an all-to-all or an allgather travel (module
+/// docs, "Routes").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Route {
     /// One message to every rank.
     Direct,
-    /// One message to every group, forwarded inside it. On a machine with no
-    /// exchange grid (a prime rank count) this is the direct route.
+    /// One message to every rank of the column, then one to every rank of
+    /// the row. On a machine with no exchange grid (a prime rank count) this
+    /// is the direct route.
     Grouped,
 }
+
+/// Bytes of the length prefix [`frame`] puts before each block.
+const FRAME_PREFIX: usize = <u32 as Wire>::SIZE;
 
 /// This rank's place in the `G × S` exchange grid, and what the grid costs.
 pub(crate) struct Grid {
@@ -275,16 +291,32 @@ impl Grid {
             .collect()
     }
 
-    /// Hop 2: forward the regrouped bundles over the row and decode what the
-    /// other members forwarded here into one block per source rank — member
-    /// `i`'s bundle holds the blocks of `(g, i)` for every `g`.
+    /// Hop 2: forward the regrouped bundles over the row, then
+    /// [`unpack`](Self::unpack) what arrived.
     fn deliver<T: Wire + Clone>(
         &mut self,
         ctx: &mut RankCtx,
         forwards: Vec<Vec<u8>>,
     ) -> Vec<Vec<T>> {
-        let (g_n, s_n) = (self.col.size(), self.row.size());
         let got = self.row.alltoallv(ctx, forwards);
+        self.unpack(ctx, &got)
+    }
+
+    /// The grouped route of an allgather: the direct schedule over the
+    /// column leaves this rank the `G` blocks of its position in every group,
+    /// and the same schedule over the row hands them on as one bundle.
+    fn gather<T: Wire + Clone>(&mut self, ctx: &mut RankCtx, mine: &[T]) -> Vec<Vec<T>> {
+        let held = self.col.allgatherv(ctx, &encode_slice(mine));
+        let got = self.row.allgatherv(ctx, &frame(held.iter()));
+        self.unpack(ctx, &got)
+    }
+
+    /// One block per source rank, in source order, from the `S` bundles a
+    /// row hop brought: member `i`'s holds the blocks of `(g, i)` for every
+    /// `g`. A bundle or block that does not decode is the typed error naming
+    /// the member that sent it.
+    fn unpack<T: Wire + Clone>(&self, ctx: &RankCtx, got: &[Vec<u8>]) -> Vec<Vec<T>> {
+        let (g_n, s_n) = (self.col.size(), self.row.size());
         let mut blocks: Vec<Vec<T>> = vec![Vec::new(); g_n * s_n];
         for (i, bundle) in got.iter().enumerate() {
             let src = self.row.global_rank(i);
@@ -312,7 +344,7 @@ fn frame<B: AsRef<[u8]>>(blocks: impl Iterator<Item = B>) -> Vec<u8> {
 /// [`unframe`] of a bundle the hop just finished brought from `src`, or the
 /// typed decode error.
 fn unbundle<'a>(ctx: &RankCtx, src: usize, bundle: &'a [u8], n: usize) -> Vec<&'a [u8]> {
-    unframe(bundle, n).unwrap_or_else(|| ctx.decode_failure(src, bundle.len(), u32::SIZE))
+    unframe(bundle, n).unwrap_or_else(|| ctx.decode_failure(src, bundle.len(), FRAME_PREFIX))
 }
 
 /// The `n` blocks of a [`frame`]; `None` unless the prefixes add up to
@@ -498,42 +530,77 @@ impl RankCtx {
         route: Route,
         out: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
+        self.on_grid(route, out, Grid::exchange, RankCtx::alltoallv)
+    }
+
+    /// [`allgatherv`](Self::allgatherv) by `route`: every rank's block, in
+    /// rank order, either way. Collective — every rank must name the same
+    /// route. A bundle whose length prefixes do not add up, or a block that
+    /// is not whole `T`s, leaves as the typed decode error of
+    /// [`recv_coll_checked`](Self::recv_coll_checked).
+    pub fn allgatherv_routed<T: Wire + Clone>(&mut self, route: Route, mine: &[T]) -> Vec<Vec<T>> {
+        self.on_grid(route, mine, Grid::gather, RankCtx::allgatherv)
+    }
+
+    /// `grouped` of `arg` over this rank's exchange grid when `route` is
+    /// grouped and the machine has a grid, `direct` of `arg` otherwise.
+    fn on_grid<A, R>(
+        &mut self,
+        route: Route,
+        arg: A,
+        grouped: impl FnOnce(&mut Grid, &mut RankCtx, A) -> R,
+        direct: impl FnOnce(&mut RankCtx, A) -> R,
+    ) -> R {
         match (route, self.grid.take()) {
             (Route::Grouped, Some(mut grid)) => {
-                let blocks = grid.exchange(self, out);
+                let out = grouped(&mut grid, self, arg);
                 self.grid = Some(grid);
-                blocks
+                out
             }
             (_, grid) => {
                 self.grid = grid;
-                self.alltoallv(out)
+                direct(self, arg)
             }
         }
     }
 
-    /// What `route` costs in messages a rank sends, worst-case hops end to
-    /// end, and the share of a rank's shipped bytes its largest message
-    /// carries.
-    fn route_terms(&self, route: Route) -> (f64, f64, f64) {
-        let p = self.size() as f64;
+    /// What `route` costs before its payload: messages a rank sends and
+    /// worst-case hops end to end; and the grid `(G, S)` it runs over,
+    /// `None` for the direct route.
+    fn route_terms(&self, route: Route) -> (f64, f64, Option<(f64, f64)>) {
         match (route, &self.grid) {
             (Route::Grouped, Some(grid)) => {
                 let (g, s) = (grid.col.size() as f64, grid.row.size() as f64);
-                (g + s - 2.0, f64::from(grid.hops), 1.0 / g + 1.0 / s)
+                (g + s - 2.0, f64::from(grid.hops), Some((g, s)))
             }
-            _ => (p - 1.0, f64::from(self.direct_hops), 1.0 / p),
+            _ => (self.size() as f64 - 1.0, f64::from(self.direct_hops), None),
         }
     }
 
+    /// The share of a rank's shipped bytes an all-to-all's largest message
+    /// carries on a route over `grid`: `1/P` direct, `1/G + 1/S` grouped.
+    fn alltoallv_share(&self, grid: Option<(f64, f64)>) -> f64 {
+        grid.map_or(1.0 / self.size() as f64, |(g, s)| 1.0 / g + 1.0 / s)
+    }
+
+    /// Modeled seconds a rank spends posting one collective by `route`, an
+    /// all-to-all or an allgather alike: `overhead` for every message it
+    /// sends and every one it receives, before any flight.
+    pub fn posting_seconds(&self, route: Route) -> f64 {
+        2.0 * self.route_terms(route).0 * self.loggp().overhead
+    }
+
     /// Modeled seconds of one all-to-all by `route` in which every rank ships
-    /// about `bytes`, entered by all ranks at once: every send and every
-    /// receive pays `overhead`, the last message flies its hops, and its
-    /// payload — `bytes / P` direct, `bytes / G` then `bytes / S` grouped —
-    /// follows at `per_byte`.
+    /// about `bytes`, entered by all ranks at once: its
+    /// [posting](Self::posting_seconds), the last message flying its hops,
+    /// and that message's payload — `bytes / P` direct, `bytes / G` then
+    /// `bytes / S` grouped — at `per_byte`.
     pub fn alltoallv_seconds(&self, route: Route, bytes: f64) -> f64 {
-        let (msgs, hops, share) = self.route_terms(route);
+        let (_, hops, grid) = self.route_terms(route);
         let net = self.loggp();
-        2.0 * msgs * net.overhead + net.latency * hops + bytes * share * net.per_byte
+        self.posting_seconds(route)
+            + net.latency * hops
+            + bytes * self.alltoallv_share(grid) * net.per_byte
     }
 
     /// The cheaper route for an all-to-all in which every rank ships about
@@ -548,9 +615,36 @@ impl RankCtx {
         );
         let net = self.loggp();
         let saved = 2.0 * (direct.0 - grouped.0) * net.overhead;
-        let added =
-            net.latency * (grouped.1 - direct.1) + bytes * (grouped.2 - direct.2) * net.per_byte;
+        let share = self.alltoallv_share(grouped.2) - self.alltoallv_share(direct.2);
+        let added = net.latency * (grouped.1 - direct.1) + bytes * share * net.per_byte;
         if saved > added {
+            Route::Grouped
+        } else {
+            Route::Direct
+        }
+    }
+
+    /// Modeled seconds of one allgather by `route` whose blocks are about
+    /// `block` bytes each, entered by all ranks at once: the posting and hops
+    /// of the same route's all-to-all, and the payload of the messages on
+    /// the critical path — one block direct; one block, then a bundle of `G`
+    /// blocks behind their length prefixes, grouped. No block waits for
+    /// another (module docs), so the bytes of the other `P − 2` are not on
+    /// the path.
+    pub fn allgatherv_seconds(&self, route: Route, block: f64) -> f64 {
+        let (_, hops, grid) = self.route_terms(route);
+        let bytes = grid.map_or(block, |(g, _)| block + g * (block + FRAME_PREFIX as f64));
+        let net = self.loggp();
+        self.posting_seconds(route) + net.latency * hops + bytes * net.per_byte
+    }
+
+    /// The cheaper route for an allgather of blocks of about `block` bytes,
+    /// by [`allgatherv_seconds`](Self::allgatherv_seconds); direct on a tie
+    /// and on a machine with no grid. A pure function of the machine and
+    /// `block`, so ranks that agree on `block` agree on the route.
+    pub fn allgatherv_route(&self, block: f64) -> Route {
+        let grouped = self.allgatherv_seconds(Route::Grouped, block);
+        if grouped < self.allgatherv_seconds(Route::Direct, block) {
             Route::Grouped
         } else {
             Route::Direct
@@ -566,7 +660,8 @@ mod tests {
 
     /// Every collective is exercised at power-of-two and ragged rank
     /// counts — recursive doubling folds a different number of ranks in at
-    /// each of 3, 5, 6, 7 and 12, and the ring has its own edge cases.
+    /// each of 3, 5, 6, 7 and 12, and the exchange grid is missing (1, 2, 3,
+    /// 5, 7), lopsided (6, 8, 12) or square (16).
     const SIZES: [usize; 9] = [1, 2, 3, 5, 6, 7, 8, 12, 16];
 
     #[test]
@@ -1033,6 +1128,199 @@ mod tests {
                         ..
                     })) => {
                         assert_eq!((src, dst), (bad, bad ^ 1), "cut_short {cut_short}");
+                        let expect = if cut_short { (59, 4) } else { (17, 8) };
+                        assert_eq!((len, elem_size), expect, "bad {bad}");
+                    }
+                    other => panic!(
+                        "bad {bad}: expected a typed decode error, got {:?}",
+                        other.map(|r| r.results)
+                    ),
+                }
+            }
+        }
+    }
+
+    /// Rank `me`'s allgather block: ragged (rank 1 brings none), telling of
+    /// its source, or empty everywhere.
+    fn gather_block(me: usize, empty: bool) -> Vec<(u32, u64)> {
+        let n = if empty || me == 1 {
+            0
+        } else {
+            (5 * me) % 7 + 1
+        };
+        (0..n).map(|k| (me as u32, (me * 100 + k) as u64)).collect()
+    }
+
+    /// The machines the gather tests run on: every size of [`SIZES`] on a
+    /// crossbar, and the two wired grids at 32 ranks.
+    fn gather_machines() -> Vec<(Topology, usize)> {
+        let mut machines: Vec<_> = SIZES.iter().map(|&p| (Topology::Crossbar, p)).collect();
+        machines.push((Topology::Dragonfly { group: 8 }, 32));
+        machines.push((Topology::FatTree { radix: 4 }, 32));
+        machines
+    }
+
+    #[test]
+    fn grouped_allgatherv_delivers_every_block_in_rank_order() {
+        for (topo, p) in gather_machines() {
+            for empty in [false, true] {
+                let rep = Machine::new(MachineConfig::with_ranks(p).topology(topo)).run(|ctx| {
+                    let mine = gather_block(ctx.rank(), empty);
+                    let sent = |ctx: &RankCtx| ctx.stats().coll_msgs;
+                    let m0 = sent(ctx);
+                    let direct = ctx.allgatherv_routed(Route::Direct, &mine);
+                    let m1 = sent(ctx);
+                    let grouped = ctx.allgatherv_routed(Route::Grouped, &mine);
+                    (direct, grouped, m1 - m0, sent(ctx) - m1, exchange_grid(ctx))
+                });
+                let expect: Vec<_> = (0..p).map(|r| gather_block(r, empty)).collect();
+                for (me, (direct, grouped, direct_msgs, grouped_msgs, (g, s))) in
+                    rep.results.iter().enumerate()
+                {
+                    assert_eq!(direct, &expect, "{topo:?} p={p} rank {me}");
+                    assert_eq!(grouped, &expect, "{topo:?} p={p} rank {me}");
+                    assert_eq!(*direct_msgs, p as u64 - 1, "{topo:?} p={p}");
+                    // no grid (1, 2, 3, 5, 7): the grouped route is direct
+                    let hops = if *s == 1 { p - 1 } else { g + s - 2 };
+                    assert_eq!(*grouped_msgs, hops as u64, "{topo:?} p={p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_allgatherv_costs_the_priced_formula() {
+        // every rank enters at t = 0 with a block of the same size: the
+        // slowest rank leaves when `allgatherv_seconds` says, on either route
+        let cases = [
+            (Topology::Crossbar, 16),
+            (Topology::Crossbar, 12),
+            (Topology::Crossbar, 8),
+            (Topology::Crossbar, 7),
+            (Topology::Dragonfly { group: 4 }, 16),
+            (Topology::FatTree { radix: 4 }, 16),
+            (Topology::Dragonfly { group: 8 }, 32),
+        ];
+        for (topo, p) in cases {
+            for len in [0usize, 1, 40] {
+                for route in [Route::Direct, Route::Grouped] {
+                    let cfg = MachineConfig::with_ranks(p).topology(topo);
+                    let rep = Machine::new(cfg).run(|ctx| {
+                        ctx.allgatherv_routed(route, &vec![ctx.rank() as u64; len]);
+                        ctx.allgatherv_seconds(route, (8 * len) as f64)
+                    });
+                    let priced = rep.results[0];
+                    assert!(
+                        (rep.sim_time_s - priced).abs() < 1e-12,
+                        "{topo:?} p={p} {len} u64s {route:?}: took {} priced {priced}",
+                        rep.sim_time_s
+                    );
+                }
+            }
+        }
+        // 16 ranks on a crossbar, spelled out: 2(P-1) overheads, a latency
+        // and one block, against 2(G+S-2) overheads, two latencies, one block
+        // and then four of them behind their prefixes
+        let net = LogGP::default();
+        let rep = Machine::new(MachineConfig::with_ranks(16))
+            .run(|ctx| [Route::Direct, Route::Grouped].map(|r| ctx.allgatherv_seconds(r, 100.0)));
+        let [direct, grouped] = rep.results[0];
+        let direct_by_hand = 30.0 * net.overhead + net.latency + 100.0 * net.per_byte;
+        let grouped_by_hand = 12.0 * net.overhead + 2.0 * net.latency + 516.0 * net.per_byte;
+        assert!((direct - direct_by_hand).abs() < 1e-15);
+        assert!((grouped - grouped_by_hand).abs() < 1e-15);
+    }
+
+    #[test]
+    fn grouped_allgatherv_route_is_priced_by_block_bytes() {
+        let route_at = |p: usize, block: f64| {
+            Machine::new(MachineConfig::with_ranks(p))
+                .run(|ctx| ctx.allgatherv_route(block))
+                .results[0]
+        };
+        // 4 ranks: one overhead pair saved, one latency and G more blocks
+        // added — never grouped; a prime has no grid
+        assert_eq!(route_at(4, 0.0), Route::Direct);
+        assert_eq!(route_at(7, 0.0), Route::Direct);
+        // 16 ranks: 9 us of posting saved against 1 us of latency and four
+        // more blocks at 10 GB/s — break-even near 20 kB a block
+        assert_eq!(route_at(16, 0.0), Route::Grouped);
+        assert_eq!(route_at(16, 19e3), Route::Grouped);
+        assert_eq!(route_at(16, 21e3), Route::Direct);
+        // the route named is the cheaper by `allgatherv_seconds`
+        let rep = Machine::new(MachineConfig::with_ranks(16)).run(|ctx| {
+            [0.0, 1e3, 1e4, 1.99e4, 2.01e4, 1e6].map(|b| {
+                let cheaper = ctx.allgatherv_seconds(Route::Grouped, b)
+                    < ctx.allgatherv_seconds(Route::Direct, b);
+                (ctx.allgatherv_route(b) == Route::Grouped) == cheaper
+            })
+        });
+        assert_eq!(rep.results[0], [true; 6]);
+    }
+
+    #[test]
+    fn grouped_allgatherv_is_schedule_and_loss_invariant() {
+        // the same blocks in the same order under a seeded delivery
+        // schedule and over a lossy network, on a lopsided and a square grid
+        let lossy = crate::FaultPlan::lossy(7, 0.1, 0.05, 0.05);
+        for p in [12, 16] {
+            let expect: Vec<_> = (0..p).map(|r| gather_block(r, false)).collect();
+            let configs = [
+                MachineConfig::with_ranks(p).deterministic(3),
+                MachineConfig::with_ranks(p).deterministic(11),
+                MachineConfig::with_ranks(p).faults(lossy),
+            ];
+            for cfg in configs {
+                let rep = Machine::new(cfg).run(|ctx| {
+                    let mine = gather_block(ctx.rank(), false);
+                    [Route::Direct, Route::Grouped].map(|r| ctx.allgatherv_routed(r, &mine))
+                });
+                for (me, [direct, grouped]) in rep.results.iter().enumerate() {
+                    assert_eq!(direct, &expect, "p={p} rank {me}");
+                    assert_eq!(grouped, &expect, "p={p} rank {me}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_allgatherv_corrupt_bundle_is_a_typed_error() {
+        // Rank `bad` of a 3 x 2 grid hands its row a bundle that is cut
+        // short (the prefixes no longer add up) or whose last block lost a
+        // byte to the one before it (the prefixes do, the records do not).
+        // Every member of the row decodes it, `bad` included; the run is the
+        // typed error naming `bad`, never a panic.
+        for bad in 0..6 {
+            for cut_short in [true, false] {
+                let res = Machine::new(MachineConfig::with_ranks(6)).try_run(|ctx| {
+                    let mine = vec![ctx.rank() as u64; 2];
+                    if ctx.rank() != bad {
+                        return ctx.allgatherv_routed(Route::Grouped, &mine).len();
+                    }
+                    let mut grid = ctx.grid.take().expect("6 ranks have a grid");
+                    let held = grid.col.allgatherv(ctx, &crate::wire::encode_slice(&mine));
+                    let mut bundle = super::frame(held.iter());
+                    if cut_short {
+                        bundle.pop();
+                    } else {
+                        // the same 60 bytes, but the middle block took a
+                        // byte from the last
+                        let sizes = [16usize, 17, 15];
+                        bundle = super::frame(sizes.iter().map(|&n| vec![0u8; n]));
+                    }
+                    let got = grid.row.allgatherv(ctx, &bundle);
+                    grid.unpack::<u64>(ctx, &got).len()
+                });
+                match res {
+                    Err(FaultEscalation::Transport(TransportError::Decode {
+                        src,
+                        dst,
+                        len,
+                        elem_size,
+                        ..
+                    })) => {
+                        assert_eq!(src, bad, "cut_short {cut_short}");
+                        assert!(dst == bad || dst == bad ^ 1, "bad {bad}: dst {dst}");
                         let expect = if cut_short { (59, 4) } else { (17, 8) };
                         assert_eq!((len, elem_size), expect, "bad {bad}");
                     }

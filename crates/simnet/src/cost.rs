@@ -8,8 +8,18 @@
 //! "operations" per second, where one operation ≈ one edge relaxation or one
 //! vertex scan — the natural unit of graph kernels.
 //!
+//! What the model does not charge: `G·n` is paid per message in flight, on
+//! its arrival, never on the sender's clock — a sender pays `o` a message and
+//! nothing for its bytes, so two messages of `n` bytes sent back to back
+//! arrive `o` apart, not `G·n` apart. No rank's sends are serialised against
+//! each other, and no link or NIC is shared, so `G` is a per-message
+//! bandwidth, not an injection limit. A schedule that puts many blocks in
+//! flight at once (the one-round allgather, `collectives.rs`) pays the bytes
+//! of one of them on its critical path; on a machine whose injection does
+//! saturate it would pay all of them, as a ring does here.
+//!
 //! The default constants approximate one rank = one node of a Sunway-class
-//! system (µs-scale MPI latency, ~10 GB/s injection bandwidth, ~1 Gops/s of
+//! system (µs-scale MPI latency, 10 GB/s per message in flight, ~1 Gops/s of
 //! irregular-memory graph work per rank). Absolute values are *models*, not
 //! measurements; experiments report shapes and ratios, which are insensitive
 //! to moderate constant changes (EXPERIMENTS.md discusses sensitivity).
@@ -111,7 +121,8 @@ pub struct LogGP {
     pub latency: f64,
     /// CPU overhead per message at each end (s).
     pub overhead: f64,
-    /// Time per payload byte (s), i.e. 1 / bandwidth.
+    /// Time per payload byte (s) of one message in flight, i.e. 1 / its
+    /// bandwidth; charged on arrival, never to the sender (module docs).
     pub per_byte: f64,
 }
 
@@ -120,7 +131,7 @@ impl Default for LogGP {
         Self {
             latency: 1.0e-6,        // 1 µs per hop
             overhead: 0.5e-6,       // 0.5 µs send/recv CPU cost
-            per_byte: 1.0 / 10.0e9, // 10 GB/s injection bandwidth
+            per_byte: 1.0 / 10.0e9, // 10 GB/s per message in flight
         }
     }
 }

@@ -177,7 +177,8 @@ impl SubComm {
         ctx.trace_end(TraceCode::Barrier, self.seq, self.comm_id);
     }
 
-    /// Allgather within the subgroup, indexed by sub-rank: the world's ring.
+    /// Allgather within the subgroup, indexed by sub-rank: the world's
+    /// one-round schedule.
     pub fn allgatherv<T: Wire + Clone>(&mut self, ctx: &mut RankCtx, mine: &[T]) -> Vec<Vec<T>> {
         self.collective(ctx, TraceCode::Allgatherv, |ctx, who, global, tag| {
             allgatherv_schedule(ctx, who, global, tag, mine)
@@ -249,7 +250,7 @@ mod tests {
         for (groups, msgs, slowest) in [(3, 8, 2.0 * round), (4, 4, 2.0 * round + 1e-6)] {
             let rep = Machine::new(MachineConfig::with_ranks(12)).run(|ctx| {
                 let mut g = ctx.split((ctx.rank() % groups) as u64, ctx.rank() as u64);
-                // the split's ring leaves the clocks skewed; charge every
+                // the split's gather leaves the clocks skewed; charge every
                 // rank up to one common instant so the group enters together
                 let skew = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b }) + 1e-3;
                 ctx.charge_seconds(skew - ctx.now());
@@ -275,7 +276,7 @@ mod tests {
                 assert!((last - slowest).abs() < 1e-12, "{groups} groups: {last}");
             }
         }
-        // The ring and the direct exchange are the world's too: a subgroup
+        // The gather and the direct exchange are the world's too: a subgroup
         // spanning the world delivers the world's blocks in the world's
         // message count and, entered at one common instant, finishes when
         // the world's does, on every rank.

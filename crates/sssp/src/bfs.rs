@@ -20,7 +20,7 @@
 use crate::config::Direction;
 use g500_graph::{Bitmap, VertexId};
 use g500_partition::{LocalGraph, VertexPartition};
-use simnet::RankCtx;
+use simnet::{RankCtx, Wire};
 use std::collections::HashSet;
 
 /// Sentinel parent for unvisited vertices.
@@ -36,7 +36,8 @@ pub struct DistBfs {
 }
 
 impl DistBfs {
-    /// Collectively reassemble global `(level, parent)` arrays.
+    /// Collectively reassemble global `(level, parent)` arrays, by the
+    /// route priced for a rank's share of every vertex.
     pub fn gather_to_all<P: VertexPartition>(
         &self,
         ctx: &mut RankCtx,
@@ -50,8 +51,9 @@ impl DistBfs {
             .filter(|&(_, &lv)| lv >= 0)
             .map(|(l, &lv)| (part.to_global(me, l), lv, self.parent[l]))
             .collect();
-        let blocks = ctx.allgatherv(&mine);
         let n = part.num_vertices() as usize;
+        let bytes = (n * <(u64, i64, u64) as Wire>::SIZE) as f64 / ctx.size() as f64;
+        let blocks = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &mine);
         let mut level = vec![-1i64; n];
         let mut parent = vec![BFS_NO_PARENT; n];
         for block in blocks {
@@ -152,7 +154,9 @@ pub fn distributed_bfs<P: VertexPartition>(
                 for &v in &frontier {
                     bm.set(part.to_global(me, v as usize) as usize);
                 }
-                let blocks = ctx.allgatherv(bm.words());
+                // every rank's block is the whole bitmap
+                let bytes = (bm.words().len() * <u64 as Wire>::SIZE) as f64;
+                let blocks = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), bm.words());
                 let mut merged = Bitmap::new(n_global as usize);
                 for words in blocks {
                     merged.union_with(&Bitmap::from_words(n_global as usize, words));
@@ -164,7 +168,8 @@ pub fn distributed_bfs<P: VertexPartition>(
                     .iter()
                     .map(|&v| part.to_global(me, v as usize))
                     .collect();
-                let blocks = ctx.allgatherv(&mine);
+                let bytes = (f_size as usize * <u64 as Wire>::SIZE) as f64 / p as f64;
+                let blocks = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &mine);
                 let fset: HashSet<u64> = blocks.into_iter().flatten().collect();
                 ctx.charge_compute(fset.len() as u64);
                 Box::new(move |v: u64| fset.contains(&v))

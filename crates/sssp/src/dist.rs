@@ -48,12 +48,13 @@
 //! tail's rounds: Δ's statistics were reduced once, with the graph.
 //!
 //! Every exchange — a push's updates, a fetch's requests and replies, a
-//! tail round's — goes by the cheaper of the machine's two all-to-all
-//! routes (`simnet/collectives.rs`, "Routes"), priced per exchange from the
-//! sums the agreement before it carried: the arcs the pushing lanes are
-//! about to relax, the `U_h` a fetch may ask about, the tail's residue. The
-//! route changes how bytes travel, never which records arrive or in what
-//! per-source order.
+//! tail round's — and every gather — a light pull's frontier, a retirement
+//! epoch's tentatives — goes by the cheaper of the machine's two routes for
+//! it (`simnet/collectives.rs`, "Routes"), priced per call from numbers
+//! every rank holds: the arcs the pushing lanes are about to relax, the `U_h`
+//! a fetch may ask about, the tail's residue, the pulling lanes' frontier
+//! sizes, the live lanes with a target. The route changes how bytes travel,
+//! never which records arrive or in what per-source order.
 //!
 //! Every optimization is toggleable via [`OptConfig`]; with everything off
 //! this degenerates to the plain textbook distributed delta-stepping that
@@ -103,7 +104,8 @@ type PullScan = (u64, Option<(f32, u64)>);
 /// (offered), encode (shipped), decode and apply (received).
 const PUSH_OPS_PER_ARC: f64 = 5.0;
 
-/// Wire bytes of one broadcast frontier entry, `(vertex, dist)`.
+/// Wire bytes of one broadcast frontier entry of a lane alone, `(vertex,
+/// dist)`: what the light switch prices a pull's broadcast by.
 const FRONTIER_ENTRY_BYTES: usize = <(u64, f32) as Wire>::SIZE;
 
 /// Operations one heavy arc costs a fetch at most: scanned, offered to the
@@ -488,25 +490,29 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
 /// Per-rank cost of each side of a light step, in compute operations: push
 /// works 1/P of the frontier's light arcs; pull scans at most 1/P of the
 /// unsettled light arcs after every rank has received and indexed the whole
-/// frontier — one operation and `FRONTIER_ENTRY_BYTES` on the wire per
-/// entry — over a ring whose P−1 steps each wait out a latency the
-/// exchange's all-to-all overlaps. The push side is priced on the direct
-/// route, whose P−1 sends and receives the ring's cancel; what a grouped
-/// exchange posts less is left out (re-pricing the broadcast is ROADMAP
-/// item 1(a)'s). From one lane's own agreed sums: a lane takes the side it
-/// takes alone, whatever company it keeps (pull and push can break a
-/// distance tie differently).
-fn light_pulls(ctx: &RankCtx, dir: Direction, (f_size, f_light, u_l): (u64, u64, u64)) -> bool {
-    match dir {
+/// frontier, one operation an entry. The pull's fixed cost is its broadcast,
+/// [`RankCtx::allgatherv_seconds`] of a block of the frontier's 1/P entries,
+/// less the sends and receives the push's exchange would post
+/// ([`RankCtx::posting_seconds`]), each on its cheaper route, at
+/// `ops_per_sec`. The broadcast's flight stays on the pull's side: a pull
+/// step gives up the in-superstep cascade a push step runs, so a pull that
+/// only breaks even costs supersteps. Priced as the lane alone would be,
+/// from its own agreed sums, a solo record and the machine's routes
+/// whichever the run takes: a lane takes the side it takes alone, whatever
+/// company it keeps (pull and push can break a distance tie differently).
+fn light_pulls(ctx: &RankCtx, opts: &OptConfig, (f_size, f_light, u_l): (u64, u64, u64)) -> bool {
+    match opts.direction {
         Direction::Push => false,
         Direction::Pull => true,
         Direction::Hybrid => {
-            let (p, net) = (ctx.size() as f64, ctx.loggp());
-            let ops_per_sec = ctx.compute_model().ops_per_sec;
-            let entry = 1.0 + FRONTIER_ENTRY_BYTES as f64 * net.per_byte * ops_per_sec;
-            let ring = (p - 1.0) * net.latency * ops_per_sec;
+            let p = ctx.size() as f64;
+            let block = f_size as f64 / p * FRONTIER_ENTRY_BYTES as f64;
+            let broadcast = ctx.allgatherv_seconds(ctx.allgatherv_route(block), block);
+            let shipped = shipped_bytes::<Update>(ctx, opts, f_light as f64);
+            let posting = ctx.posting_seconds(ctx.alltoallv_route(shipped));
+            let fixed = (broadcast - posting) * ctx.compute_model().ops_per_sec;
             let push = f_light as f64 * PUSH_OPS_PER_ARC / p;
-            u_l as f64 / p + f_size as f64 * entry + ring < push
+            u_l as f64 / p + f_size as f64 + fixed < push
         }
     }
 }
@@ -620,7 +626,7 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
     /// draining chooses its direction, then the pushing lanes share one
     /// exchange and the pulling lanes one frontier broadcast.
     fn light_step(&mut self, ctx: &mut RankCtx, k: u64, agreed: &[Agreed<Sums>]) -> bool {
-        let (mut frontier, mut pushed_arcs) = (0, 0);
+        let (mut frontier, mut pushed_arcs, mut pulled) = (0, 0, 0);
         for (lane, &(_, ((f_size, f_light, h, nearest), (_, u_l, u_h)))) in
             self.lanes.iter_mut().zip(agreed)
         {
@@ -633,9 +639,10 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
                 continue;
             }
             frontier += f_size;
-            lane.pull = light_pulls(ctx, self.opts.direction, (f_size, f_light, u_l));
+            lane.pull = light_pulls(ctx, &self.opts, (f_size, f_light, u_l));
             if lane.pull {
                 self.stats.pull_iterations += 1;
+                pulled += f_size;
             } else {
                 self.stats.push_iterations += 1;
                 pushed_arcs += f_light;
@@ -647,7 +654,7 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
         let span = SuperstepSpan::open(ctx, self.stats.supersteps, 0, self.stats.relaxations);
         self.phase_frontier += frontier;
         self.push(ctx, Stand::Light, k as usize, pushed_arcs);
-        self.light_pull(ctx);
+        self.light_pull(ctx, pulled);
         self.stats.supersteps += 1;
         span.close(ctx, self.stats.supersteps, self.stats.relaxations);
         true
@@ -1155,10 +1162,18 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
     /// would need `nd ≥ kΔ`. A retired lane's slice is frozen and its queue
     /// dropped. (Once the run is over every tentative is final: `k = 0`
     /// retires nobody and leaves every rank the same answers.) `false` when
-    /// no lane is left running. Collective.
+    /// no lane is left running. Collective; the gather is priced from the
+    /// live lanes with a target, a count every rank holds.
     pub(crate) fn retire(&mut self, ctx: &mut RankCtx, k: u64) -> bool {
-        if self.lanes.iter().any(|l| l.live && l.target.is_some()) {
-            for block in ctx.allgatherv(&self.target_tentatives(ctx.rank())) {
+        let publishing = self
+            .lanes
+            .iter()
+            .filter(|l| l.live && l.target.is_some())
+            .count();
+        if publishing > 0 {
+            let bytes = (publishing * TaggedUpdate::SIZE) as f64 / ctx.size() as f64;
+            let route = self.route(ctx.allgatherv_route(bytes));
+            for block in ctx.allgatherv_routed(route, &self.target_tentatives(ctx.rank())) {
                 for (s, _, d, parent) in block {
                     let lane = &mut self.lanes[s as usize];
                     lane.answer = (d, parent);
@@ -1174,11 +1189,10 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         self.lanes.iter().any(|l| l.live)
     }
 
-    /// The route of an all-to-all in which a rank ships about `bytes`: the
-    /// cheaper one, unless the run was told to keep to the direct.
-    fn route(&self, ctx: &RankCtx, bytes: f64) -> Route {
+    /// The `priced` route, unless the run was told to keep to the direct.
+    fn route(&self, priced: Route) -> Route {
         if self.routed {
-            ctx.alltoallv_route(bytes)
+            priced
         } else {
             Route::Direct
         }
@@ -1187,7 +1201,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
     /// The route of an exchange of about `records` update records
     /// machine-wide.
     fn exchange_route(&self, ctx: &RankCtx, records: f64) -> Route {
-        self.route(ctx, shipped_bytes::<R>(ctx, &self.opts, records))
+        self.route(ctx.alltoallv_route(shipped_bytes::<R>(ctx, &self.opts, records)))
     }
 
     /// Ship the staged updates — about `records` of them machine-wide — and
@@ -1229,8 +1243,10 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
 
     /// The pulling lanes' light iteration: one broadcast of their
     /// frontiers, then each scans its unsettled adjacency. All improvements
-    /// are local — zero point-to-point update traffic.
-    fn light_pull(&mut self, ctx: &mut RankCtx) {
+    /// are local — zero point-to-point update traffic. The broadcast goes by
+    /// the route priced for `entries`, the pulling lanes' agreed frontier
+    /// sizes summed: a rank brings its share of them.
+    fn light_pull(&mut self, ctx: &mut RankCtx, entries: u64) {
         let (me, part) = (ctx.rank(), self.rows.graph.part());
         let mut mine: Vec<(R::Tag, u64, f32)> = Vec::new();
         let mut pulled = false;
@@ -1245,7 +1261,9 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         if !pulled {
             return;
         }
-        let blocks = ctx.allgatherv(&mine);
+        let entry = <(R::Tag, u64, f32) as Wire>::SIZE as f64;
+        let block = entries as f64 / ctx.size() as f64 * entry;
+        let blocks = ctx.allgatherv_routed(self.route(ctx.allgatherv_route(block)), &mine);
         // Min-merge the per-rank frontier blocks in the (possibly fuzzed)
         // delivery order — the min makes the merge order-free — into, per
         // lane, a map of what each frontier vertex offers and the nearest
@@ -1316,8 +1334,8 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         let reply_bytes = fetch_reply_bytes(ctx, arcs);
         let per_id = <(R::Tag, u32) as Wire>::SIZE as f64 / <f32 as Wire>::SIZE as f64;
         let (request, reply) = (
-            self.route(ctx, reply_bytes * per_id),
-            self.route(ctx, reply_bytes),
+            self.route(ctx.alltoallv_route(reply_bytes * per_id)),
+            self.route(ctx.alltoallv_route(reply_bytes)),
         );
         let asked = ctx.alltoallv_routed(request, want.clone());
         ctx.charge_compute(asked.iter().map(|ids| ids.len() as u64).sum());
@@ -1826,7 +1844,9 @@ mod tests {
         // From rank 0's trace: the grouped hops (subgroup all-to-alls — the
         // 1D kernel has no other) and the direct exchanges inside each
         // superstep span. A fetch is the heavy superstep with two exchanges,
-        // request and reply.
+        // request and reply. A pull's broadcast hops are gathers, not
+        // all-to-alls (`light_pull_broadcasts_by_the_priced_route`), so they
+        // leave these counts alone.
         let grouped_by_flavour = |dir: Direction| {
             let opts = OptConfig::all_on().with_direction(dir);
             let rep = Machine::new(MachineConfig::with_ranks(16).traced(true)).run(|ctx| {
@@ -1868,6 +1888,44 @@ mod tests {
         let ([light, heavy_push, fetch, _], stats) = grouped_by_flavour(Direction::Pull);
         assert_eq!((light, heavy_push), (0, 0), "a pull ships no updates");
         assert!(fetch > 0 && fetch <= stats.heavy_pulls, "{stats:?}");
+    }
+
+    #[test]
+    fn light_pull_broadcasts_by_the_priced_route() {
+        // From rank 0's trace, the gathers inside light supersteps of a
+        // pull-only run. On 16 ranks a frontier block of this graph is at
+        // most 32 entries, far under the break-even: two subgroup gathers a
+        // step (the grid's column and row) and no world one. 7 ranks have no
+        // grid: one world gather a step.
+        let gathers = |p: usize| {
+            let opts = OptConfig::all_on().with_direction(Direction::Pull);
+            let rep = Machine::new(MachineConfig::with_ranks(p).traced(true)).run(|ctx| {
+                let g = kron9_on(ctx);
+                distributed_delta_stepping(ctx, &g, 5, &opts).1
+            });
+            let (mut light, mut world, mut hops) = (false, 0u64, 0u64);
+            for ev in &rep.traces[0].events {
+                match (ev.code, ev.kind) {
+                    (TraceCode::Superstep, simnet::TraceKind::Begin) => light = ev.b == 0,
+                    (TraceCode::Superstep, simnet::TraceKind::End) => light = false,
+                    (TraceCode::Allgatherv, simnet::TraceKind::Begin) if light => {
+                        if ev.b == 0 {
+                            world += 1;
+                        } else {
+                            hops += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            (world, hops, rep.results[0].pull_iterations)
+        };
+        let (world, hops, pulls) = gathers(16);
+        assert!(pulls > 0);
+        assert_eq!((world, hops), (0, 2 * pulls), "16 ranks");
+        let (world, hops, pulls) = gathers(7);
+        assert!(pulls > 0);
+        assert_eq!((world, hops), (pulls, 0), "7 ranks");
     }
 
     #[test]

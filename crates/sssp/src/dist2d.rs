@@ -31,7 +31,7 @@ use g500_graph::{Csr, EdgeList, ShortestPaths, VertexId, WEdge, Weight};
 use g500_partition::{Block1D, VertexPartition};
 use rayon::prelude::*;
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
-use simnet::{RankCtx, SubComm, TraceCode};
+use simnet::{RankCtx, SubComm, TraceCode, Wire};
 use std::collections::HashMap;
 
 /// Per-chunk result of the parallel local relax scan: relaxation count and
@@ -433,7 +433,8 @@ impl Grid2DSssp {
         span.close(ctx, ss, self.stats.relaxations);
     }
 
-    /// Collectively reassemble the global result on every rank.
+    /// Collectively reassemble the global result on every rank, by the
+    /// route priced for a diagonal member's share of every vertex.
     pub fn gather(&mut self, ctx: &mut RankCtx) -> ShortestPaths {
         let mine: Vec<(u64, f32, u64)> = if self.is_diag() {
             self.dist
@@ -445,8 +446,10 @@ impl Grid2DSssp {
         } else {
             Vec::new()
         };
-        let blocks = ctx.allgatherv(&mine);
-        let mut out = ShortestPaths::unreached(self.blocks.num_vertices() as usize);
+        let n = self.blocks.num_vertices() as usize;
+        let bytes = (n * <(u64, f32, u64) as Wire>::SIZE) as f64 / self.side as f64;
+        let blocks = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &mine);
+        let mut out = ShortestPaths::unreached(n);
         for block in blocks {
             for (v, d, p) in block {
                 out.dist[v as usize] = d;

@@ -38,7 +38,7 @@ use crate::multi::{try_batched_delta_stepping, BatchSpec, MultiDist};
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use simnet::recovery::FaultEscalation;
-use simnet::{RankCtx, TraceCode};
+use simnet::{RankCtx, TraceCode, Wire};
 
 /// One query against the resident graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -351,6 +351,8 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
         let mut specs: Vec<BatchSpec> = Vec::new();
         let mut lane_of: Vec<(Query, usize)> = Vec::new(); // window-dup sharing
         let mut contrib: Vec<(u32, f32, u64)> = Vec::new();
+        // records `contrib` holds machine-wide: the plans are replicated
+        let mut published = 0usize;
 
         for (qi, q) in window.iter().enumerate() {
             let ordinal = self.stats.queries;
@@ -366,6 +368,7 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
                 }
                 (Some(t), true) => {
                     self.stats.cache_hits += 1;
+                    published += 1;
                     if part.owner(t) == me {
                         let paths = self.lru.get(&q.source).expect("just hit");
                         let l = part.to_local(t);
@@ -384,6 +387,7 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
                         });
                         lane_of.push((*q, lane));
                         if let (Some(t), Some(lm)) = (target, self.landmarks.as_ref()) {
+                            published += 2 * k;
                             for (side, v) in [(0u32, q.source), (1, t)] {
                                 if part.owner(v) == me {
                                     let l = part.to_local(v);
@@ -408,11 +412,14 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
         }
 
         // one admission allgather resolves cached p2p answers and both
-        // halves of every landmark bound
+        // halves of every landmark bound, by the route priced for a rank's
+        // share of the records
         let mut hit_answer = vec![(INF_WEIGHT, NO_PARENT); window.len()];
         let mut ls = vec![INF_WEIGHT; window.len() * k.max(1)];
         let mut lt = vec![INF_WEIGHT; window.len() * k.max(1)];
-        for block in ctx.allgatherv(&contrib) {
+        let entry = <(u32, f32, u64) as Wire>::SIZE;
+        let bytes = (published * entry) as f64 / ctx.size() as f64;
+        for block in ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &contrib) {
             for (key, d, aux) in block {
                 let qi = (key / slots) as usize;
                 let slot = key % slots;
@@ -570,7 +577,10 @@ fn precompute_landmarks<P: VertexPartition + Sync>(
         .collect();
     cand.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     cand.truncate(k);
-    let mut merged: Vec<(u64, u64)> = ctx.allgatherv(&cand).into_iter().flatten().collect();
+    // every rank brings its `k` best (fewer only if it holds fewer vertices)
+    let bytes = (k * <(u64, u64) as Wire>::SIZE) as f64;
+    let gathered = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &cand);
+    let mut merged: Vec<(u64, u64)> = gathered.into_iter().flatten().collect();
     merged.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     merged.truncate(k);
     let ids: Vec<VertexId> = merged.into_iter().map(|(_, v)| v).collect();
