@@ -43,9 +43,6 @@ pub struct OptConfig {
     pub bucket_fusion: bool,
     /// Push/pull/hybrid relaxation.
     pub direction: Direction,
-    /// Record per-bucket phase timings (for the breakdown figure; costs a
-    /// little memory, no simulated time).
-    pub record_phases: bool,
 }
 
 impl Default for OptConfig {
@@ -64,7 +61,6 @@ impl OptConfig {
             compression: true,
             bucket_fusion: true,
             direction: Direction::Hybrid,
-            record_phases: false,
         }
     }
 
@@ -78,7 +74,6 @@ impl OptConfig {
             compression: false,
             bucket_fusion: false,
             direction: Direction::Push,
-            record_phases: false,
         }
     }
 
@@ -117,12 +112,6 @@ impl OptConfig {
     /// Fix Δ explicitly.
     pub fn with_delta(mut self, delta: Weight) -> Self {
         self.delta = Some(delta);
-        self
-    }
-
-    /// Enable per-bucket phase recording.
-    pub fn with_phases(mut self) -> Self {
-        self.record_phases = true;
         self
     }
 }

@@ -319,22 +319,24 @@ mod tests {
     /// kernel's state is part of every crash run's reported numbers. The
     /// expected sizes were recorded at the commit before the kernels moved
     /// onto the shared driver and the `Wire`-generic codec; the 1D kernel's
-    /// moved once since, by −8 bytes a rank on these 16-vertex slices:
-    /// `unsettled_mark` (8-byte count + one byte a vertex) left,
+    /// moved twice since. First by −8 bytes a rank on these 16-vertex
+    /// slices: `unsettled_mark` (8-byte count + one byte a vertex) left,
     /// `unsettled_heavy` and `SsspRunStats::heavy_pulls` (8 each) came.
+    /// Then by −8 again, with the batched row: `SsspRunStats` lost the
+    /// always-empty per-bucket phase list and its 8-byte count.
     ///
-    /// The batched row moved once, when a batch became that kernel over
-    /// lanes ([802, 798, 778, 778] before). It is now the 1D layout lane by
-    /// lane: three lanes of 544 bytes on an empty queue (a 16-vertex
-    /// `dist`, `parent`, `frontier_seen` and `settled_seen`, each behind an
-    /// 8-byte count — 72 + 136 + 136 + 136 — the two epochs, the two
-    /// unsettled counters and 32 bytes of empty `BucketQueue`), +20 where a
-    /// lane's source sits in bucket 0 (ranks 0 twice, 1 once); 21 for the
-    /// p2p lane's retirement record (`live`, `finished_at`, the target's
-    /// `(f32, u64)`); and one `SsspRunStats` of 104 for the
-    /// run. No lane count, no `pruned` for a lane without a bound. What it
-    /// gained over the old layout is the stamps and counters the solo
-    /// kernel already carried per search.
+    /// The batched row moved when a batch became that kernel over lanes
+    /// ([802, 798, 778, 778] before), and by the same −8 with the phase
+    /// list. It is the 1D layout lane by lane: three lanes of 544 bytes on
+    /// an empty queue (a 16-vertex `dist`, `parent`, `frontier_seen` and
+    /// `settled_seen`, each behind an 8-byte count — 72 + 136 + 136 + 136 —
+    /// the two epochs, the two unsettled counters and 32 bytes of empty
+    /// `BucketQueue`), +20 where a lane's source sits in bucket 0 (ranks 0
+    /// twice, 1 once); 21 for the p2p lane's retirement record (`live`,
+    /// `finished_at`, the target's `(f32, u64)`); and one `SsspRunStats` of
+    /// 96 for the run. No lane count, no `pruned` for a lane without a
+    /// bound. What it gained over the old layout is the stamps and counters
+    /// the solo kernel already carried per search.
     #[test]
     fn kernel_checkpoint_sizes_are_pinned() {
         let el = g500_gen::simple::erdos_renyi(64, 320, 13);
@@ -347,7 +349,7 @@ mod tests {
             let g = assemble_local_graph(ctx, slice(ctx).into_iter(), Block1D::new(64, 4));
             try_distributed_delta_stepping(ctx, &g, 3, &OptConfig::all_on()).expect("no crash");
         });
-        assert_eq!(kernel, [668, 648, 648, 648], "1D kernel");
+        assert_eq!(kernel, [660, 640, 640, 640], "1D kernel");
 
         let batch = epoch0_checkpoint_bytes(|ctx| {
             let g = assemble_local_graph(ctx, slice(ctx).into_iter(), Block1D::new(64, 4));
@@ -359,7 +361,7 @@ mod tests {
             let opts = OptConfig::all_on().with_delta(0.2);
             try_batched_delta_stepping(ctx, &g, &specs, &opts).expect("no crash");
         });
-        assert_eq!(batch, [1797, 1777, 1757, 1757], "batched kernel");
+        assert_eq!(batch, [1789, 1769, 1749, 1749], "batched kernel");
 
         let grid = epoch0_checkpoint_bytes(|ctx| {
             let mut g = Grid2DSssp::build(ctx, 64, slice(ctx).into_iter(), 0.2);
