@@ -16,9 +16,7 @@
 //!
 //! Determinism contract: the *results* of every benched kernel are bitwise
 //! identical across the sweep — only the times differ. The JSON is written
-//! and parsed by hand (the workspace is offline and carries no serde); the
-//! tiny parser in [`json`] understands just enough of the grammar for these
-//! files.
+//! and read through the workspace's one JSON module, [`json`].
 
 use g500_gen::{KroneckerGenerator, KroneckerParams};
 use g500_graph::{Csr, Directedness};
@@ -100,6 +98,11 @@ impl Stats {
     pub fn normalized(&self) -> Option<f64> {
         (self.calib_ns > 0).then(|| self.median_ns as f64 / self.calib_ns as f64)
     }
+}
+
+simnet::json_fields! {
+    Stats:
+    median_ns, p10_ns, p90_ns, calib_ns,
 }
 
 /// Does `a` beat `b` under calibration normalization? Compares
@@ -459,39 +462,28 @@ pub fn sweep_to_json(git_rev: &str, sweep: &[SweepPoint]) -> String {
         }
     }
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"micro\",\n");
-    s.push_str("  \"unit\": \"ns\",\n");
-    s.push_str(&format!("  \"git_rev\": \"{git_rev}\",\n"));
-    s.push_str(&format!("  \"host_threads\": {host_threads},\n"));
-    s.push_str(&format!(
-        "  \"thread_counts\": [{}],\n",
-        sweep
-            .iter()
-            .map(|(t, _)| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str("  \"kernels\": [\n");
-    for (ki, name) in kernels.iter().enumerate() {
-        let cells: Vec<String> = sweep
-            .iter()
-            .filter_map(|(t, rows)| {
-                rows.iter().find(|(n, _)| n == name).map(|(_, st)| {
-                    format!(
-                        "\"{t}\": {{\"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}, \"calib_ns\": {}}}",
-                        st.median_ns, st.p10_ns, st.p90_ns, st.calib_ns
-                    )
-                })
-            })
-            .collect();
-        s.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"stats\": {{{}}}}}{}\n",
-            cells.join(", "),
-            if ki + 1 < kernels.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    let thread_counts: Vec<usize> = sweep.iter().map(|(t, _)| *t).collect();
+    let mut s = json::report(|o| {
+        o.field("bench", "micro")
+            .field("unit", "ns")
+            .field("git_rev", git_rev)
+            .field("host_threads", host_threads)
+            .field("thread_counts", thread_counts)
+            .array("kernels", |a| {
+                for name in kernels {
+                    a.object(|k| {
+                        k.field("name", name).object("stats", |by_t| {
+                            for (t, rows) in sweep {
+                                if let Some((_, st)) = rows.iter().find(|(n, _)| n == name) {
+                                    by_t.field(&t.to_string(), st);
+                                }
+                            }
+                        });
+                    });
+                }
+            });
+    });
+    s.push('\n');
     s
 }
 
@@ -586,202 +578,8 @@ pub fn parse_bench_file(text: &str) -> Result<BenchFile, String> {
     })
 }
 
-/// A just-enough JSON parser for the bench files: objects, arrays,
-/// strings (no escapes beyond `\"` and `\\`), integers and floats, plus
-/// the literals. The workspace carries no serde; this keeps the perf gate
-/// dependency-free.
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any number (kept as f64; bench values are small integers).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, preserving key order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Object field lookup.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The string payload, if a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The numeric payload as u64, if a non-negative integer.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-                _ => None,
-            }
-        }
-
-        /// The array payload, if an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        /// The object payload as key/value pairs, if an object.
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parse a complete JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let b = text.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, *pos))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') => literal(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => literal(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => literal(b, pos, "null", Value::Null),
-            Some(_) => number(b, pos),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(b: &[u8], pos: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", *pos))
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        _ => return Err(format!("unsupported escape \\{}", esc as char)),
-                    }
-                }
-                _ => out.push(c as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            skip_ws(b, pos);
-            let k = string(b, pos)?;
-            expect(b, pos, b':')?;
-            fields.push((k, value(b, pos)?));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-            }
-        }
-    }
-}
+/// The workspace's JSON module, where bench files are read and written.
+pub use simnet::json;
 
 #[cfg(test)]
 mod tests {
@@ -837,6 +635,27 @@ mod tests {
             ),
         ];
         let text = sweep_to_json("abc1234", &sweep);
+        let doc = json::parse(&text).expect("a sweep is JSON");
+        let keys: Vec<&str> = doc
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "bench",
+                "unit",
+                "git_rev",
+                "host_threads",
+                "thread_counts",
+                "kernels"
+            ]
+        );
+        // the braces, five fields, `"kernels": [`, two kernels and `]`
+        let lines = text.lines().count();
+        assert_eq!(lines, 11, "one field, and one kernel, a line:\n{text}");
         let parsed = parse_bench_file(&text).expect("parse");
         assert_eq!(parsed.git_rev, "abc1234");
         assert_eq!(parsed.thread_counts, vec![1, 4]);
@@ -930,6 +749,15 @@ mod tests {
         let rows = parse_child_stdout("G500_BENCH\ta/k1\t100\t90\t110\n");
         assert_eq!(rows[0].1.calib_ns, 0);
         assert_eq!(rows[0].1.normalized(), None);
+    }
+
+    #[test]
+    fn checked_in_baseline_parses() {
+        let text = std::fs::read_to_string(results_dir().join("bench_baseline.json"))
+            .expect("results/bench_baseline.json");
+        let baseline = parse_bench_file(&text).expect("the baseline parses");
+        assert!(!baseline.kernels.is_empty());
+        assert!(baseline.thread_counts.contains(&1));
     }
 
     #[test]

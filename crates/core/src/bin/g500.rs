@@ -291,7 +291,7 @@ fn write_trace_if_requested(path: Option<&str>, rep: &graph500::BenchmarkReport)
     let (Some(path), Some(trace)) = (path, rep.trace.as_ref()) else {
         return;
     };
-    match graph500::write_chrome_trace(std::path::Path::new(path), trace) {
+    match std::fs::write(path, trace.to_chrome_json()) {
         Ok(()) => eprintln!("wrote Chrome trace to {path}"),
         Err(e) => {
             eprintln!("failed to write trace to {path}: {e}");

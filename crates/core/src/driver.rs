@@ -22,8 +22,8 @@ use g500_partition::{
 use g500_sssp::{distributed_bfs, try_distributed_delta_stepping, OptConfig, SsspRunStats};
 use g500_validate::{count_traversed_edges, validate_bfs, validate_sssp, SsspResult, TepsSummary};
 use simnet::{
-    CrashPlan, FaultEscalation, FaultPlan, Machine, MachineConfig, NetStats, RankCtx, SimReport,
-    Trace, TraceCode, TraceSummary,
+    json, CrashPlan, FaultEscalation, FaultPlan, Machine, MachineConfig, NetStats, RankCtx,
+    SimReport, Trace, TraceCode, TraceSummary,
 };
 
 /// How vertices are placed on ranks.
@@ -253,69 +253,44 @@ impl BenchmarkReport {
     }
 
     /// Machine-readable form of the whole report (per-root runs, kernel
-    /// counters, per-rank traffic), for archiving sweeps. Hand-rolled JSON:
-    /// the workspace carries no serde, and every field is numeric.
+    /// counters, per-rank traffic), for archiving sweeps.
     pub fn to_json(&self) -> String {
-        let f = simnet::stats::json_f64;
-        let runs: Vec<String> = self
-            .runs
-            .iter()
-            .map(|r| {
-                let validated = match r.validated {
-                    Some(true) => "true",
-                    Some(false) => "false",
-                    None => "null",
-                };
-                format!(
-                    "    {{\"root\":{},\"sim_time_s\":{},\"traversed_edges\":{},\
-                     \"validated\":{},\"stats\":{}}}",
-                    r.root,
-                    f(r.sim_time_s),
-                    r.traversed_edges,
-                    validated,
-                    r.stats.to_json()
-                )
-            })
-            .collect();
-        let per_rank: Vec<String> = self
-            .per_rank_net
-            .iter()
-            .map(|s| format!("    {}", s.to_json()))
-            .collect();
-        // The trace entry appears only on traced runs, so untraced JSON is
-        // byte-identical to a build without tracing at all.
-        let trace_field = match self.trace_summary() {
-            Some(summary) => format!("  \"trace\": {},\n", summary.to_json()),
-            None => String::new(),
-        };
-        // Same pattern for the crash plan: crash-free reports don't
-        // mention process faults at all.
-        let crash_field = if self.crash.is_active() {
-            format!("  \"crash\": {},\n", self.crash.to_json())
-        } else {
-            String::new()
-        };
-        format!(
-            "{{\n  \"scale\": {},\n  \"n\": {},\n  \"m\": {},\n  \"ranks\": {},\n  \
-             \"construction_time_s\": {},\n  \"runs\": [\n{}\n  ],\n  \"teps\": {},\n  \
-             \"net\": {},\n  \"per_rank_net\": [\n{}\n  ],\n  \"fault\": {},\n{}{}  \
-             \"wall_time_s\": {},\n  \"threads\": {}\n}}",
-            self.scale,
-            self.n,
-            self.m,
-            self.ranks,
-            f(self.construction_time_s),
-            runs.join(",\n"),
-            self.teps.to_json(),
-            self.net.to_json(),
-            per_rank.join(",\n"),
-            self.fault.to_json(),
-            crash_field,
-            trace_field,
-            f(self.wall_time_s),
-            self.threads
-        )
+        json::report(|o| {
+            o.field("scale", self.scale)
+                .field("n", self.n)
+                .field("m", self.m)
+                .field("ranks", self.ranks)
+                .field("construction_time_s", self.construction_time_s)
+                .array("runs", |a| {
+                    for r in &self.runs {
+                        a.item(r);
+                    }
+                })
+                .field("teps", &self.teps)
+                .field("net", &self.net)
+                .array("per_rank_net", |a| {
+                    for s in &self.per_rank_net {
+                        a.item(s);
+                    }
+                })
+                .field("fault", self.fault);
+            // Crash-free and untraced reports mention neither, so they are
+            // byte-identical to runs without either layer.
+            if self.crash.is_active() {
+                o.field("crash", self.crash);
+            }
+            if let Some(summary) = self.trace_summary() {
+                o.field("trace", summary);
+            }
+            o.field("wall_time_s", self.wall_time_s)
+                .field("threads", self.threads);
+        })
     }
+}
+
+simnet::json_fields! {
+    RootRun:
+    root, sim_time_s, traversed_edges, validated, stats,
 }
 
 /// Sampled hub detection: estimate high-degree vertices from a fixed,

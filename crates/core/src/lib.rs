@@ -21,7 +21,6 @@
 
 pub mod driver;
 pub mod serving;
-pub mod trace_report;
 
 pub use driver::{
     run_bfs_benchmark, run_sssp_benchmark, try_run_sssp_benchmark, BenchmarkConfig,
@@ -34,7 +33,6 @@ pub use serving::{
 pub use simnet::{
     CrashPlan, FaultEscalation, FaultPlan, Trace, TraceConfig, TraceSummary, TransportError,
 };
-pub use trace_report::write_chrome_trace;
 
 // Re-export the component crates under stable names.
 pub use g500_baselines as baselines;

@@ -14,7 +14,7 @@ use g500_gen::CounterRng;
 use g500_graph::EdgeList;
 use g500_partition::Block1D;
 use g500_sssp::{OptConfig, Query, QueryEngine, ServeConfig};
-use simnet::{CrashPlan, FaultEscalation, Machine, MachineConfig};
+use simnet::{json, CrashPlan, FaultEscalation, Machine, MachineConfig};
 
 /// Everything a serving run needs.
 #[derive(Clone, Debug)]
@@ -213,41 +213,15 @@ impl ServeReport {
         )
     }
 
-    /// Machine-readable form (hand-rolled JSON, as everywhere else).
+    /// Machine-readable form, one field a line.
     pub fn to_json(&self) -> String {
-        let f = simnet::stats::json_f64;
-        format!(
-            "{{\n  \"scale\": {},\n  \"n\": {},\n  \"m\": {},\n  \"ranks\": {},\n  \
-             \"batch_width\": {},\n  \"queries\": {},\n  \"p2p_queries\": {},\n  \
-             \"batches\": {},\n  \"cache_hits\": {},\n  \"early_exits\": {},\n  \
-             \"lanes_run\": {},\n  \"queries_shed\": {},\n  \"queries_retried\": {},\n  \
-             \"supersteps\": {},\n  \"landmarks\": {},\n  \
-             \"serve_time_s\": {},\n  \"qps\": {},\n  \"p50_ms\": {},\n  \"p95_ms\": {},\n  \
-             \"p99_ms\": {},\n  \"max_ms\": {},\n  \"wall_time_s\": {},\n  \"threads\": {}\n}}",
-            self.scale,
-            self.n,
-            self.m,
-            self.ranks,
-            self.batch_width,
-            self.queries,
-            self.p2p_queries,
-            self.batches,
-            self.cache_hits,
-            self.early_exits,
-            self.lanes_run,
-            self.queries_shed,
-            self.queries_retried,
-            self.supersteps,
-            self.landmarks,
-            f(self.serve_time_s),
-            f(self.qps),
-            f(self.p50_ms),
-            f(self.p95_ms),
-            f(self.p99_ms),
-            f(self.max_ms),
-            f(self.wall_time_s),
-            self.threads
-        )
+        json::report(|o| {
+            simnet::json_fields! { o, self:
+                scale, n, m, ranks, batch_width, queries, p2p_queries, batches, cache_hits,
+                early_exits, lanes_run, queries_shed, queries_retried, supersteps, landmarks,
+                serve_time_s, qps, p50_ms, p95_ms, p99_ms, max_ms, wall_time_s, threads,
+            }
+        })
     }
 }
 

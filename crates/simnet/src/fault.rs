@@ -175,24 +175,11 @@ impl FaultPlan {
         }
         Ok(())
     }
+}
 
-    /// Render as a JSON object (hand-rolled like the rest of the
-    /// workspace's reports; all fields numeric).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seed\":{},\"drop\":{},\"duplicate\":{},\"reorder\":{},\"corrupt\":{},\
-             \"stalls_per_rank\":{},\"stall_s\":{},\"retry_budget\":{},\"mtu\":{}}}",
-            self.seed,
-            crate::stats::json_f64(self.drop),
-            crate::stats::json_f64(self.duplicate),
-            crate::stats::json_f64(self.reorder),
-            crate::stats::json_f64(self.corrupt),
-            self.stalls_per_rank,
-            crate::stats::json_f64(self.stall_s),
-            self.retry_budget,
-            self.mtu,
-        )
-    }
+crate::json_fields! {
+    FaultPlan:
+    seed, drop, duplicate, reorder, corrupt, stalls_per_rank, stall_s, retry_budget, mtu,
 }
 
 impl Default for FaultPlan {
@@ -326,20 +313,11 @@ impl CrashPlan {
         }
         Ok(())
     }
+}
 
-    /// Render as a JSON object (hand-rolled, all fields numeric).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seed\":{},\"rate\":{},\"recovery_budget\":{},\"checkpoint_interval\":{},\
-             \"detect_timeout_s\":{},\"respawn_s\":{}}}",
-            self.seed,
-            crate::stats::json_f64(self.rate),
-            self.recovery_budget,
-            self.checkpoint_interval,
-            crate::stats::json_f64(self.detect_timeout_s),
-            crate::stats::json_f64(self.respawn_s),
-        )
-    }
+crate::json_fields! {
+    CrashPlan:
+    seed, rate, recovery_budget, checkpoint_interval, detect_timeout_s, respawn_s,
 }
 
 impl Default for CrashPlan {

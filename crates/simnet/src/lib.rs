@@ -41,6 +41,7 @@
 pub mod collectives;
 pub mod cost;
 pub mod fault;
+pub mod json;
 pub mod machine;
 pub mod rank;
 pub mod recovery;

@@ -5,6 +5,9 @@
 //! (F6), superstep counts explain bucket fusion (F4), and the virtual-clock
 //! components split compute from communication in the breakdown figure.
 
+/// The JSON number rule, under the name reports have always used.
+pub use crate::json::number as json_f64;
+
 /// Counters one rank accumulates over a run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetStats {
@@ -72,42 +75,6 @@ impl NetStats {
         self.user_bytes + self.coll_bytes
     }
 
-    /// Render as a JSON object (the workspace is dependency-free, so JSON
-    /// output is hand-rolled; all fields are numeric and need no escaping).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"user_msgs\":{},\"user_bytes\":{},\"coll_msgs\":{},\"coll_bytes\":{},\
-             \"barriers\":{},\"collectives\":{},\"compute_s\":{},\"comm_s\":{},\
-             \"retransmits\":{},\"timeouts\":{},\"dup_frames_dropped\":{},\
-             \"corrupt_frames\":{},\"reordered_frames\":{},\"stall_events\":{},\
-             \"stall_s\":{},\"crashes\":{},\"checkpoints\":{},\
-             \"checkpoint_bytes\":{},\"restores\":{},\"replayed_supersteps\":{},\
-             \"queries_shed\":{},\"queries_retried\":{}}}",
-            self.user_msgs,
-            self.user_bytes,
-            self.coll_msgs,
-            self.coll_bytes,
-            self.barriers,
-            self.collectives,
-            crate::stats::json_f64(self.compute_s),
-            crate::stats::json_f64(self.comm_s),
-            self.retransmits,
-            self.timeouts,
-            self.dup_frames_dropped,
-            self.corrupt_frames,
-            self.reordered_frames,
-            self.stall_events,
-            crate::stats::json_f64(self.stall_s),
-            self.crashes,
-            self.checkpoints,
-            self.checkpoint_bytes,
-            self.restores,
-            self.replayed_supersteps,
-            self.queries_shed,
-            self.queries_retried,
-        )
-    }
-
     /// Element-wise accumulate (for cross-rank aggregation).
     pub fn merge(&mut self, other: &NetStats) {
         self.user_msgs += other.user_msgs;
@@ -156,14 +123,12 @@ impl NetStats {
     }
 }
 
-/// Format an `f64` as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+crate::json_fields! {
+    NetStats:
+    user_msgs, user_bytes, coll_msgs, coll_bytes, barriers, collectives, compute_s, comm_s,
+    retransmits, timeouts, dup_frames_dropped, corrupt_frames, reordered_frames, stall_events,
+    stall_s, crashes, checkpoints, checkpoint_bytes, restores, replayed_supersteps,
+    queries_shed, queries_retried,
 }
 
 /// Aggregate a set of per-rank stats into totals.
@@ -178,6 +143,7 @@ pub fn aggregate(all: &[NetStats]) -> NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
 
     #[test]
     fn merge_accumulates_everything() {

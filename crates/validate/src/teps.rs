@@ -70,23 +70,6 @@ impl TepsSummary {
         }
     }
 
-    /// Render as a JSON object (hand-rolled: the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        let f = simnet::stats::json_f64;
-        format!(
-            "{{\"runs\":{},\"min\":{},\"q1\":{},\"median\":{},\"q3\":{},\"max\":{},\
-             \"harmonic_mean\":{},\"mean\":{}}}",
-            self.runs,
-            f(self.min),
-            f(self.q1),
-            f(self.median),
-            f(self.q3),
-            f(self.max),
-            f(self.harmonic_mean),
-            f(self.mean)
-        )
-    }
-
     /// Render the official-style output block.
     pub fn render(&self, label: &str) -> String {
         format!(
@@ -95,6 +78,11 @@ impl TepsSummary {
             self.harmonic_mean, self.mean
         )
     }
+}
+
+simnet::json_fields! {
+    TepsSummary:
+    runs, min, q1, median, q3, max, harmonic_mean, mean,
 }
 
 #[cfg(test)]

@@ -406,3 +406,20 @@ fn cli_accepts_every_flag_its_usage_lists() {
     assert_eq!(commands, 4, "sssp, bfs, serve, stats");
     let _ = std::fs::remove_file(trace_path);
 }
+
+/// A Chrome trace that cannot be written ends the run with exit 1 and the
+/// path named, before any report is printed without it.
+#[test]
+fn cli_trace_out_to_an_unwritable_path_exits_1_naming_it() {
+    let dir = std::env::temp_dir().join(format!("g500_no_such_dir_{}", std::process::id()));
+    let path = dir.join("trace.json");
+    let path = path.to_str().expect("utf8 temp path");
+    for cmd in ["sssp", "bfs"] {
+        let args = [cmd, "--scale", "6", "--ranks", "2", "--roots", "1"];
+        let out = g500(&[&args[..], &["--trace-out", path]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains(path), "{cmd}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd} printed a report");
+    }
+}

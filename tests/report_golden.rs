@@ -13,8 +13,13 @@
 //! *intentional* semantic change with
 //! `G500_BLESS=1 cargo test --test report_golden`.
 
+use graph500::simnet::json::{parse, Value};
 use graph500::simnet::{Machine, MachineConfig};
 use graph500::sssp::Grid2DSssp;
+use graph500::{
+    run_query_serving_benchmark, run_sssp_benchmark, BenchmarkConfig, CrashPlan, FaultPlan,
+    ServeBenchConfig,
+};
 use std::process::Command;
 
 const GOLDEN_1D: &str = concat!(
@@ -158,4 +163,112 @@ fn golden_2d_scale10_report() {
         }
     }
     check_golden(GOLDEN_2D, &out);
+}
+
+/// Top-level keys of a parsed report, in order.
+fn keys(doc: &Value) -> Vec<&str> {
+    let fields = doc.as_object().expect("a report is an object");
+    fields.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+/// Every report the CLI prints parses with the workspace's one parser and
+/// carries, in order, the keys the goldens pin: the kernel report clean,
+/// lossy, crashy and traced (the last two add their own entry), and the
+/// serving report.
+#[test]
+fn every_report_parses_with_the_one_parser() {
+    let pinned = [
+        "scale",
+        "n",
+        "m",
+        "ranks",
+        "construction_time_s",
+        "runs",
+        "teps",
+        "net",
+        "per_rank_net",
+        "fault",
+    ];
+    let base = BenchmarkConfig::quick(8, 2).deterministic(0);
+    let crash = CrashPlan::random(0xC4A8, 0.002).with_checkpoint_interval(2);
+    let cases = [
+        ("clean", base.clone(), None),
+        (
+            "lossy",
+            base.clone().faults(FaultPlan::lossy(1, 0.05, 0.02, 0.01)),
+            None,
+        ),
+        ("crashy", base.clone().crashes(crash), Some("crash")),
+        ("traced", base.clone().traced(true), Some("trace")),
+    ];
+    for (what, cfg, extra) in cases {
+        let rep = run_sssp_benchmark(&cfg);
+        let doc = parse(&rep.to_json()).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let mut expected = pinned.to_vec();
+        expected.extend(extra);
+        expected.extend(["wall_time_s", "threads"]);
+        assert_eq!(keys(&doc), expected, "{what}");
+        let runs = doc.get("runs").and_then(Value::as_array).expect("runs");
+        assert_eq!(runs.len(), rep.runs.len(), "{what}");
+        for (run, r) in runs.iter().zip(&rep.runs) {
+            assert_eq!(
+                keys(run),
+                [
+                    "root",
+                    "sim_time_s",
+                    "traversed_edges",
+                    "validated",
+                    "stats"
+                ]
+            );
+            assert_eq!(run.get("root").and_then(Value::as_u64), Some(r.root));
+            assert_eq!(run.get("validated"), Some(&Value::Bool(true)), "{what}");
+            let stats = run.get("stats").expect("stats");
+            assert_eq!(keys(stats).len(), 12, "{what}: {stats:?}");
+        }
+        let per_rank = doc.get("per_rank_net").and_then(Value::as_array);
+        assert_eq!(per_rank.map(<[_]>::len), Some(2), "{what}");
+        let net = doc.get("net").expect("net");
+        let counter = |k: &str| net.get(k).and_then(Value::as_u64).unwrap();
+        assert_eq!(counter("retransmits"), rep.net.retransmits, "{what}");
+        assert_eq!(counter("crashes"), rep.net.crashes, "{what}");
+        let hmean = doc.get("teps").and_then(|t| t.get("harmonic_mean"));
+        assert_eq!(hmean, Some(&Value::Num(rep.teps.harmonic_mean)), "{what}");
+    }
+
+    let mut serve = ServeBenchConfig::new(8, 2).deterministic(0);
+    serve.num_queries = 8;
+    serve.batch_width = 4;
+    let rep = run_query_serving_benchmark(&serve);
+    let doc = parse(&rep.to_json()).expect("serve report parses");
+    assert_eq!(
+        keys(&doc),
+        [
+            "scale",
+            "n",
+            "m",
+            "ranks",
+            "batch_width",
+            "queries",
+            "p2p_queries",
+            "batches",
+            "cache_hits",
+            "early_exits",
+            "lanes_run",
+            "queries_shed",
+            "queries_retried",
+            "supersteps",
+            "landmarks",
+            "serve_time_s",
+            "qps",
+            "p50_ms",
+            "p95_ms",
+            "p99_ms",
+            "max_ms",
+            "wall_time_s",
+            "threads"
+        ]
+    );
+    assert_eq!(doc.get("queries").and_then(Value::as_u64), Some(8));
+    assert_eq!(doc.get("qps"), Some(&Value::Num(rep.qps)));
 }

@@ -12,7 +12,8 @@
 //! `G500_BLESS=1 cargo test --test trace_golden`.
 
 use graph500::partition::{assemble_local_graph, Block1D};
-use graph500::simnet::{Machine, MachineConfig, Trace};
+use graph500::simnet::json::{parse, Value};
+use graph500::simnet::{Machine, MachineConfig, Trace, TraceCode, TraceEvent, TraceKind};
 use graph500::sssp::{batched_delta_stepping, BatchSpec, Grid2DSssp, OptConfig};
 use graph500::{run_sssp_benchmark, BenchmarkConfig};
 use std::process::Command;
@@ -116,21 +117,31 @@ fn golden_batched_scale10_summary() {
     check_golden(GOLDEN_BATCHED, &trace.summary().render());
 }
 
+/// One merged event field by field: rank, `t_s` as its bits, kind, code,
+/// `a`, `b`.
+type EventFields = (u32, u64, TraceKind, TraceCode, u64, u64);
+
+/// Every field of every merged event, and the rank count.
+fn fields(t: &Trace) -> (u32, Vec<EventFields>) {
+    let f = |(r, e): &(u32, TraceEvent)| (*r, e.t_s.to_bits(), e.kind, e.code, e.a, e.b);
+    (t.ranks, t.events.iter().map(f).collect())
+}
+
 #[test]
 fn repeated_runs_produce_byte_identical_traces() {
     let a = run_sssp_benchmark(&traced_1d_cfg());
     let b = run_sssp_benchmark(&traced_1d_cfg());
     let (ta, tb) = (a.trace.expect("traced"), b.trace.expect("traced"));
     assert_eq!(
-        ta.to_bytes(),
-        tb.to_bytes(),
+        fields(&ta),
+        fields(&tb),
         "same config + sched seed must replay the identical merged trace"
     );
     let c = run_traced_2d();
     let d = run_traced_2d();
-    assert_eq!(c.to_bytes(), d.to_bytes(), "2D trace not replayable");
+    assert_eq!(fields(&c), fields(&d), "2D trace not replayable");
     let (e, f) = (run_traced_batch(), run_traced_batch());
-    assert_eq!(e.to_bytes(), f.to_bytes(), "batched trace not replayable");
+    assert_eq!(fields(&e), fields(&f), "batched trace not replayable");
 }
 
 /// Spawn the real `g500` binary (the pool is process-global, so thread
@@ -217,52 +228,47 @@ fn tracing_off_leaves_report_json_untouched() {
     );
 }
 
-/// Minimal structural JSON validator: balanced objects/arrays outside
-/// strings, escape-aware. Enough to catch malformed hand-rolled output
-/// without a JSON dependency.
-fn assert_valid_json(s: &str) {
-    let mut depth_obj = 0i64;
-    let mut depth_arr = 0i64;
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in s.chars() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => depth_obj += 1,
-            '}' => depth_obj -= 1,
-            '[' => depth_arr += 1,
-            ']' => depth_arr -= 1,
-            _ => {}
-        }
-        assert!(depth_obj >= 0 && depth_arr >= 0, "unbalanced close");
-    }
-    assert!(!in_str, "unterminated string");
-    assert_eq!(depth_obj, 0, "unbalanced objects");
-    assert_eq!(depth_arr, 0, "unbalanced arrays");
-}
-
+/// The Chrome export and the report that embeds the trace summary both
+/// parse with the workspace's one parser, in the shapes their readers
+/// expect.
 #[test]
 fn chrome_export_is_structurally_valid_json() {
     let rep = run_sssp_benchmark(&traced_1d_cfg());
-    let chrome = rep.trace.as_ref().expect("traced").to_chrome_json();
-    assert!(chrome.starts_with("{\"traceEvents\":["));
-    assert!(chrome.ends_with("]}"));
-    assert!(chrome.contains("\"ph\":\"B\""));
-    assert!(chrome.contains("\"ph\":\"E\""));
-    assert!(chrome.contains("\"name\":\"superstep\""));
-    assert_valid_json(&chrome);
-    // the report JSON (with the embedded trace summary) must stay valid too
-    assert_valid_json(&rep.to_json());
+    let trace = rep.trace.as_ref().expect("traced");
+    let chrome = parse(&trace.to_chrome_json()).expect("Chrome export parses");
+    let events = chrome.get("traceEvents").and_then(Value::as_array);
+    let events = events.expect("a traceEvents array");
+    assert_eq!(events.len(), trace.ranks as usize + trace.events.len());
+    fn text<'a>(e: &'a Value, key: &str) -> Option<&'a str> {
+        e.get(key).and_then(Value::as_str)
+    }
+    let count = |ph: &str| events.iter().filter(|e| text(e, "ph") == Some(ph)).count();
+    assert_eq!(count("M"), trace.ranks as usize);
+    assert_eq!(count("B"), count("E"), "every span closes");
+    assert!(count("B") > 0 && count("i") > 0);
+    for e in &events[trace.ranks as usize..] {
+        for key in ["name", "ph", "pid", "tid", "ts"] {
+            assert!(e.get(key).is_some(), "event without {key}: {e:?}");
+        }
+    }
+    assert!(events.iter().any(|e| text(e, "name") == Some("superstep")));
+
+    let doc = parse(&rep.to_json()).expect("traced report parses");
+    let summary = doc.get("trace").expect("traced report has its summary");
+    let s = trace.summary();
+    assert_eq!(
+        summary.get("events").and_then(Value::as_u64),
+        Some(s.events)
+    );
+    for (key, rows) in [
+        ("spans", s.spans.len()),
+        ("supersteps", s.supersteps.len()),
+        ("buckets", s.buckets.len()),
+        ("top_collectives", s.top_collectives.len()),
+    ] {
+        let got = summary.get(key).and_then(Value::as_array).map(<[_]>::len);
+        assert_eq!(got, Some(rows), "{key}");
+    }
 }
 
 /// A crashed, traced run records the recovery machinery as first-class
