@@ -24,7 +24,6 @@ use g500_partition::{assemble_local_graph, Block1D};
 use g500_sssp::{
     distributed_delta_stepping, Direction, Grid2DSssp, OptConfig, Query, QueryEngine, ServeConfig,
 };
-use rayon::prelude::*;
 use simnet::{CrashPlan, Machine, MachineConfig};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -289,19 +288,6 @@ pub fn run_kernels() -> Vec<(&'static str, Stats)> {
                 sp.reached_local()
             });
             black_box(reached.results.iter().sum::<u64>());
-        }),
-    ));
-
-    // Pool-parallel merge sort over 1M keys.
-    let keys: Vec<u64> = (0..1_000_000u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .collect();
-    out.push((
-        "rayon/par_sort_1m",
-        measure(5, || {
-            let mut v = keys.clone();
-            v.par_sort_unstable();
-            black_box(v[0]);
         }),
     ));
 

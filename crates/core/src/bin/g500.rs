@@ -63,21 +63,29 @@ impl Args {
     fn num(&self, name: &str, default: u64) -> u64 {
         match self.value(name) {
             None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("bad value for {name}: {v}");
-                usage()
-            }),
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| reject_range(name, v, "an unsigned integer")),
         }
     }
 
     fn fnum(&self, name: &str, default: f64) -> f64 {
         match self.value(name) {
             None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("bad value for {name}: {v}");
-                usage()
-            }),
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| reject_range(name, v, "a number")),
         }
+    }
+
+    /// A fault or crash probability: refused outside `[0, 1]` (NaN too) by
+    /// the flag it came from.
+    fn rate(&self, name: &str) -> f64 {
+        let p = self.fnum(name, 0.0);
+        if !(0.0..=1.0).contains(&p) {
+            reject_range(name, p, "a probability in [0, 1]");
+        }
+        p
     }
 
     fn has(&self, name: &str) -> bool {
@@ -174,14 +182,13 @@ fn main() {
 
 /// Parse the crash-injection flags shared by `sssp` and `serve`.
 fn crash_plan(args: &Args) -> CrashPlan {
-    let plan = CrashPlan::random(args.num("--crash-seed", 0), args.fnum("--crash-rate", 0.0))
-        .with_checkpoint_interval(args.num("--checkpoint-interval", 4))
-        .with_recovery_budget(args.budget("--recovery-budget", 64));
-    if let Err(e) = plan.validate() {
-        eprintln!("{e}");
-        usage();
+    let every = args.num("--checkpoint-interval", 4);
+    if every == 0 {
+        reject_range("--checkpoint-interval", every, "at least 1");
     }
-    plan
+    CrashPlan::random(args.num("--crash-seed", 0), args.rate("--crash-rate"))
+        .with_checkpoint_interval(every)
+        .with_recovery_budget(args.budget("--recovery-budget", 64))
 }
 
 fn build_cfg(args: &Args) -> BenchmarkConfig {
@@ -200,15 +207,11 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
     }
     let fault = FaultPlan::none()
         .with_seed(args.num("--fault-seed", 0))
-        .with_drop(args.fnum("--drop-rate", 0.0))
-        .with_duplicate(args.fnum("--dup-rate", 0.0))
-        .with_corrupt(args.fnum("--corrupt-rate", 0.0))
-        .with_reorder(args.fnum("--reorder-rate", 0.0))
+        .with_drop(args.rate("--drop-rate"))
+        .with_duplicate(args.rate("--dup-rate"))
+        .with_corrupt(args.rate("--corrupt-rate"))
+        .with_reorder(args.rate("--reorder-rate"))
         .with_retry_budget(args.budget("--retry-budget", 16));
-    if let Err(e) = fault.validate() {
-        eprintln!("{e}");
-        usage();
-    }
     cfg = cfg.faults(fault);
     cfg = cfg.crashes(crash_plan(args));
     let env_trace = matches!(
@@ -272,12 +275,12 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
         });
     }
     if let Some(d) = args.value("--delta") {
-        let delta: f32 = d.parse().unwrap_or_else(|_| {
-            eprintln!("bad --delta: {d}");
-            usage()
-        });
+        let accepted = "a positive, finite bucket width";
+        let delta: f32 = d
+            .parse()
+            .unwrap_or_else(|_| reject_range("--delta", d, accepted));
         if !(delta > 0.0 && delta.is_finite()) {
-            reject_range("--delta", d, "a positive, finite bucket width");
+            reject_range("--delta", d, accepted);
         }
         opts = opts.with_delta(delta);
     }
@@ -367,8 +370,7 @@ fn cmd_serve(args: &Args) {
     cfg.threads = args.num("--threads", 0) as usize;
     cfg.deadline_s = args.fnum("--deadline", f64::INFINITY);
     if cfg.deadline_s <= 0.0 || cfg.deadline_s.is_nan() {
-        eprintln!("bad --deadline: must be a positive number of seconds");
-        usage();
+        reject_range("--deadline", cfg.deadline_s, "a positive number of seconds");
     }
     if args.has("--deterministic") || args.has("--sched-seed") {
         cfg = cfg.deterministic(args.num("--sched-seed", 0));

@@ -150,7 +150,8 @@ pub struct ServeReport {
     pub queries_retried: u64,
     /// Kernel supersteps across all batches.
     pub supersteps: u64,
-    /// Landmarks precomputed.
+    /// Landmarks precomputed: the requested count, or every vertex when
+    /// the graph has fewer.
     pub landmarks: u64,
     /// Virtual seconds spent serving (precompute excluded).
     pub serve_time_s: f64,
@@ -263,11 +264,13 @@ pub fn try_run_query_serving_benchmark(
         let outcomes = engine.serve(ctx, &queries);
         let t1 = slowest(ctx, ctx.now());
         let latencies: Vec<f64> = outcomes.iter().map(|o| o.latency_s).collect();
-        Ok((t1 - t0, latencies, engine.stats().clone()))
+        let held = engine.landmarks() as u64;
+        Ok((t1 - t0, latencies, engine.stats().clone(), held))
     })?;
 
     let wall_time_s = report.wall_time_s;
-    let (serve_time_s, mut latencies, stats) = report.results.into_iter().next().unwrap()?;
+    let (serve_time_s, mut latencies, stats, landmarks) =
+        report.results.into_iter().next().unwrap()?;
     latencies.sort_by(|a, b| a.total_cmp(b));
     let qps = if serve_time_s > 0.0 {
         stats.queries as f64 / serve_time_s
@@ -290,7 +293,7 @@ pub fn try_run_query_serving_benchmark(
         queries_shed: stats.queries_shed,
         queries_retried: stats.queries_retried,
         supersteps: stats.supersteps,
-        landmarks: cfg.num_landmarks as u64,
+        landmarks,
         serve_time_s,
         qps,
         p50_ms: percentile_ms(&latencies, 50.0),
@@ -396,6 +399,17 @@ mod tests {
             Ok(_) => panic!("precompute cannot survive a total-loss schedule"),
             Err(e) => panic!("unexpected escalation flavor: {e}"),
         }
+    }
+
+    #[test]
+    fn report_counts_the_landmarks_held_not_requested() {
+        let mut cfg = ServeBenchConfig::new(6, 2).deterministic(0);
+        cfg.num_queries = 4;
+        cfg.num_landmarks = 100;
+        let rep = run_query_serving_benchmark(&cfg);
+        assert_eq!(rep.n, 64);
+        assert_eq!(rep.landmarks, 64, "a landmark a vertex, no more");
+        assert!(rep.to_json().contains("\"landmarks\": 64"));
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use crate::rng::CounterRng;
 use g500_graph::{BitMixPermutation, EdgeList, VertexId, WEdge};
-use rayon::prelude::*;
 
 /// Parameters of a Kronecker graph instance.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -138,7 +137,7 @@ impl KroneckerGenerator {
         el
     }
 
-    /// Generate the whole edge list with rayon over chunks.
+    /// Generate the whole edge list on the pool, a block of edges a chunk.
     pub fn generate_all(&self) -> EdgeList {
         let m = self.params.num_edges();
         // Each edge is a pure function of its index and blocks concatenate
@@ -156,11 +155,10 @@ impl KroneckerGenerator {
             .min(m.div_ceil(MIN_GEN_BLOCK))
             .max(1);
         let chunk = m.div_ceil(nchunks).max(1);
-        let blocks: Vec<EdgeList> = (0..m.div_ceil(chunk))
-            .into_par_iter()
-            .with_max_len(1)
-            .map(|b| self.edge_block(b * chunk..((b + 1) * chunk).min(m)))
-            .collect();
+        let mut blocks = Vec::new();
+        rayon::map_chunks(m as usize, chunk as usize, &mut blocks, |r| {
+            self.edge_block(r.start as u64..r.end as u64)
+        });
         let mut out = EdgeList::with_capacity(m as usize);
         for b in &blocks {
             out.extend_from(b);

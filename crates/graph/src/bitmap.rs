@@ -54,24 +54,9 @@ impl Bitmap {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Set bit `i`, returning whether it was previously clear.
-    #[inline]
-    pub fn test_and_set(&mut self, i: usize) -> bool {
-        let w = &mut self.words[i / 64];
-        let mask = 1 << (i % 64);
-        let fresh = *w & mask == 0;
-        *w |= mask;
-        fresh
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Clear all bits without reallocating.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
     }
 
     /// Bitwise-or another bitmap of the same length into this one.
@@ -80,22 +65,6 @@ impl Bitmap {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
-    }
-
-    /// Iterate over the indices of set bits in ascending order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
     }
 
     /// Raw words (for wire transfer between ranks).
@@ -130,34 +99,14 @@ mod tests {
     }
 
     #[test]
-    fn test_and_set_reports_freshness() {
-        let mut b = Bitmap::new(10);
-        assert!(b.test_and_set(3));
-        assert!(!b.test_and_set(3));
-        assert!(b.get(3));
-    }
-
-    #[test]
-    fn iter_ones_ascending() {
-        let mut b = Bitmap::new(200);
-        let set = [0usize, 1, 63, 64, 65, 127, 128, 199];
-        for &i in &set {
-            b.set(i);
-        }
-        let got: Vec<_> = b.iter_ones().collect();
-        assert_eq!(got, set);
-    }
-
-    #[test]
-    fn union_and_clear_all() {
+    fn union_sets_the_bits_of_both() {
         let mut a = Bitmap::new(100);
         let mut b = Bitmap::new(100);
         a.set(1);
         b.set(99);
         a.union_with(&b);
         assert!(a.get(1) && a.get(99));
-        a.clear_all();
-        assert_eq!(a.count_ones(), 0);
+        assert_eq!(a.count_ones(), 2);
     }
 
     #[test]

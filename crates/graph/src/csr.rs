@@ -9,7 +9,6 @@
 
 use crate::edgelist::EdgeList;
 use crate::types::{VertexId, WEdge, Weight};
-use rayon::prelude::*;
 
 /// Whether an edge list already contains both directions of each edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,9 +52,9 @@ impl Csr {
         // cutoff nor a thread-dependent chunk count can change the result
         // (see the fixed-chunk contract in `rayon`).
         const MIN_COUNT_CHUNK: usize = 1 << 15;
-        let count_range = |lo: usize, hi: usize| -> Vec<u32> {
+        let count_range = |range: std::ops::Range<usize>| -> Vec<u32> {
             let mut deg = vec![0u32; n];
-            for i in lo..hi {
+            for i in range {
                 let e = edges.get(i);
                 debug_assert!(
                     (e.u as usize) < n && (e.v as usize) < n,
@@ -70,19 +69,15 @@ impl Csr {
             }
             deg
         };
-        let partials: Vec<Vec<u32>> = if m <= 2 * MIN_COUNT_CHUNK {
-            vec![count_range(0, m)]
+        let mut partials: Vec<Vec<u32>> = Vec::new();
+        if m <= 2 * MIN_COUNT_CHUNK {
+            partials.push(count_range(0..m));
         } else {
             let nchunks = rayon::current_num_threads()
                 .min(m.div_ceil(MIN_COUNT_CHUNK))
                 .max(1);
-            let chunk = m.div_ceil(nchunks).max(1);
-            (0..nchunks)
-                .into_par_iter()
-                .with_max_len(1)
-                .map(|c| count_range(c * chunk, ((c + 1) * chunk).min(m)))
-                .collect()
-        };
+            rayon::map_chunks(m, m.div_ceil(nchunks), &mut partials, count_range);
+        }
 
         let mut offsets = vec![0u64; n + 1];
         for part in &partials {
@@ -223,37 +218,16 @@ impl Csr {
         Csr::from_edges(self.n, &el, Directedness::Directed)
     }
 
-    /// Sort each adjacency list by target id (stabilises compression ratios
-    /// and makes binary-search membership possible).
-    pub fn sort_adjacency(&mut self) {
-        let offsets = self.offsets.clone();
-        let n = self.n;
-        // Split both flat arrays into per-vertex windows and sort pairs.
-        let mut perm_scratch: Vec<(VertexId, Weight)> = Vec::new();
-        for u in 0..n {
-            let lo = offsets[u] as usize;
-            let hi = offsets[u + 1] as usize;
-            if hi - lo <= 1 {
-                continue;
-            }
-            perm_scratch.clear();
-            perm_scratch.extend(
-                self.targets[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(self.weights[lo..hi].iter().copied()),
-            );
-            perm_scratch.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-            for (i, (t, w)) in perm_scratch.iter().enumerate() {
-                self.targets[lo + i] = *t;
-                self.weights[lo + i] = *w;
-            }
-        }
-    }
-
-    /// Sum of all weights (used by tests and statistics).
+    /// Sum of all weights (used by tests and statistics): chunk sums, added
+    /// in chunk order.
     pub fn total_weight(&self) -> f64 {
-        self.weights.par_iter().map(|&w| w as f64).sum()
+        let w = &self.weights;
+        let mut sums = Vec::new();
+        let chunk = rayon::fixed_chunk_size(w.len(), 1024);
+        rayon::map_chunks(w.len(), chunk, &mut sums, |r| {
+            w[r].iter().map(|&x| x as f64).sum::<f64>()
+        });
+        sums.iter().sum()
     }
 }
 
@@ -307,12 +281,18 @@ mod tests {
 
     #[test]
     fn transpose_of_symmetric_graph_is_identical() {
-        let mut g = Csr::from_edges(4, &diamond(), Directedness::Undirected);
-        let mut t = g.transpose();
-        g.sort_adjacency();
-        t.sort_adjacency();
+        let g = Csr::from_edges(4, &diamond(), Directedness::Undirected);
+        let t = g.transpose();
         assert_eq!(g.offsets(), t.offsets());
-        assert_eq!(g.targets(), t.targets());
+        // the same arcs per vertex, possibly in another order
+        let sorted_arcs = |c: &Csr, u: usize| {
+            let mut arcs: Vec<(VertexId, u32)> = c.arcs(u).map(|(v, w)| (v, w.to_bits())).collect();
+            arcs.sort_unstable();
+            arcs
+        };
+        for u in 0..4 {
+            assert_eq!(sorted_arcs(&g, u), sorted_arcs(&t, u), "vertex {u}");
+        }
     }
 
     #[test]

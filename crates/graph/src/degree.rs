@@ -5,7 +5,6 @@
 //! summary statistics and the log-binned CCDF the figure plots.
 
 use crate::csr::Csr;
-use rayon::prelude::*;
 
 /// Summary statistics of an out-degree sequence.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,9 +47,12 @@ impl DegreeStats {
                 top1pct_arc_share: 0.0,
             };
         }
-        let arcs: usize = degrees.par_iter().sum();
+        let mut sums = Vec::new();
+        let chunk = rayon::fixed_chunk_size(n, 1024);
+        rayon::map_chunks(n, chunk, &mut sums, |r| degrees[r].iter().sum::<usize>());
+        let arcs: usize = sums.iter().sum();
         let mut sorted = degrees.to_vec();
-        sorted.par_sort_unstable();
+        sorted.sort_unstable();
         let isolated = sorted.iter().take_while(|&&d| d == 0).count();
         let top = (n / 100).max(1);
         let top_arcs: usize = sorted[n - top..].iter().sum();

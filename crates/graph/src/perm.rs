@@ -1,104 +1,13 @@
-//! Vertex permutations and relabelings.
+//! The Graph500 vertex scrambler.
 //!
-//! Two kinds are provided:
-//!
-//! * [`Permutation`] — an explicit array permutation, used for
-//!   degree-descending relabeling (hub clustering) on graphs that fit one
-//!   rank's memory;
-//! * [`BitMixPermutation`] — a *functional*, invertible permutation of the
-//!   `2^scale` id space computed in O(1) per id with no table. This is how
-//!   the Graph500 generator "scrambles" vertex ids so the Kronecker
-//!   structure can't be exploited — a table of 2^42 entries would never fit,
-//!   so the scrambler must be a closed-form bijection.
+//! [`BitMixPermutation`] is a *functional*, invertible permutation of the
+//! `2^scale` id space computed in O(1) per id with no table. This is how the
+//! Graph500 generator "scrambles" vertex ids so the Kronecker structure
+//! can't be exploited — a table of 2^42 entries would never fit, so the
+//! scrambler must be a closed-form bijection.
 
 use crate::hash::splitmix64;
 use crate::types::VertexId;
-use rayon::prelude::*;
-
-/// An explicit permutation of `0..n` with its inverse.
-#[derive(Clone, Debug)]
-pub struct Permutation {
-    fwd: Vec<VertexId>,
-    inv: Vec<VertexId>,
-}
-
-impl Permutation {
-    /// Identity permutation on `n` ids.
-    pub fn identity(n: usize) -> Self {
-        let fwd: Vec<VertexId> = (0..n as VertexId).collect();
-        Self {
-            inv: fwd.clone(),
-            fwd,
-        }
-    }
-
-    /// Build from a forward map (`map[i]` = new label of old id `i`).
-    ///
-    /// Panics if `map` is not a permutation of `0..map.len()`.
-    pub fn from_forward(map: Vec<VertexId>) -> Self {
-        let n = map.len();
-        let mut inv = vec![VertexId::MAX; n];
-        for (old, &new) in map.iter().enumerate() {
-            assert!((new as usize) < n, "label {new} out of range");
-            assert_eq!(inv[new as usize], VertexId::MAX, "duplicate label {new}");
-            inv[new as usize] = old as VertexId;
-        }
-        Self { fwd: map, inv }
-    }
-
-    /// A pseudo-random permutation of `0..n` seeded deterministically
-    /// (Fisher-Yates driven by splitmix64).
-    pub fn random(n: usize, seed: u64) -> Self {
-        let mut fwd: Vec<VertexId> = (0..n as VertexId).collect();
-        for i in (1..n).rev() {
-            let j = (splitmix64(seed ^ i as u64) % (i as u64 + 1)) as usize;
-            fwd.swap(i, j);
-        }
-        Self::from_forward(fwd)
-    }
-
-    /// Relabel so vertices are ordered by descending `degree`.
-    ///
-    /// High-degree "hub" vertices end up with the smallest labels, which (a)
-    /// clusters them on rank 0 under block partitioning — the configuration
-    /// the degree-aware partitioner then spreads — and (b) shrinks their gap
-    /// codes. Ties broken by old id for determinism.
-    pub fn by_degree_desc(degrees: &[usize]) -> Self {
-        let mut order: Vec<u64> = (0..degrees.len() as u64).collect();
-        order.par_sort_unstable_by_key(|&v| (usize::MAX - degrees[v as usize], v));
-        // order[new] = old  → that is the inverse map
-        let n = degrees.len();
-        let mut fwd = vec![0 as VertexId; n];
-        for (new, &old) in order.iter().enumerate() {
-            fwd[old as usize] = new as VertexId;
-        }
-        Self::from_forward(fwd)
-    }
-
-    /// New label of `old`.
-    #[inline]
-    pub fn apply(&self, old: VertexId) -> VertexId {
-        self.fwd[old as usize]
-    }
-
-    /// Old id of `new`.
-    #[inline]
-    pub fn invert(&self, new: VertexId) -> VertexId {
-        self.inv[new as usize]
-    }
-
-    /// Domain size.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.fwd.len()
-    }
-
-    /// True if the domain is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.fwd.is_empty()
-    }
-}
 
 /// Closed-form invertible permutation of the `2^scale` id space.
 ///
@@ -189,52 +98,6 @@ impl BitMixPermutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identity_is_identity() {
-        let p = Permutation::identity(5);
-        for i in 0..5 {
-            assert_eq!(p.apply(i), i);
-            assert_eq!(p.invert(i), i);
-        }
-    }
-
-    #[test]
-    fn random_is_bijective_and_inverse_consistent() {
-        let p = Permutation::random(1000, 7);
-        let mut seen = vec![false; 1000];
-        for i in 0..1000 {
-            let j = p.apply(i);
-            assert!(!seen[j as usize]);
-            seen[j as usize] = true;
-            assert_eq!(p.invert(j), i);
-        }
-    }
-
-    #[test]
-    fn random_permutations_differ_by_seed() {
-        let a = Permutation::random(100, 1);
-        let b = Permutation::random(100, 2);
-        assert!((0..100).any(|i| a.apply(i) != b.apply(i)));
-    }
-
-    #[test]
-    fn degree_desc_orders_hubs_first() {
-        let degrees = vec![1usize, 10, 3, 10, 0];
-        let p = Permutation::by_degree_desc(&degrees);
-        // vertices 1 and 3 (deg 10) get labels 0 and 1, tie broken by id
-        assert_eq!(p.apply(1), 0);
-        assert_eq!(p.apply(3), 1);
-        assert_eq!(p.apply(2), 2);
-        assert_eq!(p.apply(0), 3);
-        assert_eq!(p.apply(4), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate label")]
-    fn from_forward_rejects_non_permutation() {
-        Permutation::from_forward(vec![0, 0, 1]);
-    }
 
     #[test]
     fn inv_mod_pow2_works() {

@@ -8,12 +8,12 @@
 //! the id space, then stripe that hub prefix cyclically over ranks while
 //! block-partitioning the low-degree tail.
 //!
-//! [`degree_aware_relabel`] computes the relabeling from a degree sequence;
+//! [`SparseHubRelabel`] moves the chosen hubs to the front of the id space;
 //! [`HybridPartition`] is the ownership map over the relabeled ids.
 
 use crate::part1d::{Block1D, Cyclic1D};
 use crate::VertexPartition;
-use g500_graph::{Permutation, VertexId};
+use g500_graph::VertexId;
 
 /// Ownership map where ids `< hub_count` are cyclically striped and ids
 /// `>= hub_count` are block-partitioned; each rank's local index space lists
@@ -44,12 +44,6 @@ impl HybridPartition {
     /// Number of hub-prefix ids.
     pub fn hub_count(&self) -> u64 {
         self.hub_count
-    }
-
-    /// Whether global id `v` is in the hub prefix.
-    #[inline]
-    pub fn is_hub(&self, v: VertexId) -> bool {
-        v < self.hub_count
     }
 
     fn hubs_on(&self, rank: usize) -> usize {
@@ -98,42 +92,11 @@ impl VertexPartition for HybridPartition {
     }
 }
 
-/// Pick hubs from a degree sequence and build the relabeling permutation.
-///
-/// A vertex is a hub if its degree is at least `hub_factor ×` the mean
-/// degree; the hub set is additionally capped at `n / 16` so a pathological
-/// input can't stripe everything. Returns the permutation (old id → new id;
-/// hubs occupy new ids `0..hub_count` in descending-degree order) and the
-/// hub count.
-pub fn degree_aware_relabel(degrees: &[usize], hub_factor: f64) -> (Permutation, u64) {
-    let n = degrees.len();
-    if n == 0 {
-        return (Permutation::identity(0), 0);
-    }
-    let mean = degrees.iter().sum::<usize>() as f64 / n as f64;
-    let threshold = (mean * hub_factor).max(1.0);
-    let perm = Permutation::by_degree_desc(degrees);
-    // After by_degree_desc, new id k has the k-th highest degree; count the
-    // prefix above threshold.
-    let cap = (n / 16).max(1);
-    let mut hub_count = 0u64;
-    for k in 0..cap {
-        let old = perm.invert(k as VertexId) as usize;
-        if degrees[old] as f64 >= threshold {
-            hub_count += 1;
-        } else {
-            break;
-        }
-    }
-    (perm, hub_count)
-}
-
 /// A closed-form hub relabeling: the chosen hubs map to labels
 /// `0..hubs.len()` (in the given priority order) and every other id keeps
-/// its relative order, shifted past the hubs. Unlike [`Permutation`] it
-/// needs memory proportional to the *hub set*, not the vertex set, so it
-/// scales to id spaces no rank could hold — the regime the paper operates
-/// in.
+/// its relative order, shifted past the hubs. It needs memory proportional
+/// to the *hub set*, not the vertex set, so it scales to id spaces no rank
+/// could hold — the regime the paper operates in.
 #[derive(Clone, Debug)]
 pub struct SparseHubRelabel {
     n: u64,
@@ -242,8 +205,9 @@ mod tests {
         let part = HybridPartition::new(1000, 4, 8);
         let owners: Vec<_> = (0..8).map(|v| part.owner(v)).collect();
         assert_eq!(owners, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        assert!(part.is_hub(7));
-        assert!(!part.is_hub(8));
+        // the tail after the hub prefix is blocked: 992 ids, 248 a rank
+        assert_eq!(part.owner(8), 0);
+        assert_eq!(part.owner(8 + 248), 1);
     }
 
     #[test]
@@ -255,33 +219,6 @@ mod tests {
         // its first tail vertex comes after the hubs
         let first_tail = part.to_global(0, 2);
         assert!(first_tail >= 8);
-    }
-
-    #[test]
-    fn relabel_selects_hot_vertices() {
-        // one mega-hub (vertex 5), mean degree ~2
-        let mut degrees = vec![2usize; 64];
-        degrees[5] = 100;
-        degrees[9] = 50;
-        let (perm, hubs) = degree_aware_relabel(&degrees, 8.0);
-        assert_eq!(hubs, 2);
-        assert_eq!(perm.apply(5), 0);
-        assert_eq!(perm.apply(9), 1);
-    }
-
-    #[test]
-    fn relabel_caps_hub_fraction() {
-        // every vertex identical degree + factor below 1 → cap kicks in
-        let degrees = vec![10usize; 160];
-        let (_, hubs) = degree_aware_relabel(&degrees, 0.5);
-        assert!(hubs <= 10, "cap exceeded: {hubs}");
-    }
-
-    #[test]
-    fn relabel_empty() {
-        let (perm, hubs) = degree_aware_relabel(&[], 8.0);
-        assert_eq!(perm.len(), 0);
-        assert_eq!(hubs, 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod part2d;
 
 pub use assemble::{assemble_local_graph, LocalGraph};
 pub use dist_result::DistShortestPaths;
-pub use hybrid::{degree_aware_relabel, HybridPartition, SparseHubRelabel};
+pub use hybrid::{HybridPartition, SparseHubRelabel};
 pub use part1d::{Block1D, Cyclic1D};
 pub use part2d::EdgePartition2D;
 

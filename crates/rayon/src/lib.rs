@@ -1,17 +1,19 @@
-//! Std-only drop-in for the subset of `rayon` this workspace uses.
+//! The workspace's intra-rank thread pool, as two calls over fixed chunks.
 //!
-//! The build environment is fully offline (no crates.io mirror), so the
-//! workspace compiles from std alone — and this crate is a *real* thread
-//! pool, not a sequential shim: `par_iter`, `par_iter_mut`, `par_chunks`,
-//! range `into_par_iter`, `par_sort_unstable*` and `join` all execute on a
-//! lazily-started, process-global pool. The surface is cut to the calls the
-//! workspace makes (`map` and `copied` are the only adapters, so every
-//! iterator emits one item per index); the scheduler is the smallest one
-//! that serves the traffic the product makes — 4 to 16 rank threads opening
-//! regions at once on a pool of one or a few workers: a region is one
-//! atomic chunk cursor on a shared open-region list, which its opener and
-//! the persistent workers claim runs of chunks from. See `pool.rs` and
-//! DESIGN.md "The pool & the determinism contract".
+//! The build environment is fully offline, so the workspace compiles from
+//! std alone — and this crate is a *real* thread pool, not a sequential
+//! shim: a lazily started, process-global set of persistent workers that
+//! every simnet rank thread opens its parallel regions on (`pool.rs`). What
+//! callers see is two functions:
+//!
+//! * [`map_chunks`] — an indexed map over the fixed chunks of `0..len`,
+//!   leaving one result a chunk, in chunk order, in the caller's `Vec`;
+//! * [`for_each_chunk_mut`] — a `for_each` over disjoint `&mut` chunks of a
+//!   slice, each handed out once through a slot of its own.
+//!
+//! Both cut their input with [`fixed_chunk_size`] or with a chunk size the
+//! caller chose, and both run a region of at most two chunks inline, in
+//! chunk order, without touching the pool.
 //!
 //! ## Pool sizing
 //!
@@ -20,184 +22,193 @@
 //! size is chosen at first use from, in priority order:
 //! [`configure_threads`] (the `--threads` CLI flag), the `G500_THREADS`
 //! environment variable, then `std::thread::available_parallelism`. With one
-//! thread, every operation runs inline on the caller.
+//! thread, every region runs inline on the caller.
 //!
 //! ## The fixed-chunk determinism contract
 //!
-//! Work is split into chunks whose boundaries are a pure function of the
-//! input length (and `with_min_len`/`with_max_len`), **never** of the thread
-//! count; chunks are claimed dynamically for load balance, but per-chunk
-//! results are combined sequentially in chunk order. `par_sort_unstable*` is
-//! a fixed-midpoint merge sort with a left-preferential merge. Net effect:
-//! every operation returns bitwise identical results at any thread count,
-//! so the deterministic-replay / conformance / schedule-fuzz guarantees
-//! hold unchanged whether `G500_THREADS` is 1 or 64. See `iter.rs` for the
-//! rules kernel authors must follow to keep this true.
+//! Chunk boundaries are a pure function of the input length and the chunk
+//! size, **never** of the thread count; chunks are claimed dynamically for
+//! load balance, but a chunk's result lands in the slot of its index, so a
+//! caller that combines [`map_chunks`]' results in order gets bitwise
+//! identical results at any thread count. That keeps the
+//! deterministic-replay / conformance / schedule-fuzz guarantees whether
+//! `G500_THREADS` is 1 or 64. See DESIGN.md "The pool & the determinism
+//! contract".
 //!
-//! The trait and function names match upstream `rayon`, so the calls the
-//! workspace makes compile against it unchanged.
+//! Kernel authors: never branch on [`current_num_threads`] to decide *what*
+//! to compute — only to bound scratch allocation, or to pick chunk counts
+//! for merges that are provably order- and partition-insensitive (integer
+//! degree counts, index-pure edge blocks).
 
-mod iter;
 mod pool;
-mod sort;
 
-pub use iter::{
-    Copied, FromParallelIterator, IntoParallelIterator, Map, ParallelIterator, ParallelSlice,
-    ParallelSliceMut, RangeIter, SliceChunks, SliceIter, SliceIterMut, WithHints,
-};
-pub use pool::{configure_threads, current_num_threads, join, pool_stats, PoolStats};
+pub use pool::{configure_threads, current_num_threads, pool_stats, PoolStats};
 
-pub mod prelude {
-    pub use crate::{
-        FromParallelIterator, IntoParallelIterator, ParallelIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
+use std::ops::Range;
+use std::sync::Mutex;
+
+/// Target number of chunks a region is cut into: more than any plausible
+/// pool size, so dynamic claiming can balance skew, few enough that
+/// per-chunk overhead stays negligible.
+const TARGET_CHUNKS: usize = 64;
+
+/// The chunk size for `len` items: a 64th of them, rounded up, and at least
+/// `min_len` (below which a chunk is pure overhead). Depends only on its
+/// arguments, never on the thread count.
+pub fn fixed_chunk_size(len: usize, min_len: usize) -> usize {
+    len.div_ceil(TARGET_CHUNKS).max(min_len).max(1)
+}
+
+/// Map each chunk of `0..len` — `chunk` indices, the last one shorter —
+/// through `f`, leaving the per-chunk results in `out` in chunk order.
+/// `out` is cleared first and keeps its capacity, so a caller that holds on
+/// to it allocates it once.
+pub fn map_chunks<T, F>(len: usize, chunk: usize, out: &mut Vec<T>, f: F)
+where
+    T: Send + Default,
+    F: Fn(Range<usize>) -> T + Sync,
+{
+    assert!(chunk > 0, "chunk size must be positive");
+    out.clear();
+    out.resize_with(len.div_ceil(chunk), T::default);
+    for_each_chunk_mut(out, 1, |c, slot| {
+        slot[0] = f(c * chunk..len.min((c + 1) * chunk));
+    });
+}
+
+/// Run `f(lo, &mut items[lo..hi])` on each chunk of `items` — `chunk`
+/// items, the last one shorter — where `lo` is the chunk's first index.
+/// Chunks run concurrently, each exactly once; the first chunk panic is
+/// re-thrown here once the region drains.
+pub fn for_each_chunk_mut<T, F>(items: &mut [T], chunk: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(chunk > 0, "chunk size must be positive");
+    if items.len() <= 2 * chunk {
+        // The chunks pooled execution would run, on the caller: only the
+        // executing thread differs, and the pool is not even started.
+        for (c, part) in items.chunks_mut(chunk).enumerate() {
+            f(c * chunk, part);
+        }
+        return;
+    }
+    // One slot a chunk. The pool runs each chunk index once, so a slot's
+    // lock is never contended, and `take` hands its `&mut` out at most once.
+    let slots: Vec<Mutex<Option<&mut [T]>>> = items
+        .chunks_mut(chunk)
+        .map(|part| Mutex::new(Some(part)))
+        .collect();
+    pool::run_parallel(slots.len(), &|c| {
+        let part = slots[c].lock().expect("chunk slot lock").take();
+        let part = part.unwrap_or_else(|| panic!("chunk {c} ran twice"));
+        f(c * chunk, part);
+    });
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use super::{fixed_chunk_size, for_each_chunk_mut, map_chunks};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+    /// Sum `xs` a chunk at a time, the chunk sums in chunk order.
+    fn chunked_sum(xs: &[f64], chunk: usize) -> f64 {
+        let mut parts = Vec::new();
+        map_chunks(xs.len(), chunk, &mut parts, |r| xs[r].iter().sum::<f64>());
+        parts.iter().sum()
+    }
 
     #[test]
     fn chunks_cover_range_exactly() {
-        let v: Vec<usize> = (0..10).collect();
-        let chunks: Vec<Vec<usize>> = v.par_chunks(4).map(<[usize]>::to_vec).collect();
+        let mut chunks: Vec<Vec<usize>> = Vec::new();
+        map_chunks(10, 4, &mut chunks, |r| r.collect());
         assert_eq!(chunks, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
+        map_chunks(0, 4, &mut chunks, |r| r.collect());
+        assert!(chunks.is_empty(), "no items, no chunks");
     }
 
     #[test]
     fn slice_ops_match_std() {
         let v = vec![3u64, 1, 2];
-        let total: u64 = v.par_iter().copied().sum();
-        assert_eq!(total, 6);
-        let mut s = v.clone();
-        s.par_sort_unstable();
-        assert_eq!(s, vec![1, 2, 3]);
-        let mut by_key = v.clone();
-        by_key.par_sort_unstable_by_key(|&x| std::cmp::Reverse(x));
-        assert_eq!(by_key, vec![3, 2, 1]);
+        let mut sums = Vec::new();
+        map_chunks(v.len(), 2, &mut sums, |r| v[r].iter().sum::<u64>());
+        assert_eq!(sums, vec![4, 2]);
+        let mut w = v.clone();
+        for_each_chunk_mut(&mut w, 2, |lo, xs| {
+            for (i, x) in (lo..).zip(xs) {
+                *x += i as u64;
+            }
+        });
+        assert_eq!(w, vec![3, 2, 4]);
     }
 
     #[test]
     fn collect_preserves_order_across_many_chunks() {
-        // Force many chunks so parallel execution actually reorders work.
-        let out: Vec<usize> = (0..100_000usize)
-            .into_par_iter()
-            .with_max_len(64)
-            .map(|i| i * 2)
-            .collect();
-        assert!(out.iter().copied().eq((0..100_000).map(|i| i * 2)));
+        // Many chunks, so parallel execution actually reorders work.
+        let mut parts: Vec<Vec<usize>> = Vec::new();
+        map_chunks(100_000, 64, &mut parts, |r| r.map(|i| i * 2).collect());
+        assert!(parts
+            .iter()
+            .flatten()
+            .copied()
+            .eq((0..100_000).map(|i| i * 2)));
     }
 
     #[test]
     fn max_matches_sequential() {
         let v: Vec<u64> = (0..9999u64).map(|i| (i * 2654435761) % 100_000).collect();
-        assert_eq!(v.par_iter().copied().max(), v.iter().copied().max());
-        let empty: Vec<u64> = Vec::new();
-        assert_eq!(empty.par_iter().copied().max(), None);
+        let chunked_max = |v: &[u64]| {
+            let mut parts = Vec::new();
+            let chunk = fixed_chunk_size(v.len(), 1024);
+            map_chunks(v.len(), chunk, &mut parts, |r| v[r].iter().copied().max());
+            parts.into_iter().flatten().max()
+        };
+        assert_eq!(chunked_max(&v), v.iter().copied().max());
+        assert_eq!(chunked_max(&[]), None);
     }
 
     #[test]
     fn par_iter_mut_writes_every_slot() {
         let mut v = vec![0u32; 70_000];
-        v.par_iter_mut().for_each(|x| *x = 1);
+        let chunk = fixed_chunk_size(v.len(), 1024);
+        for_each_chunk_mut(&mut v, chunk, |_, xs| xs.fill(1));
         assert_eq!(v.iter().map(|&x| x as u64).sum::<u64>(), 70_000);
     }
 
     #[test]
     fn par_chunks_sees_all_windows() {
         let v: Vec<u32> = (0..10_000).collect();
-        let sums: Vec<u64> = v
-            .par_chunks(256)
-            .map(|c| c.iter().map(|&x| x as u64).sum())
-            .collect();
+        let mut sums: Vec<u64> = Vec::new();
+        map_chunks(v.len(), 256, &mut sums, |r| {
+            v[r].iter().map(|&x| x as u64).sum()
+        });
         assert_eq!(sums.len(), 10_000usize.div_ceil(256));
         assert_eq!(sums.iter().sum::<u64>(), (0..10_000u64).sum());
     }
 
     #[test]
-    fn sort_matches_std_on_large_random_input() {
-        // xorshift for a deterministic "random" input larger than the leaf
-        // cutoff, so the parallel merge path actually runs.
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let mut v: Vec<u64> = (0..100_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            })
-            .collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        v.par_sort_unstable();
-        assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn sort_by_key_handles_duplicate_keys_deterministically() {
-        let input: Vec<(u32, u32)> = (0..50_000u32).map(|i| (i % 16, i)).collect();
-        let mut a = input.clone();
-        a.par_sort_unstable_by_key(|&(k, _)| k);
-        assert!(a.windows(2).all(|w| w[0].0 <= w[1].0));
-        // same multiset as the input
-        let mut expect = input.clone();
-        expect.sort_unstable();
-        let mut got = a.clone();
-        got.sort_unstable();
-        assert_eq!(got, expect);
-        // deterministic: a second run permutes equal keys identically
-        let mut b = input;
-        b.par_sort_unstable_by_key(|&(k, _)| k);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn join_returns_results_in_position() {
-        let (a, b) = crate::join(|| 1 + 1, || "right");
-        assert_eq!(a, 2);
-        assert_eq!(b, "right");
-    }
-
-    #[test]
-    fn join_nests() {
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = crate::join(|| fib(n - 1), || fib(n - 2));
-            a + b
-        }
-        assert_eq!(fib(16), 987);
-    }
-
-    #[test]
-    fn join_propagates_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            crate::join(|| 7, || panic!("right side exploded"));
-        });
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "right side exploded");
-    }
-
-    #[test]
     fn for_each_panic_propagates_from_worker_chunk() {
         let caught = std::panic::catch_unwind(|| {
-            (0..100_000usize)
-                .into_par_iter()
-                .with_max_len(64)
-                .for_each(|i| {
-                    if i == 31_337 {
-                        panic!("chunk body panicked");
-                    }
-                });
+            for_each_chunk_mut(&mut vec![0u8; 100_000], 64, |lo, xs| {
+                if (lo..lo + xs.len()).contains(&31_337) {
+                    panic!("chunk body panicked");
+                }
+            });
         });
         assert!(caught.is_err());
-        // the pool must remain usable after a poisoned task
-        let s: u64 = (0..1000u64).into_par_iter().sum();
-        assert_eq!(s, 499_500);
+        // the pool must remain usable after a poisoned region
+        let ones = vec![1.0; 1000];
+        assert_eq!(chunked_sum(&ones, 16), 1000.0);
+    }
+
+    /// Spin for `spins` steps of an LCG, for chunks of uneven weight.
+    fn spin(spins: u64) {
+        let mut acc = 0u64;
+        for k in 0..spins {
+            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+        }
+        std::hint::black_box(acc);
     }
 
     #[test]
@@ -206,13 +217,8 @@ mod tests {
         // still retire everything (and, with >1 thread, workers claim the
         // light chunks while the heavy one runs).
         let done = AtomicUsize::new(0);
-        (0..256usize).into_par_iter().with_max_len(1).for_each(|i| {
-            let spins = if i == 0 { 200_000 } else { 200 };
-            let mut acc = 0u64;
-            for k in 0..spins {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            std::hint::black_box(acc);
+        map_chunks(256, 1, &mut Vec::new(), |r| {
+            spin(if r.start == 0 { 200_000 } else { 200 });
             done.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(done.load(Ordering::SeqCst), 256);
@@ -222,16 +228,12 @@ mod tests {
     fn collect_into_vec_reuses_capacity_and_matches_collect() {
         let mut arena: Vec<u64> = Vec::new();
         for round in 0..3u64 {
-            (0..50_000u64)
-                .into_par_iter()
-                .with_max_len(128)
-                .map(|i| i * 3 + round)
-                .collect_into_vec(&mut arena);
+            map_chunks(50_000, 1, &mut arena, |r| r.start as u64 * 3 + round);
             let expect: Vec<u64> = (0..50_000u64).map(|i| i * 3 + round).collect();
             assert_eq!(arena, expect);
         }
         let cap = arena.capacity();
-        (0..10u64).into_par_iter().collect_into_vec(&mut arena);
+        map_chunks(10, 1, &mut arena, |r| r.start as u64);
         assert_eq!(arena, (0..10u64).collect::<Vec<_>>());
         assert_eq!(arena.capacity(), cap, "arena capacity must be retained");
     }
@@ -242,38 +244,32 @@ mod tests {
         // thread whoever is free claims the next run off the cursor while a
         // heavy chunk executes; at 1 thread everything runs inline. Either
         // way the sum is exact.
-        let total = std::sync::atomic::AtomicU64::new(0);
-        (0..512usize).into_par_iter().with_max_len(1).for_each(|i| {
-            let spins = if i % 64 == 0 { 100_000u64 } else { 50 };
-            let mut acc = 0u64;
-            for k in 0..spins {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            std::hint::black_box(acc);
-            total.fetch_add(i as u64, Ordering::Relaxed);
+        let total = AtomicU64::new(0);
+        map_chunks(512, 1, &mut Vec::new(), |r| {
+            spin(if r.start % 64 == 0 { 100_000 } else { 50 });
+            total.fetch_add(r.start as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), (0..512u64).sum());
     }
 
     #[test]
     fn nested_join_inside_stolen_chunks() {
-        // Each outer chunk opens nested joins (a recursive sort), so chunks
-        // a worker claimed open regions from worker threads; an opener
-        // drains its own cursor before it waits, which keeps every level
-        // live without deadlock.
-        let outs: Vec<Vec<u32>> = (0..32usize)
-            .into_par_iter()
-            .with_max_len(1)
-            .map(|i| {
-                let mut v: Vec<u32> = (0..20_000u32)
-                    .map(|k| k.wrapping_mul(2654435761) ^ i as u32)
-                    .collect();
-                v.par_sort_unstable();
-                v
-            })
-            .collect();
-        for v in outs {
-            assert!(v.windows(2).all(|w| w[0] <= w[1]));
+        // Each outer chunk opens a region of its own, so chunks a worker
+        // claimed open regions from worker threads; an opener drains its
+        // own cursor before it waits, which keeps every level live without
+        // deadlock.
+        let mut outs: Vec<Vec<u64>> = Vec::new();
+        map_chunks(32, 1, &mut outs, |outer| {
+            let mut inner = Vec::new();
+            map_chunks(20_000, 64, &mut inner, |r| {
+                r.map(|k| (k as u64).wrapping_mul(2654435761) ^ outer.start as u64)
+                    .sum::<u64>()
+            });
+            inner
+        });
+        for (i, sums) in outs.iter().enumerate() {
+            let expect = (0..20_000u64).map(|k| k.wrapping_mul(2654435761) ^ i as u64);
+            assert_eq!(sums.iter().sum::<u64>(), expect.sum::<u64>());
         }
     }
 
@@ -284,21 +280,18 @@ mod tests {
         // thread.
         for round in 0..4 {
             let caught = std::panic::catch_unwind(|| {
-                (0..4096usize)
-                    .into_par_iter()
-                    .with_max_len(1)
-                    .for_each(|i| {
-                        if i == 2048 + round {
-                            panic!("stolen chunk panicked");
-                        }
-                    });
+                map_chunks(4096, 1, &mut Vec::new(), |r| {
+                    if r.start == 2048 + round {
+                        panic!("stolen chunk panicked");
+                    }
+                });
             });
             let payload = caught.expect_err("panic must propagate");
             let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
             assert_eq!(msg, "stolen chunk panicked");
             // pool stays healthy between rounds
-            let s: u64 = (0..1000u64).into_par_iter().with_max_len(16).sum();
-            assert_eq!(s, 499_500);
+            let ones = vec![1.0; 1000];
+            assert_eq!(chunked_sum(&ones, 16), 1000.0);
         }
     }
 
@@ -306,7 +299,8 @@ mod tests {
     fn pool_stats_are_monotonic() {
         let before = crate::pool_stats();
         assert!(before.threads >= 1);
-        let _: u64 = (0..100_000u64).into_par_iter().with_max_len(64).sum();
+        let ones = vec![1.0; 100_000];
+        assert_eq!(chunked_sum(&ones, 64), 100_000.0);
         let after = crate::pool_stats();
         assert!(after.local_runs >= before.local_runs);
         assert!(after.steals >= before.steals);
@@ -317,22 +311,26 @@ mod tests {
     fn auto_sequential_cutoff_matches_parallel_results() {
         // A two-chunk region takes the inline path; forcing more chunks
         // takes the pool path. Same chunk geometry rules, same results.
-        let v: Vec<f32> = (0..4096).map(|i| (i % 97) as f32 * 0.125).collect();
-        let small: f64 = v[..2000].par_iter().map(|&x| x as f64).sum();
-        let seq: f64 = v[..2000].iter().map(|&x| x as f64).sum();
+        let v: Vec<f64> = (0..4096).map(|i| (i % 97) as f32 as f64 * 0.125).collect();
+        let small = chunked_sum(&v[..2000], fixed_chunk_size(2000, 1024));
+        let seq: f64 = v[..2000].iter().sum();
         assert_eq!(small.to_bits(), seq.to_bits());
+        assert_eq!(
+            chunked_sum(&v, 16).to_bits(),
+            v.iter().sum::<f64>().to_bits()
+        );
     }
 
     #[test]
     fn sum_is_identical_regardless_of_claim_order() {
         // f64 chunk sums are combined sequentially in chunk order, so two
         // runs (with arbitrary thread interleavings) must agree bitwise.
-        let v: Vec<f32> = (0..200_000)
-            .map(|i| ((i * 2654435761u64 as usize) % 1000) as f32 * 1e-3)
+        let v: Vec<f64> = (0..200_000)
+            .map(|i| ((i * 2654435761u64 as usize) % 1000) as f32 as f64 * 1e-3)
             .collect();
-        let run = || -> f64 { v.par_iter().map(|&w| w as f64).sum() };
-        let a = run();
-        let b = run();
+        let chunk = fixed_chunk_size(v.len(), 1024);
+        let a = chunked_sum(&v, chunk);
+        let b = chunked_sum(&v, chunk);
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }

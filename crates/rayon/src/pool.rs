@@ -18,17 +18,17 @@
 //! region (takes it off the list) once the cursor is spent and returns when
 //! every chunk has retired.
 //!
-//! Chunk *boundaries* are fixed up front by the iterator layer and never
+//! Chunk *boundaries* are fixed up front by the caller (`lib.rs`) and never
 //! depend on the number of threads; the cursor and the grain only decide
 //! **who** runs a chunk and in what batch, never **what** a chunk is.
-//! Per-chunk results are combined sequentially in chunk-index order at the
-//! reduce step, which is what keeps results bitwise reproducible (see the
-//! crate docs and DESIGN.md "The pool & the determinism contract").
+//! Per-chunk results land in the slot of their chunk index, which is what
+//! keeps results bitwise reproducible (see the crate docs and DESIGN.md
+//! "The pool & the determinism contract").
 //!
 //! ## Nested regions and deadlock freedom
 //!
-//! A chunk body may itself open a region (nested `join`, a sort inside a
-//! parallel map). An opener drains its own cursor before it waits, so by
+//! A chunk body may itself open a region (a map inside a chunk of another
+//! map). An opener drains its own cursor before it waits, so by
 //! the time it blocks every outstanding chunk of its region is being run by
 //! some thread; a thread running a chunk blocks only as the opener of a
 //! strictly *deeper* region, for which the same holds. A waits-for chain
@@ -62,11 +62,9 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// moves a chunk boundary.
 const OVERSPLIT: usize = 4;
 
-/// Aborts the process if dropped: held across code whose unwinding would
-/// leave memory or the pool in a state no caller can recover — the sort's
-/// merge (elements duplicated between slice and scratch) and a worker (a
-/// claimed run that would never retire, so its opener would wait forever).
-pub(crate) struct AbortOnUnwind(pub(crate) &'static str);
+/// Aborts the process if dropped: held by a worker, whose unwinding would
+/// leave a claimed run that never retires, so its opener would wait forever.
+struct AbortOnUnwind(&'static str);
 
 impl Drop for AbortOnUnwind {
     fn drop(&mut self) {
@@ -196,7 +194,7 @@ pub struct PoolStats {
     pub parks: u64,
 }
 
-pub(crate) struct Pool {
+struct Pool {
     shared: Arc<Shared>,
     nthreads: usize,
 }
@@ -316,7 +314,7 @@ fn resolve_threads() -> usize {
         .unwrap_or(1)
 }
 
-pub(crate) fn pool() -> &'static Pool {
+fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool::new(resolve_threads()))
 }
 
@@ -359,34 +357,6 @@ pub(crate) fn run_parallel(nchunks: usize, f: &(dyn Fn(usize) + Sync)) {
     } else {
         p.run(nchunks, f);
     }
-}
-
-/// Run two closures, potentially in parallel, returning both results.
-/// Panics from either side are re-thrown on the caller (first one wins).
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let a = Mutex::new(Some(oper_a));
-    let b = Mutex::new(Some(oper_b));
-    let ra: Mutex<Option<RA>> = Mutex::new(None);
-    let rb: Mutex<Option<RB>> = Mutex::new(None);
-    run_parallel(2, &|i| {
-        if i == 0 {
-            let f = a.lock().unwrap().take().unwrap();
-            *ra.lock().unwrap() = Some(f());
-        } else {
-            let f = b.lock().unwrap().take().unwrap();
-            *rb.lock().unwrap() = Some(f());
-        }
-    });
-    (
-        ra.into_inner().unwrap().unwrap(),
-        rb.into_inner().unwrap().unwrap(),
-    )
 }
 
 /// Seeded yield points at the pool's three transitions — the claim, the
@@ -434,8 +404,8 @@ mod interleave {
 
 #[cfg(test)]
 mod tests {
-    use super::{interleave, join};
-    use crate::prelude::*;
+    use super::{interleave, run_parallel};
+    use crate::{for_each_chunk_mut, map_chunks};
     use std::io::Read;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::process::{Command, Stdio};
@@ -449,27 +419,27 @@ mod tests {
     const SEEDS: std::ops::RangeInclusive<u64> = 1..=64;
     const SUBMITTERS: usize = 8;
     const REGIONS: usize = 24;
-    /// How long one half of a rendezvous `join` waits for the other. A
+    /// How long one chunk of a rendezvous region waits for the other. A
     /// worker is parked or busy for microseconds; this is a lost wake-up.
     const MEET_WITHIN: Duration = Duration::from_secs(2);
 
-    /// Both halves of a `join` must run at once, each waiting for the
-    /// other: the opener takes one, so a worker must hear of the region
-    /// and take the other. A pool of one runs `join` inline: nothing to meet.
+    /// Both chunks of a two-chunk region must run at once, each waiting for
+    /// the other: the opener takes one, so a worker must hear of the region
+    /// and take the other. A pool of one runs the region inline: nothing to
+    /// meet.
     fn rendezvous() {
         if crate::current_num_threads() == 1 {
             return;
         }
         let met = AtomicUsize::new(0);
-        let meet = || {
+        run_parallel(2, &|_| {
             met.fetch_add(1, Ordering::SeqCst);
             let start = Instant::now();
             while met.load(Ordering::SeqCst) < 2 {
-                assert!(start.elapsed() < MEET_WITHIN, "a join half waited alone");
+                assert!(start.elapsed() < MEET_WITHIN, "a chunk waited alone");
                 std::thread::yield_now();
             }
-        };
-        join(meet, meet);
+        });
     }
 
     /// `cross_process.rs`'s eight-submitter traffic cut to a size 64 seeds
@@ -478,53 +448,53 @@ mod tests {
     fn submit(s: usize) {
         for r in 0..REGIONS {
             let n = 3 + (s * 131 + r * 37) % 300;
-            let max_len = 1 + r % 5;
+            let chunk = 1 + r % 5;
             match r % 6 {
                 0 => {
                     let ran: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-                    (0..n).into_par_iter().with_max_len(1).for_each(|i| {
-                        ran[i].fetch_add(1, Ordering::Relaxed);
+                    map_chunks(n, 1, &mut Vec::new(), |c| {
+                        ran[c.start].fetch_add(1, Ordering::Relaxed);
                     });
                     assert!(ran.iter().all(|c| c.load(Ordering::Relaxed) == 1));
                 }
                 1 => {
                     let mut v = vec![0u32; n];
-                    v.par_iter_mut().with_max_len(max_len).for_each(|x| *x += 1);
+                    for_each_chunk_mut(&mut v, chunk, |_, xs| xs.iter_mut().for_each(|x| *x += 1));
                     assert!(v.iter().all(|&x| x == 1));
                 }
                 2 => {
                     let f = |i: usize| ((i * 2654435761 + s) % 1000) as f64 * 1e-3;
                     // one item a chunk, so chunk order is item order
-                    let par: f64 = (0..n).into_par_iter().with_max_len(1).map(f).sum();
+                    let mut parts = Vec::new();
+                    map_chunks(n, 1, &mut parts, |c| f(c.start));
+                    let par: f64 = parts.iter().sum();
                     assert_eq!(par.to_bits(), (0..n).map(f).sum::<f64>().to_bits());
                 }
                 3 if r == 3 => {
-                    // nested: each chunk's sort opens `join` regions of its own
-                    let sorted: Vec<Vec<u32>> = (0..3usize)
-                        .into_par_iter()
-                        .with_max_len(1)
-                        .map(|c| {
-                            let mut v: Vec<u32> = (0..5000u32)
-                                .map(|k| k.wrapping_mul(2654435761) ^ (c + s) as u32)
-                                .collect();
-                            v.par_sort_unstable();
-                            v
-                        })
-                        .collect();
-                    assert!(sorted.iter().all(|v| v.windows(2).all(|w| w[0] <= w[1])));
+                    // nested: each chunk opens a region of its own
+                    let mut sums: Vec<u64> = Vec::new();
+                    map_chunks(3, 1, &mut sums, |c| {
+                        let key =
+                            |k: usize| (k as u64).wrapping_mul(2654435761) ^ (c.start + s) as u64;
+                        let mut inner = Vec::new();
+                        map_chunks(5000, 16, &mut inner, |r| r.map(key).sum::<u64>());
+                        assert_eq!(inner.iter().sum::<u64>(), (0..5000).map(key).sum::<u64>());
+                        inner.len() as u64
+                    });
+                    assert_eq!(sums, vec![5000u64.div_ceil(16); 3]);
                 }
                 3 => {
-                    let out: Vec<u64> = (0..n as u64)
-                        .into_par_iter()
-                        .with_max_len(max_len)
-                        .map(|i| i ^ s as u64)
-                        .collect();
-                    assert!(out.iter().copied().eq((0..n as u64).map(|i| i ^ s as u64)));
+                    let mut out: Vec<Vec<u64>> = Vec::new();
+                    map_chunks(n, chunk, &mut out, |c| {
+                        c.map(|i| i as u64 ^ s as u64).collect()
+                    });
+                    let flat = out.iter().flatten().copied();
+                    assert!(flat.eq((0..n as u64).map(|i| i ^ s as u64)));
                 }
                 4 => {
                     let caught = catch_unwind(AssertUnwindSafe(|| {
-                        (0..n).into_par_iter().with_max_len(1).for_each(|i| {
-                            assert!(i != n / 2, "submitter {s}");
+                        map_chunks(n, 1, &mut Vec::new(), |c| {
+                            assert!(c.start != n / 2, "submitter {s}");
                         });
                     }));
                     let payload = caught.expect_err("the region's panic reaches its opener");

@@ -7,17 +7,17 @@
 //! `G500_THREADS=1`, `=2` and `=4` (whatever the environment sets) and
 //! compares the children's stdout byte for byte.
 //!
-//! * `pipeline`: one submitter, `with_max_len(1)` over thousands of items,
+//! * `pipeline`: one submitter, one-item chunks over thousands of items,
 //!   so at 4 threads every chunk run is claimed off a contended cursor —
 //!   the machinery that must not be able to change results.
 //! * `submitters`: what `g500` does — eight threads (simnet's ranks) all
 //!   opening regions at once on a pool of zero, one or three workers. It is
-//!   the test the crate's three `SAFETY` arguments name: the erased body
-//!   pointer (`pool.rs`), the disjoint `&mut` hand-out (`iter.rs`) and the
-//!   sort's merge (`sort.rs`) are all driven from several submitters at
-//!   the same time, with their `debug_assert`s live in a debug build.
+//!   the test the crate's `SAFETY` argument names: the erased body pointer
+//!   (`pool.rs`) is driven from several submitters at the same time, with
+//!   its `debug_assert`s live in a debug build, beside the chunk slots that
+//!   hand each `&mut` chunk out once (`lib.rs`).
 
-use rayon::prelude::*;
+use rayon::{for_each_chunk_mut, map_chunks};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Command;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -32,30 +32,32 @@ fn fnv(h: u64, x: u64) -> u64 {
 const FNV_SEED: u64 = 0xcbf29ce484222325;
 
 /// A chunk-heavy deterministic pipeline: float sums (combine-order
-/// sensitive), an order-sensitive collect, and a duplicate-key sort.
+/// sensitive), an order-sensitive map, and an index-dependent write pass.
 fn pipeline_report() -> String {
     let weights: Vec<f32> = (0..100_000u64)
         .map(|i| ((i.wrapping_mul(2654435761)) % 1000) as f32 * 1e-3)
         .collect();
-    let sum: f64 = weights.par_iter().with_max_len(64).map(|&w| w as f64).sum();
+    let mut sums = Vec::new();
+    map_chunks(weights.len(), 64, &mut sums, |r| {
+        weights[r].iter().map(|&w| w as f64).sum::<f64>()
+    });
+    let sum: f64 = sums.iter().sum();
 
-    let collected: Vec<u64> = (0..50_000u64)
-        .into_par_iter()
-        .with_max_len(1)
-        .map(|i| i.wrapping_mul(6364136223846793005))
-        .collect();
-    let h = collected.iter().fold(FNV_SEED, |h, &x| fnv(h, x));
+    let mut mapped = Vec::new();
+    map_chunks(50_000, 1, &mut mapped, |r| {
+        (r.start as u64).wrapping_mul(6364136223846793005)
+    });
+    let h = mapped.iter().fold(FNV_SEED, |h, &x| fnv(h, x));
 
-    let mut pairs: Vec<(u32, u32)> = (0..60_000u32).map(|i| (i % 13, i)).collect();
-    pairs.par_sort_unstable_by_key(|&(k, _)| k);
-    let sh = pairs
-        .iter()
-        .fold(FNV_SEED, |h, &(k, v)| fnv(h, (k as u64) << 32 | v as u64));
+    let mut pairs = vec![0u64; 60_000];
+    for_each_chunk_mut(&mut pairs, 7, |lo, xs| {
+        for (i, x) in (lo as u64..).zip(xs) {
+            *x = (i % 13) << 32 | i;
+        }
+    });
+    let wh = pairs.iter().fold(FNV_SEED, |h, &x| fnv(h, x));
 
-    format!(
-        "sum={:016x} collect={h:016x} sort={sh:016x}\n",
-        sum.to_bits()
-    )
+    format!("sum={:016x} map={h:016x} write={wh:016x}\n", sum.to_bits())
 }
 
 const SUBMITTERS: usize = 8;
@@ -63,19 +65,19 @@ const REGIONS: usize = 240;
 
 /// One submitter's share of the traffic: `REGIONS` regions of ragged sizes
 /// and chunk lengths, of five kinds in rotation, one of them panicking.
-/// Returns a digest of every sum, collect and sort it made.
+/// Returns a digest of every sum and map it made.
 fn submit(s: usize) -> u64 {
     let mut digest = FNV_SEED;
     let mut panics = 0;
     for r in 0..REGIONS {
         let n = 3 + (s * 131 + r * 37) % 700;
-        let max_len = 1 + r % 5;
+        let chunk = 1 + r % 5;
         if r == 100 + s {
             // the panicking region: the payload names this submitter, and
             // must come back here and nowhere else
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                (0..n).into_par_iter().with_max_len(1).for_each(|i| {
-                    if i == n / 2 {
+                map_chunks(n, 1, &mut Vec::new(), |c| {
+                    if c.start == n / 2 {
                         panic!("submitter {s}");
                     }
                 });
@@ -92,8 +94,8 @@ fn submit(s: usize) -> u64 {
             0 => {
                 // every chunk index of the region runs exactly once
                 let ran: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-                (0..n).into_par_iter().with_max_len(1).for_each(|i| {
-                    ran[i].fetch_add(1, Ordering::Relaxed);
+                map_chunks(n, 1, &mut Vec::new(), |c| {
+                    ran[c.start].fetch_add(1, Ordering::Relaxed);
                 });
                 let once = |c: &AtomicU32| c.load(Ordering::Relaxed) == 1;
                 assert!(ran.iter().all(once), "submitter {s} region {r}");
@@ -101,53 +103,48 @@ fn submit(s: usize) -> u64 {
             1 => {
                 // every element is handed out as `&mut` exactly once
                 let mut v = vec![0u32; n];
-                v.par_iter_mut().with_max_len(max_len).for_each(|x| *x += 1);
+                for_each_chunk_mut(&mut v, chunk, |_, xs| xs.iter_mut().for_each(|x| *x += 1));
                 assert!(v.iter().all(|&x| x == 1), "submitter {s} region {r}");
             }
             2 => {
-                let sum: f64 = (0..n)
-                    .into_par_iter()
-                    .with_max_len(max_len)
-                    .map(|i| ((i * 2654435761 + s) % 1000) as f64 * 1e-3)
-                    .sum();
+                let mut parts = Vec::new();
+                map_chunks(n, chunk, &mut parts, |c| {
+                    c.map(|i| ((i * 2654435761 + s) % 1000) as f64 * 1e-3)
+                        .sum::<f64>()
+                });
+                let sum: f64 = parts.iter().sum();
                 digest = fnv(digest, sum.to_bits());
             }
             3 => {
-                // an order-sensitive collect; the digest takes every third
+                // an order-sensitive map; the digest takes every third
                 // item, in order
-                let out: Vec<Option<u64>> = (0..n as u64)
-                    .into_par_iter()
-                    .with_max_len(max_len)
-                    .map(|i| {
-                        let keep = (i + r as u64) % 3 == 1;
-                        keep.then(|| i.wrapping_mul(6364136223846793005) ^ s as u64)
-                    })
-                    .collect();
+                let mut out: Vec<Vec<u64>> = Vec::new();
+                map_chunks(n, chunk, &mut out, |c| {
+                    c.map(|i| i as u64)
+                        .filter(|i| (i + r as u64) % 3 == 1)
+                        .map(|i| i.wrapping_mul(6364136223846793005) ^ s as u64)
+                        .collect()
+                });
                 digest = out.iter().flatten().fold(digest, |h, &x| fnv(h, x));
             }
             _ => {
-                // nested: each chunk sorts a vector longer than the sort's
-                // sequential cutoff, so it opens `join` regions of its own
-                // and merges; only every fourth such region, they are heavy
+                // nested: each chunk opens a region of its own, many chunks
+                // long; only every fourth such region, they are heavy
                 if r % 20 != 4 {
                     continue;
                 }
-                let sorted: Vec<Vec<(u32, u32)>> = (0..3 + s % 3)
-                    .into_par_iter()
-                    .with_max_len(1)
-                    .map(|c| {
-                        let mut v: Vec<(u32, u32)> = (0..5000 + 100 * c as u32)
-                            .map(|k| (k.wrapping_mul(2654435761) % 17, k ^ r as u32))
-                            .collect();
-                        v.par_sort_unstable_by_key(|&(k, _)| k);
-                        v
-                    })
-                    .collect();
-                for v in &sorted {
-                    assert!(v.windows(2).all(|w| w[0].0 <= w[1].0));
-                    digest = v
-                        .iter()
-                        .fold(digest, |h, &(k, x)| fnv(h, (k as u64) << 32 | x as u64));
+                let mut nested: Vec<Vec<u64>> = Vec::new();
+                map_chunks(3 + s % 3, 1, &mut nested, |c| {
+                    let len = 5000 + 100 * c.start;
+                    let mut inner = Vec::new();
+                    map_chunks(len, 16, &mut inner, |k| {
+                        k.map(|k| ((k as u64).wrapping_mul(2654435761) % 17) ^ r as u64)
+                            .fold(FNV_SEED, fnv)
+                    });
+                    inner
+                });
+                for inner in &nested {
+                    digest = inner.iter().fold(digest, |h, &x| fnv(h, x));
                 }
             }
         }
@@ -176,8 +173,13 @@ fn submitters_report() -> String {
             .map(|h| h.join().expect("a submitter saw only its own panic"))
             .collect()
     });
-    let after: u64 = (0..100_000u64).into_par_iter().with_max_len(64).sum();
-    assert_eq!(after, 4_999_950_000, "the pool still serves");
+    let mut sums = Vec::new();
+    map_chunks(100_000, 64, &mut sums, |r| r.map(|i| i as u64).sum::<u64>());
+    assert_eq!(
+        sums.iter().sum::<u64>(),
+        4_999_950_000,
+        "the pool still serves"
+    );
     let line: Vec<String> = digests.iter().map(|d| format!("{d:016x}")).collect();
     format!("{}\n", line.join(" "))
 }

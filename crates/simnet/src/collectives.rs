@@ -482,16 +482,6 @@ impl RankCtx {
         self.allreduce(v, |a, b| a + b)
     }
 
-    /// Allreduce min of `u64`.
-    pub fn allreduce_min(&mut self, v: u64) -> u64 {
-        self.allreduce(v, |a, b| *a.min(b))
-    }
-
-    /// Allreduce logical-and (consensus "everyone done?" check).
-    pub fn allreduce_and(&mut self, v: bool) -> bool {
-        self.allreduce(v as u64, |a, b| a & b) == 1
-    }
-
     /// Barrier: no payload, everyone leaves only after everyone entered —
     /// an allreduce of one byte nobody reads, in a span of its own (so
     /// summary totals are *inclusive* virtual time) and counted twice, as
@@ -671,7 +661,7 @@ mod tests {
                 let me = ctx.rank() as u64;
                 (
                     ctx.allreduce_sum(me + 1),
-                    ctx.allreduce_min(me + 10),
+                    ctx.allreduce(me + 10, |a, b| *a.min(b)),
                     ctx.allreduce(me + 10, |a, b| *a.max(b)),
                 )
             });
@@ -679,15 +669,6 @@ mod tests {
             for r in rep.results {
                 assert_eq!(r, (expect_sum, 10, 9 + p as u64), "p={p}");
             }
-        }
-    }
-
-    #[test]
-    fn allreduce_and_consensus() {
-        let rep = Machine::new(MachineConfig::with_ranks(4))
-            .run(|ctx| (ctx.allreduce_and(true), ctx.allreduce_and(ctx.rank() != 2)));
-        for r in rep.results {
-            assert_eq!(r, (true, false));
         }
     }
 

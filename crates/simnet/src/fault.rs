@@ -272,9 +272,10 @@ impl CrashPlan {
         self
     }
 
-    /// Builder-style checkpoint-interval override.
+    /// Builder-style checkpoint-interval override, stored as given: an
+    /// interval of 0 is refused by [`validate`](Self::validate), not run as 1.
     pub fn with_checkpoint_interval(mut self, every: u64) -> Self {
-        self.checkpoint_interval = every.max(1);
+        self.checkpoint_interval = every;
         self
     }
 
@@ -565,9 +566,16 @@ mod tests {
     fn crash_plan_validation() {
         assert!(CrashPlan::random(1, 1.5).validate().is_err());
         assert!(CrashPlan::random(1, f64::NAN).validate().is_err());
-        let mut p = CrashPlan::none();
-        p.checkpoint_interval = 0;
-        assert!(p.validate().is_err());
+        let zero = CrashPlan::none().with_checkpoint_interval(0);
+        assert_eq!(
+            zero.checkpoint_interval, 0,
+            "the builder keeps what it was given"
+        );
+        assert!(zero.validate().is_err());
+        assert!(CrashPlan::none()
+            .with_checkpoint_interval(1)
+            .validate()
+            .is_ok());
     }
 
     #[test]

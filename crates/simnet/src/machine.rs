@@ -33,16 +33,11 @@ pub struct MachineConfig {
     /// Virtual-time tracing; [`TraceConfig::off`] (the default) records
     /// nothing and costs a `None` branch per instrumentation site.
     pub trace: TraceConfig,
-    /// When true, a job that completes while undelivered (orphan) messages
-    /// remain panics with a diagnostic listing them — this is how misrouted
-    /// messages surface in tests. Authoritative under
-    /// [`SchedMode::Deterministic`]; best-effort under threads.
-    pub debug_checks: bool,
 }
 
 impl MachineConfig {
-    /// `ranks` ranks on a crossbar with default LogGP/compute constants,
-    /// threaded scheduling, and debug checks on.
+    /// `ranks` ranks on a crossbar with default LogGP/compute constants and
+    /// threaded scheduling.
     pub fn with_ranks(ranks: usize) -> Self {
         Self {
             ranks,
@@ -53,7 +48,6 @@ impl MachineConfig {
             fault: FaultPlan::none(),
             crash: CrashPlan::none(),
             trace: TraceConfig::off(),
-            debug_checks: true,
         }
     }
 
@@ -119,12 +113,6 @@ impl MachineConfig {
         };
         self
     }
-
-    /// Builder-style debug-check (orphan detection) override.
-    pub fn debug_checks(mut self, on: bool) -> Self {
-        self.debug_checks = on;
-        self
-    }
 }
 
 /// What a run produced: per-rank results and accounting.
@@ -187,8 +175,11 @@ impl Machine {
     /// its `Display` text so the diagnosable message survives. Use
     /// [`Machine::try_run`] to receive the escalation as an `Err` instead.
     /// Under [`SchedMode::Deterministic`] a deadlocked job aborts
-    /// immediately with the wait-for list instead of hanging, and (with
-    /// `debug_checks`) leftover undelivered messages fail the run.
+    /// immediately with the wait-for list instead of hanging. Under either
+    /// mode, a job that completes while undelivered (orphan) messages remain
+    /// panics listing them — this is how misrouted messages surface; the
+    /// check is authoritative under the deterministic scheduler and
+    /// best-effort under threads.
     pub fn run<R, F>(&self, f: F) -> SimReport<R>
     where
         R: Send,
@@ -328,34 +319,32 @@ impl Machine {
             })
             .collect();
 
-        if self.cfg.debug_checks {
-            // Orphan detection: a finished job must have consumed every
-            // message it sent; leftovers mean a misroute or forgotten recv.
-            let mut orphans: Vec<String> = Vec::new();
-            if let Some(core) = &core {
-                if !core.is_aborted() {
-                    for (dest, src, tag, seq) in core.orphans() {
-                        orphans.push(format!(
-                            "rank {dest} never received (src {src}, tag {tag:#x}, seq {seq})"
-                        ));
-                    }
-                }
-            } else {
-                for (dest, (_, _, _, leftovers, _)) in outcome.iter().enumerate() {
-                    for (src, tag, seq) in leftovers {
-                        orphans.push(format!(
-                            "rank {dest} never received (src {src}, tag {tag:#x}, seq {seq})"
-                        ));
-                    }
+        // Orphan detection: a finished job must have consumed every
+        // message it sent; leftovers mean a misroute or forgotten recv.
+        let mut orphans: Vec<String> = Vec::new();
+        if let Some(core) = &core {
+            if !core.is_aborted() {
+                for (dest, src, tag, seq) in core.orphans() {
+                    orphans.push(format!(
+                        "rank {dest} never received (src {src}, tag {tag:#x}, seq {seq})"
+                    ));
                 }
             }
-            assert!(
-                orphans.is_empty(),
-                "orphan message(s) left in mailboxes at job end — misrouted send or missing \
-                 recv: {}",
-                orphans.join("; ")
-            );
+        } else {
+            for (dest, (_, _, _, leftovers, _)) in outcome.iter().enumerate() {
+                for (src, tag, seq) in leftovers {
+                    orphans.push(format!(
+                        "rank {dest} never received (src {src}, tag {tag:#x}, seq {seq})"
+                    ));
+                }
+            }
         }
+        assert!(
+            orphans.is_empty(),
+            "orphan message(s) left in mailboxes at job end — misrouted send or missing \
+             recv: {}",
+            orphans.join("; ")
+        );
 
         let mut results = Vec::with_capacity(p);
         let mut stats = Vec::with_capacity(p);

@@ -175,11 +175,6 @@ impl RankCtx {
         self.now
     }
 
-    /// True when running under the deterministic scheduler.
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self.transport, Transport::Det { .. })
-    }
-
     /// A permutation of `0..n` that algorithms apply to any *semantically
     /// order-free* loop over per-peer data (e.g. merging the blocks of an
     /// all-to-all). Identity in threaded mode and for deterministic seed 0;

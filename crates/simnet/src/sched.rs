@@ -29,7 +29,7 @@
 //!   hanging.
 //! * **Orphan detection** — at teardown, envelopes that were delivered but
 //!   never received (e.g. a message routed to the wrong rank) are reported
-//!   (see `Machine::run`, gated on `MachineConfig::debug_checks`).
+//!   (see `Machine::run`).
 //!
 //! Fault injection composes with both modes without touching this module:
 //! the reliable transport ([`crate::transport`]) runs its retransmit
@@ -57,13 +57,6 @@ pub enum SchedMode {
         /// Schedule seed. Same seed ⇒ byte-identical replay.
         seed: u64,
     },
-}
-
-impl SchedMode {
-    /// True if this is a deterministic mode.
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, SchedMode::Deterministic { .. })
-    }
 }
 
 /// SplitMix64 — the tie-break / permutation hash used throughout the
@@ -355,11 +348,5 @@ mod tests {
         assert_eq!(splitmix64(42), splitmix64(42));
         let outs: std::collections::HashSet<u64> = (0..64).map(splitmix64).collect();
         assert_eq!(outs.len(), 64, "first 64 outputs must be distinct");
-    }
-
-    #[test]
-    fn sched_mode_flags() {
-        assert!(!SchedMode::Threads.is_deterministic());
-        assert!(SchedMode::Deterministic { seed: 7 }.is_deterministic());
     }
 }

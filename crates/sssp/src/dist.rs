@@ -70,7 +70,6 @@ use crate::multi::BatchSpec;
 use g500_graph::hash::VertexIdBuild;
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
-use rayon::prelude::*;
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::{RankCtx, Route, TraceCode, Wire};
 use std::cmp::Ordering;
@@ -896,33 +895,37 @@ impl Lane {
         let n_local = graph.local_vertices();
         ctx.trace_begin(TraceCode::TaskWave, n_local as u64, heavy as u64);
         let this = &*self;
-        (0..n_local)
-            .into_par_iter()
-            .with_min_len(256)
-            .map(|l| {
-                let (mut scanned, mut dl, mut pl) = (0u64, this.sp.dist[l], u64::MAX);
-                let light = rows.light_end[l] as usize;
-                let row = if heavy {
-                    light..graph.degree(l)
-                } else {
-                    0..light
-                };
-                let ts = &graph.neighbors(l)[row.clone()];
-                let ws = &graph.edge_weights(l)[row];
-                for (&t, &w) in ts.iter().zip(ws) {
-                    let least = nearest + w;
-                    if least >= dl || least > this.bound {
-                        break;
-                    }
-                    scanned += 1;
-                    let nd = source(this, t) + w;
-                    if nd < dl && nd <= this.bound {
-                        (dl, pl) = (nd, t);
-                    }
+        let scan = |l: usize| -> PullScan {
+            let (mut scanned, mut dl, mut pl) = (0u64, this.sp.dist[l], u64::MAX);
+            let light = rows.light_end[l] as usize;
+            let row = if heavy {
+                light..graph.degree(l)
+            } else {
+                0..light
+            };
+            let ts = &graph.neighbors(l)[row.clone()];
+            let ws = &graph.edge_weights(l)[row];
+            for (&t, &w) in ts.iter().zip(ws) {
+                let least = nearest + w;
+                if least >= dl || least > this.bound {
+                    break;
                 }
-                (scanned, (pl != u64::MAX).then_some((dl, pl)))
-            })
-            .collect_into_vec(scratch);
+                scanned += 1;
+                let nd = source(this, t) + w;
+                if nd < dl && nd <= this.bound {
+                    (dl, pl) = (nd, t);
+                }
+            }
+            (scanned, (pl != u64::MAX).then_some((dl, pl)))
+        };
+        // every slot is overwritten below, so a resize is all it needs
+        scratch.resize(n_local, (0, None));
+        let chunk = rayon::fixed_chunk_size(n_local, 256);
+        rayon::for_each_chunk_mut(scratch, chunk, |lo, out| {
+            for (l, slot) in (lo..).zip(out) {
+                *slot = scan(l);
+            }
+        });
 
         let mut scanned = 0u64;
         for (l, &(s, upd)) in scratch.iter().enumerate() {

@@ -29,7 +29,6 @@ use crate::bucket::BucketQueue;
 use crate::epoch::{run_bucket_epochs, Agreed, BucketKernel, SuperstepSpan};
 use g500_graph::{Csr, EdgeList, ShortestPaths, VertexId, WEdge, Weight};
 use g500_partition::{Block1D, VertexPartition};
-use rayon::prelude::*;
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::{RankCtx, SubComm, TraceCode, Wire};
 use std::collections::HashMap;
@@ -357,33 +356,29 @@ impl Grid2DSssp {
         let local = &self.local;
         ctx.trace_begin(TraceCode::TaskWave, active.len() as u64, 4);
         let mut per_chunk = std::mem::take(&mut self.relax_scratch);
-        active
-            .par_chunks(256)
-            // ≥ 4 blocks (1024 sources) per pool job: rounds with ≤ 2048
-            // active sources run inline via the ≤ 2-chunk cutoff, and
-            // bigger waves amortize the hand-off. Block geometry (and so
-            // candidate order) is unchanged — only job granularity moves.
-            .with_min_len(4)
-            .map(|chunk| {
-                let mut relaxed = 0u64;
-                let mut cands: Vec<(u64, f32, u64)> = Vec::new();
-                for &(src_local, du) in chunk {
-                    let u_global = blocks.to_global(row, src_local as usize);
-                    if (src_local as usize) < nloc {
-                        let vs = local.neighbors(src_local as usize);
-                        let ws = local.edge_weights(src_local as usize);
-                        for (&v, &w) in vs.iter().zip(ws) {
-                            if !class(w) {
-                                continue;
-                            }
-                            relaxed += 1;
-                            cands.push((v, du + w, u_global));
+        // Chunks of whole 256-source blocks, at least 4 (1024 sources) a
+        // chunk: rounds with ≤ 2048 active sources run inline via the
+        // ≤ 2-chunk cutoff, and bigger waves amortize the hand-off.
+        let chunk = 256 * rayon::fixed_chunk_size(active.len().div_ceil(256), 4);
+        rayon::map_chunks(active.len(), chunk, &mut per_chunk, |sources| {
+            let mut relaxed = 0u64;
+            let mut cands: Vec<(u64, f32, u64)> = Vec::new();
+            for &(src_local, du) in &active[sources] {
+                let u_global = blocks.to_global(row, src_local as usize);
+                if (src_local as usize) < nloc {
+                    let vs = local.neighbors(src_local as usize);
+                    let ws = local.edge_weights(src_local as usize);
+                    for (&v, &w) in vs.iter().zip(ws) {
+                        if !class(w) {
+                            continue;
                         }
+                        relaxed += 1;
+                        cands.push((v, du + w, u_global));
                     }
                 }
-                (relaxed, cands)
-            })
-            .collect_into_vec(&mut per_chunk);
+            }
+            (relaxed, cands)
+        });
 
         let mut best: HashMap<u64, (f32, u64)> = HashMap::new();
         let mut relaxed = 0u64;

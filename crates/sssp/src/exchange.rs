@@ -29,7 +29,6 @@
 
 use crate::codec::{dedup_min, Record};
 use crate::config::OptConfig;
-use rayon::prelude::*;
 use simnet::{RankCtx, Route, TraceCode};
 
 /// What one exchange did, for the run statistics.
@@ -119,8 +118,10 @@ pub fn exchange_into<R: Record>(
         // function of the bucket's contents, so shipped bytes are
         // identical at any thread count.
         ctx.trace_begin(TraceCode::TaskWave, p as u64, 2);
-        out.par_iter_mut().with_min_len(1).for_each(|b| {
-            dedup_min(b);
+        rayon::for_each_chunk_mut(out, rayon::fixed_chunk_size(p, 1), |_, buckets| {
+            for b in buckets {
+                dedup_min(b);
+            }
         });
         // the sort is the modeled "on-chip sort" cost
         ctx.charge_compute(work);
@@ -136,11 +137,13 @@ pub fn exchange_into<R: Record>(
         // encode per destination (in parallel, ordered combine); sortedness
         // comes from dedup when enabled
         ctx.trace_begin(TraceCode::TaskWave, p as u64, 3);
-        let enc: Vec<Vec<u8>> = out
-            .par_iter()
-            .with_min_len(1)
-            .map(|b| R::encode(b, opts.dedup))
-            .collect();
+        let mut enc: Vec<Vec<u8>> = vec![Vec::new(); p];
+        let buckets = &*out;
+        rayon::for_each_chunk_mut(&mut enc, rayon::fixed_chunk_size(p, 1), |lo, blocks| {
+            for (block, b) in blocks.iter_mut().zip(&buckets[lo..]) {
+                *block = R::encode(b, opts.dedup);
+            }
+        });
         ctx.charge_compute(outcome.records_sent);
         ctx.trace_end(TraceCode::TaskWave, p as u64, 3);
         // encoding only read the buckets: clear them, keeping capacity

@@ -312,6 +312,12 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
         &self.stats
     }
 
+    /// Landmarks the engine holds: the `num_landmarks` requested, or fewer
+    /// when the graph has fewer vertices.
+    pub fn landmarks(&self) -> usize {
+        self.landmarks.as_ref().map_or(0, |l| l.ids.len())
+    }
+
     /// Answer a query stream: admit in windows of `batch_width`, run each
     /// window as one shared batch. Returns outcomes in stream order.
     /// Collective.
@@ -336,7 +342,7 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
     fn serve_window(&mut self, ctx: &mut RankCtx, window: &[Query], out: &mut Vec<QueryOutcome>) {
         let part = self.graph.part();
         let me = ctx.rank();
-        let k = self.landmarks.as_ref().map_or(0, |l| l.ids.len());
+        let k = self.landmarks();
         // admission record key space: slot 0 = cached p2p answer from the
         // target's owner, slots 1..=k = dist(L_j, source) from the
         // source's owner, k+1..=2k = dist(L_j, target) from the target's

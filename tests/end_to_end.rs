@@ -284,11 +284,14 @@ fn cli_rejects_unknown_arguments_by_name() {
 /// inside a rank thread (`--delta 0` died in `BucketQueue::new`, `--ranks 0`
 /// in `Machine::new`, `--roots 0` in the root sampler's "graph too small").
 /// Nor does a value run as something else: a budget past `u32::MAX` used to
-/// wrap to a small one, `--batch 0` ran at width 1 and reported 0, and
-/// `--p2p` past 1000 per mille made every query point-to-point.
+/// wrap to a small one, `--batch 0` ran at width 1 and reported 0,
+/// `--p2p` past 1000 per mille made every query point-to-point, and
+/// `--checkpoint-interval 0` ran at interval 1. A fault or crash rate
+/// outside `[0, 1]`, a deadline that is not positive, and a value that does
+/// not parse are refused the same way, by the flag's name.
 #[test]
 fn cli_rejects_out_of_range_values_by_name() {
-    let cases: [(&[&str], &str); 21] = [
+    let cases: [(&[&str], &str); 36] = [
         (&["sssp", "--scale", "0"], "--scale"),
         (&["sssp", "--scale", "64"], "--scale"),
         (&["bfs", "--scale", "0"], "--scale"),
@@ -319,6 +322,56 @@ fn cli_rejects_out_of_range_values_by_name() {
         ),
         (&["serve", "--scale", "8", "--batch", "0"], "--batch"),
         (&["serve", "--scale", "8", "--p2p", "5000"], "--p2p"),
+        (
+            &[
+                "sssp",
+                "--scale",
+                "8",
+                "--ranks",
+                "2",
+                "--checkpoint-interval",
+                "0",
+                "--crash-rate",
+                "0.1",
+            ],
+            "--checkpoint-interval",
+        ),
+        (
+            &["serve", "--scale", "8", "--checkpoint-interval", "0"],
+            "--checkpoint-interval",
+        ),
+        (
+            &["sssp", "--scale", "8", "--drop-rate", "1.5"],
+            "--drop-rate",
+        ),
+        (&["bfs", "--scale", "8", "--dup-rate", "-0.1"], "--dup-rate"),
+        (
+            &["sssp", "--scale", "8", "--corrupt-rate", "nan"],
+            "--corrupt-rate",
+        ),
+        (
+            &["sssp", "--scale", "8", "--reorder-rate", "2"],
+            "--reorder-rate",
+        ),
+        (
+            &["serve", "--scale", "8", "--crash-rate", "1.5"],
+            "--crash-rate",
+        ),
+        (&["serve", "--scale", "8", "--deadline", "-1"], "--deadline"),
+        (
+            &["serve", "--scale", "8", "--deadline", "nan"],
+            "--deadline",
+        ),
+        (&["serve", "--scale", "8", "--deadline", "0"], "--deadline"),
+        // a value that does not parse at all
+        (&["sssp", "--scale", "8", "--roots", "abc"], "--roots"),
+        (&["stats", "--scale", "twelve"], "--scale"),
+        (&["sssp", "--scale", "8", "--drop-rate", "x"], "--drop-rate"),
+        (&["sssp", "--scale", "8", "--delta", "wide"], "--delta"),
+        (
+            &["serve", "--scale", "8", "--deadline", "soon"],
+            "--deadline",
+        ),
     ];
     for (args, culprit) in cases {
         let out = g500(args);
