@@ -17,8 +17,9 @@ use std::fmt::Display;
 /// What is wrong with `raw` as the value of the integer variable `name`,
 /// as the words that follow "is not"; `Ok` with the value otherwise. The
 /// range is the one the name promises: a `…SCALE…` is a generator scale, a
-/// count of ranks, roots, queries or pool entries is at least one, and
-/// anything else (seeds, budgets, cache sizes) is any `u64`.
+/// count of ranks, roots, queries or pool entries is at least one, a
+/// `…BUDGET` fits the fault plans' `u32`, and anything else (seeds, cache
+/// sizes) is any `u64`.
 fn check_param(name: &str, raw: &str) -> Result<u64, String> {
     let v: u64 = raw
         .trim()
@@ -30,16 +31,20 @@ fn check_param(name: &str, raw: &str) -> Result<u64, String> {
         Err(format!("{} to {}", scales.start(), scales.end()))
     } else if v == 0 && counted.iter().any(|c| name.ends_with(c)) {
         Err("at least 1".to_string())
+    } else if name.ends_with("BUDGET") && u32::try_from(v).is_err() {
+        Err(format!("0 to {}", u32::MAX))
     } else {
         Ok(v)
     }
 }
 
-/// The same for a float variable: every one is a rate or a factor, finite
-/// and not negative.
-fn check_param_f64(raw: &str) -> Result<f64, String> {
+/// The same for a float variable: a `…_RATE` is a probability in `[0, 1]`,
+/// anything else a factor, finite and not negative.
+fn check_param_f64(name: &str, raw: &str) -> Result<f64, String> {
     let v: f64 = raw.trim().parse().map_err(|_| "a number".to_string())?;
-    if v.is_finite() && v >= 0.0 {
+    if name.ends_with("_RATE") && !(0.0..=1.0).contains(&v) {
+        Err("a probability in [0, 1]".to_string())
+    } else if v.is_finite() && v >= 0.0 {
         Ok(v)
     } else {
         Err("finite and at least 0".to_string())
@@ -72,29 +77,26 @@ pub fn param(name: &str, default: u64) -> u64 {
 }
 
 /// Read a float parameter from the environment with a default; exits 2 on
-/// a value that does not parse, is not finite or is negative.
+/// a value that does not parse or is outside the range its name promises.
 pub fn param_f64(name: &str, default: f64) -> f64 {
-    checked(name, default, check_param_f64)
+    checked(name, default, |raw| check_param_f64(name, raw))
 }
 
 /// Build a [`simnet::FaultPlan`] from the `G500_*` fault environment
 /// variables (`G500_FAULT_SEED`, `G500_DROP_RATE`, `G500_DUP_RATE`,
 /// `G500_CORRUPT_RATE`, `G500_REORDER_RATE`, `G500_RETRY_BUDGET`), all
 /// zero/off by default — so every harness can run its sweep over a lossy
-/// network without code changes. Exits 2 on invalid rates.
+/// network without code changes. A rate outside `[0, 1]` or a budget past
+/// `u32::MAX` exits 2 naming its variable.
 pub fn fault_plan_from_env() -> simnet::FaultPlan {
-    let plan = simnet::FaultPlan::none()
+    let budget = param("G500_RETRY_BUDGET", 16);
+    simnet::FaultPlan::none()
         .with_seed(param("G500_FAULT_SEED", 0))
         .with_drop(param_f64("G500_DROP_RATE", 0.0))
         .with_duplicate(param_f64("G500_DUP_RATE", 0.0))
         .with_corrupt(param_f64("G500_CORRUPT_RATE", 0.0))
         .with_reorder(param_f64("G500_REORDER_RATE", 0.0))
-        .with_retry_budget(param("G500_RETRY_BUDGET", 16) as u32);
-    if let Err(e) = plan.validate() {
-        eprintln!("bad G500_* fault environment: {e}");
-        std::process::exit(2)
-    }
-    plan
+        .with_retry_budget(u32::try_from(budget).expect("checked by its name"))
 }
 
 /// Extra banner parameters describing the fault environment; empty when
@@ -322,7 +324,7 @@ mod tests {
             check_param("G500_SEED", "-1"),
             Err("an unsigned integer".into())
         );
-        assert_eq!(check_param_f64("0.1.2"), Err("a number".into()));
+        assert_eq!(check_param_f64("G500_X", "0.1.2"), Err("a number".into()));
     }
 
     #[test]
@@ -335,13 +337,29 @@ mod tests {
             check_param("G500_SCALE_PER_RANK", "0"),
             Err("1 to 62".into())
         );
-        assert_eq!(check_param_f64("-0.5"), Err("finite and at least 0".into()));
-        assert_eq!(check_param_f64("inf"), Err("finite and at least 0".into()));
+        let factor = |raw| check_param_f64("G500_FACTOR", raw);
+        assert_eq!(factor("-0.5"), Err("finite and at least 0".into()));
+        assert_eq!(factor("inf"), Err("finite and at least 0".into()));
+        assert_eq!(factor("1.5"), Ok(1.5));
+        // a rate is a probability, and a budget is what the plans keep
+        let probability = Err("a probability in [0, 1]".into());
+        for raw in ["1.5", "-0.1", "nan", "inf"] {
+            assert_eq!(check_param_f64("G500_DROP_RATE", raw), probability, "{raw}");
+        }
+        assert_eq!(check_param_f64("G500_DROP_RATE", "1"), Ok(1.0));
+        assert_eq!(
+            check_param("G500_RETRY_BUDGET", "4294967296"),
+            Err("0 to 4294967295".into())
+        );
+        assert_eq!(
+            check_param("G500_RETRY_BUDGET", "4294967295"),
+            Ok(4294967295)
+        );
         // what a name does not bound is any value of its type
         assert_eq!(check_param("G500_FAULT_SEED", "0"), Ok(0));
         assert_eq!(check_param("G500_LRU", "0"), Ok(0));
         assert_eq!(check_param("G500_SCALE", " 62 "), Ok(62));
-        assert_eq!(check_param_f64("0"), Ok(0.0));
+        assert_eq!(check_param_f64("G500_DROP_RATE", "0"), Ok(0.0));
     }
 
     #[test]

@@ -413,13 +413,17 @@ impl RankCtx {
     /// do not decode as that). The error names the tag of the last message
     /// received, which every message of that collective travelled under.
     pub fn decode_failure(&self, src: usize, len: usize, elem_size: usize) -> ! {
-        std::panic::panic_any(FaultEscalation::Transport(TransportError::Decode {
-            src,
-            dst: self.rank(),
-            tag: self.last_recv_tag,
-            len,
-            elem_size,
-        }))
+        // an unwind, not a panic: `Machine::try_run` reports it once, and
+        // the panic hook prints nothing per rank thread
+        std::panic::resume_unwind(Box::new(FaultEscalation::Transport(
+            TransportError::Decode {
+                src,
+                dst: self.rank(),
+                tag: self.last_recv_tag,
+                len,
+                elem_size,
+            },
+        )))
     }
 
     /// Receive a collective payload of any length from machine rank `src`.

@@ -18,7 +18,7 @@ use crate::cost::{ComputeModel, LogGP, Topology};
 use crate::fault::CrashPlan;
 use crate::machine::MachineConfig;
 use crate::recovery::{CrashState, FaultEscalation};
-use crate::sched::{splitmix64, SchedCore};
+use crate::sched::{abort_quietly, splitmix64, SchedCore};
 use crate::stats::NetStats;
 use crate::trace::{TraceBuf, TraceCode, TraceKind};
 use crate::transport::{SenderTransport, TransportError, TransportIo};
@@ -405,25 +405,26 @@ impl RankCtx {
         let arrive = match self.reliable.as_mut() {
             None => self.now + self.loggp.transit(payload.len(), hops),
             Some(rel) => {
-                // Lossy link: run the reliable protocol (framing, fault
-                // lottery, dedup/reassembly, retransmit backoff) to
-                // completion; the mailbox below stays lossless and carries
-                // the reassembled payload exactly once.
+                // Lossy link: run the reliable protocol (fault lottery,
+                // sequence-number dedup, retransmit backoff) over the
+                // message's frames to completion; the mailbox below stays
+                // lossless and carries the payload exactly once.
                 let loggp = self.loggp;
                 let mut io = TransportIo {
                     now: &mut self.now,
                     stats: &mut self.stats,
                     trace: self.trace.as_deref_mut(),
                 };
-                match rel.deliver(dest, tag, &payload, &mut io, |frame_len| {
+                match rel.deliver(dest, tag, payload.len(), &mut io, |frame_len| {
                     loggp.transit(frame_len, hops)
                 }) {
                     Ok(arrive) => arrive,
                     // Typed escalation: carried out of arbitrarily deep
-                    // send paths (collectives, subcomms, exchanges) as a
-                    // panic payload, caught and downcast by
-                    // `Machine::try_run` into a structured `Err`.
-                    Err(e) => std::panic::panic_any(FaultEscalation::Transport(e)),
+                    // send paths (collectives, subcomms, exchanges) as an
+                    // unwind payload, caught and downcast by
+                    // `Machine::try_run` into a structured `Err`. Not a
+                    // panic, so the hook prints nothing per rank thread.
+                    Err(e) => std::panic::resume_unwind(Box::new(FaultEscalation::Transport(e))),
                 }
             }
         };
@@ -487,11 +488,11 @@ impl RankCtx {
                             }
                             Err(RecvTimeoutError::Timeout) => {
                                 if abort.load(Ordering::Acquire) {
-                                    panic!(
+                                    abort_quietly(format!(
                                         "rank {}: job aborted — another rank failed while this \
                                          rank was waiting for ({src}, tag {tag})",
                                         self.rank
-                                    );
+                                    ));
                                 }
                             }
                             Err(RecvTimeoutError::Disconnected) => {

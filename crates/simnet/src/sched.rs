@@ -330,12 +330,19 @@ fn panic_aborted(inner: &Inner, rank: usize, waiting: Option<(usize, Tag)>) -> !
         panic!("rank {rank}: {msg}");
     }
     match waiting {
-        Some((src, tag)) => panic!(
+        Some((src, tag)) => abort_quietly(format!(
             "rank {rank}: job aborted — another rank failed while this rank \
              was waiting for ({src}, tag {tag})"
-        ),
-        None => panic!("rank {rank}: job aborted — another rank failed"),
+        )),
+        None => abort_quietly(format!("rank {rank}: job aborted — another rank failed")),
     }
+}
+
+/// Leave a rank that another rank's failure aborted, without running the
+/// panic hook: the rank that failed reports the cause, and `Machine` still
+/// sees `msg` as this rank's panic text.
+pub(crate) fn abort_quietly(msg: String) -> ! {
+    std::panic::resume_unwind(Box::new(msg))
 }
 
 #[cfg(test)]

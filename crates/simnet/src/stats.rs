@@ -38,9 +38,9 @@ pub struct NetStats {
     /// Frames discarded by receiver-side sequence-number dedup (network
     /// duplicates and ack-loss-induced retransmits of delivered data).
     pub dup_frames_dropped: u64,
-    /// Frames rejected by the receiver's CRC32 / framing check.
+    /// Frames corrupted in flight and rejected by the receiver's frame check.
     pub corrupt_frames: u64,
-    /// Frames delivered out of order and masked by reassembly.
+    /// Frames delivered out of order and masked by sequence order.
     pub reordered_frames: u64,
     /// Injected rank stall windows that triggered.
     pub stall_events: u64,

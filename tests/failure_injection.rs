@@ -526,6 +526,32 @@ fn retry_budget_exhaustion_names_link_deterministic() {
     });
 }
 
+/// Out of retry budget, the CLI prints the typed error once and exits 1,
+/// under either scheduler: no rank thread reports a panic, neither the one
+/// that gave up nor the peers it aborted.
+#[test]
+fn retry_budget_exhaustion_is_one_cli_line() {
+    for sched in [&[][..], &["--deterministic"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_g500"))
+            .args(["sssp", "--scale", "8", "--ranks", "4", "--roots", "1"])
+            .args(["--drop-rate", "0.9", "--retry-budget", "2"])
+            .args(sched)
+            .output()
+            .expect("spawn g500");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{sched:?}: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "{sched:?}: panic leaked: {stderr}"
+        );
+        assert_eq!(
+            stderr.matches("retry budget exhausted on link").count(),
+            1,
+            "{sched:?}: {stderr}"
+        );
+    }
+}
+
 // ---------- process crashes compose with the lossy network ----------
 
 use graph500::CrashPlan;

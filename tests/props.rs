@@ -655,104 +655,46 @@ fn generator_blocks_are_independent() {
     });
 }
 
-// ---- reliable transport framing (fault-injection tentpole) ----
+// ---- reliable transport over lossy links ----
 
 #[test]
-fn frame_roundtrip_arbitrary_payloads() {
-    use graph500::simnet::transport::Frame;
-    for_cases(0xF4A3, 128, |rng| {
-        let len = rng.usize(0, 300);
-        let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        let f = Frame {
-            src: rng.next_u64() as u32,
-            dst: rng.next_u64() as u32,
-            tag: rng.next_u64(),
-            seq: rng.next_u64(),
-            payload,
+fn lossy_sends_deliver_each_payload_once_in_order() {
+    // every fault class at once, messages of zero to three frames: each
+    // rank receives from each peer exactly the payloads sent, in send
+    // order, and the fault counters move
+    use graph500::FaultPlan;
+    for_cases(0x5EA5, 16, |rng| {
+        let ranks = rng.usize(2, 5);
+        let plan = FaultPlan::none()
+            .with_seed(rng.next_u64())
+            .with_drop(0.3 * rng.f64_unit())
+            .with_duplicate(0.3 * rng.f64_unit())
+            .with_corrupt(0.3 * rng.f64_unit())
+            .with_reorder(0.3 * rng.f64_unit())
+            .with_retry_budget(64);
+        let lens: Vec<usize> = (0..4).map(|_| rng.usize(0, 3 * plan.mtu)).collect();
+        let payload = |src: usize, dst: usize, i: usize| -> Vec<u8> {
+            (0..lens[i])
+                .map(|b| (src * 31 + dst * 7 + i + b) as u8)
+                .collect()
         };
-        let enc = f.encode();
-        assert_eq!(Frame::decode(&enc).expect("round-trip"), f);
-    });
-}
-
-#[test]
-fn burst_corruption_is_always_detected() {
-    // the fault injector flips a burst of 1–32 contiguous bits; CRC32
-    // detects every burst of ≤ 32 bits, so detection is a guarantee here,
-    // not a probability — any seed that slips a corrupt frame past the
-    // check is a real bug
-    use graph500::simnet::transport::{corrupt_burst, Frame};
-    for_cases(0xC0DE, 512, |rng| {
-        let len = rng.usize(0, 200);
-        let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        let f = Frame {
-            src: 3,
-            dst: 1,
-            tag: 0x42,
-            seq: rng.next_u64(),
-            payload,
-        };
-        let enc = f.encode();
-        let mut bad = enc.clone();
-        corrupt_burst(&mut bad, rng.next_u64());
-        assert_ne!(bad, enc, "corruption must flip at least one bit");
-        assert!(
-            Frame::decode(&bad).is_err(),
-            "undetected burst corruption of a {}-byte frame",
-            enc.len()
-        );
-    });
-}
-
-#[test]
-fn crc_differs_for_any_single_bit_flip() {
-    use graph500::simnet::transport::crc32;
-    for_cases(0xCC32, 64, |rng| {
-        let len = rng.usize(1, 128);
-        let buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        let base = crc32(&buf);
-        let bit = rng.usize(0, len * 8);
-        let mut flipped = buf.clone();
-        flipped[bit / 8] ^= 1 << (bit % 8);
-        assert_ne!(crc32(&flipped), base, "bit {bit} of {len} bytes");
-    });
-}
-
-#[test]
-fn reassembler_is_order_and_duplicate_insensitive() {
-    use graph500::simnet::transport::{Frame, Reassembler};
-    for_cases(0x5EA5, 128, |rng| {
-        let k = rng.usize(1, 12);
-        let base_seq = rng.next_u64() >> 1; // headroom for +k
-        let chunks: Vec<Vec<u8>> = (0..k)
-            .map(|_| {
-                let l = rng.usize(0, 40);
-                (0..l).map(|_| rng.next_u64() as u8).collect()
-            })
-            .collect();
-        // arrival schedule: every fragment at least once, plus random
-        // duplicates, in a seeded shuffle
-        let mut arrivals: Vec<usize> = (0..k).collect();
-        for _ in 0..rng.usize(0, 2 * k) {
-            arrivals.push(rng.usize(0, k));
-        }
-        for i in (1..arrivals.len()).rev() {
-            let j = rng.usize(0, i + 1);
-            arrivals.swap(i, j);
-        }
-        let mut r = Reassembler::new(base_seq);
-        for &i in &arrivals {
-            let _ = r.offer(Frame {
-                src: 0,
-                dst: 1,
-                tag: 7,
-                seq: base_seq + i as u64,
-                payload: chunks[i].clone(),
-            });
-        }
-        assert!(r.is_complete(base_seq + k as u64));
-        let expect: Vec<u8> = chunks.concat();
-        assert_eq!(r.into_payload(), expect);
+        let out = Machine::new(MachineConfig::with_ranks(ranks).faults(plan)).run(|ctx| {
+            let me = ctx.rank();
+            for peer in (0..ctx.size()).filter(|&p| p != me) {
+                for i in 0..lens.len() {
+                    ctx.send_bytes(peer, 3, payload(me, peer, i));
+                }
+            }
+            let mut ok = true;
+            for peer in (0..ctx.size()).filter(|&p| p != me) {
+                for i in 0..lens.len() {
+                    ok &= ctx.recv_bytes(peer, 3) == payload(peer, me, i);
+                }
+            }
+            ok
+        });
+        assert!(out.results.iter().all(|&ok| ok), "{plan:?}");
+        assert!(out.total_stats().saw_faults(), "{plan:?}");
     });
 }
 
