@@ -68,7 +68,7 @@ fn main() {
             let g = assemble_local_graph(ctx, mine.iter(), part);
             let cfg = ServeConfig {
                 batch_width: batch,
-                opts: OptConfig::all_on().with_delta(0.125),
+                opts: OptConfig::all_on(),
                 num_landmarks: 0, // isolate batching from caching
                 lru_capacity: 0,
                 keep_paths: false,

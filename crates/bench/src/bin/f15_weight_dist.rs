@@ -3,9 +3,11 @@
 //! Same Kronecker topology, three weight laws (uniform — the Graph500
 //! default; exponential — light-edge-heavy; bimodal — road-like). For each
 //! law, compare the adaptive Δ (which measures the weight profile at
-//! startup) against a Δ hard-coded for the uniform default. Adaptive
-//! should be competitive everywhere; the hard-coded value should visibly
-//! lose off-distribution — the robustness claim behind adaptive Δ.
+//! startup and prices it on the machine) against a Δ hard-coded for the
+//! uniform default. Adaptive should be competitive everywhere; the
+//! hard-coded value should visibly lose off-distribution — the robustness
+//! claim behind adaptive Δ. The harness exits 1 unless the adaptive row is
+//! strictly faster than fixed 0.125 under both off-spec laws.
 //!
 //! Overrides: `G500_SCALE` (14), `G500_RANKS` (8), `G500_ROOTS` (2).
 
@@ -80,7 +82,8 @@ fn main() {
         "supersteps",
         "vs_adaptive",
     ]);
-    for (name, dist) in dists {
+    let mut off_spec = Vec::new();
+    for (i, (name, dist)) in dists.into_iter().enumerate() {
         let el = reweight(&base, dist, 77);
         let (t_adapt, s_adapt) = measure(&el, n, ranks, &roots, OptConfig::all_on());
         let (t_fixed, s_fixed) =
@@ -99,6 +102,24 @@ fn main() {
             s_fixed.to_string(),
             format!("{:.2}x", t_fixed / t_adapt),
         ]);
+        if i > 0 {
+            off_spec.push((name, t_adapt, t_fixed));
+        }
     }
     println!("\nexpected shape: adaptive within noise of fixed on the uniform law it was tuned for, and clearly better off-distribution");
+    let mut broken = false;
+    for (name, t_adapt, t_fixed) in off_spec {
+        if t_adapt < t_fixed {
+            println!(
+                "F15 {name}: adaptive is {:.2}x faster than fixed 0.125",
+                t_fixed / t_adapt
+            );
+        } else {
+            broken = true;
+            eprintln!("SHAPE BROKEN: F15 {name}: adaptive is not faster than fixed 0.125");
+        }
+    }
+    if broken {
+        std::process::exit(1);
+    }
 }

@@ -49,7 +49,8 @@
 //! a route from the LogGP parameters, and [`RankCtx::alltoallv_route`] and
 //! [`RankCtx::allgatherv_route`] name the cheaper one for the bytes at hand —
 //! callers decide per call, from numbers every rank agrees on, the way a
-//! kernel decides push against pull.
+//! kernel decides push against pull. [`RankCtx::allreduce_seconds`] prices
+//! an allreduce the same way, so a kernel can price a whole superstep.
 //!
 //! Tag discipline: each collective invocation claims a fresh sequence number
 //! from its communicator's rank-local counter. SPMD programs call collectives
@@ -597,6 +598,19 @@ impl RankCtx {
             + bytes * self.alltoallv_share(grid) * net.per_byte
     }
 
+    /// Modeled seconds of one allreduce of about `bytes` a rank, entered by
+    /// all ranks at once: the rounds of [`allreduce_schedule`] — `log₂ P`,
+    /// and a fold-in and a fold-out round more on a ragged `P` — each a
+    /// send, the flight of `bytes` over the worst hop count, and a receive.
+    pub fn allreduce_seconds(&self, bytes: f64) -> f64 {
+        let p = self.size();
+        let rounds = p.ilog2() + if p.is_power_of_two() { 0 } else { 2 };
+        let net = self.loggp();
+        let round =
+            2.0 * net.overhead + net.latency * f64::from(self.direct_hops) + bytes * net.per_byte;
+        f64::from(rounds) * round
+    }
+
     /// The cheaper route for an all-to-all in which every rank ships about
     /// `bytes`: grouped when the posting it saves outweighs the extra hop
     /// and the second copy of the bytes, direct otherwise and on a tie. A
@@ -775,16 +789,19 @@ mod tests {
         ];
         for (p, rounds, msgs, slowest_ns) in pinned {
             let rep = Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
+                let priced = ctx.allreduce_seconds(8.0);
                 ctx.allreduce_sum(ctx.rank() as u64);
-                ctx.now()
+                (ctx.now(), priced)
             });
             let total = rep.total_stats();
             assert_eq!(total.coll_msgs, msgs, "p={p}");
             assert_eq!(total.coll_bytes, 8 * msgs, "p={p}");
             assert_eq!(total.collectives, p as u64, "one collective a rank, p={p}");
             let bound = f64::from(rounds) * round;
-            if p.is_power_of_two() {
-                for now in &rep.results {
+            for &(now, priced) in &rep.results {
+                // the price is the schedule's rounds: the bound every rank keeps
+                assert!((priced - bound).abs() < 1e-15, "p={p}: priced {priced}");
+                if p.is_power_of_two() {
                     assert!((now - bound).abs() < 1e-12, "p={p}: {now} vs {bound}");
                 }
             }

@@ -30,7 +30,8 @@ pub enum Direction {
 /// [`OptConfig::all_off`] the unoptimized strawman.
 #[derive(Clone, Copy, Debug)]
 pub struct OptConfig {
-    /// Bucket width Δ. `None` selects adaptively from graph statistics.
+    /// Bucket width Δ. `None` prices it from the graph's totals and the
+    /// machine ([`machine_delta`](crate::delta::machine_delta)).
     pub delta: Option<Weight>,
     /// Aggregate relaxation requests per destination rank (vs one message
     /// per request).

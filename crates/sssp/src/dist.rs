@@ -63,7 +63,7 @@
 use crate::bucket::BucketQueue;
 use crate::codec::{Record, TaggedUpdate, Update};
 use crate::config::{Direction, OptConfig};
-use crate::delta::suggest_delta;
+use crate::delta::machine_delta;
 use crate::epoch::{run_bucket_epochs, Agreed, BucketKernel, Offer, SuperstepSpan};
 use crate::exchange::{exchange_into, shipped_bytes, ExchangeBufs};
 use crate::multi::BatchSpec;
@@ -100,7 +100,7 @@ type PullScan = (u64, Option<(f32, u64)>);
 /// Operations one pushed light arc costs end to end: the relaxation, then
 /// what [`exchange_into`] and the receiver charge per record — dedup
 /// (offered), encode (shipped), decode and apply (received).
-const PUSH_OPS_PER_ARC: f64 = 5.0;
+pub(crate) const PUSH_OPS_PER_ARC: f64 = 5.0;
 
 /// Wire bytes of one broadcast frontier entry of a lane alone, `(vertex,
 /// dist)`: what the light switch prices a pull's broadcast by.
@@ -365,16 +365,16 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
     let start_now = ctx.now();
     let start_stats = ctx.stats().clone();
 
-    // Δ selection, from the statistics assembly reduced with the graph.
+    // Δ selection, from the statistics assembly reduced with the graph and
+    // the machine every rank prices alike: the same Δ everywhere, however
+    // many lanes run.
     let delta = opts.delta.unwrap_or_else(|| {
-        let (arcs, verts) = (graph.global_arcs(), graph.global_vertices());
-        let avg_degree = arcs as f64 / verts.max(1) as f64;
-        let mean_w = if arcs == 0 {
-            0.5
-        } else {
-            graph.global_weight() / arcs as f64
-        };
-        suggest_delta(avg_degree, mean_w)
+        machine_delta(
+            ctx,
+            graph.global_vertices(),
+            graph.global_arcs(),
+            graph.global_weight(),
+        )
     });
 
     let light_end: Vec<u32> = (0..n_local)
@@ -1198,10 +1198,22 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         // lane, a map of what each frontier vertex offers and the nearest
         // of them. The maps are probed once per scanned arc and never
         // iterated: ids the graph made need no SipHash, and the hasher
-        // cannot change a result.
+        // cannot change a result. Each map is sized for its lane's entries
+        // up front — a vertex has one owner, so none repeats — and never
+        // rehashes while it fills.
         let order = ctx.delivery_order(blocks.len());
-        let quiet: (HashMap<u64, f32, VertexIdBuild>, f32) = (HashMap::default(), f32::INFINITY);
-        let mut heard = vec![quiet; self.lanes.len()];
+        let mut sizes = vec![0; self.lanes.len()];
+        for &(tag, ..) in blocks.iter().flatten() {
+            sizes[R::lane(tag) as usize] += 1;
+        }
+        let quiet = |n| {
+            (
+                HashMap::with_capacity_and_hasher(n, VertexIdBuild::default()),
+                f32::INFINITY,
+            )
+        };
+        let mut heard: Vec<(HashMap<u64, f32, VertexIdBuild>, f32)> =
+            sizes.into_iter().map(quiet).collect();
         for b in order {
             for &(tag, v, d) in &blocks[b] {
                 let (offers, nearest) = &mut heard[R::lane(tag) as usize];
@@ -1362,6 +1374,13 @@ mod tests {
             (sp.gather_to_all(ctx, g.part()), stats)
         });
         rep.results.into_iter().next().expect("at least one rank")
+    }
+
+    impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
+        /// The bucket width the run took.
+        pub(crate) fn delta(&self) -> Weight {
+            self.rows.delta
+        }
     }
 
     fn exact(el: &EdgeList, n: usize, root: u64) -> ShortestPaths {
@@ -1775,9 +1794,11 @@ mod tests {
         // superstep span. A fetch is the heavy superstep with two exchanges,
         // request and reply. A pull's broadcast hops are gathers, not
         // all-to-alls (`light_pull_broadcasts_by_the_priced_route`), so they
-        // leave these counts alone.
+        // leave these counts alone. Δ is the degree rule's, narrow enough to
+        // leave heavy arcs: on 32 vertices a rank the machine's price would
+        // make every arc light.
         let grouped_by_flavour = |dir: Direction| {
-            let opts = OptConfig::all_on().with_direction(dir);
+            let opts = OptConfig::all_on().with_direction(dir).with_delta(0.125);
             let rep = Machine::new(MachineConfig::with_ranks(16).traced(true)).run(|ctx| {
                 let g = kron9_on(ctx);
                 distributed_delta_stepping(ctx, &g, 5, &opts).1

@@ -26,8 +26,9 @@
 //!     broadcasts the frontier, a heavy pull fetches the distances of the
 //!     settled sources it needs, and both scan weight-sorted rows only up
 //!     to the weight that could still improve the vertex,
-//!   - **adaptive Δ** — bucket width chosen from the measured degree/weight
-//!     profile instead of a magic constant.
+//!   - **adaptive Δ** — bucket width priced from the graph's degree/weight
+//!     totals and the machine's superstep and arc costs instead of a magic
+//!     constant.
 //!
 //! Parallelism inside a rank — the paper's per-node core groups — is
 //! [`dist`]'s relax and exchange waves on the process-global pool, not a
@@ -50,7 +51,7 @@ pub mod serve;
 pub use bfs::{distributed_bfs, BfsStats};
 pub use bucket::BucketQueue;
 pub use config::{Direction, OptConfig};
-pub use delta::suggest_delta;
+pub use delta::{machine_delta, suggest_delta};
 pub use dist::{distributed_delta_stepping, try_distributed_delta_stepping, SsspRunStats};
 pub use dist2d::{Grid2DSssp, Sssp2DStats};
 pub use multi::{

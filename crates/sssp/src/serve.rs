@@ -91,7 +91,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             batch_width: 16,
-            opts: OptConfig::all_on().with_delta(0.125),
+            opts: OptConfig::all_on(),
             num_landmarks: 4,
             lru_capacity: 8,
             keep_paths: false,
@@ -718,8 +718,10 @@ mod tests {
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
+            // narrow buckets: supersteps enough for the lottery to strike
             let cfg = ServeConfig {
                 batch_width: 2,
+                opts: OptConfig::all_on().with_delta(0.125),
                 num_landmarks: 3,
                 lru_capacity: 4,
                 ..ServeConfig::default()

@@ -195,6 +195,38 @@ fn adversarial_cyclic_1d_conforms_across_opt_matrix() {
     }
 }
 
+/// The Δ the machine prices, on 4 and 16 ranks, on the adversaries where
+/// bucket width matters most: Dijkstra's distances to the bit.
+#[test]
+fn adversarial_families_are_bitwise_dijkstra_at_the_machine_priced_delta() {
+    use common::adversarial::{almost_line, grid_swirl, spfa_killer, wrong_dijkstra_killer};
+    let families = [
+        ("grid_swirl", grid_swirl(4)),
+        ("almost_line", almost_line(4)),
+        ("spfa_killer", spfa_killer(4)),
+        ("wrong_dijkstra_killer", wrong_dijkstra_killer(4)),
+    ];
+    for (fam, (n, edges)) in families {
+        let el = EdgeList::from_edges(
+            edges
+                .iter()
+                .map(|&(u, v, w)| graph500::graph::WEdge::new(u, v, w)),
+        );
+        let csr = Csr::from_edges(n as usize, &el, Directedness::Undirected);
+        let oracle = dijkstra(&csr, 0);
+        for p in [4usize, 16] {
+            let sp = dist_run_det(&el, |p| Block1D::new(n, p), p, 0, &OptConfig::all_on());
+            for v in 0..n as usize {
+                assert_eq!(
+                    oracle.dist[v].to_bits(),
+                    sp.dist[v].to_bits(),
+                    "{fam} p={p}: vertex {v}"
+                );
+            }
+        }
+    }
+}
+
 /// Adversaries on the 2D grid kernel at two delta extremes.
 #[test]
 fn adversarial_grid_2d_conforms() {

@@ -97,7 +97,7 @@ fn scale10_1d_crashy_matches_fault_free_both_schedulers() {
         (8, None, 1),
         (8, Some(0), 1),
         (5, Some(0), 1),
-        (16, Some(0), 2),
+        (16, Some(0), 6),
     ];
     for (ranks, sched, seed) in cases {
         let plan = plan(seed);

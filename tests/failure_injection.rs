@@ -562,7 +562,7 @@ use graph500::CrashPlan;
 /// schedulers.
 #[test]
 fn crashes_compose_with_lossy_network() {
-    let crash = CrashPlan::random(2, 0.004)
+    let crash = CrashPlan::random(4, 0.004)
         .with_checkpoint_interval(3)
         .with_recovery_budget(64);
     for sched in [None, Some(0)] {
