@@ -19,9 +19,7 @@ use graph500::{run_sssp_benchmark, BenchmarkConfig};
 /// Recorded efficiency floors, percent, in topology order: `(vertices/rank
 /// as a scale, largest rank count, roots, [crossbar, fat-tree, torus])`,
 /// each just under what `results/f1_weak_scaling.txt` records (7.7 / 5.5 /
-/// 5.9 % with the machine-priced Δ, where Δ = 0.125 gave 7.7 / 5.0 / 5.4,
-/// the ring broadcast 7.0 / 4.6 / 5.1 and the direct-only exchange before
-/// it 4.8 / 3.6 / 4.0).
+/// 5.9 %).
 const FLOORS: [(u32, usize, usize, [f64; 3]); 1] = [(13, 32, 3, [7.5, 5.3, 5.7])];
 
 fn main() {

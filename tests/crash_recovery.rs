@@ -13,7 +13,7 @@ use std::process::Command;
 
 use graph500::gen::{KroneckerGenerator, KroneckerParams};
 use graph500::partition::{assemble_local_graph, Block1D};
-use graph500::simnet::{Machine, MachineConfig, SchedMode};
+use graph500::simnet::{Machine, MachineConfig, SchedMode, TraceCode};
 use graph500::sssp::{try_batched_delta_stepping, BatchSpec, Direction, Grid2DSssp, OptConfig};
 use graph500::validate::{validate_sssp, SsspResult};
 use graph500::{
@@ -118,12 +118,16 @@ fn scale10_1d_crashy_matches_fault_free_both_schedulers() {
 /// The heavy fetch under crashes. `Pull` fetches in every bucket, so each
 /// rollback replays at least one request/reply round from checkpointed
 /// state (`settled_seen`, the unsettled-arc counters) plus scratch the
-/// replayed bucket must rebuild for itself.
+/// replayed bucket must rebuild for itself. Δ is the degree rule's: on 128
+/// vertices a rank the machine's price makes every arc light, and the
+/// fetch needs heavy arcs.
 #[test]
 fn scale10_1d_heavy_fetch_replays_byte_identically() {
     let run = |crash: CrashPlan| {
-        let mut cfg = BenchmarkConfig::quick(10, 8).crashes(crash);
-        cfg.opts = OptConfig::all_on().with_direction(Direction::Pull);
+        let mut cfg = BenchmarkConfig::quick(10, 8).crashes(crash).traced(true);
+        cfg.opts = OptConfig::all_on()
+            .with_direction(Direction::Pull)
+            .with_delta(0.125);
         cfg.keep_paths = true;
         run_sssp_benchmark(&cfg)
     };
@@ -135,6 +139,16 @@ fn scale10_1d_heavy_fetch_replays_byte_identically() {
     for r in &clean.runs {
         assert!(r.stats.heavy_pulls > 0, "root {}: {:?}", r.root, r.stats);
     }
+    // every heavy superstep is a fetch under `Pull`; the arcs its scans
+    // relaxed are the heavy arcs it fetched for
+    let trace = clean.trace.as_ref().expect("traced");
+    let fetched: u64 = trace
+        .events
+        .iter()
+        .filter(|(_, ev)| ev.code == TraceCode::Relaxations && ev.b == 1)
+        .map(|(_, ev)| ev.a)
+        .sum();
+    assert!(fetched > 0, "no heavy arc was fetched");
     assert!(
         crashy.net.restores > 0 && crashy.net.replayed_supersteps > 0,
         "crash schedule never fired: {:?}",

@@ -113,9 +113,13 @@ fn optimizations_do_not_change_traversal() {
             mk(OptConfig::all_off(), PartitionStrategy::Block),
         ),
         (
+            // the degree rule's Δ, so the pull fetches heavy arcs; the
+            // machine's price makes every arc light at 128 vertices a rank
             "pull",
             mk(
-                OptConfig::all_on().with_direction(Direction::Pull),
+                OptConfig::all_on()
+                    .with_direction(Direction::Pull)
+                    .with_delta(0.125),
                 degree_aware,
             ),
         ),
