@@ -442,13 +442,14 @@ impl Harness {
     }
 
     /// One rank's share of a root-by-root benchmark under the placement
-    /// `part`: the build, then the kernel loop — `search` runs one root,
+    /// `part`: the build, then the kernel loop. `search` runs one root,
     /// moved to the placement's ids, inside its `RootRun` span and returns
-    /// the slowest rank's time and the gathered result, which rank 0 keeps.
-    /// A kernel-level fault escalation (recovery budget exhausted,
-    /// checkpoint lost) aborts the remaining roots and propagates as the
-    /// identical `Err` on every rank.
-    fn on_rank<P: VertexPartition, T>(
+    /// this rank's kernel seconds and local result; outside the span,
+    /// `gather` brings that result into rank 0, which keeps it with the
+    /// slowest rank's time. A kernel-level fault escalation (recovery
+    /// budget exhausted, checkpoint lost) aborts the remaining roots and
+    /// propagates as the identical `Err` on every rank.
+    fn on_rank<P: VertexPartition, L, T>(
         &self,
         ctx: &mut RankCtx,
         part: P,
@@ -457,15 +458,17 @@ impl Harness {
             &mut RankCtx,
             &LocalGraph<P>,
             VertexId,
-        ) -> Result<(f64, T), FaultEscalation>,
+        ) -> Result<(f64, L), FaultEscalation>,
+        gather: impl Fn(&mut RankCtx, &LocalGraph<P>, L) -> T,
     ) -> Result<RankOutput<T>, FaultEscalation> {
         let (g, built) = self.build(ctx, part, true);
         let mut found = Vec::with_capacity(roots.len());
         for (ri, &root) in roots.iter().enumerate() {
             let root = self.relabel.as_ref().map_or(root, |l| l.apply(root));
             ctx.trace_begin(TraceCode::RootRun, ri as u64, root);
-            let one = search(ctx, &g, root)?;
+            let (seconds, local) = search(ctx, &g, root)?;
             ctx.trace_end(TraceCode::RootRun, ri as u64, root);
+            let one = (slowest(ctx, seconds), gather(ctx, &g, local));
             if ctx.rank() == 0 {
                 found.push(one);
             }
@@ -557,14 +560,12 @@ fn sssp_rank<P: VertexPartition>(
     roots: &[VertexId],
     opts: &OptConfig,
 ) -> Result<RankOutput<(SsspRunStats, ShortestPaths)>, FaultEscalation> {
-    h.on_rank(ctx, part, roots, |ctx, g, root| {
+    let search = |ctx: &mut RankCtx, g: &LocalGraph<P>, root| {
         let (sp, stats) = try_distributed_delta_stepping(ctx, g, root, opts)?;
-        let time = slowest(ctx, stats.sim_time_s);
-        let mut sp = sp.gather_to_all(ctx, g.part());
-        if ctx.rank() == 0 {
-            sp = h.original_ids(sp);
-        }
-        Ok((time, (stats, sp)))
+        Ok((stats.sim_time_s, (stats, sp)))
+    };
+    h.on_rank(ctx, part, roots, search, |ctx, g, (stats, sp)| {
+        (stats, h.original_ids(sp.gather(ctx, g.part())))
     })
 }
 
@@ -631,11 +632,12 @@ pub fn run_bfs_benchmark(cfg: &BenchmarkConfig) -> BenchmarkReport {
     let (n, p) = (h.n, cfg.machine.ranks);
     let roots = sample_roots(&h.edges, n, cfg.seed, cfg.num_roots);
     let sim = Machine::new(cfg.machine).run(|ctx| {
-        h.on_rank(ctx, Block1D::new(n, p), &roots, |ctx, g, root| {
-            let before = ctx.now();
-            let (res, _stats) = distributed_bfs(ctx, g, root, cfg.opts.direction);
-            let time = slowest(ctx, ctx.now() - before);
-            Ok((time, res.gather_to_all(ctx, g.part())))
+        let search = |ctx: &mut RankCtx, g: &LocalGraph<Block1D>, root| {
+            let (res, stats) = distributed_bfs(ctx, g, root, cfg.opts.direction);
+            Ok((stats.sim_time_s, res))
+        };
+        h.on_rank(ctx, Block1D::new(n, p), &roots, search, |ctx, g, res| {
+            res.gather(ctx, g.part())
         })
     });
     let reached = |(level, _): &(Vec<i64>, Vec<u64>), v: u64| level[v as usize] >= 0;

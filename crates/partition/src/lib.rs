@@ -15,7 +15,7 @@ pub mod part1d;
 pub mod part2d;
 
 pub use assemble::{assemble_local_graph, LocalGraph};
-pub use dist_result::DistShortestPaths;
+pub use dist_result::{gather_to_root, DistShortestPaths};
 pub use hybrid::{HybridPartition, SparseHubRelabel};
 pub use part1d::{Block1D, Cyclic1D};
 pub use part2d::EdgePartition2D;

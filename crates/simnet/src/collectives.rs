@@ -15,7 +15,9 @@
 //! [`SubComm`](crate::SubComm) (its membership table) call the same
 //! [`allreduce_schedule`], [`allgatherv_schedule`] and
 //! [`alltoallv_schedule`]; they differ only in those maps and in whose
-//! sequence counter and trace ids an invocation bumps.
+//! sequence counter and trace ids an invocation bumps. A gather into rank 0
+//! ([`RankCtx::gatherv`]) is the world's alone: one direct round, `P − 1`
+//! messages, which no subgroup calls.
 //!
 //! Why the allgather is one round. A sender pays `overhead` per message and
 //! nothing else: `per_byte` delays a payload's *arrival* and no rank's sends
@@ -503,6 +505,22 @@ impl RankCtx {
     pub fn allgatherv<T: Wire + Clone>(&mut self, mine: &[T]) -> Vec<Vec<T>> {
         self.collective(TraceCode::Allgatherv, |ctx, who, tag| {
             allgatherv_schedule(ctx, who, |i| i, tag, mine)
+        })
+    }
+
+    /// Gather of variably-sized blocks into rank 0, in one direct round:
+    /// every other rank sends its block once, and rank 0 returns all `P`
+    /// blocks indexed by rank. Every other rank returns none. A block that
+    /// is not whole `T`s is the typed decode error of
+    /// [`recv_coll_checked`](Self::recv_coll_checked).
+    pub fn gatherv<T: Wire + Clone>(&mut self, mine: &[T]) -> Vec<Vec<T>> {
+        self.collective(TraceCode::Gatherv, |ctx, (me, p), tag| {
+            if me == 0 {
+                let others = (1..p).map(|s| ctx.recv_coll(s, tag(0)));
+                return std::iter::once(mine.to_vec()).chain(others).collect();
+            }
+            ctx.send_coll(0, tag(0), mine);
+            Vec::new()
         })
     }
 
@@ -1332,6 +1350,73 @@ mod tests {
                     ),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn gatherv_delivers_blocks_in_rank_order_to_rank_0_only() {
+        // P − 1 messages carrying the other ranks' block bytes, all of
+        // them collective traffic and one collective on every rank
+        for (topo, p) in gather_machines() {
+            for empty in [false, true] {
+                let rep = Machine::new(MachineConfig::with_ranks(p).topology(topo))
+                    .run(|ctx| ctx.gatherv(&gather_block(ctx.rank(), empty)));
+                let expect: Vec<_> = (0..p).map(|r| gather_block(r, empty)).collect();
+                assert_eq!(rep.results[0], expect, "{topo:?} p={p}");
+                assert!(rep.results[1..].iter().all(Vec::is_empty), "p={p}");
+                let net = rep.total_stats();
+                let bytes: usize = expect[1..].iter().map(|b| 12 * b.len()).sum();
+                assert_eq!(net.coll_msgs, p as u64 - 1, "p={p}");
+                assert_eq!(net.coll_bytes, bytes as u64, "p={p}");
+                assert_eq!((net.user_msgs, net.collectives), (0, p as u64), "p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn gatherv_is_schedule_and_loss_invariant() {
+        let lossy = crate::FaultPlan::lossy(7, 0.1, 0.05, 0.05);
+        for p in [7, 16] {
+            let expect: Vec<_> = (0..p).map(|r| gather_block(r, false)).collect();
+            let configs = [
+                MachineConfig::with_ranks(p).deterministic(3),
+                MachineConfig::with_ranks(p).deterministic(11),
+                MachineConfig::with_ranks(p).faults(lossy),
+            ];
+            for cfg in configs {
+                let rep = Machine::new(cfg).run(|ctx| {
+                    let mine = gather_block(ctx.rank(), false);
+                    [ctx.gatherv(&mine), ctx.gatherv(&mine)]
+                });
+                assert_eq!(rep.results[0], [expect.clone(), expect.clone()], "p={p}");
+                assert!(rep.results[1..].iter().flatten().all(Vec::is_empty));
+            }
+        }
+    }
+
+    #[test]
+    fn gatherv_malformed_block_is_a_typed_error() {
+        // rank 2 sends pairs where the others send scalars: rank 0 cannot
+        // read 16 bytes as one (u32, u64) record of 12
+        let res = Machine::new(MachineConfig::with_ranks(4)).try_run(|ctx| {
+            if ctx.rank() == 2 {
+                ctx.gatherv(&[(1u64, 2u64)]).len()
+            } else {
+                ctx.gatherv(&gather_block(ctx.rank(), false)).len()
+            }
+        });
+        match res {
+            Err(FaultEscalation::Transport(TransportError::Decode {
+                src,
+                dst,
+                len,
+                elem_size,
+                ..
+            })) => assert_eq!((src, dst, len, elem_size), (2, 0, 16, 12)),
+            other => panic!(
+                "expected a typed decode error, got {:?}",
+                other.map(|r| r.results)
+            ),
         }
     }
 

@@ -66,7 +66,7 @@ pub enum TraceKind {
 pub enum TraceCode {
     /// Graph construction + distribution (span; driver level).
     Build = 0,
-    /// One SSSP/BFS root run, kernel + gather (span; `a` = root index).
+    /// One SSSP/BFS root run, the kernel alone (span; `a` = root index).
     RootRun = 1,
     /// One delta-stepping bucket (span; `a` = bucket index).
     Bucket = 2,
@@ -87,6 +87,8 @@ pub enum TraceCode {
     Allgatherv = 10,
     /// Personalized all-to-all (collective span).
     Alltoallv = 11,
+    /// Variable gather into rank 0 (collective span).
+    Gatherv = 12,
     /// One admission-windowed query batch through the serving engine
     /// (span; `a` = batch ordinal, `b` = lane width).
     QueryBatch = 15,
@@ -154,6 +156,7 @@ const ALL_CODES: &[TraceCode] = &[
     TraceCode::Barrier,
     TraceCode::Allgatherv,
     TraceCode::Alltoallv,
+    TraceCode::Gatherv,
     TraceCode::QueryBatch,
     TraceCode::CheckpointWrite,
     TraceCode::Restore,
@@ -189,6 +192,7 @@ impl TraceCode {
             TraceCode::Barrier => "barrier",
             TraceCode::Allgatherv => "allgatherv",
             TraceCode::Alltoallv => "alltoallv",
+            TraceCode::Gatherv => "gatherv",
             TraceCode::QueryBatch => "query-batch",
             TraceCode::CheckpointWrite => "checkpoint-write",
             TraceCode::Restore => "restore",
@@ -229,6 +233,7 @@ impl TraceCode {
                 | TraceCode::Barrier
                 | TraceCode::Allgatherv
                 | TraceCode::Alltoallv
+                | TraceCode::Gatherv
         )
     }
 }

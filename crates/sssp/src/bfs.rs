@@ -18,51 +18,27 @@
 //! win.
 
 use crate::config::Direction;
-use g500_graph::{Bitmap, VertexId};
-use g500_partition::{LocalGraph, VertexPartition};
+use g500_graph::{Bitmap, VertexId, NO_PARENT};
+use g500_partition::{gather_to_root, LocalGraph, VertexPartition};
 use simnet::{RankCtx, Wire};
 use std::collections::HashSet;
-
-/// Sentinel parent for unvisited vertices.
-pub const BFS_NO_PARENT: u64 = u64::MAX;
 
 /// One rank's BFS output: hop level (−1 unvisited) and global parent.
 #[derive(Clone, Debug)]
 pub struct DistBfs {
     /// `level[l]` of local vertex `l`, −1 if unvisited.
     pub level: Vec<i64>,
-    /// `parent[l]` as a global id, `BFS_NO_PARENT` if unvisited.
+    /// `parent[l]` as a global id, [`NO_PARENT`] if unvisited.
     pub parent: Vec<u64>,
 }
 
 impl DistBfs {
-    /// Collectively reassemble global `(level, parent)` arrays, by the
-    /// route priced for a rank's share of every vertex.
-    pub fn gather_to_all<P: VertexPartition>(
-        &self,
-        ctx: &mut RankCtx,
-        part: &P,
-    ) -> (Vec<i64>, Vec<u64>) {
-        let me = ctx.rank();
-        let mine: Vec<(u64, i64, u64)> = self
-            .level
-            .iter()
-            .enumerate()
-            .filter(|&(_, &lv)| lv >= 0)
-            .map(|(l, &lv)| (part.to_global(me, l), lv, self.parent[l]))
-            .collect();
-        let n = part.num_vertices() as usize;
-        let bytes = (n * <(u64, i64, u64) as Wire>::SIZE) as f64 / ctx.size() as f64;
-        let blocks = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &mine);
-        let mut level = vec![-1i64; n];
-        let mut parent = vec![BFS_NO_PARENT; n];
-        for block in blocks {
-            for (v, lv, p) in block {
-                level[v as usize] = lv;
-                parent[v as usize] = p;
-            }
-        }
-        (level, parent)
+    /// Collectively gather global `(level, parent)` arrays into rank 0
+    /// ([`gather_to_root`]); every other rank gets two empty ones.
+    pub fn gather<P: VertexPartition>(&self, ctx: &mut RankCtx, part: &P) -> (Vec<i64>, Vec<u64>) {
+        let (me, n) = (ctx.rank(), part.num_vertices() as usize);
+        let local = (&self.level[..], &self.parent[..]);
+        gather_to_root(ctx, n, -1, local, |l| part.to_global(me, l))
     }
 }
 
@@ -106,7 +82,7 @@ pub fn distributed_bfs<P: VertexPartition>(
 
     let mut res = DistBfs {
         level: vec![-1; n_local],
-        parent: vec![BFS_NO_PARENT; n_local],
+        parent: vec![NO_PARENT; n_local],
     };
     let mut stats = BfsStats::default();
     let mut frontier: Vec<u32> = Vec::new();
@@ -272,7 +248,7 @@ mod tests {
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
             let (res, stats) = distributed_bfs(ctx, &g, root, dir);
-            let (level, parent) = res.gather_to_all(ctx, g.part());
+            let (level, parent) = res.gather(ctx, g.part());
             (level, parent, stats)
         });
         rep.results.into_iter().next().expect("rank 0 result")
@@ -316,7 +292,7 @@ mod tests {
         let el = g500_gen::simple::path(4, 1.0); // vertices 4..7 isolated
         let (level, parent, _) = run_bfs(&el, 8, 2, 0, Direction::Hybrid);
         assert_eq!(level[5], -1);
-        assert_eq!(parent[5], BFS_NO_PARENT);
+        assert_eq!(parent[5], NO_PARENT);
         assert_eq!(level[3], 3);
     }
 

@@ -27,10 +27,10 @@
 
 use crate::bucket::BucketQueue;
 use crate::epoch::{run_bucket_epochs, Agreed, BucketKernel, SuperstepSpan};
-use g500_graph::{Csr, EdgeList, ShortestPaths, VertexId, WEdge, Weight};
-use g500_partition::{Block1D, VertexPartition};
+use g500_graph::{Csr, EdgeList, ShortestPaths, VertexId, WEdge, Weight, INF_WEIGHT};
+use g500_partition::{gather_to_root, Block1D, VertexPartition};
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
-use simnet::{RankCtx, SubComm, TraceCode, Wire};
+use simnet::{RankCtx, SubComm, TraceCode};
 use std::collections::HashMap;
 
 /// Per-chunk result of the parallel local relax scan: relaxation count and
@@ -428,30 +428,15 @@ impl Grid2DSssp {
         span.close(ctx, ss, self.stats.relaxations);
     }
 
-    /// Collectively reassemble the global result on every rank, by the
-    /// route priced for a diagonal member's share of every vertex.
-    pub fn gather(&mut self, ctx: &mut RankCtx) -> ShortestPaths {
-        let mine: Vec<(u64, f32, u64)> = if self.is_diag() {
-            self.dist
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.is_finite())
-                .map(|(l, &d)| (self.blocks.to_global(self.row, l), d, self.parent[l]))
-                .collect()
-        } else {
-            Vec::new()
-        };
+    /// Collectively gather the global result into rank 0
+    /// ([`gather_to_root`]) from the diagonal members, the only ranks that
+    /// hold vertex state; every other rank gets an empty result.
+    pub fn gather(&self, ctx: &mut RankCtx) -> ShortestPaths {
+        let local = (&self.dist[..], &self.parent[..]);
         let n = self.blocks.num_vertices() as usize;
-        let bytes = (n * <(u64, f32, u64) as Wire>::SIZE) as f64 / self.side as f64;
-        let blocks = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &mine);
-        let mut out = ShortestPaths::unreached(n);
-        for block in blocks {
-            for (v, d, p) in block {
-                out.dist[v as usize] = d;
-                out.parent[v as usize] = p;
-            }
-        }
-        out
+        let global = |l| self.blocks.to_global(self.row, l);
+        let (dist, parent) = gather_to_root(ctx, n, INF_WEIGHT, local, global);
+        ShortestPaths { dist, parent }
     }
 }
 
@@ -478,8 +463,7 @@ mod tests {
                 (g.gather(ctx), stats)
             })
             .results
-            .pop()
-            .expect("rank result")
+            .swap_remove(0)
     }
 
     fn oracle(el: &EdgeList, n: usize, root: u64) -> ShortestPaths {

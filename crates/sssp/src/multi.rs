@@ -250,7 +250,7 @@ mod tests {
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
             let (md, _) = full_lanes(ctx, &g, &roots, 0.2);
             (0..roots.len())
-                .map(|s| md.lane_paths(s).gather_to_all(ctx, g.part()))
+                .map(|s| md.lane_paths(s).gather(ctx, g.part()))
                 .collect::<Vec<_>>()
         });
         for (s, &root) in roots.iter().enumerate() {
@@ -307,7 +307,7 @@ mod tests {
             };
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
             let (md, _) = full_lanes(ctx, &g, &[0], 0.5);
-            md.lane_paths(0).gather_to_all(ctx, g.part())
+            md.lane_paths(0).gather(ctx, g.part())
         });
         assert!(rep.results[0].distances_match(&oracle, 1e-5));
     }

@@ -65,11 +65,10 @@ fn dist_run_det<P: VertexPartition + 'static>(
         let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
         let g = assemble_local_graph(ctx, mine.into_iter(), part);
         let (sp, _) = distributed_delta_stepping(ctx, &g, root, opts);
-        sp.gather_to_all(ctx, g.part())
+        sp.gather(ctx, g.part())
     })
     .results
-    .pop()
-    .expect("at least one rank")
+    .swap_remove(0)
 }
 
 fn grid_run_det(el: &EdgeList, n: u64, p: usize, root: u64, delta: f32) -> ShortestPaths {

@@ -60,7 +60,7 @@ fn dist_1d_ranks(
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(n, p));
             let (sp, stats) = distributed_delta_stepping(ctx, &g, root, opts);
-            (sp.gather_to_all(ctx, g.part()), stats)
+            (sp.gather(ctx, g.part()), stats)
         })
         .results
 }
@@ -485,12 +485,11 @@ fn multi_source_equals_dijkstra_per_source() {
                 let opts = OptConfig::all_on().with_delta(0.05);
                 let (md, _) = graph500::sssp::batched_delta_stepping(ctx, &g, &specs, &opts);
                 (0..roots.len())
-                    .map(|s| md.lane_paths(s).gather_to_all(ctx, g.part()))
+                    .map(|s| md.lane_paths(s).gather(ctx, g.part()))
                     .collect::<Vec<_>>()
             })
             .results
-            .pop()
-            .expect("rank");
+            .swap_remove(0);
         for (s, &root) in roots.iter().enumerate() {
             let oracle = dijkstra(&csr, root);
             assert!(results[s].distances_match(&oracle, 1e-4), "source {s}");
@@ -521,11 +520,10 @@ fn bfs_levels_equal_unit_weight_distances() {
                 let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
                 let g = assemble_local_graph(ctx, mine.into_iter(), part);
                 let (res, _) = graph500::sssp::distributed_bfs(ctx, &g, 0, dir);
-                res.gather_to_all(ctx, g.part())
+                res.gather(ctx, g.part())
             })
             .results
-            .pop()
-            .expect("rank");
+            .swap_remove(0);
         for v in 0..n as usize {
             if oracle.dist[v].is_finite() {
                 assert_eq!(level[v], oracle.dist[v] as i64, "vertex {v}");
@@ -622,7 +620,7 @@ fn validator_rejects_every_corruption_class() {
                     let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(n, p));
                     let (res, _) =
                         graph500::sssp::distributed_bfs(ctx, &g, root, Direction::Hybrid);
-                    res.gather_to_all(ctx, g.part())
+                    res.gather(ctx, g.part())
                 })
                 .results
                 .swap_remove(0);
@@ -786,7 +784,7 @@ fn traced_runs_have_balanced_spans() {
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
             let (sp, _) = distributed_delta_stepping(ctx, &g, root, &OptConfig::all_on());
-            sp.gather_to_all(ctx, g.part())
+            sp.gather(ctx, g.part())
         });
         for buf in &report.traces {
             let mut depth: std::collections::HashMap<TraceCode, i64> =

@@ -45,7 +45,7 @@ fn batch_run(
             let (md, _) = batched_delta_stepping(ctx, &g, specs, opts);
             (0..specs.len())
                 .map(|s| {
-                    let sp = md.lane_paths(s).gather_to_all(ctx, g.part());
+                    let sp = md.lane_paths(s).gather(ctx, g.part());
                     (
                         sp.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
                         sp.parent,
@@ -57,8 +57,7 @@ fn batch_run(
                 .collect::<Vec<_>>()
         })
         .results
-        .pop()
-        .expect("at least one rank")
+        .swap_remove(0)
 }
 
 /// Deterministic full-lane roots for an n-vertex graph.

@@ -155,12 +155,10 @@ fn golden_2d_scale10_report() {
             sp.parent[v]
         ));
     }
-    // every rank gathered the same global view
+    // only rank 0 holds the gathered result
+    assert_eq!(sp.dist.len(), n as usize);
     for (other, _) in &rep.results[1..] {
-        assert_eq!(other.dist.len(), sp.dist.len());
-        for v in 0..n as usize {
-            assert_eq!(other.dist[v].to_bits(), sp.dist[v].to_bits());
-        }
+        assert!(other.dist.is_empty() && other.parent.is_empty());
     }
     check_golden(GOLDEN_2D, &out);
 }

@@ -46,7 +46,7 @@ fn run_1d(
         let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
         let g = assemble_local_graph(ctx, mine.into_iter(), part);
         let (sp, stats) = distributed_delta_stepping(ctx, &g, root, opts);
-        (sp.gather_to_all(ctx, g.part()), stats)
+        (sp.gather(ctx, g.part()), stats)
     });
     let stats_vec = report.stats.clone();
     let (sp, kstats) = report.results.into_iter().next().expect("rank 0");
@@ -283,7 +283,7 @@ fn bfs_is_schedule_invariant() {
                     let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
                     let g = assemble_local_graph(ctx, mine.into_iter(), part);
                     let (res, stats) = distributed_bfs(ctx, &g, 1, dir);
-                    let (level, _parent) = res.gather_to_all(ctx, g.part());
+                    let (level, _parent) = res.gather(ctx, g.part());
                     (level, stats.supersteps)
                 })
                 .results
@@ -321,7 +321,7 @@ fn threads_and_canonical_deterministic_agree() {
         let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
         let g = assemble_local_graph(ctx, mine.into_iter(), part);
         let (sp, stats) = distributed_delta_stepping(ctx, &g, 1, &opts);
-        (sp.gather_to_all(ctx, g.part()), stats)
+        (sp.gather(ctx, g.part()), stats)
     };
     let threads = Machine::new(MachineConfig::with_ranks(p)).run(spmd);
     let det = Machine::new(MachineConfig::with_ranks(p).deterministic(0)).run(spmd);
