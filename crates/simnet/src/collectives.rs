@@ -159,58 +159,155 @@ pub(crate) fn allreduce_schedule<T: Wire + Clone>(
 }
 
 /// The allgather schedule, written once like [`allreduce_schedule`] and
-/// over the same maps: one round. A member encodes its block once, sends
-/// those bytes to every other member and takes one block from each (module
-/// docs: why not a ring or Bruck). Returns all blocks indexed by member.
-pub(crate) fn allgatherv_schedule<T: Wire + Clone>(
+/// over the same maps: one round. A member encodes its header and block
+/// once, sends those bytes to every other member and takes one header and
+/// block from each (module docs: why not a ring or Bruck). Returns all
+/// blocks indexed by member, and the members' headers folded in member
+/// order.
+pub(crate) fn allgatherv_schedule<T: Wire + Clone, H: Wire + Clone>(
     ctx: &mut RankCtx,
     (me, p): (usize, usize),
     global: impl Fn(usize) -> usize,
     tag: impl Fn(u64) -> Tag,
     mine: &[T],
-) -> Vec<Vec<T>> {
-    let bytes = encode_slice(mine);
+    header: &Header<H>,
+) -> (Vec<Vec<T>>, Vec<H>) {
+    let bytes = header.message(mine);
     for d in (0..p).filter(|&d| d != me) {
         ctx.send_bytes_class(global(d), tag(0), bytes.clone(), TrafficClass::Collective);
     }
-    let from = |s| {
-        if s == me {
-            mine.to_vec()
+    let mut merged = None;
+    let mut blocks = Vec::with_capacity(p);
+    for s in 0..p {
+        let (head, block) = if s == me {
+            (header.entries.clone(), mine.to_vec())
         } else {
-            ctx.recv_coll(global(s), tag(0))
-        }
-    };
-    (0..p).map(from).collect()
+            header.receive(ctx, global(s), tag(0))
+        };
+        header.fold(&mut merged, head);
+        blocks.push(block);
+    }
+    (blocks, merged.expect("a communicator has a member"))
 }
 
 /// The personalised all-to-all schedule, written once over the same maps:
-/// `out[d]` goes to member `d` directly, one message each (the member's own
-/// block is moved across, free of network charge). Returns the blocks
-/// received, indexed by source member.
-pub(crate) fn alltoallv_schedule<T: Wire>(
+/// `out[d]` goes to member `d` directly, one message each behind this
+/// member's header (the member's own block is moved across, free of network
+/// charge). Returns the blocks received, indexed by source member, and the
+/// members' headers folded in member order.
+pub(crate) fn alltoallv_schedule<T: Wire, H: Wire + Clone>(
     ctx: &mut RankCtx,
     (me, p): (usize, usize),
     global: impl Fn(usize) -> usize,
     tag: impl Fn(u64) -> Tag,
     out: Vec<Vec<T>>,
-) -> Vec<Vec<T>> {
+    header: &Header<H>,
+) -> (Vec<Vec<T>>, Vec<H>) {
     assert_eq!(out.len(), p, "alltoallv needs one buffer per member");
     let mut own = None;
     for (d, buf) in out.into_iter().enumerate() {
         if d == me {
             own = Some(buf);
         } else {
-            ctx.send_coll(global(d), tag(0), &buf);
+            let bytes = header.message(&buf);
+            ctx.send_bytes_class(global(d), tag(0), bytes, TrafficClass::Collective);
         }
     }
-    let from = |s| {
-        if s == me {
-            own.take().expect("own block set above")
+    let mut merged = None;
+    let mut blocks = Vec::with_capacity(p);
+    for s in 0..p {
+        let (head, block) = if s == me {
+            let own = own.take().expect("own block set above");
+            (header.entries.clone(), own)
         } else {
-            ctx.recv_coll(global(s), tag(0))
+            header.receive(ctx, global(s), tag(0))
+        };
+        header.fold(&mut merged, head);
+        blocks.push(block);
+    }
+    (blocks, merged.expect("a communicator has a member"))
+}
+
+/// What an all-to-all or an allgather carries on every message besides its
+/// block: this rank's entries — every rank brings the same count, as to
+/// [`RankCtx::allreduce_slice`] — and how two ranks' entries merge, entry by
+/// entry. The collective returns the merge of every rank's entries, bitwise
+/// the same on every rank: a schedule folds the headers it receives in
+/// member order, never in delivery order (module docs, "Headers").
+/// [`Header::none`] carries nothing.
+pub struct Header<H> {
+    entries: Vec<H>,
+    merge: fn(&H, &H) -> H,
+}
+
+impl Header<()> {
+    /// The header of a collective that carries none: `()` is zero bytes on
+    /// the wire, so the messages, their bytes and the clock are the
+    /// collective's alone.
+    pub fn none() -> Self {
+        Header {
+            entries: Vec::new(),
+            merge: |_, _| (),
         }
-    };
-    (0..p).map(from).collect()
+    }
+}
+
+impl<H: Wire + Clone> Header<H> {
+    /// This rank's `entries`, merged with other ranks' by `merge`.
+    pub fn new(entries: Vec<H>, merge: fn(&H, &H) -> H) -> Self {
+        Header { entries, merge }
+    }
+
+    /// The same merge over other entries: what a forwarder puts on the
+    /// second hop.
+    fn with(&self, entries: Vec<H>) -> Self {
+        Header {
+            entries,
+            merge: self.merge,
+        }
+    }
+
+    /// One message: the header's entries, then `block`.
+    fn message<T: Wire>(&self, block: &[T]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.entries.len() * H::SIZE + block.len() * T::SIZE);
+        H::write_slice(&self.entries, &mut out);
+        T::write_slice(block, &mut out);
+        out
+    }
+
+    /// The header and block of the message member `src` sent under `tag`. A
+    /// message too short for this header's count of entries, or a block
+    /// that is not whole `T`s, leaves as the typed decode error naming `src`.
+    fn receive<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> (Vec<H>, Vec<T>) {
+        let msg = ctx.recv_bytes_class(src, tag);
+        let mut pos = 0;
+        let head: Option<Vec<H>> = self
+            .entries
+            .iter()
+            .map(|_| H::read(&msg, &mut pos))
+            .collect();
+        let Some(head) = head else {
+            ctx.decode_failure(src, msg.len(), H::SIZE)
+        };
+        let block = &msg[pos..];
+        match decode_vec_checked(block) {
+            Ok(items) => (head, items),
+            Err(e) => ctx.decode_failure(src, e.len, e.elem_size),
+        }
+    }
+
+    /// `acc ← acc ⊕ next`, entry by entry; the first header folded in is
+    /// taken as it is.
+    fn fold(&self, acc: &mut Option<Vec<H>>, next: Vec<H>) {
+        *acc = Some(match acc.take() {
+            None => next,
+            Some(a) => a
+                .iter()
+                .zip(&next)
+                .map(|(a, b)| (self.merge)(a, b))
+                .collect(),
+        });
+    }
 }
 
 /// Which way the blocks of an all-to-all or an allgather travel (module
@@ -262,8 +359,14 @@ impl Grid {
     }
 
     /// The grouped route of `out`, one block a rank: hop 1 over the column,
-    /// the regrouping of opaque bytes, hop 2 over the row.
-    fn exchange<T: Wire + Clone>(&mut self, ctx: &mut RankCtx, out: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    /// the regrouping of opaque bytes, hop 2 over the row. Hop 1 carries
+    /// this rank's header; the column's headers, folded in column order, go
+    /// on every hop-2 message, and the row's fold of those is the merge.
+    fn exchange<T: Wire + Clone, H: Wire + Clone>(
+        &mut self,
+        ctx: &mut RankCtx,
+        (out, header): (Vec<Vec<T>>, &Header<H>),
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         let s_n = self.row.size();
         assert_eq!(
             out.len(),
@@ -274,9 +377,9 @@ impl Grid {
             .chunks(s_n)
             .map(|group| frame(group.iter().map(|block| encode_slice(block))))
             .collect();
-        let held = self.col.alltoallv(ctx, bundles);
+        let (held, column) = self.col.alltoallv_with(ctx, bundles, header);
         let forwards = self.regroup(ctx, &held);
-        self.deliver(ctx, forwards)
+        self.deliver(ctx, forwards, &header.with(column))
     }
 
     /// Between the hops: `held[g]` is the bundle `(g, i)` sent this rank, its
@@ -294,24 +397,32 @@ impl Grid {
             .collect()
     }
 
-    /// Hop 2: forward the regrouped bundles over the row, then
-    /// [`unpack`](Self::unpack) what arrived.
-    fn deliver<T: Wire + Clone>(
+    /// Hop 2: forward the regrouped bundles over the row behind the
+    /// column's folded header, then [`unpack`](Self::unpack) what arrived.
+    fn deliver<T: Wire + Clone, H: Wire + Clone>(
         &mut self,
         ctx: &mut RankCtx,
         forwards: Vec<Vec<u8>>,
-    ) -> Vec<Vec<T>> {
-        let got = self.row.alltoallv(ctx, forwards);
-        self.unpack(ctx, &got)
+        column: &Header<H>,
+    ) -> (Vec<Vec<T>>, Vec<H>) {
+        let (got, merged) = self.row.alltoallv_with(ctx, forwards, column);
+        (self.unpack(ctx, &got), merged)
     }
 
     /// The grouped route of an allgather: the direct schedule over the
     /// column leaves this rank the `G` blocks of its position in every group,
-    /// and the same schedule over the row hands them on as one bundle.
-    fn gather<T: Wire + Clone>(&mut self, ctx: &mut RankCtx, mine: &[T]) -> Vec<Vec<T>> {
-        let held = self.col.allgatherv(ctx, &encode_slice(mine));
-        let got = self.row.allgatherv(ctx, &frame(held.iter()));
-        self.unpack(ctx, &got)
+    /// and the same schedule over the row hands them on as one bundle. The
+    /// headers fold as [`exchange`](Self::exchange)'s do.
+    fn gather<T: Wire + Clone, H: Wire + Clone>(
+        &mut self,
+        ctx: &mut RankCtx,
+        (mine, header): (&[T], &Header<H>),
+    ) -> (Vec<Vec<T>>, Vec<H>) {
+        let (held, column) = self.col.allgatherv_with(ctx, &encode_slice(mine), header);
+        let (got, merged) =
+            self.row
+                .allgatherv_with(ctx, &frame(held.iter()), &header.with(column));
+        (self.unpack(ctx, &got), merged)
     }
 
     /// One block per source rank, in source order, from the `S` bundles a
@@ -503,8 +614,16 @@ impl RankCtx {
     /// Allgather of variably-sized blocks, indexed by rank
     /// ([`allgatherv_schedule`]).
     pub fn allgatherv<T: Wire + Clone>(&mut self, mine: &[T]) -> Vec<Vec<T>> {
+        self.allgatherv_with((mine, &Header::none())).0
+    }
+
+    /// [`allgatherv`](Self::allgatherv) carrying `header`.
+    fn allgatherv_with<T: Wire + Clone, H: Wire + Clone>(
+        &mut self,
+        (mine, header): (&[T], &Header<H>),
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.collective(TraceCode::Allgatherv, |ctx, who, tag| {
-            allgatherv_schedule(ctx, who, |i| i, tag, mine)
+            allgatherv_schedule(ctx, who, |i| i, tag, mine, header)
         })
     }
 
@@ -528,31 +647,60 @@ impl RankCtx {
     /// the blocks received, indexed by source rank
     /// ([`alltoallv_schedule`]).
     pub fn alltoallv<T: Wire + Clone>(&mut self, out: Vec<Vec<T>>) -> Vec<Vec<T>> {
+        self.alltoallv_with((out, &Header::none())).0
+    }
+
+    /// [`alltoallv`](Self::alltoallv) carrying `header`.
+    fn alltoallv_with<T: Wire + Clone, H: Wire + Clone>(
+        &mut self,
+        (out, header): (Vec<Vec<T>>, &Header<H>),
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.collective(TraceCode::Alltoallv, |ctx, who, tag| {
-            alltoallv_schedule(ctx, who, |i| i, tag, out)
+            alltoallv_schedule(ctx, who, |i| i, tag, out, header)
         })
     }
 
-    /// [`alltoallv`](Self::alltoallv) by `route`: the same blocks by source
-    /// rank either way. Collective — every rank must name the same route. A
-    /// forwarded bundle whose length prefixes do not add up, or a block that
-    /// is not whole `T`s, leaves as the typed decode error of
-    /// [`recv_coll_checked`](Self::recv_coll_checked).
-    pub fn alltoallv_routed<T: Wire + Clone>(
+    /// [`alltoallv`](Self::alltoallv) by `route`, carrying `header`: the same
+    /// blocks by source rank either way, and every rank's header merged,
+    /// the same bits on every rank. Collective — every rank must name the
+    /// same route and bring as many header entries. A message too short for
+    /// its header, a forwarded bundle whose length prefixes do not add up,
+    /// or a block that is not whole `T`s, leaves as the typed decode error
+    /// of [`recv_coll_checked`](Self::recv_coll_checked).
+    pub fn alltoallv_routed<T: Wire + Clone, H: Wire + Clone>(
         &mut self,
         route: Route,
         out: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
-        self.on_grid(route, out, Grid::exchange, RankCtx::alltoallv)
+        header: Header<H>,
+    ) -> (Vec<Vec<T>>, Vec<H>) {
+        self.on_grid(
+            route,
+            (out, &header),
+            Grid::exchange,
+            RankCtx::alltoallv_with,
+        )
     }
 
-    /// [`allgatherv`](Self::allgatherv) by `route`: every rank's block, in
-    /// rank order, either way. Collective — every rank must name the same
-    /// route. A bundle whose length prefixes do not add up, or a block that
-    /// is not whole `T`s, leaves as the typed decode error of
+    /// [`allgatherv`](Self::allgatherv) by `route`, carrying `header`: every
+    /// rank's block, in rank order, either way, and every rank's header
+    /// merged as [`alltoallv_routed`](Self::alltoallv_routed) merges it.
+    /// Collective — every rank must name the same route and bring as many
+    /// header entries. A message too short for its header, a bundle whose
+    /// length prefixes do not add up, or a block that is not whole `T`s,
+    /// leaves as the typed decode error of
     /// [`recv_coll_checked`](Self::recv_coll_checked).
-    pub fn allgatherv_routed<T: Wire + Clone>(&mut self, route: Route, mine: &[T]) -> Vec<Vec<T>> {
-        self.on_grid(route, mine, Grid::gather, RankCtx::allgatherv)
+    pub fn allgatherv_routed<T: Wire + Clone, H: Wire + Clone>(
+        &mut self,
+        route: Route,
+        mine: &[T],
+        header: Header<H>,
+    ) -> (Vec<Vec<T>>, Vec<H>) {
+        self.on_grid(
+            route,
+            (mine, &header),
+            Grid::gather,
+            RankCtx::allgatherv_with,
+        )
     }
 
     /// `grouped` of `arg` over this rank's exchange grid when `route` is
@@ -946,9 +1094,24 @@ mod tests {
         }
     }
 
-    use super::Route;
+    use super::{Header, Route};
     use crate::cost::{LogGP, Topology};
+    use crate::wire::Wire;
     use crate::RankCtx;
+
+    /// A routed all-to-all that carries no header.
+    fn routed_a2a<T: Wire + Clone>(
+        ctx: &mut RankCtx,
+        route: Route,
+        out: Vec<Vec<T>>,
+    ) -> Vec<Vec<T>> {
+        ctx.alltoallv_routed(route, out, Header::none()).0
+    }
+
+    /// A routed allgather that carries no header.
+    fn routed_gather<T: Wire + Clone>(ctx: &mut RankCtx, route: Route, mine: &[T]) -> Vec<Vec<T>> {
+        ctx.allgatherv_routed(route, mine, Header::none()).0
+    }
 
     /// The exchange grid's shape `(G, S)`; `(P, 1)` when the machine has
     /// none and both routes are the direct one.
@@ -987,9 +1150,9 @@ mod tests {
                         .collect();
                     let sent = |ctx: &RankCtx| ctx.stats().coll_msgs;
                     let m0 = sent(ctx);
-                    let direct = ctx.alltoallv_routed(Route::Direct, out.clone());
+                    let direct = routed_a2a(ctx, Route::Direct, out.clone());
                     let m1 = sent(ctx);
-                    let grouped = ctx.alltoallv_routed(Route::Grouped, out);
+                    let grouped = routed_a2a(ctx, Route::Grouped, out);
                     (direct, grouped, m1 - m0, sent(ctx) - m1)
                 });
                 for (me, (direct, grouped, direct_msgs, grouped_msgs)) in
@@ -1025,10 +1188,7 @@ mod tests {
             let rep = Machine::new(MachineConfig::with_ranks(p).topology(topo)).run(|ctx| {
                 let out: Vec<Vec<u64>> =
                     (0..p).map(|d| vec![(ctx.rank() * p + d) as u64]).collect();
-                (
-                    exchange_grid(ctx),
-                    ctx.alltoallv_routed(Route::Grouped, out),
-                )
+                (exchange_grid(ctx), routed_a2a(ctx, Route::Grouped, out))
             });
             for (me, (grid, blocks)) in rep.results.iter().enumerate() {
                 assert_eq!(*grid, shape, "{topo:?}");
@@ -1054,7 +1214,7 @@ mod tests {
         for (topo, p) in cases {
             for route in [Route::Direct, Route::Grouped] {
                 let rep = Machine::new(MachineConfig::with_ranks(p).topology(topo)).run(|ctx| {
-                    ctx.alltoallv_routed(route, vec![Vec::<u64>::new(); p]);
+                    routed_a2a(ctx, route, vec![Vec::<u64>::new(); p]);
                     (ctx.alltoallv_seconds(route, 0.0), exchange_grid(ctx))
                 });
                 let (priced, (g, s)) = rep.results[0];
@@ -1120,7 +1280,7 @@ mod tests {
                 let res = Machine::new(MachineConfig::with_ranks(6)).try_run(|ctx| {
                     let out: Vec<Vec<u64>> = (0..6).map(|d| vec![d as u64; 2]).collect();
                     if ctx.rank() != bad {
-                        return ctx.alltoallv_routed(Route::Grouped, out).len();
+                        return routed_a2a(ctx, Route::Grouped, out).len();
                     }
                     let mut grid = ctx.grid.take().expect("6 ranks have a grid");
                     let bundles = out.chunks(2).map(|group| {
@@ -1137,7 +1297,9 @@ mod tests {
                         let sizes = [16usize, 17, 15];
                         *partner = super::frame(sizes.iter().map(|&n| vec![0u8; n]));
                     }
-                    grid.deliver::<u64>(ctx, forwards).len()
+                    grid.deliver::<u64, ()>(ctx, forwards, &Header::none())
+                        .0
+                        .len()
                 });
                 match res {
                     Err(FaultEscalation::Transport(TransportError::Decode {
@@ -1188,9 +1350,9 @@ mod tests {
                     let mine = gather_block(ctx.rank(), empty);
                     let sent = |ctx: &RankCtx| ctx.stats().coll_msgs;
                     let m0 = sent(ctx);
-                    let direct = ctx.allgatherv_routed(Route::Direct, &mine);
+                    let direct = routed_gather(ctx, Route::Direct, &mine);
                     let m1 = sent(ctx);
-                    let grouped = ctx.allgatherv_routed(Route::Grouped, &mine);
+                    let grouped = routed_gather(ctx, Route::Grouped, &mine);
                     (direct, grouped, m1 - m0, sent(ctx) - m1, exchange_grid(ctx))
                 });
                 let expect: Vec<_> = (0..p).map(|r| gather_block(r, empty)).collect();
@@ -1226,7 +1388,7 @@ mod tests {
                 for route in [Route::Direct, Route::Grouped] {
                     let cfg = MachineConfig::with_ranks(p).topology(topo);
                     let rep = Machine::new(cfg).run(|ctx| {
-                        ctx.allgatherv_routed(route, &vec![ctx.rank() as u64; len]);
+                        routed_gather(ctx, route, &vec![ctx.rank() as u64; len]);
                         ctx.allgatherv_seconds(route, (8 * len) as f64)
                     });
                     let priced = rep.results[0];
@@ -1293,7 +1455,7 @@ mod tests {
             for cfg in configs {
                 let rep = Machine::new(cfg).run(|ctx| {
                     let mine = gather_block(ctx.rank(), false);
-                    [Route::Direct, Route::Grouped].map(|r| ctx.allgatherv_routed(r, &mine))
+                    [Route::Direct, Route::Grouped].map(|r| routed_gather(ctx, r, &mine))
                 });
                 for (me, [direct, grouped]) in rep.results.iter().enumerate() {
                     assert_eq!(direct, &expect, "p={p} rank {me}");
@@ -1315,7 +1477,7 @@ mod tests {
                 let res = Machine::new(MachineConfig::with_ranks(6)).try_run(|ctx| {
                     let mine = vec![ctx.rank() as u64; 2];
                     if ctx.rank() != bad {
-                        return ctx.allgatherv_routed(Route::Grouped, &mine).len();
+                        return routed_gather(ctx, Route::Grouped, &mine).len();
                     }
                     let mut grid = ctx.grid.take().expect("6 ranks have a grid");
                     let held = grid.col.allgatherv(ctx, &crate::wire::encode_slice(&mine));
@@ -1350,6 +1512,182 @@ mod tests {
                     ),
                 }
             }
+        }
+    }
+
+    /// One lane's offer in the header tests: the bucket it speaks of, a
+    /// count, a nearest distance.
+    type Offer = (u64, u64, f32);
+
+    /// The lower bucket's offer stands; two offers of one bucket add their
+    /// counts and keep the nearer distance. Exact, so any parenthesisation
+    /// of it gives the same bits.
+    fn merge_offer(a: &Offer, b: &Offer) -> Offer {
+        match a.0.cmp(&b.0) {
+            std::cmp::Ordering::Less => *a,
+            std::cmp::Ordering::Greater => *b,
+            std::cmp::Ordering::Equal => (a.0, a.1 + b.1, a.2.min(b.2)),
+        }
+    }
+
+    /// Rank `me`'s three offers, telling of the rank and the lane.
+    fn offers(me: usize) -> Vec<Offer> {
+        (0..3)
+            .map(|i| {
+                let k = ((7 * me + 3 * i) % 4) as u64;
+                (
+                    k,
+                    (10 * me + i) as u64,
+                    ((me * 37 + i * 11) % 17) as f32 / 7.0,
+                )
+            })
+            .collect()
+    }
+
+    /// Every rank's header, by route and collective, against
+    /// `allreduce_slice` of the same offers: `[direct a2a, grouped a2a,
+    /// direct gather, grouped gather, allreduce]`, with the blocks checked.
+    fn merged_headers(ctx: &mut RankCtx) -> [Vec<Offer>; 5] {
+        let (me, p) = (ctx.rank(), ctx.size());
+        let head = || Header::new(offers(me), merge_offer);
+        let out = || (0..p).map(|d| ragged(me, d, p)).collect::<Vec<_>>();
+        let mut merged = Vec::new();
+        for route in [Route::Direct, Route::Grouped] {
+            let (blocks, m) = ctx.alltoallv_routed(route, out(), head());
+            assert!(blocks
+                .iter()
+                .enumerate()
+                .all(|(s, b)| *b == ragged(s, me, p)));
+            merged.push(m);
+        }
+        for route in [Route::Direct, Route::Grouped] {
+            let (blocks, m) = ctx.allgatherv_routed(route, &gather_block(me, false), head());
+            assert!(blocks
+                .iter()
+                .enumerate()
+                .all(|(s, b)| *b == gather_block(s, false)));
+            merged.push(m);
+        }
+        merged.push(ctx.allreduce_slice(offers(me), merge_offer));
+        merged.try_into().expect("five")
+    }
+
+    #[test]
+    fn header_merges_as_allreduce_slice_on_both_routes() {
+        // the machines of the gather tests: every size of SIZES (primes and
+        // ragged counts have no grid and go direct) and two wired grids
+        for (topo, p) in gather_machines() {
+            let rep = Machine::new(MachineConfig::with_ranks(p).topology(topo)).run(merged_headers);
+            let bits = |v: &Vec<Offer>| {
+                v.iter()
+                    .map(|o| (o.0, o.1, o.2.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let reduced = bits(&rep.results[0][4]);
+            for (me, merged) in rep.results.iter().enumerate() {
+                for (i, m) in merged.iter().enumerate() {
+                    assert_eq!(bits(m), reduced, "{topo:?} p={p} rank {me} call {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn header_is_schedule_and_loss_invariant() {
+        let lossy = crate::FaultPlan::lossy(7, 0.1, 0.05, 0.05);
+        for p in [12, 16] {
+            let clean = Machine::new(MachineConfig::with_ranks(p)).run(merged_headers);
+            let configs = [
+                MachineConfig::with_ranks(p).deterministic(3),
+                MachineConfig::with_ranks(p).deterministic(11),
+                MachineConfig::with_ranks(p).faults(lossy),
+            ];
+            for cfg in configs {
+                let rep = Machine::new(cfg).run(merged_headers);
+                for (a, b) in rep.results.iter().zip(&clean.results) {
+                    for (x, y) in a.iter().zip(b) {
+                        let bits =
+                            |v: &Vec<Offer>| v.iter().map(|o| o.2.to_bits()).collect::<Vec<_>>();
+                        assert_eq!((x, bits(x)), (y, bits(y)), "p={p}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn header_truncated_is_a_typed_error_naming_its_sender() {
+        // Rank `bad` expects three header entries where the others bring
+        // two, and every block is empty: the first message it reads is 16
+        // bytes against a 24-byte header, and the error names that message's
+        // sender — `first`, the lowest other member of its column on the
+        // 3 x 2 grid's hop 1, of the world on the direct route. The others
+        // read its third entry as a block of bytes and fail nothing (the
+        // grouped all-to-all's forwarders would, on their bundles, so only
+        // the grouped gather can tell the one error from the others).
+        let cases = [
+            (Route::Direct, false, 0, 1),
+            (Route::Direct, false, 3, 0),
+            (Route::Direct, true, 0, 1),
+            (Route::Direct, true, 3, 0),
+            (Route::Grouped, true, 5, 1),
+        ];
+        for (route, gather, bad, first) in cases {
+            let res = Machine::new(MachineConfig::with_ranks(6)).try_run(|ctx| {
+                let n = if ctx.rank() == bad { 3 } else { 2 };
+                let head = Header::new(vec![7u64; n], |a, b| a + b);
+                if gather {
+                    ctx.allgatherv_routed(route, &[] as &[u8], head).1
+                } else {
+                    ctx.alltoallv_routed(route, vec![Vec::<u8>::new(); 6], head)
+                        .1
+                }
+            });
+            match res {
+                Err(FaultEscalation::Transport(TransportError::Decode {
+                    src,
+                    dst,
+                    len,
+                    elem_size,
+                    ..
+                })) => assert_eq!(
+                    (src, dst, len, elem_size),
+                    (first, bad, 16, 8),
+                    "{route:?} gather {gather}"
+                ),
+                other => panic!(
+                    "{route:?} gather {gather}: expected a typed decode error, got {:?}",
+                    other.map(|r| r.results)
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn header_none_leaves_stats_and_clock_as_before() {
+        // A `()` header is zero bytes: messages, bytes, collectives and the
+        // slowest rank's clock of the routed calls on a ragged load, by each
+        // route, are the numbers recorded from the header-less calls before
+        // the header existed.
+        let pinned: [(usize, u64, u64, u64, f64); 4] = [
+            (7, 168, 6192, 28, 25002.39999999998),
+            (12, 384, 21648, 72, 34553.59999999996),
+            (16, 672, 40248, 96, 44065.99999999994),
+            (32, 2624, 161192, 192, 84089.59999999983),
+        ];
+        for (p, msgs, bytes, colls, slowest_ns) in pinned {
+            let rep = Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
+                let me = ctx.rank();
+                for route in [Route::Direct, Route::Grouped] {
+                    let out = (0..p).map(|d| ragged(me, d, p)).collect();
+                    ctx.alltoallv_routed(route, out, Header::none());
+                    ctx.allgatherv_routed(route, &gather_block(me, false), Header::none());
+                }
+            });
+            let net = rep.total_stats();
+            let got = (net.coll_msgs, net.coll_bytes, net.collectives);
+            assert_eq!(got, (msgs, bytes, colls), "p={p}");
+            assert_eq!(rep.sim_time_s * 1e9, slowest_ns, "p={p}");
         }
     }
 

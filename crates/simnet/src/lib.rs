@@ -52,7 +52,7 @@ pub mod trace;
 pub mod transport;
 pub mod wire;
 
-pub use collectives::Route;
+pub use collectives::{Header, Route};
 pub use cost::{ComputeModel, LogGP, Topology};
 pub use fault::{CrashPlan, FaultPlan};
 pub use machine::{Machine, MachineConfig, SimReport};

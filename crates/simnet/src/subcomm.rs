@@ -19,7 +19,7 @@
 //! `(rank, P, S)` alone ([`SubComm::strided`]): no collective, no virtual
 //! time, and two reserved namespace ids no split can hand out.
 
-use crate::collectives::{allgatherv_schedule, allreduce_schedule, alltoallv_schedule};
+use crate::collectives::{allgatherv_schedule, allreduce_schedule, alltoallv_schedule, Header};
 use crate::rank::{RankCtx, Tag};
 use crate::trace::TraceCode;
 use crate::wire::Wire;
@@ -180,8 +180,19 @@ impl SubComm {
     /// Allgather within the subgroup, indexed by sub-rank: the world's
     /// one-round schedule.
     pub fn allgatherv<T: Wire + Clone>(&mut self, ctx: &mut RankCtx, mine: &[T]) -> Vec<Vec<T>> {
+        self.allgatherv_with(ctx, mine, &Header::none()).0
+    }
+
+    /// [`allgatherv`](Self::allgatherv) carrying `header`, folded in member
+    /// order: a grouped route's hop.
+    pub(crate) fn allgatherv_with<T: Wire + Clone, H: Wire + Clone>(
+        &mut self,
+        ctx: &mut RankCtx,
+        mine: &[T],
+        header: &Header<H>,
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.collective(ctx, TraceCode::Allgatherv, |ctx, who, global, tag| {
-            allgatherv_schedule(ctx, who, global, tag, mine)
+            allgatherv_schedule(ctx, who, global, tag, mine, header)
         })
     }
 
@@ -192,8 +203,19 @@ impl SubComm {
         ctx: &mut RankCtx,
         out: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
+        self.alltoallv_with(ctx, out, &Header::none()).0
+    }
+
+    /// [`alltoallv`](Self::alltoallv) carrying `header`, folded in member
+    /// order: a grouped route's hop.
+    pub(crate) fn alltoallv_with<T: Wire + Clone, H: Wire + Clone>(
+        &mut self,
+        ctx: &mut RankCtx,
+        out: Vec<Vec<T>>,
+        header: &Header<H>,
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.collective(ctx, TraceCode::Alltoallv, |ctx, who, global, tag| {
-            alltoallv_schedule(ctx, who, global, tag, out)
+            alltoallv_schedule(ctx, who, global, tag, out, header)
         })
     }
 }

@@ -121,58 +121,29 @@ impl Wire for bool {
     }
 }
 
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    const SIZE: usize = A::SIZE + B::SIZE;
+/// A tuple is its fields back to back.
+macro_rules! wire_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const SIZE: usize = 0 $(+ $t::SIZE)+;
 
-    #[inline]
-    fn write(&self, out: &mut Vec<u8>) {
-        self.0.write(out);
-        self.1.write(out);
-    }
+            #[inline]
+            fn write(&self, out: &mut Vec<u8>) {
+                $(self.$i.write(out);)+
+            }
 
-    #[inline]
-    fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some((A::read(buf, pos)?, B::read(buf, pos)?))
-    }
+            #[inline]
+            fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
+                Some(($($t::read(buf, pos)?,)+))
+            }
+        }
+    };
 }
 
-impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    const SIZE: usize = A::SIZE + B::SIZE + C::SIZE;
-
-    #[inline]
-    fn write(&self, out: &mut Vec<u8>) {
-        self.0.write(out);
-        self.1.write(out);
-        self.2.write(out);
-    }
-
-    #[inline]
-    fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some((A::read(buf, pos)?, B::read(buf, pos)?, C::read(buf, pos)?))
-    }
-}
-
-impl<A: Wire, B: Wire, C: Wire, D: Wire> Wire for (A, B, C, D) {
-    const SIZE: usize = A::SIZE + B::SIZE + C::SIZE + D::SIZE;
-
-    #[inline]
-    fn write(&self, out: &mut Vec<u8>) {
-        self.0.write(out);
-        self.1.write(out);
-        self.2.write(out);
-        self.3.write(out);
-    }
-
-    #[inline]
-    fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some((
-            A::read(buf, pos)?,
-            B::read(buf, pos)?,
-            C::read(buf, pos)?,
-            D::read(buf, pos)?,
-        ))
-    }
-}
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
+wire_tuple!(A.0, B.1, C.2, D.3);
+wire_tuple!(A.0, B.1, C.2, D.3, E.4);
 
 /// Encode a slice of records into a fresh byte buffer.
 pub fn encode_slice<T: Wire>(items: &[T]) -> Vec<u8> {

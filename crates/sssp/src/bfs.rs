@@ -20,7 +20,7 @@
 use crate::config::Direction;
 use g500_graph::{Bitmap, VertexId, NO_PARENT};
 use g500_partition::{gather_to_root, LocalGraph, VertexPartition};
-use simnet::{RankCtx, Wire};
+use simnet::{Header, RankCtx, Wire};
 use std::collections::HashSet;
 
 /// One rank's BFS output: hop level (−1 unvisited) and global parent.
@@ -132,7 +132,9 @@ pub fn distributed_bfs<P: VertexPartition>(
                 }
                 // every rank's block is the whole bitmap
                 let bytes = (bm.words().len() * <u64 as Wire>::SIZE) as f64;
-                let blocks = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), bm.words());
+                let blocks = ctx
+                    .allgatherv_routed(ctx.allgatherv_route(bytes), bm.words(), Header::none())
+                    .0;
                 let mut merged = Bitmap::new(n_global as usize);
                 for words in blocks {
                     merged.union_with(&Bitmap::from_words(n_global as usize, words));
@@ -145,7 +147,9 @@ pub fn distributed_bfs<P: VertexPartition>(
                     .map(|&v| part.to_global(me, v as usize))
                     .collect();
                 let bytes = (f_size as usize * <u64 as Wire>::SIZE) as f64 / p as f64;
-                let blocks = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &mine);
+                let blocks = ctx
+                    .allgatherv_routed(ctx.allgatherv_route(bytes), &mine, Header::none())
+                    .0;
                 let fset: HashSet<u64> = blocks.into_iter().flatten().collect();
                 ctx.charge_compute(fset.len() as u64);
                 Box::new(move |v: u64| fset.contains(&v))

@@ -1,9 +1,11 @@
 //! Δ selection: the bucket width priced against the machine.
 //!
 //! Δ trades supersteps for work. Too narrow, and delta-stepping drifts
-//! towards Dijkstra: many buckets, each at least one light round and one
-//! heavy round, and every round a superstep — an exchange and an agreement
-//! allreduce, whatever they carry. Too wide, and it drifts towards
+//! towards Dijkstra: many buckets, each an agreement allreduce at its
+//! boundary and at least three exchanges — a light step's, the closing
+//! step's that finds its frontier empty (the light steps' agreements ride on
+//! their exchanges), the heavy pass's — whatever they carry. Too wide, and
+//! it drifts towards
 //! Bellman-Ford: a vertex that improves after its bucket first settled it
 //! relaxes its light arcs again. Meyer & Sanders put the balance at
 //! Δ = Θ(1/d̄); where inside that Θ it lies depends on what a superstep costs
@@ -13,12 +15,13 @@
 //! `Δ_k = suggest_delta · 2^k`, `k ≥ 0`, and takes the cheapest rung:
 //!
 //! ```text
-//! T(Δ) = S(Δ)·F + (W(Δ)/P + R(Δ))·c
-//! S(Δ) = 2·(1 + L/Δ)           supersteps: buckets, a light and a heavy round each
+//! T(Δ) = B(Δ)·F + (W(Δ)/P + R(Δ))·c
+//! B(Δ) = 1 + L/Δ               buckets
 //! L    = 3·ln n / (d̄·f(0))     the distances the buckets must cover
 //! R(Δ) = n·(1 − e^(−q·d̄/κ))    vertices settled again, q = min(1, Δ·f(0))
 //! W(Δ) = q·d̄·R(Δ)              their light arcs, relaxed again
-//! F    = an empty exchange on its priced route + the agreement allreduce
+//! F    = the boundary's agreement allreduce + 3 empty exchanges on their
+//!        priced route: a light step, the closing step, the heavy pass
 //! c    = PUSH_OPS_PER_ARC / ops_per_sec
 //! ```
 //!
@@ -43,7 +46,10 @@
 //! 12% slower than 0.125). On Graph500 inputs and 4 to 64 default ranks the
 //! price picks 0.5 at `2^10` vertices a rank, 0.25 at `2^12`–`2^13` and
 //! 0.125 at `2^14`–`2^15`, the widths the F3 sweeps measure best there
-//! (EXPERIMENTS.md F3).
+//! (EXPERIMENTS.md F3). On a crossbar at 4, 8 and 16 ranks an empty
+//! exchange costs what an allreduce does (4, 6 and 8 µs), so pricing a
+//! bucket as one allreduce and three exchanges moved no rung from where two
+//! supersteps of an exchange and an allreduce each put it.
 
 use crate::dist::PUSH_OPS_PER_ARC;
 use g500_graph::Weight;
@@ -78,18 +84,18 @@ pub fn suggest_delta(avg_degree: f64, mean_weight: f64) -> Weight {
 /// constants: every rank of a machine gets the same bits.
 pub fn machine_delta(ctx: &RankCtx, n: u64, arcs: u64, weight: f64) -> Weight {
     let route = ctx.alltoallv_route(0.0);
-    let superstep_s = ctx.alltoallv_seconds(route, 0.0) + ctx.allreduce_seconds(0.0);
+    let bucket_s = ctx.allreduce_seconds(0.0) + 3.0 * ctx.alltoallv_seconds(route, 0.0);
     let arc_s = PUSH_OPS_PER_ARC / ctx.compute_model().ops_per_sec;
-    cheapest_rung((n, arcs, weight), ctx.size(), superstep_s, arc_s)
+    cheapest_rung((n, arcs, weight), ctx.size(), bucket_s, arc_s)
 }
 
 /// The ladder walk behind [`machine_delta`] for a graph of `(n, arcs,
-/// weight)` on `ranks` ranks, given what one superstep costs and what one
-/// arc costs a rank.
+/// weight)` on `ranks` ranks, given what one bucket's collectives cost and
+/// what one arc costs a rank.
 fn cheapest_rung(
     (n, arcs, weight): (u64, u64, f64),
     ranks: usize,
-    superstep_s: f64,
+    bucket_s: f64,
     arc_s: f64,
 ) -> Weight {
     let mean_weight = if arcs == 0 { 0.5 } else { weight / arcs as f64 };
@@ -102,10 +108,10 @@ fn cheapest_rung(
     let light = |delta: Weight| (f64::from(delta) * density).min(1.0);
     let price = |delta: Weight| {
         let q = light(delta);
-        let supersteps = 2.0 * (1.0 + reach / f64::from(delta));
+        let buckets = 1.0 + reach / f64::from(delta);
         let resettled = n as f64 * (1.0 - (-q * degree / REWORK_IN_ARCS).exp());
         let rework = resettled * (q * degree / ranks as f64 + 1.0);
-        supersteps * superstep_s + rework * arc_s
+        buckets * bucket_s + rework * arc_s
     };
     // Up to the first rung on which every arc is light; a tie goes to the
     // narrower width.

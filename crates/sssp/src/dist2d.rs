@@ -26,7 +26,7 @@
 //! results are directly comparable and equally validatable.
 
 use crate::bucket::BucketQueue;
-use crate::epoch::{run_bucket_epochs, Agreed, BucketKernel, SuperstepSpan};
+use crate::epoch::{agree, run_bucket_epochs, Agreed, BucketKernel, SuperstepSpan};
 use g500_graph::{Csr, EdgeList, ShortestPaths, VertexId, WEdge, Weight, INF_WEIGHT};
 use g500_partition::{gather_to_root, Block1D, VertexPartition};
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
@@ -125,12 +125,11 @@ impl BucketKernel for Grid2DSssp {
     /// Off-diagonal ranks hold no vertex state, so their queue is empty:
     /// they name no bucket, but take part in every agreement. One search,
     /// so one entry.
-    fn offer(&mut self, open: Option<u64>) -> Vec<Agreed<u64>> {
-        let mine = || self.buckets.min_bucket();
-        let Some(k) = open.map_or_else(mine, |k| Some(k as usize)) else {
+    fn offer(&mut self) -> Vec<Agreed<u64>> {
+        let Some(k) = self.buckets.min_bucket() else {
             return vec![(u64::MAX, 0)];
         };
-        self.collect_frontier(k, open.is_some());
+        self.collect_frontier(k, false);
         vec![(k as u64, self.frontier.len() as u64)]
     }
 
@@ -145,17 +144,21 @@ impl BucketKernel for Grid2DSssp {
         true
     }
 
-    fn light_step(&mut self, ctx: &mut RankCtx, _k: u64, agreed: &[Agreed<u64>]) -> bool {
-        let total = agreed[0].1;
-        if total == 0 {
-            return false;
-        }
+    /// The superstep, then — its row and column collectives reach no rank
+    /// outside them — one agreement on the next frontier, drained for it.
+    fn light_step(
+        &mut self,
+        ctx: &mut RankCtx,
+        k: u64,
+        agreed: &[Agreed<u64>],
+    ) -> Vec<Agreed<u64>> {
         let frontier = std::mem::take(&mut self.frontier);
-        self.bucket_frontier += total;
+        self.bucket_frontier += agreed[0].1;
         self.settled.extend_from_slice(&frontier);
         let delta = self.buckets.delta();
         self.relax_round(ctx, &frontier, |w| w < delta, 0);
-        true
+        self.collect_frontier(k as usize, true);
+        agree(ctx, vec![(k, self.frontier.len() as u64)])
     }
 
     /// The heavy pass over everything the bucket settled, then the

@@ -9,26 +9,34 @@
 //!     agreed ← agree(each lane's own minimum bucket and offer)
 //!     k ← the lowest bucket any lane named                 (none → done)
 //!     open bucket k with `agreed`        (false → done: fused tail, retired)
-//!     loop:
+//!     while some lane drained something, by `agreed`:
 //!         crash probe                          (restore → abandon k, loop)
-//!         agreed ← agree(k, offers)   (but the boundary's for the first step)
-//!         one light-edge superstep of k        (globally empty → break)
+//!         agreed ← one light-edge superstep of k, reading `agreed`
 //!     close bucket k: the heavy pass and per-bucket accounting
 //! ```
 //!
-//! The driver owns the loop shape, **every agreement allreduce** and every
-//! [`Recovery`] hook, so all three sit at the same collective points in both
-//! kernels. What a superstep *does* — its exchange, its relaxation order,
-//! its trace events — stays in the kernel behind [`BucketKernel`].
+//! The driver owns the loop shape, the boundary's agreement allreduce and
+//! every [`Recovery`] hook, so all of them sit at the same collective points
+//! in both kernels. What a superstep *does* — its exchange, its relaxation
+//! order, its trace events, and how it comes by the agreement its successor
+//! reads — stays in the kernel behind [`BucketKernel`].
 //!
-//! An agreement is one slice-valued allreduce of one `(k, offer)` per lane,
-//! merged lane by lane. The lower `k` wins; what two offers say about a
+//! An agreement is one `(k, offer)` per lane from every rank, merged lane by
+//! lane ([`merge_agreed`]). The lower `k` wins; what two offers say about a
 //! bucket merges only when both speak of the same one (the lower one's
-//! stands otherwise), what they say about the whole queue always. A
-//! boundary so makes one allreduce where it made three (tail trigger,
-//! minimum, first frontier sums), the boundary's agreement is the first
-//! light step's, and every kernel makes `supersteps + 1` a run. A rank
-//! whose minimum loses must be left as it was, so a boundary's offer
+//! stands otherwise), what they say about the whole queue always. At a
+//! boundary it is one slice-valued allreduce, which stands in for three
+//! (tail trigger, minimum, first frontier sums) and is the first light
+//! step's. Inside a bucket the 1D kernel makes none: each light step sends
+//! every rank's offer as the *header* of an all-to-all and gets them back
+//! merged (`simnet/collectives.rs`, "Headers") — on its update exchange when
+//! every lane pushes, on an empty exchange it opens with when one would
+//! pull — so the step's successor reads what the step drained, and the
+//! bucket closes on the one step whose frontiers were globally empty. The
+//! 2D kernel's row and column collectives do not reach every rank, so its
+//! light step ends with [`agree`]. Either way a run makes `buckets + 1`
+//! agreement allreduces in the 1D kernel and `supersteps + 1` in the 2D. A
+//! rank whose minimum loses must be left as it was, so a boundary's offer
 //! summarises without draining; and a lane whose bucket is not the lowest
 //! sits the open bucket out, its boundary sums unread. (DESIGN.md,
 //! "Bucket-epoch driver".)
@@ -43,6 +51,10 @@ pub(crate) trait Offer: Wire + Clone {
     /// per-bucket part merges on `Equal` and is the lower side's otherwise;
     /// a whole-queue part merges regardless.
     fn merge(&self, other: &Self, buckets: Ordering) -> Self;
+
+    /// Whether, merged, the offer says its lane drained no frontier: the
+    /// lane has no light step left in the open bucket.
+    fn drained_nothing(&self) -> bool;
 }
 
 /// The offer of a kernel that agrees on the frontier's size alone.
@@ -54,11 +66,22 @@ impl Offer for u64 {
             Ordering::Equal => self + other,
         }
     }
+
+    fn drained_nothing(&self) -> bool {
+        *self == 0
+    }
 }
 
 /// One lane's side of an agreement: the bucket it speaks of (`u64::MAX`:
 /// none) and what it says.
 pub(crate) type Agreed<O> = (u64, O);
+
+/// Two sides of one lane's agreement merged: the lower bucket, and the
+/// offers merged by which bucket each speaks of. An allreduce's combine and
+/// a light step's header merge alike.
+pub(crate) fn merge_agreed<O: Offer>(a: &Agreed<O>, b: &Agreed<O>) -> Agreed<O> {
+    (a.0.min(b.0), a.1.merge(&b.1, a.0.cmp(&b.0)))
+}
 
 /// What the driver needs from a kernel. The [`Checkpoint`] supertrait
 /// covers everything that lives across a superstep boundary; scratch that
@@ -66,15 +89,15 @@ pub(crate) type Agreed<O> = (u64, O);
 pub(crate) trait BucketKernel: Checkpoint {
     type Offer: Offer;
 
-    /// This rank's contribution to the next agreement, one entry a lane (the
-    /// same number on every rank): of the `open` bucket, whose frontier it
-    /// drains for the coming light step; or at a boundary of the lane's own
-    /// minimum bucket, which it leaves alone.
-    fn offer(&mut self, open: Option<u64>) -> Vec<Agreed<Self::Offer>>;
+    /// This rank's contribution to a boundary's agreement, one entry a lane
+    /// (the same number on every rank): of the lane's own minimum bucket,
+    /// which it leaves alone.
+    fn offer(&mut self) -> Vec<Agreed<Self::Offer>>;
 
     /// Start bucket `k`, the lowest any lane named, leaving in `agreed` what
-    /// the first light step must read. `false` ends the run here (the fused
-    /// tail finished it; every lane has retired).
+    /// the first light step must read — a lane that sits the bucket out
+    /// drained nothing. `false` ends the run here (the fused tail finished
+    /// it; every lane has retired).
     fn open_bucket(
         &mut self,
         ctx: &mut RankCtx,
@@ -83,8 +106,15 @@ pub(crate) trait BucketKernel: Checkpoint {
     ) -> bool;
 
     /// One light-edge superstep of bucket `k` over the frontiers drained for
-    /// it; `false`, and no work, when `agreed` says they are globally empty.
-    fn light_step(&mut self, ctx: &mut RankCtx, k: u64, agreed: &[Agreed<Self::Offer>]) -> bool;
+    /// it, `agreed` the agreement its predecessor (or the boundary) left;
+    /// returns the agreement on what it drained, which its successor reads.
+    /// Called only while `agreed` says some lane drained something.
+    fn light_step(
+        &mut self,
+        ctx: &mut RankCtx,
+        k: u64,
+        agreed: &[Agreed<Self::Offer>],
+    ) -> Vec<Agreed<Self::Offer>>;
 
     /// Bucket `k` reached its light-edge fixpoint: run the heavy pass and
     /// whatever per-bucket accounting follows it.
@@ -96,15 +126,10 @@ pub(crate) trait BucketKernel: Checkpoint {
     fn abandon_bucket(&mut self, ctx: &mut RankCtx, k: u64);
 }
 
-/// One agreement: every rank leaves with, for each lane, the lowest offered
-/// bucket and the merged offer, bitwise the same everywhere.
-fn agree<K: BucketKernel>(
-    ctx: &mut RankCtx,
-    offers: Vec<Agreed<K::Offer>>,
-) -> Vec<Agreed<K::Offer>> {
-    ctx.allreduce_slice(offers, |a, b| {
-        (a.0.min(b.0), a.1.merge(&b.1, a.0.cmp(&b.0)))
-    })
+/// One agreement allreduce: every rank leaves with, for each lane, the
+/// lowest offered bucket and the merged offer, bitwise the same everywhere.
+pub(crate) fn agree<O: Offer>(ctx: &mut RankCtx, offers: Vec<Agreed<O>>) -> Vec<Agreed<O>> {
+    ctx.allreduce_slice(offers, merge_agreed)
 }
 
 /// Drive `kernel` to completion. Collective. On a fault-free machine
@@ -126,14 +151,12 @@ pub(crate) fn run_bucket_epochs<K: BucketKernel>(
                 continue 'outer;
             }
         }
-        let mut agreed = agree::<K>(ctx, kernel.offer(None));
+        let mut agreed = agree(ctx, kernel.offer());
         let k = agreed.iter().map(|a| a.0).min().unwrap_or(u64::MAX);
         if k == u64::MAX || !kernel.open_bucket(ctx, k, &mut agreed) {
             break;
         }
-        // The boundary's agreement is the first light step's.
-        let mut agreed_already = true;
-        loop {
+        while !agreed.iter().all(|(_, offer)| offer.drained_nothing()) {
             if let Some(r) = rec.as_mut() {
                 // A mid-bucket crash rolls back to the last bucket-boundary
                 // checkpoint; the bucket counter rewound with the state.
@@ -142,12 +165,7 @@ pub(crate) fn run_bucket_epochs<K: BucketKernel>(
                     continue 'outer;
                 }
             }
-            if !std::mem::take(&mut agreed_already) {
-                agreed = agree::<K>(ctx, kernel.offer(Some(k)));
-            }
-            if !kernel.light_step(ctx, k, &agreed) {
-                break;
-            }
+            agreed = kernel.light_step(ctx, k, &agreed);
         }
         kernel.close_bucket(ctx, k);
     }
@@ -211,17 +229,29 @@ mod tests {
         (lo..hi).map(|i| el.get(i)).collect()
     }
 
+    /// Where a run's allreduces sit — between buckets (an agreement, or the
+    /// batch's `finished_at` maximum), inside a bucket span, inside a fused
+    /// tail round — and how many bucket spans and tail rounds it opened.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Placed {
+        between: u64,
+        in_bucket: u64,
+        in_tail: u64,
+        buckets: u64,
+        tail_rounds: u64,
+    }
+
     /// Run `kernel` on a traced 4-rank machine between two marker events and
-    /// return what it returns (rank 0's) with the allreduces each rank made
-    /// in between — the same number on every rank, or the run would have
+    /// return what it returns (rank 0's) with where the allreduces each rank
+    /// made in between sit — the same on every rank, or the run would have
     /// deadlocked, but asserted.
-    fn allreduces_of<R: Send>(kernel: impl Fn(&mut RankCtx) -> R + Sync) -> (R, u64) {
+    fn allreduces_of<R: Send>(kernel: impl Fn(&mut RankCtx) -> R + Sync) -> (R, Placed) {
         let mut rep = Machine::new(MachineConfig::with_ranks(4).traced(true)).run(|ctx| {
             let out = kernel(ctx);
             ctx.trace_end(TraceCode::RootRun, 0, 0);
             out
         });
-        let counts: Vec<u64> = rep
+        let placed: Vec<Placed> = rep
             .traces
             .iter()
             .map(|buf| {
@@ -230,30 +260,51 @@ mod tests {
                     .iter()
                     .skip_while(|e| e.code != TraceCode::RootRun)
                     .take_while(|e| !(e.code == TraceCode::RootRun && e.kind == TraceKind::End));
-                run.filter(|e| e.code == TraceCode::Allreduce && e.kind == TraceKind::Begin)
-                    .count() as u64
+                let (mut placed, mut bucket, mut tail) = (Placed::default(), false, false);
+                for e in run {
+                    let open = e.kind == TraceKind::Begin;
+                    match e.code {
+                        TraceCode::Bucket if e.kind != TraceKind::Count => {
+                            bucket = open;
+                            placed.buckets += u64::from(open);
+                        }
+                        TraceCode::Superstep if e.b == 2 => {
+                            tail = open;
+                            placed.tail_rounds += u64::from(open);
+                        }
+                        TraceCode::Allreduce if open => {
+                            let slot = match (bucket, tail) {
+                                (true, _) => &mut placed.in_bucket,
+                                (_, true) => &mut placed.in_tail,
+                                _ => &mut placed.between,
+                            };
+                            *slot += 1;
+                        }
+                        _ => {}
+                    }
+                }
+                placed
             })
             .collect();
-        assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
-        (rep.results.swap_remove(0), counts[0])
+        assert!(placed.iter().all(|&p| p == placed[0]), "{placed:?}");
+        (rep.results.swap_remove(0), placed[0])
     }
 
-    /// The invariant the agreement protocol buys: one allreduce a superstep
-    /// (a light step's own or the boundary's that stands in for it, a fused
-    /// tail round's; a heavy phase rides the round that found its bucket
-    /// empty) and one to end the run or decide its tail. The parent of the
-    /// protocol made `2 * buckets + 2` more: a minimum and a tail trigger a
-    /// bucket, the final minimum, the Δ statistics. A batch is the same
-    /// kernel, so the same count — however many lanes share an agreement,
-    /// whether the run ends on an empty queue or on the last retirement —
-    /// plus the one maximum that stamps `finished_at` on the lanes still
-    /// running.
+    /// The invariant the agreement protocol buys: one allreduce a bucket,
+    /// at its boundary, and one to end the run or decide its tail — no
+    /// light step makes one of its own, because each carries the next
+    /// agreement as its exchange's header. A fused tail's round makes its
+    /// own (it sits between buckets), and a batch makes the one maximum that
+    /// stamps `finished_at` on the lanes still running. A batch is the same
+    /// kernel, so the same count, however many lanes share an agreement and
+    /// whether the run ends on an empty queue or on the last retirement.
+    /// The 2D kernel's light steps agree by allreduce: `supersteps + 1`.
     #[test]
-    fn agreement_count_is_supersteps_plus_one() {
+    fn agreement_count_is_buckets_plus_one() {
         for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
             for tail in [true, false] {
                 let opts = OptConfig::all_on().with_direction(dir);
-                let (stats, allreduces) = allreduces_of(|ctx| {
+                let (stats, placed) = allreduces_of(|ctx| {
                     let part = Block1D::new(512, 4);
                     let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
                     ctx.trace_begin(TraceCode::RootRun, 0, 0);
@@ -263,7 +314,17 @@ mod tests {
                 });
                 assert_eq!(stats.tail_fused, tail, "{dir:?}");
                 assert!(tail || stats.buckets > 1, "{stats:?}");
-                assert_eq!(allreduces, stats.supersteps + 1, "{dir:?} tail {tail}");
+                assert_eq!(
+                    (placed.buckets, tail),
+                    (stats.buckets, placed.tail_rounds > 0)
+                );
+                let want = Placed {
+                    between: stats.buckets + 1,
+                    in_bucket: 0,
+                    in_tail: placed.tail_rounds,
+                    ..placed
+                };
+                assert_eq!(placed, want, "{dir:?} tail {tail}");
             }
 
             let mixed = [
@@ -273,7 +334,7 @@ mod tests {
                 BatchSpec::p2p(0, 3).with_bound(0.9),
             ];
             for specs in [&mixed[..], &mixed[1..2]] {
-                let ((md, stats), allreduces) = allreduces_of(|ctx| {
+                let ((md, _), placed) = allreduces_of(|ctx| {
                     let part = Block1D::new(512, 4);
                     let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
                     ctx.trace_begin(TraceCode::RootRun, 0, 0);
@@ -281,21 +342,26 @@ mod tests {
                     try_batched_delta_stepping(ctx, &g, specs, &opts).expect("ok")
                 });
                 assert!(md.early_exit.iter().any(|&e| e), "{dir:?}: no lane retired");
-                assert_eq!(
-                    allreduces,
-                    stats.supersteps + 1 + 1,
-                    "{dir:?} batch of {}",
-                    specs.len()
-                );
+                let want = Placed {
+                    between: placed.buckets + 1 + 1,
+                    in_bucket: 0,
+                    in_tail: 0,
+                    ..placed
+                };
+                assert_eq!(placed, want, "{dir:?} batch of {}", specs.len());
             }
         }
 
-        let (stats, allreduces) = allreduces_of(|ctx| {
+        let (stats, placed) = allreduces_of(|ctx| {
             let mut g = Grid2DSssp::build(ctx, 512, kron9_slice(ctx).into_iter(), 0.125);
             ctx.trace_begin(TraceCode::RootRun, 0, 0);
             g.try_run(ctx, 0).expect("ok")
         });
-        assert_eq!(allreduces, stats.supersteps + 1, "2D");
+        assert_eq!(
+            placed.between + placed.in_bucket,
+            stats.supersteps + 1,
+            "2D"
+        );
     }
 
     /// Per-rank size of the one checkpoint `run` takes: the crash plan is

@@ -26,10 +26,14 @@
 //! the route's to ignore. A block that does not decode leaves as the typed
 //! [`simnet::TransportError::Decode`], like any undecodable collective
 //! payload.
+//!
+//! An exchange also carries its caller's [`Header`] — a light step's
+//! offers — on the all-to-all it makes anyway (the counts all-to-all, on
+//! the one-message-per-update path), and returns every rank's merged.
 
 use crate::codec::{dedup_min, Record};
 use crate::config::OptConfig;
-use simnet::{RankCtx, Route, TraceCode};
+use simnet::{Header, RankCtx, Route, TraceCode, Wire};
 
 /// What one exchange did, for the run statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -85,19 +89,21 @@ pub fn shipped_bytes<R: Record>(ctx: &RankCtx, opts: &OptConfig, records: f64) -
 }
 
 /// Ship the staged buckets of `bufs` to every rank by `route`, leaving the
-/// flattened incoming updates in `bufs.incoming` (cleared first).
+/// flattened incoming updates in `bufs.incoming` (cleared first), and return
+/// what the exchange did with every rank's `header` merged.
 /// Collective: every rank must call with the same `opts` and `route` (the
 /// non-coalesced path has no blocks to group and ignores it). On return
 /// every bucket is empty;
 /// on the compressed path (which only *reads* the buckets to encode) their
 /// capacity survives for the next superstep, while the uncompressed paths
 /// hand the Vecs themselves to the transport.
-pub fn exchange_into<R: Record>(
+pub fn exchange_into<R: Record, H: Wire + Clone>(
     ctx: &mut RankCtx,
     bufs: &mut ExchangeBufs<R>,
     opts: &OptConfig,
     route: Route,
-) -> ExchangeOutcome {
+    header: Header<H>,
+) -> (ExchangeOutcome, Vec<H>) {
     let ExchangeBufs { out, incoming } = bufs;
     let p = ctx.size();
     assert_eq!(out.len(), p);
@@ -130,9 +136,9 @@ pub fn exchange_into<R: Record>(
     outcome.records_sent = out.iter().map(|b| b.len() as u64).sum();
 
     incoming.clear();
-    if !opts.coalescing {
+    let merged = if !opts.coalescing {
         let taken: Vec<Vec<R>> = out.iter_mut().map(std::mem::take).collect();
-        exchange_one_message_per_update(ctx, taken, incoming);
+        exchange_one_message_per_update(ctx, taken, incoming, header)
     } else if opts.compression {
         // encode per destination (in parallel, ordered combine); sortedness
         // comes from dedup when enabled
@@ -150,7 +156,7 @@ pub fn exchange_into<R: Record>(
         for b in out.iter_mut() {
             b.clear();
         }
-        let mut blocks = ctx.alltoallv_routed(route, enc);
+        let (mut blocks, merged) = ctx.alltoallv_routed(route, enc, header);
         // Apply per-source blocks in the (possibly fuzzed) delivery order:
         // min-relaxation makes the merge order-free, and the schedule fuzzer
         // verifies exactly that by permuting it.
@@ -162,14 +168,16 @@ pub fn exchange_into<R: Record>(
             ctx.charge_compute(dec.len() as u64);
             incoming.append(&mut dec);
         }
+        merged
     } else {
         let taken: Vec<Vec<R>> = out.iter_mut().map(std::mem::take).collect();
-        let mut blocks = ctx.alltoallv_routed(route, taken);
+        let (mut blocks, merged) = ctx.alltoallv_routed(route, taken, header);
         let order = ctx.delivery_order(blocks.len());
         for s in order {
             incoming.append(&mut blocks[s]);
         }
-    }
+        merged
+    };
 
     outcome.records_received = incoming.len() as u64;
     ctx.trace_count(
@@ -187,21 +195,23 @@ pub fn exchange_into<R: Record>(
         outcome.records_offered,
         R::TRACE_FLAVOR,
     );
-    outcome
+    (outcome, merged)
 }
 
 /// The no-coalescing path: every update is its own message. Counts are
-/// agreed via a (cheap, aggregated) all-to-all first so receivers know how
-/// many singletons to expect from each peer; per-sender FIFO ordering makes
-/// the tag reuse across supersteps safe.
-fn exchange_one_message_per_update<R: Record>(
+/// agreed via a (cheap, aggregated) direct all-to-all first, which carries
+/// the header, so receivers know how many singletons to expect from each
+/// peer; per-sender FIFO ordering makes the tag reuse across supersteps
+/// safe.
+fn exchange_one_message_per_update<R: Record, H: Wire + Clone>(
     ctx: &mut RankCtx,
     out: Vec<Vec<R>>,
     incoming: &mut Vec<R>,
-) {
+    header: Header<H>,
+) -> Vec<H> {
     let me = ctx.rank();
     let counts: Vec<Vec<u64>> = out.iter().map(|b| vec![b.len() as u64]).collect();
-    let counts_in = ctx.alltoallv(counts);
+    let (counts_in, merged) = ctx.alltoallv_routed(Route::Direct, counts, header);
 
     for (d, block) in out.into_iter().enumerate() {
         if d == me {
@@ -223,6 +233,7 @@ fn exchange_one_message_per_update<R: Record>(
             incoming.push(ctx.recv_one::<R>(s, R::SINGLE_TAG));
         }
     }
+    merged
 }
 
 #[cfg(test)]
@@ -251,7 +262,7 @@ mod tests {
                     bufs.bucket_mut(d)
                         .extend([(t, 0.5 + me as f32, me), (t, 0.4 + me as f32, me)]);
                 }
-                let outcome = exchange_into(ctx, &mut bufs, &opts, route);
+                let (outcome, _) = exchange_into(ctx, &mut bufs, &opts, route, Header::none());
                 let stats = ctx.stats();
                 let incoming = bufs.incoming().to_vec();
                 (incoming, outcome, stats.user_msgs, stats.total_bytes())
@@ -332,7 +343,7 @@ mod tests {
                         bufs.bucket_mut(d)
                             .extend((0..500u64).map(|i| (d as u64 * 1000 + i, 0.25, 42)));
                     }
-                    exchange_into(ctx, &mut bufs, &opts, Route::Direct);
+                    exchange_into(ctx, &mut bufs, &opts, Route::Direct, Header::none());
                     ctx.stats().total_bytes()
                 })
                 .results
@@ -369,7 +380,7 @@ mod tests {
                             (1, d as u64 * 10, 0.3 + me as f32, me + 100),
                         ]);
                     }
-                    exchange_into(ctx, &mut bufs, &opts, Route::Direct);
+                    exchange_into(ctx, &mut bufs, &opts, Route::Direct, Header::none());
                     bufs.incoming().to_vec()
                 })
                 .results
@@ -414,7 +425,13 @@ mod tests {
                         (1, 4, 0.1, 3),
                     ]);
                 }
-                let outcome = exchange_into(ctx, &mut bufs, &OptConfig::all_on(), Route::Direct);
+                let (outcome, _) = exchange_into(
+                    ctx,
+                    &mut bufs,
+                    &OptConfig::all_on(),
+                    Route::Direct,
+                    Header::none(),
+                );
                 (outcome.records_offered, outcome.records_sent)
             })
             .results;
@@ -456,11 +473,13 @@ mod tests {
         for route in [Route::Direct, Route::Grouped] {
             let res = Machine::new(MachineConfig::with_ranks(4)).try_run(|ctx| {
                 if ctx.rank() == 1 {
-                    ctx.alltoallv_routed(route, vec![vec![0xFFu8, 0xFF, 0x7F]; 4]);
+                    ctx.alltoallv_routed(route, vec![vec![0xFFu8, 0xFF, 0x7F]; 4], Header::none());
                     return 0;
                 }
                 let mut bufs = ExchangeBufs::<Update>::new(4);
-                exchange_into(ctx, &mut bufs, &OptConfig::all_on(), route).records_received
+                exchange_into(ctx, &mut bufs, &OptConfig::all_on(), route, Header::none())
+                    .0
+                    .records_received
             });
             match res {
                 Err(FaultEscalation::Transport(TransportError::Decode { src, len, .. })) => {

@@ -38,7 +38,7 @@ use crate::multi::{try_batched_delta_stepping, BatchSpec, MultiDist};
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use simnet::recovery::FaultEscalation;
-use simnet::{RankCtx, TraceCode, Wire};
+use simnet::{Header, RankCtx, TraceCode, Wire};
 
 /// One query against the resident graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -425,7 +425,10 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
         let mut lt = vec![INF_WEIGHT; window.len() * k.max(1)];
         let entry = <(u32, f32, u64) as Wire>::SIZE;
         let bytes = (published * entry) as f64 / ctx.size() as f64;
-        for block in ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &contrib) {
+        for block in ctx
+            .allgatherv_routed(ctx.allgatherv_route(bytes), &contrib, Header::none())
+            .0
+        {
             for (key, d, aux) in block {
                 let qi = (key / slots) as usize;
                 let slot = key % slots;
@@ -585,7 +588,9 @@ fn precompute_landmarks<P: VertexPartition + Sync>(
     cand.truncate(k);
     // every rank brings its `k` best (fewer only if it holds fewer vertices)
     let bytes = (k * <(u64, u64) as Wire>::SIZE) as f64;
-    let gathered = ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &cand);
+    let gathered = ctx
+        .allgatherv_routed(ctx.allgatherv_route(bytes), &cand, Header::none())
+        .0;
     let mut merged: Vec<(u64, u64)> = gathered.into_iter().flatten().collect();
     merged.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     merged.truncate(k);
@@ -711,7 +716,7 @@ mod tests {
             Query::p2p(11, 62),
             Query::full(21),
         ];
-        let plan = simnet::CrashPlan::random(0x5E12, 0.01).with_checkpoint_interval(2);
+        let plan = simnet::CrashPlan::random(0x5E13, 0.01).with_checkpoint_interval(2);
         let rep = Machine::new(MachineConfig::with_ranks(p).crashes(plan)).run(|ctx| {
             let part = Block1D::new(64, p);
             let m = el.len();
