@@ -75,7 +75,7 @@ fn main() {
                 deadline_s: f64::INFINITY,
             };
             let kernel_start = ctx.now();
-            let mut engine = QueryEngine::new(ctx, &g, cfg);
+            let mut engine = QueryEngine::try_new(ctx, &g, cfg).expect("no crash plan");
             engine.serve(ctx, &queries);
             let elapsed =
                 ctx.allreduce(ctx.now() - kernel_start, |a, b| if a > b { *a } else { *b });

@@ -262,7 +262,7 @@ pub fn run_kernels() -> Vec<(&'static str, Stats)> {
                     keep_paths: false,
                     deadline_s: f64::INFINITY,
                 };
-                let mut engine = QueryEngine::new(ctx, &g, cfg);
+                let mut engine = QueryEngine::try_new(ctx, &g, cfg).expect("no crash plan");
                 let outs = engine.serve(ctx, &serve_queries);
                 outs.len() as u64 + engine.stats().relaxations
             });

@@ -58,162 +58,114 @@ pub enum TraceKind {
     Count,
 }
 
-/// What a trace event describes. Span codes delimit regions of virtual
-/// time; counter codes carry a value in `a` (u64, or f64 bits for the
-/// `*Compute`/`*Comm` seconds counters).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u16)]
-pub enum TraceCode {
+/// Declares [`TraceCode`] from one table of `(doc, variant = number,
+/// name)` rows, with `ALL_CODES` in row order and [`TraceCode::name`].
+macro_rules! trace_codes {
+    ($($(#[$doc:meta])* $code:ident = $num:literal, $name:literal;)+) => {
+        /// What a trace event describes. Span codes delimit regions of
+        /// virtual time; counter codes carry a value in `a` (u64, or f64
+        /// bits for the `*Compute`/`*Comm` seconds counters).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u16)]
+        pub enum TraceCode {
+            $($(#[$doc])* $code = $num,)+
+        }
+
+        /// All codes, in declaration order (the summary's span table order).
+        const ALL_CODES: &[TraceCode] = &[$(TraceCode::$code),+];
+
+        impl TraceCode {
+            /// Stable kebab-case name (used in Chrome exports and summaries).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(TraceCode::$code => $name,)+
+                }
+            }
+        }
+    };
+}
+
+trace_codes! {
     /// Graph construction + distribution (span; driver level).
-    Build = 0,
+    Build = 0, "build";
     /// One SSSP/BFS root run, the kernel alone (span; `a` = root index).
-    RootRun = 1,
+    RootRun = 1, "root-run";
     /// One delta-stepping bucket (span; `a` = bucket index).
-    Bucket = 2,
+    Bucket = 2, "bucket";
     /// One superstep / relaxation round (span; `b`: 0 light, 1 heavy,
     /// 2 fused tail).
-    Superstep = 3,
+    Superstep = 3, "superstep";
     /// One update exchange (span; `a` = records offered).
-    Exchange = 4,
+    Exchange = 4, "exchange";
     /// One parallel task wave on the pool (span; `a` = item count).
-    TaskWave = 5,
+    TaskWave = 5, "task-wave";
     /// Broadcast from root (collective span).
-    Bcast = 7,
+    Bcast = 7, "bcast";
     /// Allreduce (collective span).
-    Allreduce = 8,
+    Allreduce = 8, "allreduce";
     /// Barrier (collective span).
-    Barrier = 9,
+    Barrier = 9, "barrier";
     /// Variable allgather (collective span).
-    Allgatherv = 10,
+    Allgatherv = 10, "allgatherv";
     /// Personalized all-to-all (collective span).
-    Alltoallv = 11,
+    Alltoallv = 11, "alltoallv";
     /// Variable gather into rank 0 (collective span).
-    Gatherv = 12,
+    Gatherv = 12, "gatherv";
     /// One admission-windowed query batch through the serving engine
     /// (span; `a` = batch ordinal, `b` = lane width).
-    QueryBatch = 15,
+    QueryBatch = 15, "query-batch";
     /// One superstep-boundary checkpoint write (span; `a` = snapshot bytes,
     /// `b` = checkpoint epoch).
-    CheckpointWrite = 16,
+    CheckpointWrite = 16, "checkpoint-write";
     /// One rollback to the last checkpoint after an agreed crash verdict
     /// (span; `a` = crashed-rank count, `b` = checkpoint epoch restored to).
-    Restore = 17,
+    Restore = 17, "restore";
     /// Re-execution of supersteps lost to a rollback, from the restored
     /// epoch until the pre-crash epoch is re-reached (span; `a` = restored
     /// epoch, `b` = epoch being replayed toward).
-    Replay = 18,
+    Replay = 18, "replay";
     /// Edge relaxations performed this superstep (counter).
-    Relaxations = 100,
+    Relaxations = 100, "relaxations";
     /// Vertices settled so far in the current bucket (counter).
-    Settled = 101,
+    Settled = 101, "settled";
     /// Update records sent by one exchange (counter).
-    UpdatesSent = 102,
+    UpdatesSent = 102, "updates-sent";
     /// Update records received by one exchange (counter).
-    UpdatesReceived = 103,
+    UpdatesReceived = 103, "updates-received";
     /// One reliable-transport retransmission (counter; `a` = frame seq,
     /// `b` = attempt).
-    Retransmit = 104,
+    Retransmit = 104, "retransmit";
     /// One retransmit-timer expiry (counter; `a` = frame seq,
     /// `b` = attempt).
-    Timeout = 105,
+    Timeout = 105, "timeout";
     /// Virtual compute seconds accrued during the superstep just ended
     /// (counter; `a` = f64 bits).
-    SuperstepCompute = 106,
+    SuperstepCompute = 106, "superstep-compute";
     /// Virtual communication seconds accrued during the superstep just
     /// ended (counter; `a` = f64 bits).
-    SuperstepComm = 107,
+    SuperstepComm = 107, "superstep-comm";
     /// Global frontier size of a bucket (counter; `a` = size,
     /// `b` = bucket index).
-    BucketFrontier = 108,
+    BucketFrontier = 108, "bucket-frontier";
     /// Virtual compute seconds accrued over a bucket (counter;
     /// `a` = f64 bits, `b` = bucket index).
-    BucketCompute = 109,
+    BucketCompute = 109, "bucket-compute";
     /// Virtual communication seconds accrued over a bucket (counter;
     /// `a` = f64 bits, `b` = bucket index).
-    BucketComm = 110,
+    BucketComm = 110, "bucket-comm";
     /// One query admitted into a batch (counter; `a` = query ordinal in
     /// the stream, `b` = 0 lane run / 1 cache hit).
-    QueryAdmitted = 111,
+    QueryAdmitted = 111, "query-admitted";
     /// One point-to-point lane retired early (counter; `a` = query
     /// ordinal, `b` = bucket epoch at retirement).
-    QueryRetired = 112,
+    QueryRetired = 112, "query-retired";
     /// One query shed by the serving engine after recovery failed or a
     /// deadline blew (counter; `a` = query ordinal, `b` = 0 kernel
     /// failure / 1 deadline).
-    QueryShed = 113,
+    QueryShed = 113, "query-shed";
 }
 
-/// All codes, in declaration order (the summary's span table order).
-const ALL_CODES: &[TraceCode] = &[
-    TraceCode::Build,
-    TraceCode::RootRun,
-    TraceCode::Bucket,
-    TraceCode::Superstep,
-    TraceCode::Exchange,
-    TraceCode::TaskWave,
-    TraceCode::Bcast,
-    TraceCode::Allreduce,
-    TraceCode::Barrier,
-    TraceCode::Allgatherv,
-    TraceCode::Alltoallv,
-    TraceCode::Gatherv,
-    TraceCode::QueryBatch,
-    TraceCode::CheckpointWrite,
-    TraceCode::Restore,
-    TraceCode::Replay,
-    TraceCode::Relaxations,
-    TraceCode::Settled,
-    TraceCode::UpdatesSent,
-    TraceCode::UpdatesReceived,
-    TraceCode::Retransmit,
-    TraceCode::Timeout,
-    TraceCode::SuperstepCompute,
-    TraceCode::SuperstepComm,
-    TraceCode::BucketFrontier,
-    TraceCode::BucketCompute,
-    TraceCode::BucketComm,
-    TraceCode::QueryAdmitted,
-    TraceCode::QueryRetired,
-    TraceCode::QueryShed,
-];
-
 impl TraceCode {
-    /// Stable kebab-case name (used in Chrome exports and summaries).
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceCode::Build => "build",
-            TraceCode::RootRun => "root-run",
-            TraceCode::Bucket => "bucket",
-            TraceCode::Superstep => "superstep",
-            TraceCode::Exchange => "exchange",
-            TraceCode::TaskWave => "task-wave",
-            TraceCode::Bcast => "bcast",
-            TraceCode::Allreduce => "allreduce",
-            TraceCode::Barrier => "barrier",
-            TraceCode::Allgatherv => "allgatherv",
-            TraceCode::Alltoallv => "alltoallv",
-            TraceCode::Gatherv => "gatherv",
-            TraceCode::QueryBatch => "query-batch",
-            TraceCode::CheckpointWrite => "checkpoint-write",
-            TraceCode::Restore => "restore",
-            TraceCode::Replay => "replay",
-            TraceCode::Relaxations => "relaxations",
-            TraceCode::Settled => "settled",
-            TraceCode::UpdatesSent => "updates-sent",
-            TraceCode::UpdatesReceived => "updates-received",
-            TraceCode::Retransmit => "retransmit",
-            TraceCode::Timeout => "timeout",
-            TraceCode::SuperstepCompute => "superstep-compute",
-            TraceCode::SuperstepComm => "superstep-comm",
-            TraceCode::BucketFrontier => "bucket-frontier",
-            TraceCode::BucketCompute => "bucket-compute",
-            TraceCode::BucketComm => "bucket-comm",
-            TraceCode::QueryAdmitted => "query-admitted",
-            TraceCode::QueryRetired => "query-retired",
-            TraceCode::QueryShed => "query-shed",
-        }
-    }
-
     /// The code numbered `x`, if any.
     pub fn from_u16(x: u16) -> Option<TraceCode> {
         ALL_CODES.iter().copied().find(|c| *c as u16 == x)

@@ -63,6 +63,11 @@ const DIAMETER: f64 = 3.0;
 /// T2 (2^9 to 2^15 vertices a rank on 2 to 128 ranks, EXPERIMENTS.md F3).
 const REWORK_IN_ARCS: f64 = 40.0;
 
+/// The narrowest bucket width the degree rule picks, and the narrowest the
+/// CLI accepts: bucket queues are dense over bucket indices, so a width far
+/// under the weights' scale asks for more buckets than memory holds.
+pub const MIN_DELTA: Weight = 1e-3;
+
 /// The degree rule, the ladder's first rung: bucket width for a graph with
 /// average out-degree `avg_degree` and mean edge weight `mean_weight`.
 ///
@@ -74,7 +79,7 @@ pub fn suggest_delta(avg_degree: f64, mean_weight: f64) -> Weight {
         return 1.0;
     }
     let delta = 4.0 * (2.0 * mean_weight) / avg_degree;
-    delta.clamp(1e-3, 4.0) as Weight
+    delta.clamp(f64::from(MIN_DELTA), 4.0) as Weight
 }
 
 /// The Δ the distributed kernel runs with when `OptConfig::delta` is

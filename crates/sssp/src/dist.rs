@@ -250,6 +250,34 @@ enum Known {
     Nothing,
 }
 
+/// What a lane's push relaxes: which rows of which sources.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Arcs {
+    /// The light prefixes of the frontier drained from open bucket `k`,
+    /// each vertex once a superstep, cascading when `cascade` is on.
+    Light { k: usize, cascade: bool },
+    /// The heavy suffixes of the bucket's settled set, in settling order.
+    /// Distances of settled vertices cannot change during the pass (for
+    /// settled u, du < (k+1)δ, and any heavy relaxation delivers
+    /// nd = du' + w ≥ kδ + δ, which `apply` rejects against
+    /// dist < (k+1)δ), so every `du` read is the bucket's final one.
+    Heavy,
+    /// A fused-tail round: whole rows of the frontier, all edge classes at
+    /// once.
+    Tail,
+}
+
+/// Where a lane's improved vertex waits to be expanded.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// In the bucket its new distance falls in.
+    Bucket,
+    /// In the frontier of the fused tail's next round: rounds are
+    /// synchronous (an in-round LIFO cascade is label-correcting, with
+    /// worst-case re-relaxation blowup).
+    Round,
+}
+
 /// What a lane outside the agreement offers: no bucket, nothing in it.
 const NO_OFFER: Agreed<Sums> = (u64::MAX, ((0, 0, 0, f32::INFINITY, (0, 0, 0)), (0, 0, 0)));
 
@@ -430,7 +458,7 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
             // checkpoint, so a restore can always rewind to a state that
             // already holds them.
             if part.owner(spec.source) == ctx.rank() {
-                lane.apply(part.to_local(spec.source), 0.0, spec.source);
+                lane.apply(part.to_local(spec.source), 0.0, spec.source, Wait::Bucket);
             }
             lane
         })
@@ -684,7 +712,7 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
         }
         let header = Header::new(offers, merge_agreed::<Sums>);
         let next = if pushed {
-            let next = self.exchange_and_apply(ctx, pushed_arcs, header);
+            let next = self.exchange_and_apply(ctx, pushed_arcs as f64, header, Wait::Bucket);
             self.light_pull(ctx, pulled, Header::none());
             next
         } else if let Some(exact) = opened {
@@ -723,7 +751,7 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
         }
         ctx.trace_count(TraceCode::Settled, settled, k);
         if self.stage(ctx, (Stand::Heavy, k as usize)) {
-            self.exchange_and_apply(ctx, pushed_arcs, Header::none());
+            self.exchange_and_apply(ctx, pushed_arcs as f64, Header::none(), Wait::Bucket);
         }
         self.heavy_pull(ctx, fetched_arcs);
         self.stats.supersteps += 1;
@@ -948,13 +976,23 @@ impl Lane {
         }
     }
 
-    /// Apply one incoming/locally-generated update to local vertex `l`.
-    fn apply(&mut self, l: usize, nd: Weight, parent: u64) {
-        if nd < self.sp.dist[l] {
-            self.sp.dist[l] = nd;
-            self.sp.parent[l] = parent;
-            self.buckets.insert(l as u32, nd);
+    /// Apply one incoming or locally generated update to local vertex `l`;
+    /// `true` if it improved, and then `l` waits where `wait` says.
+    fn apply(&mut self, l: usize, nd: Weight, parent: u64, wait: Wait) -> bool {
+        if nd >= self.sp.dist[l] {
+            return false;
         }
+        self.sp.dist[l] = nd;
+        self.sp.parent[l] = parent;
+        match wait {
+            Wait::Bucket => self.buckets.insert(l as u32, nd),
+            Wait::Round if self.frontier_seen[l] != self.frontier_epoch => {
+                self.frontier_seen[l] = self.frontier_epoch;
+                self.frontier.push(l as u32);
+            }
+            Wait::Round => {}
+        }
+        true
     }
 
     /// Whether the bound rules `nd` out; counted if so. A plain lane's
@@ -967,79 +1005,90 @@ impl Lane {
         over
     }
 
-    /// One push-mode light iteration over the drained frontier, staged as
-    /// lane `tag`; returns the arcs relaxed, and leaves in `toward` the
-    /// improvements that land in bucket `k` for a later step. Cascaded
-    /// vertices (local improvements that stay in bucket `k` when fusion is
-    /// on) are processed within this superstep and recorded in `settled` so
-    /// the heavy phase covers them too.
-    fn light_push<P: VertexPartition, R: Record>(
+    /// One push superstep of the lane, staged as lane `tag`: every arc of
+    /// `arcs`' rows out of its sources, relaxed in stack order; returns the
+    /// arcs relaxed. A light push leaves in `toward` the improvements that
+    /// land in the open bucket for a later step; with the cascade on, a
+    /// local one that stays there is expanded within this superstep instead
+    /// and recorded in `settled`, so the heavy phase covers it too. A tail
+    /// round leaves the next round's local part in `self.frontier`.
+    fn push<P: VertexPartition, R: Record>(
         &mut self,
-        ctx: &mut RankCtx,
         rows: &Rows<P>,
-        tag: u32,
-        (k, cascade): (usize, bool),
+        (me, tag): (usize, u32),
+        arcs: Arcs,
         xbufs: &mut ExchangeBufs<R>,
     ) -> u64 {
-        let (me, graph, delta) = (ctx.rank(), rows.graph, rows.delta);
+        let (graph, part) = (rows.graph, rows.graph.part());
         let mut stack = std::mem::take(&mut self.frontier);
-        let mut relaxed = 0u64;
-        self.toward = (0, 0, 0);
-        // A vertex expands at most once per superstep; one that improves
-        // again waits in bucket `k` for the next iteration, where all ranks
-        // share the work. (Re-expanding in LIFO order is label-correcting:
-        // one rank can re-relax its slice of the crest bucket many times
-        // over while the others wait.)
-        self.frontier_epoch += 1;
-        let expanded = self.frontier_epoch;
-
-        while let Some(u) = stack.pop() {
-            if self.frontier_seen[u as usize] == expanded {
-                continue;
+        let (open, cascade, wait) = match arcs {
+            Arcs::Light { k, cascade } => (Some(k), cascade, Wait::Bucket),
+            Arcs::Heavy => {
+                debug_assert!(stack.is_empty(), "a lane's light fixpoint has no frontier");
+                stack.extend(self.settled.iter().rev());
+                (None, false, Wait::Bucket)
             }
-            self.frontier_seen[u as usize] = expanded;
-            let du = self.sp.dist[u as usize];
-            let u_global = graph.part().to_global(me, u as usize);
-            let light = rows.light_end[u as usize] as usize;
-            let vs = &graph.neighbors(u as usize)[..light];
-            let ws = &graph.edge_weights(u as usize)[..light];
-            relaxed += light as u64;
-            for (&v, &w) in vs.iter().zip(ws) {
+            Arcs::Tail => (None, false, Wait::Round),
+        };
+        self.toward = (0, 0, 0);
+        // A light push expands a vertex at most once per superstep; one that
+        // improves again waits in bucket `k` for the next iteration, where
+        // all ranks share the work. (Re-expanding in LIFO order is
+        // label-correcting: one rank can re-relax its slice of the crest
+        // bucket many times over while the others wait.) A tail round marks
+        // the next round's frontier with the same stamp.
+        self.frontier_epoch += 1;
+        let stamp = self.frontier_epoch;
+        let mut relaxed = 0u64;
+        while let Some(u) = stack.pop() {
+            let u = u as usize;
+            if open.is_some() {
+                if self.frontier_seen[u] == stamp {
+                    continue;
+                }
+                self.frontier_seen[u] = stamp;
+            }
+            let light = rows.light_end[u] as usize;
+            let row = match arcs {
+                Arcs::Light { .. } => 0..light,
+                Arcs::Heavy => light..graph.degree(u),
+                Arcs::Tail => 0..graph.degree(u),
+            };
+            let (du, u_global) = (self.sp.dist[u], part.to_global(me, u));
+            relaxed += row.len() as u64;
+            let ws = &graph.edge_weights(u)[row.clone()];
+            for (&v, &w) in graph.neighbors(u)[row].iter().zip(ws) {
                 let nd = du + w;
                 if self.prunes(nd) {
                     continue;
                 }
-                let owner = graph.part().owner(v);
-                let in_k = (nd / delta) as usize == k;
-                if owner == me {
-                    let l = graph.part().to_local(v);
-                    if nd < self.sp.dist[l] {
-                        self.sp.dist[l] = nd;
-                        self.sp.parent[l] = u_global;
-                        if cascade && in_k && self.frontier_seen[l] != expanded {
-                            // process within this superstep; it settles in
-                            // bucket k, so the heavy phase must see it
-                            self.settle(rows, l as u32);
-                            stack.push(l as u32);
-                        } else {
-                            self.buckets.insert(l as u32, nd);
-                            if in_k {
-                                self.toward.0 += 1;
-                                self.toward.1 += 1;
-                                self.toward.2 += u64::from(rows.light_end[l]);
-                            }
-                        }
-                    }
-                } else {
+                let owner = part.owner(v);
+                let in_k = open.is_some_and(|k| (nd / rows.delta) as usize == k);
+                if owner != me {
                     xbufs
                         .bucket_mut(owner)
                         .push(R::pack(tag, (v, nd, u_global)));
                     self.toward.0 += u64::from(in_k);
+                    continue;
+                }
+                let l = part.to_local(v);
+                if cascade && in_k && self.frontier_seen[l] != stamp && nd < self.sp.dist[l] {
+                    self.sp.dist[l] = nd;
+                    self.sp.parent[l] = u_global;
+                    self.settle(rows, l as u32);
+                    stack.push(l as u32);
+                } else if self.apply(l, nd, u_global, wait) && in_k {
+                    self.toward.0 += 1;
+                    self.toward.1 += 1;
+                    self.toward.2 += u64::from(rows.light_end[l]);
                 }
             }
         }
-        self.frontier = stack;
-        ctx.charge_compute(relaxed);
+        // the stack is spent: keep its buffer, unless a tail round has
+        // started the next frontier
+        if self.frontier.is_empty() {
+            self.frontier = stack;
+        }
         relaxed
     }
 
@@ -1102,9 +1151,7 @@ impl Lane {
         for (l, &(s, upd)) in scratch.iter().enumerate() {
             scanned += s;
             if let Some((dl, pl)) = upd {
-                self.sp.dist[l] = dl;
-                self.sp.parent[l] = pl;
-                self.buckets.insert(l as u32, dl);
+                self.apply(l, dl, pl, Wait::Bucket);
             }
         }
         ctx.charge_compute(scanned);
@@ -1122,50 +1169,6 @@ impl Lane {
         }
     }
 
-    /// Heavy phase, push side: one pass over the bucket's settled set in
-    /// (source, arc) order, staged as lane `tag`; returns the arcs relaxed.
-    /// Distances of settled vertices cannot change during the pass (for
-    /// settled u, du < (k+1)δ, and any heavy relaxation delivers
-    /// nd = du' + w ≥ kδ + δ, which `apply` rejects against
-    /// dist < (k+1)δ), so every `du` read is the bucket's final one.
-    fn heavy_push<P: VertexPartition, R: Record>(
-        &mut self,
-        ctx: &mut RankCtx,
-        rows: &Rows<P>,
-        tag: u32,
-        xbufs: &mut ExchangeBufs<R>,
-    ) -> u64 {
-        let (me, graph) = (ctx.rank(), rows.graph);
-        ctx.trace_begin(TraceCode::TaskWave, self.settled.len() as u64, 1);
-        let mut relaxed = 0u64;
-        for at in 0..self.settled.len() {
-            let u = self.settled[at] as usize;
-            let du = self.sp.dist[u];
-            let u_global = graph.part().to_global(me, u);
-            let light = rows.light_end[u] as usize;
-            let vs = &graph.neighbors(u)[light..];
-            let ws = &graph.edge_weights(u)[light..];
-            relaxed += vs.len() as u64;
-            for (&v, &w) in vs.iter().zip(ws) {
-                let nd = du + w;
-                if self.prunes(nd) {
-                    continue;
-                }
-                let owner = graph.part().owner(v);
-                if owner == me {
-                    self.apply(graph.part().to_local(v), nd, u_global);
-                } else {
-                    xbufs
-                        .bucket_mut(owner)
-                        .push(R::pack(tag, (v, nd, u_global)));
-                }
-            }
-        }
-        ctx.charge_compute(relaxed);
-        ctx.trace_end(TraceCode::TaskWave, self.settled.len() as u64, 1);
-        relaxed
-    }
-
     /// The fused tail's entry: everything still queued, each vertex once,
     /// into `self.frontier`.
     fn drain_queue(&mut self) {
@@ -1179,57 +1182,6 @@ impl Lane {
                 self.frontier.push(v);
             }
         }
-    }
-
-    /// A fused-tail improvement of local vertex `l`: round-synchronous, so
-    /// it waits in `self.frontier` for the next round. (An in-round LIFO
-    /// cascade is label-correcting with worst-case re-relaxation blowup.)
-    fn tail_apply(&mut self, l: usize, nd: Weight, parent: u64) {
-        if nd < self.sp.dist[l] {
-            self.sp.dist[l] = nd;
-            self.sp.parent[l] = parent;
-            if self.frontier_seen[l] != self.frontier_epoch {
-                self.frontier_seen[l] = self.frontier_epoch;
-                self.frontier.push(l as u32);
-            }
-        }
-    }
-
-    /// One fused-tail round over `self.frontier`, all edge classes at once,
-    /// staged as lane `tag`; returns the arcs relaxed and leaves the next
-    /// round's local part in `self.frontier`.
-    fn tail_round<P: VertexPartition, R: Record>(
-        &mut self,
-        rows: &Rows<P>,
-        (me, tag): (usize, u32),
-        xbufs: &mut ExchangeBufs<R>,
-    ) -> u64 {
-        let graph = rows.graph;
-        let mut relaxed = 0u64;
-        let mut stack = std::mem::take(&mut self.frontier);
-        self.frontier_epoch += 1;
-        while let Some(u) = stack.pop() {
-            let du = self.sp.dist[u as usize];
-            let u_global = graph.part().to_global(me, u as usize);
-            let vs = graph.neighbors(u as usize);
-            let ws = graph.edge_weights(u as usize);
-            for (&v, &w) in vs.iter().zip(ws) {
-                relaxed += 1;
-                let nd = du + w;
-                if self.prunes(nd) {
-                    continue;
-                }
-                let owner = graph.part().owner(v);
-                if owner == me {
-                    self.tail_apply(graph.part().to_local(v), nd, u_global);
-                } else {
-                    xbufs
-                        .bucket_mut(owner)
-                        .push(R::pack(tag, (v, nd, u_global)));
-                }
-            }
-        }
-        relaxed
     }
 }
 
@@ -1319,15 +1271,17 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
     }
 
     /// Ship the staged updates — about `records` of them machine-wide —
-    /// behind `header`, and apply what arrives, each record to its lane: the
-    /// tail of every bucketed push superstep. Returns the merged header.
+    /// behind `header`, and apply what arrives, each record to its lane,
+    /// an improvement waiting where `wait` says: the end of every push
+    /// superstep. Returns the merged header.
     fn exchange_and_apply<H: Wire + Clone>(
         &mut self,
         ctx: &mut RankCtx,
-        records: u64,
+        records: f64,
         header: Header<H>,
+        wait: Wait,
     ) -> Vec<H> {
-        let route = self.exchange_route(ctx, records as f64);
+        let route = self.exchange_route(ctx, records);
         let (outcome, merged) = exchange_into(ctx, &mut self.xbufs, &self.opts, route, header);
         self.stats.updates_sent += outcome.records_sent;
         self.stats.updates_offered += outcome.records_offered;
@@ -1335,7 +1289,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         let part = self.rows.graph.part();
         for &record in self.xbufs.incoming() {
             let (s, (v, nd, parent)) = record.unpack();
-            self.lanes[s as usize].apply(part.to_local(v), nd, parent);
+            self.lanes[s as usize].apply(part.to_local(v), nd, parent, wait);
         }
         merged
     }
@@ -1350,11 +1304,20 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         let mut pushed = false;
         for (s, lane) in acting(&mut self.lanes, stand, false) {
             pushed = true;
-            let (rows, xbufs) = (&self.rows, &mut self.xbufs);
-            self.stats.relaxations += match stand {
-                Stand::Light => lane.light_push(ctx, rows, s, (k, cascade), xbufs),
-                _ => lane.heavy_push(ctx, rows, s, xbufs),
+            // a heavy pass is a task wave over the settled set
+            let (arcs, wave) = match stand {
+                Stand::Light => (Arcs::Light { k, cascade }, None),
+                _ => (Arcs::Heavy, Some(lane.settled.len() as u64)),
             };
+            if let Some(n) = wave {
+                ctx.trace_begin(TraceCode::TaskWave, n, 1);
+            }
+            let relaxed = lane.push(&self.rows, (ctx.rank(), s), arcs, &mut self.xbufs);
+            ctx.charge_compute(relaxed);
+            if let Some(n) = wave {
+                ctx.trace_end(TraceCode::TaskWave, n, 1);
+            }
+            self.stats.relaxations += relaxed;
         }
         pushed
     }
@@ -1510,8 +1473,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
     /// the boundary agreed on, then what the round before left — at the
     /// graph's mean degree.
     fn fused_tail(&mut self, ctx: &mut RankCtx, queued: u64) {
-        let (me, part) = (ctx.rank(), self.rows.graph.part());
-        let graph = self.rows.graph;
+        let (me, graph) = (ctx.rank(), self.rows.graph);
         let mean_degree = graph.global_arcs() as f64 / graph.global_vertices().max(1) as f64;
         let mut residue = queued;
         for lane in &mut self.lanes {
@@ -1521,22 +1483,13 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
             let span = SuperstepSpan::open(ctx, self.stats.supersteps, 2, self.stats.relaxations);
             let mut relaxed = 0u64;
             for (s, lane) in self.lanes.iter_mut().enumerate() {
-                relaxed += lane.tail_round(&self.rows, (me, s as u32), &mut self.xbufs);
+                relaxed += lane.push(&self.rows, (me, s as u32), Arcs::Tail, &mut self.xbufs);
             }
             self.stats.relaxations += relaxed;
             ctx.charge_compute(relaxed);
-
-            let route = self.exchange_route(ctx, residue as f64 * mean_degree);
-            let (outcome, _) =
-                exchange_into(ctx, &mut self.xbufs, &self.opts, route, Header::none());
-            self.stats.updates_sent += outcome.records_sent;
-            self.stats.updates_offered += outcome.records_offered;
+            let records = residue as f64 * mean_degree;
+            self.exchange_and_apply(ctx, records, Header::none(), Wait::Round);
             self.stats.supersteps += 1;
-            ctx.charge_compute(self.xbufs.incoming().len() as u64);
-            for &record in self.xbufs.incoming() {
-                let (s, (v, nd, parent)) = record.unpack();
-                self.lanes[s as usize].tail_apply(part.to_local(v), nd, parent);
-            }
             let next: u64 = self.lanes.iter().map(|l| l.frontier.len() as u64).sum();
             residue = ctx.allreduce_sum(next);
             span.close(ctx, self.stats.supersteps, self.stats.relaxations);
@@ -1900,8 +1853,9 @@ mod tests {
     fn one_lane_batch_is_the_solo_kernel() {
         // The batched entry point over one full lane against the solo
         // kernel with the one switch a batch flips (no fused tail): the same
-        // distances and the same tree, bit for bit, from the same
-        // supersteps, relaxations and records — on a graph with room to pull
+        // distances and the same tree, bit for bit, from the same work
+        // counters — supersteps, relaxations, records, directions taken,
+        // buckets — on a graph with room to pull
         // and fetch, on one that is all boundaries, and on one where every
         // choice is a tie. Both record types break an exact (target,
         // distance) tie by the one canonical order, deduplicated or sorted
@@ -1925,18 +1879,11 @@ mod tests {
                         let lane = [BatchSpec::full(n / 3)];
                         let solo =
                             run_kernel::<_, Update>(ctx, &g, &lane, &opts, false, true).unwrap();
-                        let (md, ms) =
+                        let (lanes, stats) =
                             crate::try_batched_delta_stepping(ctx, &g, &lane, &opts).unwrap();
                         let what = format!("n {n} {opts:?}");
-                        assert_eq!(bits(&md.lane_paths(0)), bits(&solo.lanes[0].sp), "{what}");
-                        let shown = (ms.supersteps, ms.relaxations, ms.updates_sent);
-                        let stats = solo.stats;
-                        let solo_shows = (stats.supersteps, stats.relaxations, stats.updates_sent);
-                        assert_eq!(shown, solo_shows, "{what}");
-                        // and every counter `MultiStats` does not show
-                        let k = run_kernel::<_, TaggedUpdate>(ctx, &g, &lane, &opts, false, true)
-                            .unwrap();
-                        assert_eq!(work(&k.stats), work(&stats), "{what}");
+                        assert_eq!(bits(&lanes[0].paths), bits(&solo.lanes[0].sp), "{what}");
+                        assert_eq!(work(&stats), work(&solo.stats), "{what}");
                         stats
                     });
                     let sent: u64 = rep.results.iter().map(|s| s.updates_sent).sum();

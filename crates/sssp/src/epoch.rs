@@ -334,14 +334,15 @@ mod tests {
                 BatchSpec::p2p(0, 3).with_bound(0.9),
             ];
             for specs in [&mixed[..], &mixed[1..2]] {
-                let ((md, _), placed) = allreduces_of(|ctx| {
+                let ((lanes, _), placed) = allreduces_of(|ctx| {
                     let part = Block1D::new(512, 4);
                     let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
                     ctx.trace_begin(TraceCode::RootRun, 0, 0);
                     let opts = OptConfig::all_on().with_direction(dir);
                     try_batched_delta_stepping(ctx, &g, specs, &opts).expect("ok")
                 });
-                assert!(md.early_exit.iter().any(|&e| e), "{dir:?}: no lane retired");
+                let retired = lanes.iter().any(|lane| lane.early_exit);
+                assert!(retired, "{dir:?}: no lane retired");
                 let want = Placed {
                     between: placed.buckets + 1 + 1,
                     in_bucket: 0,

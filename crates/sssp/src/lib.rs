@@ -51,12 +51,10 @@ pub mod serve;
 pub use bfs::{distributed_bfs, BfsStats};
 pub use bucket::BucketQueue;
 pub use config::{Direction, OptConfig};
-pub use delta::{machine_delta, suggest_delta};
+pub use delta::{machine_delta, suggest_delta, MIN_DELTA};
 pub use dist::{distributed_delta_stepping, try_distributed_delta_stepping, SsspRunStats};
 pub use dist2d::{Grid2DSssp, Sssp2DStats};
-pub use multi::{
-    batched_delta_stepping, try_batched_delta_stepping, BatchSpec, MultiDist, MultiStats,
-};
+pub use multi::{try_batched_delta_stepping, BatchSpec, LaneResult};
 pub use seq::delta_stepping;
 pub use serve::{
     triangle_bound, LandmarkSet, Lru, Query, QueryEngine, QueryOutcome, ServeConfig, ServeStats,

@@ -12,9 +12,10 @@
 //! lane per [`BatchSpec`], shipping lane-tagged records: every lane gets the
 //! weight-sorted row split, the bounded pull and fetch scans, the in-bucket
 //! cascade and the per-step direction choice of the solo search, because it
-//! *is* the solo search. This module holds what is left: the spec, the
-//! result shape the serving layer reads, and the projection of a finished
-//! kernel onto it.
+//! *is* the solo search. This module holds what is left: the spec, and what
+//! a finished lane hands its caller — its own result, moved out of the
+//! kernel, with its retirement record; the run's counters are the solo
+//! kernel's [`SsspRunStats`].
 //!
 //! # Determinism and width-invariance
 //!
@@ -46,7 +47,7 @@
 
 use crate::codec::TaggedUpdate;
 use crate::config::OptConfig;
-use crate::dist::run_kernel;
+use crate::dist::{run_kernel, Lane, SsspRunStats};
 use g500_graph::{VertexId, Weight, INF_WEIGHT};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use simnet::recovery::FaultEscalation;
@@ -92,128 +93,55 @@ impl BatchSpec {
     }
 }
 
-/// Per-rank result of a batched run, lane-major SoA.
+/// One finished lane of a batch, as this rank holds it.
 #[derive(Clone, Debug)]
-pub struct MultiDist {
-    /// Number of lanes in the batch.
-    pub lanes: usize,
-    /// Local vertices per lane (the SoA stride).
-    pub n_local: usize,
-    /// `dist[s * n_local + l]`: distance from lane `s`'s source to local
-    /// vertex `l`. A retired point-to-point lane's slice is frozen at
-    /// retirement (only its target entries are final).
-    pub dist: Vec<Weight>,
-    /// `parent[s * n_local + l]`: global parent in lane `s`'s tree.
-    pub parent: Vec<u64>,
-    /// Virtual time each lane finished (retirement for early-exit lanes,
-    /// batch end otherwise).
-    pub finished_at: Vec<f64>,
-    /// True for point-to-point lanes that retired before the batch ended.
-    pub early_exit: Vec<bool>,
-    /// Per lane: the target's settled distance (`INF_WEIGHT` for full
-    /// lanes and unreachable targets). Identical on every rank.
-    pub target_dist: Vec<Weight>,
-    /// Per lane: the target's parent (`NO_PARENT` when absent). Identical
-    /// on every rank.
-    pub target_parent: Vec<u64>,
-}
-
-impl MultiDist {
-    /// Lane `s`'s local distance slice.
-    pub fn lane_dist(&self, s: usize) -> &[Weight] {
-        &self.dist[s * self.n_local..(s + 1) * self.n_local]
-    }
-
-    /// Lane `s`'s local parent slice.
-    pub fn lane_parent(&self, s: usize) -> &[u64] {
-        &self.parent[s * self.n_local..(s + 1) * self.n_local]
-    }
-
-    /// Lane `s` as an owned [`DistShortestPaths`] (for gathers).
-    pub fn lane_paths(&self, s: usize) -> DistShortestPaths {
-        DistShortestPaths {
-            dist: self.lane_dist(s).to_vec(),
-            parent: self.lane_parent(s).to_vec(),
-        }
-    }
-}
-
-/// Counters from one batched run (per rank; `supersteps` and `retired` are
-/// identical on every rank).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MultiStats {
-    /// Global communication rounds for the whole batch.
-    pub supersteps: u64,
-    /// Arcs examined, summed over lanes — [`crate::SsspRunStats`]'s
-    /// meaning, pruned arcs included.
-    pub relaxations: u64,
-    /// Update records shipped (post-dedup).
-    pub updates_sent: u64,
-    /// Arcs a lane's bound kept a push from relaxing. (A pull scan that
+pub struct LaneResult {
+    /// This rank's slice of the lane's distances and parents. A retired
+    /// point-to-point lane's slice is frozen at retirement (only its
+    /// target entries are final).
+    pub paths: DistShortestPaths,
+    /// Virtual time the lane finished (retirement for an early exit, batch
+    /// end otherwise).
+    pub finished_at: f64,
+    /// True for a point-to-point lane that retired before the batch ended.
+    pub early_exit: bool,
+    /// The target's settled `(distance, parent)`: `(INF_WEIGHT, NO_PARENT)`
+    /// for a full lane and an unreachable target. Identical on every rank.
+    pub target: (Weight, u64),
+    /// Arcs the lane's bound kept a push from relaxing. (A pull scan that
     /// stops at the bound does not count what it never examined.)
     pub pruned: u64,
-    /// Point-to-point lanes that retired before the batch ended.
-    pub retired: u64,
 }
 
 /// Run one batch of lanes through shared delta-stepping supersteps.
 /// Collective: every rank must call with identical `specs` and `opts`.
 /// Honors every field of `opts` as the solo kernel does — Δ adaptive when
 /// `opts.delta` is `None` — but the fused tail, which a batch never takes.
-///
-/// Panics on fault escalation; use [`try_batched_delta_stepping`] to
-/// handle crash-recovery exhaustion as a typed error.
-pub fn batched_delta_stepping<P: VertexPartition + Sync>(
-    ctx: &mut RankCtx,
-    graph: &LocalGraph<P>,
-    specs: &[BatchSpec],
-    opts: &OptConfig,
-) -> (MultiDist, MultiStats) {
-    match try_batched_delta_stepping(ctx, graph, specs, opts) {
-        Ok(out) => out,
-        Err(e) => panic!("rank {}: {e}", ctx.rank()),
-    }
-}
-
-/// [`batched_delta_stepping`] with typed fault escalation: when a crash
-/// plan is active and recovery cannot complete (budget exhausted,
-/// checkpoint lost), every rank returns the identical `Err` from the same
-/// collective point instead of panicking.
+/// Returns the lanes in spec order and the run's counters, summed over
+/// lanes (`supersteps` is identical on every rank). When a crash plan is
+/// active and recovery cannot complete (budget exhausted, checkpoint
+/// lost), every rank returns the identical `Err` from the same collective
+/// point.
 pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
     ctx: &mut RankCtx,
     graph: &LocalGraph<P>,
     specs: &[BatchSpec],
     opts: &OptConfig,
-) -> Result<(MultiDist, MultiStats), FaultEscalation> {
+) -> Result<(Vec<LaneResult>, SsspRunStats), FaultEscalation> {
     assert!(!specs.is_empty(), "empty batch");
     let mut k = run_kernel::<P, TaggedUpdate>(ctx, graph, specs, opts, false, true)?;
     // Lanes still live at batch end — unreachable targets, targets settled
     // in the last bucket — publish their results once more; nobody retires.
     k.retire(ctx, 0);
     let t_end = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
-
-    let lanes = &k.lanes;
-    let out = MultiDist {
-        lanes: lanes.len(),
-        n_local: graph.local_vertices(),
-        dist: lanes.iter().flat_map(|l| &l.sp.dist).copied().collect(),
-        parent: lanes.iter().flat_map(|l| &l.sp.parent).copied().collect(),
-        finished_at: lanes
-            .iter()
-            .map(|l| if l.live { t_end } else { l.finished_at })
-            .collect(),
-        early_exit: lanes.iter().map(|l| !l.live).collect(),
-        target_dist: lanes.iter().map(|l| l.answer.0).collect(),
-        target_parent: lanes.iter().map(|l| l.answer.1).collect(),
+    let finish = |lane: Lane| LaneResult {
+        finished_at: if lane.live { t_end } else { lane.finished_at },
+        early_exit: !lane.live,
+        target: lane.answer,
+        pruned: lane.pruned,
+        paths: lane.sp,
     };
-    let stats = MultiStats {
-        supersteps: k.stats.supersteps,
-        relaxations: k.stats.relaxations,
-        updates_sent: k.stats.updates_sent,
-        pruned: lanes.iter().map(|l| l.pruned).sum(),
-        retired: lanes.iter().filter(|l| !l.live).count() as u64,
-    };
-    Ok((out, stats))
+    Ok((k.lanes.into_iter().map(finish).collect(), k.stats))
 }
 
 #[cfg(test)]
@@ -224,6 +152,16 @@ mod tests {
     use g500_partition::{assemble_local_graph, Block1D};
     use simnet::{Machine, MachineConfig};
 
+    /// A batch on a machine without a crash plan.
+    fn batch<P: VertexPartition + Sync>(
+        ctx: &mut RankCtx,
+        g: &LocalGraph<P>,
+        specs: &[BatchSpec],
+        opts: &OptConfig,
+    ) -> (Vec<LaneResult>, SsspRunStats) {
+        try_batched_delta_stepping(ctx, g, specs, opts).expect("no crash plan")
+    }
+
     /// Full single-source lanes from `roots` at a fixed Δ, all
     /// optimizations on.
     fn full_lanes<P: VertexPartition + Sync>(
@@ -231,9 +169,9 @@ mod tests {
         g: &LocalGraph<P>,
         roots: &[VertexId],
         delta: Weight,
-    ) -> (MultiDist, MultiStats) {
+    ) -> (Vec<LaneResult>, SsspRunStats) {
         let specs: Vec<BatchSpec> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
-        batched_delta_stepping(ctx, g, &specs, &OptConfig::all_on().with_delta(delta))
+        batch(ctx, g, &specs, &OptConfig::all_on().with_delta(delta))
     }
 
     #[test]
@@ -248,9 +186,9 @@ mod tests {
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            let (md, _) = full_lanes(ctx, &g, &roots, 0.2);
-            (0..roots.len())
-                .map(|s| md.lane_paths(s).gather(ctx, g.part()))
+            let (lanes, _) = full_lanes(ctx, &g, &roots, 0.2);
+            (lanes.iter())
+                .map(|lane| lane.paths.gather(ctx, g.part()))
                 .collect::<Vec<_>>()
         });
         for (s, &root) in roots.iter().enumerate() {
@@ -306,8 +244,8 @@ mod tests {
                 Vec::new()
             };
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            let (md, _) = full_lanes(ctx, &g, &[0], 0.5);
-            md.lane_paths(0).gather(ctx, g.part())
+            let (lanes, _) = full_lanes(ctx, &g, &[0], 0.5);
+            lanes[0].paths.gather(ctx, g.part())
         });
         assert!(rep.results[0].distances_match(&oracle, 1e-5));
     }
@@ -327,16 +265,11 @@ mod tests {
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
             let specs = [BatchSpec::p2p(0, 5), BatchSpec::full(0)];
-            let (md, stats) =
-                batched_delta_stepping(ctx, &g, &specs, &OptConfig::all_on().with_delta(0.5));
-            (
-                md.early_exit[0],
-                md.target_dist[0],
-                md.target_parent[0],
-                stats.retired,
-            )
+            let (lanes, _) = batch(ctx, &g, &specs, &OptConfig::all_on().with_delta(0.5));
+            let retired = lanes.iter().filter(|lane| lane.early_exit).count();
+            (lanes[0].early_exit, lanes[0].target, retired)
         });
-        let (early, d, par, retired) = rep.results[0];
+        let (early, (d, par), retired) = rep.results[0];
         assert!(early, "near target must retire before the path drains");
         assert_eq!(retired, 1);
         assert_eq!(d.to_bits(), oracle.dist[5].to_bits());
@@ -368,14 +301,8 @@ mod tests {
                     BatchSpec::p2p(7, 9).with_bound(4.0),
                     BatchSpec::full(21),
                 ];
-                let (md, stats) = try_batched_delta_stepping(
-                    ctx,
-                    &g,
-                    &specs,
-                    &OptConfig::all_on().with_delta(0.2),
-                )
-                .expect("in-budget crashes must be recovered");
-                (md, stats)
+                try_batched_delta_stepping(ctx, &g, &specs, &OptConfig::all_on().with_delta(0.2))
+                    .expect("in-budget crashes must be recovered")
             })
         };
         let clean = run(None);
@@ -386,19 +313,34 @@ mod tests {
             "the schedule must actually crash someone: {:?}",
             crashed.total_stats()
         );
-        for (c, f) in clean.results.iter().zip(crashed.results.iter()) {
-            let (cmd, cst) = c;
-            let (fmd, fst) = f;
-            let cbits: Vec<u32> = cmd.dist.iter().map(|d| d.to_bits()).collect();
-            let fbits: Vec<u32> = fmd.dist.iter().map(|d| d.to_bits()).collect();
-            assert_eq!(cbits, fbits, "distances must be byte-identical");
-            assert_eq!(cmd.parent, fmd.parent, "parents must be byte-identical");
-            let ctb: Vec<u32> = cmd.target_dist.iter().map(|d| d.to_bits()).collect();
-            let ftb: Vec<u32> = fmd.target_dist.iter().map(|d| d.to_bits()).collect();
-            assert_eq!(ctb, ftb, "target distances must be byte-identical");
-            assert_eq!(cmd.target_parent, fmd.target_parent);
-            assert_eq!(cmd.early_exit, fmd.early_exit);
-            assert_eq!(cst, fst, "structural counters must be identical");
+        let work = |stats: &SsspRunStats| SsspRunStats {
+            sim_time_s: 0.0,
+            compute_s: 0.0,
+            comm_s: 0.0,
+            ..stats.clone()
+        };
+        for ((clean, cst), (crashed, fst)) in clean.results.iter().zip(&crashed.results) {
+            for (c, f) in clean.iter().zip(crashed) {
+                let cbits: Vec<u32> = c.paths.dist.iter().map(|d| d.to_bits()).collect();
+                let fbits: Vec<u32> = f.paths.dist.iter().map(|d| d.to_bits()).collect();
+                assert_eq!(cbits, fbits, "distances must be byte-identical");
+                assert_eq!(
+                    c.paths.parent, f.paths.parent,
+                    "parents must be byte-identical"
+                );
+                let bits = |(d, parent): (Weight, u64)| (d.to_bits(), parent);
+                assert_eq!(
+                    bits(c.target),
+                    bits(f.target),
+                    "target must be byte-identical"
+                );
+                assert_eq!((c.early_exit, c.pruned), (f.early_exit, f.pruned));
+            }
+            assert_eq!(
+                work(cst),
+                work(fst),
+                "structural counters must be identical"
+            );
         }
     }
 
@@ -421,16 +363,17 @@ mod tests {
                 .map(|&r| BatchSpec::full(r).with_bound(0.45))
                 .collect();
             let opts = OptConfig::all_on().with_delta(0.125);
-            let (_, batch) = batched_delta_stepping(ctx, &g, &specs, &opts);
+            let pruned = |lanes: Vec<LaneResult>| lanes.iter().map(|l| l.pruned).sum::<u64>();
+            let together = pruned(batch(ctx, &g, &specs, &opts).0);
             let solo: u64 = specs
                 .iter()
-                .map(|&spec| batched_delta_stepping(ctx, &g, &[spec], &opts).1.pruned)
+                .map(|&spec| pruned(batch(ctx, &g, &[spec], &opts).0))
                 .sum();
-            (batch.pruned, solo)
+            (together, solo)
         });
-        for (rank, &(batch, solo)) in rep.results.iter().enumerate() {
+        for (rank, &(together, solo)) in rep.results.iter().enumerate() {
             assert!(solo > 0, "rank {rank}: the bound must prune something");
-            assert_eq!(batch, solo, "rank {rank}: batch vs sum of solo lanes");
+            assert_eq!(together, solo, "rank {rank}: batch vs sum of solo lanes");
         }
     }
 
@@ -447,9 +390,8 @@ mod tests {
             };
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
             let specs = [BatchSpec::p2p(0, 11)];
-            let (md, _) =
-                batched_delta_stepping(ctx, &g, &specs, &OptConfig::all_on().with_delta(0.5));
-            (md.early_exit[0], md.target_dist[0])
+            let (lanes, _) = batch(ctx, &g, &specs, &OptConfig::all_on().with_delta(0.5));
+            (lanes[0].early_exit, lanes[0].target.0)
         });
         let (early, d) = rep.results[0];
         assert!(!early);

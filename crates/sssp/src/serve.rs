@@ -34,7 +34,7 @@
 //! `G500_THREADS` (see [`crate::multi`]).
 
 use crate::config::OptConfig;
-use crate::multi::{try_batched_delta_stepping, BatchSpec, MultiDist};
+use crate::multi::{try_batched_delta_stepping, BatchSpec};
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use simnet::recovery::FaultEscalation;
@@ -164,14 +164,14 @@ pub struct ServeStats {
 pub struct LandmarkSet {
     /// Landmark vertex ids, highest degree first (ties by id).
     pub ids: Vec<VertexId>,
-    local: Vec<Weight>,
-    n_local: usize,
+    /// Per landmark, the local distances its lane left.
+    dist: Vec<Vec<Weight>>,
 }
 
 impl LandmarkSet {
     /// `dist(L_j, v)` for local vertex `l`.
     pub fn local_dist(&self, j: usize, l: usize) -> Weight {
-        self.local[j * self.n_local + l]
+        self.dist[j][l]
     }
 }
 
@@ -272,19 +272,9 @@ pub struct QueryEngine<'g, P: VertexPartition + Sync> {
 
 impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
     /// Build an engine, precomputing landmarks as one batch of full lanes.
-    /// Collective. Panics on fault escalation; use
-    /// [`QueryEngine::try_new`] to handle it as a typed error.
-    pub fn new(ctx: &mut RankCtx, graph: &'g LocalGraph<P>, cfg: ServeConfig) -> Self {
-        match Self::try_new(ctx, graph, cfg) {
-            Ok(engine) => engine,
-            Err(e) => panic!("rank {}: {e}", ctx.rank()),
-        }
-    }
-
-    /// [`QueryEngine::new`] with typed fault escalation: landmark
-    /// precompute runs before any query exists to degrade onto, so a
-    /// crash it cannot recover from surfaces as the kernel's `Err` —
-    /// identical on every rank.
+    /// Collective. Landmark precompute runs before any query exists to
+    /// degrade onto, so a crash it cannot recover from surfaces as the
+    /// kernel's `Err` — identical on every rank.
     pub fn try_new(
         ctx: &mut RankCtx,
         graph: &'g LocalGraph<P>,
@@ -292,8 +282,7 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
     ) -> Result<Self, FaultEscalation> {
         let mut stats = ServeStats::default();
         let landmarks = if cfg.num_landmarks > 0 {
-            let set = precompute_landmarks(ctx, graph, cfg.num_landmarks, &cfg.opts, &mut stats)?;
-            (!set.ids.is_empty()).then_some(set)
+            precompute_landmarks(ctx, graph, cfg.num_landmarks, &cfg.opts, &mut stats)?
         } else {
             None
         };
@@ -355,7 +344,8 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
 
         let mut plans: Vec<Plan> = Vec::with_capacity(window.len());
         let mut specs: Vec<BatchSpec> = Vec::new();
-        let mut lane_of: Vec<(Query, usize)> = Vec::new(); // window-dup sharing
+        // the query each lane answers (window duplicates share a lane)
+        let mut lane_query: Vec<Query> = Vec::new();
         let mut contrib: Vec<(u32, f32, u64)> = Vec::new();
         // records `contrib` holds machine-wide: the plans are replicated
         let mut published = 0usize;
@@ -383,15 +373,15 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
                     Plan::P2pHit
                 }
                 (target, false) => {
-                    if let Some((_, lane)) = lane_of.iter().find(|(oq, _)| oq == q) {
-                        Plan::Lane(*lane)
+                    if let Some(lane) = lane_query.iter().position(|oq| oq == q) {
+                        Plan::Lane(lane)
                     } else {
                         let lane = specs.len();
                         specs.push(match target {
                             None => BatchSpec::full(q.source),
                             Some(t) => BatchSpec::p2p(q.source, t),
                         });
-                        lane_of.push((*q, lane));
+                        lane_query.push(*q);
                         if let (Some(t), Some(lm)) = (target, self.landmarks.as_ref()) {
                             published += 2 * k;
                             for (side, v) in [(0u32, q.source), (1, t)] {
@@ -469,13 +459,13 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
                 attempt = try_batched_delta_stepping(ctx, self.graph, &specs, &self.cfg.opts);
             }
             match attempt {
-                Ok((md, st)) => {
+                Ok((lanes, st)) => {
                     self.stats.lanes_run += specs.len() as u64;
                     self.stats.supersteps += st.supersteps;
                     self.stats.relaxations += st.relaxations;
                     self.stats.updates_sent += st.updates_sent;
-                    self.stats.pruned += st.pruned;
-                    Some(md)
+                    self.stats.pruned += lanes.iter().map(|lane| lane.pruned).sum::<u64>();
+                    Some(lanes)
                 }
                 Err(_) => None, // twice unrecoverable: shed the window's lanes
             }
@@ -483,31 +473,31 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
         let batch_failed = batch.is_none() && !specs.is_empty();
 
         for (qi, (q, plan)) in window.iter().zip(&plans).enumerate() {
+            let base = QueryOutcome {
+                query: *q,
+                dist: None,
+                parent: None,
+                cache_hit: false,
+                early_exit: false,
+                bound: INF_WEIGHT,
+                latency_s: t_admit - t0,
+                shed: false,
+                paths: None,
+            };
             out.push(match plan {
                 Plan::FullHit => QueryOutcome {
-                    query: *q,
-                    dist: None,
-                    parent: None,
                     cache_hit: true,
-                    early_exit: false,
-                    bound: INF_WEIGHT,
-                    latency_s: t_admit - t0,
-                    shed: false,
                     paths: self
                         .cfg
                         .keep_paths
                         .then(|| self.lru.get(&q.source).expect("hit").clone()),
+                    ..base
                 },
                 Plan::P2pHit => QueryOutcome {
-                    query: *q,
                     dist: Some(hit_answer[qi].0),
                     parent: Some(hit_answer[qi].1),
                     cache_hit: true,
-                    early_exit: false,
-                    bound: INF_WEIGHT,
-                    latency_s: t_admit - t0,
-                    shed: false,
-                    paths: None,
+                    ..base
                 },
                 Plan::Lane(_) if batch_failed => {
                     // the window's kernel failed twice: no answer exists,
@@ -516,24 +506,17 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
                     ctx.count_queries_shed(1);
                     ctx.trace_count(TraceCode::QueryShed, ord0 + qi as u64, 0);
                     QueryOutcome {
-                        query: *q,
-                        dist: None,
-                        parent: None,
-                        cache_hit: false,
-                        early_exit: false,
-                        bound: INF_WEIGHT,
                         latency_s: ctx.now() - t0,
                         shed: true,
-                        paths: None,
+                        ..base
                     }
                 }
                 Plan::Lane(lane) => {
-                    let md = batch.as_ref().expect("lane implies batch");
-                    let early = md.early_exit[*lane];
-                    if early {
+                    let ran = &batch.as_ref().expect("lane implies batch")[*lane];
+                    if ran.early_exit {
                         self.stats.early_exits += 1;
                     }
-                    let latency_s = md.finished_at[*lane] - t0;
+                    let latency_s = ran.finished_at - t0;
                     let shed = latency_s > self.cfg.deadline_s;
                     if shed {
                         self.stats.queries_shed += 1;
@@ -541,27 +524,24 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
                         ctx.trace_count(TraceCode::QueryShed, ord0 + qi as u64, 1);
                     }
                     QueryOutcome {
-                        query: *q,
-                        dist: q.target.map(|_| md.target_dist[*lane]),
-                        parent: q.target.map(|_| md.target_parent[*lane]),
-                        cache_hit: false,
-                        early_exit: early,
+                        dist: q.target.map(|_| ran.target.0),
+                        parent: q.target.map(|_| ran.target.1),
+                        early_exit: ran.early_exit,
                         bound: specs[*lane].bound,
                         latency_s,
                         shed,
                         paths: (self.cfg.keep_paths && q.target.is_none())
-                            .then(|| md.lane_paths(*lane)),
+                            .then(|| ran.paths.clone()),
+                        ..base
                     }
                 }
             });
         }
 
         // cache full results, in window order (replicated key stream)
-        if let Some(md) = &batch {
-            for &(q, lane) in &lane_of {
-                if q.target.is_none() && self.cfg.lru_capacity > 0 {
-                    self.lru.insert(q.source, md.lane_paths(lane));
-                }
+        for (q, lane) in lane_query.iter().zip(batch.into_iter().flatten()) {
+            if q.target.is_none() {
+                self.lru.insert(q.source, lane.paths);
             }
         }
         self.stats.batches += 1;
@@ -570,14 +550,15 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
 }
 
 /// Pick the `k` highest-degree vertices (ties by id) as landmarks and run
-/// one batched full SSSP from all of them.
+/// one batched full SSSP from all of them; `None` on a graph without
+/// vertices.
 fn precompute_landmarks<P: VertexPartition + Sync>(
     ctx: &mut RankCtx,
     graph: &LocalGraph<P>,
     k: usize,
     opts: &OptConfig,
     stats: &mut ServeStats,
-) -> Result<LandmarkSet, FaultEscalation> {
+) -> Result<Option<LandmarkSet>, FaultEscalation> {
     let part = graph.part();
     let me = ctx.rank();
     let n_local = graph.local_vertices();
@@ -596,25 +577,14 @@ fn precompute_landmarks<P: VertexPartition + Sync>(
     merged.truncate(k);
     let ids: Vec<VertexId> = merged.into_iter().map(|(_, v)| v).collect();
     if ids.is_empty() {
-        return Ok(LandmarkSet {
-            ids,
-            local: Vec::new(),
-            n_local,
-        });
+        return Ok(None);
     }
 
     let specs: Vec<BatchSpec> = ids.iter().map(|&v| BatchSpec::full(v)).collect();
-    let (md, st): (MultiDist, _) = try_batched_delta_stepping(ctx, graph, &specs, opts)?;
+    let (lanes, st) = try_batched_delta_stepping(ctx, graph, &specs, opts)?;
     stats.precompute_supersteps += st.supersteps;
-    let mut local = vec![INF_WEIGHT; ids.len() * n_local];
-    for j in 0..ids.len() {
-        local[j * n_local..(j + 1) * n_local].copy_from_slice(md.lane_dist(j));
-    }
-    Ok(LandmarkSet {
-        ids,
-        local,
-        n_local,
-    })
+    let dist = lanes.into_iter().map(|lane| lane.paths.dist).collect();
+    Ok(Some(LandmarkSet { ids, dist }))
 }
 
 #[cfg(test)]
@@ -679,7 +649,7 @@ mod tests {
                 lru_capacity: 4,
                 ..ServeConfig::default()
             };
-            let mut engine = QueryEngine::new(ctx, &g, cfg);
+            let mut engine = QueryEngine::try_new(ctx, &g, cfg).expect("no crash plan");
             let outcomes = engine.serve(ctx, &queries);
             let stats = engine.stats().clone();
             (outcomes, stats)
@@ -731,7 +701,8 @@ mod tests {
                 lru_capacity: 4,
                 ..ServeConfig::default()
             };
-            let mut engine = QueryEngine::new(ctx, &g, cfg);
+            let mut engine =
+                QueryEngine::try_new(ctx, &g, cfg).expect("in-budget crashes are recovered");
             let outcomes = engine.serve(ctx, &queries);
             (outcomes, engine.stats().clone())
         });
@@ -776,7 +747,8 @@ mod tests {
                 lru_capacity: 0,
                 ..ServeConfig::default()
             };
-            let mut engine = QueryEngine::new(ctx, &g, cfg);
+            let mut engine =
+                QueryEngine::try_new(ctx, &g, cfg).expect("no landmarks to precompute");
             let outcomes = engine.serve(ctx, &queries);
             (outcomes, engine.stats().clone())
         });
@@ -811,7 +783,7 @@ mod tests {
                 deadline_s: 0.0,
                 ..ServeConfig::default()
             };
-            let mut engine = QueryEngine::new(ctx, &g, cfg);
+            let mut engine = QueryEngine::try_new(ctx, &g, cfg).expect("no crash plan");
             let outcomes = engine.serve(ctx, &queries);
             (outcomes, engine.stats().clone())
         });
@@ -844,7 +816,7 @@ mod tests {
                 lru_capacity: 0,
                 ..ServeConfig::default()
             };
-            let mut engine = QueryEngine::new(ctx, &g, cfg);
+            let mut engine = QueryEngine::try_new(ctx, &g, cfg).expect("no crash plan");
             engine.serve(ctx, &queries)
         });
         let mut bounded = 0;

@@ -295,7 +295,7 @@ fn cli_rejects_unknown_arguments_by_name() {
 /// not parse are refused the same way, by the flag's name.
 #[test]
 fn cli_rejects_out_of_range_values_by_name() {
-    let cases: [(&[&str], &str); 36] = [
+    let cases: [(&[&str], &str); 38] = [
         (&["sssp", "--scale", "0"], "--scale"),
         (&["sssp", "--scale", "64"], "--scale"),
         (&["bfs", "--scale", "0"], "--scale"),
@@ -311,6 +311,16 @@ fn cli_rejects_out_of_range_values_by_name() {
         (&["sssp", "--scale", "8", "--delta", "-1"], "--delta"),
         (&["sssp", "--scale", "8", "--delta", "nan"], "--delta"),
         (&["sssp", "--scale", "8", "--delta", "inf"], "--delta"),
+        // under the degree rule's floor: dense bucket queues would ask for
+        // 24 GiB, or index bucket `usize::MAX`
+        (
+            &["sssp", "--scale", "8", "--ranks", "2", "--delta", "1e-9"],
+            "--delta",
+        ),
+        (
+            &["sssp", "--scale", "8", "--ranks", "2", "--delta", "1e-30"],
+            "--delta",
+        ),
         (&["sssp", "--scale", "8", "--ranks", "0"], "--ranks"),
         (&["sssp", "--scale", "8", "--roots", "0"], "--roots"),
         (&["bfs", "--scale", "8", "--ranks", "0"], "--ranks"),

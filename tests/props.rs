@@ -486,9 +486,10 @@ fn multi_source_equals_dijkstra_per_source() {
                     .map(|&r| graph500::sssp::BatchSpec::full(r))
                     .collect();
                 let opts = OptConfig::all_on().with_delta(0.05);
-                let (md, _) = graph500::sssp::batched_delta_stepping(ctx, &g, &specs, &opts);
-                (0..roots.len())
-                    .map(|s| md.lane_paths(s).gather(ctx, g.part()))
+                let (lanes, _) = graph500::sssp::try_batched_delta_stepping(ctx, &g, &specs, &opts)
+                    .expect("no crash plan");
+                (lanes.iter())
+                    .map(|lane| lane.paths.gather(ctx, g.part()))
                     .collect::<Vec<_>>()
             })
             .results

@@ -16,7 +16,7 @@ use graph500::graph::{Csr, Directedness, EdgeList, WEdge};
 use graph500::partition::{assemble_local_graph, Block1D};
 use graph500::simnet::{Machine, MachineConfig};
 use graph500::sssp::{
-    batched_delta_stepping, BatchSpec, Direction, OptConfig, Query, QueryEngine, ServeConfig,
+    try_batched_delta_stepping, BatchSpec, Direction, OptConfig, Query, QueryEngine, ServeConfig,
 };
 
 fn to_el(edges: &[(u64, u64, f32)]) -> EdgeList {
@@ -42,16 +42,18 @@ fn batch_run(
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            let (md, _) = batched_delta_stepping(ctx, &g, specs, opts);
-            (0..specs.len())
-                .map(|s| {
-                    let sp = md.lane_paths(s).gather(ctx, g.part());
+            let (lanes, _) =
+                try_batched_delta_stepping(ctx, &g, specs, opts).expect("no crash plan");
+            lanes
+                .iter()
+                .map(|lane| {
+                    let sp = lane.paths.gather(ctx, g.part());
                     (
                         sp.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
                         sp.parent,
-                        md.target_dist[s].to_bits(),
-                        md.target_parent[s],
-                        md.early_exit[s],
+                        lane.target.0.to_bits(),
+                        lane.target.1,
+                        lane.early_exit,
                     )
                 })
                 .collect::<Vec<_>>()
@@ -226,7 +228,7 @@ fn cache_hit_equals_recompute_bitwise() {
                         keep_paths: false,
                         deadline_s: f64::INFINITY,
                     };
-                    let mut engine = QueryEngine::new(ctx, &g, cfg);
+                    let mut engine = QueryEngine::try_new(ctx, &g, cfg).expect("no crash plan");
                     engine
                         .serve(ctx, &stream)
                         .iter()

@@ -14,7 +14,7 @@
 use graph500::partition::{assemble_local_graph, Block1D};
 use graph500::simnet::json::{parse, Value};
 use graph500::simnet::{Machine, MachineConfig, Trace, TraceCode, TraceEvent, TraceKind};
-use graph500::sssp::{batched_delta_stepping, BatchSpec, Grid2DSssp, OptConfig};
+use graph500::sssp::{try_batched_delta_stepping, BatchSpec, Grid2DSssp, OptConfig};
 use graph500::{run_sssp_benchmark, BenchmarkConfig};
 use std::process::Command;
 
@@ -93,7 +93,9 @@ fn run_traced_batch() -> Trace {
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
             let mine = (lo..hi).map(|i| el.get(i));
             let g = assemble_local_graph(ctx, mine, Block1D::new(n, p));
-            batched_delta_stepping(ctx, &g, &specs, &OptConfig::all_on()).1
+            try_batched_delta_stepping(ctx, &g, &specs, &OptConfig::all_on())
+                .expect("no crash plan")
+                .1
         });
     Trace::merge(report.traces)
 }
