@@ -5,7 +5,7 @@
 //!            [--partition block|cyclic|degree-aware] [--no-validate]
 //!            [--delta 0.125] [--direction push|pull|hybrid]
 //!            [--no-coalescing] [--no-dedup] [--no-compression] [--no-fusion]
-//! g500 bfs   --scale 14 --ranks 8 [--roots 64] [--no-validate]
+//! g500 bfs   --scale 14 --ranks 8 [--roots 64] [--direction push|pull|hybrid] [--no-validate]
 //! g500 stats --scale 14
 //! ```
 //!
@@ -16,15 +16,16 @@
 use graph500::gen::{KroneckerGenerator, KroneckerParams};
 use graph500::graph::{component_stats, Csr, DegreeStats, Directedness};
 use graph500::simnet::Topology;
-use graph500::sssp::{Direction, OptConfig, MIN_DELTA};
+use graph500::sssp::{Direction, MIN_DELTA};
 use graph500::{
-    run_bfs_benchmark, try_run_query_serving_benchmark, try_run_sssp_benchmark, BenchmarkConfig,
-    CrashPlan, FaultPlan, PartitionStrategy, ServeBenchConfig,
+    try_run_bfs_benchmark, try_run_query_serving_benchmark, try_run_sssp_benchmark,
+    BenchmarkConfig, BenchmarkReport, CrashPlan, FaultEscalation, FaultPlan, PartitionStrategy,
+    ServeBenchConfig,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  g500 sssp  --scale N --ranks P [--roots K] [--seed S] [--topology T] \\\n             [--partition block|cyclic|degree-aware] [--no-validate] [--delta D] \\\n             [--direction push|pull|hybrid] [--no-coalescing] [--no-dedup] \\\n             [--no-compression] [--no-fusion] [--deterministic] [--sched-seed S] \\\n             [--threads T] [--fault-seed S] [--drop-rate P] [--dup-rate P] \\\n             [--corrupt-rate P] [--reorder-rate P] [--retry-budget N] \\\n             [--crash-seed S] [--crash-rate P] [--checkpoint-interval K] \\\n             [--recovery-budget N] [--trace] [--trace-out PATH]\n  g500 bfs   --scale N --ranks P [--roots K] [--seed S] [--no-validate] [--json] \\\n             [--threads T] [--trace] [--trace-out PATH] [fault flags as above]\n  g500 serve --scale N --ranks P [--queries Q] [--batch B] [--landmarks K] \\\n             [--lru C] [--p2p PERMILLE] [--pool S] [--seed S] [--json] \\\n             [--deterministic] [--sched-seed S] [--threads T] [--deadline SEC] \\\n             [crash flags as above]\n  g500 stats --scale N [--seed S] [--threads T]\n\n  --delta fixes the bucket width, at least 0.001 (the degree rule's\n  floor); by default each run prices it from the machine.\n  serve keeps the graph resident and answers a deterministic synthetic\n  stream of full and point-to-point SSSP queries in admission windows of\n  --batch through the batched kernel, with --landmarks triangle-bound\n  pruning and an --lru full-result cache; it reports virtual-time QPS\n  and p50/p95/p99 latency.\n  --deterministic runs the simulated machine under the seeded serialized\n  scheduler: the same --seed/--sched-seed pair replays byte-identical\n  results and NetStats. --sched-seed (default 0 = canonical order)\n  additionally fuzzes message delivery order and implies --deterministic.\n  --threads sizes the process-global worker pool (overrides G500_THREADS;\n  default: hardware parallelism). Results are bitwise identical at any\n  thread count — only wall time changes.\n  --drop-rate/--dup-rate/--corrupt-rate/--reorder-rate (all default 0)\n  inject seeded lossy-network faults, replayable from --fault-seed; the\n  reliable transport masks them, so distances and validation are\n  byte-identical to the fault-free run — only virtual time and the\n  retransmit counters change. --retry-budget (default 16) bounds\n  retransmissions per frame before a fail-stop TransportError.\n  --crash-rate (default 0) injects seeded whole-rank process crashes at\n  superstep boundaries, replayable from --crash-seed; the kernel takes\n  buddy-replicated checkpoints every --checkpoint-interval supersteps\n  (default 4) and rolls back on each crash, so distances stay\n  byte-identical to the fault-free run. --recovery-budget (default 64)\n  bounds restarts before the run ends with a typed error. Under serve,\n  an unrecoverable window is retried once and then its queries are shed\n  (reported, never a panic); --deadline SEC additionally sheds answers\n  whose virtual latency exceeds SEC.\n  --trace (or G500_TRACE=1) records a virtual-time trace: the report\n  gains a per-superstep compute/comm/wait breakdown, and --trace-out\n  PATH (default trace.json with --trace-out alone) writes Chrome\n  trace_event JSON for chrome://tracing or ui.perfetto.dev. Tracing\n  never changes results: distances, NetStats, and the untraced report\n  fields are byte-identical with tracing on or off."
+        "usage:\n  g500 sssp  --scale N --ranks P [--roots K] [--seed S] [--topology T] \\\n             [--partition block|cyclic|degree-aware] [--no-validate] [--delta D] \\\n             [--direction push|pull|hybrid] [--no-coalescing] [--no-dedup] \\\n             [--no-compression] [--no-fusion] [--deterministic] [--sched-seed S] \\\n             [--threads T] [--fault-seed S] [--drop-rate P] [--dup-rate P] \\\n             [--corrupt-rate P] [--reorder-rate P] [--retry-budget N] \\\n             [--crash-seed S] [--crash-rate P] [--checkpoint-interval K] \\\n             [--recovery-budget N] [--trace] [--trace-out PATH]\n  g500 bfs   --scale N --ranks P [--roots K] [--seed S] [--topology T] \\\n             [--direction push|pull|hybrid] [--no-validate] [--json] \\\n             [--deterministic] [--sched-seed S] [--threads T] [--trace] \\\n             [--trace-out PATH] [fault flags as above]\n  g500 serve --scale N --ranks P [--queries Q] [--batch B] [--landmarks K] \\\n             [--lru C] [--p2p PERMILLE] [--pool S] [--seed S] [--json] \\\n             [--deterministic] [--sched-seed S] [--threads T] [--deadline SEC] \\\n             [crash flags as above]\n  g500 stats --scale N [--seed S] [--threads T]\n\n  --delta fixes the bucket width, at least 0.001 (the degree rule's\n  floor); by default each run prices it from the machine.\n  serve keeps the graph resident and answers a deterministic synthetic\n  stream of full and point-to-point SSSP queries in admission windows of\n  --batch through the batched kernel, with --landmarks triangle-bound\n  pruning and an --lru full-result cache; it reports virtual-time QPS\n  and p50/p95/p99 latency.\n  --deterministic runs the simulated machine under the seeded serialized\n  scheduler: the same --seed/--sched-seed pair replays byte-identical\n  results and NetStats. --sched-seed (default 0 = canonical order)\n  additionally fuzzes message delivery order and implies --deterministic.\n  --threads sizes the process-global worker pool (overrides G500_THREADS;\n  default: hardware parallelism). Results are bitwise identical at any\n  thread count — only wall time changes.\n  --drop-rate/--dup-rate/--corrupt-rate/--reorder-rate (all default 0)\n  inject seeded lossy-network faults, replayable from --fault-seed; the\n  reliable transport masks them, so distances and validation are\n  byte-identical to the fault-free run — only virtual time and the\n  retransmit counters change. --retry-budget (default 16) bounds\n  retransmissions per frame before a fail-stop TransportError.\n  --crash-rate (default 0) injects seeded whole-rank process crashes at\n  superstep boundaries, replayable from --crash-seed; the kernel takes\n  buddy-replicated checkpoints every --checkpoint-interval supersteps\n  (default 4) and rolls back on each crash, so distances stay\n  byte-identical to the fault-free run. --recovery-budget (default 64)\n  bounds restarts before the run ends with a typed error. Under serve,\n  an unrecoverable window is retried once and then its queries are shed\n  (reported, never a panic); --deadline SEC additionally sheds answers\n  whose virtual latency exceeds SEC.\n  --trace (or G500_TRACE=1) records a virtual-time trace: the report\n  gains a per-superstep compute/comm/wait breakdown, and --trace-out\n  PATH (default trace.json with --trace-out alone) writes Chrome\n  trace_event JSON for chrome://tracing or ui.perfetto.dev. Tracing\n  never changes results: distances, NetStats, and the untraced report\n  fields are byte-identical with tracing on or off."
     );
     std::process::exit(2)
 }
@@ -60,28 +61,23 @@ impl Args {
         Some(v)
     }
 
-    fn num(&self, name: &str, default: u64) -> u64 {
+    /// `name`'s value, or `default` without the flag; a value that does not
+    /// parse is refused as not `what`.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T, what: &str) -> T {
         match self.value(name) {
             None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| reject_range(name, v, "an unsigned integer")),
+            Some(v) => v.parse().unwrap_or_else(|_| reject_range(name, v, what)),
         }
     }
 
-    fn fnum(&self, name: &str, default: f64) -> f64 {
-        match self.value(name) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| reject_range(name, v, "a number")),
-        }
+    fn num(&self, name: &str, default: u64) -> u64 {
+        self.parsed(name, default, "an unsigned integer")
     }
 
     /// A fault or crash probability: refused outside `[0, 1]` (NaN too) by
     /// the flag it came from.
     fn rate(&self, name: &str) -> f64 {
-        let p = self.fnum(name, 0.0);
+        let p = self.parsed(name, 0.0, "a number");
         if !(0.0..=1.0).contains(&p) {
             reject_range(name, p, "a probability in [0, 1]");
         }
@@ -168,8 +164,8 @@ fn main() {
     }
 
     match cmd.as_str() {
-        "sssp" => cmd_sssp(&args),
-        "bfs" => cmd_bfs(&args),
+        "sssp" => cmd_kernel(&args, "sssp", sssp_cfg(&args), try_run_sssp_benchmark),
+        "bfs" => cmd_kernel(&args, "bfs", build_cfg(&args), try_run_bfs_benchmark),
         "serve" => cmd_serve(&args),
         "stats" => cmd_stats(&args),
         "--help" | "-h" | "help" => usage(),
@@ -180,7 +176,7 @@ fn main() {
     }
 }
 
-/// Parse the crash-injection flags shared by `sssp` and `serve`.
+/// Parse the crash-injection flags shared by `sssp`, `bfs` and `serve`.
 fn crash_plan(args: &Args) -> CrashPlan {
     let every = args.num("--checkpoint-interval", 4);
     if every == 0 {
@@ -239,6 +235,24 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
             }
         });
     }
+    if let Some(d) = args.value("--direction") {
+        cfg.opts = cfg.opts.with_direction(match d {
+            "push" => Direction::Push,
+            "pull" => Direction::Pull,
+            "hybrid" => Direction::Hybrid,
+            other => {
+                eprintln!("unknown direction: {other}");
+                usage()
+            }
+        });
+    }
+    cfg
+}
+
+/// [`build_cfg`] and the flags only SSSP reads: the placement, the bucket
+/// width and the optimisations it can switch off.
+fn sssp_cfg(args: &Args) -> BenchmarkConfig {
+    let mut cfg = build_cfg(args);
     if let Some(p) = args.value("--partition") {
         cfg.partition = match p {
             "block" => PartitionStrategy::Block,
@@ -250,29 +264,18 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
             }
         };
     }
-    let mut opts = OptConfig::all_on();
+    let opts = &mut cfg.opts;
     if args.has("--no-coalescing") {
-        opts = opts.without_coalescing();
+        *opts = opts.without_coalescing();
     }
     if args.has("--no-dedup") {
-        opts = opts.without_dedup();
+        *opts = opts.without_dedup();
     }
     if args.has("--no-compression") {
-        opts = opts.without_compression();
+        *opts = opts.without_compression();
     }
     if args.has("--no-fusion") {
-        opts = opts.without_fusion();
-    }
-    if let Some(d) = args.value("--direction") {
-        opts = opts.with_direction(match d {
-            "push" => Direction::Push,
-            "pull" => Direction::Pull,
-            "hybrid" => Direction::Hybrid,
-            other => {
-                eprintln!("unknown direction: {other}");
-                usage()
-            }
-        });
+        *opts = opts.without_fusion();
     }
     if let Some(d) = args.value("--delta") {
         let accepted = &format!("a finite bucket width of at least {MIN_DELTA}");
@@ -282,30 +285,39 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
         if !(delta >= MIN_DELTA && delta.is_finite()) {
             reject_range("--delta", d, accepted);
         }
-        opts = opts.with_delta(delta);
+        *opts = opts.with_delta(delta);
     }
-    cfg.opts = opts;
     cfg
 }
 
-/// Write the Chrome trace to `path` when `--trace-out` asked for one and
-/// the run was traced.
-fn write_trace_if_requested(path: Option<&str>, rep: &graph500::BenchmarkReport) {
-    let (Some(path), Some(trace)) = (path, rep.trace.as_ref()) else {
-        return;
-    };
-    match std::fs::write(path, trace.to_chrome_json()) {
-        Ok(()) => eprintln!("wrote Chrome trace to {path}"),
-        Err(e) => {
-            eprintln!("failed to write trace to {path}: {e}");
-            std::process::exit(1);
+/// What `g500 sssp` and `g500 bfs` run.
+type Benchmark = fn(&BenchmarkConfig) -> Result<BenchmarkReport, FaultEscalation>;
+
+/// `g500 sssp` and `g500 bfs`: run the benchmark `cfg` describes and print
+/// its report (JSON or rendered), after writing the Chrome trace when
+/// `--trace-out` asked for one. Exit 1 with one line on a fault escalation
+/// or an unwritable trace, and when validation was on and any root failed
+/// it.
+fn cmd_kernel(args: &Args, name: &str, cfg: BenchmarkConfig, run: Benchmark) {
+    let json = args.has("--json");
+    args.reject_unclaimed();
+    eprintln!(
+        "g500 {name}: scale {}, {} ranks, {} roots…",
+        cfg.scale, cfg.machine.ranks, cfg.num_roots
+    );
+    let rep = run(&cfg).unwrap_or_else(|e| {
+        eprintln!("g500 {name}: {e}");
+        std::process::exit(1);
+    });
+    if let (Some(path), Some(trace)) = (args.trace_out(), rep.trace.as_ref()) {
+        match std::fs::write(path, trace.to_chrome_json()) {
+            Ok(()) => eprintln!("wrote Chrome trace to {path}"),
+            Err(e) => {
+                eprintln!("failed to write trace to {path}: {e}");
+                std::process::exit(1);
+            }
         }
     }
-}
-
-/// Print a kernel report (JSON or rendered) and exit 1 if validation was
-/// on and any root failed it.
-fn print_report(cfg: &BenchmarkConfig, rep: &graph500::BenchmarkReport, json: bool) {
     if json {
         println!("{}", rep.to_json());
     } else {
@@ -317,38 +329,6 @@ fn print_report(cfg: &BenchmarkConfig, rep: &graph500::BenchmarkReport, json: bo
     if cfg.validate && !rep.all_validated() {
         std::process::exit(1);
     }
-}
-
-fn cmd_sssp(args: &Args) {
-    let cfg = build_cfg(args);
-    let json = args.has("--json");
-    args.reject_unclaimed();
-    eprintln!(
-        "g500 sssp: scale {}, {} ranks, {} roots…",
-        cfg.scale, cfg.machine.ranks, cfg.num_roots
-    );
-    let rep = match try_run_sssp_benchmark(&cfg) {
-        Ok(rep) => rep,
-        Err(e) => {
-            eprintln!("g500 sssp: {e}");
-            std::process::exit(1);
-        }
-    };
-    write_trace_if_requested(args.trace_out(), &rep);
-    print_report(&cfg, &rep, json);
-}
-
-fn cmd_bfs(args: &Args) {
-    let cfg = build_cfg(args);
-    let json = args.has("--json");
-    args.reject_unclaimed();
-    eprintln!(
-        "g500 bfs: scale {}, {} ranks, {} roots…",
-        cfg.scale, cfg.machine.ranks, cfg.num_roots
-    );
-    let rep = run_bfs_benchmark(&cfg);
-    write_trace_if_requested(args.trace_out(), &rep);
-    print_report(&cfg, &rep, json);
 }
 
 fn cmd_serve(args: &Args) {
@@ -368,7 +348,7 @@ fn cmd_serve(args: &Args) {
     cfg.source_pool = args.num("--pool", 0) as usize;
     cfg.seed = args.num("--seed", cfg.seed);
     cfg.threads = args.num("--threads", 0) as usize;
-    cfg.deadline_s = args.fnum("--deadline", f64::INFINITY);
+    cfg.deadline_s = args.parsed("--deadline", f64::INFINITY, "a number");
     if cfg.deadline_s <= 0.0 || cfg.deadline_s.is_nan() {
         reject_range("--deadline", cfg.deadline_s, "a positive number of seconds");
     }

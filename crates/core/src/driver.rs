@@ -20,7 +20,9 @@ use g500_partition::{
     VertexPartition,
 };
 use g500_sssp::{distributed_bfs, try_distributed_delta_stepping, OptConfig, SsspRunStats};
-use g500_validate::{count_traversed_edges, validate_bfs, validate_sssp, SsspResult, TepsSummary};
+use g500_validate::{
+    count_traversed_edges, levels_as_dist, validate_bfs, validate_sssp, SsspResult, TepsSummary,
+};
 use simnet::{
     json, CrashPlan, FaultEscalation, FaultPlan, Machine, MachineConfig, NetStats, RankCtx,
     SimReport, Trace, TraceCode, TraceSummary,
@@ -622,30 +624,37 @@ pub fn try_run_sssp_benchmark(cfg: &BenchmarkConfig) -> Result<BenchmarkReport, 
 /// Run the BFS benchmark (Graph500 kernels 0 + 2) with the same harness.
 /// Uses the kernel's hybrid direction optimization; block partitioning
 /// (BFS has no bucket state to balance, and this mirrors the companion
-/// paper's setup at our simulation scale).
-///
-/// BFS carries no checkpoint/restore hooks: a configured [`CrashPlan`] is
-/// inert here (the crash lottery only draws at recovery probe points,
-/// which only the SSSP kernels install).
+/// paper's setup at our simulation scale). Panics on fault escalation; use
+/// [`try_run_bfs_benchmark`] to handle it as a typed error.
 pub fn run_bfs_benchmark(cfg: &BenchmarkConfig) -> BenchmarkReport {
+    try_run_bfs_benchmark(cfg).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_bfs_benchmark`] with typed fault escalation, as
+/// [`try_run_sssp_benchmark`] is for SSSP. Kept paths hold each vertex's
+/// level as its distance.
+pub fn try_run_bfs_benchmark(cfg: &BenchmarkConfig) -> Result<BenchmarkReport, FaultEscalation> {
     let h = Harness::new(cfg.scale, cfg.edgefactor, cfg.seed, cfg.threads);
-    let (n, p) = (h.n, cfg.machine.ranks);
+    let (n, part) = (h.n, Block1D::new(h.n, cfg.machine.ranks));
     let roots = sample_roots(&h.edges, n, cfg.seed, cfg.num_roots);
-    let sim = Machine::new(cfg.machine).run(|ctx| {
+    let sim = Machine::new(cfg.machine).try_run(|ctx| {
         let search = |ctx: &mut RankCtx, g: &LocalGraph<Block1D>, root| {
-            let (res, stats) = distributed_bfs(ctx, g, root, cfg.opts.direction);
-            Ok((stats.sim_time_s, res))
+            let (res, stats) = distributed_bfs(ctx, g, root, cfg.opts.direction)?;
+            Ok((stats.sim_time_s, (stats, res)))
         };
-        h.on_rank(ctx, Block1D::new(n, p), &roots, search, |ctx, g, res| {
-            res.gather(ctx, g.part())
+        h.on_rank(ctx, part, &roots, search, |ctx, g, (stats, res)| {
+            (stats, res.gather(ctx, g.part()))
         })
-    });
-    let reached = |(level, _): &(Vec<i64>, Vec<u64>), v: u64| level[v as usize] >= 0;
-    h.report(cfg, &roots, sim, reached, |root, (level, parent)| {
+    })?;
+    let reached = |(_, (level, _)): &(_, (Vec<i64>, _)), v: u64| level[v as usize] >= 0;
+    h.report(cfg, &roots, sim, reached, |root, (stats, tree)| {
+        let (level, parent) = tree;
         let valid = || validate_bfs(n, &h.edges, root, &level, &parent).is_ok();
-        (cfg.validate.then(valid), SsspRunStats::default(), None)
+        let validated = cfg.validate.then(valid);
+        let dist = cfg.keep_paths.then(|| levels_as_dist(&level));
+        let paths = dist.map(|dist| ShortestPaths { dist, parent });
+        (validated, stats, paths)
     })
-    .expect("BFS installs no recovery probe, so no rank returns an escalation")
 }
 
 #[cfg(test)]

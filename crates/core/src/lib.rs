@@ -23,8 +23,8 @@ pub mod driver;
 pub mod serving;
 
 pub use driver::{
-    run_bfs_benchmark, run_sssp_benchmark, try_run_sssp_benchmark, BenchmarkConfig,
-    BenchmarkReport, PartitionStrategy, RootRun,
+    run_bfs_benchmark, run_sssp_benchmark, try_run_bfs_benchmark, try_run_sssp_benchmark,
+    BenchmarkConfig, BenchmarkReport, PartitionStrategy, RootRun,
 };
 pub use serving::{
     run_query_serving_benchmark, synth_queries, try_run_query_serving_benchmark, ServeBenchConfig,

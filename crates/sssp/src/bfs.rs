@@ -12,15 +12,23 @@
 //!   the first hit — traffic ∝ frontier *vertices*, and the early exit
 //!   skips most of the adjacency on dense levels.
 //!
-//! The broadcast ships frontier ids rather than a bitmap (conservative for
-//! pull: a bitmap would be cheaper still on very dense frontiers), so the
-//! measured push/pull crossover is a lower bound on the real technique's
-//! win.
+//! The broadcast ships the frontier as an `n`-bit bitmap once its ids
+//! would outweigh the bitmap, and as its ids before that.
+//!
+//! The levels run on the bucket-epoch driver (`crate::epoch`), so BFS
+//! shares the SSSP kernels' agreement, crash probes and checkpoints: level
+//! `k` is bucket `k` on every rank, its offer the three sums the direction
+//! switch reads, and its one light step the push or the pull. A level never
+//! adds to itself, so that step ends the level without a collective.
 
 use crate::config::Direction;
+use crate::dist::SsspRunStats;
+use crate::epoch::{run_bucket_epochs, Agreed, BucketKernel, Offer, SuperstepSpan};
 use g500_graph::{Bitmap, VertexId, NO_PARENT};
 use g500_partition::{gather_to_root, LocalGraph, VertexPartition};
-use simnet::{Header, RankCtx, Wire};
+use simnet::recovery::{codec, Checkpoint, FaultEscalation};
+use simnet::{Header, RankCtx, TraceCode, Wire};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 /// One rank's BFS output: hop level (−1 unvisited) and global parent.
@@ -42,82 +50,97 @@ impl DistBfs {
     }
 }
 
-/// Counters from one BFS run.
-#[derive(Clone, Debug, Default)]
-pub struct BfsStats {
-    /// Communication rounds (one per level).
-    pub supersteps: u64,
-    /// Depth of the BFS tree (number of levels below the root).
-    pub levels: u64,
-    /// Levels executed top-down.
-    pub push_levels: u64,
-    /// Levels executed bottom-up.
-    pub pull_levels: u64,
-    /// Bottom-up levels whose frontier was broadcast as a bitmap (dense
-    /// frontiers) rather than an id list (sparse frontiers).
-    pub bitmap_levels: u64,
-    /// Local edge examinations.
-    pub edges_scanned: u64,
-    /// Virtual seconds for the traversal on this rank.
-    pub sim_time_s: f64,
-}
-
 /// Tag-free wire record for a push claim: (child global id, parent global id).
 type Claim = (u64, u64);
 
-/// Run a distributed BFS from `root`. Collective; `direction` chooses the
-/// policy (Hybrid = Beamer switch with `alpha = 14`).
-pub fn distributed_bfs<P: VertexPartition>(
-    ctx: &mut RankCtx,
-    graph: &LocalGraph<P>,
-    root: VertexId,
-    direction: Direction,
-) -> (DistBfs, BfsStats) {
-    const ALPHA: f64 = 14.0;
-    let start_now = ctx.now();
-    let p = ctx.size();
-    let me = ctx.rank();
-    let part = graph.part();
-    let n_local = graph.local_vertices();
+/// A rank's offer to a level's agreement: its frontier's size, the
+/// frontier's arcs, and the arcs of its vertices not yet reached.
+type Frontier = (u64, u64, u64);
 
-    let mut res = DistBfs {
-        level: vec![-1; n_local],
-        parent: vec![NO_PARENT; n_local],
-    };
-    let mut stats = BfsStats::default();
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut unexplored_arcs: u64 = graph.local_arcs() as u64;
+/// One rank's side of a level's agreement.
+type Agreement = Agreed<Frontier>;
 
-    if part.owner(root) == me {
-        let l = part.to_local(root);
-        res.level[l] = 0;
-        res.parent[l] = root;
-        frontier.push(l as u32);
-        unexplored_arcs -= graph.degree(l) as u64;
+/// Every rank names the level it expands, so the three sums always merge.
+impl Offer for Frontier {
+    fn merge(&self, other: &Frontier, _: Ordering) -> Frontier {
+        (self.0 + other.0, self.1 + other.1, self.2 + other.2)
     }
 
-    let mut cur_level: i64 = 0;
-    loop {
-        let f_arcs_local: u64 = frontier
-            .iter()
-            .map(|&v| graph.degree(v as usize) as u64)
-            .sum();
-        let (f_size, f_arcs, unexplored) = ctx.allreduce(
-            (frontier.len() as u64, f_arcs_local, unexplored_arcs),
-            |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
-        );
-        if f_size == 0 {
-            break;
+    fn drained_nothing(&self) -> bool {
+        self.0 == 0
+    }
+}
+
+/// One BFS run on one rank. The level being expanded is the number of
+/// levels closed, `stats.buckets`.
+struct Bfs<'a, P: VertexPartition> {
+    graph: &'a LocalGraph<P>,
+    direction: Direction,
+    res: DistBfs,
+    frontier: Vec<u32>,
+    unexplored_arcs: u64,
+    stats: SsspRunStats,
+}
+
+/// Everything a level leaves for the next: the two result arrays, the
+/// frontier, the unexplored count and the counters (the level among them).
+impl<P: VertexPartition> Checkpoint for Bfs<'_, P> {
+    fn save(&self, out: &mut Vec<u8>) {
+        codec::put_slice(out, &self.res.level);
+        codec::put_slice(out, &self.res.parent);
+        codec::put_slice(out, &self.frontier);
+        codec::put(out, self.unexplored_arcs);
+        self.stats.save_ckpt(out);
+    }
+
+    fn load(&mut self, buf: &[u8]) {
+        let pos = &mut 0;
+        self.res.level = codec::get_vec(buf, pos);
+        self.res.parent = codec::get_vec(buf, pos);
+        self.frontier = codec::get_vec(buf, pos);
+        self.unexplored_arcs = codec::get(buf, pos);
+        self.stats.load_ckpt(buf, pos);
+        assert_eq!(*pos, buf.len(), "trailing bytes in BFS checkpoint");
+    }
+}
+
+impl<P: VertexPartition> BucketKernel for Bfs<'_, P> {
+    type Offer = Frontier;
+
+    fn offer(&mut self) -> Vec<Agreement> {
+        let f = &self.frontier;
+        let sums = (f.len() as u64, arcs(self.graph, f), self.unexplored_arcs);
+        vec![(self.stats.buckets, sums)]
+    }
+
+    /// A level whose frontier is empty everywhere ends the search.
+    fn open_bucket(&mut self, ctx: &mut RankCtx, k: u64, agreed: &mut [Agreement]) -> bool {
+        let reached = !agreed[0].1.drained_nothing();
+        if reached {
+            ctx.trace_begin(TraceCode::Bucket, k, 0);
         }
-        let use_pull = match direction {
+        reached
+    }
+
+    /// Expand level `k` by push or pull, as `agreed`'s sums choose, and
+    /// make what it reached the frontier.
+    fn light_step(&mut self, ctx: &mut RankCtx, k: u64, agreed: &[Agreement]) -> Vec<Agreement> {
+        let (f_size, f_arcs, unexplored) = agreed[0].1;
+        let use_pull = match self.direction {
             Direction::Push => false,
             Direction::Pull => true,
-            Direction::Hybrid => f_arcs as f64 * ALPHA > unexplored as f64,
+            // Beamer's switch, alpha = 14
+            Direction::Hybrid => f_arcs as f64 * 14.0 > unexplored as f64,
         };
+        let (p, me) = (ctx.size(), ctx.rank());
+        let (graph, res, frontier) = (self.graph, &mut self.res, &self.frontier);
+        let part = graph.part();
+        let next_level = k as i64 + 1;
+        let span = SuperstepSpan::open(ctx, self.stats.supersteps, 0, self.stats.relaxations);
 
         let mut next: Vec<u32> = Vec::new();
         if use_pull {
-            stats.pull_levels += 1;
+            self.stats.pull_iterations += 1;
             // Frontier membership travels one of two ways, picked by
             // density: a dense frontier as a fixed n-bit bitmap (the real
             // technique — traffic independent of frontier size), a sparse
@@ -125,9 +148,8 @@ pub fn distributed_bfs<P: VertexPartition>(
             let n_global = part.num_vertices();
             let use_bitmap = (f_size as u128) * 64 > n_global as u128;
             let in_frontier: Box<dyn Fn(u64) -> bool> = if use_bitmap {
-                stats.bitmap_levels += 1;
                 let mut bm = Bitmap::new(n_global as usize);
-                for &v in &frontier {
+                for &v in frontier {
                     bm.set(part.to_global(me, v as usize) as usize);
                 }
                 // every rank's block is the whole bitmap
@@ -155,28 +177,28 @@ pub fn distributed_bfs<P: VertexPartition>(
                 Box::new(move |v: u64| fset.contains(&v))
             };
             let mut scanned = 0u64;
-            for l in 0..n_local {
+            for l in 0..res.level.len() {
                 if res.level[l] >= 0 {
                     continue;
                 }
                 for (t, _) in graph.arcs(l) {
                     scanned += 1;
                     if in_frontier(t) {
-                        res.level[l] = cur_level + 1;
+                        res.level[l] = next_level;
                         res.parent[l] = t;
                         next.push(l as u32);
                         break; // the bottom-up early exit
                     }
                 }
             }
-            stats.edges_scanned += scanned;
+            self.stats.relaxations += scanned;
             ctx.charge_compute(scanned);
         } else {
-            stats.push_levels += 1;
+            self.stats.push_iterations += 1;
             // Top-down: claim children along out-edges.
             let mut out: Vec<Vec<Claim>> = vec![Vec::new(); p];
             let mut scanned = 0u64;
-            for &u in &frontier {
+            for &u in frontier {
                 let u_global = part.to_global(me, u as usize);
                 for (v, _) in graph.arcs(u as usize) {
                     scanned += 1;
@@ -184,7 +206,7 @@ pub fn distributed_bfs<P: VertexPartition>(
                     if owner == me {
                         let l = part.to_local(v);
                         if res.level[l] < 0 {
-                            res.level[l] = cur_level + 1;
+                            res.level[l] = next_level;
                             res.parent[l] = u_global;
                             next.push(l as u32);
                         }
@@ -193,13 +215,15 @@ pub fn distributed_bfs<P: VertexPartition>(
                     }
                 }
             }
-            stats.edges_scanned += scanned;
+            self.stats.relaxations += scanned;
             ctx.charge_compute(scanned);
             // dedup claims per destination (first claim wins, any parent is
             // a valid parent)
             for b in out.iter_mut() {
+                self.stats.updates_offered += b.len() as u64;
                 b.sort_unstable_by_key(|c| c.0);
                 b.dedup_by_key(|c| c.0);
+                self.stats.updates_sent += b.len() as u64;
             }
             let mut incoming = ctx.alltoallv(out);
             // Claims are applied in the (possibly fuzzed) delivery order;
@@ -210,7 +234,7 @@ pub fn distributed_bfs<P: VertexPartition>(
                 for (v, parent) in block {
                     let l = part.to_local(v);
                     if res.level[l] < 0 {
-                        res.level[l] = cur_level + 1;
+                        res.level[l] = next_level;
                         res.parent[l] = parent;
                         next.push(l as u32);
                     }
@@ -218,51 +242,112 @@ pub fn distributed_bfs<P: VertexPartition>(
             }
         }
 
-        for &v in &next {
-            unexplored_arcs = unexplored_arcs.saturating_sub(graph.degree(v as usize) as u64);
-        }
-        frontier = next;
-        cur_level += 1;
-        stats.supersteps += 1;
+        // each vertex is reached once, so its arcs leave the count once
+        self.unexplored_arcs -= arcs(graph, &next);
+        self.frontier = next;
+        self.stats.supersteps += 1;
+        span.close(ctx, self.stats.supersteps, self.stats.relaxations);
+        vec![(k, (0, 0, 0))]
     }
 
-    stats.levels = cur_level.max(1) as u64 - 1;
-    stats.sim_time_s = ctx.now() - start_now;
-    (res, stats)
+    /// Level `k` is done: the next one opens on the frontier it reached.
+    fn close_bucket(&mut self, ctx: &mut RankCtx, k: u64) {
+        self.stats.buckets += 1;
+        ctx.trace_end(TraceCode::Bucket, k, 0);
+    }
+
+    fn abandon_bucket(&mut self, ctx: &mut RankCtx, k: u64) {
+        ctx.trace_end(TraceCode::Bucket, k, 0);
+    }
+}
+
+/// The arcs of local vertices `vs`.
+fn arcs<P: VertexPartition>(graph: &LocalGraph<P>, vs: &[u32]) -> u64 {
+    vs.iter().map(|&v| graph.degree(v as usize) as u64).sum()
+}
+
+/// Run a distributed BFS from `root`. Collective; `direction` chooses the
+/// policy (Hybrid = Beamer switch with `alpha = 14`). The counters are
+/// [`SsspRunStats`], read as its doc says. Under a crash plan an
+/// unrecoverable schedule is the identical `Err` on every rank.
+pub fn distributed_bfs<P: VertexPartition>(
+    ctx: &mut RankCtx,
+    graph: &LocalGraph<P>,
+    root: VertexId,
+    direction: Direction,
+) -> Result<(DistBfs, SsspRunStats), FaultEscalation> {
+    let (start_now, c0, m0) = (ctx.now(), ctx.stats().compute_s, ctx.stats().comm_s);
+    let n_local = graph.local_vertices();
+    let mut bfs = Bfs {
+        graph,
+        direction,
+        res: DistBfs {
+            level: vec![-1; n_local],
+            parent: vec![NO_PARENT; n_local],
+        },
+        frontier: Vec::new(),
+        unexplored_arcs: graph.local_arcs() as u64,
+        stats: SsspRunStats::default(),
+    };
+    let part = graph.part();
+    if part.owner(root) == ctx.rank() {
+        let l = part.to_local(root);
+        bfs.res.level[l] = 0;
+        bfs.res.parent[l] = root;
+        bfs.frontier.push(l as u32);
+        bfs.unexplored_arcs -= graph.degree(l) as u64;
+    }
+    run_bucket_epochs(ctx, &mut bfs)?;
+    bfs.stats.sim_time_s = ctx.now() - start_now;
+    bfs.stats.compute_s = ctx.stats().compute_s - c0;
+    bfs.stats.comm_s = ctx.stats().comm_s - m0;
+    Ok((bfs.res, bfs.stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::agree;
     use g500_graph::EdgeList;
     use g500_partition::{assemble_local_graph, Block1D};
     use simnet::{Machine, MachineConfig};
 
+    /// Rank 0's gathered levels and parents and its counters, and the
+    /// bytes each rank's pull broadcasts sent: its collective bytes over
+    /// the run less one agreement's a level and one to end it.
     fn run_bfs(
         el: &EdgeList,
         n: u64,
         p: usize,
         root: u64,
         dir: Direction,
-    ) -> (Vec<i64>, Vec<u64>, BfsStats) {
-        let rep = Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
+    ) -> (Vec<i64>, Vec<u64>, SsspRunStats, Vec<u64>) {
+        let mut rep = Machine::new(MachineConfig::with_ranks(p)).run(|ctx| {
             let part = Block1D::new(n, p);
             let m = el.len();
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            let (res, stats) = distributed_bfs(ctx, &g, root, dir);
+            let before = ctx.stats().coll_bytes;
+            agree::<Frontier>(ctx, vec![(0, (0, 0, 0))]);
+            let agreement = ctx.stats().coll_bytes - before;
+            let before = ctx.stats().coll_bytes;
+            let (res, stats) = distributed_bfs(ctx, &g, root, dir).expect("no faults");
+            let sent = ctx.stats().coll_bytes - before;
+            let broadcast = sent - (stats.buckets + 1) * agreement;
             let (level, parent) = res.gather(ctx, g.part());
-            (level, parent, stats)
+            (level, parent, stats, broadcast)
         });
-        rep.results.into_iter().next().expect("rank 0 result")
+        let broadcast = rep.results.iter().map(|r| r.3).collect();
+        let (level, parent, stats, _) = rep.results.swap_remove(0);
+        (level, parent, stats, broadcast)
     }
 
     #[test]
     fn path_levels_all_directions() {
         let el = g500_gen::simple::path(10, 1.0);
         for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
-            let (level, parent, _) = run_bfs(&el, 10, 3, 0, dir);
+            let (level, parent, ..) = run_bfs(&el, 10, 3, 0, dir);
             assert_eq!(
                 level,
                 (0..10).map(|i| i as i64).collect::<Vec<_>>(),
@@ -277,7 +362,7 @@ mod tests {
         let gen = g500_gen::KroneckerGenerator::new(g500_gen::KroneckerParams::graph500(8, 5));
         let el = gen.generate_all();
         for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
-            let (level, parent, _) = run_bfs(&el, 256, 4, 3, dir);
+            let (level, parent, ..) = run_bfs(&el, 256, 4, 3, dir);
             g500_validate::validate_bfs(256, &el, 3, &level, &parent)
                 .unwrap_or_else(|e| panic!("{dir:?}: {e:?}"));
         }
@@ -286,15 +371,19 @@ mod tests {
     #[test]
     fn hybrid_pulls_on_dense_graph() {
         let el = g500_gen::simple::complete(64, 1.0);
-        let (_, _, stats) = run_bfs(&el, 64, 2, 0, Direction::Hybrid);
-        assert!(stats.pull_levels >= 1, "dense graph should trigger pull");
-        assert_eq!(stats.levels, 1);
+        let (_, _, stats, _) = run_bfs(&el, 64, 2, 0, Direction::Hybrid);
+        assert!(
+            stats.pull_iterations >= 1,
+            "dense graph should trigger pull"
+        );
+        // the root's level and its 63 neighbours'
+        assert_eq!((stats.buckets, stats.supersteps), (2, 2));
     }
 
     #[test]
     fn disconnected_part_unvisited() {
         let el = g500_gen::simple::path(4, 1.0); // vertices 4..7 isolated
-        let (level, parent, _) = run_bfs(&el, 8, 2, 0, Direction::Hybrid);
+        let (level, parent, ..) = run_bfs(&el, 8, 2, 0, Direction::Hybrid);
         assert_eq!(level[5], -1);
         assert_eq!(parent[5], NO_PARENT);
         assert_eq!(level[3], 3);
@@ -302,37 +391,39 @@ mod tests {
 
     #[test]
     fn dense_frontier_uses_bitmap_broadcast() {
-        // complete graph: level-1 frontier is (almost) everyone → bitmap
+        // complete graph from a root on rank 1: rank 0 holds none of level
+        // 0 and 32 of level 1's 63, which it ships as one ⌈64/64⌉-word
+        // bitmap, not 32 ids
         let el = g500_gen::simple::complete(64, 1.0);
-        let (_, _, stats) = run_bfs(&el, 64, 2, 0, Direction::Pull);
-        assert!(
-            stats.bitmap_levels >= 1,
-            "dense pull should pick the bitmap path"
-        );
+        let (_, _, stats, broadcast) = run_bfs(&el, 64, 2, 40, Direction::Pull);
+        assert_eq!(stats.pull_iterations, 2);
+        assert_eq!(broadcast[0], 8, "dense pull should pick the bitmap path");
     }
 
     #[test]
     fn sparse_frontier_uses_id_list() {
-        // long path: frontiers of size 1 → id list, never bitmap
+        // long path: frontiers of size 1 → each vertex's id shipped once by
+        // its owner (64 a rank), never a 2-word bitmap a level
         let el = g500_gen::simple::path(128, 1.0);
-        let (_, _, stats) = run_bfs(&el, 128, 2, 0, Direction::Pull);
+        let (_, _, stats, broadcast) = run_bfs(&el, 128, 2, 0, Direction::Pull);
         assert_eq!(
-            stats.bitmap_levels, 0,
+            broadcast,
+            [64 * 8, 64 * 8],
             "singleton frontiers must not pay n-bit broadcasts"
         );
-        assert!(stats.pull_levels > 100);
+        assert!(stats.pull_iterations > 100);
     }
 
     #[test]
     fn pull_scans_fewer_edges_than_push_on_dense_level() {
         let el = g500_gen::simple::complete(48, 1.0);
-        let (_, _, push) = run_bfs(&el, 48, 2, 0, Direction::Push);
-        let (_, _, pull) = run_bfs(&el, 48, 2, 0, Direction::Pull);
+        let (_, _, push, _) = run_bfs(&el, 48, 2, 0, Direction::Push);
+        let (_, _, pull, _) = run_bfs(&el, 48, 2, 0, Direction::Pull);
         assert!(
-            pull.edges_scanned < push.edges_scanned,
+            pull.relaxations < push.relaxations,
             "pull {} vs push {}",
-            pull.edges_scanned,
-            push.edges_scanned
+            pull.relaxations,
+            push.relaxations
         );
     }
 }

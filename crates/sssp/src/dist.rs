@@ -137,7 +137,9 @@ const FETCH_OPS_PER_ARC: f64 = 5.0;
 const TAIL_THRESHOLD: u64 = 64;
 
 /// Counters one run of the distributed kernel produces (per rank; counts
-/// like `supersteps` are identical on every rank by construction).
+/// like `supersteps` are identical on every rank by construction). BFS
+/// reports in them too ([`crate::bfs`]): a level is a bucket and a
+/// superstep, an edge examined a relaxation, a claim an update.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SsspRunStats {
     /// Global communication rounds (inner light iterations + heavy phases

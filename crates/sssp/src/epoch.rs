@@ -1,6 +1,6 @@
 //! The bucket-epoch driver: the one bulk-synchronous delta-stepping
-//! skeleton under the 1D kernel (one lane or a batch of them) and the 2D
-//! kernel.
+//! skeleton under the 1D kernel (one lane or a batch of them), the 2D
+//! kernel and BFS (`crate::bfs`, a level a bucket).
 //!
 //! ```text
 //! epoch-0 checkpoint
@@ -17,7 +17,7 @@
 //!
 //! The driver owns the loop shape, the boundary's agreement allreduce and
 //! every [`Recovery`] hook, so all of them sit at the same collective points
-//! in both kernels. What a superstep *does* — its exchange, its relaxation
+//! in every kernel. What a superstep *does* — its exchange, its relaxation
 //! order, its trace events, and how it comes by the agreement its successor
 //! reads — stays in the kernel behind [`BucketKernel`].
 //!
@@ -35,7 +35,8 @@
 //! bucket closes on the one step whose frontiers were globally empty. The
 //! 2D kernel's row and column collectives do not reach every rank, so its
 //! light step ends with [`agree`]. Either way a run makes `buckets + 1`
-//! agreement allreduces in the 1D kernel and `supersteps + 1` in the 2D. A
+//! agreement allreduces in the 1D kernel, `supersteps + 1` in the 2D and
+//! `levels + 1` in BFS, whose level needs no second step. A
 //! rank whose minimum loses must be left as it was, so a boundary's offer
 //! summarises without draining; and a lane whose bucket is not the lowest
 //! sits the open bucket out, its boundary sums unread. (DESIGN.md,
@@ -97,7 +98,7 @@ pub(crate) trait BucketKernel: Checkpoint {
     /// Start bucket `k`, the lowest any lane named, leaving in `agreed` what
     /// the first light step must read — a lane that sits the bucket out
     /// drained nothing. `false` ends the run here (the fused tail finished
-    /// it; every lane has retired).
+    /// it; every lane has retired; a BFS level's frontier is empty).
     fn open_bucket(
         &mut self,
         ctx: &mut RankCtx,
@@ -215,7 +216,9 @@ mod tests {
     use crate::codec::Update;
     use crate::dist::run_kernel;
     use crate::multi::{try_batched_delta_stepping, BatchSpec};
-    use crate::{try_distributed_delta_stepping, Direction, Grid2DSssp, OptConfig};
+    use crate::{
+        distributed_bfs, try_distributed_delta_stepping, Direction, Grid2DSssp, OptConfig,
+    };
     use g500_graph::WEdge;
     use g500_partition::{assemble_local_graph, Block1D};
     use simnet::{CrashPlan, Machine, MachineConfig, RankCtx, TraceCode, TraceKind};
@@ -298,7 +301,9 @@ mod tests {
     /// stamps `finished_at` on the lanes still running. A batch is the same
     /// kernel, so the same count, however many lanes share an agreement and
     /// whether the run ends on an empty queue or on the last retirement.
-    /// The 2D kernel's light steps agree by allreduce: `supersteps + 1`.
+    /// BFS opens a bucket a level and its one light step ends the level
+    /// without a collective: `levels + 1`, none inside a level. The 2D
+    /// kernel's light steps agree by allreduce: `supersteps + 1`.
     #[test]
     fn agreement_count_is_buckets_plus_one() {
         for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
@@ -351,6 +356,22 @@ mod tests {
                 };
                 assert_eq!(placed, want, "{dir:?} batch of {}", specs.len());
             }
+
+            let (stats, placed) = allreduces_of(|ctx| {
+                let part = Block1D::new(512, 4);
+                let g = assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part);
+                ctx.trace_begin(TraceCode::RootRun, 0, 0);
+                distributed_bfs(ctx, &g, 0, dir).expect("ok").1
+            });
+            assert!(stats.buckets > 1, "{stats:?}");
+            let want = Placed {
+                between: stats.buckets + 1,
+                in_bucket: 0,
+                in_tail: 0,
+                buckets: stats.buckets,
+                tail_rounds: 0,
+            };
+            assert_eq!(placed, want, "BFS {dir:?}");
         }
 
         let (stats, placed) = allreduces_of(|ctx| {
@@ -404,6 +425,10 @@ mod tests {
     /// 96 for the run. No lane count, no `pruned` for a lane without a
     /// bound. What it gained over the old layout is the stamps and counters
     /// the solo kernel already carried per search.
+    ///
+    /// The BFS row is its two 16-vertex result arrays (136 bytes each), the
+    /// frontier (the root's 4 bytes on rank 0, behind an 8-byte count), the
+    /// unexplored-arc count and one `SsspRunStats` of 96.
     #[test]
     fn kernel_checkpoint_sizes_are_pinned() {
         let el = g500_gen::simple::erdos_renyi(64, 320, 13);
@@ -435,5 +460,11 @@ mod tests {
             g.try_run(ctx, 3).expect("no crash");
         });
         assert_eq!(grid, [484, 80, 80, 464], "2D kernel");
+
+        let bfs = epoch0_checkpoint_bytes(|ctx| {
+            let g = assemble_local_graph(ctx, slice(ctx).into_iter(), Block1D::new(64, 4));
+            distributed_bfs(ctx, &g, 3, Direction::Hybrid).expect("no crash");
+        });
+        assert_eq!(bfs, [388, 384, 384, 384], "BFS");
     }
 }

@@ -48,7 +48,7 @@ pub mod multi;
 pub mod seq;
 pub mod serve;
 
-pub use bfs::{distributed_bfs, BfsStats};
+pub use bfs::distributed_bfs;
 pub use bucket::BucketQueue;
 pub use config::{Direction, OptConfig};
 pub use delta::{machine_delta, suggest_delta, MIN_DELTA};

@@ -21,16 +21,20 @@ pub fn validate_bfs(
     parent: &[u64],
 ) -> Result<u64, Vec<String>> {
     assert_eq!(level.len(), n as usize);
-    let dist: Vec<f32> = level
-        .iter()
-        .map(|&l| if l < 0 { INF_WEIGHT } else { l as f32 })
-        .collect();
+    let dist = levels_as_dist(level);
     let rep = check(edges, root, &dist, parent, |_| 1.0, |_, _| 0.0);
     if rep.ok {
         Ok(rep.traversed_edges)
     } else {
         Err(rep.errors)
     }
+}
+
+/// Levels as hop distances: a negative level is unreached
+/// ([`INF_WEIGHT`]), and a level is exact below 2^24.
+pub fn levels_as_dist(level: &[i64]) -> Vec<f32> {
+    let hops = |&l: &i64| if l < 0 { INF_WEIGHT } else { l as f32 };
+    level.iter().map(hops).collect()
 }
 
 #[cfg(test)]

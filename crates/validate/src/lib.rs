@@ -19,6 +19,6 @@ pub mod bfs_check;
 pub mod sssp_check;
 pub mod teps;
 
-pub use bfs_check::validate_bfs;
+pub use bfs_check::{levels_as_dist, validate_bfs};
 pub use sssp_check::{validate_sssp, SsspResult, ValidationReport};
 pub use teps::{count_traversed_edges, TepsSummary};

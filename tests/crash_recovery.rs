@@ -17,7 +17,8 @@ use graph500::simnet::{Machine, MachineConfig, SchedMode, TraceCode};
 use graph500::sssp::{try_batched_delta_stepping, BatchSpec, Direction, Grid2DSssp, OptConfig};
 use graph500::validate::{validate_sssp, SsspResult};
 use graph500::{
-    run_sssp_benchmark, try_run_sssp_benchmark, BenchmarkConfig, CrashPlan, FaultEscalation,
+    run_bfs_benchmark, run_sssp_benchmark, try_run_bfs_benchmark, try_run_sssp_benchmark,
+    BenchmarkConfig, BenchmarkReport, CrashPlan, FaultEscalation,
 };
 
 // ---------- shared helpers ----------
@@ -74,7 +75,7 @@ fn assert_same_outputs(clean: &graph500::BenchmarkReport, crashy: &graph500::Ben
     }
 }
 
-// ---------- byte-identity at scale 10, all three kernels ----------
+// ---------- byte-identity at scale 10, every kernel ----------
 
 /// 1D acceptance: a seeded random crash schedule is byte-identical to the
 /// fault-free run under both schedulers, and the schedule provably fired.
@@ -290,6 +291,48 @@ fn batched_crashy_matches_fault_free(dir: Direction) {
     assert_eq!(net_c.crashes, 0);
 }
 
+/// BFS on the bucket-epoch driver: a crash schedule leaves levels and every
+/// kernel counter as the fault-free run left them, under both schedulers,
+/// and parents too where delivery order is canonical (threads, seed 0).
+/// Under a fuzzed seed a replayed push level applies its claims in another
+/// delivery order, and a claim's parent is first-claim-wins, so there the
+/// tree need only validate.
+#[test]
+fn scale10_bfs_crashy_matches_fault_free_both_schedulers() {
+    let plan = CrashPlan::random(1, 0.01)
+        .with_checkpoint_interval(2)
+        .with_recovery_budget(64);
+    for sched in [None, Some(0), Some(5)] {
+        let run = |crash| {
+            let mut cfg = BenchmarkConfig::quick(10, 8).crashes(crash);
+            if let Some(seed) = sched {
+                cfg = cfg.deterministic(seed);
+            }
+            cfg.keep_paths = true;
+            run_bfs_benchmark(&cfg)
+        };
+        let (mut clean, mut crashy) = (run(CrashPlan::none()), run(plan));
+        assert!(
+            crashy.net.crashes > 0 && crashy.net.restores > 0,
+            "crash schedule never fired ({sched:?}): {:?}",
+            crashy.net
+        );
+        if sched.is_some_and(|seed| seed != 0) {
+            for rep in [&mut clean, &mut crashy] {
+                forget_parents(rep);
+            }
+        }
+        assert_same_outputs(&clean, &crashy);
+    }
+}
+
+/// Drop a report's kept parents, leaving levels (as distances) to compare.
+fn forget_parents(rep: &mut BenchmarkReport) {
+    for r in &mut rep.runs {
+        r.paths.as_mut().expect("kept").parent.clear();
+    }
+}
+
 // ---------- crash during a collective ----------
 
 /// A forced crash fires at the very first probe after the epoch-0
@@ -341,27 +384,30 @@ fn buddy_pair_crash_is_checkpoint_lost() {
 
 /// More crashes than the budget allows ends in `RecoveryBudgetExhausted`
 /// carrying the budget and the epoch — identically under both schedulers,
-/// and with the diagnosable message text preserved in `Display`.
+/// for SSSP and BFS alike, and with the diagnosable message text preserved
+/// in `Display`.
 #[test]
 fn budget_exhaustion_is_typed_error_both_schedulers() {
     let plan = CrashPlan::random(0xEE, 1.0)
         .with_recovery_budget(1)
         .with_checkpoint_interval(2);
-    for sched in [None, Some(0)] {
-        let mut cfg = BenchmarkConfig::quick(8, 2).crashes(plan);
-        if let Some(seed) = sched {
-            cfg = cfg.deterministic(seed);
-        }
-        match try_run_sssp_benchmark(&cfg) {
-            Err(e @ FaultEscalation::RecoveryBudgetExhausted { budget, .. }) => {
-                assert_eq!(budget, 1);
-                let msg = e.to_string();
-                assert!(
-                    msg.contains("recovery budget exhausted"),
-                    "lost the diagnosable message: {msg}"
-                );
+    for run in [try_run_sssp_benchmark, try_run_bfs_benchmark] {
+        for sched in [None, Some(0)] {
+            let mut cfg = BenchmarkConfig::quick(8, 2).crashes(plan);
+            if let Some(seed) = sched {
+                cfg = cfg.deterministic(seed);
             }
-            other => panic!("expected RecoveryBudgetExhausted, got {other:?} ({sched:?})"),
+            match run(&cfg) {
+                Err(e @ FaultEscalation::RecoveryBudgetExhausted { budget, .. }) => {
+                    assert_eq!(budget, 1);
+                    let msg = e.to_string();
+                    assert!(
+                        msg.contains("recovery budget exhausted"),
+                        "lost the diagnosable message: {msg}"
+                    );
+                }
+                other => panic!("expected RecoveryBudgetExhausted, got {other:?} ({sched:?})"),
+            }
         }
     }
 }

@@ -263,12 +263,28 @@ fn g500(args: &[&str]) -> std::process::Output {
 /// A typo must not run a clean default benchmark and report success.
 #[test]
 fn cli_rejects_unknown_arguments_by_name() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 11] = [
         (
             &["sssp", "--scale", "6", "--crahs-rate", "0.5"],
             "--crahs-rate",
         ),
         (&["bfs", "--scale", "6", "--no-valdate"], "--no-valdate"),
+        // what only SSSP reads is unknown to BFS, not ignored
+        (
+            &["bfs", "--scale", "6", "--partition", "block"],
+            "--partition",
+        ),
+        (&["bfs", "--scale", "6", "--delta", "0.25"], "--delta"),
+        (
+            &["bfs", "--scale", "6", "--no-coalescing"],
+            "--no-coalescing",
+        ),
+        (&["bfs", "--scale", "6", "--no-dedup"], "--no-dedup"),
+        (
+            &["bfs", "--scale", "6", "--no-compression"],
+            "--no-compression",
+        ),
+        (&["bfs", "--scale", "6", "--no-fusion"], "--no-fusion"),
         (&["serve", "--scale", "6", "--bacth", "4"], "--bacth"),
         (&["stats", "--scale", "6", "--sed", "1"], "--sed"),
         (&["sssp", "--scale", "6", "--ranks", "2", "stray"], "stray"),

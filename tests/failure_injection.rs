@@ -238,7 +238,7 @@ fn every_single_bit_flip_class_is_caught() {
 use graph500::gen::KroneckerParams;
 use graph500::simnet::SchedMode;
 use graph500::sssp::Grid2DSssp;
-use graph500::{run_sssp_benchmark, BenchmarkConfig, FaultPlan};
+use graph500::{run_bfs_benchmark, run_sssp_benchmark, BenchmarkConfig, FaultPlan};
 
 /// The ISSUE's lossy CI profile.
 fn lossy_profile(seed: u64) -> FaultPlan {
@@ -312,6 +312,36 @@ fn scale10_1d_lossy_matches_fault_free_both_schedulers() {
             lossy.net
         );
         assert_eq!(clean.net.retransmits, 0, "clean run saw retransmits");
+    }
+}
+
+/// BFS under the lossy profile, alone and with crashes: levels, parents and
+/// every kernel counter byte-identical to the fault-free run under both
+/// schedulers, and each fault model provably fired.
+#[test]
+fn scale10_bfs_lossy_matches_fault_free_both_schedulers() {
+    let crashy = CrashPlan::random(1, 0.01)
+        .with_checkpoint_interval(2)
+        .with_recovery_budget(64);
+    let cases = [
+        (None, CrashPlan::none()),
+        (Some(0), CrashPlan::none()),
+        (Some(0), crashy),
+    ];
+    for (sched, crash) in cases {
+        let run = |fault, crash| {
+            let mut cfg = BenchmarkConfig::quick(10, 8).faults(fault).crashes(crash);
+            if let Some(seed) = sched {
+                cfg = cfg.deterministic(seed);
+            }
+            cfg.keep_paths = true;
+            run_bfs_benchmark(&cfg)
+        };
+        let clean = run(FaultPlan::none(), CrashPlan::none());
+        let lossy = run(lossy_profile(0xFA17), crash);
+        assert_same_outputs(&clean, &lossy);
+        assert!(lossy.net.retransmits > 0, "{sched:?}: {:?}", lossy.net);
+        assert_eq!(lossy.net.crashes > 0, crash.is_active(), "{:?}", lossy.net);
     }
 }
 
@@ -526,29 +556,31 @@ fn retry_budget_exhaustion_names_link_deterministic() {
     });
 }
 
-/// Out of retry budget, the CLI prints the typed error once and exits 1,
-/// under either scheduler: no rank thread reports a panic, neither the one
-/// that gave up nor the peers it aborted.
+/// Out of retry budget, `g500 sssp` and `g500 bfs` print the typed error
+/// once and exit 1, under either scheduler: no rank thread reports a panic,
+/// neither the one that gave up nor the peers it aborted.
 #[test]
 fn retry_budget_exhaustion_is_one_cli_line() {
-    for sched in [&[][..], &["--deterministic"]] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_g500"))
-            .args(["sssp", "--scale", "8", "--ranks", "4", "--roots", "1"])
-            .args(["--drop-rate", "0.9", "--retry-budget", "2"])
-            .args(sched)
-            .output()
-            .expect("spawn g500");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{sched:?}: {stderr}");
-        assert!(
-            !stderr.contains("panicked"),
-            "{sched:?}: panic leaked: {stderr}"
-        );
-        assert_eq!(
-            stderr.matches("retry budget exhausted on link").count(),
-            1,
-            "{sched:?}: {stderr}"
-        );
+    for cmd in ["sssp", "bfs"] {
+        for sched in [&[][..], &["--deterministic"]] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_g500"))
+                .args([cmd, "--scale", "8", "--ranks", "4", "--roots", "1"])
+                .args(["--drop-rate", "0.9", "--retry-budget", "2"])
+                .args(sched)
+                .output()
+                .expect("spawn g500");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {sched:?}: {stderr}");
+            assert!(
+                !stderr.contains("panicked"),
+                "{cmd} {sched:?}: panic leaked: {stderr}"
+            );
+            assert_eq!(
+                stderr.matches("retry budget exhausted on link").count(),
+                1,
+                "{cmd} {sched:?}: {stderr}"
+            );
+        }
     }
 }
 

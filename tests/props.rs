@@ -523,7 +523,7 @@ fn bfs_levels_equal_unit_weight_distances() {
                 let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
                 let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
                 let g = assemble_local_graph(ctx, mine.into_iter(), part);
-                let (res, _) = graph500::sssp::distributed_bfs(ctx, &g, 0, dir);
+                let (res, _) = graph500::sssp::distributed_bfs(ctx, &g, 0, dir).expect("no faults");
                 res.gather(ctx, g.part())
             })
             .results
@@ -623,7 +623,8 @@ fn validator_rejects_every_corruption_class() {
                     let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
                     let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(n, p));
                     let (res, _) =
-                        graph500::sssp::distributed_bfs(ctx, &g, root, Direction::Hybrid);
+                        graph500::sssp::distributed_bfs(ctx, &g, root, Direction::Hybrid)
+                            .expect("no faults");
                     res.gather(ctx, g.part())
                 })
                 .results

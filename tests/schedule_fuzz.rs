@@ -282,7 +282,7 @@ fn bfs_is_schedule_invariant() {
                     let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
                     let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
                     let g = assemble_local_graph(ctx, mine.into_iter(), part);
-                    let (res, stats) = distributed_bfs(ctx, &g, 1, dir);
+                    let (res, stats) = distributed_bfs(ctx, &g, 1, dir).expect("no faults");
                     let (level, _parent) = res.gather(ctx, g.part());
                     (level, stats.supersteps)
                 })
