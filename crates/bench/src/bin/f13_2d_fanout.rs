@@ -6,7 +6,8 @@
 //! state, which favours 1D — the paper family's choice — but the trade-off
 //! deserves numbers: this experiment counts, for real Kronecker frontier
 //! vertices, how many *distinct destination ranks* their out-edges touch
-//! under 1D block vs a √p×√p 2D grid.
+//! under 1D block vs a √p×√p 2D grid. Exits 1 unless every 2D fan-out is
+//! at most √p and the 1D mean is over twice the 2D mean.
 //!
 //! Overrides: `G500_SCALE` (14), `G500_RANKS` (16).
 
@@ -74,11 +75,22 @@ fn main() {
             ]);
         }
     }
-    println!(
-        "\nmean fan-out: 1D {:.2} ranks, 2D {:.2} ranks (2D bound: {side})",
-        sum_1d as f64 / count as f64,
-        sum_2d as f64 / count as f64
-    );
-    println!("max possible: 1D {ranks}, 2D {side}");
+    let (mean_1d, mean_2d) = (sum_1d as f64 / count as f64, sum_2d as f64 / count as f64);
+    let max_fanout = |hist: &[u64]| hist.iter().rposition(|&c| c > 0).unwrap_or(0);
+    let (max_1d, max_2d) = (max_fanout(&hist_1d), max_fanout(&hist_2d));
+    println!("\nmean fan-out: 1D {mean_1d:.2} ranks, 2D {mean_2d:.2} ranks (2D bound: {side})");
+    println!("max fan-out:  1D {max_1d} of {ranks}, 2D {max_2d} of {side}");
     println!("\nexpected shape: 2D caps fan-out at sqrt(p); 1D hubs touch nearly all ranks — the cost delta 2D trades against bucket-state duplication");
+    let mut broken = false;
+    if max_2d > side {
+        broken = true;
+        eprintln!("SHAPE BROKEN: F13: a 2D fan-out of {max_2d} exceeds sqrt(p) = {side}");
+    }
+    if mean_1d <= 2.0 * mean_2d {
+        broken = true;
+        eprintln!("SHAPE BROKEN: F13: 1D mean fan-out is not over 2x the 2D mean");
+    }
+    if broken {
+        std::process::exit(1);
+    }
 }

@@ -3,7 +3,8 @@
 //! The skew figure: complementary CDF of vertex degree on power-of-two
 //! bins, with the fitted power-law slope and the hub concentration numbers
 //! that justify degree-aware partitioning. Rendered as an ASCII log-log
-//! plot plus the raw table.
+//! plot plus the raw table. Exits 1 unless the top 1% of vertices carry at
+//! least 10% of the arcs and the fitted slope lies in [−2, −0.5].
 //!
 //! Overrides: `G500_SCALE` (16), `G500_SEED` (1).
 
@@ -56,4 +57,16 @@ fn main() {
     println!("top-1% arc share:  {:.1}%", 100.0 * stats.top1pct_arc_share);
     println!("fitted CCDF slope: {slope:.2} (power law)");
     println!("\nexpected shape: near-straight log-log CCDF; top-1% of vertices carry a large multiple of 1% of arcs");
+    let mut broken = false;
+    if stats.top1pct_arc_share < 0.10 {
+        broken = true;
+        eprintln!("SHAPE BROKEN: F7: the top 1% of vertices carry under 10% of the arcs");
+    }
+    if !(-2.0..=-0.5).contains(&slope) {
+        broken = true;
+        eprintln!("SHAPE BROKEN: F7: CCDF slope {slope:.2} is outside [-2, -0.5]");
+    }
+    if broken {
+        std::process::exit(1);
+    }
 }

@@ -130,14 +130,19 @@ impl Args {
     }
 
     /// Exit 2 naming the first token no accessor claimed: a misspelled
-    /// flag must not silently run the default configuration.
+    /// flag must not silently run the default configuration, nor a
+    /// repeated one run on whichever copy an accessor finds first (a copy
+    /// of a flag claimed earlier is named as given twice).
     fn reject_unclaimed(&self) {
         let claimed = self.claimed.borrow();
         if let Some(i) = claimed.iter().position(|&c| !c) {
-            eprintln!(
-                "g500: unknown argument: {} (g500 --help lists the flags)",
-                self.tokens[i]
-            );
+            let token = &self.tokens[i];
+            let repeated = (0..i).any(|j| claimed[j] && self.tokens[j] == *token);
+            if token.starts_with("--") && repeated {
+                eprintln!("g500: {token} given twice");
+            } else {
+                eprintln!("g500: unknown argument: {token} (g500 --help lists the flags)");
+            }
             std::process::exit(2)
         }
     }

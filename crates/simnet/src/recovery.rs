@@ -6,16 +6,23 @@
 //! [`crate::fault`] from lossy links to dying ranks, recovered with the
 //! classic coordinated checkpoint/rollback discipline:
 //!
-//! * **Checkpoints** are taken at superstep boundaries (collectively
-//!   consistent points of the kernel loop), every
-//!   [`CrashPlan::checkpoint_interval`] supersteps. Each rank encodes its
-//!   mutable kernel state through the [`Checkpoint`] trait, keeps the bytes
-//!   locally, and ships a replica to its *buddy* rank `(r + 1) % p` — the
-//!   in-memory equivalent of buddy-node checkpointing.
+//! * **Checkpoints** are taken at bucket boundaries (collectively
+//!   consistent points of the kernel loop), just before the boundary's
+//!   crash draw, once [`CrashPlan::checkpoint_interval`] probes have passed
+//!   counting that one. Each rank encodes its mutable kernel state through
+//!   the [`Checkpoint`] trait, keeps the bytes locally, and ships a replica
+//!   to its *buddy* rank `(r + 1) % p` — the in-memory equivalent of
+//!   buddy-node checkpointing.
 //! * **Detection** is deterministic: at every probe point each rank draws
-//!   its seeded [`CrashLottery`](crate::fault::CrashLottery), then all
-//!   ranks run an *agreement round* (an OR-allreduce of the crash bitmask)
-//!   so every survivor adopts the identical verdict. Survivors charge the
+//!   its seeded [`CrashLottery`](crate::fault::CrashLottery) into a crash
+//!   mask ([`Recovery::draw`], one word per 64 ranks), and the mask rides
+//!   the agreement the probe point makes anyway — an allreduce's or a
+//!   header's mask words ([`RankCtx::allreduce_masked`],
+//!   [`Header::with_mask`](crate::Header::with_mask)), merged by OR — so
+//!   every survivor reads the identical verdict ([`Recovery::verdict`])
+//!   when that collective returns, and a probe costs no collective of its
+//!   own. A crash drawn before a superstep is acted on after it; the
+//!   rollback discards that superstep with the rest. Survivors charge the
 //!   plan's `detect_timeout_s` of virtual wait — the timeout-at-the-next-
 //!   collective failure-detector model.
 //! * **Restore-and-replay**: on a crash verdict every rank rolls back to
@@ -198,13 +205,15 @@ impl CrashState {
 /// One kernel run's checkpoint/restore driver. Obtained from
 /// [`Recovery::begin`] at kernel entry (`None` when the machine has no
 /// crash plan — the fault-free path stays zero-cost); the kernel then
-/// calls [`Recovery::bucket_boundary`] at the top of its outer bucket loop
-/// and optionally [`Recovery::probe`] at inner superstep boundaries. Both
-/// return `Ok(true)` when a crash was recovered and the caller must
-/// restart its outer loop from the restored state.
+/// draws with [`Recovery::bucket_boundary`] at the top of its outer bucket
+/// loop and with [`Recovery::draw`] before inner supersteps, carries the
+/// words on the collective that point makes, and hands the merged words to
+/// [`Recovery::verdict`], which returns `Ok(true)` when a crash was
+/// recovered and the caller must restart its outer loop from the restored
+/// state.
 pub struct Recovery {
     interval: u64,
-    /// Supersteps completed (successful probes) since kernel entry.
+    /// Probes passed since kernel entry.
     epoch: u64,
     /// Epoch of the checkpoint currently held.
     ckpt_epoch: u64,
@@ -231,50 +240,51 @@ impl Recovery {
                 buddy_ckpt: Vec::new(),
                 replay_until: None,
             };
-            rec.take_checkpoint(ctx, state);
+            rec.take_checkpoint(ctx, state, 0);
             rec
         })
     }
 
-    /// Superstep-boundary hook for the outer bucket loop: runs a crash
-    /// probe, and — when no crash fired — takes a periodic checkpoint.
-    /// `Ok(true)` means a restore happened and the caller must re-enter
-    /// its outer loop against the rolled-back state.
-    pub fn bucket_boundary(
-        &mut self,
-        ctx: &mut RankCtx,
-        state: &mut dyn Checkpoint,
-    ) -> Result<bool, FaultEscalation> {
-        let restored = self.probe(ctx, state)?;
-        if !restored && self.epoch - self.ckpt_epoch >= self.interval {
-            self.take_checkpoint(ctx, state);
+    /// Bucket-boundary hook for the outer bucket loop: takes the periodic
+    /// checkpoint when it falls due, counting the boundary's coming probe
+    /// in the interval, then draws that probe ([`draw`](Self::draw)). A
+    /// crash drawn here rolls back to the snapshot just taken.
+    pub fn bucket_boundary(&mut self, ctx: &mut RankCtx, state: &dyn Checkpoint) -> Vec<u64> {
+        let reached = self.epoch + 1;
+        if reached - self.ckpt_epoch >= self.interval {
+            // labelled with the epoch the boundary reaches when its probe
+            // passes: the state is the same either side of the probe
+            self.take_checkpoint(ctx, state, reached);
         }
-        Ok(restored)
+        self.draw(ctx)
     }
 
-    /// Crash probe at any collectively consistent point: every rank draws
-    /// its lottery, the verdict is agreed by an OR-allreduce of the crash
-    /// bitmask, and on a crash all ranks roll `state` back to the last
-    /// checkpoint. Returns `Ok(true)` after a restore.
-    pub fn probe(
+    /// One crash probe's draw at a collectively consistent point: the
+    /// rank's crash mask, one word per 64 ranks with this rank's bit set if
+    /// its lottery fires. The words ride the agreement the probe point
+    /// makes anyway, merged by OR, and the merge goes to
+    /// [`verdict`](Self::verdict).
+    pub fn draw(&self, ctx: &mut RankCtx) -> Vec<u64> {
+        let me = ctx.rank();
+        let mut mask = vec![0u64; ctx.size().div_ceil(64)];
+        if ctx.crash_draw() {
+            mask[me / 64] |= 1 << (me % 64);
+        }
+        mask
+    }
+
+    /// Act on a probe's `mask`, every rank's draw merged: every rank reads
+    /// the same verdict from the same words. No bit set, the probe passes;
+    /// otherwise every rank rolls `state` back to the last checkpoint, and
+    /// whatever ran since the draw is discarded with the rest. Returns
+    /// `Ok(true)` after a restore.
+    pub fn verdict(
         &mut self,
         ctx: &mut RankCtx,
         state: &mut dyn Checkpoint,
+        mask: &[u64],
     ) -> Result<bool, FaultEscalation> {
-        let p = ctx.size();
-        let me = ctx.rank();
-        let i_die = ctx.crash_draw();
-        // Agreement round: one OR-allreduce word per 64 ranks. Every rank
-        // computes the verdict from the identical mask.
-        let words = p.div_ceil(64);
-        let mut mask = vec![0u64; words];
-        if i_die {
-            mask[me / 64] |= 1 << (me % 64);
-        }
-        for w in mask.iter_mut() {
-            *w = ctx.allreduce(*w, |a, b| *a | *b);
-        }
-        let crashed: Vec<usize> = (0..p)
+        let crashed: Vec<usize> = (0..ctx.size())
             .filter(|r| (mask[r / 64] >> (r % 64)) & 1 == 1)
             .collect();
         if crashed.is_empty() {
@@ -304,21 +314,22 @@ impl Recovery {
         }
     }
 
-    /// Encode `state`, keep it, and replicate it to the buddy rank.
-    fn take_checkpoint(&mut self, ctx: &mut RankCtx, state: &dyn Checkpoint) {
+    /// Encode `state`, keep it as the checkpoint of `epoch`, and replicate
+    /// it to the buddy rank.
+    fn take_checkpoint(&mut self, ctx: &mut RankCtx, state: &dyn Checkpoint, epoch: u64) {
         let mut buf = Vec::new();
         state.save(&mut buf);
         let bytes = buf.len() as u64;
-        ctx.trace_begin(TraceCode::CheckpointWrite, bytes, self.epoch);
+        ctx.trace_begin(TraceCode::CheckpointWrite, bytes, epoch);
         // Encoding cost: modeled as one op per word serialized.
         ctx.charge_compute(bytes / 8 + 1);
         self.my_ckpt = buf;
-        self.ckpt_epoch = self.epoch;
+        self.ckpt_epoch = epoch;
         self.replicate(ctx);
         let s = ctx.stats_mut();
         s.checkpoints += 1;
         s.checkpoint_bytes += bytes;
-        ctx.trace_end(TraceCode::CheckpointWrite, bytes, self.epoch);
+        ctx.trace_end(TraceCode::CheckpointWrite, bytes, epoch);
     }
 
     /// Ship `my_ckpt` to the buddy `(me + 1) % p` and collect the
@@ -389,7 +400,9 @@ impl Recovery {
         }
         // Coordinated rollback: every rank re-enters the checkpoint epoch.
         state.load(&self.my_ckpt);
-        let replayed = pre_epoch - self.ckpt_epoch;
+        // A crash drawn at the boundary that has just taken the checkpoint
+        // (labelled with the epoch that boundary reaches) loses nothing.
+        let replayed = pre_epoch.saturating_sub(self.ckpt_epoch);
         self.epoch = self.ckpt_epoch;
         let s = ctx.stats_mut();
         s.restores += 1;
@@ -435,6 +448,10 @@ mod tests {
         }
     }
 
+    /// Shaped like the bucket-epoch driver: every other step opens at a
+    /// boundary (checkpoint if due, then the draw), the others draw as a
+    /// light step does. Each step's allreduce carries the draw, and the
+    /// verdict is read once the step is done.
     fn iter_prog(ctx: &mut RankCtx) -> Result<Vec<u64>, FaultEscalation> {
         let mut st = IterState {
             step: 0,
@@ -442,16 +459,20 @@ mod tests {
         };
         let mut rec = Recovery::begin(ctx, &st);
         while st.step < 12 {
-            if let Some(r) = rec.as_mut() {
-                if r.bucket_boundary(ctx, &mut st)? {
-                    continue; // rolled back; st.step rewound with the state
-                }
-            }
-            let total = ctx.allreduce_sum(st.vals[0]);
+            let mask = match rec.as_mut() {
+                Some(r) if st.step.is_multiple_of(2) => r.bucket_boundary(ctx, &st),
+                Some(r) => r.draw(ctx),
+                None => Vec::new(),
+            };
+            let (total, mask) = ctx.allreduce_masked(vec![st.vals[0]], mask, |a, b| a + b);
             for v in st.vals.iter_mut() {
-                *v = v.wrapping_mul(31).wrapping_add(total);
+                *v = v.wrapping_mul(31).wrapping_add(total[0]);
             }
             st.step += 1;
+            if let Some(r) = rec.as_mut() {
+                // on a restore `st.step` rewinds with the state, to a boundary
+                r.verdict(ctx, &mut st, &mask)?;
+            }
         }
         if let Some(r) = rec {
             r.finish(ctx);

@@ -5,13 +5,16 @@
 //! ```text
 //! epoch-0 checkpoint
 //! loop:
-//!     bucket boundary: crash probe + periodic checkpoint   (restore → loop)
-//!     agreed ← agree(each lane's own minimum bucket and offer)
+//!     bucket boundary: periodic checkpoint, then the crash draw
+//!     agreed ← agree(each lane's own minimum bucket and offer, draw)
+//!     crash verdict                                       (restore → loop)
 //!     k ← the lowest bucket any lane named                 (none → done)
 //!     open bucket k with `agreed`        (false → done: fused tail, retired)
 //!     while some lane drained something, by `agreed`:
-//!         crash probe                          (restore → abandon k, loop)
-//!         agreed ← one light-edge superstep of k, reading `agreed`
+//!         crash draw
+//!         agreed ← one light-edge superstep of k, reading `agreed`, with
+//!                  the draw riding the collective that brings the agreement
+//!         crash verdict                        (restore → abandon k, loop)
 //!     close bucket k: the heavy pass and per-bucket accounting
 //! ```
 //!
@@ -20,6 +23,15 @@
 //! in every kernel. What a superstep *does* — its exchange, its relaxation
 //! order, its trace events, and how it comes by the agreement its successor
 //! reads — stays in the kernel behind [`BucketKernel`].
+//!
+//! A crash probe makes no collective of its own. On a crash-armed machine
+//! each draw is the rank's crash mask, one word per 64 ranks, and it rides
+//! the agreement its probe point makes anyway as mask words merged by OR:
+//! the boundary's allreduce, or the collective that brings a light step's
+//! agreement. Every rank reads the verdict from the merged words once that
+//! collective returns, so a crash drawn before a light step is acted on
+//! after it, and the rollback discards that step with the rest. Without a
+//! crash plan the mask is empty, and an empty mask is zero bytes.
 //!
 //! An agreement is one `(k, offer)` per lane from every rank, merged lane by
 //! lane ([`merge_agreed`]). The lower `k` wins; what two offers say about a
@@ -109,13 +121,17 @@ pub(crate) trait BucketKernel: Checkpoint {
     /// One light-edge superstep of bucket `k` over the frontiers drained for
     /// it, `agreed` the agreement its predecessor (or the boundary) left;
     /// returns the agreement on what it drained, which its successor reads.
-    /// Called only while `agreed` says some lane drained something.
+    /// Called only while `agreed` says some lane drained something. `mask`
+    /// is this rank's crash draw (empty on a fault-free machine): it rides
+    /// the one collective that brings the step's agreement, and comes back
+    /// merged by OR beside it.
     fn light_step(
         &mut self,
         ctx: &mut RankCtx,
         k: u64,
         agreed: &[Agreed<Self::Offer>],
-    ) -> Vec<Agreed<Self::Offer>>;
+        mask: Vec<u64>,
+    ) -> (Vec<Agreed<Self::Offer>>, Vec<u64>);
 
     /// Bucket `k` reached its light-edge fixpoint: run the heavy pass and
     /// whatever per-bucket accounting follows it.
@@ -128,9 +144,14 @@ pub(crate) trait BucketKernel: Checkpoint {
 }
 
 /// One agreement allreduce: every rank leaves with, for each lane, the
-/// lowest offered bucket and the merged offer, bitwise the same everywhere.
-pub(crate) fn agree<O: Offer>(ctx: &mut RankCtx, offers: Vec<Agreed<O>>) -> Vec<Agreed<O>> {
-    ctx.allreduce_slice(offers, merge_agreed)
+/// lowest offered bucket and the merged offer, bitwise the same everywhere,
+/// and with every rank's crash `mask` merged by OR.
+pub(crate) fn agree<O: Offer>(
+    ctx: &mut RankCtx,
+    offers: Vec<Agreed<O>>,
+    mask: Vec<u64>,
+) -> (Vec<Agreed<O>>, Vec<u64>) {
+    ctx.allreduce_masked(offers, mask, merge_agreed)
 }
 
 /// Drive `kernel` to completion. Collective. On a fault-free machine
@@ -146,27 +167,37 @@ pub(crate) fn run_bucket_epochs<K: BucketKernel>(
     // search rather than losing it.
     let mut rec = Recovery::begin(ctx, kernel);
     'outer: loop {
+        let mask = match rec.as_mut() {
+            Some(r) => r.bucket_boundary(ctx, kernel),
+            None => Vec::new(),
+        };
+        let (mut agreed, mask) = agree(ctx, kernel.offer(), mask);
         if let Some(r) = rec.as_mut() {
             // On a restore the rolled-back state re-enters the loop here.
-            if r.bucket_boundary(ctx, kernel)? {
+            if r.verdict(ctx, kernel, &mask)? {
                 continue 'outer;
             }
         }
-        let mut agreed = agree(ctx, kernel.offer());
         let k = agreed.iter().map(|a| a.0).min().unwrap_or(u64::MAX);
         if k == u64::MAX || !kernel.open_bucket(ctx, k, &mut agreed) {
             break;
         }
         while !agreed.iter().all(|(_, offer)| offer.drained_nothing()) {
+            let mask = match rec.as_ref() {
+                Some(r) => r.draw(ctx),
+                None => Vec::new(),
+            };
+            let (next, mask) = kernel.light_step(ctx, k, &agreed, mask);
+            agreed = next;
             if let Some(r) = rec.as_mut() {
                 // A mid-bucket crash rolls back to the last bucket-boundary
-                // checkpoint; the bucket counter rewound with the state.
-                if r.probe(ctx, kernel)? {
+                // checkpoint, the step just run with the rest; the bucket
+                // counter rewound with the state.
+                if r.verdict(ctx, kernel, &mask)? {
                     kernel.abandon_bucket(ctx, k);
                     continue 'outer;
                 }
             }
-            agreed = kernel.light_step(ctx, k, &agreed);
         }
         kernel.close_bucket(ctx, k);
     }
@@ -218,23 +249,26 @@ mod tests {
     use crate::multi::{try_batched_delta_stepping, BatchSpec};
     use crate::{
         distributed_bfs, try_distributed_delta_stepping, Direction, Grid2DSssp, OptConfig,
+        SsspRunStats,
     };
     use g500_graph::WEdge;
     use g500_partition::{assemble_local_graph, Block1D};
-    use simnet::{CrashPlan, Machine, MachineConfig, RankCtx, TraceCode, TraceKind};
+    use simnet::{CrashPlan, Machine, MachineConfig, NetStats, RankCtx, TraceCode, TraceKind};
 
-    /// This rank's quarter of the scale-9 Kronecker edge list.
+    /// This rank's share of the scale-9 Kronecker edge list.
     fn kron9_slice(ctx: &RankCtx) -> Vec<WEdge> {
         let gen = g500_gen::KroneckerGenerator::new(g500_gen::KroneckerParams::graph500(9, 4));
         let el = gen.generate_all();
-        let m = el.len();
-        let (lo, hi) = (ctx.rank() * m / 4, (ctx.rank() + 1) * m / 4);
+        let (m, p) = (el.len(), ctx.size());
+        let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
         (lo..hi).map(|i| el.get(i)).collect()
     }
 
     /// Where a run's allreduces sit — between buckets (an agreement, or the
     /// batch's `finished_at` maximum), inside a bucket span, inside a fused
     /// tail round — and how many bucket spans and tail rounds it opened.
+    /// And how many restores happened between buckets: a crash drawn at a
+    /// boundary, whose agreement allreduce ran before the rollback.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
     struct Placed {
         between: u64,
@@ -242,6 +276,7 @@ mod tests {
         in_tail: u64,
         buckets: u64,
         tail_rounds: u64,
+        restores_between: u64,
     }
 
     /// Run `kernel` on a traced 4-rank machine between two marker events and
@@ -249,10 +284,20 @@ mod tests {
     /// made in between sit — the same on every rank, or the run would have
     /// deadlocked, but asserted.
     fn allreduces_of<R: Send>(kernel: impl Fn(&mut RankCtx) -> R + Sync) -> (R, Placed) {
-        let mut rep = Machine::new(MachineConfig::with_ranks(4).traced(true)).run(|ctx| {
+        let (mut results, placed, _) = placed_run(MachineConfig::with_ranks(4), kernel);
+        (results.swap_remove(0), placed)
+    }
+
+    /// [`allreduces_of`] on `cfg`, traced, with every rank's result and
+    /// network counters over the whole run.
+    fn placed_run<R: Send>(
+        cfg: MachineConfig,
+        kernel: impl Fn(&mut RankCtx) -> R + Sync,
+    ) -> (Vec<R>, Placed, Vec<NetStats>) {
+        let rep = Machine::new(cfg.traced(true)).run(|ctx| {
             let out = kernel(ctx);
             ctx.trace_end(TraceCode::RootRun, 0, 0);
-            out
+            (out, ctx.stats().clone())
         });
         let placed: Vec<Placed> = rep
             .traces
@@ -283,6 +328,7 @@ mod tests {
                             };
                             *slot += 1;
                         }
+                        TraceCode::Restore if open && !bucket => placed.restores_between += 1,
                         _ => {}
                     }
                 }
@@ -290,7 +336,8 @@ mod tests {
             })
             .collect();
         assert!(placed.iter().all(|&p| p == placed[0]), "{placed:?}");
-        (rep.results.swap_remove(0), placed[0])
+        let (results, counts) = rep.results.into_iter().unzip();
+        (results, placed[0], counts)
     }
 
     /// The invariant the agreement protocol buys: one allreduce a bucket,
@@ -370,6 +417,7 @@ mod tests {
                 in_tail: 0,
                 buckets: stats.buckets,
                 tail_rounds: 0,
+                restores_between: 0,
             };
             assert_eq!(placed, want, "BFS {dir:?}");
         }
@@ -384,6 +432,115 @@ mod tests {
             stats.supersteps + 1,
             "2D"
         );
+    }
+
+    /// A run's counters without its clock, which a crash plan moves.
+    fn timeless(stats: &SsspRunStats) -> SsspRunStats {
+        SsspRunStats {
+            sim_time_s: 0.0,
+            compute_s: 0.0,
+            comm_s: 0.0,
+            ..stats.clone()
+        }
+    }
+
+    /// A crash-armed run draws at every bucket boundary and light step, and
+    /// the draw rides the agreement that point makes anyway (the boundary's
+    /// allreduce, a light step's exchange, broadcast, opening or closing
+    /// allreduce) as mask words merged by OR: arming a machine adds no
+    /// collective and no message, only the words' bytes. Armed here with a
+    /// crash no run reaches and a checkpoint interval none reaches either,
+    /// each kernel makes the fault-free run's collectives and collective
+    /// messages (less the epoch-0 checkpoint's one replica a rank), with
+    /// its allreduces in the same places and the same results.
+    ///
+    /// At 72 ranks the mask takes two words, and a crash forced on rank 70
+    /// mid-run rolls back and replays to the fault-free results. There too
+    /// every agreement allreduce sits at a boundary, one a bucket, one to
+    /// end the run and one for each boundary that drew a crash — none
+    /// inside a bucket, where a separate probe would have made one a step.
+    #[test]
+    fn arming_a_crash_plan_adds_no_collective() {
+        let armed = CrashPlan::none()
+            .with_forced(0, u32::MAX - 1)
+            .with_checkpoint_interval(u64::MAX);
+        // each checkpoint ships its replica as one collective-class message
+        let counts = |net: Vec<NetStats>| -> Vec<(u64, u64)> {
+            let count = |n: NetStats| (n.collectives, n.coll_msgs - n.checkpoints);
+            net.into_iter().map(count).collect()
+        };
+        let same = |name: &str, run: &(dyn Fn(&mut RankCtx) -> String + Sync)| {
+            let (clean, placed, net) = placed_run(MachineConfig::with_ranks(4), run);
+            let cfg = MachineConfig::with_ranks(4).crashes(armed);
+            let (crashy, crashy_placed, crashy_net) = placed_run(cfg, run);
+            assert!(crashy_net.iter().all(|n| n.checkpoints == 1), "{name}");
+            assert_eq!(crashy, clean, "{name}: results");
+            assert_eq!(crashy_placed, placed, "{name}: allreduce placement");
+            assert_eq!(
+                counts(crashy_net),
+                counts(net),
+                "{name}: collectives, messages"
+            );
+        };
+        let graph = |ctx: &mut RankCtx| {
+            let part = Block1D::new(512, ctx.size());
+            assemble_local_graph(ctx, kron9_slice(ctx).into_iter(), part)
+        };
+        let solo = |dir: Direction| {
+            move |ctx: &mut RankCtx| {
+                let g = graph(ctx);
+                ctx.trace_begin(TraceCode::RootRun, 0, 0);
+                let opts = OptConfig::all_on().with_direction(dir);
+                let (sp, stats) = try_distributed_delta_stepping(ctx, &g, 0, &opts).expect("ok");
+                format!("{:?}", (sp.dist, sp.parent, timeless(&stats)))
+            }
+        };
+        for dir in [Direction::Push, Direction::Pull, Direction::Hybrid] {
+            same(&format!("1D {dir:?}"), &solo(dir));
+            same(&format!("BFS {dir:?}"), &|ctx: &mut RankCtx| {
+                let g = graph(ctx);
+                ctx.trace_begin(TraceCode::RootRun, 0, 0);
+                let (bfs, stats) = distributed_bfs(ctx, &g, 0, dir).expect("ok");
+                format!("{:?}", (bfs.level, bfs.parent, timeless(&stats)))
+            });
+        }
+        same("mixed batch", &|ctx: &mut RankCtx| {
+            let g = graph(ctx);
+            ctx.trace_begin(TraceCode::RootRun, 0, 0);
+            let specs = [
+                BatchSpec::full(0),
+                BatchSpec::p2p(3, 21),
+                BatchSpec::full(21),
+                BatchSpec::p2p(0, 3).with_bound(0.9),
+            ];
+            let opts = OptConfig::all_on().with_direction(Direction::Hybrid);
+            let (lanes, stats) = try_batched_delta_stepping(ctx, &g, &specs, &opts).expect("ok");
+            let paths: Vec<_> = lanes
+                .iter()
+                .map(|l| (&l.paths.dist, &l.paths.parent))
+                .collect();
+            format!("{:?}", (paths, timeless(&stats)))
+        });
+        same("2D", &|ctx: &mut RankCtx| {
+            let mut g = Grid2DSssp::build(ctx, 512, kron9_slice(ctx).into_iter(), 0.125);
+            ctx.trace_begin(TraceCode::RootRun, 0, 0);
+            format!("{:?}", g.try_run(ctx, 0).expect("ok"))
+        });
+
+        let run = solo(Direction::Hybrid);
+        let (clean, _, _) = placed_run(MachineConfig::with_ranks(72), run);
+        let plan = CrashPlan::none()
+            .with_forced(70, 5)
+            .with_checkpoint_interval(2);
+        let cfg = MachineConfig::with_ranks(72).crashes(plan);
+        let (crashy, placed, net) = placed_run(cfg, run);
+        let crashed: Vec<usize> = (0..72).filter(|&r| net[r].crashes > 0).collect();
+        assert_eq!(crashed, [70], "the forced crash fires, once");
+        assert!(net.iter().all(|n| n.restores == 1), "every rank rolls back");
+        assert_eq!(crashy, clean, "72 ranks: results under a crash");
+        assert_eq!(placed.in_bucket, 0, "{placed:?}");
+        let boundaries = placed.buckets + 1 + placed.restores_between;
+        assert_eq!(placed.between, boundaries, "{placed:?}");
     }
 
     /// Per-rank size of the one checkpoint `run` takes: the crash plan is

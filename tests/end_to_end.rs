@@ -263,10 +263,23 @@ fn g500(args: &[&str]) -> std::process::Output {
 /// A typo must not run a clean default benchmark and report success.
 #[test]
 fn cli_rejects_unknown_arguments_by_name() {
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 14] = [
         (
             &["sssp", "--scale", "6", "--crahs-rate", "0.5"],
             "--crahs-rate",
+        ),
+        // a repeated flag is named as such, not as unknown
+        (
+            &["sssp", "--scale", "8", "--scale", "9", "--ranks", "4"],
+            "--scale given twice",
+        ),
+        (
+            &["sssp", "--scale", "6", "--no-validate", "--no-validate"],
+            "--no-validate given twice",
+        ),
+        (
+            &["bfs", "--ranks", "2", "--scale", "6", "--ranks", "4"],
+            "--ranks given twice",
         ),
         (&["bfs", "--scale", "6", "--no-valdate"], "--no-valdate"),
         // what only SSSP reads is unknown to BFS, not ignored
