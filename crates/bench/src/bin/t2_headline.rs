@@ -15,7 +15,7 @@
 //!
 //! There is no projection to the paper's machine here: the old
 //! `e(P) = 1 − b·log₂P` fit was floored at 5% and printed the same answer
-//! whatever it was fed. A fitted replacement is ROADMAP item 8's.
+//! whatever it was fed. A fitted replacement is ROADMAP item 9's.
 //!
 //! Each row also reports two host figures: its wall time, and the peak
 //! resident set of the process so far (the rows grow, so it is the row's).

@@ -55,15 +55,13 @@
 //! an allreduce the same way, so a kernel can price a whole superstep.
 //!
 //! Headers. An all-to-all or an allgather can carry a [`Header`] on every
-//! message, before its block: entries merged by a caller's function, and
-//! mask words merged by OR. A schedule folds the headers it receives in
-//! member order, never in delivery order, so every rank leaves with the
-//! same bits, as from [`RankCtx::allreduce_slice`] of the same entries; the
-//! grouped route folds each column's on hop 1 and carries that on hop 2. An
-//! allreduce carries mask words the same way
-//! ([`RankCtx::allreduce_masked`]). An agreement rides as the entries; a
-//! crash-armed machine's crash mask (`recovery.rs`) rides as the words, so
-//! a crash verdict costs no collective of its own.
+//! message, before its block: this rank's entries and how two ranks'
+//! entries merge. A schedule folds the headers it receives in member
+//! order, never in delivery order, so every rank leaves with the same
+//! bits, as from [`RankCtx::allreduce_slice`] of the same entries; the
+//! grouped route folds each column's on hop 1 and carries that on hop 2.
+//! An agreement rides as the entries (`sssp/epoch.rs`). A crash verdict
+//! rides nothing: every rank draws every rank's lottery (`recovery.rs`).
 //!
 //! Tag discipline: each collective invocation claims a fresh sequence number
 //! from its communicator's rank-local counter. SPMD programs call collectives
@@ -91,11 +89,11 @@ use crate::wire::{decode_vec_checked, encode_slice, Wire};
 /// [`SubComm`](crate::SubComm): recursive doubling over the member indices
 /// `0..p`, of which the caller is `me`. `global(i)` is member `i`'s machine
 /// rank and `tag(round)` the communicator's tag for one round of this
-/// invocation. It reduces a slice, `combine` element by element, and ORs
-/// the mask words that ride behind it; every member must bring the same
-/// number of each (a partner's payload of another count is the typed decode
-/// error of `recv_reduced`), and the scalar [`RankCtx::allreduce`] is the
-/// one-element case with no mask, message for message and byte for byte.
+/// invocation. It reduces a slice, `combine` element by element; every
+/// member must bring the same number of elements (a partner's payload of
+/// another count is the typed decode error of `recv_coll_checked`), and
+/// the scalar [`RankCtx::allreduce`] is the one-element case, message for
+/// message and byte for byte.
 ///
 /// With `q` the largest power of two `≤ p`: a fold-in round pairs the first
 /// `2(p − q)` members as neighbours (the odd one hands its values to the even
@@ -119,37 +117,31 @@ pub(crate) fn allreduce_schedule<T: Wire + Clone>(
     (me, p): (usize, usize),
     global: impl Fn(usize) -> usize,
     tag: impl Fn(u64) -> Tag,
-    (values, mask): (Vec<T>, Vec<u64>),
+    values: Vec<T>,
     combine: impl Fn(&T, &T) -> T,
-) -> (Vec<T>, Vec<u64>) {
+) -> Vec<T> {
     let q = 1usize << p.ilog2();
     let folded = 2 * (p - q);
     let fold_out = tag(1 + u64::from(q.trailing_zeros()));
-    let counts = (values.len(), mask.len());
-    // `acc ← acc ⊕ other` or `other ⊕ acc`, element by element, in place;
-    // the mask words by OR.
-    let fold = |(acc, acc_mask): &mut (Vec<T>, Vec<u64>),
-                (other, other_mask): (Vec<T>, Vec<u64>),
-                acc_is_lower: bool| {
-        for (a, b) in acc.iter_mut().zip(&other) {
+    let n = values.len();
+    // `acc ← acc ⊕ other` or `other ⊕ acc`, element by element, in place.
+    let fold = |acc: &mut [T], other: &[T], acc_is_lower: bool| {
+        for (a, b) in acc.iter_mut().zip(other) {
             *a = if acc_is_lower {
                 combine(a, b)
             } else {
                 combine(b, a)
             };
         }
-        for (a, b) in acc_mask.iter_mut().zip(other_mask) {
-            *a |= b;
-        }
     };
-    let mut acc = (values, mask);
+    let mut acc = values;
     if me < folded {
         if me % 2 == 1 {
-            ctx.send_reduced(global(me - 1), tag(0), &acc);
-            return ctx.recv_reduced(global(me - 1), fold_out, counts);
+            ctx.send_coll(global(me - 1), tag(0), &acc);
+            return ctx.recv_coll_checked(global(me - 1), fold_out, Some(n));
         }
-        let upper = ctx.recv_reduced(global(me + 1), tag(0), counts);
-        fold(&mut acc, upper, true);
+        let upper: Vec<T> = ctx.recv_coll_checked(global(me + 1), tag(0), Some(n));
+        fold(&mut acc, &upper, true);
     }
     // Positions 0..q of the members still in, in rank order, and back.
     let pos = if me < folded { me / 2 } else { me - folded / 2 };
@@ -163,14 +155,14 @@ pub(crate) fn allreduce_schedule<T: Wire + Clone>(
     let (mut step, mut round) = (1usize, 1u64);
     while step < q {
         let partner = member(pos ^ step);
-        ctx.send_reduced(global(partner), tag(round), &acc);
-        let other = ctx.recv_reduced(global(partner), tag(round), counts);
-        fold(&mut acc, other, me < partner);
+        ctx.send_coll(global(partner), tag(round), &acc);
+        let other: Vec<T> = ctx.recv_coll_checked(global(partner), tag(round), Some(n));
+        fold(&mut acc, &other, me < partner);
         step <<= 1;
         round += 1;
     }
     if me < folded {
-        ctx.send_reduced(global(me + 1), fold_out, &acc);
+        ctx.send_coll(global(me + 1), fold_out, &acc);
     }
     acc
 }
@@ -188,7 +180,7 @@ pub(crate) fn allgatherv_schedule<T: Wire + Clone, H: Wire + Clone>(
     tag: impl Fn(u64) -> Tag,
     mine: &[T],
     header: &Header<H>,
-) -> (Vec<Vec<T>>, Header<H>) {
+) -> (Vec<Vec<T>>, Vec<H>) {
     let bytes = header.message(mine);
     for d in (0..p).filter(|&d| d != me) {
         ctx.send_bytes_class(global(d), tag(0), bytes.clone(), TrafficClass::Collective);
@@ -197,11 +189,11 @@ pub(crate) fn allgatherv_schedule<T: Wire + Clone, H: Wire + Clone>(
     let mut blocks = Vec::with_capacity(p);
     for s in 0..p {
         let (head, block) = if s == me {
-            (header.clone(), mine.to_vec())
+            (header.entries.clone(), mine.to_vec())
         } else {
             header.receive(ctx, global(s), tag(0))
         };
-        Header::fold(&mut merged, head);
+        header.fold(&mut merged, head);
         blocks.push(block);
     }
     (blocks, merged.expect("a communicator has a member"))
@@ -219,7 +211,7 @@ pub(crate) fn alltoallv_schedule<T: Wire, H: Wire + Clone>(
     tag: impl Fn(u64) -> Tag,
     out: Vec<Vec<T>>,
     header: &Header<H>,
-) -> (Vec<Vec<T>>, Header<H>) {
+) -> (Vec<Vec<T>>, Vec<H>) {
     assert_eq!(out.len(), p, "alltoallv needs one buffer per member");
     let mut own = None;
     for (d, buf) in out.into_iter().enumerate() {
@@ -235,11 +227,11 @@ pub(crate) fn alltoallv_schedule<T: Wire, H: Wire + Clone>(
     for s in 0..p {
         let (head, block) = if s == me {
             let own = own.take().expect("own block set above");
-            (header.clone(), own)
+            (header.entries.clone(), own)
         } else {
             header.receive(ctx, global(s), tag(0))
         };
-        Header::fold(&mut merged, head);
+        header.fold(&mut merged, head);
         blocks.push(block);
     }
     (blocks, merged.expect("a communicator has a member"))
@@ -248,16 +240,13 @@ pub(crate) fn alltoallv_schedule<T: Wire, H: Wire + Clone>(
 /// What an all-to-all or an allgather carries on every message besides its
 /// block: this rank's entries — every rank brings the same count, as to
 /// [`RankCtx::allreduce_slice`] — and how two ranks' entries merge, entry by
-/// entry; and behind them, its mask words, merged by OR (a crash-armed
-/// rank's crash mask, `recovery.rs`). The collective returns every rank's
-/// header merged, bitwise the same on every rank: a schedule folds the
-/// headers it receives in member order, never in delivery order (module
-/// docs, "Headers"). [`Header::none`] carries nothing.
-#[derive(Clone)]
+/// entry. The collective returns the merge of every rank's entries, bitwise
+/// the same on every rank: a schedule folds the headers it receives in
+/// member order, never in delivery order (module docs, "Headers").
+/// [`Header::none`] carries nothing.
 pub struct Header<H> {
     entries: Vec<H>,
     merge: fn(&H, &H) -> H,
-    mask: Vec<u64>,
 }
 
 impl Header<()> {
@@ -265,57 +254,40 @@ impl Header<()> {
     /// the wire, so the messages, their bytes and the clock are the
     /// collective's alone.
     pub fn none() -> Self {
-        Header::new(Vec::new(), |_, _| ())
+        Header {
+            entries: Vec::new(),
+            merge: |_, _| (),
+        }
     }
 }
 
 impl<H: Wire + Clone> Header<H> {
     /// This rank's `entries`, merged with other ranks' by `merge`.
     pub fn new(entries: Vec<H>, merge: fn(&H, &H) -> H) -> Self {
-        Header {
-            entries,
-            merge,
-            mask: Vec::new(),
-        }
+        Header { entries, merge }
     }
 
-    /// These entries with `mask` behind them. An empty mask is zero bytes.
-    pub fn with_mask(self, mask: Vec<u64>) -> Self {
-        Header { mask, ..self }
-    }
-
-    /// The entries and the mask: this rank's, or returned by a collective,
-    /// every rank's merged.
-    pub fn into_parts(self) -> (Vec<H>, Vec<u64>) {
-        (self.entries, self.mask)
-    }
-
-    /// The same merge over other entries and mask: what a rank received, or
-    /// a forwarder puts on the second hop.
-    fn with(&self, entries: Vec<H>, mask: Vec<u64>) -> Self {
+    /// The same merge over other entries: what a forwarder puts on the
+    /// second hop.
+    fn with(&self, entries: Vec<H>) -> Self {
         Header {
             entries,
             merge: self.merge,
-            mask,
         }
     }
 
-    /// One message: the header's entries, its mask, then `block`.
+    /// One message: the header's entries, then `block`.
     fn message<T: Wire>(&self, block: &[T]) -> Vec<u8> {
-        let words = self.mask.len() * u64::SIZE;
-        let mut out =
-            Vec::with_capacity(self.entries.len() * H::SIZE + words + block.len() * T::SIZE);
+        let mut out = Vec::with_capacity(self.entries.len() * H::SIZE + block.len() * T::SIZE);
         H::write_slice(&self.entries, &mut out);
-        u64::write_slice(&self.mask, &mut out);
         T::write_slice(block, &mut out);
         out
     }
 
     /// The header and block of the message member `src` sent under `tag`. A
-    /// message too short for this header's count of entries and mask words,
-    /// or a block that is not whole `T`s, leaves as the typed decode error
-    /// naming `src`.
-    fn receive<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> (Self, Vec<T>) {
+    /// message too short for this header's count of entries, or a block
+    /// that is not whole `T`s, leaves as the typed decode error naming `src`.
+    fn receive<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> (Vec<H>, Vec<T>) {
         let msg = ctx.recv_bytes_class(src, tag);
         let mut pos = 0;
         let head: Option<Vec<H>> = self
@@ -326,35 +298,23 @@ impl<H: Wire + Clone> Header<H> {
         let Some(head) = head else {
             ctx.decode_failure(src, msg.len(), H::SIZE)
         };
-        let mask: Option<Vec<u64>> = self
-            .mask
-            .iter()
-            .map(|_| u64::read(&msg, &mut pos))
-            .collect();
-        let Some(mask) = mask else {
-            ctx.decode_failure(src, msg.len(), u64::SIZE)
-        };
         let block = &msg[pos..];
         match decode_vec_checked(block) {
-            Ok(items) => (self.with(head, mask), items),
+            Ok(items) => (head, items),
             Err(e) => ctx.decode_failure(src, e.len, e.elem_size),
         }
     }
 
-    /// `acc ← acc ⊕ next`, entry by entry and word by word; the first header
-    /// folded in is taken as it is.
-    fn fold(acc: &mut Option<Self>, next: Self) {
+    /// `acc ← acc ⊕ next`, entry by entry; the first header folded in is
+    /// taken as it is.
+    fn fold(&self, acc: &mut Option<Vec<H>>, next: Vec<H>) {
         *acc = Some(match acc.take() {
             None => next,
-            Some(a) => {
-                let entries = (a.entries.iter().zip(&next.entries))
-                    .map(|(x, y)| (a.merge)(x, y))
-                    .collect();
-                let mask = (a.mask.iter().zip(&next.mask))
-                    .map(|(x, y)| x | y)
-                    .collect();
-                a.with(entries, mask)
-            }
+            Some(a) => a
+                .iter()
+                .zip(&next)
+                .map(|(a, b)| (self.merge)(a, b))
+                .collect(),
         });
     }
 }
@@ -415,7 +375,7 @@ impl Grid {
         &mut self,
         ctx: &mut RankCtx,
         (out, header): (Vec<Vec<T>>, &Header<H>),
-    ) -> (Vec<Vec<T>>, Header<H>) {
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         let s_n = self.row.size();
         assert_eq!(
             out.len(),
@@ -428,7 +388,7 @@ impl Grid {
             .collect();
         let (held, column) = self.col.alltoallv_with(ctx, bundles, header);
         let forwards = self.regroup(ctx, &held);
-        self.deliver(ctx, forwards, &column)
+        self.deliver(ctx, forwards, &header.with(column))
     }
 
     /// Between the hops: `held[g]` is the bundle `(g, i)` sent this rank, its
@@ -453,7 +413,7 @@ impl Grid {
         ctx: &mut RankCtx,
         forwards: Vec<Vec<u8>>,
         column: &Header<H>,
-    ) -> (Vec<Vec<T>>, Header<H>) {
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         let (got, merged) = self.row.alltoallv_with(ctx, forwards, column);
         (self.unpack(ctx, &got), merged)
     }
@@ -466,9 +426,11 @@ impl Grid {
         &mut self,
         ctx: &mut RankCtx,
         (mine, header): (&[T], &Header<H>),
-    ) -> (Vec<Vec<T>>, Header<H>) {
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         let (held, column) = self.col.allgatherv_with(ctx, &encode_slice(mine), header);
-        let (got, merged) = self.row.allgatherv_with(ctx, &frame(held.iter()), &column);
+        let (got, merged) =
+            self.row
+                .allgatherv_with(ctx, &frame(held.iter()), &header.with(column));
         (self.unpack(ctx, &got), merged)
     }
 
@@ -587,39 +549,6 @@ impl RankCtx {
         )))
     }
 
-    /// Send an allreduce's partial reduction: the values, then the mask
-    /// words (none: the values' bytes alone).
-    fn send_reduced<T: Wire>(
-        &mut self,
-        dest: usize,
-        tag: Tag,
-        (values, mask): &(Vec<T>, Vec<u64>),
-    ) {
-        let mut bytes = encode_slice(values);
-        u64::write_slice(mask, &mut bytes);
-        self.send_bytes_class(dest, tag, bytes, TrafficClass::Collective);
-    }
-
-    /// Receive a partial reduction of `counts` values and mask words from
-    /// machine rank `src`. Any other length is the typed decode error, as
-    /// in [`recv_coll_checked`](Self::recv_coll_checked).
-    fn recv_reduced<T: Wire>(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        (n, m): (usize, usize),
-    ) -> (Vec<T>, Vec<u64>) {
-        let buf = self.recv_bytes_class(src, tag);
-        let cut = n * T::SIZE;
-        if buf.len() == cut + m * u64::SIZE {
-            let (values, mask) = buf.split_at(cut);
-            if let (Ok(values), Ok(mask)) = (decode_vec_checked(values), decode_vec_checked(mask)) {
-                return (values, mask);
-            }
-        }
-        self.decode_failure(src, buf.len(), T::SIZE)
-    }
-
     /// Receive a collective payload of any length from machine rank `src`.
     pub(crate) fn recv_coll<T: Wire>(&mut self, src: usize, tag: Tag) -> Vec<T> {
         self.recv_coll_checked(src, tag, None)
@@ -670,21 +599,8 @@ impl RankCtx {
         values: Vec<T>,
         combine: impl Fn(&T, &T) -> T,
     ) -> Vec<T> {
-        self.allreduce_masked(values, Vec::new(), combine).0
-    }
-
-    /// [`allreduce_slice`](Self::allreduce_slice) with `mask` words behind
-    /// the values on every message, merged by OR (a crash-armed rank's
-    /// crash mask, `recovery.rs`). Every rank brings as many words; an empty
-    /// mask is zero bytes.
-    pub fn allreduce_masked<T: Wire + Clone>(
-        &mut self,
-        values: Vec<T>,
-        mask: Vec<u64>,
-        combine: impl Fn(&T, &T) -> T,
-    ) -> (Vec<T>, Vec<u64>) {
         self.collective(TraceCode::Allreduce, |ctx, who, tag| {
-            allreduce_schedule(ctx, who, |i| i, tag, (values, mask), combine)
+            allreduce_schedule(ctx, who, |i| i, tag, values, combine)
         })
     }
 
@@ -714,7 +630,7 @@ impl RankCtx {
     fn allgatherv_with<T: Wire + Clone, H: Wire + Clone>(
         &mut self,
         (mine, header): (&[T], &Header<H>),
-    ) -> (Vec<Vec<T>>, Header<H>) {
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.collective(TraceCode::Allgatherv, |ctx, who, tag| {
             allgatherv_schedule(ctx, who, |i| i, tag, mine, header)
         })
@@ -747,7 +663,7 @@ impl RankCtx {
     fn alltoallv_with<T: Wire + Clone, H: Wire + Clone>(
         &mut self,
         (out, header): (Vec<Vec<T>>, &Header<H>),
-    ) -> (Vec<Vec<T>>, Header<H>) {
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.collective(TraceCode::Alltoallv, |ctx, who, tag| {
             alltoallv_schedule(ctx, who, |i| i, tag, out, header)
         })
@@ -765,7 +681,7 @@ impl RankCtx {
         route: Route,
         out: Vec<Vec<T>>,
         header: Header<H>,
-    ) -> (Vec<Vec<T>>, Header<H>) {
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.on_grid(
             route,
             (out, &header),
@@ -787,7 +703,7 @@ impl RankCtx {
         route: Route,
         mine: &[T],
         header: Header<H>,
-    ) -> (Vec<Vec<T>>, Header<H>) {
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.on_grid(
             route,
             (mine, &header),
@@ -1651,7 +1567,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .all(|(s, b)| *b == ragged(s, me, p)));
-            merged.push(m.into_parts().0);
+            merged.push(m);
         }
         for route in [Route::Direct, Route::Grouped] {
             let (blocks, m) = ctx.allgatherv_routed(route, &gather_block(me, false), head());
@@ -1659,7 +1575,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .all(|(s, b)| *b == gather_block(s, false)));
-            merged.push(m.into_parts().0);
+            merged.push(m);
         }
         merged.push(ctx.allreduce_slice(offers(me), merge_offer));
         merged.try_into().expect("five")
@@ -1680,47 +1596,6 @@ mod tests {
             for (me, merged) in rep.results.iter().enumerate() {
                 for (i, m) in merged.iter().enumerate() {
                     assert_eq!(bits(m), reduced, "{topo:?} p={p} rank {me} call {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn header_mask_merges_by_or_on_every_collective() {
-        // each rank sets its own bit of a ⌈P/64⌉-word mask behind the
-        // offers; every routed call and the masked allreduce return every
-        // rank's bit and the offers as they merge without a mask. At 70
-        // ranks the mask takes a second word.
-        for (topo, p) in gather_machines()
-            .into_iter()
-            .chain([(Topology::Crossbar, 70)])
-        {
-            let rep = Machine::new(MachineConfig::with_ranks(p).topology(topo)).run(|ctx| {
-                let me = ctx.rank();
-                let mut mask = vec![0u64; ctx.size().div_ceil(64)];
-                mask[me / 64] |= 1 << (me % 64);
-                let head = || Header::new(offers(me), merge_offer).with_mask(mask.clone());
-                let mut merged = Vec::new();
-                for route in [Route::Direct, Route::Grouped] {
-                    let out = (0..p).map(|d| ragged(me, d, p)).collect::<Vec<_>>();
-                    merged.push(ctx.alltoallv_routed(route, out, head()).1.into_parts());
-                    let block = gather_block(me, false);
-                    merged.push(ctx.allgatherv_routed(route, &block, head()).1.into_parts());
-                }
-                merged.push(ctx.allreduce_masked(offers(me), mask.clone(), merge_offer));
-                let plain = ctx.allreduce_slice(offers(me), merge_offer);
-                (merged, plain)
-            });
-            let all: Vec<u64> = (0..p.div_ceil(64))
-                .map(|w| (w * 64..p.min(w * 64 + 64)).fold(0, |m, r| m | 1 << (r % 64)))
-                .collect();
-            for (merged, plain) in &rep.results {
-                for (entries, mask) in merged {
-                    assert_eq!(mask, &all, "{topo:?} p={p}");
-                    assert_eq!(entries.len(), plain.len(), "{topo:?} p={p}");
-                    for (a, b) in entries.iter().zip(plain) {
-                        assert_eq!((a.0, a.1, a.2.to_bits()), (b.0, b.1, b.2.to_bits()));
-                    }
                 }
             }
         }
@@ -1776,7 +1651,6 @@ mod tests {
                     ctx.alltoallv_routed(route, vec![Vec::<u8>::new(); 6], head)
                         .1
                 }
-                .into_parts()
             });
             match res {
                 Err(FaultEscalation::Transport(TransportError::Decode {

@@ -310,7 +310,14 @@ impl CrashPlan {
 
     /// True when any crash source is enabled.
     pub fn is_active(&self) -> bool {
-        self.rate > 0.0 || self.forced.iter().any(|&w| w != NO_FORCED)
+        self.rate > 0.0 || self.forced_ranks().next().is_some()
+    }
+
+    /// The ranks the forced crash windows name, one per window.
+    pub(crate) fn forced_ranks(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.forced.iter())
+            .filter(|&&w| w != NO_FORCED)
+            .map(|&(rank, _)| rank as usize)
     }
 
     /// Validate the plan (CLI plumbing aid).

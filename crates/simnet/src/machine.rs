@@ -155,9 +155,17 @@ type RankOutcome<R> = (
 );
 
 impl Machine {
-    /// Build a machine from `cfg`. Panics if `cfg.ranks == 0`.
+    /// Build a machine from `cfg`. Panics if `cfg.ranks == 0`, or if the
+    /// crash plan forces a crash on a rank the machine lacks (a window
+    /// that would never fire).
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(cfg.ranks > 0, "a machine needs at least one rank");
+        if let Some(rank) = cfg.crash.forced_ranks().find(|&r| r >= cfg.ranks) {
+            panic!(
+                "invalid crash plan: a forced crash on rank {rank}, but the machine has {} ranks",
+                cfg.ranks
+            );
+        }
         Machine { cfg }
     }
 
@@ -447,6 +455,13 @@ mod tests {
             // flag raised by rank 1's teardown unblocks it with a panic.
             ctx.recv::<u64>(1, 9);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "a forced crash on rank 4, but the machine has 4 ranks")]
+    fn forced_crash_on_a_missing_rank_is_refused() {
+        let plan = CrashPlan::none().with_forced(4, 0);
+        Machine::new(MachineConfig::with_ranks(4).crashes(plan));
     }
 
     #[test]

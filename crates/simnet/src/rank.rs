@@ -104,12 +104,12 @@ pub struct RankCtx {
     /// machine pays zero overhead and keeps the historical lossless byte
     /// accounting bit-for-bit.
     reliable: Option<Box<SenderTransport>>,
-    /// Crash-fault state (lottery, restore budget, recovery tag space);
-    /// `Some` only when the machine's [`CrashPlan`] is active. It lives
-    /// here rather than in [`crate::recovery::Recovery`] because it must
-    /// outlive individual kernel runs: the lottery's draw stream and the
-    /// job-wide restore budget are monotone across every kernel a rank
-    /// executes.
+    /// Crash-fault state (every rank's lottery, restore budget, recovery
+    /// tag space); `Some` only when the machine's [`CrashPlan`] is active.
+    /// It lives here rather than in [`crate::recovery::Recovery`] because
+    /// it must outlive individual kernel runs: the lotteries' draw streams
+    /// and the job-wide restore budget are monotone across every kernel a
+    /// rank executes.
     crash: Option<Box<CrashState>>,
     /// Trace buffer; `Some` only when the machine's
     /// [`TraceConfig`](crate::trace::TraceConfig) is enabled, so an
@@ -152,7 +152,7 @@ impl RankCtx {
             crash: cfg
                 .crash
                 .is_active()
-                .then(|| Box::new(CrashState::new(cfg.crash, rank))),
+                .then(|| Box::new(CrashState::new(cfg.crash, size))),
             trace: cfg.trace.enabled.then(|| Box::new(TraceBuf::new(rank))),
         }
     }
@@ -339,13 +339,13 @@ impl RankCtx {
         self.crash.as_ref().expect("crash plan active").plan
     }
 
-    /// Draw this rank's crash lottery for one recovery probe.
-    pub(crate) fn crash_draw(&mut self) -> bool {
-        self.crash
-            .as_mut()
-            .expect("crash plan active")
-            .lottery
-            .crash_now()
+    /// Draw every rank's crash lottery for one recovery probe: the ranks
+    /// that die here, in rank order, the same on every rank.
+    pub(crate) fn crash_draw(&mut self) -> Vec<usize> {
+        let crash = self.crash.as_mut().expect("crash plan active");
+        (crash.lotteries.iter_mut().enumerate())
+            .filter_map(|(r, lottery)| lottery.crash_now().then_some(r))
+            .collect()
     }
 
     /// Account `n` freshly agreed crashes against the job-wide restore

@@ -8,23 +8,21 @@
 //!
 //! * **Checkpoints** are taken at bucket boundaries (collectively
 //!   consistent points of the kernel loop), just before the boundary's
-//!   crash draw, once [`CrashPlan::checkpoint_interval`] probes have passed
-//!   counting that one. Each rank encodes its mutable kernel state through
-//!   the [`Checkpoint`] trait, keeps the bytes locally, and ships a replica
-//!   to its *buddy* rank `(r + 1) % p` — the in-memory equivalent of
-//!   buddy-node checkpointing.
-//! * **Detection** is deterministic: at every probe point each rank draws
-//!   its seeded [`CrashLottery`](crate::fault::CrashLottery) into a crash
-//!   mask ([`Recovery::draw`], one word per 64 ranks), and the mask rides
-//!   the agreement the probe point makes anyway — an allreduce's or a
-//!   header's mask words ([`RankCtx::allreduce_masked`],
-//!   [`Header::with_mask`](crate::Header::with_mask)), merged by OR — so
-//!   every survivor reads the identical verdict ([`Recovery::verdict`])
-//!   when that collective returns, and a probe costs no collective of its
-//!   own. A crash drawn before a superstep is acted on after it; the
-//!   rollback discards that superstep with the rest. Survivors charge the
-//!   plan's `detect_timeout_s` of virtual wait — the timeout-at-the-next-
-//!   collective failure-detector model.
+//!   agreement and crash probe, once [`CrashPlan::checkpoint_interval`]
+//!   probes have passed counting that one. Each rank encodes its mutable
+//!   kernel state through the [`Checkpoint`] trait, keeps the bytes
+//!   locally, and ships a replica to its *buddy* rank `(r + 1) % p` — the
+//!   in-memory equivalent of buddy-node checkpointing.
+//! * **Detection** is deterministic and sends nothing. A rank's
+//!   [`CrashLottery`](crate::fault::CrashLottery) is a pure function of
+//!   `(seed, rank, draw index)`, so every rank holds every rank's lottery
+//!   and at every probe point ([`Recovery::probe`]) draws all of them:
+//!   every survivor reads the identical crashed set without a message. A
+//!   probe sits just after the collective that ends its step (a boundary's
+//!   agreement, a light step's exchange), so a crash is acted on when that
+//!   collective returns, and the rollback discards the step with the rest.
+//!   Survivors charge the plan's `detect_timeout_s` of virtual wait — the
+//!   timeout-at-the-next-collective failure-detector model.
 //! * **Restore-and-replay**: on a crash verdict every rank rolls back to
 //!   the last checkpoint (the crashed rank's copy is re-shipped by its
 //!   buddy after `respawn_s`), redundancy is re-established, and the loop
@@ -47,8 +45,8 @@
 //! a retry-budget-exhausted link (carried out of the transport by panic
 //! payload and surfaced as `Err` by [`Machine::try_run`]), an exhausted
 //! recovery budget, or a checkpoint lost because a rank and its buddy died
-//! in the same window. Recovery errors are *agreement-backed*: every rank
-//! computes the identical verdict from the identical mask, so every rank
+//! in the same window. Recovery errors are *deterministic*: every rank
+//! computes the identical verdict from the identical draws, so every rank
 //! returns the same `Err` from the same collective point — which is what
 //! lets the query engine retry or shed a window in lockstep instead of
 //! deadlocking.
@@ -77,7 +75,7 @@ pub enum FaultEscalation {
     /// mid-collective, so no consistent recovery point exists.
     Transport(TransportError),
     /// More rank crashes than the recovery budget allows. Returned
-    /// identically by every rank from the agreement round.
+    /// identically by every rank from the same probe.
     RecoveryBudgetExhausted {
         /// The plan's recovery budget.
         budget: u32,
@@ -176,15 +174,16 @@ pub mod codec {
 }
 
 /// Per-rank crash machinery that outlives individual kernel runs (the
-/// query engine runs many windows against one [`RankCtx`]): the lottery's
-/// monotone draw stream, the job-wide restore budget, and the recovery tag
-/// namespace. Lives inside `RankCtx`; updated only at collectively
-/// consistent points, so its fields agree across ranks wherever agreement
-/// matters (`restores_used`, `recovery_seq`).
+/// query engine runs many windows against one [`RankCtx`]): every rank's
+/// lottery, the job-wide restore budget, and the recovery tag namespace.
+/// Lives inside `RankCtx`; updated only at collectively consistent points,
+/// so its fields agree across ranks.
 pub(crate) struct CrashState {
     pub(crate) plan: CrashPlan,
-    pub(crate) lottery: CrashLottery,
-    /// Crashes recovered so far across the whole job (agreed verdicts, so
+    /// The lotteries of ranks `0..P`, drawn all at once at every probe:
+    /// O(P) memory a rank and O(P) draws a probe.
+    pub(crate) lotteries: Vec<CrashLottery>,
+    /// Crashes recovered so far across the whole job (the same draws, so
     /// identical on every rank).
     pub(crate) restores_used: u32,
     /// Monotone namespace counter for recovery-traffic tags.
@@ -192,10 +191,12 @@ pub(crate) struct CrashState {
 }
 
 impl CrashState {
-    pub(crate) fn new(plan: CrashPlan, rank: usize) -> Self {
+    pub(crate) fn new(plan: CrashPlan, ranks: usize) -> Self {
         CrashState {
             plan,
-            lottery: CrashLottery::for_rank(&plan, rank),
+            lotteries: (0..ranks)
+                .map(|r| CrashLottery::for_rank(&plan, r))
+                .collect(),
             restores_used: 0,
             recovery_seq: 0,
         }
@@ -205,12 +206,10 @@ impl CrashState {
 /// One kernel run's checkpoint/restore driver. Obtained from
 /// [`Recovery::begin`] at kernel entry (`None` when the machine has no
 /// crash plan — the fault-free path stays zero-cost); the kernel then
-/// draws with [`Recovery::bucket_boundary`] at the top of its outer bucket
-/// loop and with [`Recovery::draw`] before inner supersteps, carries the
-/// words on the collective that point makes, and hands the merged words to
-/// [`Recovery::verdict`], which returns `Ok(true)` when a crash was
-/// recovered and the caller must restart its outer loop from the restored
-/// state.
+/// calls [`Recovery::bucket_boundary`] at the top of its outer bucket loop
+/// and [`Recovery::probe`] after the boundary's agreement and after every
+/// inner superstep. A probe returns `Ok(true)` when a crash was recovered
+/// and the caller must restart its outer loop from the restored state.
 pub struct Recovery {
     interval: u64,
     /// Probes passed since kernel entry.
@@ -247,46 +246,28 @@ impl Recovery {
 
     /// Bucket-boundary hook for the outer bucket loop: takes the periodic
     /// checkpoint when it falls due, counting the boundary's coming probe
-    /// in the interval, then draws that probe ([`draw`](Self::draw)). A
-    /// crash drawn here rolls back to the snapshot just taken.
-    pub fn bucket_boundary(&mut self, ctx: &mut RankCtx, state: &dyn Checkpoint) -> Vec<u64> {
+    /// in the interval. A crash that probe draws rolls back to the
+    /// snapshot just taken.
+    pub fn bucket_boundary(&mut self, ctx: &mut RankCtx, state: &dyn Checkpoint) {
         let reached = self.epoch + 1;
         if reached - self.ckpt_epoch >= self.interval {
             // labelled with the epoch the boundary reaches when its probe
             // passes: the state is the same either side of the probe
             self.take_checkpoint(ctx, state, reached);
         }
-        self.draw(ctx)
     }
 
-    /// One crash probe's draw at a collectively consistent point: the
-    /// rank's crash mask, one word per 64 ranks with this rank's bit set if
-    /// its lottery fires. The words ride the agreement the probe point
-    /// makes anyway, merged by OR, and the merge goes to
-    /// [`verdict`](Self::verdict).
-    pub fn draw(&self, ctx: &mut RankCtx) -> Vec<u64> {
-        let me = ctx.rank();
-        let mut mask = vec![0u64; ctx.size().div_ceil(64)];
-        if ctx.crash_draw() {
-            mask[me / 64] |= 1 << (me % 64);
-        }
-        mask
-    }
-
-    /// Act on a probe's `mask`, every rank's draw merged: every rank reads
-    /// the same verdict from the same words. No bit set, the probe passes;
-    /// otherwise every rank rolls `state` back to the last checkpoint, and
-    /// whatever ran since the draw is discarded with the rest. Returns
-    /// `Ok(true)` after a restore.
-    pub fn verdict(
+    /// Crash probe at a collectively consistent point: draw every rank's
+    /// lottery, the same draws on every rank. No rank dies, the probe
+    /// passes; otherwise every rank rolls `state` back to the last
+    /// checkpoint, and whatever ran since is discarded with the rest.
+    /// Returns `Ok(true)` after a restore.
+    pub fn probe(
         &mut self,
         ctx: &mut RankCtx,
         state: &mut dyn Checkpoint,
-        mask: &[u64],
     ) -> Result<bool, FaultEscalation> {
-        let crashed: Vec<usize> = (0..ctx.size())
-            .filter(|r| (mask[r / 64] >> (r % 64)) & 1 == 1)
-            .collect();
+        let crashed = ctx.crash_draw();
         if crashed.is_empty() {
             self.epoch += 1;
             self.close_replay(ctx);
@@ -449,9 +430,8 @@ mod tests {
     }
 
     /// Shaped like the bucket-epoch driver: every other step opens at a
-    /// boundary (checkpoint if due, then the draw), the others draw as a
-    /// light step does. Each step's allreduce carries the draw, and the
-    /// verdict is read once the step is done.
+    /// boundary (checkpoint if due), and every step ends with its allreduce
+    /// and then a probe.
     fn iter_prog(ctx: &mut RankCtx) -> Result<Vec<u64>, FaultEscalation> {
         let mut st = IterState {
             step: 0,
@@ -459,19 +439,17 @@ mod tests {
         };
         let mut rec = Recovery::begin(ctx, &st);
         while st.step < 12 {
-            let mask = match rec.as_mut() {
-                Some(r) if st.step.is_multiple_of(2) => r.bucket_boundary(ctx, &st),
-                Some(r) => r.draw(ctx),
-                None => Vec::new(),
-            };
-            let (total, mask) = ctx.allreduce_masked(vec![st.vals[0]], mask, |a, b| a + b);
+            if let Some(r) = rec.as_mut().filter(|_| st.step.is_multiple_of(2)) {
+                r.bucket_boundary(ctx, &st);
+            }
+            let total = ctx.allreduce_sum(st.vals[0]);
             for v in st.vals.iter_mut() {
-                *v = v.wrapping_mul(31).wrapping_add(total[0]);
+                *v = v.wrapping_mul(31).wrapping_add(total);
             }
             st.step += 1;
             if let Some(r) = rec.as_mut() {
                 // on a restore `st.step` rewinds with the state, to a boundary
-                r.verdict(ctx, &mut st, &mask)?;
+                r.probe(ctx, &mut st)?;
             }
         }
         if let Some(r) = rec {

@@ -157,8 +157,8 @@ impl SubComm {
         value: T,
         combine: impl Fn(&T, &T) -> T,
     ) -> T {
-        let (mut out, _) = self.collective(ctx, TraceCode::Allreduce, |ctx, who, global, tag| {
-            allreduce_schedule(ctx, who, global, tag, (vec![value], Vec::new()), combine)
+        let mut out = self.collective(ctx, TraceCode::Allreduce, |ctx, who, global, tag| {
+            allreduce_schedule(ctx, who, global, tag, vec![value], combine)
         });
         out.pop().expect("one element in, one out")
     }
@@ -190,7 +190,7 @@ impl SubComm {
         ctx: &mut RankCtx,
         mine: &[T],
         header: &Header<H>,
-    ) -> (Vec<Vec<T>>, Header<H>) {
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.collective(ctx, TraceCode::Allgatherv, |ctx, who, global, tag| {
             allgatherv_schedule(ctx, who, global, tag, mine, header)
         })
@@ -213,7 +213,7 @@ impl SubComm {
         ctx: &mut RankCtx,
         out: Vec<Vec<T>>,
         header: &Header<H>,
-    ) -> (Vec<Vec<T>>, Header<H>) {
+    ) -> (Vec<Vec<T>>, Vec<H>) {
         self.collective(ctx, TraceCode::Alltoallv, |ctx, who, global, tag| {
             alltoallv_schedule(ctx, who, global, tag, out, header)
         })

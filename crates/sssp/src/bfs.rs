@@ -27,7 +27,7 @@ use crate::epoch::{run_bucket_epochs, Agreed, BucketKernel, Offer, SuperstepSpan
 use g500_graph::{Bitmap, VertexId, NO_PARENT};
 use g500_partition::{gather_to_root, LocalGraph, VertexPartition};
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
-use simnet::{Header, RankCtx, Route, TraceCode, Wire};
+use simnet::{Header, RankCtx, TraceCode, Wire};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -123,16 +123,8 @@ impl<P: VertexPartition> BucketKernel for Bfs<'_, P> {
     }
 
     /// Expand level `k` by push or pull, as `agreed`'s sums choose, and
-    /// make what it reached the frontier. The level's one collective, its
-    /// claims' all-to-all or its frontier's allgather, carries the crash
-    /// mask as its header (none on a fault-free machine).
-    fn light_step(
-        &mut self,
-        ctx: &mut RankCtx,
-        k: u64,
-        agreed: &[Agreement],
-        mask: Vec<u64>,
-    ) -> (Vec<Agreement>, Vec<u64>) {
+    /// make what it reached the frontier.
+    fn light_step(&mut self, ctx: &mut RankCtx, k: u64, agreed: &[Agreement]) -> Vec<Agreement> {
         let (f_size, f_arcs, unexplored) = agreed[0].1;
         let use_pull = match self.direction {
             Direction::Push => false,
@@ -147,8 +139,6 @@ impl<P: VertexPartition> BucketKernel for Bfs<'_, P> {
         let span = SuperstepSpan::open(ctx, self.stats.supersteps, 0, self.stats.relaxations);
 
         let mut next: Vec<u32> = Vec::new();
-        let header = Header::none().with_mask(mask);
-        let carried;
         if use_pull {
             self.stats.pull_iterations += 1;
             // Frontier membership travels one of two ways, picked by
@@ -164,9 +154,9 @@ impl<P: VertexPartition> BucketKernel for Bfs<'_, P> {
                 }
                 // every rank's block is the whole bitmap
                 let bytes = (bm.words().len() * <u64 as Wire>::SIZE) as f64;
-                let (blocks, header) =
-                    ctx.allgatherv_routed(ctx.allgatherv_route(bytes), bm.words(), header);
-                carried = header.into_parts().1;
+                let blocks = ctx
+                    .allgatherv_routed(ctx.allgatherv_route(bytes), bm.words(), Header::none())
+                    .0;
                 let mut merged = Bitmap::new(n_global as usize);
                 for words in blocks {
                     merged.union_with(&Bitmap::from_words(n_global as usize, words));
@@ -179,9 +169,9 @@ impl<P: VertexPartition> BucketKernel for Bfs<'_, P> {
                     .map(|&v| part.to_global(me, v as usize))
                     .collect();
                 let bytes = (f_size as usize * <u64 as Wire>::SIZE) as f64 / p as f64;
-                let (blocks, header) =
-                    ctx.allgatherv_routed(ctx.allgatherv_route(bytes), &mine, header);
-                carried = header.into_parts().1;
+                let blocks = ctx
+                    .allgatherv_routed(ctx.allgatherv_route(bytes), &mine, Header::none())
+                    .0;
                 let fset: HashSet<u64> = blocks.into_iter().flatten().collect();
                 ctx.charge_compute(fset.len() as u64);
                 Box::new(move |v: u64| fset.contains(&v))
@@ -235,8 +225,7 @@ impl<P: VertexPartition> BucketKernel for Bfs<'_, P> {
                 b.dedup_by_key(|c| c.0);
                 self.stats.updates_sent += b.len() as u64;
             }
-            let (mut incoming, header) = ctx.alltoallv_routed(Route::Direct, out, header);
-            carried = header.into_parts().1;
+            let mut incoming = ctx.alltoallv(out);
             // Claims are applied in the (possibly fuzzed) delivery order;
             // level assignment is first-claim-wins, so parents may differ
             // across orders but levels never do.
@@ -258,7 +247,7 @@ impl<P: VertexPartition> BucketKernel for Bfs<'_, P> {
         self.frontier = next;
         self.stats.supersteps += 1;
         span.close(ctx, self.stats.supersteps, self.stats.relaxations);
-        (vec![(k, (0, 0, 0))], carried)
+        vec![(k, (0, 0, 0))]
     }
 
     /// Level `k` is done: the next one opens on the frontier it reached.
@@ -340,7 +329,7 @@ mod tests {
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
             let before = ctx.stats().coll_bytes;
-            agree::<Frontier>(ctx, vec![(0, (0, 0, 0))], Vec::new());
+            agree::<Frontier>(ctx, vec![(0, (0, 0, 0))]);
             let agreement = ctx.stats().coll_bytes - before;
             let before = ctx.stats().coll_bytes;
             let (res, stats) = distributed_bfs(ctx, &g, root, dir).expect("no faults");

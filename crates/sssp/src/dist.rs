@@ -654,8 +654,7 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
         ctx: &mut RankCtx,
         k: u64,
         agreed: &[Agreed<Sums>],
-        mut mask: Vec<u64>,
-    ) -> (Vec<Agreed<Sums>>, Vec<u64>) {
+    ) -> Vec<Agreed<Sums>> {
         // The lanes that cannot choose without their frontier's own sums;
         // the others choose as they would alone, whatever company they keep.
         let opts = &self.opts;
@@ -676,19 +675,16 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
             .map(|lane| lane.step_offer(rows, k))
             .collect();
         let span = SuperstepSpan::open(ctx, self.stats.supersteps, 0, self.stats.relaxations);
-        // The crash mask rides the opening if the step opens, and the
-        // header its agreement comes back on otherwise.
         let opened = exact.contains(&true).then(|| {
             let route = self.route(ctx.alltoallv_route(0.0));
             let empty = vec![Vec::<u8>::new(); ctx.size()];
-            let header = Header::new(offers.clone(), merge_agreed::<Sums>)
-                .with_mask(std::mem::take(&mut mask));
-            ctx.alltoallv_routed(route, empty, header).1.into_parts()
+            let header = Header::new(offers.clone(), merge_agreed::<Sums>);
+            ctx.alltoallv_routed(route, empty, header).1
         });
         let (mut pushed_arcs, mut pulled) = (0, 0);
         for (s, lane) in self.lanes.iter_mut().enumerate() {
             let mut entry = &agreed[s];
-            if let (Some((sums, _)), true) = (&opened, exact[s]) {
+            if let (Some(sums), true) = (&opened, exact[s]) {
                 entry = &sums[s];
                 lane.known = Known::Exact;
                 if !lane.drains(entry) {
@@ -716,30 +712,23 @@ impl<P: VertexPartition, R: Record> BucketKernel for Kernel<'_, P, R> {
                 offer.1 .0 .4 = lane.toward;
             }
         }
-        let header = Header::new(offers, merge_agreed::<Sums>).with_mask(mask);
-        let (next, mask) = match (pushed, opened) {
-            (true, opened) => {
-                let merged = self.exchange_and_apply(ctx, pushed_arcs as f64, header, Wait::Bucket);
-                self.light_pull(ctx, pulled, Header::none());
-                let (next, mask) = merged.into_parts();
-                (next, opened.map_or(mask, |(_, mask)| mask))
-            }
-            (false, Some(exact)) => {
-                self.light_pull(ctx, pulled, Header::none());
-                exact
-            }
-            (false, None) => {
-                let merged = self.light_pull(ctx, pulled, header);
-                merged
-                    .expect("a step that neither opens nor pushes pulls")
-                    .into_parts()
-            }
+        let header = Header::new(offers, merge_agreed::<Sums>);
+        let next = if pushed {
+            let next = self.exchange_and_apply(ctx, pushed_arcs as f64, header, Wait::Bucket);
+            self.light_pull(ctx, pulled, Header::none());
+            next
+        } else if let Some(exact) = opened {
+            self.light_pull(ctx, pulled, Header::none());
+            exact
+        } else {
+            let next = self.light_pull(ctx, pulled, header);
+            next.expect("a step that neither opens nor pushes pulls")
         };
         self.stats.supersteps += 1;
         span.close(ctx, self.stats.supersteps, self.stats.relaxations);
         self.phase_frontier += next.iter().map(|(_, (bucket, _))| bucket.0).sum::<u64>();
         self.follow(k, &next);
-        (next, mask)
+        next
     }
 
     /// The heavy-edge phase (once per settled vertex), each lane by the
@@ -1293,7 +1282,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         records: f64,
         header: Header<H>,
         wait: Wait,
-    ) -> Header<H> {
+    ) -> Vec<H> {
         let route = self.exchange_route(ctx, records);
         let (outcome, merged) = exchange_into(ctx, &mut self.xbufs, &self.opts, route, header);
         self.stats.updates_sent += outcome.records_sent;
@@ -1345,7 +1334,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         ctx: &mut RankCtx,
         entries: u64,
         header: Header<H>,
-    ) -> Option<Header<H>> {
+    ) -> Option<Vec<H>> {
         let (me, part) = (ctx.rank(), self.rows.graph.part());
         let mut mine: Vec<(R::Tag, u64, f32)> = Vec::new();
         let mut pulled = false;

@@ -145,22 +145,20 @@ impl BucketKernel for Grid2DSssp {
     }
 
     /// The superstep, then — its row and column collectives reach no rank
-    /// outside them — one agreement on the next frontier, drained for it,
-    /// which carries the crash mask.
+    /// outside them — one agreement on the next frontier, drained for it.
     fn light_step(
         &mut self,
         ctx: &mut RankCtx,
         k: u64,
         agreed: &[Agreed<u64>],
-        mask: Vec<u64>,
-    ) -> (Vec<Agreed<u64>>, Vec<u64>) {
+    ) -> Vec<Agreed<u64>> {
         let frontier = std::mem::take(&mut self.frontier);
         self.bucket_frontier += agreed[0].1;
         self.settled.extend_from_slice(&frontier);
         let delta = self.buckets.delta();
         self.relax_round(ctx, &frontier, |w| w < delta, 0);
         self.collect_frontier(k as usize, true);
-        agree(ctx, vec![(k, self.frontier.len() as u64)], mask)
+        agree(ctx, vec![(k, self.frontier.len() as u64)])
     }
 
     /// The heavy pass over everything the bucket settled, then the

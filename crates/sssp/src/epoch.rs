@@ -5,16 +5,14 @@
 //! ```text
 //! epoch-0 checkpoint
 //! loop:
-//!     bucket boundary: periodic checkpoint, then the crash draw
-//!     agreed ← agree(each lane's own minimum bucket and offer, draw)
-//!     crash verdict                                       (restore → loop)
+//!     bucket boundary: periodic checkpoint
+//!     agreed ← agree(each lane's own minimum bucket and offer)
+//!     crash probe                                         (restore → loop)
 //!     k ← the lowest bucket any lane named                 (none → done)
 //!     open bucket k with `agreed`        (false → done: fused tail, retired)
 //!     while some lane drained something, by `agreed`:
-//!         crash draw
-//!         agreed ← one light-edge superstep of k, reading `agreed`, with
-//!                  the draw riding the collective that brings the agreement
-//!         crash verdict                        (restore → abandon k, loop)
+//!         agreed ← one light-edge superstep of k, reading `agreed`
+//!         crash probe                          (restore → abandon k, loop)
 //!     close bucket k: the heavy pass and per-bucket accounting
 //! ```
 //!
@@ -24,14 +22,15 @@
 //! order, its trace events, and how it comes by the agreement its successor
 //! reads — stays in the kernel behind [`BucketKernel`].
 //!
-//! A crash probe makes no collective of its own. On a crash-armed machine
-//! each draw is the rank's crash mask, one word per 64 ranks, and it rides
-//! the agreement its probe point makes anyway as mask words merged by OR:
-//! the boundary's allreduce, or the collective that brings a light step's
-//! agreement. Every rank reads the verdict from the merged words once that
-//! collective returns, so a crash drawn before a light step is acted on
-//! after it, and the rollback discards that step with the rest. Without a
-//! crash plan the mask is empty, and an empty mask is zero bytes.
+//! A crash probe makes no collective and sends no byte: every rank draws
+//! every rank's crash lottery (`simnet/recovery.rs`), so each reads the
+//! same crashed set without a message. A probe follows the collective that
+//! ends its step, the boundary's agreement or a light step's, so a crash is
+//! acted on when that collective returns — the timeout-at-the-next-
+//! collective detector — and the rollback discards the step with the rest.
+//! The fused tail is not a probe point: it runs inside `open_bucket`, after
+//! the boundary's probe, and its rounds draw nothing, so no crash is ever
+//! drawn inside the tail.
 //!
 //! An agreement is one `(k, offer)` per lane from every rank, merged lane by
 //! lane ([`merge_agreed`]). The lower `k` wins; what two offers say about a
@@ -121,17 +120,13 @@ pub(crate) trait BucketKernel: Checkpoint {
     /// One light-edge superstep of bucket `k` over the frontiers drained for
     /// it, `agreed` the agreement its predecessor (or the boundary) left;
     /// returns the agreement on what it drained, which its successor reads.
-    /// Called only while `agreed` says some lane drained something. `mask`
-    /// is this rank's crash draw (empty on a fault-free machine): it rides
-    /// the one collective that brings the step's agreement, and comes back
-    /// merged by OR beside it.
+    /// Called only while `agreed` says some lane drained something.
     fn light_step(
         &mut self,
         ctx: &mut RankCtx,
         k: u64,
         agreed: &[Agreed<Self::Offer>],
-        mask: Vec<u64>,
-    ) -> (Vec<Agreed<Self::Offer>>, Vec<u64>);
+    ) -> Vec<Agreed<Self::Offer>>;
 
     /// Bucket `k` reached its light-edge fixpoint: run the heavy pass and
     /// whatever per-bucket accounting follows it.
@@ -144,14 +139,9 @@ pub(crate) trait BucketKernel: Checkpoint {
 }
 
 /// One agreement allreduce: every rank leaves with, for each lane, the
-/// lowest offered bucket and the merged offer, bitwise the same everywhere,
-/// and with every rank's crash `mask` merged by OR.
-pub(crate) fn agree<O: Offer>(
-    ctx: &mut RankCtx,
-    offers: Vec<Agreed<O>>,
-    mask: Vec<u64>,
-) -> (Vec<Agreed<O>>, Vec<u64>) {
-    ctx.allreduce_masked(offers, mask, merge_agreed)
+/// lowest offered bucket and the merged offer, bitwise the same everywhere.
+pub(crate) fn agree<O: Offer>(ctx: &mut RankCtx, offers: Vec<Agreed<O>>) -> Vec<Agreed<O>> {
+    ctx.allreduce_slice(offers, merge_agreed)
 }
 
 /// Drive `kernel` to completion. Collective. On a fault-free machine
@@ -167,14 +157,13 @@ pub(crate) fn run_bucket_epochs<K: BucketKernel>(
     // search rather than losing it.
     let mut rec = Recovery::begin(ctx, kernel);
     'outer: loop {
-        let mask = match rec.as_mut() {
-            Some(r) => r.bucket_boundary(ctx, kernel),
-            None => Vec::new(),
-        };
-        let (mut agreed, mask) = agree(ctx, kernel.offer(), mask);
+        if let Some(r) = rec.as_mut() {
+            r.bucket_boundary(ctx, kernel);
+        }
+        let mut agreed = agree(ctx, kernel.offer());
         if let Some(r) = rec.as_mut() {
             // On a restore the rolled-back state re-enters the loop here.
-            if r.verdict(ctx, kernel, &mask)? {
+            if r.probe(ctx, kernel)? {
                 continue 'outer;
             }
         }
@@ -183,17 +172,12 @@ pub(crate) fn run_bucket_epochs<K: BucketKernel>(
             break;
         }
         while !agreed.iter().all(|(_, offer)| offer.drained_nothing()) {
-            let mask = match rec.as_ref() {
-                Some(r) => r.draw(ctx),
-                None => Vec::new(),
-            };
-            let (next, mask) = kernel.light_step(ctx, k, &agreed, mask);
-            agreed = next;
+            agreed = kernel.light_step(ctx, k, &agreed);
             if let Some(r) = rec.as_mut() {
                 // A mid-bucket crash rolls back to the last bucket-boundary
                 // checkpoint, the step just run with the rest; the bucket
                 // counter rewound with the state.
-                if r.verdict(ctx, kernel, &mask)? {
+                if r.probe(ctx, kernel)? {
                     kernel.abandon_bucket(ctx, k);
                     continue 'outer;
                 }
@@ -444,29 +428,39 @@ mod tests {
         }
     }
 
-    /// A crash-armed run draws at every bucket boundary and light step, and
-    /// the draw rides the agreement that point makes anyway (the boundary's
-    /// allreduce, a light step's exchange, broadcast, opening or closing
-    /// allreduce) as mask words merged by OR: arming a machine adds no
-    /// collective and no message, only the words' bytes. Armed here with a
-    /// crash no run reaches and a checkpoint interval none reaches either,
-    /// each kernel makes the fault-free run's collectives and collective
-    /// messages (less the epoch-0 checkpoint's one replica a rank), with
-    /// its allreduces in the same places and the same results.
+    /// A crash-armed run probes at every bucket boundary and light step,
+    /// and a probe draws every rank's lottery where it stands: arming a
+    /// machine adds no collective, no message and no byte besides its
+    /// checkpoints. Armed here with a crash no run reaches and a checkpoint
+    /// interval none reaches either, each kernel makes, rank by rank, the
+    /// fault-free run's collectives and its collective messages and bytes
+    /// (less the epoch-0 checkpoint's one replica a rank), the same
+    /// point-to-point traffic, its allreduces in the same places and the
+    /// same results.
     ///
-    /// At 72 ranks the mask takes two words, and a crash forced on rank 70
-    /// mid-run rolls back and replays to the fault-free results. There too
-    /// every agreement allreduce sits at a boundary, one a bucket, one to
-    /// end the run and one for each boundary that drew a crash — none
-    /// inside a bucket, where a separate probe would have made one a step.
+    /// At 72 ranks a crash forced on rank 70 — a lottery past the first 64
+    /// ranks, drawn on every rank — fires mid-run, rolls back and replays
+    /// to the fault-free results. There too every agreement allreduce sits
+    /// at a boundary, one a bucket, one to end the run and one for each
+    /// boundary that drew a crash — none inside a bucket, where a probe
+    /// allreduce would have made one a step.
     #[test]
     fn arming_a_crash_plan_adds_no_collective() {
         let armed = CrashPlan::none()
             .with_forced(0, u32::MAX - 1)
             .with_checkpoint_interval(u64::MAX);
         // each checkpoint ships its replica as one collective-class message
-        let counts = |net: Vec<NetStats>| -> Vec<(u64, u64)> {
-            let count = |n: NetStats| (n.collectives, n.coll_msgs - n.checkpoints);
+        // of the checkpoint's bytes
+        let counts = |net: Vec<NetStats>| -> Vec<[u64; 5]> {
+            let count = |n: NetStats| {
+                [
+                    n.collectives,
+                    n.coll_msgs - n.checkpoints,
+                    n.coll_bytes - n.checkpoint_bytes,
+                    n.user_msgs,
+                    n.user_bytes,
+                ]
+            };
             net.into_iter().map(count).collect()
         };
         let same = |name: &str, run: &(dyn Fn(&mut RankCtx) -> String + Sync)| {
@@ -479,7 +473,7 @@ mod tests {
             assert_eq!(
                 counts(crashy_net),
                 counts(net),
-                "{name}: collectives, messages"
+                "{name}: collectives; collective messages, bytes; user messages, bytes"
             );
         };
         let graph = |ctx: &mut RankCtx| {

@@ -28,9 +28,8 @@
 //! payload.
 //!
 //! An exchange also carries its caller's [`Header`] — a light step's
-//! offers, and on a crash-armed machine its crash mask — on the all-to-all
-//! it makes anyway (the counts all-to-all, on the one-message-per-update
-//! path), and returns every rank's merged.
+//! offers — on the all-to-all it makes anyway (the counts all-to-all, on
+//! the one-message-per-update path), and returns every rank's merged.
 
 use crate::codec::{dedup_min, Record};
 use crate::config::OptConfig;
@@ -104,7 +103,7 @@ pub fn exchange_into<R: Record, H: Wire + Clone>(
     opts: &OptConfig,
     route: Route,
     header: Header<H>,
-) -> (ExchangeOutcome, Header<H>) {
+) -> (ExchangeOutcome, Vec<H>) {
     let ExchangeBufs { out, incoming } = bufs;
     let p = ctx.size();
     assert_eq!(out.len(), p);
@@ -209,7 +208,7 @@ fn exchange_one_message_per_update<R: Record, H: Wire + Clone>(
     out: Vec<Vec<R>>,
     incoming: &mut Vec<R>,
     header: Header<H>,
-) -> Header<H> {
+) -> Vec<H> {
     let me = ctx.rank();
     let counts: Vec<Vec<u64>> = out.iter().map(|b| vec![b.len() as u64]).collect();
     let (counts_in, merged) = ctx.alltoallv_routed(Route::Direct, counts, header);
