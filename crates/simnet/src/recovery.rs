@@ -10,9 +10,17 @@
 //!   consistent points of the kernel loop), just before the boundary's
 //!   agreement and crash probe, once [`CrashPlan::checkpoint_interval`]
 //!   probes have passed counting that one. Each rank encodes its mutable
-//!   kernel state through the [`Checkpoint`] trait, keeps the bytes
-//!   locally, and ships a replica to its *buddy* rank `(r + 1) % p` — the
-//!   in-memory equivalent of buddy-node checkpointing.
+//!   kernel state through the [`Checkpoint`] trait and keeps the bytes
+//!   locally; its *buddy* rank `(r + 1) % p` holds a replica — the
+//!   in-memory equivalent of buddy-node checkpointing. The epoch-0
+//!   encoding is a pure function of the kernel's inputs (graph, root,
+//!   lanes), so it ships nowhere: every rank keeps its own as the *base*.
+//!   A later checkpoint ships the buddy only what changed since the last
+//!   encoding it sent, as a word delta (the new length, a dirty-word
+//!   bitmap, the 8-byte words that differ), and the buddy folds it into
+//!   its *overlay* of the predecessor's base — every word that differs
+//!   from it. The sender pays one encode-and-compare pass (`bytes / 8 + 1`
+//!   operations), the buddy one fold (`shipped / 8 + 1`).
 //! * **Detection** is deterministic and sends nothing. A rank's
 //!   [`CrashLottery`](crate::fault::CrashLottery) is a pure function of
 //!   `(seed, rank, draw index)`, so every rank holds every rank's lottery
@@ -24,10 +32,15 @@
 //!   Survivors charge the plan's `detect_timeout_s` of virtual wait — the
 //!   timeout-at-the-next-collective failure-detector model.
 //! * **Restore-and-replay**: on a crash verdict every rank rolls back to
-//!   the last checkpoint (the crashed rank's copy is re-shipped by its
-//!   buddy after `respawn_s`), redundancy is re-established, and the loop
-//!   replays. The crash lottery's draw counter is *never* rolled back, so
-//!   a crash window fires exactly once and replay terminates.
+//!   the last checkpoint and the loop replays. A crashed rank respawns
+//!   after `respawn_s`, rebuilds its base (charged as an encode) and
+//!   restores base ⊕ the overlay its buddy re-ships — from the base alone,
+//!   with no message, while the held checkpoint is epoch 0. The survivors'
+//!   replicas are still those of the rolled-back epoch, so redundancy needs
+//!   one message more a crash: the crashed rank's predecessor re-sends the
+//!   overlay the crash wiped, as its diff against its own base. The crash
+//!   lottery's draw counter is *never* rolled back, so a crash window fires
+//!   exactly once and replay terminates.
 //!
 //! ## Determinism contract
 //!
@@ -57,6 +70,7 @@ use crate::fault::{CrashLottery, CrashPlan};
 use crate::rank::{RankCtx, Tag, TrafficClass};
 use crate::trace::TraceCode;
 use crate::transport::TransportError;
+use delta::Overlay;
 
 /// Tags at or above this value (and below the subcomm space at `1 << 52`)
 /// are reserved for recovery traffic: checkpoint replication and restore
@@ -173,6 +187,125 @@ pub mod codec {
     }
 }
 
+/// Word deltas between checkpoint encodings. A buffer is read as 8-byte
+/// little-endian words, the last one zero-padded. A delta from `old` to
+/// `new` is `new`'s length (`u64`), a bitmap of `new`'s words, bit `i` of
+/// word `i / 64` set where word `i` differs from `old`'s or `old` has no
+/// word `i`, and then the set words in order. Whatever a buffer was,
+/// applying the delta to it yields `new` exactly.
+mod delta {
+    use super::codec::{get, put};
+
+    const WORD: usize = 8;
+
+    /// Word `i` of `buf`, zero-padded past its end; `buf` has the word.
+    fn word(buf: &[u8], i: usize) -> u64 {
+        let lo = i * WORD;
+        match buf.get(lo..lo + WORD) {
+            Some(full) => u64::from_le_bytes(full.try_into().expect("a whole word")),
+            None => {
+                let mut b = [0u8; WORD];
+                b[..buf.len() - lo].copy_from_slice(&buf[lo..]);
+                u64::from_le_bytes(b)
+            }
+        }
+    }
+
+    /// The delta from `old` to `new`.
+    pub(super) fn diff(old: &[u8], new: &[u8]) -> Vec<u8> {
+        let (n, kept) = (new.len().div_ceil(WORD), old.len().div_ceil(WORD));
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        let mut dirty = Vec::new();
+        for i in 0..n {
+            let w = word(new, i);
+            if i >= kept || word(old, i) != w {
+                mask[i / 64] |= 1 << (i % 64);
+                dirty.push(w);
+            }
+        }
+        write(new.len(), &mask, dirty)
+    }
+
+    /// A delta's bytes: the buffer length, the bitmap, the marked words.
+    fn write(len: usize, mask: &[u64], words: impl IntoIterator<Item = u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        put(&mut out, len as u64);
+        for w in mask.iter().copied().chain(words) {
+            put(&mut out, w);
+        }
+        out
+    }
+
+    /// A delta's buffer length and its words, each with its index.
+    fn read(delta: &[u8]) -> (usize, Vec<(usize, u64)>) {
+        let pos = &mut 0;
+        let len = get::<u64>(delta, pos) as usize;
+        let mask: Vec<u64> = (0..len.div_ceil(WORD).div_ceil(64))
+            .map(|_| get(delta, pos))
+            .collect();
+        let mut words = Vec::new();
+        for (j, mut m) in mask.into_iter().enumerate() {
+            while m != 0 {
+                words.push((j * 64 + m.trailing_zeros() as usize, get(delta, pos)));
+                m &= m - 1;
+            }
+        }
+        assert_eq!(*pos, delta.len(), "trailing bytes in checkpoint delta");
+        (len, words)
+    }
+
+    /// `base` with `delta` applied.
+    pub(super) fn patch(base: &[u8], delta: &[u8]) -> Vec<u8> {
+        let (len, words) = read(delta);
+        let mut out = base.to_vec();
+        out.resize(len.div_ceil(WORD) * WORD, 0);
+        for (i, w) in words {
+            out[i * WORD..(i + 1) * WORD].copy_from_slice(&w.to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// A buddy's replica of its predecessor's snapshot: the snapshot's
+    /// length and every word that differs from the predecessor's base, which
+    /// the buddy never holds. Before the first delta it is empty: the
+    /// snapshot is still the base, and a restore then ships nothing.
+    #[derive(Default)]
+    pub(super) struct Overlay {
+        len: usize,
+        mask: Vec<u64>,
+        words: Vec<u64>,
+    }
+
+    impl Overlay {
+        /// Fold in `delta`, a diff from the snapshot this overlay stands
+        /// for: a word it marks replaces the overlay's, and the overlay
+        /// takes its length (words past a shrunken end are forgotten; a
+        /// delta marks every word past its old end).
+        pub(super) fn fold(&mut self, delta: &[u8]) {
+            let (len, words) = read(delta);
+            let n = len.div_ceil(WORD);
+            self.len = len;
+            self.words.resize(n, 0);
+            self.mask.resize(n.div_ceil(64), 0);
+            if let Some(last) = self.mask.last_mut().filter(|_| n % 64 != 0) {
+                *last &= (1 << (n % 64)) - 1;
+            }
+            for (i, w) in words {
+                self.mask[i / 64] |= 1 << (i % 64);
+                self.words[i] = w;
+            }
+        }
+
+        /// The overlay as one delta from the base: what a restore ships.
+        pub(super) fn encode(&self) -> Vec<u8> {
+            let marked = |&(i, _): &(usize, &u64)| self.mask[i / 64] >> (i % 64) & 1 == 1;
+            let words = self.words.iter().enumerate().filter(marked);
+            write(self.len, &self.mask, words.map(|(_, &w)| w))
+        }
+    }
+}
+
 /// Per-rank crash machinery that outlives individual kernel runs (the
 /// query engine runs many windows against one [`RankCtx`]): every rank's
 /// lottery, the job-wide restore budget, and the recovery tag namespace.
@@ -216,31 +349,46 @@ pub struct Recovery {
     epoch: u64,
     /// Epoch of the checkpoint currently held.
     ckpt_epoch: u64,
-    /// This rank's own snapshot at `ckpt_epoch`.
+    /// This rank's epoch-0 snapshot, which no rank ships: its buddy's
+    /// overlay is relative to it.
+    base: Vec<u8>,
+    /// This rank's own snapshot at `ckpt_epoch`, the last encoding its
+    /// buddy folded.
     my_ckpt: Vec<u8>,
     /// The snapshot of rank `(me - 1 + p) % p`, held as its buddy.
-    buddy_ckpt: Vec<u8>,
+    pred: Overlay,
     /// Pre-crash epoch the current replay must re-reach (closes the
     /// `Replay` trace span).
     replay_until: Option<u64>,
 }
 
+/// One pass over `bytes` of checkpoint data — an encode, a compare, a
+/// fold — charged as one compute op a word.
+fn charge_pass(ctx: &mut RankCtx, bytes: usize) {
+    ctx.charge_compute(bytes as u64 / 8 + 1);
+}
+
 impl Recovery {
     /// Start recovery for one kernel run: `None` when the machine has no
-    /// active [`CrashPlan`], otherwise takes the epoch-0 checkpoint of
-    /// `state` and returns the driver.
+    /// active [`CrashPlan`], otherwise encodes `state` as the epoch-0 base,
+    /// which stays on this rank, and returns the driver.
     pub fn begin(ctx: &mut RankCtx, state: &dyn Checkpoint) -> Option<Recovery> {
         ctx.crash_interval().map(|interval| {
-            let mut rec = Recovery {
+            let mut base = Vec::new();
+            state.save(&mut base);
+            let bytes = base.len() as u64;
+            ctx.trace_begin(TraceCode::CheckpointWrite, bytes, 0);
+            charge_pass(ctx, base.len());
+            ctx.trace_end(TraceCode::CheckpointWrite, bytes, 0);
+            Recovery {
                 interval,
                 epoch: 0,
                 ckpt_epoch: 0,
-                my_ckpt: Vec::new(),
-                buddy_ckpt: Vec::new(),
+                my_ckpt: base.clone(),
+                base,
+                pred: Overlay::default(),
                 replay_until: None,
-            };
-            rec.take_checkpoint(ctx, state, 0);
-            rec
+            }
         })
     }
 
@@ -295,43 +443,35 @@ impl Recovery {
         }
     }
 
-    /// Encode `state`, keep it as the checkpoint of `epoch`, and replicate
-    /// it to the buddy rank.
+    /// Encode `state`, keep it as the checkpoint of `epoch`, and ship the
+    /// buddy its delta from the last encoding sent, folding the
+    /// predecessor's in turn. Eager sends, so the ring cannot deadlock.
     fn take_checkpoint(&mut self, ctx: &mut RankCtx, state: &dyn Checkpoint, epoch: u64) {
         let mut buf = Vec::new();
         state.save(&mut buf);
         let bytes = buf.len() as u64;
         ctx.trace_begin(TraceCode::CheckpointWrite, bytes, epoch);
-        // Encoding cost: modeled as one op per word serialized.
-        ctx.charge_compute(bytes / 8 + 1);
+        charge_pass(ctx, buf.len());
+        let (p, me) = (ctx.size(), ctx.rank());
+        if p > 1 {
+            let delta = delta::diff(&self.my_ckpt, &buf);
+            let s = ctx.stats_mut();
+            s.checkpoints += 1;
+            s.checkpoint_bytes += delta.len() as u64;
+            let tag = TAG_RECOVERY_BASE | (ctx.next_recovery_seq() << 1);
+            ctx.send_bytes_class((me + 1) % p, tag, delta, TrafficClass::Collective);
+            let got = ctx.recv_bytes_class((me + p - 1) % p, tag);
+            charge_pass(ctx, got.len());
+            self.pred.fold(&got);
+        }
         self.my_ckpt = buf;
         self.ckpt_epoch = epoch;
-        self.replicate(ctx);
-        let s = ctx.stats_mut();
-        s.checkpoints += 1;
-        s.checkpoint_bytes += bytes;
         ctx.trace_end(TraceCode::CheckpointWrite, bytes, epoch);
-    }
-
-    /// Ship `my_ckpt` to the buddy `(me + 1) % p` and collect the
-    /// predecessor's replica. Eager sends, so the ring cannot deadlock.
-    fn replicate(&mut self, ctx: &mut RankCtx) {
-        let p = ctx.size();
-        let me = ctx.rank();
-        if p == 1 {
-            return;
-        }
-        let tag = TAG_RECOVERY_BASE | (ctx.next_recovery_seq() << 1);
-        let buddy = (me + 1) % p;
-        let pred = (me + p - 1) % p;
-        ctx.send_bytes_class(buddy, tag, self.my_ckpt.clone(), TrafficClass::Collective);
-        self.buddy_ckpt = ctx.recv_bytes_class(pred, tag);
     }
 
     /// Execute an agreed crash verdict: budget and buddy-loss checks (the
     /// same `Err` on every rank, by construction), detection/respawn time,
-    /// checkpoint re-shipment to the respawned ranks, rollback, and
-    /// re-replication.
+    /// the respawned ranks' restores and replicas, and the rollback.
     fn recover(
         &mut self,
         ctx: &mut RankCtx,
@@ -362,21 +502,43 @@ impl Recovery {
         ctx.charge_wait(plan.detect_timeout_s);
         if crashed.contains(&me) {
             // Simulated memory loss + respawn: this rank's own snapshot and
-            // the replica it held for its predecessor are gone.
+            // the replica it held for its predecessor are gone. The base is
+            // a pure function of the kernel's inputs: rebuilt, not shipped.
             ctx.charge_wait(plan.respawn_s);
-            self.my_ckpt.clear();
-            self.buddy_ckpt.clear();
+            self.pred = Overlay::default();
+            self.my_ckpt.clone_from(&self.base);
+            charge_pass(ctx, self.base.len());
             ctx.stats_mut().crashes += 1;
         }
-        // Buddies re-ship the snapshots of the respawned ranks.
-        let tag = TAG_RECOVERY_BASE | (ctx.next_recovery_seq() << 1) | 1;
-        for &c in crashed {
-            let buddy = (c + 1) % p;
-            if me == buddy {
-                ctx.send_bytes_class(c, tag, self.buddy_ckpt.clone(), TrafficClass::Collective);
-            }
-            if me == c {
-                self.my_ckpt = ctx.recv_bytes_class(buddy, tag);
+        // Past epoch 0, each buddy re-ships its overlay of the respawned
+        // rank, which patches its base with it; and each respawned rank's
+        // predecessor re-sends the overlay that rank held for it, as its
+        // diff against its own base. Every other replica is still the
+        // rolled-back epoch's. Neither sender can have crashed (that is
+        // `CheckpointLost`), so survivors only send and the respawned only
+        // receive.
+        if self.ckpt_epoch > 0 {
+            let overlay_tag = TAG_RECOVERY_BASE | (ctx.next_recovery_seq() << 1) | 1;
+            let resend_tag = TAG_RECOVERY_BASE | (ctx.next_recovery_seq() << 1) | 1;
+            for &c in crashed {
+                let (buddy, pred) = ((c + 1) % p, (c + p - 1) % p);
+                if me == buddy {
+                    let overlay = self.pred.encode();
+                    ctx.send_bytes_class(c, overlay_tag, overlay, TrafficClass::Collective);
+                }
+                if me == pred {
+                    charge_pass(ctx, self.my_ckpt.len());
+                    let delta = delta::diff(&self.base, &self.my_ckpt);
+                    ctx.send_bytes_class(c, resend_tag, delta, TrafficClass::Collective);
+                }
+                if me == c {
+                    let overlay = ctx.recv_bytes_class(buddy, overlay_tag);
+                    charge_pass(ctx, overlay.len());
+                    self.my_ckpt = delta::patch(&self.base, &overlay);
+                    let delta = ctx.recv_bytes_class(pred, resend_tag);
+                    charge_pass(ctx, delta.len());
+                    self.pred.fold(&delta);
+                }
             }
         }
         // Coordinated rollback: every rank re-enters the checkpoint epoch.
@@ -388,9 +550,6 @@ impl Recovery {
         let s = ctx.stats_mut();
         s.restores += 1;
         s.replayed_supersteps += replayed;
-        // Redundancy for the respawned ranks' predecessors was lost with
-        // their memory; a fresh replication round restores it everywhere.
-        self.replicate(ctx);
         ctx.trace_end(TraceCode::Restore, crashed.len() as u64, self.ckpt_epoch);
         match self.replay_until {
             Some(t) => self.replay_until = Some(t.max(pre_epoch)),
@@ -568,6 +727,84 @@ mod tests {
         assert!(format!("{b}").contains("recovery budget exhausted"));
         let l = FaultEscalation::CheckpointLost { rank: 1, buddy: 2 };
         assert!(format!("{l}").contains("checkpoint lost"));
+    }
+
+    /// `old` edited into a `len`-byte buffer: cut or grown (with bytes
+    /// drawn from `seed`), then `edits` drawn bytes rewritten at drawn
+    /// positions.
+    fn edit(old: &[u8], seed: u64, len: usize, edits: usize) -> Vec<u8> {
+        let draw = |i: usize| crate::sched::splitmix64(seed ^ ((i as u64) << 20));
+        let mut new = old.to_vec();
+        new.resize(len, 0);
+        for (i, b) in new.iter_mut().enumerate().skip(old.len()) {
+            *b = draw(i) as u8;
+        }
+        for e in 0..edits.min(len) {
+            let x = draw(len + e);
+            new[x as usize % len] = (x >> 32) as u8;
+        }
+        new
+    }
+
+    /// A delta rebuilds its target from its source, directly and folded
+    /// into an overlay of that source, and marks exactly the words that
+    /// changed: equal buffers, edited ones, grown, shrunk, grown across a
+    /// partial last word, and empty on either side.
+    #[test]
+    fn delta_round_trips_every_shape() {
+        let base = edit(&[], 1, 100, 0);
+        // (old, new, the words a delta must mark)
+        let shapes = [
+            (base.clone(), base.clone(), Some(0)),
+            (base.clone(), edit(&base, 2, 100, 9), None),
+            (base[..96].to_vec(), base.clone(), Some(1)),
+            (base.clone(), base[..64].to_vec(), Some(0)),
+            (base.clone(), edit(&base, 3, 61, 2), None),
+            (base[..13].to_vec(), edit(&base[..13], 4, 21, 0), Some(2)),
+            (base[..13].to_vec(), base[..16].to_vec(), Some(1)),
+            (base[..16].to_vec(), base[..13].to_vec(), Some(1)),
+            (Vec::new(), base.clone(), Some(13)),
+            (base.clone(), Vec::new(), Some(0)),
+            (Vec::new(), Vec::new(), Some(0)),
+        ];
+        for (i, (old, new, marked)) in shapes.into_iter().enumerate() {
+            let d = delta::diff(&old, &new);
+            assert_eq!(delta::patch(&old, &d), new, "shape {i}: patched");
+            let mut overlay = Overlay::default();
+            overlay.fold(&d);
+            assert_eq!(
+                delta::patch(&old, &overlay.encode()),
+                new,
+                "shape {i}: folded"
+            );
+            let words = new.len().div_ceil(8);
+            let dirty = (d.len() - 8 - 8 * words.div_ceil(64)) / 8;
+            if let Some(m) = marked {
+                assert_eq!(dirty, m, "shape {i}: words marked");
+            }
+            assert!(dirty <= words, "shape {i}");
+        }
+    }
+
+    /// A buddy folds a chain of deltas, the buffer shrinking below its base,
+    /// growing past it, across partial words and through empty; after each
+    /// the base patched with the overlay is the last encoding, byte for
+    /// byte, as the last encoding patched with the delta is.
+    #[test]
+    fn delta_chain_folds_to_the_last_encoding() {
+        let base = edit(&[], 10, 203, 0);
+        let (mut last, mut overlay) = (base.clone(), Overlay::default());
+        let lens = [203, 203, 150, 157, 260, 7, 0, 90];
+        let edits = [5, 40, 3, 0, 7, 1, 0, 4];
+        for (step, (len, edits)) in lens.into_iter().zip(edits).enumerate() {
+            let next = edit(&last, 11 + step as u64, len, edits);
+            let d = delta::diff(&last, &next);
+            assert_eq!(delta::patch(&last, &d), next, "step {step}: patched");
+            overlay.fold(&d);
+            let restored = delta::patch(&base, &overlay.encode());
+            assert_eq!(restored, next, "step {step}: base ⊕ overlay");
+            last = next;
+        }
     }
 
     #[test]

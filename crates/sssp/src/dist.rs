@@ -811,14 +811,15 @@ impl Lane {
 
     /// A plain lane is the search state alone. What only a spec can make
     /// move follows it: a lane with a target carries its retirement record,
-    /// a lane with a ceiling its prune count.
+    /// a lane with a ceiling its prune count. The stamp arrays stay out,
+    /// their epochs in: past a boundary every stamp is read after a bump of
+    /// its epoch (a drain, a push, the tail's entry, a bucket's opening),
+    /// which no stored stamp can equal, so a load refills them with 0.
     fn save(&self, out: &mut Vec<u8>) {
         codec::put_slice(out, &self.sp.dist);
         codec::put_slice(out, &self.sp.parent);
         self.buckets.save(out);
-        codec::put_slice(out, &self.frontier_seen);
         codec::put(out, self.frontier_epoch);
-        codec::put_slice(out, &self.settled_seen);
         codec::put(out, self.settled_epoch);
         codec::put(out, self.unsettled_light);
         codec::put(out, self.unsettled_heavy);
@@ -836,9 +837,9 @@ impl Lane {
         self.sp.dist = codec::get_vec(buf, pos);
         self.sp.parent = codec::get_vec(buf, pos);
         self.buckets.load(buf, pos);
-        self.frontier_seen = codec::get_vec(buf, pos);
+        self.frontier_seen.fill(0);
         self.frontier_epoch = codec::get(buf, pos);
-        self.settled_seen = codec::get_vec(buf, pos);
+        self.settled_seen.fill(0);
         self.settled_epoch = codec::get(buf, pos);
         self.unsettled_light = codec::get(buf, pos);
         self.unsettled_heavy = codec::get(buf, pos);

@@ -432,11 +432,11 @@ mod tests {
     /// and a probe draws every rank's lottery where it stands: arming a
     /// machine adds no collective, no message and no byte besides its
     /// checkpoints. Armed here with a crash no run reaches and a checkpoint
-    /// interval none reaches either, each kernel makes, rank by rank, the
-    /// fault-free run's collectives and its collective messages and bytes
-    /// (less the epoch-0 checkpoint's one replica a rank), the same
-    /// point-to-point traffic, its allreduces in the same places and the
-    /// same results.
+    /// interval none reaches either, a run ships no checkpoint at all — the
+    /// epoch-0 one stays on its rank — so each kernel makes, rank by rank,
+    /// the fault-free run's collectives and its collective messages and
+    /// bytes, the same point-to-point traffic, its allreduces in the same
+    /// places and the same results.
     ///
     /// At 72 ranks a crash forced on rank 70 — a lottery past the first 64
     /// ranks, drawn on every rank — fires mid-run, rolls back and replays
@@ -449,14 +449,12 @@ mod tests {
         let armed = CrashPlan::none()
             .with_forced(0, u32::MAX - 1)
             .with_checkpoint_interval(u64::MAX);
-        // each checkpoint ships its replica as one collective-class message
-        // of the checkpoint's bytes
         let counts = |net: Vec<NetStats>| -> Vec<[u64; 5]> {
             let count = |n: NetStats| {
                 [
                     n.collectives,
-                    n.coll_msgs - n.checkpoints,
-                    n.coll_bytes - n.checkpoint_bytes,
+                    n.coll_msgs,
+                    n.coll_bytes,
                     n.user_msgs,
                     n.user_bytes,
                 ]
@@ -467,7 +465,7 @@ mod tests {
             let (clean, placed, net) = placed_run(MachineConfig::with_ranks(4), run);
             let cfg = MachineConfig::with_ranks(4).crashes(armed);
             let (crashy, crashy_placed, crashy_net) = placed_run(cfg, run);
-            assert!(crashy_net.iter().all(|n| n.checkpoints == 1), "{name}");
+            assert!(crashy_net.iter().all(|n| n.checkpoints == 0), "{name}");
             assert_eq!(crashy, clean, "{name}: results");
             assert_eq!(crashy_placed, placed, "{name}: allreduce placement");
             assert_eq!(
@@ -537,45 +535,56 @@ mod tests {
         assert_eq!(placed.between, boundaries, "{placed:?}");
     }
 
-    /// Per-rank size of the one checkpoint `run` takes: the crash plan is
-    /// armed (a forced crash at a probe no run reaches) with an interval no
-    /// run reaches either, so only the driver's epoch-0 checkpoint happens.
+    /// Per-rank length of the epoch-0 encoding `run` keeps as its base: the
+    /// crash plan is armed (a forced crash at a probe no run reaches) with
+    /// an interval no run reaches either, so the base is the one checkpoint,
+    /// and it ships nowhere. Its length is the `checkpoint-write` span's.
     fn epoch0_checkpoint_bytes(run: impl Fn(&mut RankCtx) + Sync) -> Vec<u64> {
         let plan = CrashPlan::none()
             .with_forced(0, u32::MAX - 1)
             .with_checkpoint_interval(u64::MAX);
-        Machine::new(MachineConfig::with_ranks(4).crashes(plan))
-            .run(|ctx| {
+        let rep =
+            Machine::new(MachineConfig::with_ranks(4).crashes(plan).traced(true)).run(|ctx| {
                 run(ctx);
-                assert_eq!(ctx.stats().checkpoints, 1);
-                ctx.stats().checkpoint_bytes
-            })
-            .results
+                assert_eq!(ctx.stats().checkpoints, 0);
+            });
+        let write = |e: &&simnet::TraceEvent| e.code == TraceCode::CheckpointWrite;
+        let base = |buf: &simnet::TraceBuf| {
+            let mut writes = buf.events.iter().filter(write);
+            let first = writes.next().expect("the base is encoded");
+            assert!(writes.all(|e| e.b == 0), "one checkpoint, at epoch 0");
+            first.a
+        };
+        rep.traces.iter().map(base).collect()
     }
 
-    /// Checkpoint length is simulated time — `take_checkpoint` charges
-    /// compute per byte and ships the buffer — so the encoded size of each
-    /// kernel's state is part of every crash run's reported numbers. The
-    /// expected sizes were recorded at the commit before the kernels moved
-    /// onto the shared driver and the `Wire`-generic codec; the 1D kernel's
-    /// moved twice since. First by −8 bytes a rank on these 16-vertex
-    /// slices: `unsettled_mark` (8-byte count + one byte a vertex) left,
+    /// Checkpoint length is simulated time — every checkpoint charges an
+    /// encode pass over it, and a delta's bitmap and a restore's overlay
+    /// scale with it — so the encoded size of each kernel's state is part
+    /// of every crash run's reported numbers. The expected sizes were
+    /// recorded at the commit before the kernels moved onto the shared
+    /// driver and the `Wire`-generic codec; the 1D kernel's moved three
+    /// times since. First by −8 bytes a rank on these 16-vertex slices:
+    /// `unsettled_mark` (8-byte count + one byte a vertex) left,
     /// `unsettled_heavy` and `SsspRunStats::heavy_pulls` (8 each) came.
     /// Then by −8 again, with the batched row: `SsspRunStats` lost the
-    /// always-empty per-bucket phase list and its 8-byte count.
+    /// always-empty per-bucket phase list and its 8-byte count. Then by
+    /// −272 a lane ([660, 640, 640, 640] before): the stamp arrays
+    /// `frontier_seen` and `settled_seen` (8-byte count + 8 bytes a vertex
+    /// each) left, their epochs stayed.
     ///
     /// The batched row moved when a batch became that kernel over lanes
-    /// ([802, 798, 778, 778] before), and by the same −8 with the phase
-    /// list. It is the 1D layout lane by lane: three lanes of 544 bytes on
-    /// an empty queue (a 16-vertex `dist`, `parent`, `frontier_seen` and
-    /// `settled_seen`, each behind an 8-byte count — 72 + 136 + 136 + 136 —
-    /// the two epochs, the two unsettled counters and 32 bytes of empty
-    /// `BucketQueue`), +20 where a lane's source sits in bucket 0 (ranks 0
-    /// twice, 1 once); 21 for the p2p lane's retirement record (`live`,
-    /// `finished_at`, the target's `(f32, u64)`); and one `SsspRunStats` of
-    /// 96 for the run. No lane count, no `pruned` for a lane without a
-    /// bound. What it gained over the old layout is the stamps and counters
-    /// the solo kernel already carried per search.
+    /// ([802, 798, 778, 778] before), by the same −8 with the phase list,
+    /// and by 3 × −272 with the stamps ([1789, 1769, 1749, 1749] before).
+    /// It is the 1D layout lane by lane: three lanes of 272 bytes on an
+    /// empty queue (a 16-vertex `dist` and `parent`, each behind an 8-byte
+    /// count — 72 + 136 — the two epochs, the two unsettled counters and 32
+    /// bytes of empty `BucketQueue`), +20 where a lane's source sits in
+    /// bucket 0 (ranks 0 twice, 1 once); 21 for the p2p lane's retirement
+    /// record (`live`, `finished_at`, the target's `(f32, u64)`); and one
+    /// `SsspRunStats` of 96 for the run. No lane count, no `pruned` for a
+    /// lane without a bound. What it gained over the old layout is the
+    /// stamps and counters the solo kernel already carried per search.
     ///
     /// The BFS row is its two 16-vertex result arrays (136 bytes each), the
     /// frontier (the root's 4 bytes on rank 0, behind an 8-byte count), the
@@ -592,7 +601,7 @@ mod tests {
             let g = assemble_local_graph(ctx, slice(ctx).into_iter(), Block1D::new(64, 4));
             try_distributed_delta_stepping(ctx, &g, 3, &OptConfig::all_on()).expect("no crash");
         });
-        assert_eq!(kernel, [660, 640, 640, 640], "1D kernel");
+        assert_eq!(kernel, [388, 368, 368, 368], "1D kernel");
 
         let batch = epoch0_checkpoint_bytes(|ctx| {
             let g = assemble_local_graph(ctx, slice(ctx).into_iter(), Block1D::new(64, 4));
@@ -604,7 +613,7 @@ mod tests {
             let opts = OptConfig::all_on().with_delta(0.2);
             try_batched_delta_stepping(ctx, &g, &specs, &opts).expect("no crash");
         });
-        assert_eq!(batch, [1789, 1769, 1749, 1749], "batched kernel");
+        assert_eq!(batch, [973, 953, 933, 933], "batched kernel");
 
         let grid = epoch0_checkpoint_bytes(|ctx| {
             let mut g = Grid2DSssp::build(ctx, 64, slice(ctx).into_iter(), 0.2);

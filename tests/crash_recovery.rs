@@ -12,9 +12,15 @@
 use std::process::Command;
 
 use graph500::gen::{KroneckerGenerator, KroneckerParams};
+use graph500::graph::WEdge;
 use graph500::partition::{assemble_local_graph, Block1D};
-use graph500::simnet::{Machine, MachineConfig, SchedMode, TraceCode};
-use graph500::sssp::{try_batched_delta_stepping, BatchSpec, Direction, Grid2DSssp, OptConfig};
+use graph500::simnet::{
+    Machine, MachineConfig, NetStats, RankCtx, SchedMode, TraceCode, TraceEvent, TraceKind,
+};
+use graph500::sssp::{
+    distributed_bfs, try_batched_delta_stepping, try_distributed_delta_stepping, BatchSpec,
+    Direction, Grid2DSssp, OptConfig,
+};
 use graph500::validate::{validate_sssp, SsspResult};
 use graph500::{
     run_bfs_benchmark, run_sssp_benchmark, try_run_bfs_benchmark, try_run_sssp_benchmark,
@@ -330,6 +336,108 @@ fn scale10_bfs_crashy_matches_fault_free_both_schedulers() {
 fn forget_parents(rep: &mut BenchmarkReport) {
     for r in &mut rep.runs {
         r.paths.as_mut().expect("kept").parent.clear();
+    }
+}
+
+// ---------- late crashes: delta replicas over the epoch-0 base ----------
+
+/// A kernel run on one rank, rendered: its slice of the results and its
+/// counters with the clock fields zeroed.
+type Rendered<'a> = dyn Fn(&mut RankCtx) -> String + Sync + 'a;
+
+/// `kernel` on a traced 4-rank machine under `plan`: every rank's rendered
+/// run, the network counters, and rank 0's trace.
+fn traced_run(plan: CrashPlan, kernel: &Rendered<'_>) -> (Vec<String>, NetStats, Vec<TraceEvent>) {
+    let cfg = MachineConfig::with_ranks(4).traced(true).crashes(plan);
+    let mut rep = Machine::new(cfg).run(kernel);
+    let net = rep.total_stats();
+    (rep.results, net, rep.traces.swap_remove(0).events)
+}
+
+/// What a trace shows of recovery, in order: each checkpoint written
+/// (`true`) and each restore (`false`), with the epoch it names.
+fn recovery_marks(trace: &[TraceEvent]) -> Vec<(bool, u64)> {
+    let opens = |e: &&TraceEvent| e.kind == TraceKind::Begin;
+    let mark = |e: &TraceEvent| match e.code {
+        TraceCode::CheckpointWrite => Some((true, e.b)),
+        TraceCode::Restore => Some((false, e.b)),
+        _ => None,
+    };
+    trace.iter().filter(opens).filter_map(mark).collect()
+}
+
+/// A crash late in a root restores the crashed rank from its rebuilt
+/// epoch-0 base patched with the overlay its buddy folded from at least
+/// three deltas, and its predecessor re-sends the overlay the crash wiped;
+/// a second crash, of that predecessor, then restores from the re-sent
+/// overlay. A crash while the held checkpoint is still epoch 0 restores
+/// from the base alone, with no checkpoint shipped at all. Each run's
+/// results and counters are the fault-free run's to the bit, for the 1D
+/// solo kernel, BFS and the 2D kernel.
+#[test]
+fn late_crashes_restore_base_and_overlay_bit_equal() {
+    let gen = KroneckerGenerator::new(KroneckerParams::graph500(10, 20220814));
+    let el = gen.generate_all();
+    let n = 1u64 << 10;
+    let slice = |ctx: &RankCtx| -> Vec<WEdge> {
+        let m = el.len();
+        let (lo, hi) = (ctx.rank() * m / 4, (ctx.rank() + 1) * m / 4);
+        (lo..hi).map(|i| el.get(i)).collect()
+    };
+    let root = el.get(0).u;
+    let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let solo = |ctx: &mut RankCtx| {
+        let g = assemble_local_graph(ctx, slice(ctx).into_iter(), Block1D::new(n, 4));
+        let opts = OptConfig::all_on().with_delta(0.1);
+        let (sp, mut st) = try_distributed_delta_stepping(ctx, &g, root, &opts).expect("ok");
+        (st.sim_time_s, st.compute_s, st.comm_s) = (0.0, 0.0, 0.0);
+        format!("{:?}", (bits(&sp.dist), sp.parent, st))
+    };
+    let bfs = |ctx: &mut RankCtx| {
+        let g = assemble_local_graph(ctx, slice(ctx).into_iter(), Block1D::new(n, 4));
+        let (res, mut st) = distributed_bfs(ctx, &g, root, Direction::Hybrid).expect("ok");
+        (st.sim_time_s, st.compute_s, st.comm_s) = (0.0, 0.0, 0.0);
+        format!("{:?}", (res.level, res.parent, st))
+    };
+    let grid = |ctx: &mut RankCtx| {
+        let mut g = Grid2DSssp::build(ctx, n, slice(ctx).into_iter(), 0.1);
+        let st = g.try_run(ctx, root).expect("ok");
+        let sp = g.gather(ctx);
+        format!("{:?}", (bits(&sp.dist), sp.parent, st))
+    };
+    let kernels: [(&str, &Rendered<'_>, u32); 3] =
+        [("1D", &solo, 14), ("BFS", &bfs, 5), ("2D", &grid, 17)];
+    for (name, kernel, late) in kernels {
+        let (clean, _, _) = traced_run(CrashPlan::none(), kernel);
+        let plan = CrashPlan::none()
+            .with_forced(1, late)
+            .with_forced(0, late + 3)
+            .with_checkpoint_interval(1);
+        let (crashy, net, trace) = traced_run(plan, kernel);
+        assert_eq!(crashy, clean, "{name}: late crashes");
+        assert_eq!((net.crashes, net.restores), (2, 8), "{name}: {net:?}");
+        let marks = recovery_marks(&trace);
+        let first = marks
+            .iter()
+            .position(|&(write, _)| !write)
+            .expect("a restore");
+        let deltas = marks[..first]
+            .iter()
+            .filter(|&&(_, epoch)| epoch > 0)
+            .count();
+        assert!(
+            deltas >= 3,
+            "{name}: {deltas} deltas before the crash: {marks:?}"
+        );
+        assert!(marks[first].1 > 0, "{name}: {marks:?}");
+
+        let plan = CrashPlan::none()
+            .with_forced(2, 3)
+            .with_checkpoint_interval(u64::MAX);
+        let (crashy, net, trace) = traced_run(plan, kernel);
+        assert_eq!(crashy, clean, "{name}: crash at epoch 0");
+        assert_eq!((net.crashes, net.checkpoints), (1, 0), "{name}: {net:?}");
+        assert_eq!(recovery_marks(&trace), [(true, 0), (false, 0)], "{name}");
     }
 }
 
