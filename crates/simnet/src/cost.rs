@@ -16,7 +16,10 @@
 //! bandwidth, not an injection limit. A schedule that puts many blocks in
 //! flight at once (the one-round allgather, `collectives.rs`) pays the bytes
 //! of one of them on its critical path; on a machine whose injection does
-//! saturate it would pay all of them, as a ring does here.
+//! saturate it would pay all of them, as a ring does here. On a lossy
+//! machine the same holds for retransmissions ([`crate::transport`]): a
+//! lost frame's retransmit timers run on the link and delay that message's
+//! arrival alone, and the sender pays `o` per re-post, never the wait.
 //!
 //! The default constants approximate one rank = one node of a Sunway-class
 //! system (µs-scale MPI latency, 10 GB/s per message in flight, ~1 Gops/s of

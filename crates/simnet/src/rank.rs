@@ -406,18 +406,25 @@ impl RankCtx {
             None => self.now + self.loggp.transit(payload.len(), hops),
             Some(rel) => {
                 // Lossy link: run the reliable protocol (fault lottery,
-                // sequence-number dedup, retransmit backoff) over the
-                // message's frames to completion; the mailbox below stays
-                // lossless and carries the payload exactly once.
+                // sequence-number dedup, per-frame retransmit timers) over
+                // the message's frames to completion; the mailbox below
+                // stays lossless and carries the payload exactly once. The
+                // sender pays `o` per retransmission, the timers run on the
+                // link.
                 let loggp = self.loggp;
                 let mut io = TransportIo {
                     now: &mut self.now,
                     stats: &mut self.stats,
                     trace: self.trace.as_deref_mut(),
                 };
-                match rel.deliver(dest, tag, payload.len(), &mut io, |frame_len| {
-                    loggp.transit(frame_len, hops)
-                }) {
+                match rel.deliver(
+                    dest,
+                    tag,
+                    payload.len(),
+                    &mut io,
+                    loggp.overhead,
+                    |frame_len| loggp.transit(frame_len, hops),
+                ) {
                     Ok(arrive) => arrive,
                     // Typed escalation: carried out of arbitrarily deep
                     // send paths (collectives, subcomms, exchanges) as an

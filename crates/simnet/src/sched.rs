@@ -15,11 +15,13 @@
 //! id for seed 0 (the canonical schedule) or a seeded hash for fuzzing.
 //! Every envelope is stamped with a global sequence number at deposit time,
 //! so the delivery order is totally ordered by `(virtual_time, src, tag,
-//! seq)`: receives take the lowest-seq matching envelope, and within one
-//! `(src, tag)` stream sequence order equals virtual-arrival order because
-//! sender clocks are monotone. The same seed therefore replays the exact
-//! same schedule — byte-identical `NetStats`, superstep counts, and distance
-//! vectors — while different seeds explore different legal interleavings.
+//! seq)`: receives take the lowest-seq matching envelope, so within one
+//! `(src, tag)` stream messages are received in send order (on a lossy
+//! link a later message may arrive earlier in virtual time than one a
+//! retransmission delayed; it still waits its turn). The same seed
+//! therefore replays the exact same schedule — byte-identical `NetStats`,
+//! superstep counts, and distance vectors — while different seeds explore
+//! different legal interleavings.
 //!
 //! The serialized scheduler also sees the whole job state, which buys two
 //! checks the threaded mode cannot do:
@@ -33,9 +35,10 @@
 //!
 //! Fault injection composes with both modes without touching this module:
 //! the reliable transport ([`crate::transport`]) runs its retransmit
-//! protocol synchronously inside the send, charging timeouts to the
-//! sender's virtual clock before the (single, lossless) envelope is
-//! deposited. The scheduler only ever sees final arrival times, so the
+//! protocol synchronously inside the send, pricing each frame's timeouts
+//! into the message's arrival (and a re-post overhead into the sender's
+//! clock) before the (single, lossless) envelope is deposited. The
+//! scheduler only ever sees final arrival times, so the
 //! same `(sched_seed, fault_seed)` pair replays byte-identically, and
 //! fault schedules are identical under [`SchedMode::Threads`] and
 //! [`SchedMode::Deterministic`].

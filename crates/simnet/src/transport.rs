@@ -1,6 +1,6 @@
 //! Deterministic reliable transport: per-stream sequence numbers and
-//! ack/retransmit with virtual-time exponential backoff, run on the fates
-//! the link's lottery draws.
+//! selective-repeat ack/retransmit with virtual-time exponential backoff,
+//! run on the fates the link's lottery draws.
 //!
 //! This is the defender half of the lossy-network contract (the adversary
 //! — the seeded fault lottery — lives in [`crate::fault`]). Beneath
@@ -19,21 +19,32 @@
 //!   number;
 //! - the ack of a clean copy gets back unless the lottery loses it.
 //!
-//! Every attempt that is not acked charges a retransmit timeout with
-//! exponential backoff to the sender's virtual clock. The payload never
-//! enters the protocol: the frames the receiver holds are, in sequence
-//! order, exactly the message, so the send deposits the payload into the
-//! receiver's mailbox once, stamped with the arrival of its last frame,
-//! and the mailbox/scheduler layer above stays lossless with both
-//! [`SchedMode`]s seeing identical values.
+//! The link runs selective repeat: every frame has its own retransmit
+//! timer, started when the send is posted. An attempt that is not acked
+//! lets that frame's timer run out, which moves the frame's next attempt
+//! one timeout later, the timeout doubling (exponential backoff) each
+//! time; the frame arrives a flight after its first clean copy left. The
+//! timers never touch the sender's virtual clock: the sender pays the LogGP
+//! overhead `o` once per retransmission (it re-posts the frame) and goes
+//! on, so a loss delays that message alone, not the rank's later sends on
+//! other links or streams. The payload never enters the protocol: the
+//! frames the receiver holds are, in sequence order, exactly the message,
+//! so the send deposits the payload into the receiver's mailbox once,
+//! stamped with the arrival of its latest frame, and the mailbox/scheduler
+//! layer above stays lossless with both [`SchedMode`]s seeing identical
+//! values. A later message on the same stream may so arrive earlier in
+//! virtual time than one posted before it; the mailbox matches each
+//! `(src, tag)` stream in send order, so the stream is still consumed in
+//! order.
 //!
 //! Running the protocol synchronously inside the send is the simulation
 //! analogue of an MPI progress engine: the receive side of a real NIC's
 //! reliable link layer runs concurrently with the application, and its
-//! *observable effect* — in-order, exactly-once delivery, with latency
-//! inflated by retransmissions — is reproduced here on the sender's
-//! thread. Because the fault lottery and all protocol state are owned by
-//! the sending rank, the entire fault/retry schedule is a pure function of
+//! *observable effect* — in-order, exactly-once delivery, with the latency
+//! of a lost frame's message inflated by its retransmissions — is
+//! reproduced here on the sender's thread. Because the fault lottery and
+//! all protocol state are owned by the sending rank, the entire
+//! fault/retry schedule is a pure function of
 //! [`FaultPlan`](crate::fault::FaultPlan) — independent of thread timing
 //! and scheduler seed — which is what extends the determinism contract to
 //! lossy networks.
@@ -137,7 +148,7 @@ impl std::error::Error for TransportError {}
 /// Mutable per-send context threaded through [`SenderTransport::deliver`]:
 /// the sender's virtual clock, its counters, and (when tracing) its trace
 /// buffer. Bundled so the protocol loop can stamp timeout/retransmit events
-/// at the exact virtual times the counters change.
+/// on the sender's clock as the counters change.
 pub(crate) struct TransportIo<'a> {
     /// The sending rank's virtual clock.
     pub now: &'a mut f64,
@@ -182,10 +193,15 @@ impl SenderTransport {
 
     /// Run the reliable link protocol for one message of `len` bytes to
     /// completion and return the virtual time the receiver holds all of its
-    /// frames. Advances `*io.now` past every retransmit timeout
-    /// (exponential backoff), accumulates fault counters into `io.stats`,
-    /// and (when tracing) records a timeout/retransmit event per counter
-    /// bump. `transit(frame_bytes)` prices one frame's flight.
+    /// frames. Selective repeat: every frame runs its own retransmit timer
+    /// from the send's post time `*io.now`, so a frame whose first clean
+    /// copy follows `k` failed attempts sends it `(2^k − 1)·rto` after the
+    /// post (with the default doubling), and the message arrives with its
+    /// latest frame. The sender only re-posts: `*io.now` and
+    /// `comm_s` advance by `overhead` per retransmission and never by a
+    /// timer. Fault counters accumulate into `io.stats`, and (when tracing)
+    /// a timeout/retransmit event is stamped on the sender's clock per
+    /// counter bump. `transit(frame_bytes)` prices one frame's flight.
     ///
     /// Returns a typed [`TransportError::RetryBudgetExhausted`] once any
     /// single frame fails `retry_budget + 1` attempts; the caller decides
@@ -197,6 +213,7 @@ impl SenderTransport {
         tag: Tag,
         len: usize,
         io: &mut TransportIo<'_>,
+        overhead: f64,
         transit: impl Fn(usize) -> f64,
     ) -> Result<f64, TransportError> {
         let now = &mut *io.now;
@@ -206,12 +223,15 @@ impl SenderTransport {
         let src = self.rank;
         let start_seq = *self.seqs.entry((dst, tag)).or_insert(0);
         let nframes = len.div_ceil(plan.mtu).max(1) as u64;
+        let post = *now;
         let mut arrive_msg = f64::NEG_INFINITY;
 
         for i in 0..nframes {
             let frame_bytes = FRAME_HEADER_BYTES + (len - i as usize * plan.mtu).min(plan.mtu);
             let mut rto = plan.rto_s;
             let mut attempt = 0u32;
+            // the frame's own clock: when its current attempt leaves
+            let mut sent = post;
             // the receiver holds the frame from its first clean copy on
             let mut held = false;
             loop {
@@ -229,7 +249,7 @@ impl SenderTransport {
                             stats.dup_frames_dropped += 1;
                         } else {
                             held = true;
-                            let mut arr = *now + transit(frame_bytes);
+                            let mut arr = sent + transit(frame_bytes);
                             if fate.reorder {
                                 // delayed past its successors; sequence
                                 // order masks it, the clock pays the delay
@@ -248,8 +268,8 @@ impl SenderTransport {
                         }
                     }
                 }
-                // data lost, frame corrupted, or ack lost: the retransmit
-                // timer fires in virtual time
+                // data lost, frame corrupted, or ack lost: the frame's
+                // retransmit timer fires on the frame's clock
                 stats.timeouts += 1;
                 if let Some(tb) = trace.as_deref_mut() {
                     tb.record(
@@ -270,8 +290,11 @@ impl SenderTransport {
                     });
                 }
                 stats.retransmits += 1;
-                *now += rto;
-                stats.comm_s += rto;
+                sent += rto;
+                rto *= plan.backoff;
+                // the sender pays the re-post, not the wait
+                *now += overhead;
+                stats.comm_s += overhead;
                 if let Some(tb) = trace.as_deref_mut() {
                     tb.record(
                         *now,
@@ -281,13 +304,11 @@ impl SenderTransport {
                         attempt as u64,
                     );
                 }
-                rto *= plan.backoff;
             }
         }
 
         self.seqs.insert((dst, tag), start_seq + nframes);
-        // arrival can never precede the send completing
-        Ok(arrive_msg.max(*now))
+        Ok(arrive_msg)
     }
 }
 
@@ -297,8 +318,12 @@ mod tests {
 
     const MTU: usize = 4096;
 
+    /// The sender's cost of posting one retransmission (a power of two,
+    /// so sums of it are exact).
+    const OVERHEAD: f64 = 0.25;
+
     /// Send one `len`-byte message on `t` from rank 0 to rank 1, tag 7,
-    /// starting at virtual time 0, over a flight of one second plus a
+    /// posted at virtual time 0, over a flight of one second plus a
     /// nanosecond a byte. Returns the arrival, the counters and the clock.
     fn send(
         t: &mut SenderTransport,
@@ -311,7 +336,9 @@ mod tests {
             stats: &mut stats,
             trace: None,
         };
-        let arrive = t.deliver(1, tag, len, &mut io, |bytes| 1.0 + bytes as f64 * 1e-9);
+        let arrive = t.deliver(1, tag, len, &mut io, OVERHEAD, |bytes| {
+            1.0 + bytes as f64 * 1e-9
+        });
         (arrive, stats, now)
     }
 
@@ -323,6 +350,28 @@ mod tests {
     /// The flight of a frame carrying `body` payload bytes.
     fn flight(body: usize) -> f64 {
         1.0 + (FRAME_HEADER_BYTES + body) as f64 * 1e-9
+    }
+
+    /// Failed attempts before the first clean copy of the next frame `t`
+    /// sends to rank 1, read off a copy of that link's lottery.
+    fn failures_before_clean(t: &SenderTransport) -> i32 {
+        let mut rng = t.links[1].clone();
+        let mut k = 0;
+        loop {
+            let fate = FrameFate::draw(&mut rng, &t.plan);
+            if !fate.drop && !fate.corrupt {
+                return k;
+            }
+            k += 1;
+        }
+    }
+
+    /// A power-of-two base timeout: the doubled timers then sum exactly.
+    fn exact_rto(plan: FaultPlan) -> FaultPlan {
+        FaultPlan {
+            rto_s: 1.0 / 1024.0,
+            ..plan
+        }
     }
 
     #[test]
@@ -365,34 +414,117 @@ mod tests {
             (stats.corrupt_frames, stats.timeouts, stats.retransmits),
             (4, 4, 3)
         );
-        let rto = plan.rto_s;
-        assert_eq!(now, rto + 2.0 * rto + 4.0 * rto, "the timeout doubles");
+        assert_eq!(
+            now,
+            3.0 * OVERHEAD,
+            "the sender pays each re-post, no timer"
+        );
+        assert_eq!(stats.comm_s, now);
         assert_eq!(stats.dup_frames_dropped, 0, "nothing reached the receiver");
+    }
+
+    #[test]
+    fn a_frame_through_after_k_failures_waited_out_doubling_timers() {
+        // a frame whose first clean copy is its (k+1)-th attempt left
+        // rto + 2·rto + … + 2^(k-1)·rto after the post
+        let plan =
+            exact_rto(FaultPlan::none().with_seed(5).with_corrupt(0.6)).with_retry_budget(64);
+        let mut t = link(plan);
+        let mut deepest = 0;
+        for _ in 0..64 {
+            let k = failures_before_clean(&t);
+            let (arrive, stats, now) = send(&mut t, 7, 10);
+            let timers = (2f64.powi(k) - 1.0) * plan.rto_s;
+            assert_eq!(arrive, Ok(timers + flight(10)), "k = {k}");
+            assert_eq!(stats.retransmits, k as u64, "no ack is lost");
+            assert_eq!(now, stats.retransmits as f64 * OVERHEAD);
+            deepest = deepest.max(k);
+        }
+        assert!(deepest >= 3, "no frame failed three times in a row");
     }
 
     #[test]
     fn a_retransmit_after_a_lost_ack_is_dropped_by_seq() {
         // no network duplicates: every dropped copy is a retransmit of a
         // frame the receiver already holds, and each costs a timeout
-        let plan = FaultPlan::none()
-            .with_seed(11)
-            .with_drop(0.4)
-            .with_retry_budget(64);
+        let plan = exact_rto(
+            FaultPlan::none()
+                .with_seed(11)
+                .with_drop(0.4)
+                .with_retry_budget(64),
+        );
         let mut t = link(plan);
         let mut total = NetStats::default();
         for _ in 0..64 {
+            let k = failures_before_clean(&t);
             let (arrive, stats, now) = send(&mut t, 7, MTU);
-            // priced from the first clean copy, never from a later one
-            let arrive = arrive.expect("within budget");
-            assert!(
-                (now..=now + flight(MTU)).contains(&arrive),
-                "{arrive} {now}"
-            );
+            // priced from the first clean copy's departure (the timers
+            // before it), never from a later copy's
+            let timers = (2f64.powi(k) - 1.0) * plan.rto_s;
+            assert_eq!(arrive, Ok(timers + flight(MTU)), "k = {k}");
+            assert_eq!(now, stats.retransmits as f64 * OVERHEAD);
             total.merge(&stats);
         }
         assert!(total.dup_frames_dropped > 0, "{total:?}");
         assert!(total.dup_frames_dropped < total.timeouts, "{total:?}");
         assert_eq!(total.timeouts, total.retransmits);
+    }
+
+    #[test]
+    fn a_loss_on_one_link_does_not_delay_the_others() {
+        // rank 0 sends one frame each to ranks 1, 2 and 3: the seed loses
+        // the first attempt on 0 -> 1 and lets 0 -> 2 and 0 -> 3 through
+        // clean, against a seed that lets all three through clean
+        use crate::{LogGP, Machine, MachineConfig};
+        let clean_first = |plan: &FaultPlan, dst: usize| {
+            let f = FrameFate::draw(&mut LinkRng::for_link(plan.seed, 0, dst), plan);
+            !(f.drop || f.corrupt || f.duplicate || f.reorder || f.ack_drop)
+        };
+        let seed_where = |lossy_to_1: bool| {
+            (0..)
+                .map(|seed| FaultPlan::none().with_seed(seed).with_drop(0.3))
+                .find(|p| clean_first(p, 1) != lossy_to_1 && clean_first(p, 2) && clean_first(p, 3))
+                .expect("some seed")
+        };
+        let (lossy, clean) = (seed_where(true), seed_where(false));
+        let clocks = |plan: FaultPlan, loggp: LogGP| {
+            let out =
+                Machine::new(MachineConfig::with_ranks(4).loggp(loggp).faults(plan)).run(|ctx| {
+                    if ctx.rank() == 0 {
+                        for dst in 1..4 {
+                            ctx.send_bytes(dst, 5, vec![7; 8]);
+                        }
+                    } else {
+                        ctx.recv_bytes(0, 5);
+                    }
+                    ctx.now()
+                });
+            (out.results, out.stats[0].retransmits)
+        };
+        // with a free re-post, ranks 2 and 3 cannot tell the runs apart
+        let free = LogGP {
+            overhead: 0.0,
+            ..LogGP::default()
+        };
+        let ((l, retransmits), (c, 0)) = (clocks(lossy, free), clocks(clean, free)) else {
+            panic!("the clean seed retransmitted");
+        };
+        assert!(retransmits > 0);
+        assert!(l[1] >= c[1] + lossy.rto_s, "0 -> 1 waits out its timer");
+        assert_eq!((l[2], l[3]), (c[2], c[3]));
+        // otherwise they are later by the re-posts alone, not by a timer
+        let o = LogGP::default().overhead;
+        let ((l, retransmits), (c, _)) = (
+            clocks(lossy, LogGP::default()),
+            clocks(clean, LogGP::default()),
+        );
+        for dst in [2, 3] {
+            let shift = l[dst] - c[dst];
+            assert!(
+                (shift - retransmits as f64 * o).abs() < 1e-15,
+                "rank {dst} is {shift} s late"
+            );
+        }
     }
 
     #[test]

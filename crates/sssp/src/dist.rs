@@ -358,15 +358,23 @@ pub(crate) struct Kernel<'a, P: VertexPartition, R: Record> {
     phase_start: (f64, f64),
 }
 
-/// Everything live across a superstep boundary is checkpointed, lanes back
-/// to back and then the counters; the scratch (`xbufs`, the scan buffers,
-/// and the agreement and open-bucket fields) is excluded on purpose — it is
-/// fully overwritten before being read, in every superstep, offer or at the
-/// next `open_bucket`. No lane count: the lanes were built from the specs
+/// Everything live across a superstep boundary is checkpointed: every
+/// lane's `dist` and `parent`, then the rest of every lane (its bucket
+/// queue, epochs and counters), then the run's counters. The arrays go
+/// first because a queue changes length between checkpoints: behind one,
+/// a later lane's arrays would shift and its word delta would ship them
+/// whole. The scratch (`xbufs`, the scan buffers, and the agreement and
+/// open-bucket fields) is excluded on purpose — it is fully overwritten
+/// before being read, in every superstep, offer or at the next
+/// `open_bucket`. No lane count: the lanes were built from the specs
 /// before any load, and the solo kernel's checkpoint is one plain lane and
 /// nothing else (its size is pinned).
 impl<P: VertexPartition, R: Record> Checkpoint for Kernel<'_, P, R> {
     fn save(&self, out: &mut Vec<u8>) {
+        for lane in &self.lanes {
+            codec::put_slice(out, &lane.sp.dist);
+            codec::put_slice(out, &lane.sp.parent);
+        }
         for lane in &self.lanes {
             lane.save(out);
         }
@@ -375,6 +383,10 @@ impl<P: VertexPartition, R: Record> Checkpoint for Kernel<'_, P, R> {
 
     fn load(&mut self, buf: &[u8]) {
         let pos = &mut 0;
+        for lane in &mut self.lanes {
+            lane.sp.dist = codec::get_vec(buf, pos);
+            lane.sp.parent = codec::get_vec(buf, pos);
+        }
         for lane in &mut self.lanes {
             lane.load(buf, pos);
         }
@@ -809,15 +821,15 @@ impl Lane {
         self.stand == stand && self.pull == pull
     }
 
-    /// A plain lane is the search state alone. What only a spec can make
-    /// move follows it: a lane with a target carries its retirement record,
-    /// a lane with a ceiling its prune count. The stamp arrays stay out,
-    /// their epochs in: past a boundary every stamp is read after a bump of
-    /// its epoch (a drain, a push, the tail's entry, a bucket's opening),
-    /// which no stored stamp can equal, so a load refills them with 0.
+    /// The lane's state past its `dist` and `parent`, which the kernel
+    /// saves ahead of every lane's. A plain lane is the search state alone.
+    /// What only a spec can make move follows it: a lane with a target
+    /// carries its retirement record, a lane with a ceiling its prune
+    /// count. The stamp arrays stay out, their epochs in: past a boundary
+    /// every stamp is read after a bump of its epoch (a drain, a push, the
+    /// tail's entry, a bucket's opening), which no stored stamp can equal,
+    /// so a load refills them with 0.
     fn save(&self, out: &mut Vec<u8>) {
-        codec::put_slice(out, &self.sp.dist);
-        codec::put_slice(out, &self.sp.parent);
         self.buckets.save(out);
         codec::put(out, self.frontier_epoch);
         codec::put(out, self.settled_epoch);
@@ -834,8 +846,6 @@ impl Lane {
     }
 
     fn load(&mut self, buf: &[u8], pos: &mut usize) {
-        self.sp.dist = codec::get_vec(buf, pos);
-        self.sp.parent = codec::get_vec(buf, pos);
         self.buckets.load(buf, pos);
         self.frontier_seen.fill(0);
         self.frontier_epoch = codec::get(buf, pos);

@@ -576,12 +576,16 @@ mod tests {
     /// The batched row moved when a batch became that kernel over lanes
     /// ([802, 798, 778, 778] before), by the same −8 with the phase list,
     /// and by 3 × −272 with the stamps ([1789, 1769, 1749, 1749] before).
-    /// It is the 1D layout lane by lane: three lanes of 272 bytes on an
-    /// empty queue (a 16-vertex `dist` and `parent`, each behind an 8-byte
-    /// count — 72 + 136 — the two epochs, the two unsettled counters and 32
-    /// bytes of empty `BucketQueue`), +20 where a lane's source sits in
-    /// bucket 0 (ranks 0 twice, 1 once); 21 for the p2p lane's retirement
-    /// record (`live`, `finished_at`, the target's `(f32, u64)`); and one
+    /// It is every lane's `dist` and `parent`, then the rest of every lane,
+    /// then the counters (the arrays went first so a queue that changes
+    /// length shifts no lane's arrays; the bytes, and so the sizes, are the
+    /// lane-by-lane layout's, reordered, and one lane's order is the solo
+    /// kernel's): three lanes' 16-vertex `dist` and `parent`, each behind
+    /// an 8-byte count (72 + 136 a lane); three rests of 64 bytes on an
+    /// empty queue (32 bytes of empty `BucketQueue`, the two epochs and the
+    /// two unsettled counters), +20 where a lane's source sits in bucket 0
+    /// (ranks 0 twice, 1 once), +21 for the p2p lane's retirement record
+    /// (`live`, `finished_at`, the target's `(f32, u64)`); and one
     /// `SsspRunStats` of 96 for the run. No lane count, no `pruned` for a
     /// lane without a bound. What it gained over the old layout is the
     /// stamps and counters the solo kernel already carried per search.

@@ -768,6 +768,71 @@ fn merged_trace_timestamps_are_monotone_per_rank() {
 }
 
 #[test]
+fn lossy_traced_runs_keep_each_rank_clock_monotone() {
+    // On real lossy (fuzz-scheduled) traced runs, a rank's trace is stamped
+    // on its own clock, which only moves forward: a retransmit timer runs
+    // on the frame's clock, so no timeout or retransmit event lands at a
+    // future fire time. And the trace counts what NetStats counts.
+    use graph500::FaultPlan;
+    for_cases(0x10_55E5, 8, |rng| {
+        let (n, edges) = arb_graph(rng);
+        let root = rng.range(0, n);
+        let p = rng.usize(2, 5);
+        let plan = FaultPlan::none()
+            .with_seed(rng.next_u64())
+            .with_drop(0.2 + 0.2 * rng.f64_unit())
+            .with_duplicate(0.1 * rng.f64_unit())
+            .with_corrupt(0.1 * rng.f64_unit())
+            .with_reorder(0.1 * rng.f64_unit())
+            .with_retry_budget(64);
+        let el = to_el(&edges);
+        let report = Machine::new(
+            MachineConfig::with_ranks(p)
+                .deterministic(rng.next_u64())
+                .faults(plan)
+                .traced(true),
+        )
+        .run(|ctx| {
+            let part = Block1D::new(n, p);
+            let m = el.len();
+            let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
+            let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
+            let g = assemble_local_graph(ctx, mine.into_iter(), part);
+            distributed_delta_stepping(ctx, &g, root, &OptConfig::all_on());
+        });
+        assert!(
+            report.total_stats().retransmits > 0,
+            "{plan:?} drew no loss"
+        );
+        for (buf, net) in report.traces.iter().zip(&report.stats) {
+            let mut last = 0.0f64;
+            let (mut retransmits, mut timeouts) = (0, 0);
+            for ev in &buf.events {
+                assert!(
+                    ev.t_s >= last,
+                    "rank {}: {:?} at {} after {last} ({plan:?})",
+                    buf.rank,
+                    ev.code,
+                    ev.t_s
+                );
+                last = ev.t_s;
+                match (ev.kind, ev.code) {
+                    (TraceKind::Count, TraceCode::Retransmit) => retransmits += 1,
+                    (TraceKind::Count, TraceCode::Timeout) => timeouts += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!(
+                (retransmits, timeouts),
+                (net.retransmits, net.timeouts),
+                "rank {}",
+                buf.rank
+            );
+        }
+    });
+}
+
+#[test]
 fn traced_runs_have_balanced_spans() {
     // On a real (fuzz-scheduled) traced run, every span Begin has a
     // matching End on the same rank and nesting never goes negative.
