@@ -14,7 +14,7 @@ use g500_gen::CounterRng;
 use g500_graph::EdgeList;
 use g500_partition::Block1D;
 use g500_sssp::{OptConfig, Query, QueryEngine, ServeConfig};
-use simnet::{json, CrashPlan, FaultEscalation, Machine, MachineConfig};
+use simnet::{json, CrashPlan, FaultEscalation, Machine, MachineConfig, NetStats};
 
 /// Everything a serving run needs.
 #[derive(Clone, Debug)]
@@ -165,6 +165,12 @@ pub struct ServeReport {
     pub p99_ms: f64,
     /// Worst query latency, virtual milliseconds.
     pub max_ms: f64,
+    /// Traffic and fault counters of the whole run (landmark precompute
+    /// included), summed over ranks.
+    pub net: NetStats,
+    /// The crash plan the machine ran under; [`CrashPlan::none`] when
+    /// crashes were off.
+    pub crash: CrashPlan,
     /// Host wall-clock seconds the simulation took.
     pub wall_time_s: f64,
     /// Worker threads the pool ran with.
@@ -214,14 +220,19 @@ impl ServeReport {
         )
     }
 
-    /// Machine-readable form, one field a line.
+    /// Machine-readable form, one field a line. A crash-free report
+    /// mentions no crash plan, as `g500 sssp --json` does.
     pub fn to_json(&self) -> String {
         json::report(|o| {
             simnet::json_fields! { o, self:
                 scale, n, m, ranks, batch_width, queries, p2p_queries, batches, cache_hits,
                 early_exits, lanes_run, queries_shed, queries_retried, supersteps, landmarks,
-                serve_time_s, qps, p50_ms, p95_ms, p99_ms, max_ms, wall_time_s, threads,
+                serve_time_s, qps, p50_ms, p95_ms, p99_ms, max_ms, net,
             }
+            if self.crash.is_active() {
+                o.field("crash", self.crash);
+            }
+            simnet::json_fields! { o, self: wall_time_s, threads }
         })
     }
 }
@@ -268,7 +279,7 @@ pub fn try_run_query_serving_benchmark(
         Ok((t1 - t0, latencies, engine.stats().clone(), held))
     })?;
 
-    let wall_time_s = report.wall_time_s;
+    let (wall_time_s, net) = (report.wall_time_s, report.total_stats());
     let (serve_time_s, mut latencies, stats, landmarks) =
         report.results.into_iter().next().unwrap()?;
     latencies.sort_by(|a, b| a.total_cmp(b));
@@ -300,6 +311,8 @@ pub fn try_run_query_serving_benchmark(
         p95_ms: percentile_ms(&latencies, 95.0),
         p99_ms: percentile_ms(&latencies, 99.0),
         max_ms: latencies.last().copied().unwrap_or(0.0) * 1e3,
+        net,
+        crash: cfg.machine.crash,
         wall_time_s,
         threads: rayon::current_num_threads(),
     })

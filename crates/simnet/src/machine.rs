@@ -1,14 +1,20 @@
 //! Machine construction and SPMD launch.
+//!
+//! [`Machine::run`] spawns one OS thread per rank over one shared mailbox
+//! table ([`crate::sched`]), whichever [`SchedMode`] the configuration
+//! names. A rank panic aborts every rank waiting in the table; a job in
+//! which no rank can proceed panics with "deadlock" and the wait-for list;
+//! and a job that ends with an envelope nobody received panics naming it
+//! as an orphan.
 
 use crate::cost::{ComputeModel, LogGP, Topology};
 use crate::fault::{CrashPlan, FaultPlan};
-use crate::rank::{Envelope, RankCtx, Tag, Transport};
+use crate::rank::RankCtx;
 use crate::recovery::FaultEscalation;
 use crate::sched::{SchedCore, SchedMode};
 use crate::stats::NetStats;
 use crate::trace::{TraceBuf, TraceConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Configuration of a simulated machine.
 #[derive(Clone, Copy, Debug)]
@@ -66,12 +72,6 @@ impl MachineConfig {
     /// Builder-style compute-model override.
     pub fn compute(mut self, c: ComputeModel) -> Self {
         self.compute = c;
-        self
-    }
-
-    /// Builder-style scheduling-mode override.
-    pub fn sched(mut self, s: SchedMode) -> Self {
-        self.sched = s;
         self
     }
 
@@ -143,16 +143,8 @@ pub struct Machine {
 }
 
 /// What each rank thread hands back: its result, traffic counters, final
-/// simulated clock, (threads mode) any messages left undelivered in its
-/// mailbox — `(src, tag, seq)` per leftover, for the orphan check — and its
-/// trace buffer when tracing was on.
-type RankOutcome<R> = (
-    R,
-    NetStats,
-    f64,
-    Vec<(usize, Tag, u64)>,
-    Option<Box<TraceBuf>>,
-);
+/// simulated clock, and its trace buffer when tracing was on.
+type RankOutcome<R> = (R, NetStats, f64, Option<Box<TraceBuf>>);
 
 impl Machine {
     /// Build a machine from `cfg`. Panics if `cfg.ranks == 0`, or if the
@@ -182,12 +174,10 @@ impl Machine {
     /// [`FaultEscalation`] raised inside the simulation is re-panicked with
     /// its `Display` text so the diagnosable message survives. Use
     /// [`Machine::try_run`] to receive the escalation as an `Err` instead.
-    /// Under [`SchedMode::Deterministic`] a deadlocked job aborts
-    /// immediately with the wait-for list instead of hanging. Under either
-    /// mode, a job that completes while undelivered (orphan) messages remain
-    /// panics listing them — this is how misrouted messages surface; the
-    /// check is authoritative under the deterministic scheduler and
-    /// best-effort under threads.
+    /// Under either [`SchedMode`], a deadlocked job aborts immediately with
+    /// the wait-for list instead of hanging, and a job that completes while
+    /// undelivered (orphan) messages remain panics listing them — this is
+    /// how misrouted messages surface.
     pub fn run<R, F>(&self, f: F) -> SimReport<R>
     where
         R: Send,
@@ -219,17 +209,7 @@ impl Machine {
         let p = self.cfg.ranks;
         let start = std::time::Instant::now();
 
-        // Shared infrastructure for whichever transport this run uses.
-        let core = match self.cfg.sched {
-            SchedMode::Deterministic { seed } => Some(Arc::new(SchedCore::new(p, seed))),
-            SchedMode::Threads => None,
-        };
-        let (senders, mut receivers): (Vec<_>, Vec<_>) = if core.is_none() {
-            (0..p).map(|_| mpsc::channel::<Envelope>()).unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let abort = Arc::new(AtomicBool::new(false));
+        let core = Arc::new(SchedCore::new(p, self.cfg.sched));
 
         // Per-rank join result: the outcome, a typed escalation, or an
         // opaque panic message. Collected (not short-circuited) because the
@@ -244,46 +224,28 @@ impl Machine {
         let joined: Vec<Joined<R>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
             for rank in 0..p {
-                let transport = match &core {
-                    Some(core) => Transport::Det {
-                        core: Arc::clone(core),
-                    },
-                    None => Transport::Threads {
-                        senders: senders.clone(),
-                        rx: receivers.remove(0),
-                        pending: Default::default(),
-                        abort: Arc::clone(&abort),
-                        seq: 0,
-                    },
-                };
                 let cfg = self.cfg;
                 let f = &f;
-                let abort = Arc::clone(&abort);
-                let core = core.clone();
+                let core = Arc::clone(&core);
                 let h = std::thread::Builder::new()
                     .name(format!("simnet-rank-{rank}"))
                     .spawn_scoped(scope, move || {
-                        if let Some(core) = &core {
-                            core.acquire(rank);
-                        }
-                        let mut ctx = RankCtx::new(rank, p, transport, &cfg);
-                        // Fail-stop semantics: a panic on one rank raises
-                        // the abort flag so peers blocked in recv abort
-                        // too, instead of deadlocking the job.
+                        core.acquire(rank);
+                        let mut ctx = RankCtx::new(rank, p, Arc::clone(&core), &cfg);
+                        // Fail-stop semantics: a panic on one rank aborts
+                        // the job, so peers blocked in recv abort too,
+                        // instead of deadlocking it.
                         let r = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             f(&mut ctx)
                         })) {
                             Ok(r) => r,
                             Err(payload) => {
-                                abort.store(true, Ordering::Release);
-                                if let Some(core) = &core {
-                                    core.abort_all();
-                                }
+                                core.abort_all();
                                 std::panic::resume_unwind(payload);
                             }
                         };
-                        let (stats, now, leftovers, trace) = ctx.into_parts();
-                        (r, stats, now, leftovers, trace)
+                        let (stats, now, trace) = ctx.into_parts();
+                        (r, stats, now, trace)
                     })
                     .expect("spawning a rank thread");
                 handles.push(h);
@@ -329,24 +291,11 @@ impl Machine {
 
         // Orphan detection: a finished job must have consumed every
         // message it sent; leftovers mean a misroute or forgotten recv.
-        let mut orphans: Vec<String> = Vec::new();
-        if let Some(core) = &core {
-            if !core.is_aborted() {
-                for (dest, src, tag, seq) in core.orphans() {
-                    orphans.push(format!(
-                        "rank {dest} never received (src {src}, tag {tag:#x}, seq {seq})"
-                    ));
-                }
-            }
-        } else {
-            for (dest, (_, _, _, leftovers, _)) in outcome.iter().enumerate() {
-                for (src, tag, seq) in leftovers {
-                    orphans.push(format!(
-                        "rank {dest} never received (src {src}, tag {tag:#x}, seq {seq})"
-                    ));
-                }
-            }
-        }
+        let orphans: Vec<String> = (core.orphans().into_iter())
+            .map(|(dest, src, tag, seq)| {
+                format!("rank {dest} never received (src {src}, tag {tag:#x}, seq {seq})")
+            })
+            .collect();
         assert!(
             orphans.is_empty(),
             "orphan message(s) left in mailboxes at job end — misrouted send or missing \
@@ -358,7 +307,7 @@ impl Machine {
         let mut stats = Vec::with_capacity(p);
         let mut traces = Vec::new();
         let mut sim_time_s: f64 = 0.0;
-        for (r, s, now, _, trace) in outcome {
+        for (r, s, now, trace) in outcome {
             results.push(r);
             stats.push(s);
             if let Some(buf) = trace {
@@ -444,20 +393,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "panicked")]
-    fn rank_panic_propagates() {
-        // Rank 1 fails; ranks that would wait on it must not deadlock.
-        Machine::new(MachineConfig::with_ranks(2)).run(|ctx| {
-            if ctx.rank() == 1 {
-                panic!("injected fault");
-            }
-            // rank 0 blocks on a message that will never come; the abort
-            // flag raised by rank 1's teardown unblocks it with a panic.
-            ctx.recv::<u64>(1, 9);
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "a forced crash on rank 4, but the machine has 4 ranks")]
     fn forced_crash_on_a_missing_rank_is_refused() {
         let plan = CrashPlan::none().with_forced(4, 0);
@@ -539,11 +474,39 @@ mod tests {
         assert!(vals.iter().all(|&v| v == 1 + 2 + 3 + 4));
     }
 
+    /// Run `f` on `ranks` ranks under each scheduler; each run must panic
+    /// with `expected` in its message. The last panic is raised again, so a
+    /// `should_panic` test sees it; a wrong text fails with a message that
+    /// names neither (the text goes to stderr), so it cannot pass one.
+    fn panics_under_both_modes(ranks: usize, expected: &str, f: impl Fn(&mut RankCtx) + Sync) {
+        let mut last = None;
+        for sched in [SchedMode::Threads, SchedMode::Deterministic { seed: 0 }] {
+            let cfg = MachineConfig {
+                sched,
+                ..MachineConfig::with_ranks(ranks)
+            };
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Machine::new(cfg).run(&f);
+            }));
+            let payload = run.expect_err("the job must fail");
+            let msg = (payload.downcast_ref::<String>().cloned())
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            if !msg.contains(expected) {
+                eprintln!("{sched:?} failed with: {msg}");
+                panic!("{sched:?}: the failure text lacks the expected words");
+            }
+            last = Some(payload);
+        }
+        std::panic::resume_unwind(last.expect("two modes ran"));
+    }
+
     #[test]
     #[should_panic(expected = "deadlock")]
-    fn deterministic_deadlock_is_detected() {
+    fn deadlock_is_detected() {
         // Rank 0 waits for a message rank 1 never sends; rank 1 finishes.
-        det(2, 0).run(|ctx| {
+        // Each wait is named.
+        panics_under_both_modes(2, "rank 0 waits for (src 1, tag 0x9)", |ctx| {
             if ctx.rank() == 0 {
                 ctx.recv::<u64>(1, 9);
             }
@@ -555,7 +518,7 @@ mod tests {
     fn misrouted_message_is_caught() {
         // Rank 0 sends to rank 1 with a tag nobody receives; the job
         // completes, and teardown flags the orphan envelope.
-        det(2, 0).run(|ctx| {
+        panics_under_both_modes(2, "rank 1 never received (src 0, tag 0x77", |ctx| {
             if ctx.rank() == 0 {
                 ctx.send_one(1, 0x77, 1u64);
             }
@@ -564,8 +527,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "panicked")]
-    fn deterministic_rank_panic_propagates() {
-        det(2, 0).run(|ctx| {
+    fn rank_panic_propagates() {
+        // Rank 1 fails; rank 0 blocks on a message that will never come,
+        // and the abort raised by rank 1's failure unblocks it with a
+        // panic instead of a deadlock.
+        let waits = "another rank failed while this rank was waiting for (1, tag 9)";
+        panics_under_both_modes(2, waits, |ctx| {
             if ctx.rank() == 1 {
                 panic!("injected fault");
             }

@@ -1,33 +1,27 @@
-//! Per-rank execution context: mailboxes, virtual clock, point-to-point
+//! Per-rank execution context: virtual clock, counters, point-to-point
 //! messaging.
 //!
 //! A [`RankCtx`] is handed to the SPMD closure for each rank. It owns the
-//! rank's identity, virtual clock, traffic counters, and a transport that is
-//! either one free-running channel per rank ([`SchedMode::Threads`]) or the
-//! shared deterministic scheduler ([`SchedMode::Deterministic`]). Message
-//! *matching* follows MPI: a receive names `(source, tag)` and non-matching
-//! envelopes are parked — this is what keeps back-to-back collectives from
-//! stealing each other's traffic even when ranks run arbitrarily skewed.
+//! rank's identity, virtual clock and traffic counters, and shares the
+//! job's one mailbox table ([`crate::sched`]) with every other rank, under
+//! either [`SchedMode`]. Message *matching* follows MPI: a receive names
+//! `(source, tag)` and non-matching envelopes wait in the mailbox — this is
+//! what keeps back-to-back collectives from stealing each other's traffic
+//! even when ranks run arbitrarily skewed.
 //!
 //! [`SchedMode`]: crate::sched::SchedMode
-//! [`SchedMode::Threads`]: crate::sched::SchedMode::Threads
-//! [`SchedMode::Deterministic`]: crate::sched::SchedMode::Deterministic
 
 use crate::collectives::{worst_hops, Grid};
 use crate::cost::{ComputeModel, LogGP, Topology};
 use crate::fault::CrashPlan;
 use crate::machine::MachineConfig;
 use crate::recovery::{CrashState, FaultEscalation};
-use crate::sched::{abort_quietly, splitmix64, SchedCore};
+use crate::sched::{splitmix64, SchedCore};
 use crate::stats::NetStats;
 use crate::trace::{TraceBuf, TraceCode, TraceKind};
 use crate::transport::{SenderTransport, TransportError, TransportIo};
 use crate::wire::{decode_vec_checked, encode_slice, Wire};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Message tag. Application tags must be `< TAG_COLLECTIVE_BASE`.
 pub type Tag = u64;
@@ -41,9 +35,9 @@ pub(crate) struct Envelope {
     pub tag: Tag,
     /// Virtual time at which the payload is available at the receiver.
     pub arrive: f64,
-    /// Global deposit sequence number (deterministic mode; a per-sender
-    /// counter in threaded mode). Breaks delivery-order ties and names the
-    /// message in orphan diagnostics.
+    /// Global deposit sequence number, stamped by the mailbox table under
+    /// either scheduler. A receive takes the lowest one of its `(src, tag)`
+    /// stream, and orphan diagnostics name the message by it.
     pub seq: u64,
     pub payload: Vec<u8>,
 }
@@ -55,32 +49,15 @@ pub(crate) enum TrafficClass {
     Collective,
 }
 
-/// How this rank talks to its peers.
-pub(crate) enum Transport {
-    /// Free-running threads: a channel per rank, abort-flag watchdog.
-    Threads {
-        senders: Vec<Sender<Envelope>>,
-        rx: Receiver<Envelope>,
-        pending: VecDeque<Envelope>,
-        /// Set when any rank panics; waiting ranks notice and abort too, so
-        /// a single fault fail-stops the whole job instead of deadlocking.
-        abort: Arc<AtomicBool>,
-        /// Per-sender sequence counter (diagnostics only in this mode).
-        seq: u64,
-    },
-    /// Serialized seeded execution through the shared scheduler.
-    Det { core: Arc<SchedCore> },
-}
-
 /// What [`RankCtx::into_parts`] hands back to the machine: counters, final
-/// clock, orphan diagnostics, and the trace buffer when tracing was on.
-pub(crate) type RankParts = (NetStats, f64, Vec<(usize, Tag, u64)>, Option<Box<TraceBuf>>);
+/// clock, and the trace buffer when tracing was on.
+pub(crate) type RankParts = (NetStats, f64, Option<Box<TraceBuf>>);
 
-/// The per-rank handle: identity, clock, transport, counters.
+/// The per-rank handle: identity, clock, mailboxes, counters.
 pub struct RankCtx {
     rank: usize,
     size: usize,
-    transport: Transport,
+    core: Arc<SchedCore>,
     now: f64,
     loggp: LogGP,
     topo: Topology,
@@ -119,21 +96,15 @@ pub struct RankCtx {
 }
 
 impl RankCtx {
-    pub(crate) fn new(rank: usize, size: usize, transport: Transport, cfg: &MachineConfig) -> Self {
-        let perm_state = match &transport {
-            Transport::Threads { .. } => 0,
-            Transport::Det { core } => {
-                if core.seed() == 0 {
-                    0
-                } else {
-                    splitmix64(core.seed() ^ (rank as u64).wrapping_mul(0xA076_1D64_78BD_642F))
-                }
-            }
+    pub(crate) fn new(rank: usize, size: usize, core: Arc<SchedCore>, cfg: &MachineConfig) -> Self {
+        let perm_state = match core.fuzz_seed() {
+            0 => 0,
+            seed => splitmix64(seed ^ (rank as u64).wrapping_mul(0xA076_1D64_78BD_642F)),
         };
         Self {
             rank,
             size,
-            transport,
+            core,
             now: 0.0,
             loggp: cfg.loggp,
             topo: cfg.topology,
@@ -251,24 +222,12 @@ impl RankCtx {
         }
     }
 
-    /// Tear down, returning counters, final clock, (threaded mode) any
-    /// envelopes that were delivered but never received — best-effort orphan
-    /// diagnostics as `(src, tag, seq)` — and the trace buffer when tracing
-    /// was on. In deterministic mode the scheduler core holds the
-    /// authoritative orphan list.
+    /// Tear down: mark the rank done in the scheduler and return counters,
+    /// final clock, and the trace buffer when tracing was on. The mailbox
+    /// table keeps what nobody received, for the machine's orphan check.
     pub(crate) fn into_parts(self) -> RankParts {
-        let leftovers = match self.transport {
-            Transport::Threads { rx, pending, .. } => pending
-                .into_iter()
-                .map(|e| (e.src, e.tag, e.seq))
-                .chain(rx.try_iter().map(|e| (e.src, e.tag, e.seq)))
-                .collect(),
-            Transport::Det { core } => {
-                core.finish(self.rank, self.now);
-                Vec::new()
-            }
-        };
-        (self.stats, self.now, leftovers, self.trace)
+        self.core.finish(self.rank, self.now);
+        (self.stats, self.now, self.trace)
     }
 
     pub(crate) fn bump_collective(&mut self) {
@@ -442,20 +401,7 @@ impl RankCtx {
             seq: 0,
             payload,
         };
-        match &mut self.transport {
-            Transport::Threads { senders, seq, .. } => {
-                let mut env = env;
-                env.seq = *seq;
-                *seq += 1;
-                senders[dest]
-                    .send(env)
-                    .expect("peer rank hung up (panicked?)");
-            }
-            Transport::Det { core } => {
-                let core = Arc::clone(core);
-                core.deposit(self.rank, self.now, dest, env);
-            }
-        }
+        self.core.deposit(self.rank, self.now, dest, env);
     }
 
     /// Send a raw byte payload to `dest` with `tag`.
@@ -469,51 +415,7 @@ impl RankCtx {
     }
 
     pub(crate) fn recv_bytes_class(&mut self, src: usize, tag: Tag) -> Vec<u8> {
-        let env = match &mut self.transport {
-            Transport::Det { core } => {
-                let core = Arc::clone(core);
-                core.recv_match(self.rank, self.now, src, tag)
-            }
-            Transport::Threads {
-                rx, pending, abort, ..
-            } => {
-                // First look in the pending queue.
-                if let Some(idx) = pending.iter().position(|e| e.src == src && e.tag == tag) {
-                    pending.remove(idx).expect("index just found")
-                } else {
-                    // Otherwise pull from the channel, parking non-matching
-                    // envelopes. Poll with a timeout so a fault elsewhere
-                    // (abort flag) is noticed instead of waiting forever on
-                    // a message that will never come.
-                    loop {
-                        match rx.recv_timeout(Duration::from_millis(5)) {
-                            Ok(env) => {
-                                if env.src == src && env.tag == tag {
-                                    break env;
-                                }
-                                pending.push_back(env);
-                            }
-                            Err(RecvTimeoutError::Timeout) => {
-                                if abort.load(Ordering::Acquire) {
-                                    abort_quietly(format!(
-                                        "rank {}: job aborted — another rank failed while this \
-                                         rank was waiting for ({src}, tag {tag})",
-                                        self.rank
-                                    ));
-                                }
-                            }
-                            Err(RecvTimeoutError::Disconnected) => {
-                                panic!(
-                                    "rank {}: all peers hung up while waiting for \
-                                     ({src}, tag {tag})",
-                                    self.rank
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        };
+        let env = self.core.recv_match(self.rank, self.now, src, tag);
         debug_assert!(
             env.src == src && env.tag == tag,
             "misrouted envelope: got (src {}, tag {:#x}), wanted (src {src}, tag {tag:#x})",

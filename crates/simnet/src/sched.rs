@@ -1,37 +1,41 @@
-//! Deterministic seeded scheduling of rank execution.
+//! The machine's one message layer: a mailbox table and a rank scheduler.
 //!
-//! In [`SchedMode::Threads`] the machine runs one free OS thread per rank and
-//! delivery interleavings are whatever the host scheduler produces. Results
-//! are still *value*-deterministic (receives match on `(src, tag)` and each
-//! stream is FIFO), but execution order is not replayable, a lost message
-//! hangs until the watchdog timeout, and nothing checks that every envelope
-//! was consumed.
+//! Every [`SchedMode`] runs on the same table. A send deposits its envelope
+//! into the receiver's mailbox and stamps it with a global sequence number;
+//! a receive takes the lowest-sequence envelope matching `(src, tag)`, so
+//! within one `(src, tag)` stream messages are received in send order (on a
+//! lossy link a later message may arrive earlier in virtual time than one a
+//! retransmission delayed; it still waits its turn). A receive that finds
+//! no match marks its rank *blocked* and parks it on the rank's own
+//! condition variable until a matching deposit makes it *ready* again.
 //!
-//! [`SchedMode::Deterministic`] serializes the job: exactly one rank runs at
-//! a time, holding an execution token that is handed off at every blocking
-//! point (a receive that cannot be satisfied yet, a seeded preemption on
-//! send, or rank completion). The next rank is always the *ready* rank with
-//! the minimum `(virtual_time, tie_break)` key, where `tie_break` is the rank
-//! id for seed 0 (the canonical schedule) or a seeded hash for fuzzing.
-//! Every envelope is stamped with a global sequence number at deposit time,
-//! so the delivery order is totally ordered by `(virtual_time, src, tag,
-//! seq)`: receives take the lowest-seq matching envelope, so within one
-//! `(src, tag)` stream messages are received in send order (on a lossy
-//! link a later message may arrive earlier in virtual time than one a
-//! retransmission delayed; it still waits its turn). The same seed
-//! therefore replays the exact same schedule — byte-identical `NetStats`,
-//! superstep counts, and distance vectors — while different seeds explore
-//! different legal interleavings.
+//! The modes differ only in which ready ranks may run:
 //!
-//! The serialized scheduler also sees the whole job state, which buys two
-//! checks the threaded mode cannot do:
+//! * [`SchedMode::Threads`] lets every ready rank run: one free OS thread
+//!   per rank, interleaved however the host schedules them. Results are
+//!   still *value*-deterministic (receives match on `(src, tag)` and each
+//!   stream is received in order), but execution order is not replayable.
+//! * [`SchedMode::Deterministic`] serializes the job: exactly one rank runs
+//!   at a time, holding an execution token that is handed off at every
+//!   blocking point (a receive that cannot be satisfied yet, a seeded
+//!   preemption on send, or rank completion), waking only the rank granted
+//!   it. The next rank is always the ready rank with the minimum
+//!   `(virtual_time, tie_break)` key, where `tie_break` is the rank id for
+//!   seed 0 (the canonical schedule) or a seeded hash for fuzzing. The same
+//!   seed therefore replays the exact same schedule — byte-identical
+//!   `NetStats`, superstep counts, and distance vectors — while different
+//!   seeds explore different legal interleavings.
 //!
-//! * **Deadlock detection** — if no rank is runnable and not all are done,
-//!   the job aborts immediately with the full wait-for list instead of
+//! Because the table sees the whole job in both modes, both get two
+//! checks:
+//!
+//! * **Deadlock detection** — the scheduler counts the runnable ranks; a
+//!   rank that blocks or finishes when none is left while another waits
+//!   aborts the job at once with the full wait-for list instead of
 //!   hanging.
-//! * **Orphan detection** — at teardown, envelopes that were delivered but
+//! * **Orphan detection** — at teardown, envelopes that were deposited but
 //!   never received (e.g. a message routed to the wrong rank) are reported
-//!   (see `Machine::run`).
+//!   (see [`SchedCore::orphans`] and `Machine::run`).
 //!
 //! Fault injection composes with both modes without touching this module:
 //! the reliable transport ([`crate::transport`]) runs its retransmit
@@ -44,18 +48,18 @@
 //! [`SchedMode::Deterministic`].
 
 use crate::rank::{Envelope, Tag};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// How the machine schedules rank execution and message delivery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedMode {
     /// One free-running OS thread per rank (the historical default).
     Threads,
-    /// Serialized seeded execution: replayable schedules, deadlock and
-    /// orphan detection, and seeded delivery-order fuzzing. Seed 0 is the
-    /// canonical schedule (lowest virtual time first, rank id tie-break);
-    /// other seeds permute tie-breaks, preemption points, and the orders
-    /// returned by `RankCtx::delivery_order`.
+    /// Serialized seeded execution: replayable schedules and seeded
+    /// delivery-order fuzzing. Seed 0 is the canonical schedule (lowest
+    /// virtual time first, rank id tie-break); other seeds permute
+    /// tie-breaks, preemption points, and the orders returned by
+    /// `RankCtx::delivery_order`.
     Deterministic {
         /// Schedule seed. Same seed ⇒ byte-identical replay.
         seed: u64,
@@ -75,7 +79,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Status {
-    /// Runnable: may be granted the execution token.
+    /// Runnable: running (threads), or waiting for the token.
     Ready,
     /// Parked in a receive that no deposited envelope matches yet.
     Blocked { src: usize, tag: Tag },
@@ -83,10 +87,19 @@ enum Status {
     Done,
 }
 
+/// Which parked ranks to wake once the lock is released.
+enum Wake {
+    Nobody,
+    One(usize),
+    All,
+}
+
 struct Inner {
-    /// Rank currently holding the execution token.
+    /// Rank holding the execution token (deterministic mode only).
     current: usize,
     status: Vec<Status>,
+    /// How many entries of `status` are `Ready`.
+    runnable: usize,
     /// Per-receiver undelivered envelopes, in deposit (sequence) order.
     mailbox: Vec<Vec<Envelope>>,
     /// Last reported virtual clock of each rank (refreshed at yield points);
@@ -102,25 +115,33 @@ struct Inner {
     fail_msg: Option<String>,
 }
 
-/// Shared state of one deterministic job. One instance per `Machine::run`.
+/// Shared state of one job. One instance per `Machine::run`.
 pub(crate) struct SchedCore {
     inner: Mutex<Inner>,
-    cv: Condvar,
-    seed: u64,
+    /// One condition variable a rank: a rank parks on its own, so a wake
+    /// reaches the one rank it concerns.
+    cv: Vec<Condvar>,
+    /// The deterministic seed; `None` under [`SchedMode::Threads`].
+    token: Option<u64>,
 }
 
 impl SchedCore {
     /// Lock the scheduler state, ignoring poisoning: a panicking rank
     /// poisons the mutex by design (fail-stop), and peers still need the
     /// state to report clean abort diagnostics.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    pub(crate) fn new(ranks: usize, seed: u64) -> Self {
+    pub(crate) fn new(ranks: usize, mode: SchedMode) -> Self {
+        let token = match mode {
+            SchedMode::Threads => None,
+            SchedMode::Deterministic { seed } => Some(seed),
+        };
         let mut inner = Inner {
             current: 0,
             status: vec![Status::Ready; ranks],
+            runnable: ranks,
             mailbox: (0..ranks).map(|_| Vec::new()).collect(),
             vtime: vec![0.0; ranks],
             next_seq: 0,
@@ -128,54 +149,80 @@ impl SchedCore {
             aborted: false,
             fail_msg: None,
         };
-        // Initial grant: all ranks are ready at virtual time zero, so the
-        // tie-break alone decides who starts.
-        inner.current = pick_next(&mut inner, seed).expect("at least one rank is ready");
+        if let Some(seed) = token {
+            // Initial grant: all ranks are ready at virtual time zero, so
+            // the tie-break alone decides who starts.
+            inner.current = pick_next(&mut inner, seed);
+        }
         SchedCore {
             inner: Mutex::new(inner),
-            cv: Condvar::new(),
-            seed,
+            cv: (0..ranks).map(|_| Condvar::new()).collect(),
+            token,
         }
     }
 
-    pub(crate) fn seed(&self) -> u64 {
-        self.seed
+    /// The seed that fuzzes delivery orders; 0 (identity orders) under
+    /// threads and for the canonical deterministic schedule.
+    pub(crate) fn fuzz_seed(&self) -> u64 {
+        self.token.unwrap_or(0)
     }
 
-    /// Block until `rank` is granted the execution token for the first time.
+    /// Block until `rank` may run for the first time.
     pub(crate) fn acquire(&self, rank: usize) {
-        let mut inner = self.lock();
-        while !inner.aborted && inner.current != rank {
-            inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
+        let inner = self.wait_turn(self.lock(), Wake::Nobody, rank);
         if inner.aborted {
             panic_aborted(&inner, rank, None);
         }
     }
 
     /// Deposit `env` into `dest`'s mailbox, stamping the global sequence
-    /// number. With a non-zero seed this is also a potential preemption
+    /// number, and make `dest` ready if it waits for this stream. With a
+    /// non-zero deterministic seed this is also a potential preemption
     /// point: the sender may yield the token so a woken receiver (or any
     /// other ready rank) runs before the sender's next step.
     pub(crate) fn deposit(&self, me: usize, now: f64, dest: usize, mut env: Envelope) {
         let mut inner = self.lock();
-        debug_assert_eq!(inner.current, me, "send from a rank not holding the token");
+        debug_assert!(
+            self.token.is_none() || inner.current == me,
+            "send from a rank not holding the token"
+        );
         inner.vtime[me] = now;
         env.seq = inner.next_seq;
         inner.next_seq += 1;
-        if let Status::Blocked { src, tag } = inner.status[dest] {
-            if src == env.src && tag == env.tag {
-                inner.status[dest] = Status::Ready;
+        let mut wake = Wake::Nobody;
+        let awaited = Status::Blocked {
+            src: env.src,
+            tag: env.tag,
+        };
+        if inner.status[dest] == awaited {
+            inner.status[dest] = Status::Ready;
+            inner.runnable += 1;
+            if self.token.is_none() {
+                wake = Wake::One(dest);
             }
         }
         inner.mailbox[dest].push(env);
 
-        if self.seed != 0 {
-            inner.step += 1;
-            let coin = splitmix64(self.seed ^ inner.step.wrapping_mul(0xD134_2543_DE82_EF95));
-            if coin & 1 == 0 {
-                // Yield while staying ready; the grant key decides who runs.
-                self.yield_token(inner, me);
+        match self.token {
+            Some(seed) if seed != 0 => {
+                inner.step += 1;
+                let coin = splitmix64(seed ^ inner.step.wrapping_mul(0xD134_2543_DE82_EF95));
+                if coin & 1 == 0 {
+                    // Yield while staying ready; the grant key decides who
+                    // runs.
+                    let next = pick_next(&mut inner, seed);
+                    inner.current = next;
+                    let inner = self.wait_turn(inner, Wake::One(next), me);
+                    if inner.aborted {
+                        panic_aborted(&inner, me, None);
+                    }
+                }
+            }
+            _ => {
+                // Wake the receiver after letting go of the lock, so it
+                // does not wake only to wait for it.
+                drop(inner);
+                self.wake(wake);
             }
         }
     }
@@ -197,24 +244,8 @@ impl SchedCore {
                 return inner.mailbox[rank].remove(i);
             }
             inner.status[rank] = Status::Blocked { src, tag };
-            match pick_next(&mut inner, self.seed) {
-                Some(next) => {
-                    inner.current = next;
-                    self.cv.notify_all();
-                }
-                None => {
-                    // No rank is runnable and this one just blocked: the job
-                    // can never make progress again.
-                    let msg = deadlock_report(&inner);
-                    inner.aborted = true;
-                    inner.fail_msg = Some(msg.clone());
-                    self.cv.notify_all();
-                    panic!("{msg}");
-                }
-            }
-            while !inner.aborted && inner.current != rank {
-                inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-            }
+            let wake = self.step_aside(&mut inner);
+            inner = self.wait_turn(inner, wake, rank);
         }
     }
 
@@ -225,35 +256,15 @@ impl SchedCore {
         let mut inner = self.lock();
         inner.vtime[rank] = now;
         inner.status[rank] = Status::Done;
-        match pick_next(&mut inner, self.seed) {
-            Some(next) => {
-                inner.current = next;
-                self.cv.notify_all();
-            }
-            None => {
-                if inner
-                    .status
-                    .iter()
-                    .any(|s| matches!(s, Status::Blocked { .. }))
-                    && !inner.aborted
-                {
-                    inner.aborted = true;
-                    inner.fail_msg = Some(deadlock_report(&inner));
-                }
-                self.cv.notify_all();
-            }
-        }
+        let wake = self.step_aside(&mut inner);
+        drop(inner);
+        self.wake(wake);
     }
 
     /// Raise the abort flag (rank panic propagation) and wake all waiters.
     pub(crate) fn abort_all(&self) {
-        let mut inner = self.lock();
-        inner.aborted = true;
-        self.cv.notify_all();
-    }
-
-    pub(crate) fn is_aborted(&self) -> bool {
-        self.lock().aborted
+        self.lock().aborted = true;
+        self.wake(Wake::All);
     }
 
     /// `(dest, src, tag, seq)` of every deposited-but-never-received
@@ -271,26 +282,72 @@ impl SchedCore {
         out
     }
 
-    /// Yield the token while staying ready, then wait to be re-granted.
-    fn yield_token<'a>(&'a self, mut inner: std::sync::MutexGuard<'a, Inner>, me: usize) {
-        debug_assert_eq!(inner.status[me], Status::Ready);
-        if let Some(next) = pick_next(&mut inner, self.seed) {
-            inner.current = next;
-            self.cv.notify_all();
-            while !inner.aborted && inner.current != me {
-                inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
+    /// The caller's rank just stopped being ready (it blocked or finished):
+    /// count it out, grant the token onward in deterministic mode, and raise
+    /// the deadlock abort when no rank is left runnable while one waits.
+    /// Returns whom to wake once the lock is released.
+    fn step_aside(&self, inner: &mut Inner) -> Wake {
+        inner.runnable -= 1;
+        if inner.runnable == 0 {
+            let blocked = inner
+                .status
+                .iter()
+                .any(|s| matches!(s, Status::Blocked { .. }));
+            if !blocked || inner.aborted {
+                return Wake::Nobody;
             }
-            if inner.aborted {
-                panic_aborted(&inner, me, None);
+            // No rank is runnable and one waits: the job can never make
+            // progress again.
+            inner.fail_msg = Some(deadlock_report(inner));
+            inner.aborted = true;
+            return Wake::All;
+        }
+        match self.token {
+            Some(seed) => {
+                let next = pick_next(inner, seed);
+                inner.current = next;
+                Wake::One(next)
             }
+            None => Wake::Nobody,
+        }
+    }
+
+    /// Wake `wake` with the lock released, then park `rank` on its own
+    /// condition variable until it may run or the job aborts.
+    fn wait_turn<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, Inner>,
+        wake: Wake,
+        rank: usize,
+    ) -> MutexGuard<'a, Inner> {
+        if !matches!(wake, Wake::Nobody) {
+            drop(inner);
+            self.wake(wake);
+            inner = self.lock();
+        }
+        while !inner.aborted
+            && (inner.status[rank] != Status::Ready
+                || (self.token.is_some() && inner.current != rank))
+        {
+            inner = self.cv[rank].wait(inner).unwrap_or_else(|e| e.into_inner());
+        }
+        inner
+    }
+
+    fn wake(&self, wake: Wake) {
+        match wake {
+            Wake::Nobody => {}
+            Wake::One(r) => self.cv[r].notify_one(),
+            Wake::All => self.cv.iter().for_each(Condvar::notify_one),
         }
     }
 }
 
 /// Grant key: the ready rank with the minimum `(virtual_time, tie_break)`.
 /// Seed 0 tie-breaks by rank id — the canonical schedule. Other seeds hash
-/// `(seed, step, rank)` so equal-time ranks run in a seeded order.
-fn pick_next(inner: &mut Inner, seed: u64) -> Option<usize> {
+/// `(seed, step, rank)` so equal-time ranks run in a seeded order. Called
+/// only while some rank is ready.
+fn pick_next(inner: &mut Inner, seed: u64) -> usize {
     inner.step += 1;
     let step = inner.step;
     let mut best: Option<(f64, u64, usize)> = None;
@@ -308,11 +365,11 @@ fn pick_next(inner: &mut Inner, seed: u64) -> Option<usize> {
             best = Some(key);
         }
     }
-    best.map(|(_, _, r)| r)
+    best.expect("a rank is ready").2
 }
 
 fn deadlock_report(inner: &Inner) -> String {
-    let mut msg = String::from("deterministic scheduler deadlock: no rank can make progress; ");
+    let mut msg = String::from("deadlock: no rank can make progress; ");
     let waits: Vec<String> = inner
         .status
         .iter()
@@ -344,7 +401,7 @@ fn panic_aborted(inner: &Inner, rank: usize, waiting: Option<(usize, Tag)>) -> !
 /// Leave a rank that another rank's failure aborted, without running the
 /// panic hook: the rank that failed reports the cause, and `Machine` still
 /// sees `msg` as this rank's panic text.
-pub(crate) fn abort_quietly(msg: String) -> ! {
+fn abort_quietly(msg: String) -> ! {
     std::panic::resume_unwind(Box::new(msg))
 }
 

@@ -14,6 +14,7 @@ use std::process::Command;
 use graph500::gen::{KroneckerGenerator, KroneckerParams};
 use graph500::graph::WEdge;
 use graph500::partition::{assemble_local_graph, Block1D};
+use graph500::simnet::json::{parse, Value};
 use graph500::simnet::{
     Machine, MachineConfig, NetStats, RankCtx, SchedMode, TraceCode, TraceEvent, TraceKind,
 };
@@ -180,7 +181,10 @@ fn scale10_2d_crashy_matches_fault_free_both_schedulers() {
         (0..n).find(|&v| has_edge[v as usize]).expect("nonempty")
     };
     let run = |sched: SchedMode, crash: CrashPlan| {
-        let cfg = MachineConfig::with_ranks(p).sched(sched).crashes(crash);
+        let cfg = MachineConfig {
+            sched,
+            ..MachineConfig::with_ranks(p).crashes(crash)
+        };
         let report = Machine::new(cfg).run(|ctx| {
             let m = el.len();
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
@@ -624,6 +628,49 @@ fn unrecoverable_serve_run_sheds_and_exits_cleanly() {
         json.contains("\"queries_shed\": 6"),
         "all six queries should be shed:\n{json}"
     );
+}
+
+/// A crash-armed serve run reports its traffic like `g500 sssp --json`:
+/// a `net` block whose checkpoint counters show the recovery layer ran
+/// (here at a crash rate low enough that no crash fires), and the plan.
+#[test]
+fn crash_armed_serve_json_reports_its_checkpoints() {
+    let out = Command::new(env!("CARGO_BIN_EXE_g500"))
+        .args([
+            "serve",
+            "--scale",
+            "8",
+            "--ranks",
+            "2",
+            "--queries",
+            "8",
+            "--batch",
+            "4",
+            "--crash-rate",
+            "0.000001",
+            "--crash-seed",
+            "3",
+            "--checkpoint-interval",
+            "2",
+            "--json",
+        ])
+        .output()
+        .expect("spawn g500");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = parse(&String::from_utf8(out.stdout).expect("utf8 json")).expect("report parses");
+    let net = |k: &str| {
+        doc.get("net")
+            .and_then(|n| n.get(k))
+            .and_then(Value::as_u64)
+    };
+    assert!(net("checkpoints") > Some(0), "no checkpoint in {doc:?}");
+    assert!(net("checkpoint_bytes") > Some(0), "{doc:?}");
+    let rate = doc.get("crash").and_then(|c| c.get("rate"));
+    assert_eq!(rate, Some(&Value::Num(0.000001)), "{doc:?}");
 }
 
 /// Landmark precompute has no query stream to degrade onto: with landmarks

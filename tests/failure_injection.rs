@@ -95,32 +95,6 @@ fn det_fault_under_fuzzed_schedule_aborts() {
 }
 
 #[test]
-#[should_panic(expected = "deadlock")]
-fn det_mismatched_recv_is_reported_as_deadlock() {
-    // rank 0 waits for a message rank 1 never sends: with every rank
-    // blocked or done, the scheduler must name the deadlock rather than
-    // hang (the threads-mode watchdog would abort too, but without the
-    // blocked-on diagnosis)
-    Machine::new(MachineConfig::with_ranks(2).deterministic(0)).run(|ctx| {
-        if ctx.rank() == 0 {
-            let _: Vec<u64> = ctx.recv(1, 9);
-        }
-    });
-}
-
-#[test]
-#[should_panic(expected = "orphan")]
-fn det_misrouted_message_is_caught() {
-    // rank 0 sends rank 1 a message nobody receives: debug-mode orphan
-    // detection fails the job at exit instead of dropping it silently
-    Machine::new(MachineConfig::with_ranks(2).deterministic(0)).run(|ctx| {
-        if ctx.rank() == 0 {
-            ctx.send(1, 3, &[1u64]);
-        }
-    });
-}
-
-#[test]
 fn det_healthy_job_after_failed_job() {
     let bad = std::panic::catch_unwind(|| {
         Machine::new(MachineConfig::with_ranks(2).deterministic(7)).run(|ctx| {
@@ -134,6 +108,59 @@ fn det_healthy_job_after_failed_job() {
     let rep =
         Machine::new(MachineConfig::with_ranks(2).deterministic(7)).run(|ctx| ctx.allreduce_sum(1));
     assert_eq!(rep.results, vec![2, 2]);
+}
+
+// ---------- deadlock and orphans, both schedulers ----------
+
+/// Run `f` on two ranks under each scheduler; each run must panic with
+/// `expected` in its message. The last panic is raised again for
+/// `should_panic`; a wrong text fails naming neither (it goes to stderr).
+fn fails_under_both_schedulers(expected: &str, f: impl Fn(&mut graph500::simnet::RankCtx) + Sync) {
+    let mut last = None;
+    for sched in [SchedMode::Threads, SchedMode::Deterministic { seed: 0 }] {
+        let cfg = MachineConfig {
+            sched,
+            ..MachineConfig::with_ranks(2)
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Machine::new(cfg).run(&f);
+        }));
+        let payload = run.expect_err("the job must fail");
+        let msg = (payload.downcast_ref::<String>().cloned())
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        if !msg.contains(expected) {
+            eprintln!("{sched:?} failed with: {msg}");
+            panic!("{sched:?}: the failure text lacks the expected words");
+        }
+        last = Some(payload);
+    }
+    std::panic::resume_unwind(last.expect("two schedulers ran"));
+}
+
+#[test]
+#[should_panic(expected = "deadlock")]
+fn mismatched_recv_is_reported_as_deadlock() {
+    // rank 0 waits for a message rank 1 never sends: with every rank
+    // blocked or done, the scheduler must name the deadlock and the wait
+    // rather than hang
+    fails_under_both_schedulers("rank 0 waits for (src 1, tag 0x9)", |ctx| {
+        if ctx.rank() == 0 {
+            let _: Vec<u64> = ctx.recv(1, 9);
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "orphan")]
+fn misrouted_message_is_caught() {
+    // rank 0 sends rank 1 a message nobody receives: orphan detection
+    // fails the job at exit instead of dropping it silently
+    fails_under_both_schedulers("rank 1 never received (src 0, tag 0x3", |ctx| {
+        if ctx.rank() == 0 {
+            ctx.send(1, 3, &[1u64]);
+        }
+    });
 }
 
 // ---------- validator catches corrupted kernel output ----------
@@ -362,7 +389,10 @@ fn scale10_2d_lossy_matches_fault_free_both_schedulers() {
         (0..n).find(|&v| has_edge[v as usize]).expect("nonempty")
     };
     let run = |sched: SchedMode, fault: FaultPlan| {
-        let cfg = MachineConfig::with_ranks(p).sched(sched).faults(fault);
+        let cfg = MachineConfig {
+            sched,
+            ..MachineConfig::with_ranks(p).faults(fault)
+        };
         let report = Machine::new(cfg).run(|ctx| {
             let m = el.len();
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);

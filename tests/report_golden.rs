@@ -263,6 +263,7 @@ fn every_report_parses_with_the_one_parser() {
             "p95_ms",
             "p99_ms",
             "max_ms",
+            "net",
             "wall_time_s",
             "threads"
         ]
