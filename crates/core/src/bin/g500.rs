@@ -14,7 +14,7 @@
 //! error (exit 2), never a silently ignored typo.
 
 use graph500::gen::{KroneckerGenerator, KroneckerParams};
-use graph500::graph::{component_stats, Csr, DegreeStats, Directedness};
+use graph500::graph::{component_stats, Csr, DegreeStats, Directedness, VertexId, Weight};
 use graph500::simnet::Topology;
 use graph500::sssp::{Direction, MIN_DELTA};
 use graph500::{
@@ -112,11 +112,25 @@ impl Args {
         ranks as usize
     }
 
-    /// `--scale`, default 12, refused outside the generator's range.
+    /// `--scale`, default 12, refused outside the generator's range, and
+    /// refused when the host cannot allocate the edge list every command
+    /// generates first (an allocation failure would abort the process).
     fn scale(&self) -> u32 {
         let (scale, takes) = (self.num("--scale", 12), KroneckerParams::SCALES);
         if !takes.contains(&u32::try_from(scale).unwrap_or(u32::MAX)) {
             let accepted = format!("{} to {}", takes.start(), takes.end());
+            reject_range("--scale", scale, &accepted);
+        }
+        // in u128: at the top scales the edge count overflows a u64
+        let edges = u128::from(KroneckerParams::graph500(scale as u32, 0).edgefactor) << scale;
+        let bytes = edges * EDGE_BYTES as u128;
+        let fits =
+            usize::try_from(bytes).is_ok_and(|b| Vec::<u8>::new().try_reserve_exact(b).is_ok());
+        if !fits {
+            let accepted = format!(
+                "a scale whose edge list this host can allocate ({} GiB at scale {scale})",
+                bytes >> 30
+            );
             reject_range("--scale", scale, &accepted);
         }
         scale as u32
@@ -147,6 +161,9 @@ impl Args {
         }
     }
 }
+
+/// Host bytes of one generated edge: two endpoints and a weight.
+const EDGE_BYTES: usize = 2 * std::mem::size_of::<VertexId>() + std::mem::size_of::<Weight>();
 
 /// Exit 2 naming a flag whose value parsed but that no run can use, and
 /// what it accepts: one line, before anything runs — not a panic from

@@ -416,7 +416,8 @@ impl Harness {
     /// slice of the edge list, move it to the placement's ids if it
     /// relabels, assemble. With `agree` the span closes on the instant the
     /// slowest rank stood ready — kernel 0's time, returned; without, on
-    /// this rank's own.
+    /// this rank's own. The slice is charged as generated but copied from
+    /// the host's list, which holds the same edges in the same order.
     pub(crate) fn build<P: VertexPartition>(
         &self,
         ctx: &mut RankCtx,
@@ -428,7 +429,7 @@ impl Harness {
         ctx.trace_begin(TraceCode::Build, hi - lo, 0);
         // generation cost: the counter-based generator is charged per edge
         ctx.charge_compute(hi - lo);
-        let mut mine = self.gen.edge_block(lo..hi);
+        let mut mine = self.edges.copy_range(lo as usize..hi as usize);
         if let Some(relabel) = &self.relabel {
             ctx.charge_compute(1 << 16); // the hub sampling scan
             mine.relabel(|v| relabel.apply(v));
@@ -484,13 +485,14 @@ impl Harness {
         let Some(relabel) = &self.relabel else {
             return gathered;
         };
+        // empty on every rank but the gather's root
         let n = gathered.dist.len();
         let mut orig = ShortestPaths::unreached(n);
-        for v in 0..n as u64 {
-            let l = relabel.apply(v) as usize;
-            orig.dist[v as usize] = gathered.dist[l];
+        for (v, l) in relabel.labels().take(n).enumerate() {
+            let l = l as usize;
+            orig.dist[v] = gathered.dist[l];
             let p = gathered.parent[l];
-            orig.parent[v as usize] = if p == NO_PARENT {
+            orig.parent[v] = if p == NO_PARENT {
                 NO_PARENT
             } else {
                 relabel.invert(p)
@@ -674,6 +676,35 @@ mod tests {
         assert!(rep.teps.harmonic_mean > 0.0);
         assert!(rep.construction_time_s > 0.0);
         assert!(rep.render().contains("harmonic_mean"));
+    }
+
+    /// The translation back to original ids is the per-vertex map: each
+    /// vertex reads its label's slot, and a parent label becomes the
+    /// parent's original id.
+    #[test]
+    fn original_ids_is_the_per_vertex_map() {
+        let mut h = Harness::new(8, 4, 3, 0);
+        let n = h.n;
+        h.relabel = Some(SparseHubRelabel::new(n, detect_hubs(&h.gen, 8.0)));
+        let relabel = h.relabel.clone().expect("set above");
+        assert!(relabel.hub_count() > 0, "the test needs hubs");
+        let mut gathered = ShortestPaths::unreached(n as usize);
+        for l in 0..n {
+            gathered.dist[l as usize] = l as f32;
+            gathered.parent[l as usize] = if l % 5 == 0 { NO_PARENT } else { (l * 7) % n };
+        }
+        let orig = h.original_ids(gathered.clone());
+        for v in 0..n {
+            let l = relabel.apply(v) as usize;
+            assert_eq!(orig.dist[v as usize].to_bits(), gathered.dist[l].to_bits());
+            let p = gathered.parent[l];
+            let want = if p == NO_PARENT {
+                NO_PARENT
+            } else {
+                relabel.invert(p)
+            };
+            assert_eq!(orig.parent[v as usize], want, "vertex {v}");
+        }
     }
 
     #[test]

@@ -53,6 +53,15 @@ impl EdgeList {
         self.w.extend_from_slice(&other.w);
     }
 
+    /// A copy of the edges at positions `range`, in order.
+    pub fn copy_range(&self, range: std::ops::Range<usize>) -> EdgeList {
+        Self {
+            src: self.src[range.clone()].to_vec(),
+            dst: self.dst[range.clone()].to_vec(),
+            w: self.w[range].to_vec(),
+        }
+    }
+
     /// Number of edges.
     #[inline]
     pub fn len(&self) -> usize {

@@ -8,11 +8,16 @@
 //! remain global ids. Because Graph500 graphs are undirected, each input
 //! edge contributes an arc in both directions, and the local "transpose"
 //! needed by pull-mode relaxation is the graph itself.
+//!
+//! A kernel that splits rows at a bucket width Δ reads the light prefixes
+//! as [`LightRows`]: packed into flat arrays of their own, built on first
+//! use and kept on the graph for the Δ last asked for.
 
 use crate::VertexPartition;
 use g500_graph::types::{bits_to_weight, weight_to_bits};
 use g500_graph::{VertexId, Weight};
 use simnet::RankCtx;
+use std::sync::{Arc, Mutex};
 
 /// One rank's share of the distributed graph. Every row is sorted by
 /// (weight, target), so the arcs lighter than any threshold are a prefix.
@@ -27,6 +32,84 @@ pub struct LocalGraph<P: VertexPartition> {
     global_arcs: u64,
     global_vertices: u64,
     global_weight: f64,
+    /// The light rows of the Δ last asked for ([`LocalGraph::light_rows`]).
+    light: LightMemo,
+}
+
+/// Every row's light prefix — its arcs lighter than Δ, in row order — packed
+/// into one offsets array and two flat arrays, 12 bytes an arc: a sweep over
+/// the light arcs of consecutive vertices reads contiguous memory and
+/// nothing of the heavy suffixes between them. Derived from the graph and
+/// Δ alone.
+#[derive(Debug)]
+pub struct LightRows {
+    /// The bucket width the rows were split at: the memo's key.
+    delta: Weight,
+    offsets: Vec<u64>,
+    targets: Vec<VertexId>,
+    weights: Vec<Weight>,
+}
+
+impl LightRows {
+    fn of<P: VertexPartition>(graph: &LocalGraph<P>, delta: Weight) -> LightRows {
+        let n = graph.local_vertices();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut total = 0u64;
+        offsets.push(total);
+        for l in 0..n {
+            total += graph.edge_weights(l).partition_point(|&w| w < delta) as u64;
+            offsets.push(total);
+        }
+        let mut targets = Vec::with_capacity(total as usize);
+        let mut weights = Vec::with_capacity(total as usize);
+        for (l, ends) in offsets.windows(2).enumerate() {
+            let light = (ends[1] - ends[0]) as usize;
+            targets.extend_from_slice(&graph.neighbors(l)[..light]);
+            weights.extend_from_slice(&graph.edge_weights(l)[..light]);
+        }
+        LightRows {
+            delta,
+            offsets,
+            targets,
+            weights,
+        }
+    }
+
+    /// Light arcs on this rank.
+    pub fn arcs(&self) -> u64 {
+        self.targets.len() as u64
+    }
+
+    /// Light arcs of local vertex `l`: the length of its row's light prefix.
+    #[inline]
+    pub fn degree(&self, l: usize) -> usize {
+        (self.offsets[l + 1] - self.offsets[l]) as usize
+    }
+
+    /// Global targets of local vertex `l`'s light arcs, lightest first.
+    #[inline]
+    pub fn neighbors(&self, l: usize) -> &[VertexId] {
+        &self.targets[self.offsets[l] as usize..self.offsets[l + 1] as usize]
+    }
+
+    /// Weights of local vertex `l`'s light arcs, parallel to
+    /// [`neighbors`](LightRows::neighbors).
+    #[inline]
+    pub fn edge_weights(&self, l: usize) -> &[Weight] {
+        &self.weights[self.offsets[l] as usize..self.offsets[l + 1] as usize]
+    }
+}
+
+/// The graph's one memoised [`LightRows`]: shared with every kernel run at
+/// the same Δ, replaced when a run asks for another. A clone of the graph
+/// starts with the same rows.
+#[derive(Debug, Default)]
+struct LightMemo(Mutex<Option<Arc<LightRows>>>);
+
+impl Clone for LightMemo {
+    fn clone(&self) -> Self {
+        LightMemo(Mutex::new(self.0.lock().expect("light rows memo").clone()))
+    }
 }
 
 /// Wire record for one arc: (global source, global target, weight).
@@ -144,6 +227,7 @@ pub fn assemble_local_graph<P: VertexPartition>(
         global_arcs,
         global_vertices,
         global_weight,
+        light: LightMemo::default(),
     }
 }
 
@@ -214,6 +298,17 @@ impl<P: VertexPartition> LocalGraph<P> {
         let hi = self.offsets[l + 1] as usize;
         &self.weights[lo..hi]
     }
+
+    /// The light prefixes of every row at bucket width `delta`, packed:
+    /// built on the first call and on a call with another Δ than the last,
+    /// otherwise the rows the last call returned.
+    pub fn light_rows(&self, delta: Weight) -> Arc<LightRows> {
+        let mut memo = self.light.0.lock().expect("light rows memo");
+        match &*memo {
+            Some(rows) if rows.delta.to_bits() == delta.to_bits() => Arc::clone(rows),
+            _ => Arc::clone(memo.insert(Arc::new(LightRows::of(self, delta)))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +377,34 @@ mod tests {
                 assert_eq!(got, expect, "vertex {v}");
             }
         }
+    }
+
+    #[test]
+    fn light_rows_are_the_row_prefixes_kept_per_delta() {
+        let el = g500_gen::simple::erdos_renyi(60, 400, 9);
+        let rep = Machine::new(MachineConfig::with_ranks(3)).run(|ctx| {
+            let mine = my_slice(&el, ctx.rank(), 3);
+            let g = assemble_local_graph(ctx, mine.into_iter(), Block1D::new(60, 3));
+            for delta in [0.0, 0.3, 2.0] {
+                let rows = g.light_rows(delta);
+                let mut arcs = 0;
+                for l in 0..g.local_vertices() {
+                    let light = g.edge_weights(l).iter().filter(|&&w| w < delta).count();
+                    assert_eq!(rows.degree(l), light);
+                    assert_eq!(rows.neighbors(l), &g.neighbors(l)[..light]);
+                    assert_eq!(rows.edge_weights(l), &g.edge_weights(l)[..light]);
+                    arcs += light as u64;
+                }
+                assert_eq!(rows.arcs(), arcs);
+                // the same Δ again is the memo, a clone of the graph shares it
+                assert!(Arc::ptr_eq(&rows, &g.light_rows(delta)));
+                assert!(Arc::ptr_eq(&rows, &g.clone().light_rows(delta)));
+            }
+            let last = g.light_rows(2.0);
+            assert!(!Arc::ptr_eq(&last, &g.light_rows(0.3)), "a new Δ rebuilds");
+            g.local_arcs()
+        });
+        assert!(rep.results.iter().all(|&a| a > 0));
     }
 
     #[test]

@@ -94,38 +94,45 @@ impl VertexPartition for HybridPartition {
 
 /// A closed-form hub relabeling: the chosen hubs map to labels
 /// `0..hubs.len()` (in the given priority order) and every other id keeps
-/// its relative order, shifted past the hubs. It needs memory proportional
-/// to the *hub set*, not the vertex set, so it scales to id spaces no rank
-/// could hold — the regime the paper operates in.
+/// its relative order, shifted past the hubs. It needs O(hubs) memory — the
+/// hub set, not the vertex set, so it scales to id spaces no rank could
+/// hold, the regime the paper operates in — and O(log hubs) time a label
+/// either way: [`apply`](SparseHubRelabel::apply) and
+/// [`invert`](SparseHubRelabel::invert) are one binary search each over
+/// the hubs sorted by id.
 #[derive(Clone, Debug)]
 pub struct SparseHubRelabel {
     n: u64,
     /// Hubs in priority (e.g. descending-degree) order; `by_priority[i]`
     /// gets new label `i`.
     by_priority: Vec<VertexId>,
-    /// The same hubs sorted by original id, for rank queries.
+    /// The same hubs sorted by original id, and parallel to it each one's
+    /// label (its position in `by_priority`).
     by_id: Vec<VertexId>,
-    /// `rank_of[h]` = position of hub `h` in `by_priority`.
-    rank_of: std::collections::HashMap<VertexId, u64>,
+    label_of: Vec<VertexId>,
 }
 
 impl SparseHubRelabel {
     /// Build from the hub list in priority order. Panics on duplicates or
     /// out-of-range ids.
     pub fn new(n: u64, hubs_by_priority: Vec<VertexId>) -> Self {
-        let mut rank_of = std::collections::HashMap::with_capacity(hubs_by_priority.len());
-        for (i, &h) in hubs_by_priority.iter().enumerate() {
-            assert!(h < n, "hub {h} out of range");
-            let dup = rank_of.insert(h, i as u64);
-            assert!(dup.is_none(), "duplicate hub {h}");
+        let mut ranked: Vec<(VertexId, VertexId)> = (hubs_by_priority.iter())
+            .enumerate()
+            .map(|(i, &h)| {
+                assert!(h < n, "hub {h} out of range");
+                (h, i as VertexId)
+            })
+            .collect();
+        ranked.sort_unstable();
+        if let Some(w) = ranked.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("duplicate hub {}", w[0].0);
         }
-        let mut by_id = hubs_by_priority.clone();
-        by_id.sort_unstable();
+        let (by_id, label_of) = ranked.into_iter().unzip();
         Self {
             n,
             by_priority: hubs_by_priority,
             by_id,
-            rank_of,
+            label_of,
         }
     }
 
@@ -134,18 +141,32 @@ impl SparseHubRelabel {
         self.by_priority.len() as u64
     }
 
-    /// Hubs with original ids `< v`.
-    fn hubs_below(&self, v: VertexId) -> u64 {
-        self.by_id.partition_point(|&h| h < v) as u64
+    /// New label of original id `v`, given `below`, the number of hubs with
+    /// ids under `v`: a hub's priority, or a non-hub's place among the
+    /// non-hubs past the hub prefix.
+    #[inline]
+    fn label(&self, v: VertexId, below: usize) -> VertexId {
+        match self.by_id.get(below) {
+            Some(&h) if h == v => self.label_of[below],
+            _ => self.hub_count() + v - below as u64,
+        }
     }
 
     /// New label of original id `v`.
     pub fn apply(&self, v: VertexId) -> VertexId {
         debug_assert!(v < self.n);
-        match self.rank_of.get(&v) {
-            Some(&r) => r,
-            None => self.hub_count() + (v - self.hubs_below(v)),
-        }
+        self.label(v, self.by_id.partition_point(|&h| h < v))
+    }
+
+    /// Every original id's new label, in id order: one pass with a cursor
+    /// over the hubs sorted by id, no search.
+    pub fn labels(&self) -> impl Iterator<Item = VertexId> + '_ {
+        let mut below = 0;
+        (0..self.n).map(move |v| {
+            let l = self.label(v, below);
+            below += usize::from(self.by_id.get(below) == Some(&v));
+            l
+        })
     }
 
     /// Original id of new label `l`.
@@ -155,22 +176,21 @@ impl SparseHubRelabel {
         if l < h {
             return self.by_priority[l as usize];
         }
-        // `f(x) = x − hubs_below(x)` counts non-hub ids `< x` and is
-        // non-decreasing; the wanted original id is the `target`-th non-hub,
-        // i.e. the `v` with `f(v) == target` and `f(v + 1) == target + 1`.
-        // Binary-search the smallest `x` with `f(x) ≥ target + 1`; then
-        // `v = x − 1`.
+        // The wanted id is the `target`-th non-hub. `by_id[i] − i` counts
+        // the non-hubs under the i-th hub and never falls as i grows, so
+        // the hubs under the wanted id are those with at most `target`
+        // non-hubs under them, and each shifts it one place up.
         let target = l - h;
-        let (mut lo, mut hi) = (0u64, self.n);
+        let (mut lo, mut hi) = (0, self.by_id.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if mid - self.hubs_below(mid) > target {
-                hi = mid;
-            } else {
+            if self.by_id[mid] - mid as u64 <= target {
                 lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        lo - 1
+        target + lo as u64
     }
 }
 
@@ -221,18 +241,46 @@ mod tests {
         assert!(first_tail >= 8);
     }
 
+    /// `apply` is a bijection and `invert` its inverse over the whole id
+    /// space, hubs take their priorities, non-hubs keep their order past
+    /// them, and `labels` is `apply` id by id — for hub sets at the edges
+    /// of the id space, in adjacent runs, everywhere and nowhere.
     #[test]
     fn sparse_relabel_is_a_bijection() {
-        let n = 100u64;
-        let r = SparseHubRelabel::new(n, vec![42, 7, 99, 0]);
-        assert_eq!(r.hub_count(), 4);
-        let mut seen = vec![false; n as usize];
-        for v in 0..n {
-            let l = r.apply(v);
-            assert!(l < n);
-            assert!(!seen[l as usize], "collision at {v}");
-            seen[l as usize] = true;
-            assert_eq!(r.invert(l), v, "invert failed for {v} -> {l}");
+        let shapes: [(u64, Vec<VertexId>); 9] = [
+            (100, vec![42, 7, 99, 0]),
+            (64, vec![]),
+            (64, vec![0]),
+            (64, vec![63]),
+            (64, vec![63, 0]),
+            (64, vec![5, 6, 7, 8, 40, 41]),
+            (64, vec![63, 62, 61, 0, 1, 2, 31, 32]),
+            (64, (0..64).rev().collect()),
+            (64, (0..64).filter(|v| v % 2 == 1).collect()),
+        ];
+        for (n, hubs) in shapes {
+            let r = SparseHubRelabel::new(n, hubs.clone());
+            assert_eq!(r.hub_count(), hubs.len() as u64);
+            let labels: Vec<VertexId> = r.labels().collect();
+            assert_eq!(labels.len() as u64, n, "{hubs:?}");
+            let mut seen = vec![false; n as usize];
+            let mut next = hubs.len() as u64;
+            for v in 0..n {
+                let l = r.apply(v);
+                assert!(l < n);
+                assert!(!seen[l as usize], "{hubs:?}: collision at {v}");
+                seen[l as usize] = true;
+                assert_eq!(labels[v as usize], l, "{hubs:?}: labels() at {v}");
+                assert_eq!(r.invert(l), v, "{hubs:?}: invert(apply({v}))");
+                assert_eq!(r.apply(r.invert(v)), v, "{hubs:?}: apply(invert({v}))");
+                match hubs.iter().position(|&h| h == v) {
+                    Some(i) => assert_eq!(l, i as u64, "{hubs:?}: hub {v}"),
+                    None => {
+                        assert_eq!(l, next, "{hubs:?}: non-hub {v}");
+                        next += 1;
+                    }
+                }
+            }
         }
     }
 

@@ -11,7 +11,7 @@ use crate::cost::{ComputeModel, LogGP, Topology};
 use crate::fault::{CrashPlan, FaultPlan};
 use crate::rank::RankCtx;
 use crate::recovery::FaultEscalation;
-use crate::sched::{SchedCore, SchedMode};
+use crate::sched::{Collateral, SchedCore, SchedMode};
 use crate::stats::NetStats;
 use crate::trace::{TraceBuf, TraceConfig};
 use std::sync::Arc;
@@ -211,14 +211,16 @@ impl Machine {
 
         let core = Arc::new(SchedCore::new(p, self.cfg.sched));
 
-        // Per-rank join result: the outcome, a typed escalation, or an
-        // opaque panic message. Collected (not short-circuited) because the
-        // rank carrying the typed payload is not necessarily rank 0 — its
-        // peers die with abort-flag string panics that must not shadow it.
+        // Per-rank join result: the outcome, a typed escalation, a panic
+        // of the rank's own, or the abort another rank's failure raised on
+        // it. Collected (not short-circuited) because the rank that failed
+        // first is not necessarily rank 0 — its peers die with collateral
+        // aborts that must not shadow it.
         enum Joined<R> {
             Done(RankOutcome<R>),
             Escalated(FaultEscalation),
             Panicked(String),
+            Aborted(String),
         }
 
         let joined: Vec<Joined<R>> = std::thread::scope(|scope| {
@@ -256,6 +258,9 @@ impl Machine {
                     Ok(outcome) => Joined::Done(outcome),
                     Err(payload) => match payload.downcast_ref::<FaultEscalation>() {
                         Some(e) => Joined::Escalated(e.clone()),
+                        None if let Some(Collateral(msg)) = payload.downcast_ref() => {
+                            Joined::Aborted(msg.clone())
+                        }
                         None => {
                             // surface the original panic text so job aborts
                             // are debuggable from the top-level message
@@ -271,21 +276,31 @@ impl Machine {
                 .collect()
         });
 
-        // A typed escalation wins over the collateral string panics of the
-        // peers it aborted; it also skips the orphan check — an aborted job
-        // legitimately leaves messages in flight.
+        // A typed escalation wins over the collateral aborts of the peers
+        // it aborted; it also skips the orphan check — an aborted job
+        // legitimately leaves messages in flight. Otherwise a rank's own
+        // panic is the root cause, reported before any collateral abort,
+        // the lowest rank first either way.
         for (rank, j) in joined.iter().enumerate() {
             if let Joined::Escalated(e) = j {
                 return Err((rank, e.clone()));
             }
         }
+        let failed = |own: bool| {
+            joined.iter().enumerate().find_map(|(rank, j)| match j {
+                Joined::Panicked(msg) if own => Some((rank, msg)),
+                Joined::Aborted(msg) if !own => Some((rank, msg)),
+                _ => None,
+            })
+        };
+        if let Some((rank, msg)) = failed(true).or_else(|| failed(false)) {
+            panic!("rank {rank} panicked: {msg}");
+        }
         let outcome: Vec<RankOutcome<R>> = joined
             .into_iter()
-            .enumerate()
-            .map(|(rank, j)| match j {
+            .map(|j| match j {
                 Joined::Done(o) => o,
-                Joined::Panicked(msg) => panic!("rank {rank} panicked: {msg}"),
-                Joined::Escalated(_) => unreachable!("escalations returned above"),
+                _ => unreachable!("failures reported above"),
             })
             .collect();
 
@@ -530,9 +545,9 @@ mod tests {
     fn rank_panic_propagates() {
         // Rank 1 fails; rank 0 blocks on a message that will never come,
         // and the abort raised by rank 1's failure unblocks it with a
-        // panic instead of a deadlock.
-        let waits = "another rank failed while this rank was waiting for (1, tag 9)";
-        panics_under_both_modes(2, waits, |ctx| {
+        // panic instead of a deadlock. The job's failure is rank 1's own,
+        // not rank 0's collateral abort, though rank 0 comes first.
+        panics_under_both_modes(2, "rank 1 panicked: injected fault", |ctx| {
             if ctx.rank() == 1 {
                 panic!("injected fault");
             }

@@ -398,11 +398,15 @@ fn panic_aborted(inner: &Inner, rank: usize, waiting: Option<(usize, Tag)>) -> !
     }
 }
 
+/// The unwind payload of a rank that another rank's failure aborted: its
+/// text says where the abort found it. `Machine` reports a failure of this
+/// kind only when no rank failed for a cause of its own.
+pub(crate) struct Collateral(pub(crate) String);
+
 /// Leave a rank that another rank's failure aborted, without running the
-/// panic hook: the rank that failed reports the cause, and `Machine` still
-/// sees `msg` as this rank's panic text.
+/// panic hook: the rank that failed reports the cause.
 fn abort_quietly(msg: String) -> ! {
-    std::panic::resume_unwind(Box::new(msg))
+    std::panic::resume_unwind(Box::new(Collateral(msg)))
 }
 
 #[cfg(test)]

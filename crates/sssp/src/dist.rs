@@ -41,8 +41,8 @@
 //!               request/reply pair for all lanes — relaxes
 //! ```
 //!
-//! Graph, Δ, the `light_end` row split, options, scratch and run counters
-//! belong to the [`Kernel`]; everything that belongs to one search — result,
+//! Graph, Δ, the light rows, options, scratch and run counters belong to
+//! the [`Kernel`]; everything that belongs to one search — result,
 //! queue, stamps, unsettled counters, frontier, settled set — to a [`Lane`],
 //! with what a [`BatchSpec`] adds (target, bound, retirement record). Every
 //! superstep body is `for lane in lanes { the solo body }` around one
@@ -65,6 +65,16 @@
 //! sizes, the live lanes with a target. The route changes how bytes travel,
 //! never which records arrive or in what per-source order.
 //!
+//! The host pays for the sweeps the model charges, not for set-up around
+//! them. The light prefixes a push relaxes and a light pull scans are the
+//! graph's packed [`LightRows`]: 12 bytes an arc in flat arrays of their
+//! own, built once for a Δ and kept on the graph, so every later root or
+//! serve window at that Δ reads them as they stand (heavy suffixes and a
+//! tail round read the graph's rows past them). A light pull's index of the
+//! broadcast frontier is kernel scratch: one map a lane, emptied each pull
+//! step and never reallocated, as large as the frontier entries it has
+//! held, never the global vertex count.
+//!
 //! Every optimization is toggleable via [`OptConfig`]; with everything off
 //! this degenerates to the plain textbook distributed delta-stepping that
 //! the ablation experiments measure against.
@@ -78,11 +88,12 @@ use crate::exchange::{exchange_into, shipped_bytes, ExchangeBufs};
 use crate::multi::BatchSpec;
 use g500_graph::hash::VertexIdBuild;
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
-use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
+use g500_partition::{DistShortestPaths, LightRows, LocalGraph, VertexPartition};
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::{Header, RankCtx, Route, TraceCode, Wire};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What one agreement carries. Of the bucket: frontier size `f`, its light
 /// arcs `F`, (from a rank with no frontier, for the step that finds none
@@ -118,6 +129,10 @@ impl Offer for Sums {
 /// Per-vertex result of the parallel pull scan: arcs examined, and (if the
 /// vertex improved) its new `(dist, parent)`.
 type PullScan = (u64, Option<(f32, u64)>);
+
+/// A light pull's index of one lane's broadcast frontier: the distance each
+/// frontier vertex offers, and the nearest of them.
+type FrontierIndex = (HashMap<u64, f32, VertexIdBuild>, f32);
 
 /// Operations one pushed light arc costs end to end: the relaxation, then
 /// what [`exchange_into`] and the receiver charge per record — dedup
@@ -216,16 +231,22 @@ impl SsspRunStats {
 struct Rows<'a, P: VertexPartition> {
     graph: &'a LocalGraph<P>,
     delta: Weight,
-    /// `light_end[l]` arcs of local vertex `l` are lighter than Δ: rows
-    /// are weight-sorted, so they are the prefix and the heavy arcs the
-    /// suffix. Derived from graph + Δ, so not checkpointed.
-    light_end: Vec<u32>,
+    /// The arcs lighter than Δ, packed: rows are weight-sorted, so they are
+    /// each row's prefix and the heavy arcs its suffix in `graph`. Derived
+    /// from graph + Δ and kept on the graph across runs, so not
+    /// checkpointed.
+    light: Arc<LightRows>,
 }
 
 impl<P: VertexPartition> Rows<'_, P> {
+    /// Light arcs of local vertex `l`: the length of its row's light prefix.
+    fn light_arcs(&self, l: usize) -> u64 {
+        self.light.degree(l) as u64
+    }
+
     /// Heavy arcs of local vertex `l`: its row past the light prefix.
     fn heavy_arcs(&self, l: usize) -> u64 {
-        self.graph.degree(l) as u64 - u64::from(self.light_end[l])
+        (self.graph.degree(l) - self.light.degree(l)) as u64
     }
 }
 
@@ -348,9 +369,13 @@ pub(crate) struct Kernel<'a, P: VertexPartition, R: Record> {
     pub(crate) lanes: Vec<Lane>,
     pub(crate) stats: SsspRunStats,
     /// Superstep scratch arenas, reused across the whole run: the exchange
-    /// buckets/incoming buffer and the parallel pull scan's result buffer.
+    /// buckets/incoming buffer, the parallel pull scan's result buffer and,
+    /// per lane, a light pull's frontier index, emptied every pull step and
+    /// never shrunk: it holds as many entries as the largest frontier the
+    /// lane pulled from, however many vertices the graph has.
     xbufs: ExchangeBufs<R>,
     pull_scratch: Vec<PullScan>,
+    pull_index: Vec<FrontierIndex>,
     /// Open-bucket scratch: the global frontier size summed over the
     /// bucket's light steps and lanes, and the compute/comm clocks at its
     /// start.
@@ -363,10 +388,10 @@ pub(crate) struct Kernel<'a, P: VertexPartition, R: Record> {
 /// queue, epochs and counters), then the run's counters. The arrays go
 /// first because a queue changes length between checkpoints: behind one,
 /// a later lane's arrays would shift and its word delta would ship them
-/// whole. The scratch (`xbufs`, the scan buffers, and the agreement and
-/// open-bucket fields) is excluded on purpose — it is fully overwritten
-/// before being read, in every superstep, offer or at the next
-/// `open_bucket`. No lane count: the lanes were built from the specs
+/// whole. The scratch (`xbufs`, the scan buffers and frontier index, and
+/// the agreement and open-bucket fields) is excluded on purpose — it is
+/// fully overwritten before being read, in every superstep, offer or at
+/// the next `open_bucket`. No lane count: the lanes were built from the specs
 /// before any load, and the solo kernel's checkpoint is one plain lane and
 /// nothing else (its size is pinned).
 impl<P: VertexPartition, R: Record> Checkpoint for Kernel<'_, P, R> {
@@ -458,11 +483,8 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
         )
     });
 
-    let light_end: Vec<u32> = (0..n_local)
-        .map(|l| graph.edge_weights(l).partition_point(|&w| w < delta) as u32)
-        .collect();
-    let light: u64 = light_end.iter().map(|&e| u64::from(e)).sum();
-    let unsettled = (light, graph.local_arcs() as u64 - light);
+    let light = graph.light_rows(delta);
+    let unsettled = (light.arcs(), graph.local_arcs() as u64 - light.arcs());
     let part = graph.part();
     let lanes = specs
         .iter()
@@ -481,7 +503,7 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
         rows: Rows {
             graph,
             delta,
-            light_end,
+            light,
         },
         opts: *opts,
         tail,
@@ -490,6 +512,7 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
         stats: SsspRunStats::default(),
         xbufs: ExchangeBufs::new(ctx.size()),
         pull_scratch: Vec::new(),
+        pull_index: Vec::new(),
         phase_frontier: 0,
         phase_start: (0.0, 0.0),
     };
@@ -928,7 +951,7 @@ impl Lane {
     ) -> (u64, u64, u64, f32, Sent) {
         let mut bucket = (self.frontier.len() as u64, 0, 0, f32::INFINITY, (0, 0, 0));
         for &v in &self.frontier {
-            bucket.1 += u64::from(rows.light_end[v as usize]);
+            bucket.1 += rows.light_arcs(v as usize);
         }
         if open && self.frontier.is_empty() {
             for &v in &self.settled {
@@ -984,7 +1007,7 @@ impl Lane {
             debug_assert_eq!(self.settled_seen[l], 0, "settled by two buckets");
             self.settled_seen[l] = self.settled_epoch;
             self.settled.push(v);
-            self.unsettled_light -= u64::from(rows.light_end[l]);
+            self.unsettled_light -= rows.light_arcs(l);
             self.unsettled_heavy -= rows.heavy_arcs(l);
         }
     }
@@ -1061,16 +1084,20 @@ impl Lane {
                 }
                 self.frontier_seen[u] = stamp;
             }
-            let light = rows.light_end[u] as usize;
-            let row = match arcs {
-                Arcs::Light { .. } => 0..light,
-                Arcs::Heavy => light..graph.degree(u),
-                Arcs::Tail => 0..graph.degree(u),
+            let (ts, ws) = match arcs {
+                Arcs::Light { .. } => (rows.light.neighbors(u), rows.light.edge_weights(u)),
+                Arcs::Heavy => {
+                    let light = rows.light.degree(u);
+                    (
+                        &graph.neighbors(u)[light..],
+                        &graph.edge_weights(u)[light..],
+                    )
+                }
+                Arcs::Tail => (graph.neighbors(u), graph.edge_weights(u)),
             };
             let (du, u_global) = (self.sp.dist[u], part.to_global(me, u));
-            relaxed += row.len() as u64;
-            let ws = &graph.edge_weights(u)[row.clone()];
-            for (&v, &w) in graph.neighbors(u)[row].iter().zip(ws) {
+            relaxed += ts.len() as u64;
+            for (&v, &w) in ts.iter().zip(ws) {
                 let nd = du + w;
                 if self.prunes(nd) {
                     continue;
@@ -1093,7 +1120,7 @@ impl Lane {
                 } else if self.apply(l, nd, u_global, wait) && in_k {
                     self.toward.0 += 1;
                     self.toward.1 += 1;
-                    self.toward.2 += u64::from(rows.light_end[l]);
+                    self.toward.2 += rows.light_arcs(l);
                 }
             }
         }
@@ -1130,14 +1157,15 @@ impl Lane {
         let this = &*self;
         let scan = |l: usize| -> PullScan {
             let (mut scanned, mut dl, mut pl) = (0u64, this.sp.dist[l], u64::MAX);
-            let light = rows.light_end[l] as usize;
-            let row = if heavy {
-                light..graph.degree(l)
+            let (ts, ws) = if heavy {
+                let light = rows.light.degree(l);
+                (
+                    &graph.neighbors(l)[light..],
+                    &graph.edge_weights(l)[light..],
+                )
             } else {
-                0..light
+                (rows.light.neighbors(l), rows.light.edge_weights(l))
             };
-            let ts = &graph.neighbors(l)[row.clone()];
-            let ws = &graph.edge_weights(l)[row];
             for (&t, &w) in ts.iter().zip(ws) {
                 let least = nearest + w;
                 if least >= dl || least > this.bound {
@@ -1365,26 +1393,24 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         let route = self.route(ctx.allgatherv_route(block));
         let (blocks, merged) = ctx.allgatherv_routed(route, &mine, header);
         // Min-merge the per-rank frontier blocks in the (possibly fuzzed)
-        // delivery order — the min makes the merge order-free — into, per
-        // lane, a map of what each frontier vertex offers and the nearest
-        // of them. The maps are probed once per scanned arc and never
-        // iterated: ids the graph made need no SipHash, and the hasher
-        // cannot change a result. Each map is sized for its lane's entries
-        // up front — a vertex has one owner, so none repeats — and never
-        // rehashes while it fills.
+        // delivery order — the min makes the merge order-free — into each
+        // lane's index (kernel scratch, emptied here). The maps are probed
+        // once per scanned arc and never iterated: ids the graph made need
+        // no SipHash, and the hasher cannot change a result. Each map makes
+        // room for its lane's entries up front — a vertex has one owner, so
+        // none repeats — and never rehashes while it fills.
         let order = ctx.delivery_order(blocks.len());
         let mut sizes = vec![0; self.lanes.len()];
         for &(tag, ..) in blocks.iter().flatten() {
             sizes[R::lane(tag) as usize] += 1;
         }
-        let quiet = |n| {
-            (
-                HashMap::with_capacity_and_hasher(n, VertexIdBuild::default()),
-                f32::INFINITY,
-            )
-        };
-        let mut heard: Vec<(HashMap<u64, f32, VertexIdBuild>, f32)> =
-            sizes.into_iter().map(quiet).collect();
+        let heard = &mut self.pull_index;
+        heard.resize_with(self.lanes.len(), Default::default);
+        for ((offers, nearest), n) in heard.iter_mut().zip(sizes) {
+            offers.clear();
+            offers.reserve(n);
+            *nearest = f32::INFINITY;
+        }
         for b in order {
             for &(tag, v, d) in &blocks[b] {
                 let (offers, nearest) = &mut heard[R::lane(tag) as usize];
@@ -1394,7 +1420,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         }
         ctx.charge_compute(heard.iter().map(|(offers, _)| offers.len() as u64).sum());
         for (s, lane) in acting(&mut self.lanes, Stand::Light, true) {
-            let (offers, nearest) = &heard[s as usize];
+            let (offers, nearest) = &self.pull_index[s as usize];
             let found = |_: &Lane, t: u64| offers.get(&t).copied().unwrap_or(f32::INFINITY);
             let scratch = &mut self.pull_scratch;
             self.stats.relaxations +=
@@ -1425,7 +1451,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
             self.stats.relaxations +=
                 lane.pull_scan(ctx, rows, &mut self.pull_scratch, first, nothing);
             for (l, &(inside, _)) in self.pull_scratch.iter().enumerate() {
-                let lo = rows.light_end[l] as usize;
+                let lo = rows.light.degree(l);
                 for &t in &rows.graph.neighbors(l)[lo..lo + inside as usize] {
                     let owner = part.owner(t);
                     if owner != me {

@@ -321,12 +321,23 @@ fn cli_rejects_unknown_arguments_by_name() {
 /// `--p2p` past 1000 per mille made every query point-to-point, and
 /// `--checkpoint-interval 0` ran at interval 1. A fault or crash rate
 /// outside `[0, 1]`, a deadline that is not positive, and a value that does
-/// not parse are refused the same way, by the flag's name.
+/// not parse are refused the same way, by the flag's name. So is a scale
+/// whose edge list the host cannot allocate (320 TiB at scale 40): `--scale
+/// 40` died with exit 134 on a failed 16 TiB allocation. No case exits 101
+/// or 134.
 #[test]
 fn cli_rejects_out_of_range_values_by_name() {
-    let cases: [(&[&str], &str); 38] = [
+    let cases: [(&[&str], &str); 43] = [
         (&["sssp", "--scale", "0"], "--scale"),
         (&["sssp", "--scale", "64"], "--scale"),
+        (
+            &["sssp", "--scale", "40", "--ranks", "2", "--roots", "1"],
+            "--scale",
+        ),
+        (&["sssp", "--scale", "62"], "--scale"),
+        (&["bfs", "--scale", "40"], "--scale"),
+        (&["serve", "--scale", "40"], "--scale"),
+        (&["stats", "--scale", "40"], "--scale"),
         (&["bfs", "--scale", "0"], "--scale"),
         (&["bfs", "--scale", "64"], "--scale"),
         (&["serve", "--scale", "0"], "--scale"),
