@@ -25,7 +25,7 @@ use graph500::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  g500 sssp  --scale N --ranks P [--roots K] [--seed S] [--topology T] \\\n             [--partition block|cyclic|degree-aware] [--no-validate] [--delta D] \\\n             [--direction push|pull|hybrid] [--no-coalescing] [--no-dedup] \\\n             [--no-compression] [--no-fusion] [--deterministic] [--sched-seed S] \\\n             [--threads T] [--fault-seed S] [--drop-rate P] [--dup-rate P] \\\n             [--corrupt-rate P] [--reorder-rate P] [--retry-budget N] \\\n             [--crash-seed S] [--crash-rate P] [--checkpoint-interval K] \\\n             [--recovery-budget N] [--trace] [--trace-out PATH]\n  g500 bfs   --scale N --ranks P [--roots K] [--seed S] [--topology T] \\\n             [--direction push|pull|hybrid] [--no-validate] [--json] \\\n             [--deterministic] [--sched-seed S] [--threads T] [--trace] \\\n             [--trace-out PATH] [fault flags as above]\n  g500 serve --scale N --ranks P [--queries Q] [--batch B] [--landmarks K] \\\n             [--lru C] [--p2p PERMILLE] [--pool S] [--seed S] [--json] \\\n             [--deterministic] [--sched-seed S] [--threads T] [--deadline SEC] \\\n             [crash flags as above]\n  g500 stats --scale N [--seed S] [--threads T]\n\n  --delta fixes the bucket width, at least 0.001 (the degree rule's\n  floor); by default each run prices it from the machine.\n  serve keeps the graph resident and answers a deterministic synthetic\n  stream of full and point-to-point SSSP queries in admission windows of\n  --batch through the batched kernel, with --landmarks triangle-bound\n  pruning and an --lru full-result cache; it reports virtual-time QPS\n  and p50/p95/p99 latency.\n  --deterministic runs the simulated machine under the seeded serialized\n  scheduler: the same --seed/--sched-seed pair replays byte-identical\n  results and NetStats. --sched-seed (default 0 = canonical order)\n  additionally fuzzes message delivery order and implies --deterministic.\n  --threads sizes the process-global worker pool (overrides G500_THREADS;\n  default: hardware parallelism). Results are bitwise identical at any\n  thread count — only wall time changes.\n  --drop-rate/--dup-rate/--corrupt-rate/--reorder-rate (all default 0)\n  inject seeded lossy-network faults, replayable from --fault-seed; the\n  reliable transport masks them, so distances and validation are\n  byte-identical to the fault-free run — only virtual time and the\n  retransmit counters change. --retry-budget (default 16) bounds\n  retransmissions per frame before a fail-stop TransportError.\n  --crash-rate (default 0) injects seeded whole-rank process crashes at\n  superstep boundaries, replayable from --crash-seed; the kernel takes\n  buddy-replicated checkpoints every --checkpoint-interval supersteps\n  (default 4) and rolls back on each crash, so distances stay\n  byte-identical to the fault-free run. --recovery-budget (default 64)\n  bounds restarts before the run ends with a typed error. Under serve,\n  an unrecoverable window is retried once and then its queries are shed\n  (reported, never a panic); --deadline SEC additionally sheds answers\n  whose virtual latency exceeds SEC.\n  --trace (or G500_TRACE=1) records a virtual-time trace: the report\n  gains a per-superstep compute/comm/wait breakdown, and --trace-out\n  PATH (default trace.json with --trace-out alone) writes Chrome\n  trace_event JSON for chrome://tracing or ui.perfetto.dev. Tracing\n  never changes results: distances, NetStats, and the untraced report\n  fields are byte-identical with tracing on or off."
+        "usage:\n  g500 sssp  --scale N --ranks P [--roots K] [--seed S] [--topology T] \\\n             [--partition block|cyclic|degree-aware] [--no-validate] [--delta D] \\\n             [--direction push|pull|hybrid] [--no-coalescing] [--no-dedup] \\\n             [--no-compression] [--no-fusion] [--deterministic] [--sched-seed S] \\\n             [--threads T] [--fault-seed S] [--drop-rate P] [--dup-rate P] \\\n             [--corrupt-rate P] [--reorder-rate P] [--retry-budget N] \\\n             [--crash-seed S] [--crash-rate P] [--checkpoint-interval K] \\\n             [--recovery-budget N] [--trace] [--trace-out PATH]\n  g500 bfs   --scale N --ranks P [--roots K] [--seed S] [--topology T] \\\n             [--direction push|pull|hybrid] [--no-validate] [--json] \\\n             [--deterministic] [--sched-seed S] [--threads T] [--trace] \\\n             [--trace-out PATH] [fault flags as above]\n  g500 serve --scale N --ranks P [--queries Q] [--batch B] [--landmarks K] \\\n             [--lru C] [--p2p PERMILLE] [--pool S] [--seed S] [--json] \\\n             [--deterministic] [--sched-seed S] [--threads T] [--deadline SEC] \\\n             [crash flags as above]\n  g500 stats --scale N [--seed S] [--threads T]\n\n  --delta fixes the bucket width, at least 0.001 (the degree rule's\n  floor); by default each run prices it from the machine.\n  serve keeps the graph resident and answers a deterministic synthetic\n  stream of full and point-to-point SSSP queries in admission windows of\n  --batch through the batched kernel, with --landmarks triangle-bound\n  pruning and an --lru full-result cache; it reports virtual-time QPS\n  and p50/p95/p99 latency.\n  --deterministic runs the simulated machine under the seeded serialized\n  scheduler: the same --seed/--sched-seed pair replays byte-identical\n  results and NetStats. --sched-seed (default 0 = canonical order)\n  additionally fuzzes message delivery order and implies --deterministic.\n  --threads sizes the host thread pool of generation and build (overrides\n  G500_THREADS; default: hardware parallelism). Results are bitwise identical at any\n  thread count — only wall time changes.\n  --drop-rate/--dup-rate/--corrupt-rate/--reorder-rate (all default 0)\n  inject seeded lossy-network faults, replayable from --fault-seed; the\n  reliable transport masks them, so distances and validation are\n  byte-identical to the fault-free run — only virtual time and the\n  retransmit counters change. --retry-budget (default 16) bounds\n  retransmissions per frame before a fail-stop TransportError.\n  --crash-rate (default 0) injects seeded whole-rank process crashes at\n  superstep boundaries, replayable from --crash-seed; the kernel takes\n  buddy-replicated checkpoints every --checkpoint-interval supersteps\n  (default 4) and rolls back on each crash, so distances stay\n  byte-identical to the fault-free run. --recovery-budget (default 64)\n  bounds restarts before the run ends with a typed error. Under serve,\n  an unrecoverable window is retried once and then its queries are shed\n  (reported, never a panic); --deadline SEC additionally sheds answers\n  whose virtual latency exceeds SEC.\n  --trace (or G500_TRACE=1) records a virtual-time trace: the report\n  gains a per-superstep compute/comm/wait breakdown, and --trace-out\n  PATH (default trace.json with --trace-out alone) writes Chrome\n  trace_event JSON for chrome://tracing or ui.perfetto.dev. Tracing\n  never changes results: distances, NetStats, and the untraced report\n  fields are byte-identical with tracing on or off."
     );
     std::process::exit(2)
 }
@@ -178,7 +178,7 @@ fn main() {
     let cmd = argv.next().unwrap_or_else(|| usage());
     let args = Args::new(argv.collect());
 
-    // Size the worker pool before any parallel work runs (the pool is
+    // Size the pool before any parallel work runs (its size is
     // process-global and fixed at first use).
     let threads = args.num("--threads", 0) as usize;
     if threads > 0 {

@@ -53,10 +53,17 @@ impl KroneckerParams {
         1u64 << self.scale
     }
 
-    /// Number of generated edge records.
+    /// Number of generated edge records, `edgefactor × 2^scale`. Panics
+    /// if that does not fit a `u64`, which [`KroneckerGenerator::new`]
+    /// refuses.
     #[inline]
     pub fn num_edges(&self) -> u64 {
-        self.edgefactor << self.scale
+        self.checked_num_edges()
+            .expect("edgefactor × 2^scale fits a u64")
+    }
+
+    fn checked_num_edges(&self) -> Option<u64> {
+        self.edgefactor.checked_mul(self.num_vertices())
     }
 }
 
@@ -84,6 +91,12 @@ impl KroneckerGenerator {
         assert!(
             KroneckerParams::SCALES.contains(&params.scale),
             "scale out of range"
+        );
+        assert!(
+            params.checked_num_edges().is_some(),
+            "edgefactor {} × 2^{} edges do not fit a u64",
+            params.edgefactor,
+            params.scale
         );
         let ab = params.a + params.b;
         assert!(ab < 1.0, "A + B must be < 1");
@@ -144,8 +157,8 @@ impl KroneckerGenerator {
         // in index order, so block geometry affects only load balance,
         // never the output. Work-size-aware split: below the threshold the
         // whole list is one sequential block (sub-threshold generation is
-        // cheaper than any pool hand-off — and never even starts the
-        // pool); above it, oversplit the pool ~4× for balance, floored at
+        // cheaper than any thread spawn — and never even fixes the pool
+        // size); above it, oversplit the pool ~4× for balance, floored at
         // MIN_GEN_BLOCK edges per block so blocks stay cache-friendly.
         const MIN_GEN_BLOCK: u64 = 1 << 14;
         if m <= 2 * MIN_GEN_BLOCK {
@@ -180,6 +193,18 @@ mod tests {
         let p = KroneckerParams::graph500(10, 1);
         assert_eq!(p.num_vertices(), 1024);
         assert_eq!(p.num_edges(), 16 * 1024);
+    }
+
+    #[test]
+    fn an_edge_count_past_u64_is_refused() {
+        // 16 × 2^59 = 2^63 edges still fit; 16 × 2^60 used to wrap to 0
+        let fits = KroneckerGenerator::new(KroneckerParams::graph500(59, 1));
+        assert_eq!(fits.params().num_edges(), 1 << 63);
+        let refused =
+            std::panic::catch_unwind(|| KroneckerGenerator::new(KroneckerParams::graph500(60, 1)));
+        let payload = refused.expect_err("scale 60 at edgefactor 16 is refused");
+        let msg = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(msg, Some("edgefactor 16 × 2^60 edges do not fit a u64"));
     }
 
     #[test]

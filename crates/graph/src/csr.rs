@@ -46,8 +46,8 @@ impl Csr {
         // is capped at the pool size (scratch ≤ threads × n × 4B) and
         // floored at MIN_COUNT_CHUNK edges per chunk. Work-size-aware
         // cutoff: a sub-threshold edge list is counted sequentially in one
-        // pass — the pool hand-off and per-chunk scratch cost more than
-        // the count itself (and the pool is never even started). Integer
+        // pass — a thread spawn and per-chunk scratch cost more than
+        // the count itself (and the pool size is never even fixed). Integer
         // degree sums are partition- and order-insensitive, so neither the
         // cutoff nor a thread-dependent chunk count can change the result
         // (see the fixed-chunk contract in `rayon`).

@@ -95,12 +95,12 @@ impl EdgeList {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Apply a relabeling `f` to both endpoints of every edge, in parallel.
-    pub fn relabel(&mut self, f: impl Fn(VertexId) -> VertexId + Sync) {
-        let chunk = rayon::fixed_chunk_size(self.len(), 1024);
-        let apply = |_: usize, ids: &mut [VertexId]| ids.iter_mut().for_each(|v| *v = f(*v));
-        rayon::for_each_chunk_mut(&mut self.src, chunk, apply);
-        rayon::for_each_chunk_mut(&mut self.dst, chunk, apply);
+    /// Apply a relabeling `f` to both endpoints of every edge, sources
+    /// first.
+    pub fn relabel(&mut self, f: impl Fn(VertexId) -> VertexId) {
+        for ids in [&mut self.src, &mut self.dst] {
+            ids.iter_mut().for_each(|v| *v = f(*v));
+        }
     }
 }
 

@@ -1,9 +1,9 @@
-//! The workspace's intra-rank thread pool, as two calls over fixed chunks.
+//! The workspace's host thread pool, as two calls over fixed chunks.
 //!
 //! The build environment is fully offline, so the workspace compiles from
-//! std alone — and this crate is a *real* thread pool, not a sequential
-//! shim: a lazily started, process-global set of persistent workers that
-//! every simnet rank thread opens its parallel regions on (`pool.rs`). What
+//! std alone — and this crate runs regions on real threads, not a
+//! sequential shim: a region's opener and up to `threads − 1` helpers it
+//! spawns in a `std::thread::scope` claim its chunks (`pool.rs`). What
 //! callers see is two functions:
 //!
 //! * [`map_chunks`] — an indexed map over the fixed chunks of `0..len`,
@@ -13,13 +13,21 @@
 //!
 //! Both cut their input with [`fixed_chunk_size`] or with a chunk size the
 //! caller chose, and both run a region of at most two chunks inline, in
-//! chunk order, without touching the pool.
+//! chunk order, without spawning a thread.
+//!
+//! ## Who opens regions
+//!
+//! Host code only: the Kronecker generator, the CSR count pass, and the
+//! degree and weight sums — a handful of regions a run. Simulated ranks
+//! run their sweeps inline: the paper's intra-process parallelism (the
+//! Sunway CPE clusters) is modelled in virtual time by the simulator's
+//! compute model, so host threads inside a rank would change no simulated
+//! number. A spawn and a join a region is noise at that count, so no
+//! thread outlives its region and the crate has no `unsafe`.
 //!
 //! ## Pool sizing
 //!
-//! One pool serves the whole process (simnet runs one OS thread per rank;
-//! per-rank pools would oversubscribe the host `ranks × threads`-fold). The
-//! size is chosen at first use from, in priority order:
+//! The size is fixed at first use from, in priority order:
 //! [`configure_threads`] (the `--threads` CLI flag), the `G500_THREADS`
 //! environment variable, then `std::thread::available_parallelism`. With one
 //! thread, every region runs inline on the caller.
@@ -39,6 +47,8 @@
 //! to compute — only to bound scratch allocation, or to pick chunk counts
 //! for merges that are provably order- and partition-insensitive (integer
 //! degree counts, index-pure edge blocks).
+
+#![forbid(unsafe_code)]
 
 mod pool;
 
@@ -79,7 +89,7 @@ where
 /// Run `f(lo, &mut items[lo..hi])` on each chunk of `items` — `chunk`
 /// items, the last one shorter — where `lo` is the chunk's first index.
 /// Chunks run concurrently, each exactly once; the first chunk panic is
-/// re-thrown here once the region drains.
+/// re-thrown here once the region's helpers have joined.
 pub fn for_each_chunk_mut<T, F>(items: &mut [T], chunk: usize, f: F)
 where
     T: Send,
@@ -87,14 +97,14 @@ where
 {
     assert!(chunk > 0, "chunk size must be positive");
     if items.len() <= 2 * chunk {
-        // The chunks pooled execution would run, on the caller: only the
-        // executing thread differs, and the pool is not even started.
+        // The chunks a parallel run would run, on the caller: only the
+        // executing thread differs, and no thread is spawned.
         for (c, part) in items.chunks_mut(chunk).enumerate() {
             f(c * chunk, part);
         }
         return;
     }
-    // One slot a chunk. The pool runs each chunk index once, so a slot's
+    // One slot a chunk. A region runs each chunk index once, so a slot's
     // lock is never contended, and `take` hands its `&mut` out at most once.
     let slots: Vec<Mutex<Option<&mut [T]>>> = items
         .chunks_mut(chunk)
@@ -214,7 +224,7 @@ mod tests {
     #[test]
     fn skewed_workload_completes_with_balanced_claiming() {
         // One chunk is ~1000x heavier than the rest; dynamic claiming must
-        // still retire everything (and, with >1 thread, workers claim the
+        // still run everything (and, with >1 thread, helpers claim the
         // light chunks while the heavy one runs).
         let done = AtomicUsize::new(0);
         map_chunks(256, 1, &mut Vec::new(), |r| {
@@ -254,10 +264,9 @@ mod tests {
 
     #[test]
     fn nested_join_inside_stolen_chunks() {
-        // Each outer chunk opens a region of its own, so chunks a worker
-        // claimed open regions from worker threads; an opener drains its
-        // own cursor before it waits, which keeps every level live without
-        // deadlock.
+        // Each outer chunk opens a region of its own, so chunks a helper
+        // claimed open regions from helper threads, each with helpers of
+        // its own.
         let mut outs: Vec<Vec<u64>> = Vec::new();
         map_chunks(32, 1, &mut outs, |outer| {
             let mut inner = Vec::new();
@@ -276,7 +285,7 @@ mod tests {
     #[test]
     fn panic_in_stolen_chunk_propagates_and_pool_survives() {
         // Many tiny chunks, so with >1 thread the panicking chunk may well
-        // run on a worker; the payload must still surface on the opening
+        // run on a helper; the payload must still surface on the opening
         // thread.
         for round in 0..4 {
             let caught = std::panic::catch_unwind(|| {
@@ -310,7 +319,7 @@ mod tests {
     #[test]
     fn auto_sequential_cutoff_matches_parallel_results() {
         // A two-chunk region takes the inline path; forcing more chunks
-        // takes the pool path. Same chunk geometry rules, same results.
+        // takes the threaded path. Same chunk geometry rules, same results.
         let v: Vec<f64> = (0..4096).map(|i| (i % 97) as f32 as f64 * 0.125).collect();
         let small = chunked_sum(&v[..2000], fixed_chunk_size(2000, 1024));
         let seq: f64 = v[..2000].iter().sum();

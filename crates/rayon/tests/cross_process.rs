@@ -10,12 +10,11 @@
 //! * `pipeline`: one submitter, one-item chunks over thousands of items,
 //!   so at 4 threads every chunk run is claimed off a contended cursor —
 //!   the machinery that must not be able to change results.
-//! * `submitters`: what `g500` does — eight threads (simnet's ranks) all
-//!   opening regions at once on a pool of zero, one or three workers. It is
-//!   the test the crate's `SAFETY` argument names: the erased body pointer
-//!   (`pool.rs`) is driven from several submitters at the same time, with
-//!   its `debug_assert`s live in a debug build, beside the chunk slots that
-//!   hand each `&mut` chunk out once (`lib.rs`).
+//! * `submitters`: host callers on several threads at once, such as the
+//!   test harness running tests in parallel — eight threads all opening
+//!   regions at once, each region with zero, one or three helpers of its
+//!   own, beside the chunk slots that hand each `&mut` chunk out once
+//!   (`lib.rs`).
 
 use rayon::{for_each_chunk_mut, map_chunks};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -97,7 +97,7 @@ trace_codes! {
     Superstep = 3, "superstep";
     /// One update exchange (span; `a` = records offered).
     Exchange = 4, "exchange";
-    /// One parallel task wave on the pool (span; `a` = item count).
+    /// One sweep over a rank's items (span; `a` = item count).
     TaskWave = 5, "task-wave";
     /// Broadcast from root (collective span).
     Bcast = 7, "bcast";

@@ -126,7 +126,7 @@ impl Offer for Sums {
     }
 }
 
-/// Per-vertex result of the parallel pull scan: arcs examined, and (if the
+/// Per-vertex result of the pull scan: arcs examined, and (if the
 /// vertex improved) its new `(dist, parent)`.
 type PullScan = (u64, Option<(f32, u64)>);
 
@@ -369,7 +369,7 @@ pub(crate) struct Kernel<'a, P: VertexPartition, R: Record> {
     pub(crate) lanes: Vec<Lane>,
     pub(crate) stats: SsspRunStats,
     /// Superstep scratch arenas, reused across the whole run: the exchange
-    /// buckets/incoming buffer, the parallel pull scan's result buffer and,
+    /// buckets/incoming buffer, the pull scan's result buffer and,
     /// per lane, a light pull's frontier index, emptied every pull step and
     /// never shrunk: it holds as many entries as the largest frontier the
     /// lane pulled from, however many vertices the graph has.
@@ -1132,11 +1132,11 @@ impl Lane {
         relaxed
     }
 
-    /// One parallel pull scan of every local vertex's light prefix or
+    /// One pull scan of every local vertex's light prefix or
     /// (`heavy`) heavy suffix against sources no nearer than `nearest`;
     /// `source(self, t)` is the distance t offers, `∞` for none. Each vertex
-    /// reads only frozen state and its *own* distance slot, so vertices are
-    /// independent and the result is the same at any thread count. An arc of
+    /// reads only its *own* distance slot and state that stays frozen,
+    /// because every vertex is scanned before any result is applied. An arc of
     /// weight w can improve v only while nearest + w < d(v), and matters
     /// only while nearest + w ≤ the lane's bound: the weight-sorted scan
     /// stops at the first arc that fails either, the first bound tightens
@@ -1149,7 +1149,7 @@ impl Lane {
         rows: &Rows<P>,
         scratch: &mut Vec<PullScan>,
         (heavy, nearest): (bool, f32),
-        source: impl Fn(&Self, u64) -> f32 + Sync,
+        source: impl Fn(&Self, u64) -> f32,
     ) -> u64 {
         let graph = rows.graph;
         let n_local = graph.local_vertices();
@@ -1179,14 +1179,8 @@ impl Lane {
             }
             (scanned, (pl != u64::MAX).then_some((dl, pl)))
         };
-        // every slot is overwritten below, so a resize is all it needs
-        scratch.resize(n_local, (0, None));
-        let chunk = rayon::fixed_chunk_size(n_local, 256);
-        rayon::for_each_chunk_mut(scratch, chunk, |lo, out| {
-            for (l, slot) in (lo..).zip(out) {
-                *slot = scan(l);
-            }
-        });
+        scratch.clear();
+        scratch.extend((0..n_local).map(scan));
 
         let mut scanned = 0u64;
         for (l, &(s, upd)) in scratch.iter().enumerate() {

@@ -33,11 +33,6 @@ use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::{RankCtx, SubComm, TraceCode};
 use std::collections::HashMap;
 
-/// Per-chunk result of the parallel local relax scan: relaxation count and
-/// the improving candidates `(target_global, new_dist, parent_global)` in
-/// (source, arc) order.
-type RelaxScan = (u64, Vec<(u64, f32, u64)>);
-
 /// Counters from one 2D run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Sssp2DStats {
@@ -74,10 +69,9 @@ pub struct Grid2DSssp {
     buckets: BucketQueue,
     /// Counters of the run in progress.
     stats: Sssp2DStats,
-    /// Round-scratch arenas reused across every superstep of a run: the
-    /// flattened row-broadcast frontier and the parallel relax-scan output.
+    /// Round scratch reused across every superstep of a run: the flattened
+    /// row-broadcast frontier.
     active_scratch: Vec<(u64, f32)>,
-    relax_scratch: Vec<RelaxScan>,
     /// The frontier the last offer counted: drained from its bucket (not by
     /// a boundary's offer) for the light step it was agreed for.
     frontier: Vec<u32>,
@@ -252,7 +246,6 @@ impl Grid2DSssp {
             buckets: BucketQueue::new(delta),
             stats: Sssp2DStats::default(),
             active_scratch: Vec::new(),
-            relax_scratch: Vec::new(),
             frontier: Vec::new(),
             settled: Vec::new(),
             bucket_frontier: 0,
@@ -322,7 +315,7 @@ impl Grid2DSssp {
         &mut self,
         ctx: &mut RankCtx,
         frontier: &[u32],
-        class: impl Fn(Weight) -> bool + Sync,
+        class: impl Fn(Weight) -> bool,
         flavor: u64,
     ) {
         let ss = self.stats.supersteps;
@@ -347,47 +340,26 @@ impl Grid2DSssp {
             active.append(&mut blocks_in[s]);
         }
 
-        // 2. local relax: candidates per global target, min-aggregated.
-        // The edge scan (the expensive part) runs in parallel over fixed
-        // chunks of the already order-fixed active list, emitting
-        // candidates in (source, arc) order; the sequential fold below
-        // consumes them in exactly that order, so the aggregate — values
-        // and tie winners alike — is identical at any thread count.
+        // 2. local relax: candidates per global target, min-aggregated in
+        // (source, arc) order over the order-fixed active list, so a tie
+        // goes to the first candidate.
         let nloc = self.local.num_vertices();
-        let blocks = &self.blocks;
-        let row = self.row;
-        let local = &self.local;
         ctx.trace_begin(TraceCode::TaskWave, active.len() as u64, 4);
-        let mut per_chunk = std::mem::take(&mut self.relax_scratch);
-        // Chunks of whole 256-source blocks, at least 4 (1024 sources) a
-        // chunk: rounds with ≤ 2048 active sources run inline via the
-        // ≤ 2-chunk cutoff, and bigger waves amortize the hand-off.
-        let chunk = 256 * rayon::fixed_chunk_size(active.len().div_ceil(256), 4);
-        rayon::map_chunks(active.len(), chunk, &mut per_chunk, |sources| {
-            let mut relaxed = 0u64;
-            let mut cands: Vec<(u64, f32, u64)> = Vec::new();
-            for &(src_local, du) in &active[sources] {
-                let u_global = blocks.to_global(row, src_local as usize);
-                if (src_local as usize) < nloc {
-                    let vs = local.neighbors(src_local as usize);
-                    let ws = local.edge_weights(src_local as usize);
-                    for (&v, &w) in vs.iter().zip(ws) {
-                        if !class(w) {
-                            continue;
-                        }
-                        relaxed += 1;
-                        cands.push((v, du + w, u_global));
-                    }
-                }
-            }
-            (relaxed, cands)
-        });
-
         let mut best: HashMap<u64, (f32, u64)> = HashMap::new();
         let mut relaxed = 0u64;
-        for (r, cands) in per_chunk.iter_mut() {
-            relaxed += *r;
-            for (v, nd, u_global) in cands.drain(..) {
+        for &(src_local, du) in &active {
+            if (src_local as usize) >= nloc {
+                continue;
+            }
+            let u_global = self.blocks.to_global(self.row, src_local as usize);
+            let vs = self.local.neighbors(src_local as usize);
+            let ws = self.local.edge_weights(src_local as usize);
+            for (&v, &w) in vs.iter().zip(ws) {
+                if !class(w) {
+                    continue;
+                }
+                relaxed += 1;
+                let nd = du + w;
                 let e = best.entry(v).or_insert((f32::INFINITY, u64::MAX));
                 if nd < e.0 {
                     *e = (nd, u_global);
@@ -397,7 +369,6 @@ impl Grid2DSssp {
         self.stats.relaxations += relaxed;
         ctx.charge_compute(relaxed);
         ctx.trace_end(TraceCode::TaskWave, active.len() as u64, 4);
-        self.relax_scratch = per_chunk;
         self.active_scratch = active;
 
         // 3. column reduce: ship candidates to the diagonal rank of my

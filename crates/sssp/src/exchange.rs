@@ -119,16 +119,11 @@ pub fn exchange_into<R: Record, H: Wire + Clone>(
 
     if opts.dedup {
         let work = outcome.records_offered;
-        // Destination buckets are independent; dedup each in parallel (one
-        // bucket per chunk — buckets are few and large). Dedup is a pure
-        // function of the bucket's contents, so shipped bytes are
-        // identical at any thread count.
+        // Dedup each destination bucket, a pure function of its contents.
         ctx.trace_begin(TraceCode::TaskWave, p as u64, 2);
-        rayon::for_each_chunk_mut(out, rayon::fixed_chunk_size(p, 1), |_, buckets| {
-            for b in buckets {
-                dedup_min(b);
-            }
-        });
+        for b in out.iter_mut() {
+            dedup_min(b);
+        }
         // the sort is the modeled "on-chip sort" cost
         ctx.charge_compute(work);
         ctx.trace_end(TraceCode::TaskWave, p as u64, 2);
@@ -140,16 +135,9 @@ pub fn exchange_into<R: Record, H: Wire + Clone>(
         let taken: Vec<Vec<R>> = out.iter_mut().map(std::mem::take).collect();
         exchange_one_message_per_update(ctx, taken, incoming, header)
     } else if opts.compression {
-        // encode per destination (in parallel, ordered combine); sortedness
-        // comes from dedup when enabled
+        // encode per destination; sortedness comes from dedup when enabled
         ctx.trace_begin(TraceCode::TaskWave, p as u64, 3);
-        let mut enc: Vec<Vec<u8>> = vec![Vec::new(); p];
-        let buckets = &*out;
-        rayon::for_each_chunk_mut(&mut enc, rayon::fixed_chunk_size(p, 1), |lo, blocks| {
-            for (block, b) in blocks.iter_mut().zip(&buckets[lo..]) {
-                *block = R::encode(b, opts.dedup);
-            }
-        });
+        let enc: Vec<Vec<u8>> = out.iter().map(|b| R::encode(b, opts.dedup)).collect();
         ctx.charge_compute(outcome.records_sent);
         ctx.trace_end(TraceCode::TaskWave, p as u64, 3);
         // encoding only read the buckets: clear them, keeping capacity
