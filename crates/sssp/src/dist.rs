@@ -70,10 +70,12 @@
 //! graph's packed [`LightRows`]: 12 bytes an arc in flat arrays of their
 //! own, built once for a Δ and kept on the graph, so every later root or
 //! serve window at that Δ reads them as they stand (heavy suffixes and a
-//! tail round read the graph's rows past them). A light pull's index of the
-//! broadcast frontier is kernel scratch: one map a lane, emptied each pull
-//! step and never reallocated, as large as the frontier entries it has
-//! held, never the global vertex count.
+//! tail round read the graph's rows past them). A light pull's broadcast
+//! travels as the records' own bytes, and each rank indexes them straight
+//! from those bytes into kernel scratch: one flat open-addressing table a
+//! lane ([`FrontierTable`]), reset each pull step by one fill of its keys,
+//! as large as twice the frontier entries it holds, never the global vertex
+//! count.
 //!
 //! Every optimization is toggleable via [`OptConfig`]; with everything off
 //! this degenerates to the plain textbook distributed delta-stepping that
@@ -86,13 +88,12 @@ use crate::delta::machine_delta;
 use crate::epoch::{merge_agreed, run_bucket_epochs, Agreed, BucketKernel, Offer, SuperstepSpan};
 use crate::exchange::{exchange_into, shipped_bytes, ExchangeBufs};
 use crate::multi::BatchSpec;
-use g500_graph::hash::VertexIdBuild;
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
 use g500_partition::{DistShortestPaths, LightRows, LocalGraph, VertexPartition};
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
+use simnet::wire::DecodeError;
 use simnet::{Header, RankCtx, Route, TraceCode, Wire};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What one agreement carries. Of the bucket: frontier size `f`, its light
@@ -131,8 +132,100 @@ impl Offer for Sums {
 type PullScan = (u64, Option<(f32, u64)>);
 
 /// A light pull's index of one lane's broadcast frontier: the distance each
-/// frontier vertex offers, and the nearest of them.
-type FrontierIndex = (HashMap<u64, f32, VertexIdBuild>, f32);
+/// frontier vertex offers, and the nearest of them. Open addressing with
+/// linear probing from a multiply-shift (Fibonacci) hash of the vertex id,
+/// in a power-of-two capacity at least twice the lane's entries, so a probe
+/// chain always ends at an empty slot. [`reset`](FrontierTable::reset)
+/// fills the key array once a pull step and reallocates only when a
+/// frontier outgrows every earlier one.
+#[derive(Default)]
+struct FrontierTable {
+    keys: Vec<u64>,
+    dists: Vec<f32>,
+    /// `64 − log₂ capacity`: the hash keeps the product's top bits.
+    shift: u32,
+    /// Distinct vertices inserted since the reset.
+    len: u64,
+    nearest: f32,
+}
+
+impl FrontierTable {
+    /// The key of a slot no vertex holds: no vertex id reaches it.
+    const EMPTY: u64 = u64::MAX;
+
+    /// Empty the table and size it for `entries` insertions.
+    fn reset(&mut self, entries: usize) {
+        let capacity = (2 * entries).next_power_of_two().max(2);
+        self.keys.clear();
+        self.keys.resize(capacity, Self::EMPTY);
+        self.dists.resize(capacity, f32::INFINITY);
+        self.shift = 64 - capacity.trailing_zeros();
+        self.len = 0;
+        self.nearest = f32::INFINITY;
+    }
+
+    /// The slot `v`'s probe starts from.
+    #[inline]
+    fn home(&self, v: u64) -> usize {
+        (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot after `i`, wrapping past the table's end.
+    #[inline]
+    fn next(&self, i: usize) -> usize {
+        (i + 1) & (self.keys.len() - 1)
+    }
+
+    /// Record that `v` is offered at `d`: a repeated vertex keeps the
+    /// smaller distance.
+    #[inline]
+    fn insert(&mut self, v: u64, d: f32) {
+        debug_assert_ne!(v, Self::EMPTY, "a vertex id is never the empty key");
+        self.nearest = self.nearest.min(d);
+        let mut i = self.home(v);
+        loop {
+            match self.keys[i] {
+                Self::EMPTY => {
+                    (self.keys[i], self.dists[i]) = (v, d);
+                    self.len += 1;
+                    return;
+                }
+                k if k == v => {
+                    self.dists[i] = self.dists[i].min(d);
+                    return;
+                }
+                _ => i = self.next(i),
+            }
+        }
+    }
+
+    /// The distance offered for `v`, ∞ when the frontier does not hold it.
+    #[inline]
+    fn get(&self, v: u64) -> f32 {
+        let mut i = self.home(v);
+        loop {
+            match self.keys[i] {
+                Self::EMPTY => return f32::INFINITY,
+                k if k == v => return self.dists[i],
+                _ => i = self.next(i),
+            }
+        }
+    }
+}
+
+/// The records of one rank's frontier broadcast, `T::SIZE` bytes each; a
+/// block that is not a whole number of them is the decode error naming its
+/// length and the record size.
+fn frontier_records<T: Wire>(block: &[u8]) -> Result<std::slice::ChunksExact<'_, u8>, DecodeError> {
+    if block.len().is_multiple_of(T::SIZE) {
+        Ok(block.chunks_exact(T::SIZE))
+    } else {
+        Err(DecodeError {
+            len: block.len(),
+            elem_size: T::SIZE,
+        })
+    }
+}
 
 /// Operations one pushed light arc costs end to end: the relaxation, then
 /// what [`exchange_into`] and the receiver charge per record — dedup
@@ -369,13 +462,14 @@ pub(crate) struct Kernel<'a, P: VertexPartition, R: Record> {
     pub(crate) lanes: Vec<Lane>,
     pub(crate) stats: SsspRunStats,
     /// Superstep scratch arenas, reused across the whole run: the exchange
-    /// buckets/incoming buffer, the pull scan's result buffer and,
-    /// per lane, a light pull's frontier index, emptied every pull step and
-    /// never shrunk: it holds as many entries as the largest frontier the
-    /// lane pulled from, however many vertices the graph has.
+    /// buckets/incoming buffer, the pull scan's result buffer and, per
+    /// lane, a light pull's [`FrontierTable`], filled from the broadcast's
+    /// bytes and reset every pull step: its slots number twice the lane's
+    /// entries in that step, rounded up to a power of two, however many
+    /// vertices the graph has.
     xbufs: ExchangeBufs<R>,
     pull_scratch: Vec<PullScan>,
-    pull_index: Vec<FrontierIndex>,
+    pull_index: Vec<FrontierTable>,
     /// Open-bucket scratch: the global frontier size summed over the
     /// bucket's light steps and lanes, and the compute/comm clocks at its
     /// start.
@@ -1368,57 +1462,56 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         entries: u64,
         header: Header<H>,
     ) -> Option<Vec<H>> {
+        type Entry<R> = (<R as Record>::Tag, u64, f32);
         let (me, part) = (ctx.rank(), self.rows.graph.part());
-        let mut mine: Vec<(R::Tag, u64, f32)> = Vec::new();
+        let mut mine: Vec<u8> = Vec::new();
         let mut pulled = false;
         for (s, lane) in acting(&mut self.lanes, Stand::Light, true) {
             pulled = true;
-            let entry = |&v: &u32| {
+            mine.reserve(lane.frontier.len() * Entry::<R>::SIZE);
+            for &v in &lane.frontier {
                 let l = v as usize;
-                (R::tag(s), part.to_global(me, l), lane.sp.dist[l])
-            };
-            mine.extend(lane.frontier.iter().map(entry));
+                (R::tag(s), part.to_global(me, l), lane.sp.dist[l]).write(&mut mine);
+            }
         }
         if !pulled {
             return None;
         }
-        let entry = <(R::Tag, u64, f32) as Wire>::SIZE as f64;
-        let block = entries as f64 / ctx.size() as f64 * entry;
+        let block = entries as f64 / ctx.size() as f64 * Entry::<R>::SIZE as f64;
         let route = self.route(ctx.allgatherv_route(block));
         let (blocks, merged) = ctx.allgatherv_routed(route, &mine, header);
-        // Min-merge the per-rank frontier blocks in the (possibly fuzzed)
-        // delivery order — the min makes the merge order-free — into each
-        // lane's index (kernel scratch, emptied here). The maps are probed
-        // once per scanned arc and never iterated: ids the graph made need
-        // no SipHash, and the hasher cannot change a result. Each map makes
-        // room for its lane's entries up front — a vertex has one owner, so
-        // none repeats — and never rehashes while it fills.
-        let order = ctx.delivery_order(blocks.len());
+        // Index every rank's records straight from its bytes, each into its
+        // lane's table (kernel scratch, reset here), blocks in the (possibly
+        // fuzzed) delivery order: a repeated vertex keeps its minimum, so
+        // the order cannot change a result. A first pass over the tags sizes
+        // each table for its lane's entries.
         let mut sizes = vec![0; self.lanes.len()];
-        for &(tag, ..) in blocks.iter().flatten() {
-            sizes[R::lane(tag) as usize] += 1;
+        for (src, block) in blocks.iter().enumerate() {
+            let records = frontier_records::<Entry<R>>(block)
+                .unwrap_or_else(|e| ctx.decode_failure(src, e.len, e.elem_size));
+            for record in records {
+                let tag = R::Tag::read(record, &mut 0).expect("a record holds its tag");
+                sizes[R::lane(tag) as usize] += 1;
+            }
         }
         let heard = &mut self.pull_index;
         heard.resize_with(self.lanes.len(), Default::default);
-        for ((offers, nearest), n) in heard.iter_mut().zip(sizes) {
-            offers.clear();
-            offers.reserve(n);
-            *nearest = f32::INFINITY;
+        for (table, &n) in heard.iter_mut().zip(&sizes) {
+            table.reset(n);
         }
-        for b in order {
-            for &(tag, v, d) in &blocks[b] {
-                let (offers, nearest) = &mut heard[R::lane(tag) as usize];
-                offers.entry(v).and_modify(|e| *e = e.min(d)).or_insert(d);
-                *nearest = nearest.min(d);
+        for b in ctx.delivery_order(blocks.len()) {
+            for record in blocks[b].chunks_exact(Entry::<R>::SIZE) {
+                let (tag, v, d) = Entry::<R>::read(record, &mut 0).expect("a whole record");
+                heard[R::lane(tag) as usize].insert(v, d);
             }
         }
-        ctx.charge_compute(heard.iter().map(|(offers, _)| offers.len() as u64).sum());
+        ctx.charge_compute(heard.iter().map(|table| table.len).sum());
         for (s, lane) in acting(&mut self.lanes, Stand::Light, true) {
-            let (offers, nearest) = &self.pull_index[s as usize];
-            let found = |_: &Lane, t: u64| offers.get(&t).copied().unwrap_or(f32::INFINITY);
+            let table = &self.pull_index[s as usize];
+            let found = |_: &Lane, t: u64| table.get(t);
             let scratch = &mut self.pull_scratch;
             self.stats.relaxations +=
-                lane.pull_scan(ctx, &self.rows, scratch, (false, *nearest), found);
+                lane.pull_scan(ctx, &self.rows, scratch, (false, table.nearest), found);
         }
         Some(merged)
     }
@@ -1541,6 +1634,7 @@ mod tests {
     use g500_baselines::dijkstra;
     use g500_graph::{Csr, Directedness, EdgeList, ShortestPaths, WEdge};
     use g500_partition::{assemble_local_graph, Block1D};
+    use simnet::wire::encode_slice;
     use simnet::{Machine, MachineConfig};
 
     fn run_dist(
@@ -2091,6 +2185,103 @@ mod tests {
         assert_eq!((world, hops), (pulls, 0), "7 ranks");
     }
 
+    /// The first `n` vertex ids whose probe starts at `slot` of `table`.
+    fn homed_at(table: &FrontierTable, slot: usize, n: usize) -> Vec<u64> {
+        (0..).filter(|&v| table.home(v) == slot).take(n).collect()
+    }
+
+    #[test]
+    fn frontier_keys_sharing_a_home_slot_wrap_past_the_end() {
+        let mut table = FrontierTable::default();
+        table.reset(4);
+        let last = table.keys.len() - 1;
+        assert_eq!(last, 7, "twice 4 entries, a power of two");
+        let keys = homed_at(&table, last, 4);
+        for (i, &v) in keys.iter().enumerate() {
+            table.insert(v, i as f32);
+        }
+        // the chain runs from the last slot round to the first three
+        assert_eq!(table.keys[last], keys[0]);
+        assert_eq!(&table.keys[..3], &keys[1..]);
+        for (i, &v) in keys.iter().enumerate() {
+            assert_eq!(table.get(v), i as f32, "vertex {v}");
+        }
+        assert_eq!((table.len, table.nearest), (4, 0.0));
+    }
+
+    #[test]
+    fn frontier_repeated_key_keeps_its_minimum_in_every_order() {
+        let offers = [(5u64, 3.0f32), (5, 1.0), (5, 2.0), (9, 4.0), (9, 0.5)];
+        // every permutation of the offers, by Heap's algorithm
+        let (mut order, mut c) = (offers, [0usize; 5]);
+        let mut orders = vec![order];
+        let mut i = 0;
+        while i < order.len() {
+            if c[i] < i {
+                order.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+                orders.push(order);
+                c[i] += 1;
+                i = 0;
+            } else {
+                c[i] = 0;
+                i += 1;
+            }
+        }
+        assert_eq!(orders.len(), 120);
+        let mut table = FrontierTable::default();
+        for order in orders {
+            table.reset(order.len());
+            for (v, d) in order {
+                table.insert(v, d);
+            }
+            assert_eq!((table.get(5), table.get(9)), (1.0, 0.5), "{order:?}");
+            assert_eq!((table.len, table.nearest), (2, 0.5), "{order:?}");
+        }
+    }
+
+    #[test]
+    fn frontier_misses_read_infinity() {
+        let mut table = FrontierTable::default();
+        table.reset(3);
+        let chain = homed_at(&table, 2, 3);
+        table.insert(chain[0], 1.0);
+        table.insert(chain[1], 2.0);
+        // the third key probes past both before it meets an empty slot
+        assert_eq!(table.get(chain[2]), f32::INFINITY);
+        assert_eq!(table.get(chain[1]), 2.0);
+        // a lane that heard nothing: every id misses, nothing is near
+        table.reset(0);
+        assert_eq!(table.keys.len(), 2);
+        assert!(chain.iter().all(|&v| table.get(v) == f32::INFINITY));
+        assert_eq!((table.len, table.nearest), (0, f32::INFINITY));
+    }
+
+    #[test]
+    fn frontier_block_of_partial_records_is_a_decode_error() {
+        type Solo = ((), u64, f32);
+        type Tagged = (u32, u64, f32);
+        let whole = encode_slice(&[((), 7u64, 1.5f32), ((), 9, 2.5)]);
+        let records: Vec<Solo> = frontier_records::<Solo>(&whole)
+            .unwrap()
+            .map(|r| Solo::read(r, &mut 0).unwrap())
+            .collect();
+        assert_eq!(records, [((), 7, 1.5), ((), 9, 2.5)]);
+        for (len, elem_size) in [(whole.len() - 1, 12), (whole.len() + 5, 12)] {
+            let block = vec![0u8; len];
+            let err = frontier_records::<Solo>(&block).err();
+            assert_eq!(err, Some(DecodeError { len, elem_size }));
+        }
+        let err = frontier_records::<Tagged>(&whole).err();
+        assert_eq!(
+            err,
+            Some(DecodeError {
+                len: 24,
+                elem_size: 16
+            })
+        );
+        assert_eq!(frontier_records::<Tagged>(&[]).unwrap().count(), 0);
+    }
+
     #[test]
     fn lanes_choose_direction_independently() {
         // K40 (20 vertices a rank, every arc light) and a 64-vertex path in
@@ -2160,7 +2351,7 @@ mod tests {
                 };
                 k.iter().map(|lane| bits(&lane.sp).0).collect::<Vec<_>>()
             });
-            let mut steps: HashMap<u64, u64> = HashMap::new();
+            let mut steps = std::collections::HashMap::<u64, u64>::new();
             let mut open = 0;
             for ev in &rep.traces[0].events {
                 match (ev.code, ev.kind) {

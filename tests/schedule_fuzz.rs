@@ -18,7 +18,8 @@ use graph500::graph::{Csr, Directedness, EdgeList, ShortestPaths};
 use graph500::partition::{assemble_local_graph, Block1D};
 use graph500::simnet::{Machine, MachineConfig, NetStats};
 use graph500::sssp::{
-    distributed_bfs, distributed_delta_stepping, Direction, Grid2DSssp, OptConfig, SsspRunStats,
+    distributed_bfs, distributed_delta_stepping, try_batched_delta_stepping, BatchSpec, Direction,
+    Grid2DSssp, OptConfig, SsspRunStats,
 };
 
 /// The fuzz target: a scale-10 Kronecker graph (1024 vertices, 16384 edge
@@ -131,6 +132,73 @@ fn grouped_route_is_schedule_invariant_at_16_ranks() {
         let (again_sp, again_stats, again_net) = run_1d(&el, n, 16, 1, &opts, 6);
         assert_eq!(sp.parent, again_sp.parent, "{dir:?}: replayed parents");
         assert_eq!((stats, net), (again_stats, again_net), "{dir:?}: replay");
+    }
+}
+
+/// A Pull-forced run at 16 ranks, solo (one root) or as one batch (one
+/// lane a root): every lane's paths gathered to rank 0, rank 0's kernel
+/// counters, per-rank network stats.
+fn run_pull_16(
+    el: &EdgeList,
+    n: u64,
+    roots: &[u64],
+    opts: &OptConfig,
+    sched_seed: u64,
+) -> (Vec<ShortestPaths>, SsspRunStats, Vec<NetStats>) {
+    let p = 16;
+    let report = Machine::new(MachineConfig::with_ranks(p).deterministic(sched_seed)).run(|ctx| {
+        let part = Block1D::new(n, p);
+        let m = el.len();
+        let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
+        let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
+        let g = assemble_local_graph(ctx, mine.into_iter(), part);
+        if let [root] = roots {
+            let (sp, stats) = distributed_delta_stepping(ctx, &g, *root, opts);
+            return (vec![sp.gather(ctx, g.part())], stats);
+        }
+        let specs: Vec<_> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
+        let (lanes, stats) = try_batched_delta_stepping(ctx, &g, &specs, opts).expect("no faults");
+        let paths = lanes.iter().map(|lane| lane.paths.gather(ctx, g.part()));
+        (paths.collect(), stats)
+    });
+    let stats_vec = report.stats.clone();
+    let (paths, kstats) = report.results.into_iter().next().expect("rank 0");
+    (paths, kstats, stats_vec)
+}
+
+/// A pull's frontier broadcast at 16 ranks takes the grouped route, so its
+/// bytes cross the grid's bundles and unpack under every permuted order.
+/// Solo and as a 4-lane batch, 8 schedules: distances, parents and every
+/// kernel counter are bit-equal, and the distances are the Push run's.
+#[test]
+fn pull_broadcast_on_the_grid_is_schedule_invariant() {
+    let (el, n) = fuzz_graph();
+    let pull = OptConfig::all_on().with_direction(Direction::Pull);
+    let push = OptConfig::all_on().with_direction(Direction::Push);
+    for roots in [&[1u64][..], &[1, 2, 3, 5]] {
+        let (base, base_stats, base_net) = run_pull_16(&el, n, roots, &pull, 0);
+        assert!(base_stats.pull_iterations > 0, "{roots:?}: no pull");
+        for net in &base_net {
+            assert!(
+                net.coll_msgs < base_stats.supersteps * 15,
+                "{roots:?}: {} messages in {} supersteps is the direct route's count",
+                net.coll_msgs,
+                base_stats.supersteps
+            );
+        }
+        let (pushed, ..) = run_pull_16(&el, n, roots, &push, 0);
+        for (s, (a, b)) in base.iter().zip(&pushed).enumerate() {
+            assert_bitwise_equal_dists(&a.dist, &b.dist, &format!("{roots:?}: lane {s} vs Push"));
+        }
+        for sched_seed in 1..=8u64 {
+            let label = format!("{roots:?}/{sched_seed}");
+            let (paths, stats, _) = run_pull_16(&el, n, roots, &pull, sched_seed);
+            for (s, (a, b)) in base.iter().zip(&paths).enumerate() {
+                assert_bitwise_equal_dists(&a.dist, &b.dist, &format!("{label}: lane {s}"));
+                assert_eq!(a.parent, b.parent, "{label}: lane {s} parents");
+            }
+            assert_eq!(base_stats, stats, "{label}: kernel counters");
+        }
     }
 }
 
