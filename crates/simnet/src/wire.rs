@@ -167,26 +167,37 @@ pub struct DecodeError {
 ///
 /// [`TransportError::Decode`]: crate::transport::TransportError::Decode
 pub fn decode_vec_checked<T: Wire>(buf: &[u8]) -> Result<Vec<T>, DecodeError> {
-    decode_vec(buf).ok_or(DecodeError {
+    let malformed = DecodeError {
         len: buf.len(),
         elem_size: T::SIZE,
-    })
+    };
+    records_checked::<T>(buf).and_then(|_| T::read_slice(buf).ok_or(malformed))
 }
 
 /// Decode a whole buffer of records. `None` if the length is not a multiple
 /// of the record size or a record is malformed.
 pub fn decode_vec<T: Wire>(buf: &[u8]) -> Option<Vec<T>> {
-    if T::SIZE == 0 {
-        return if buf.is_empty() {
-            Some(Vec::new())
-        } else {
-            None
-        };
+    decode_vec_checked(buf).ok()
+}
+
+/// The records of `buf`, `T::SIZE` bytes each, to be read in place: a
+/// buffer that is not a whole number of them is the error naming its length
+/// and the record size. A record of no bytes takes only the empty buffer.
+pub fn records_checked<T: Wire>(
+    buf: &[u8],
+) -> Result<std::slice::ChunksExact<'_, u8>, DecodeError> {
+    let whole = match T::SIZE {
+        0 => buf.is_empty(),
+        size => buf.len().is_multiple_of(size),
+    };
+    if whole {
+        Ok(buf.chunks_exact(T::SIZE.max(1)))
+    } else {
+        Err(DecodeError {
+            len: buf.len(),
+            elem_size: T::SIZE,
+        })
     }
-    if !buf.len().is_multiple_of(T::SIZE) {
-        return None;
-    }
-    T::read_slice(buf)
 }
 
 #[cfg(test)]
@@ -250,6 +261,16 @@ mod tests {
                 elem_size: 8
             })
         );
+        let at = |r: &[u8]| u64::read(r, &mut 0);
+        assert_eq!(
+            records_checked::<u64>(&buf)
+                .unwrap()
+                .map(at)
+                .collect::<Vec<_>>(),
+            [Some(7)]
+        );
+        assert_eq!(records_checked::<()>(&buf).err().map(|e| e.len), Some(8));
+        assert_eq!(records_checked::<()>(&[]).unwrap().count(), 0);
     }
 
     #[test]

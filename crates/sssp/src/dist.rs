@@ -91,7 +91,7 @@ use crate::multi::BatchSpec;
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
 use g500_partition::{DistShortestPaths, LightRows, LocalGraph, VertexPartition};
 use simnet::recovery::{codec, Checkpoint, FaultEscalation};
-use simnet::wire::DecodeError;
+use simnet::wire::records_checked;
 use simnet::{Header, RankCtx, Route, TraceCode, Wire};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -210,20 +210,6 @@ impl FrontierTable {
                 _ => i = self.next(i),
             }
         }
-    }
-}
-
-/// The records of one rank's frontier broadcast, `T::SIZE` bytes each; a
-/// block that is not a whole number of them is the decode error naming its
-/// length and the record size.
-fn frontier_records<T: Wire>(block: &[u8]) -> Result<std::slice::ChunksExact<'_, u8>, DecodeError> {
-    if block.len().is_multiple_of(T::SIZE) {
-        Ok(block.chunks_exact(T::SIZE))
-    } else {
-        Err(DecodeError {
-            len: block.len(),
-            elem_size: T::SIZE,
-        })
     }
 }
 
@@ -1487,7 +1473,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         // each table for its lane's entries.
         let mut sizes = vec![0; self.lanes.len()];
         for (src, block) in blocks.iter().enumerate() {
-            let records = frontier_records::<Entry<R>>(block)
+            let records = records_checked::<Entry<R>>(block)
                 .unwrap_or_else(|e| ctx.decode_failure(src, e.len, e.elem_size));
             for record in records {
                 let tag = R::Tag::read(record, &mut 0).expect("a record holds its tag");
@@ -1634,7 +1620,7 @@ mod tests {
     use g500_baselines::dijkstra;
     use g500_graph::{Csr, Directedness, EdgeList, ShortestPaths, WEdge};
     use g500_partition::{assemble_local_graph, Block1D};
-    use simnet::wire::encode_slice;
+    use simnet::wire::{encode_slice, DecodeError};
     use simnet::{Machine, MachineConfig};
 
     fn run_dist(
@@ -2258,20 +2244,21 @@ mod tests {
 
     #[test]
     fn frontier_block_of_partial_records_is_a_decode_error() {
-        type Solo = ((), u64, f32);
-        type Tagged = (u32, u64, f32);
+        // a light pull's records, solo and lane-tagged
+        type Solo = (<crate::codec::Update as Record>::Tag, u64, f32);
+        type Tagged = (<crate::codec::TaggedUpdate as Record>::Tag, u64, f32);
         let whole = encode_slice(&[((), 7u64, 1.5f32), ((), 9, 2.5)]);
-        let records: Vec<Solo> = frontier_records::<Solo>(&whole)
+        let records: Vec<Solo> = records_checked::<Solo>(&whole)
             .unwrap()
             .map(|r| Solo::read(r, &mut 0).unwrap())
             .collect();
         assert_eq!(records, [((), 7, 1.5), ((), 9, 2.5)]);
         for (len, elem_size) in [(whole.len() - 1, 12), (whole.len() + 5, 12)] {
             let block = vec![0u8; len];
-            let err = frontier_records::<Solo>(&block).err();
+            let err = records_checked::<Solo>(&block).err();
             assert_eq!(err, Some(DecodeError { len, elem_size }));
         }
-        let err = frontier_records::<Tagged>(&whole).err();
+        let err = records_checked::<Tagged>(&whole).err();
         assert_eq!(
             err,
             Some(DecodeError {
@@ -2279,7 +2266,7 @@ mod tests {
                 elem_size: 16
             })
         );
-        assert_eq!(frontier_records::<Tagged>(&[]).unwrap().count(), 0);
+        assert_eq!(records_checked::<Tagged>(&[]).unwrap().count(), 0);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 use graph500::baselines::dijkstra;
 use graph500::gen::{KroneckerGenerator, KroneckerParams};
 use graph500::graph::{Csr, Directedness, EdgeList, ShortestPaths};
-use graph500::partition::{assemble_local_graph, Block1D};
-use graph500::simnet::{Machine, MachineConfig, NetStats};
+use graph500::partition::{assemble_local_graph, Block1D, LocalGraph};
+use graph500::simnet::{Machine, MachineConfig, NetStats, RankCtx};
 use graph500::sssp::{
     distributed_bfs, distributed_delta_stepping, try_batched_delta_stepping, BatchSpec, Direction,
     Grid2DSssp, OptConfig, SsspRunStats,
@@ -30,6 +30,16 @@ fn fuzz_graph() -> (EdgeList, u64) {
     (gen.generate_all(), 1 << 10)
 }
 
+/// This rank's share of `el`'s records, assembled on a block partition of
+/// `n` vertices over the machine's ranks.
+fn block_graph(ctx: &mut RankCtx, el: &EdgeList, n: u64) -> LocalGraph<Block1D> {
+    let p = ctx.size();
+    let m = el.len();
+    let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
+    let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
+    assemble_local_graph(ctx, mine.into_iter(), Block1D::new(n, p))
+}
+
 /// One deterministic-mode 1D run: distances gathered to rank 0, rank-0
 /// kernel counters, per-rank network stats.
 fn run_1d(
@@ -41,11 +51,7 @@ fn run_1d(
     sched_seed: u64,
 ) -> (ShortestPaths, SsspRunStats, Vec<NetStats>) {
     let report = Machine::new(MachineConfig::with_ranks(p).deterministic(sched_seed)).run(|ctx| {
-        let part = Block1D::new(n, p);
-        let m = el.len();
-        let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
-        let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
-        let g = assemble_local_graph(ctx, mine.into_iter(), part);
+        let g = block_graph(ctx, el, n);
         let (sp, stats) = distributed_delta_stepping(ctx, &g, root, opts);
         (sp.gather(ctx, g.part()), stats)
     });
@@ -100,19 +106,25 @@ fn sixteen_schedules_zero_divergence_1d() {
 /// The same at 16 ranks, where nearly every exchange takes the grouped
 /// route (the run posts fewer messages than one direct exchange a superstep
 /// would): the forwarded bundles arrive under permuted orders too, and the
-/// receiver still merges one block per source rank.
+/// receiver still merges one block per source rank. Push, Hybrid and Pull
+/// each run under 8 schedules; every direction's distances are the Push
+/// run's, and a forced Pull, whose frontier broadcast crosses the grid's
+/// unpack, keeps its parents and every kernel counter too.
 #[test]
 fn grouped_route_is_schedule_invariant_at_16_ranks() {
     let (el, n) = fuzz_graph();
     let csr = Csr::from_edges(n as usize, &el, Directedness::Undirected);
     let oracle = dijkstra(&csr, 1);
-    for dir in [Direction::Push, Direction::Hybrid] {
+    let push = OptConfig::all_on().with_direction(Direction::Push);
+    let (pushed, ..) = run_1d(&el, n, 16, 1, &push, 0);
+    assert!(pushed.distances_match(&oracle, 1e-4), "Push vs Dijkstra");
+    for dir in [Direction::Push, Direction::Hybrid, Direction::Pull] {
         let opts = OptConfig::all_on().with_direction(dir);
         let (base_sp, base_stats, base_net) = run_1d(&el, n, 16, 1, &opts, 0);
-        assert!(
-            base_sp.distances_match(&oracle, 1e-4),
-            "{dir:?} vs Dijkstra"
-        );
+        assert_bitwise_equal_dists(&pushed.dist, &base_sp.dist, &format!("{dir:?} vs Push"));
+        if dir == Direction::Pull {
+            assert!(base_stats.pull_iterations > 0, "Pull: no pull");
+        }
         for net in &base_net {
             assert!(
                 net.coll_msgs < base_stats.supersteps * 15,
@@ -121,12 +133,18 @@ fn grouped_route_is_schedule_invariant_at_16_ranks() {
                 base_stats.supersteps
             );
         }
-        for sched_seed in [2u64, 6, 10] {
+        for sched_seed in 1..=8u64 {
             let label = format!("{dir:?}/{sched_seed}");
             let (sp, stats, _) = run_1d(&el, n, 16, 1, &opts, sched_seed);
             assert_bitwise_equal_dists(&base_sp.dist, &sp.dist, &label);
             assert_eq!(base_stats.supersteps, stats.supersteps, "{label}");
             assert_eq!(base_stats.heavy_pulls, stats.heavy_pulls, "{label}");
+            if dir == Direction::Pull {
+                // every rank scans the same min-merged frontier index, so
+                // no choice or count depends on the delivery order
+                assert_eq!(base_sp.parent, sp.parent, "{label}: parents");
+                assert_eq!(base_stats, stats, "{label}: kernel counters");
+            }
         }
         let (sp, stats, net) = run_1d(&el, n, 16, 1, &opts, 6);
         let (again_sp, again_stats, again_net) = run_1d(&el, n, 16, 1, &opts, 6);
@@ -135,70 +153,41 @@ fn grouped_route_is_schedule_invariant_at_16_ranks() {
     }
 }
 
-/// A Pull-forced run at 16 ranks, solo (one root) or as one batch (one
-/// lane a root): every lane's paths gathered to rank 0, rank 0's kernel
-/// counters, per-rank network stats.
-fn run_pull_16(
-    el: &EdgeList,
-    n: u64,
-    roots: &[u64],
-    opts: &OptConfig,
-    sched_seed: u64,
-) -> (Vec<ShortestPaths>, SsspRunStats, Vec<NetStats>) {
-    let p = 16;
-    let report = Machine::new(MachineConfig::with_ranks(p).deterministic(sched_seed)).run(|ctx| {
-        let part = Block1D::new(n, p);
-        let m = el.len();
-        let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
-        let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
-        let g = assemble_local_graph(ctx, mine.into_iter(), part);
-        if let [root] = roots {
-            let (sp, stats) = distributed_delta_stepping(ctx, &g, *root, opts);
-            return (vec![sp.gather(ctx, g.part())], stats);
-        }
-        let specs: Vec<_> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
-        let (lanes, stats) = try_batched_delta_stepping(ctx, &g, &specs, opts).expect("no faults");
-        let paths = lanes.iter().map(|lane| lane.paths.gather(ctx, g.part()));
-        (paths.collect(), stats)
-    });
-    let stats_vec = report.stats.clone();
-    let (paths, kstats) = report.results.into_iter().next().expect("rank 0");
-    (paths, kstats, stats_vec)
-}
-
-/// A pull's frontier broadcast at 16 ranks takes the grouped route, so its
-/// bytes cross the grid's bundles and unpack under every permuted order.
-/// Solo and as a 4-lane batch, 8 schedules: distances, parents and every
-/// kernel counter are bit-equal, and the distances are the Push run's.
+/// A Pull-forced 4-lane batch at 16 ranks (one lane a root): its frontier
+/// broadcast carries every lane's tagged records over the grouped route.
+/// Under 8 schedules every lane's distances and parents and every kernel
+/// counter are bit-equal, and the distances are the Push batch's.
 #[test]
-fn pull_broadcast_on_the_grid_is_schedule_invariant() {
+fn pull_batch_on_the_grid_is_schedule_invariant() {
     let (el, n) = fuzz_graph();
-    let pull = OptConfig::all_on().with_direction(Direction::Pull);
-    let push = OptConfig::all_on().with_direction(Direction::Push);
-    for roots in [&[1u64][..], &[1, 2, 3, 5]] {
-        let (base, base_stats, base_net) = run_pull_16(&el, n, roots, &pull, 0);
-        assert!(base_stats.pull_iterations > 0, "{roots:?}: no pull");
-        for net in &base_net {
-            assert!(
-                net.coll_msgs < base_stats.supersteps * 15,
-                "{roots:?}: {} messages in {} supersteps is the direct route's count",
-                net.coll_msgs,
-                base_stats.supersteps
-            );
+    let roots = [1u64, 2, 3, 5];
+    let run = |dir, sched_seed| {
+        let opts = OptConfig::all_on().with_direction(dir);
+        let config = MachineConfig::with_ranks(16).deterministic(sched_seed);
+        let report = Machine::new(config).run(|ctx| {
+            let g = block_graph(ctx, &el, n);
+            let specs: Vec<_> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
+            let (lanes, stats) =
+                try_batched_delta_stepping(ctx, &g, &specs, &opts).expect("no faults");
+            let paths = lanes.iter().map(|lane| lane.paths.gather(ctx, g.part()));
+            (paths.collect::<Vec<_>>(), stats)
+        });
+        report.results.into_iter().next().expect("rank 0")
+    };
+    let (pushed, _) = run(Direction::Push, 0);
+    let (base, base_stats) = run(Direction::Pull, 0);
+    assert!(base_stats.pull_iterations > 0, "no pull");
+    for (s, (a, b)) in base.iter().zip(&pushed).enumerate() {
+        assert_bitwise_equal_dists(&b.dist, &a.dist, &format!("lane {s} vs Push"));
+    }
+    for sched_seed in 1..=8u64 {
+        let (paths, stats) = run(Direction::Pull, sched_seed);
+        for (s, (a, b)) in base.iter().zip(&paths).enumerate() {
+            let label = format!("{sched_seed}: lane {s}");
+            assert_bitwise_equal_dists(&a.dist, &b.dist, &label);
+            assert_eq!(a.parent, b.parent, "{label}: parents");
         }
-        let (pushed, ..) = run_pull_16(&el, n, roots, &push, 0);
-        for (s, (a, b)) in base.iter().zip(&pushed).enumerate() {
-            assert_bitwise_equal_dists(&a.dist, &b.dist, &format!("{roots:?}: lane {s} vs Push"));
-        }
-        for sched_seed in 1..=8u64 {
-            let label = format!("{roots:?}/{sched_seed}");
-            let (paths, stats, _) = run_pull_16(&el, n, roots, &pull, sched_seed);
-            for (s, (a, b)) in base.iter().zip(&paths).enumerate() {
-                assert_bitwise_equal_dists(&a.dist, &b.dist, &format!("{label}: lane {s}"));
-                assert_eq!(a.parent, b.parent, "{label}: lane {s} parents");
-            }
-            assert_eq!(base_stats, stats, "{label}: kernel counters");
-        }
+        assert_eq!(base_stats, stats, "{sched_seed}: kernel counters");
     }
 }
 
@@ -345,11 +334,7 @@ fn bfs_is_schedule_invariant() {
         let run = |sched_seed: u64| {
             Machine::new(MachineConfig::with_ranks(p).deterministic(sched_seed))
                 .run(|ctx| {
-                    let part = Block1D::new(n, p);
-                    let m = el.len();
-                    let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
-                    let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
-                    let g = assemble_local_graph(ctx, mine.into_iter(), part);
+                    let g = block_graph(ctx, &el, n);
                     let (res, stats) = distributed_bfs(ctx, &g, 1, dir).expect("no faults");
                     let (level, _parent) = res.gather(ctx, g.part());
                     (level, stats.supersteps)
@@ -382,12 +367,8 @@ fn threads_and_canonical_deterministic_agree() {
     let (el, n) = fuzz_graph();
     let opts = OptConfig::all_on();
     let p = 4usize;
-    let spmd = |ctx: &mut graph500::simnet::RankCtx| {
-        let part = Block1D::new(n, p);
-        let m = el.len();
-        let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
-        let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
-        let g = assemble_local_graph(ctx, mine.into_iter(), part);
+    let spmd = |ctx: &mut RankCtx| {
+        let g = block_graph(ctx, &el, n);
         let (sp, stats) = distributed_delta_stepping(ctx, &g, 1, &opts);
         (sp.gather(ctx, g.part()), stats)
     };

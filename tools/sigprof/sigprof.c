@@ -12,9 +12,9 @@
  * memory map, then one sampled address a line, to $SIGPROF_OUT (default
  * sigprof.<pid>.txt). report.py resolves the addresses with addr2line.
  *
- * SIGPROF_HZ sets the rate asked for (default 997 a CPU-second); the timer
- * expires on the kernel's clock ticks, so it cannot be finer. A process that ends
- * without running exit handlers (abort, a signal) writes nothing.
+ * The timer asks for 997 samples a CPU-second but expires on the kernel's
+ * clock ticks, so it cannot be finer. A process that ends without running
+ * exit handlers (abort, a signal) writes nothing.
  */
 #define _GNU_SOURCE
 #include <signal.h>
@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #define MAX_SAMPLES (1u << 22)
+#define PERIOD_USEC (1000000 / 997)
 
 static uintptr_t samples[MAX_SAMPLES];
 static atomic_size_t taken;
@@ -59,18 +60,13 @@ static void set_timer(long usec) {
 }
 
 __attribute__((constructor)) static void sigprof_start(void) {
-    const char *hz = getenv("SIGPROF_HZ");
-    long rate = hz ? atol(hz) : 997;
-    if (rate < 1 || rate > 100000) {
-        rate = 997;
-    }
     struct sigaction sa;
     memset(&sa, 0, sizeof sa);
     sa.sa_sigaction = on_prof;
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
-    set_timer(1000000 / rate);
+    set_timer(PERIOD_USEC);
 }
 
 __attribute__((destructor)) static void sigprof_stop(void) {
