@@ -212,10 +212,11 @@ pub fn run_kernels() -> Vec<(&'static str, Stats)> {
         }),
     ));
 
-    // The radix-indexed bucket queue alone: a 200k-entry insert + ordered
-    // drain with a sparse far tail, the access pattern the occupancy
-    // bitmap exists for (sized to time above 1 ms, where the gate's
-    // ratios are steadier than at 100k's ~0.74 ms).
+    // The bucket queue alone: a 200k-entry insert + ordered drain with a
+    // sparse far tail, so the cursor walks long runs of empty lanes
+    // between the far buckets (sized to time above 1 ms, where the gate's
+    // ratios are steadier than at 100k's ~0.74 ms). The name is the key
+    // `results/bench_baseline.json` holds for it.
     out.push((
         "bucket/radix_drain_200k",
         measure(10, || {

@@ -19,8 +19,8 @@ use crate::recovery::{CrashState, FaultEscalation};
 use crate::sched::{splitmix64, SchedCore};
 use crate::stats::NetStats;
 use crate::trace::{TraceBuf, TraceCode, TraceKind};
-use crate::transport::{SenderTransport, TransportError, TransportIo};
-use crate::wire::{decode_vec_checked, encode_slice, Wire};
+use crate::transport::{SenderTransport, TransportIo};
+use crate::wire::{encode_slice, Wire};
 use std::sync::Arc;
 
 /// Message tag. Application tags must be `< TAG_COLLECTIVE_BASE`.
@@ -168,18 +168,6 @@ impl RankCtx {
     /// Snapshot of the traffic counters so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// Record `n` queries shed by a serving layer (degraded answers after
-    /// recovery failure or a blown deadline) into this rank's counters.
-    pub fn count_queries_shed(&mut self, n: u64) {
-        self.stats.queries_shed += n;
-    }
-
-    /// Record `n` queries retried after a crashed admission window was
-    /// re-run from its last checkpoint.
-    pub fn count_queries_retried(&mut self, n: u64) {
-        self.stats.queries_retried += n;
     }
 
     /// True when this run records trace events. Instrumentation sites that
@@ -446,26 +434,15 @@ impl RankCtx {
 
     /// Receive a slice of typed records from `(src, tag)`.
     ///
-    /// Panics with a [`TransportError::Decode`] fail-stop if the payload
-    /// does not decode as a whole number of `T`s — a truncated/garbage
-    /// payload or mismatched send/recv types must surface as a diagnosable
-    /// transport error, never as a silently truncated batch.
+    /// A payload that does not decode as a whole number of `T`s — a
+    /// truncated/garbage payload or mismatched send/recv types — leaves
+    /// through [`RankCtx::decode_failure`] as the typed
+    /// [`crate::TransportError::Decode`], which `Machine::try_run` returns
+    /// as its `Err`, never as a silently truncated batch. A receive is the
+    /// same whatever class the message was sent in, so this is the
+    /// collectives' own checked receive.
     pub fn recv<T: Wire>(&mut self, src: usize, tag: Tag) -> Vec<T> {
-        self.try_recv(src, tag)
-            .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank))
-    }
-
-    /// Like [`RankCtx::recv`], but returns an undecodable payload as a
-    /// structured [`TransportError`] instead of panicking.
-    pub fn try_recv<T: Wire>(&mut self, src: usize, tag: Tag) -> Result<Vec<T>, TransportError> {
-        let buf = self.recv_bytes(src, tag);
-        decode_vec_checked(&buf).map_err(|e| TransportError::Decode {
-            src,
-            dst: self.rank,
-            tag,
-            len: e.len,
-            elem_size: e.elem_size,
-        })
+        self.recv_coll(src, tag)
     }
 
     /// Convenience: send a single record.
@@ -473,10 +450,9 @@ impl RankCtx {
         self.send(dest, tag, &[item]);
     }
 
-    /// Convenience: receive exactly one record.
+    /// Convenience: receive exactly one record. Another count is the same
+    /// typed decode error as an undecodable payload.
     pub fn recv_one<T: Wire>(&mut self, src: usize, tag: Tag) -> T {
-        let mut v = self.recv::<T>(src, tag);
-        assert_eq!(v.len(), 1, "expected exactly one record");
-        v.pop().expect("length checked")
+        self.recv_one_coll(src, tag)
     }
 }

@@ -57,11 +57,6 @@ pub struct NetStats {
     pub restores: u64,
     /// Supersteps re-executed during restore-and-replay.
     pub replayed_supersteps: u64,
-    /// Queries the serving layer shed after failed recovery or a blown
-    /// deadline.
-    pub queries_shed: u64,
-    /// Query admission windows the serving layer retried from checkpoint.
-    pub queries_retried: u64,
 }
 
 impl NetStats {
@@ -97,8 +92,6 @@ impl NetStats {
         self.checkpoint_bytes += other.checkpoint_bytes;
         self.restores += other.restores;
         self.replayed_supersteps += other.replayed_supersteps;
-        self.queries_shed += other.queries_shed;
-        self.queries_retried += other.queries_retried;
     }
 
     /// True when any fault-injection / reliable-transport counter is
@@ -115,11 +108,7 @@ impl NetStats {
     /// True when any crash-injection / recovery counter is nonzero — i.e.
     /// the run actually exercised checkpoint/restart.
     pub fn saw_crashes(&self) -> bool {
-        self.crashes != 0
-            || self.restores != 0
-            || self.replayed_supersteps != 0
-            || self.queries_shed != 0
-            || self.queries_retried != 0
+        self.crashes != 0 || self.restores != 0 || self.replayed_supersteps != 0
     }
 }
 
@@ -128,7 +117,6 @@ crate::json_fields! {
     user_msgs, user_bytes, coll_msgs, coll_bytes, barriers, collectives, compute_s, comm_s,
     retransmits, timeouts, dup_frames_dropped, corrupt_frames, reordered_frames, stall_events,
     stall_s, crashes, checkpoints, checkpoint_bytes, restores, replayed_supersteps,
-    queries_shed, queries_retried,
 }
 
 /// Aggregate a set of per-rank stats into totals.
@@ -168,8 +156,6 @@ mod tests {
             checkpoint_bytes: 1024,
             restores: 2,
             replayed_supersteps: 13,
-            queries_shed: 3,
-            queries_retried: 4,
         };
         let mut b = a.clone();
         b.merge(&a);
@@ -189,8 +175,6 @@ mod tests {
         assert_eq!(b.checkpoint_bytes, 2048);
         assert_eq!(b.restores, 4);
         assert_eq!(b.replayed_supersteps, 26);
-        assert_eq!(b.queries_shed, 6);
-        assert_eq!(b.queries_retried, 8);
         assert!(b.saw_faults());
         assert!(b.saw_crashes());
         assert!(!NetStats::default().saw_faults());
@@ -210,7 +194,6 @@ mod tests {
         assert!(j.contains("\"stall_s\":0"), "{j}");
         assert!(j.contains("\"crashes\":0"), "{j}");
         assert!(j.contains("\"checkpoint_bytes\":0"), "{j}");
-        assert!(j.contains("\"queries_shed\":0"), "{j}");
     }
 
     #[test]

@@ -6,38 +6,32 @@
 //! stale entries are filtered at pop time by re-checking the vertex's
 //! current bucket — the standard trick that avoids a decrease-key.
 //!
-//! # Radix layout
+//! # Layout
 //!
-//! Finding the next non-empty bucket used to be a linear cursor scan —
-//! `O(#buckets)` per epoch, which dominates on long-diameter graphs where
-//! most buckets are empty (road networks, `almost_line` adversaries). The
-//! queue now keeps a multi-level occupancy bitmap over the bucket lanes:
-//! level 0 has one bit per bucket, and each level above summarizes 64 words
-//! of the level below, so `min_bucket` is a masked-word scan plus one
-//! descent — `O(64 · levels)` with `levels = ⌈log₆₄ #buckets⌉` (3 levels
-//! covers 16M buckets). The lanes themselves are unchanged `Vec<u32>`s in
-//! insertion order, so every drain returns bitwise-identical contents in
-//! the identical order as the linear-scan layout — the shared-memory
-//! delta-stepping determinism contract does not see the index at all.
+//! One `Vec<u32>` lane a bucket, in insertion order, and a cursor at the
+//! lowest lane that may be non-empty: an insert below it pulls it back, and
+//! `min_bucket` walks it forward over empty lanes to the next occupied one.
+//! A lane is walked again only after an insert lands below the cursor. The
+//! walk is short where it runs: about one empty lane a call that finds a
+//! bucket on the benchmark's Kronecker configurations, 1.1–7.9 on the
+//! `almost_line` and `grid_swirl` adversaries. A 64-way occupancy bitmap
+//! over the lanes was slower than this walk on the perf gate's own drain
+//! loop, so the queue keeps none. Every drain returns its lane verbatim:
+//! the kernels see insertion order within a bucket, ascending bucket index
+//! across them.
 
 use g500_graph::Weight;
 
-/// A lazy bucket queue over local vertex indices, indexed by a multi-level
-/// occupancy bitmap.
+/// A lazy bucket queue over local vertex indices.
 #[derive(Clone, Debug)]
 pub struct BucketQueue {
     delta: Weight,
     /// `buckets[k]` holds (possibly stale) vertices for bucket index `k`,
-    /// in insertion order. Length is kept a multiple of the bitmap fanout.
+    /// in insertion order.
     buckets: Vec<Vec<u32>>,
-    /// Occupancy bitmaps: `levels[0]` has one bit per bucket (bit set ⇔
-    /// lane non-empty); `levels[l][w]` bit `b` is set ⇔ word
-    /// `levels[l-1][w·64 + b]` is non-zero. The top level is one word.
-    levels: Vec<Vec<u64>>,
     /// Index of the lowest bucket that may be non-empty.
     cursor: usize,
-    /// Number of live entries (upper bound; staleness makes it approximate,
-    /// exact emptiness is checked against the occupancy index).
+    /// Number of entries across lanes, stale duplicates included.
     entries: usize,
 }
 
@@ -51,7 +45,6 @@ impl BucketQueue {
         Self {
             delta,
             buckets: Vec::new(),
-            levels: Vec::new(),
             cursor: 0,
             entries: 0,
         }
@@ -70,110 +63,36 @@ impl BucketQueue {
         (d / self.delta) as usize
     }
 
-    /// Grow the lane array (geometrically) and rebuild the bitmap pyramid
-    /// so bucket `k` is addressable. Amortized O(1) per insert; the
-    /// rebuild touches only `#buckets / 64` words.
-    fn ensure_bucket(&mut self, k: usize) {
-        if k < self.buckets.len() {
-            return;
-        }
-        let new_len = (k + 1).next_power_of_two().max(64);
-        self.buckets.resize_with(new_len, Vec::new);
-        // Rebuild the pyramid bottom-up; existing occupancy is preserved
-        // because lanes were only extended with empties.
-        self.rebuild_index();
-    }
-
-    /// Set bucket `k`'s occupancy bit, propagating up the pyramid.
-    #[inline]
-    fn mark(&mut self, k: usize) {
-        let mut idx = k;
-        for level in &mut self.levels {
-            let bit = 1u64 << (idx & 63);
-            let word = &mut level[idx >> 6];
-            if *word & bit != 0 {
-                return; // ancestors already set
-            }
-            *word |= bit;
-            idx >>= 6;
-        }
-    }
-
-    /// Clear bucket `k`'s occupancy bit, clearing summary bits whose whole
-    /// word drained.
-    #[inline]
-    fn unmark(&mut self, k: usize) {
-        let mut idx = k;
-        for level in &mut self.levels {
-            let word = &mut level[idx >> 6];
-            *word &= !(1u64 << (idx & 63));
-            if *word != 0 {
-                return; // word still occupied: summaries stay set
-            }
-            idx >>= 6;
-        }
-    }
-
-    /// First occupied bucket `≥ from`, via masked-word ascent then descent.
-    fn first_occupied_from(&self, from: usize) -> Option<usize> {
-        if self.levels.is_empty() || from >= self.buckets.len() {
-            return None;
-        }
-        let mut level = 0;
-        let mut idx = from;
-        loop {
-            let (w, b) = (idx >> 6, idx & 63);
-            let word = self.levels[level].get(w).map_or(0, |&x| x & (!0u64 << b));
-            if word != 0 {
-                idx = (w << 6) + word.trailing_zeros() as usize;
-                while level > 0 {
-                    level -= 1;
-                    let w = self.levels[level][idx];
-                    debug_assert!(w != 0, "summary bit set over empty word");
-                    idx = (idx << 6) + w.trailing_zeros() as usize;
-                }
-                return Some(idx);
-            }
-            // this word is clear at and above `b`: resume one level up,
-            // strictly after the word we just exhausted
-            level += 1;
-            if level >= self.levels.len() {
-                return None;
-            }
-            idx = w + 1;
-        }
-    }
-
     /// Insert vertex `v` with tentative distance `d` (lazy; duplicates OK).
+    /// The lane array grows geometrically (at least 64 lanes, a power of
+    /// two), which the snapshot's lane count records.
     pub fn insert(&mut self, v: u32, d: Weight) {
         let k = self.bucket_of(d);
-        self.ensure_bucket(k);
-        self.buckets[k].push(v);
-        self.mark(k);
-        self.entries += 1;
-        if k < self.cursor {
-            self.cursor = k;
+        if k >= self.buckets.len() {
+            let new_len = (k + 1).next_power_of_two().max(64);
+            self.buckets.resize_with(new_len, Vec::new);
         }
+        self.buckets[k].push(v);
+        self.entries += 1;
+        self.cursor = self.cursor.min(k);
     }
 
     /// Lowest bucket index that currently has entries, advancing the cursor
     /// past drained buckets. `None` when the queue is empty.
     pub fn min_bucket(&mut self) -> Option<usize> {
-        let found = self.first_occupied_from(self.cursor);
-        self.cursor = found.unwrap_or(self.buckets.len());
-        found
+        let ahead = &self.buckets[self.cursor..];
+        let skip = ahead.iter().position(|lane| !lane.is_empty());
+        self.cursor += skip.unwrap_or(ahead.len());
+        skip.map(|_| self.cursor)
     }
 
     /// Remove and return the raw (possibly stale) contents of bucket `k`.
     /// Callers must filter entries against the current distance array.
     pub fn take_bucket(&mut self, k: usize) -> Vec<u32> {
-        if k >= self.buckets.len() {
+        let Some(lane) = self.buckets.get_mut(k) else {
             return Vec::new();
-        }
-        let v = std::mem::take(&mut self.buckets[k]);
-        if !v.is_empty() {
-            self.unmark(k);
-        }
+        };
+        let v = std::mem::take(lane);
         self.entries -= v.len();
         v
     }
@@ -189,16 +108,12 @@ impl BucketQueue {
     }
 
     /// Remove and return *all* remaining entries of *all* buckets (used by
-    /// tail fusion, which stops caring about bucket order). Order is
-    /// ascending bucket index, insertion order within a bucket — identical
-    /// to the pre-radix linear sweep.
+    /// tail fusion, which stops caring about bucket order): ascending bucket
+    /// index from the cursor, insertion order within a bucket.
     pub fn drain_all(&mut self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.entries);
-        let mut k = self.cursor;
-        while let Some(next) = self.first_occupied_from(k) {
-            out.append(&mut self.buckets[next]);
-            self.unmark(next);
-            k = next + 1;
+        for lane in &mut self.buckets[self.cursor..] {
+            out.append(lane);
         }
         self.entries = 0;
         out
@@ -212,36 +127,6 @@ impl BucketQueue {
     /// True when no entries remain (stale or otherwise).
     pub fn is_empty(&self) -> bool {
         self.entries == 0
-    }
-
-    /// Rebuild the occupancy pyramid from the current lane contents.
-    fn rebuild_index(&mut self) {
-        if self.buckets.is_empty() {
-            self.levels.clear();
-            return;
-        }
-        let mut words = self.buckets.len().div_ceil(64);
-        let mut fresh: Vec<Vec<u64>> = Vec::new();
-        loop {
-            fresh.push(vec![0u64; words]);
-            if words <= 1 {
-                break;
-            }
-            words = words.div_ceil(64);
-        }
-        for (k, lane) in self.buckets.iter().enumerate() {
-            if !lane.is_empty() {
-                fresh[0][k >> 6] |= 1u64 << (k & 63);
-            }
-        }
-        for l in 1..fresh.len() {
-            for w in 0..fresh[l - 1].len() {
-                if fresh[l - 1][w] != 0 {
-                    fresh[l][w >> 6] |= 1u64 << (w & 63);
-                }
-            }
-        }
-        self.levels = fresh;
     }
 
     /// Append an exact snapshot to `out`: lane-array length, cursor, and
@@ -286,7 +171,6 @@ impl BucketQueue {
             self.entries += lane.len();
             self.buckets[k] = lane;
         }
-        self.rebuild_index();
     }
 }
 
@@ -356,12 +240,12 @@ mod tests {
     }
 
     #[test]
-    fn sparse_far_bucket_crosses_bitmap_words() {
-        // bucket 100_000 needs 2 pyramid levels; the scan must skip ~1.5k
-        // empty level-0 words without visiting them
+    fn sparse_far_bucket_is_found_past_empty_lanes() {
+        // bucket ~100_000 lies past ~100k empty lanes, every one of which
+        // the cursor walks over
         let mut q = BucketQueue::new(0.001);
         let k = q.bucket_of(100.0); // ~100_000 (f32 division is inexact)
-        assert!(k > 64 * 64, "must exceed one summary word of buckets");
+        assert!(k > 64 * 64, "far past the first lanes");
         q.insert(7, 100.0);
         assert_eq!(q.min_bucket(), Some(k));
         assert_eq!(q.take_bucket(k), vec![7]);
@@ -372,16 +256,37 @@ mod tests {
     }
 
     #[test]
-    fn summary_bits_clear_only_when_word_drains() {
+    fn cursor_stops_at_each_occupied_lane() {
         let mut q = BucketQueue::new(1.0);
-        // two occupied buckets inside the same level-0 word
+        // two occupied buckets with empty lanes between them
         q.insert(1, 3.0);
         q.insert(2, 7.0);
         assert_eq!(q.take_bucket(3), vec![1]);
-        // word still occupied through bucket 7
+        // the cursor walks from 0 past the drained lane 3 to lane 7
         assert_eq!(q.min_bucket(), Some(7));
         assert_eq!(q.take_bucket(7), vec![2]);
         assert_eq!(q.min_bucket(), None);
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        // Bucket 80 grows the lane array to 128 lanes (at least 64, a power
+        // of two): the lane count and the cursor are saved, so a change to
+        // either policy moves checkpoint bytes and fails here.
+        let mut q = BucketQueue::new(0.5);
+        q.insert(3, 0.2);
+        q.insert(9, 40.0);
+        q.insert(4, 0.3);
+        q.insert(9, 40.2);
+        assert_eq!(q.min_bucket(), Some(0));
+        assert_eq!(q.take_bucket(0), vec![3, 4]);
+        assert_eq!(q.min_bucket(), Some(80));
+        let mut snap = Vec::new();
+        q.save(&mut snap);
+        let words: [u64; 6] = [0.5f32.to_bits() as u64, 128, 80, 1, 80, 2];
+        let mut want: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        want.extend([9u32, 9].iter().flat_map(|v| v.to_le_bytes()));
+        assert_eq!(snap, want);
     }
 
     #[test]
@@ -439,7 +344,7 @@ mod tests {
     #[test]
     fn interleaved_ops_match_naive_model() {
         // deterministic pseudo-random op stream checked against a plain
-        // Vec<Vec<u32>> + linear-scan model
+        // Vec<Vec<u32>> + scan-from-zero model
         let mut q = BucketQueue::new(0.5);
         let mut model: Vec<Vec<u32>> = Vec::new();
         let mut state = 0x9e3779b97f4a7c15u64;

@@ -127,10 +127,6 @@ impl Offer for Sums {
     }
 }
 
-/// Per-vertex result of the pull scan: arcs examined, and (if the
-/// vertex improved) its new `(dist, parent)`.
-type PullScan = (u64, Option<(f32, u64)>);
-
 /// A light pull's index of one lane's broadcast frontier: the distance each
 /// frontier vertex offers, and the nearest of them. Open addressing with
 /// linear probing from a multiply-shift (Fibonacci) hash of the vertex id,
@@ -448,13 +444,11 @@ pub(crate) struct Kernel<'a, P: VertexPartition, R: Record> {
     pub(crate) lanes: Vec<Lane>,
     pub(crate) stats: SsspRunStats,
     /// Superstep scratch arenas, reused across the whole run: the exchange
-    /// buckets/incoming buffer, the pull scan's result buffer and, per
-    /// lane, a light pull's [`FrontierTable`], filled from the broadcast's
-    /// bytes and reset every pull step: its slots number twice the lane's
-    /// entries in that step, rounded up to a power of two, however many
-    /// vertices the graph has.
+    /// buckets/incoming buffer and, per lane, a light pull's
+    /// [`FrontierTable`], filled from the broadcast's bytes and reset every
+    /// pull step: its slots number twice the lane's entries in that step,
+    /// rounded up to a power of two, however many vertices the graph has.
     xbufs: ExchangeBufs<R>,
-    pull_scratch: Vec<PullScan>,
     pull_index: Vec<FrontierTable>,
     /// Open-bucket scratch: the global frontier size summed over the
     /// bucket's light steps and lanes, and the compute/comm clocks at its
@@ -591,7 +585,6 @@ pub(crate) fn run_kernel<'a, P: VertexPartition, R: Record>(
         lanes,
         stats: SsspRunStats::default(),
         xbufs: ExchangeBufs::new(ctx.size()),
-        pull_scratch: Vec::new(),
         pull_index: Vec::new(),
         phase_frontier: 0,
         phase_start: (0.0, 0.0),
@@ -1214,29 +1207,33 @@ impl Lane {
 
     /// One pull scan of every local vertex's light prefix or
     /// (`heavy`) heavy suffix against sources no nearer than `nearest`;
-    /// `source(self, t)` is the distance t offers, `∞` for none. Each vertex
-    /// reads only its *own* distance slot and state that stays frozen,
-    /// because every vertex is scanned before any result is applied. An arc of
-    /// weight w can improve v only while nearest + w < d(v), and matters
-    /// only while nearest + w ≤ the lane's bound: the weight-sorted scan
-    /// stops at the first arc that fails either, the first bound tightens
-    /// as d(v) drops, and a vertex settled earlier stops before its first
-    /// arc. Results are applied in vertex order; the arcs examined are
-    /// charged, returned, and left per vertex in `scratch`.
+    /// `source(self, t)` is the distance t offers, `∞` for none. One pass:
+    /// vertex l is scanned and its result applied before l + 1 is scanned.
+    /// A scan reads its own distance slot, the lane's bound and sources no
+    /// application moves — a light pull's broadcast [`FrontierTable`], a
+    /// heavy fetch's settled distances, which no heavy arc can lower (see
+    /// [`Arcs::Heavy`]) — so each result is the one it would be with every
+    /// vertex scanned first. An arc of weight w can improve v only while
+    /// nearest + w < d(v), and matters only while nearest + w ≤ the lane's
+    /// bound: the weight-sorted scan stops at the first arc that fails
+    /// either, the first bound tightens as d(v) drops, and a vertex settled
+    /// earlier stops before its first arc. Results are applied in vertex
+    /// order; `row(l, arcs)` hears the arcs examined of each vertex's row,
+    /// and their total is charged and returned.
     fn pull_scan<P: VertexPartition>(
         &mut self,
         ctx: &mut RankCtx,
         rows: &Rows<P>,
-        scratch: &mut Vec<PullScan>,
         (heavy, nearest): (bool, f32),
         source: impl Fn(&Self, u64) -> f32,
+        mut row: impl FnMut(usize, u64),
     ) -> u64 {
         let graph = rows.graph;
         let n_local = graph.local_vertices();
         ctx.trace_begin(TraceCode::TaskWave, n_local as u64, heavy as u64);
-        let this = &*self;
-        let scan = |l: usize| -> PullScan {
-            let (mut scanned, mut dl, mut pl) = (0u64, this.sp.dist[l], u64::MAX);
+        let mut scanned = 0u64;
+        for l in 0..n_local {
+            let (mut arcs, mut dl, mut pl) = (0u64, self.sp.dist[l], u64::MAX);
             let (ts, ws) = if heavy {
                 let light = rows.light.degree(l);
                 (
@@ -1248,26 +1245,20 @@ impl Lane {
             };
             for (&t, &w) in ts.iter().zip(ws) {
                 let least = nearest + w;
-                if least >= dl || least > this.bound {
+                if least >= dl || least > self.bound {
                     break;
                 }
-                scanned += 1;
-                let nd = source(this, t) + w;
-                if nd < dl && nd <= this.bound {
+                arcs += 1;
+                let nd = source(self, t) + w;
+                if nd < dl && nd <= self.bound {
                     (dl, pl) = (nd, t);
                 }
             }
-            (scanned, (pl != u64::MAX).then_some((dl, pl)))
-        };
-        scratch.clear();
-        scratch.extend((0..n_local).map(scan));
-
-        let mut scanned = 0u64;
-        for (l, &(s, upd)) in scratch.iter().enumerate() {
-            scanned += s;
-            if let Some((dl, pl)) = upd {
+            if pl != u64::MAX {
                 self.apply(l, dl, pl, Wait::Bucket);
             }
+            row(l, arcs);
+            scanned += arcs;
         }
         ctx.charge_compute(scanned);
         ctx.trace_end(TraceCode::TaskWave, n_local as u64, heavy as u64);
@@ -1495,20 +1486,18 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
         for (s, lane) in acting(&mut self.lanes, Stand::Light, true) {
             let table = &self.pull_index[s as usize];
             let found = |_: &Lane, t: u64| table.get(t);
-            let scratch = &mut self.pull_scratch;
-            self.stats.relaxations +=
-                lane.pull_scan(ctx, &self.rows, scratch, (false, table.nearest), found);
+            let light = (false, table.nearest);
+            self.stats.relaxations += lane.pull_scan(ctx, &self.rows, light, found, |_, _| {});
         }
         Some(merged)
     }
 
     /// The fetching lanes' heavy phase. A lane's `nearest` is the minimum
     /// distance in its `S`, so the scan bound holds for heavy suffixes as it
-    /// does for light prefixes. A first scan relaxes nothing and leaves how
-    /// far each row lies inside the bound; the remote sources met there go
-    /// to their owners as sorted owner-local ids — one request for all
-    /// lanes — the owners answer in request order, and a second scan
-    /// relaxes. Every candidate a push would win with is examined, in the
+    /// does for light prefixes. A first scan relaxes nothing; as it leaves
+    /// each row, it stages the remote sources met inside the bound for
+    /// their owners, who get them as sorted owner-local ids — one request
+    /// for all lanes — and answer in request order; a second scan relaxes. Every candidate a push would win with is examined, in the
     /// same `f32` arithmetic. Request and reply each go by the route priced
     /// for `arcs`, the unsettled heavy arcs the fetching lanes agreed on: a
     /// rank asks about its share of them at most.
@@ -1521,9 +1510,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
             pulled = true;
             let first = (true, lane.heavy_sums.2);
             let nothing = |_: &Lane, _| f32::INFINITY;
-            self.stats.relaxations +=
-                lane.pull_scan(ctx, rows, &mut self.pull_scratch, first, nothing);
-            for (l, &(inside, _)) in self.pull_scratch.iter().enumerate() {
+            let ask = |l: usize, inside: u64| {
                 let lo = rows.light.degree(l);
                 for &t in &rows.graph.neighbors(l)[lo..lo + inside as usize] {
                     let owner = part.owner(t);
@@ -1531,7 +1518,8 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
                         want[owner].push((R::tag(s), part.to_local(t) as u32));
                     }
                 }
-            }
+            };
+            self.stats.relaxations += lane.pull_scan(ctx, rows, first, nothing, ask);
         }
         if !pulled {
             return;
@@ -1573,8 +1561,7 @@ impl<P: VertexPartition, R: Record> Kernel<'_, P, R> {
                 let at = want[owner].binary_search(&(R::tag(s), u as u32));
                 got[owner][at.expect("requested by the first scan")]
             };
-            self.stats.relaxations +=
-                lane.pull_scan(ctx, rows, &mut self.pull_scratch, second, fetched);
+            self.stats.relaxations += lane.pull_scan(ctx, rows, second, fetched, |_, _| {});
         }
     }
 

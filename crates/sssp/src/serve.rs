@@ -455,7 +455,6 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
                 // monotone, so the retry faces fresh crash windows rather
                 // than replaying the fatal schedule
                 self.stats.queries_retried += lane_queries;
-                ctx.count_queries_retried(lane_queries);
                 attempt = try_batched_delta_stepping(ctx, self.graph, &specs, &self.cfg.opts);
             }
             match attempt {
@@ -503,7 +502,6 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
                     // the window's kernel failed twice: no answer exists,
                     // hand back a counted shed verdict instead of dying
                     self.stats.queries_shed += 1;
-                    ctx.count_queries_shed(1);
                     ctx.trace_count(TraceCode::QueryShed, ord0 + qi as u64, 0);
                     QueryOutcome {
                         latency_s: ctx.now() - t0,
@@ -520,7 +518,6 @@ impl<'g, P: VertexPartition + Sync> QueryEngine<'g, P> {
                     let shed = latency_s > self.cfg.deadline_s;
                     if shed {
                         self.stats.queries_shed += 1;
-                        ctx.count_queries_shed(1);
                         ctx.trace_count(TraceCode::QueryShed, ord0 + qi as u64, 1);
                     }
                     QueryOutcome {
@@ -760,8 +757,6 @@ mod tests {
         }
         assert_eq!(stats.queries_shed, 4);
         assert_eq!(stats.queries_retried, 4);
-        assert!(rep.total_stats().queries_shed > 0);
-        assert!(rep.total_stats().queries_retried > 0);
     }
 
     #[test]

@@ -152,8 +152,8 @@ pub mod adversarial {
 
     /// A long path with a handful of random chords: diameter ≈ n, so the
     /// bucket structure is almost entirely empty space — the adversary for
-    /// next-bucket scanning (and the showcase for the radix occupancy
-    /// index).
+    /// next-bucket scanning: the bucket queue's cursor walks long runs of
+    /// empty lanes here.
     pub fn almost_line(seed: u64) -> (u64, Vec<(u64, u64, f32)>) {
         let mut rng = Rng::new(seed ^ 0xA11E);
         let n = 220u64;

@@ -7,7 +7,7 @@
 
 use graph500::gen::simple;
 use graph500::graph::{EdgeList, INF_WEIGHT, NO_PARENT};
-use graph500::simnet::{Machine, MachineConfig};
+use graph500::simnet::{FaultEscalation, Machine, MachineConfig, RankCtx, TransportError};
 use graph500::validate::{validate_sssp, SsspResult};
 
 // ---------- runtime fail-stop ----------
@@ -64,6 +64,41 @@ fn type_confusion_is_detected() {
             let _: Vec<(u64, f32)> = ctx.recv(0, 5);
         }
     });
+}
+
+#[test]
+fn type_confusion_is_a_typed_decode_error() {
+    // the mismatch above under `try_run` is the typed error, not a panic,
+    // and so is a `recv_one` that meets two records
+    let failure = |sent: &'static [u32], recv: fn(&mut RankCtx)| {
+        Machine::new(MachineConfig::with_ranks(2))
+            .try_run(|ctx| {
+                if ctx.rank() == 0 {
+                    ctx.send(1, 5, sent);
+                } else {
+                    recv(ctx);
+                }
+            })
+            .expect_err("an undecodable payload fails the run")
+    };
+    let decode = |len, elem_size| {
+        let e = TransportError::Decode {
+            src: 0,
+            dst: 1,
+            tag: 5,
+            len,
+            elem_size,
+        };
+        FaultEscalation::Transport(e)
+    };
+    let mistyped = |ctx: &mut RankCtx| {
+        let _: Vec<(u64, f32)> = ctx.recv(0, 5);
+    };
+    assert_eq!(failure(&[7], mistyped), decode(4, 12));
+    let one = |ctx: &mut RankCtx| {
+        let _: u32 = ctx.recv_one(0, 5);
+    };
+    assert_eq!(failure(&[7, 8], one), decode(8, 4));
 }
 
 // ---------- deterministic-mode fail-stop ----------

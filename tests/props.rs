@@ -343,16 +343,16 @@ fn radix_dijkstra_and_bmssp_bitwise_equal_dijkstra() {
 }
 
 #[test]
-fn bucket_queue_radix_layout_matches_naive_model() {
-    // the radix occupancy index must be observationally identical to the
-    // old linear-scan layout: same min_bucket, same bucket contents in the
-    // same order, over arbitrary op streams (including far-away sparse
-    // buckets that cross bitmap words)
+fn bucket_queue_matches_naive_model() {
+    // the queue against a plain Vec<Vec<u32>> scanned from a model cursor:
+    // same min_bucket, same bucket contents in the same order, over
+    // arbitrary op streams (including far-away sparse buckets past long
+    // runs of empty lanes)
     for_cases(0xBADC, 64, |rng| {
         let delta = rng.f32(0.05, 1.5);
         let mut q = BucketQueue::new(delta);
         let mut model: Vec<Vec<u32>> = Vec::new();
-        let mut scan_from = 0usize; // the old layout's cursor
+        let mut scan_from = 0usize; // the model's cursor
         for i in 0..rng.usize(1, 250) {
             let d = if rng.range(0, 20) == 0 {
                 rng.f32(100.0, 5000.0) // sparse far bucket
